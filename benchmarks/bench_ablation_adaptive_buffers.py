@@ -7,7 +7,7 @@ the type-aware classics.  Gains vs plain LRU, database 1.
 
 from conftest import publish, run_once
 
-from repro.experiments.ablations import ablation_adaptive_buffers
+from repro.experiments.ablation import ablation_adaptive_buffers
 
 
 def test_ablation_adaptive_buffers(benchmark, paper_setup, results_dir):

@@ -2,7 +2,7 @@
 
 from conftest import publish, run_once
 
-from repro.experiments.ablations import ablation_baselines
+from repro.experiments.ablation import ablation_baselines
 
 
 def test_ablation_baselines(benchmark, paper_setup, results_dir):

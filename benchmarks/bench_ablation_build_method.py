@@ -8,7 +8,7 @@ something to win or lose.
 
 from conftest import publish, run_once
 
-from repro.experiments.ablations import ablation_build_method
+from repro.experiments.ablation import ablation_build_method
 
 
 def test_ablation_build_method(benchmark, paper_setup, results_dir):

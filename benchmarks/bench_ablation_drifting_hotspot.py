@@ -6,7 +6,7 @@ forcing ASB's knob to keep re-tuning.
 
 from conftest import publish, run_once
 
-from repro.experiments.ablations import ablation_drifting_hotspot
+from repro.experiments.ablation import ablation_drifting_hotspot
 
 
 def test_ablation_drifting_hotspot(benchmark, paper_setup, results_dir):

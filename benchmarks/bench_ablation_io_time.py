@@ -6,7 +6,7 @@ the simulated elapsed time under a 10 ms seek / 1 ms transfer model.
 
 from conftest import publish, run_once
 
-from repro.experiments.ablations import ablation_io_time
+from repro.experiments.ablation import ablation_io_time
 
 
 def test_ablation_io_time(benchmark, paper_setup, results_dir):

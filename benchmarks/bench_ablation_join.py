@@ -6,7 +6,7 @@ the nested-loop row shows the algorithmic baseline.
 
 from conftest import publish, run_once
 
-from repro.experiments.ablations import ablation_join
+from repro.experiments.ablation import ablation_join
 
 
 def test_ablation_join(benchmark, paper_setup, results_dir):

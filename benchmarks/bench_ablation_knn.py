@@ -7,7 +7,7 @@ criteria's hardest case.
 
 from conftest import publish, run_once
 
-from repro.experiments.ablations import ablation_knn
+from repro.experiments.ablation import ablation_knn
 
 
 def test_ablation_knn(benchmark, paper_setup, results_dir):

@@ -7,7 +7,7 @@ workloads — interleaved with window queries.
 
 from conftest import publish, run_once
 
-from repro.experiments.ablations import ablation_updates
+from repro.experiments.ablation import ablation_updates
 
 
 def test_ablation_moving_objects(benchmark, paper_setup, results_dir):

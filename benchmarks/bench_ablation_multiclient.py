@@ -6,7 +6,7 @@ the sequential column shows the same queries without interleaving.
 
 from conftest import publish, run_once
 
-from repro.experiments.ablations import ablation_multiclient
+from repro.experiments.ablation import ablation_multiclient
 
 
 def test_ablation_multiclient(benchmark, paper_setup, results_dir):

@@ -8,7 +8,7 @@ the type-based LRU targets.
 
 from conftest import publish, run_once
 
-from repro.experiments.ablations import ablation_object_pages
+from repro.experiments.ablation import ablation_object_pages
 
 
 def test_ablation_object_pages(benchmark, paper_setup, results_dir):

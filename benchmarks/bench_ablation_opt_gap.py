@@ -7,7 +7,7 @@ headroom for replacement cleverness.
 
 from conftest import publish, run_once
 
-from repro.experiments.ablations import ablation_opt_gap
+from repro.experiments.ablation import ablation_opt_gap
 
 
 def test_ablation_opt_gap(benchmark, paper_setup, results_dir):

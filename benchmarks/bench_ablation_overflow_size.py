@@ -7,7 +7,7 @@ to 40 % (a starved main part).
 
 from conftest import publish, run_once
 
-from repro.experiments.ablations import ablation_overflow_size
+from repro.experiments.ablation import ablation_overflow_size
 
 
 def test_ablation_overflow_size(benchmark, paper_setup, results_dir):

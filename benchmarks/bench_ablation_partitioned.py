@@ -8,7 +8,7 @@ partition.
 
 from conftest import publish, run_once
 
-from repro.experiments.ablations import ablation_partitioned_buffer
+from repro.experiments.ablation import ablation_partitioned_buffer
 
 
 def test_ablation_partitioned_buffer(benchmark, paper_setup, results_dir):

@@ -6,7 +6,7 @@ generalises the idea dynamically.  Both against plain LRU.
 
 from conftest import publish, run_once
 
-from repro.experiments.ablations import ablation_pinned_levels
+from repro.experiments.ablation import ablation_pinned_levels
 
 
 def test_ablation_pinned_levels(benchmark, paper_setup, results_dir):

@@ -6,7 +6,7 @@ bench verifies the claim beyond R-trees.
 
 from conftest import publish, run_once
 
-from repro.experiments.ablations import ablation_sams
+from repro.experiments.ablation import ablation_sams
 
 
 def test_ablation_sams(benchmark, paper_setup, results_dir):

@@ -2,7 +2,7 @@
 
 from conftest import publish, run_once
 
-from repro.experiments.ablations import ablation_step_size
+from repro.experiments.ablation import ablation_step_size
 
 
 def test_ablation_step_size(benchmark, paper_setup, results_dir):

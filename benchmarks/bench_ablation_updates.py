@@ -7,7 +7,7 @@ write-backs to the replacement policy.
 
 from conftest import publish, run_once
 
-from repro.experiments.ablations import ablation_updates
+from repro.experiments.ablation import ablation_updates
 
 
 def test_ablation_updates(benchmark, paper_setup, results_dir):

@@ -28,7 +28,6 @@ experiment harness all construct through this facade.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -111,7 +110,6 @@ class BufferSystem:
         policy_kwargs: Mapping | None = None,
         page_size: int = 4096,
         tuning: object | None = None,
-        coalescing: bool = True,
         background_writeback: "bool | int | None" = None,
         admission: "bool | Mapping | AdmissionController | None" = None,
     ) -> "BufferSystem":
@@ -152,18 +150,8 @@ class BufferSystem:
             experts and re-weights its mixture per epoch (optionally
             seeded from an offline-fitted ``weights_path`` artifact).
             A raw :class:`~repro.tuning.TuningConfig` is the advanced
-            controller surface and passes through unchanged.  The
-            legacy spellings — ``tuning=True`` and a plain options
-            mapping — still work behind a ``DeprecationWarning`` shim.
+            controller surface and passes through unchanged.
             The controller is exposed as ``system.tuner``.
-        ``coalescing``
-            ``True`` (default) keeps per-shard miss coalescing: one disk
-            read per concurrent miss group, waiters served from the
-            loaded frame.  ``False`` removes the in-flight table, so
-            concurrent missers of the same page each pay their own
-            (duplicated) read.  Only meaningful for sharded builds —
-            the sequential core has no concurrent misses to coalesce,
-            so ``False`` there is rejected as a configuration error.
         ``background_writeback``
             ``None`` (default) leaves background cleaning to the
             ``durability`` options — off unless ``flush_interval`` is
@@ -249,11 +237,6 @@ class BufferSystem:
             )
 
         if shards is None:
-            if not coalescing:
-                raise ValueError(
-                    "coalescing=False needs a sharded build (shards=N); the "
-                    "sequential core has no concurrent misses to coalesce"
-                )
             buffer: BufferManager | ConcurrentBufferManager = BufferManager(
                 disk,
                 capacity,
@@ -269,7 +252,6 @@ class BufferSystem:
                 shards=shards,
                 observer=observer,
                 durability=durability_manager,
-                coalesce=coalescing,
             )
         # --- self-tuning -----------------------------------------------
         tuner = None
@@ -304,38 +286,15 @@ class BufferSystem:
 
     @staticmethod
     def _normalise_tuning(tuning: object) -> object | None:
-        """Normalise ``tuning=`` to a TuningSpec/TuningConfig (or None).
-
-        The typed surfaces (:class:`~repro.tuning.TuningSpec`, raw
-        :class:`~repro.tuning.TuningConfig`) pass through; the legacy
-        ``True`` and plain-mapping spellings are converted behind a
-        ``DeprecationWarning``, mirroring the SLRU/ASB keyword
-        normalisation of the policy layer.
-        """
+        """Type-check ``tuning=``: a TuningSpec/TuningConfig, or None."""
         if tuning is None or tuning is False:
             return None
         from repro.tuning import TuningConfig, TuningSpec
 
         if isinstance(tuning, (TuningSpec, TuningConfig)):
             return tuning
-        if tuning is True:
-            warnings.warn(
-                "tuning=True is deprecated; pass tuning=TuningSpec()",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return TuningSpec()
-        if isinstance(tuning, Mapping):
-            warnings.warn(
-                "tuning={...} is deprecated; pass "
-                "tuning=TuningSpec(**options)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return TuningSpec.from_mapping(tuning)
         raise TypeError(
-            "tuning must be None, a TuningSpec, or a TuningConfig "
-            "(legacy: True or a mapping of TuningSpec options); got "
+            "tuning must be None, a TuningSpec, or a TuningConfig; got "
             f"{type(tuning).__name__}"
         )
 

@@ -98,16 +98,12 @@ class _InFlight:
 class _Shard:
     """One lock-protected sub-pool: a sequential core plus coalescing state."""
 
-    __slots__ = ("lock", "manager", "inflight", "mutations")
+    __slots__ = ("lock", "manager", "inflight")
 
     def __init__(self, manager: BufferManager) -> None:
         self.lock = threading.RLock()
         self.manager = manager
         self.inflight: dict[PageId, _InFlight] = {}
-        #: Bumped by every install()/discard(); the uncoalesced fetch path
-        #: (which has no in-flight entry to flag) re-reads the disk when
-        #: the counter moved during its off-lock read.
-        self.mutations = 0
 
 
 class ConcurrentBufferManager:
@@ -129,7 +125,6 @@ class ConcurrentBufferManager:
         shards: int = 4,
         observer: "EventSink | None" = None,
         durability: "DurabilityManager | None" = None,
-        coalesce: bool = True,
     ) -> None:
         from repro.obs.events import LockingSink
 
@@ -151,11 +146,6 @@ class ConcurrentBufferManager:
             )
         self.disk = disk
         self.capacity = capacity
-        #: Miss coalescing on/off.  Off means every concurrent misser of
-        #: the same page issues its own disk read (the classic duplicated
-        #: I/O the in-flight table exists to prevent) — kept as a switch
-        #: so the ablation harness can measure what coalescing saves.
-        self.coalesce = coalesce
         self._observer = LockingSink.wrapping(observer)
         #: Shared durability seam, if any (all shards feed one WAL; its
         #: internal lock always nests *inside* the shard locks).
@@ -245,8 +235,6 @@ class ConcurrentBufferManager:
         query_id = self._request_query_id()
         shard = self._shard(page_id)
         manager = shard.manager
-        if not self.coalesce:
-            return self._fetch_uncoalesced(shard, page_id, counters, query_id)
         first_attempt = True
         counted_miss = False
         while True:
@@ -319,52 +307,6 @@ class ConcurrentBufferManager:
                     del shard.inflight[page_id]
                     entry.event.set()
 
-    def _fetch_uncoalesced(
-        self,
-        shard: _Shard,
-        page_id: PageId,
-        counters: _ThreadCounters,
-        query_id: int,
-    ) -> Page:
-        """The miss path with coalescing disabled: no in-flight table.
-
-        Every concurrent misser of the same page issues its own disk
-        read; whoever re-acquires the shard lock first installs the
-        frame, and the others' reads turn out to have been duplicated
-        I/O (visible as ``disk.stats.reads > stats.misses``).
-        """
-        manager = shard.manager
-        with shard.lock:
-            self._bind(manager, query_id)
-            manager.begin_request(page_id)
-            frame = manager.frames.get(page_id)
-            if frame is not None:
-                counters.hits += 1
-                return manager.serve_hit(frame)
-            manager.stats.misses += 1
-            counters.misses += 1
-        while True:
-            with shard.lock:
-                stamp = shard.mutations
-            page = self.disk.read(page_id)
-            with shard.lock:
-                self._bind(manager, query_id)
-                frame = manager.frames.get(page_id)
-                if frame is not None:
-                    # Another misser installed the page while we were
-                    # reading: our read was the duplicate this mode exists
-                    # to expose.  Serve the resident copy; the request stays
-                    # accounted as the miss that caused the read.
-                    return frame.page
-                if shard.mutations == stamp:
-                    return manager.complete_miss(page)
-                # An install()/discard() landed somewhere in this shard
-                # during our read; with no in-flight entry to flag the
-                # exact page, re-read conservatively rather than risk
-                # admitting bytes that predate a newer, already-evicted
-                # version (the write-back preceded the eviction, so the
-                # retry observes it).
-
     def install(self, page: Page) -> None:
         """Place a newly allocated page into its shard without a disk read."""
         shard = self._shard(page.page_id)
@@ -390,7 +332,6 @@ class ConcurrentBufferManager:
         re-acquires the lock, the resident-frame re-check alone would not
         stop it from admitting the stale copy.
         """
-        shard.mutations += 1
         entry = shard.inflight.get(page_id)
         if entry is not None:
             entry.superseded = True

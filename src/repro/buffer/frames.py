@@ -109,7 +109,7 @@ class FrameTable(dict):
     module docstring for the invariants.
     """
 
-    __slots__ = ("slots", "_free", "_head", "_tail", "pending", "log", "flush_hook")
+    __slots__ = ("slots", "_free", "_head", "_tail", "pending")
 
     #: Pending recency renewals are spliced in batch once the buffer grows
     #: this long, bounding its memory on hit-only streams; chain readers
@@ -129,15 +129,6 @@ class FrameTable(dict):
         #: :meth:`_flush_pending`, deduplicated, the next time anything
         #: reads or mutates the chain.
         self.pending: list[Frame] = []
-        #: Second deferral source: the owning manager's hit log (aliased in
-        #: by ``BufferManager._refresh_fast_path`` when its fully deferred
-        #: fast path is live).  Tables without such an owner — ghost
-        #: caches, standalone tests — keep the empty-tuple sentinel.
-        self.log: "list[Frame] | tuple" = ()
-        #: What a lazy read calls to make the chain (and, for a manager
-        #: owner, the deferred hit bookkeeping) current.  Defaults to the
-        #: chain-only splice replay.
-        self.flush_hook = self._flush_pending
 
     # ------------------------------------------------------------------
     # Recency chain
@@ -146,15 +137,15 @@ class FrameTable(dict):
     @property
     def head(self) -> Frame | None:
         """Least-recently-used end of the recency chain (first victim pick)."""
-        if self.pending or self.log:
-            self.flush_hook()
+        if self.pending:
+            self._flush_pending()
         return self._head
 
     @property
     def tail(self) -> Frame | None:
         """Most-recently-used end of the recency chain."""
-        if self.pending or self.log:
-            self.flush_hook()
+        if self.pending:
+            self._flush_pending()
         return self._tail
 
     def _link_tail(self, frame: Frame) -> None:
@@ -232,43 +223,42 @@ class FrameTable(dict):
 
     def iter_recency(self) -> Iterator[Frame]:
         """Resident frames from least to most recently used."""
-        if self.pending or self.log:
-            self.flush_hook()
+        if self.pending:
+            self._flush_pending()
         frame = self._head
         while frame is not None:
             yield frame
             frame = frame.lru_next
 
     # ------------------------------------------------------------------
-    # Flushing dict accessors: any read that could observe deferred state
-    # (frame stamps, chain order) makes it current first.  ``get`` is the
-    # deliberate exception — it is the hot-path probe, and the fast path
-    # maintains its own deferral discipline.
+    # Flushing dict accessors: a frame handed out carries its chain links,
+    # so any read that yields frames makes the chain order current first.
+    # ``get`` is the deliberate exception — it is the hot-path probe.
     # ------------------------------------------------------------------
 
     def __getitem__(self, page_id: PageId) -> Frame:
-        if self.pending or self.log:
-            self.flush_hook()
+        if self.pending:
+            self._flush_pending()
         return dict.__getitem__(self, page_id)
 
     def __iter__(self) -> Iterator[PageId]:
-        if self.pending or self.log:
-            self.flush_hook()
+        if self.pending:
+            self._flush_pending()
         return dict.__iter__(self)
 
     def keys(self):  # type: ignore[override]
-        if self.pending or self.log:
-            self.flush_hook()
+        if self.pending:
+            self._flush_pending()
         return dict.keys(self)
 
     def values(self):  # type: ignore[override]
-        if self.pending or self.log:
-            self.flush_hook()
+        if self.pending:
+            self._flush_pending()
         return dict.values(self)
 
     def items(self):  # type: ignore[override]
-        if self.pending or self.log:
-            self.flush_hook()
+        if self.pending:
+            self._flush_pending()
         return dict.items(self)
 
     # ------------------------------------------------------------------
@@ -282,10 +272,10 @@ class FrameTable(dict):
         every admit reuses a free slot in place (criterion cache cleared,
         counters reset) so the miss path allocates nothing.
         """
-        if self.pending or self.log:
+        if self.pending:
             # Deferred renewals precede this admission chronologically and
             # must land before the new tail frame.
-            self.flush_hook()
+            self._flush_pending()
         stale = dict.pop(self, page.page_id, None)
         if stale is not None:
             # Re-admitting a resident id (a concurrent install raced a miss
@@ -327,8 +317,8 @@ class FrameTable(dict):
         Adopted frames keep ``slot == -1`` and are never recycled into the
         pool — their lifetime belongs to the caller.
         """
-        if self.pending or self.log:
-            self.flush_hook()
+        if self.pending:
+            self._flush_pending()
         dict.__setitem__(self, frame.page.page_id, frame)
         self._link_tail(frame)
         return frame
@@ -340,10 +330,10 @@ class FrameTable(dict):
         so eviction hooks holding the frame observe its final state; the
         slot is only rewritten by a later :meth:`admit`.
         """
-        if self.pending or self.log:
+        if self.pending:
             # Apply the frame's own deferred renewals while it is still
             # linked; afterwards no deferred entry may reference it.
-            self.flush_hook()
+            self._flush_pending()
         frame = dict.pop(self, page_id, None)
         if frame is None:
             return None
@@ -356,8 +346,6 @@ class FrameTable(dict):
         """Drop every resident frame and reset the chain; slots survive."""
         dict.clear(self)
         self.pending.clear()
-        if self.log:
-            del self.log[:]  # type: ignore[union-attr]
         self._head = None
         self._tail = None
         self._free = list(self.slots)

@@ -17,12 +17,14 @@ involved anywhere, so runs are deterministic and replayable.
 
 Hot path.  Resident frames live in a :class:`~repro.buffer.frames.FrameTable`
 (slot pool + intrusive recency chain), and ``fetch`` is *rebound per
-instance*: while no observer, durability seam or tuning tap is attached and
-the active policy inherits the base no-op ``on_hit``, requests run through
-:meth:`_fetch_fast` — one dict probe, inline accounting, O(1) chain surgery,
-zero hook calls.  Attaching any seam (they are properties) swaps the plain
-decomposed path back in, so the observable behaviour is bit-identical either
-way; the seams just stop being free to *check* and start being used.
+instance*: while no observer, durability seam or tuning tap is attached,
+requests run through one closure compiled by :meth:`_refresh_fast_path` —
+one dict probe, inline accounting, a deferred chain splice, and the policy's
+``on_hit`` only when the policy overrides it.  Attaching any seam (they are
+properties) swaps the class-level reference path
+(:meth:`begin_request` / :meth:`serve_hit` / :meth:`complete_miss`) back in;
+both paths leave the same clock, stats, recency order and frame stamps, so
+the seams just stop being free to *check* and start being used.
 """
 
 from __future__ import annotations
@@ -69,16 +71,10 @@ class BufferManager:
         self.capacity = capacity
         self.frames: FrameTable = FrameTable()
         self._stats = BufferStats()
-        #: Deferred fast-path hits (see :meth:`_flush_log`): frames in
-        #: access order, possibly repeating.  Only the seam-free, hook-less
-        #: fast path appends here; everything observable is materialised
-        #: before any reader can look.
-        self._hit_log: list[Frame] = []
         self._policy = policy
         self._observer = observer
         self._durability = durability
         self._tuner: "object | None" = None
-        self._hit_hook = None
         self._clock = 0
         self._query_id = 0
         self._in_query = False
@@ -139,7 +135,7 @@ class BufferManager:
         self._refresh_fast_path()
 
     def _refresh_fast_path(self) -> None:
-        """Rebind ``fetch`` to an inlined fast path iff no seam is live.
+        """Rebind ``fetch`` to the inlined fast path iff no seam is live.
 
         The fast path assumes: no observer to emit to, no durability tick,
         no tuning tap.  The policy's ``on_hit`` is *elided* (not called at
@@ -156,111 +152,70 @@ class BufferManager:
         """
         from repro.buffer.policies.base import ReplacementPolicy
 
-        table = self.frames
-        if table.pending or table.log:
-            # Retire every deferral under the *old* regime before the
-            # rules change.
-            table.flush_hook()
-        policy = self._policy
-        if type(policy).on_hit is ReplacementPolicy.on_hit:
-            hook = None
-        else:
-            hook = policy.on_hit
-        self._hit_hook = hook
+        # Back to the class-level reference fetch; it serves every request
+        # while a seam is live, and the fast path's misses otherwise.
+        # ``del``, not ``__dict__.pop``: touching ``__dict__`` materialises
+        # it, which de-specialises every attribute load of the hot path on
+        # CPython 3.11+ (measured: -25 % on hits).
+        try:
+            del self.fetch
+        except AttributeError:
+            pass
         if (
             self._observer is not None
             or self._durability is not None
             or self._tuner is not None
         ):
-            # Fall back to the class-level decomposed fetch; the only
-            # deferral left is the chain-only splice from serve_hit.
-            table.log = ()
-            table.flush_hook = table._flush_pending
-            self.__dict__.pop("fetch", None)
             return
 
+        policy = self._policy
+        if type(policy).on_hit is ReplacementPolicy.on_hit:
+            hook = None
+        else:
+            hook = policy.on_hit
         mgr = self
+        table = self.frames
         get = table.get
         stats = self._stats
-        miss = self._fetch_fast_miss
+        miss = self.fetch
         length = len
         limit = table.PENDING_LIMIT
+        pending = table.pending
+        pend = pending.append
+        flush = table._flush_pending
 
-        if hook is None:
-            # Fully deferred variant: a hit outside a query scope is one
-            # probe and one list append; clock, stats, stamps and the
-            # chain splice are materialised in batch by _flush_log before
-            # anything can read them.  In-scope hits stay eager because
-            # their stamp must equal the live query id.
-            log = self._hit_log
-            log_append = log.append
-            flush_log = self._flush_log
-            splice = table._splice_to_tail
+        def fetch_fast(page_id: PageId) -> Page:
+            """Seam-free ``fetch``: the reference steps, inlined.
 
-            def fetch_fast(page_id: PageId) -> Page:
-                """Seam-free ``fetch``, policy hook elided, hit deferred."""
-                frame = get(page_id)
-                if frame is None:
-                    return miss(page_id)
-                if mgr._in_query:
-                    if log:
-                        flush_log()
-                    mgr._clock = clock = mgr._clock + 1
-                    stats.requests += 1
-                    stats.hits += 1
-                    frame.last_access = clock
-                    frame.last_query = mgr._query_id
-                    frame.access_count += 1
-                    splice(frame)
-                    return frame.page
-                frame.access_count += 1
-                log_append(frame)
-                if length(log) >= limit:
-                    flush_log()
-                return frame.page
-
-            table.log = log
-            table.flush_hook = flush_log
-        else:
-            # Hook variant: everything is eager except the chain splice,
-            # which is a deferred append (see FrameTable.move_to_tail).
-            # Outside a query scope the query counter advances per request
-            # exactly like begin_request does — hook policies (LRU-K) read
-            # it directly.
-            pending = table.pending
-            pend = pending.append
-            flush = table._flush_pending
-
-            def fetch_fast(page_id: PageId) -> Page:
-                """Seam-free ``fetch`` with the policy's ``on_hit``.
-
-                The hook runs *before* the timestamp renewal and the
-                recency append — ASB reads the pre-renewal recency (its
-                chain walks enter through the flushing ``head`` property,
-                so deferred renewals of earlier requests are applied, and
-                this request's own renewal is not yet pending).
-                """
-                frame = get(page_id)
-                if frame is None:
-                    return miss(page_id)
-                mgr._clock = clock = mgr._clock + 1
-                stats.requests += 1
-                stats.hits += 1
-                if mgr._in_query:
-                    query_id = mgr._query_id
-                else:
-                    mgr._query_id = query_id = mgr._query_id + 1
+            Clock, stats and frame stamps are eager and equal the
+            reference path's exactly; only the chain splice is deferred
+            (see :meth:`FrameTable.move_to_tail`).  The hook runs *before*
+            the timestamp renewal and the recency append — ASB reads the
+            pre-renewal recency (its chain walks enter through the
+            flushing ``head`` property, so deferred renewals of earlier
+            requests are applied, and this request's own renewal is not
+            yet pending).
+            """
+            frame = get(page_id)
+            if frame is None:
+                # No state was touched yet: the reference path takes over.
+                return miss(page_id)
+            mgr._clock = clock = mgr._clock + 1
+            stats.requests += 1
+            stats.hits += 1
+            if mgr._in_query:
+                query_id = mgr._query_id
+            else:
+                mgr._query_id = query_id = mgr._query_id + 1
+            if hook is not None:
                 hook(frame, frame.last_query == query_id)
-                frame.last_access = clock
-                frame.last_query = query_id
-                frame.access_count += 1
-                pend(frame)
-                if length(pending) >= limit:
-                    flush()
-                return frame.page
-
-            table.log = ()
-            table.flush_hook = flush
+            frame.last_access = clock
+            frame.last_query = query_id
+            frame.access_count += 1
+            pend(frame)
+            if length(pending) >= limit:
+                flush()
+            return frame.page
 
         self.fetch = fetch_fast  # type: ignore[method-assign]
 
@@ -270,73 +225,18 @@ class BufferManager:
 
     @property
     def stats(self) -> BufferStats:
-        """Hit/miss accounting; reading it materialises deferred hits."""
-        if self._hit_log:
-            self._flush_log()
+        """Hit/miss accounting."""
         return self._stats
 
     @property
     def clock(self) -> int:
         """The logical access counter (one tick per request)."""
-        if self._hit_log:
-            self._flush_log()
         return self._clock
 
     @property
     def current_query(self) -> int:
         """Id of the running query; accesses sharing it are correlated."""
         return self._query_id
-
-    def _flush_log(self) -> None:
-        """Materialise the deferred fast-path hits in one batch.
-
-        The hook-less fast path logs a hit as a single list append; this
-        replay applies everything those hits deferred — clock ticks,
-        request/hit counts, frame stamps, recency splices — so that *no
-        reader can tell* the work was batched:
-
-        * the clock advances by exactly the number of logged hits;
-        * each frame's final ``last_access`` is unique, falls inside the
-          logged tick range, and preserves the true last-access order
-          across all frames (logged or not) — every consumer of
-          ``last_access`` orders or tie-breaks by it, none depends on the
-          exact tick, which may differ from the eager assignment when a
-          frame was hit more than once;
-        * ``last_query`` gets the negated stamp: negative and unique, it
-          can never equal a real (positive) query id, which is all the
-          correlation checks observe — exactly the eager fast path's rule.
-
-        ``access_count`` is *not* deferred — the fast path increments it
-        inline (one slot write), so the replay is a single C pass over the
-        log plus work per *unique* frame.
-
-        Chain-only renewals in ``frames.pending`` (decomposed drivers,
-        in-scope eager hits) predate the logged hits and are spliced
-        first.
-        """
-        table = self.frames
-        if table.pending:
-            table._flush_pending()
-        log = self._hit_log
-        count = len(log)
-        if not count:
-            return
-        stats = self._stats
-        stats.requests += count
-        stats.hits += count
-        self._clock = stamp = self._clock + count
-        newest_first = dict.fromkeys(reversed(log))
-        del log[:]
-        ordered: list[Frame] = []
-        append = ordered.append
-        for frame in newest_first:
-            frame.last_access = stamp
-            frame.last_query = -stamp
-            stamp -= 1
-            append(frame)
-        splice = table._splice_to_tail
-        for frame in reversed(ordered):
-            splice(frame)
 
     @contextmanager
     def query_scope(self) -> Iterator[int]:
@@ -366,8 +266,8 @@ class BufferManager:
         (the concurrent buffer service) can interleave their own logic
         (lock hand-off, miss coalescing) between them while reusing the
         single-threaded core unchanged.  When no seam is attached the
-        instance serves requests through :meth:`_fetch_fast` instead,
-        with bit-identical results.
+        instance serves requests through the closure built by
+        :meth:`_refresh_fast_path` instead, with bit-identical results.
         """
         self.begin_request(page_id)
         frame = self.frames.get(page_id)
@@ -377,20 +277,8 @@ class BufferManager:
         page = self.disk.read(page_id)
         return self.complete_miss(page)
 
-    def _fetch_fast_miss(self, page_id: PageId) -> Page:
-        # No state was touched yet for this request: run the classic miss
-        # sequence (the seams are known-None, so it stays cheap).
-        self.begin_request(page_id)
-        self.stats.misses += 1
-        page = self.disk.read(page_id)
-        return self.complete_miss(page)
-
     def begin_request(self, page_id: PageId) -> None:
         """Step 1 of a request: advance the clock, count it, emit ``fetch``."""
-        if self._hit_log:
-            # Deferred fast-path hits precede this request; materialise
-            # them so this request's clock tick lands after theirs.
-            self._flush_log()
         self._clock += 1
         self._stats.requests += 1
         if not self._in_query:
@@ -547,8 +435,6 @@ class BufferManager:
         If the id is already resident (an id reused after :meth:`discard`),
         the frame is replaced.
         """
-        if self._hit_log:
-            self._flush_log()
         self._clock += 1
         existing = self.frames.get(page.page_id)
         if existing is not None:
@@ -724,10 +610,6 @@ class BufferManager:
         the clear proceeds — only safe when the caller knows every pin
         holder is gone (e.g. tearing down an experiment).
         """
-        if self._hit_log:
-            # The deferred hits happened; their clock ticks must survive
-            # the clear (which resets stats, not the clock).
-            self._flush_log()
         if self._pinned_frames > 0:
             if not force:
                 raise BufferFullError(

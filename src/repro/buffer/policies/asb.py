@@ -37,9 +37,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.buffer.frames import Frame, FrameTable
+from repro.buffer.frames import Frame
 from repro.buffer.manager import BufferFullError, BufferManager
-from repro.buffer.policies.base import ReplacementPolicy, deprecated_keyword
+from repro.buffer.policies.base import ReplacementPolicy
 from repro.buffer.policies.spatial import SPATIAL_CRITERIA, spatial_criterion
 from repro.obs.events import BufferEvent
 from repro.storage.page import PageId
@@ -55,14 +55,8 @@ class ASB(ReplacementPolicy):
         candidate_fraction: float = 0.25,
         step_fraction: float = 0.01,
         record_trace: bool = False,
-        *,
-        initial_fraction: float | None = None,
     ) -> None:
         super().__init__()
-        if initial_fraction is not None:
-            candidate_fraction = deprecated_keyword(
-                "ASB", "initial_fraction", "candidate_fraction", initial_fraction
-            )
         if criterion not in SPATIAL_CRITERIA:
             raise ValueError(f"unknown spatial criterion {criterion!r}")
         if not 0.0 <= overflow_fraction < 1.0:
@@ -109,12 +103,6 @@ class ASB(ReplacementPolicy):
             self.main_capacity,
             max(1, round(self.candidate_fraction * self.main_capacity)),
         )
-
-    @property
-    def initial_fraction(self) -> float:
-        """Deprecated alias of :attr:`candidate_fraction`."""
-        deprecated_keyword("ASB", "initial_fraction", "candidate_fraction", None)
-        return self.candidate_fraction
 
     @property
     def candidate_size(self) -> int:
@@ -260,9 +248,6 @@ class ASB(ReplacementPolicy):
     # Victim selection
     # ------------------------------------------------------------------
 
-    def _main_frames(self) -> list[Frame]:
-        return [frame for frame in self._main if frame.pin_count == 0]
-
     def _main_victim(self) -> Frame | None:
         """The SLRU victim of the main part, or ``None`` if all pinned.
 
@@ -272,33 +257,23 @@ class ASB(ReplacementPolicy):
         the same candidate prefix (in the same order) as sorting the main
         part by recency and truncating, without the O(n log n) sort.
         """
-        frames = self.buffer.frames
         criterion = self.criterion
-        if isinstance(frames, FrameTable):
-            main = self._main
-            count = self._candidate_size
-            frame = frames.head
-            victim: Frame | None = None
-            best = 0.0
-            while frame is not None and count > 0:
-                if frame in main and frame.pin_count == 0:
-                    count -= 1
-                    value = frame.crit_cache.get(criterion)
-                    if value is None:
-                        value = spatial_criterion(frame, criterion)
-                    if victim is None or value < best:
-                        victim = frame
-                        best = value
-                frame = frame.lru_next
-            return victim
-        candidates = self._main_frames()
-        if not candidates:
-            return None
-        candidates.sort(key=lambda frame: frame.last_access)
-        del candidates[self._candidate_size :]
-        return min(
-            candidates, key=lambda frame: spatial_criterion(frame, criterion)
-        )
+        main = self._main
+        count = self._candidate_size
+        frame = self.buffer.frames.head
+        victim: Frame | None = None
+        best = 0.0
+        while frame is not None and count > 0:
+            if frame in main and frame.pin_count == 0:
+                count -= 1
+                value = frame.crit_cache.get(criterion)
+                if value is None:
+                    value = spatial_criterion(frame, criterion)
+                if victim is None or value < best:
+                    victim = frame
+                    best = value
+            frame = frame.lru_next
+        return victim
 
     def _demote_main_victim(self) -> None:
         """Move the SLRU victim of the main part into the overflow buffer."""

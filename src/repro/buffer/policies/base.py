@@ -22,24 +22,6 @@ if TYPE_CHECKING:
     from repro.obs.events import EventSink
 
 
-def deprecated_keyword(owner: str, old: str, new: str, value):
-    """Warn that ``owner``'s keyword/attribute ``old`` is now called ``new``.
-
-    The constructor-keyword shim shared by the policy zoo: policies that
-    renamed a keyword during the 1.1 normalisation accept the old spelling
-    through this helper, which emits a :class:`DeprecationWarning` naming
-    the replacement and returns the value unchanged.
-    """
-    import warnings
-
-    warnings.warn(
-        f"{owner}({old}=...) is deprecated; use {new}=... instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return value
-
-
 class ReplacementPolicy(abc.ABC):
     """Base class for all page-replacement strategies."""
 

@@ -11,7 +11,6 @@ to the ``min()`` it replaces.
 
 from __future__ import annotations
 
-from repro.buffer.frames import FrameTable
 from repro.buffer.policies.base import ReplacementPolicy
 from repro.storage.page import PageId
 
@@ -22,14 +21,11 @@ class LRU(ReplacementPolicy):
     name = "LRU"
 
     def select_victim(self) -> PageId:
-        frames = self.buffer.frames
-        if isinstance(frames, FrameTable):
-            frame = frames.head
-            while frame is not None:
-                if frame.pin_count == 0:
-                    return frame.page.page_id
-                frame = frame.lru_next
-            from repro.buffer.manager import BufferFullError
+        frame = self.buffer.frames.head
+        while frame is not None:
+            if frame.pin_count == 0:
+                return frame.page.page_id
+            frame = frame.lru_next
+        from repro.buffer.manager import BufferFullError
 
-            raise BufferFullError("all resident pages are pinned")
-        return self.lru_victim(self._evictable()).page_id
+        raise BufferFullError("all resident pages are pinned")

@@ -20,7 +20,7 @@ Two properties the paper stresses are reproduced faithfully:
 
 from __future__ import annotations
 
-from repro.buffer.frames import Frame, FrameTable
+from repro.buffer.frames import Frame
 from repro.buffer.policies.base import ReplacementPolicy
 from repro.storage.page import PageId
 
@@ -98,66 +98,46 @@ class LRUK(ReplacementPolicy):
     # Victim selection
     # ------------------------------------------------------------------
 
-    def _backward_k_distance(self, page_id: PageId) -> int:
-        """HIST(p, K); pages with fewer than K references rank oldest."""
-        hist = self._hist.get(page_id, ())
-        if len(hist) < self.k:
-            return -1
-        return hist[self.k - 1]
-
     def select_victim(self) -> PageId:
         # The paper restricts the victim search to pages whose most recent
         # reference is not correlated with the current access; if every
         # resident page was touched by the running query, something must
         # still be evicted, so fall back to the full set.
-        frames = self.buffer.frames
         current_query = self.buffer.current_query
-        if isinstance(frames, FrameTable):
-            # One walk up the recency chain (ascending last_access): with a
-            # strict ``<`` the first frame at the minimal K-distance wins,
-            # which is exactly ``min`` by (K-distance, last_access).
-            hist = self._hist
-            k = self.k
-            best: Frame | None = None
-            best_d = 0
-            best_unc: Frame | None = None
-            best_unc_d = 0
-            frame = frames.head
-            while frame is not None:
-                if frame.pin_count == 0:
-                    page_hist = hist.get(frame.page.page_id)
-                    if page_hist is None or len(page_hist) < k:
-                        distance = -1
-                    else:
-                        distance = page_hist[k - 1]
-                    if best is None or distance < best_d:
-                        best = frame
-                        best_d = distance
-                    if frame.last_query != current_query and (
-                        best_unc is None or distance < best_unc_d
-                    ):
-                        best_unc = frame
-                        best_unc_d = distance
-                frame = frame.lru_next
-            victim = best_unc if best_unc is not None else best
-            if victim is None:
-                from repro.buffer.manager import BufferFullError
+        # One walk up the recency chain (ascending last_access): with a
+        # strict ``<`` the first frame at the minimal K-distance wins,
+        # which is exactly ``min`` by (K-distance, last_access).  The
+        # K-distance is HIST(p, K); pages with fewer than K references
+        # rank oldest.
+        hist = self._hist
+        k = self.k
+        best: Frame | None = None
+        best_d = 0
+        best_unc: Frame | None = None
+        best_unc_d = 0
+        frame = self.buffer.frames.head
+        while frame is not None:
+            if frame.pin_count == 0:
+                page_hist = hist.get(frame.page.page_id)
+                if page_hist is None or len(page_hist) < k:
+                    distance = -1
+                else:
+                    distance = page_hist[k - 1]
+                if best is None or distance < best_d:
+                    best = frame
+                    best_d = distance
+                if frame.last_query != current_query and (
+                    best_unc is None or distance < best_unc_d
+                ):
+                    best_unc = frame
+                    best_unc_d = distance
+            frame = frame.lru_next
+        victim = best_unc if best_unc is not None else best
+        if victim is None:
+            from repro.buffer.manager import BufferFullError
 
-                raise BufferFullError("all resident pages are pinned")
-            return victim.page.page_id
-        evictable = self._evictable()
-        uncorrelated = [
-            frame for frame in evictable if frame.last_query != current_query
-        ]
-        candidates = uncorrelated or evictable
-        victim = min(
-            candidates,
-            key=lambda frame: (
-                self._backward_k_distance(frame.page_id),
-                frame.last_access,
-            ),
-        )
-        return victim.page_id
+            raise BufferFullError("all resident pages are pinned")
+        return victim.page.page_id
 
     # ------------------------------------------------------------------
     # Introspection

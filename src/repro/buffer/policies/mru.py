@@ -9,7 +9,7 @@ MRU tail — the mirror image of LRU's head walk.
 
 from __future__ import annotations
 
-from repro.buffer.frames import Frame, FrameTable
+from repro.buffer.frames import Frame
 from repro.buffer.policies.base import ReplacementPolicy
 from repro.storage.page import PageId
 
@@ -20,18 +20,14 @@ class MRU(ReplacementPolicy):
     name = "MRU"
 
     def select_victim(self) -> PageId:
-        frames = self.buffer.frames
-        if isinstance(frames, FrameTable):
-            frame = frames.tail
-            while frame is not None:
-                if frame.pin_count == 0:
-                    return frame.page.page_id
-                frame = frame.lru_prev
-            from repro.buffer.manager import BufferFullError
+        frame = self.buffer.frames.tail
+        while frame is not None:
+            if frame.pin_count == 0:
+                return frame.page.page_id
+            frame = frame.lru_prev
+        from repro.buffer.manager import BufferFullError
 
-            raise BufferFullError("all resident pages are pinned")
-        evictable = self._evictable()
-        return max(evictable, key=lambda frame: frame.last_access).page_id
+        raise BufferFullError("all resident pages are pinned")
 
     def flush_priority(self, frame: Frame) -> float:
         # MRU evicts the *hottest* frame first, so those flush first too.

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 
-from repro.buffer.frames import Frame, FrameTable
-from repro.buffer.policies.base import ReplacementPolicy, deprecated_keyword
+from repro.buffer.frames import Frame
+from repro.buffer.policies.base import ReplacementPolicy
 from repro.buffer.policies.spatial import SPATIAL_CRITERIA, spatial_criterion
 from repro.storage.page import PageId
 
@@ -38,24 +38,15 @@ def select_from_candidates(
 class SLRU(ReplacementPolicy):
     """LRU candidate set of a fixed fraction + spatial victim selection.
 
-    ``candidate_fraction`` is the canonical keyword for the candidate-set
-    size (the same concept — and the same keyword — as ASB's initial
-    candidate fraction).  The pre-1.1 keyword ``fraction`` still works but
-    emits a :class:`DeprecationWarning`.
+    ``candidate_fraction`` is the keyword for the candidate-set size (the
+    same concept — and the same keyword — as ASB's initial candidate
+    fraction).
     """
 
     def __init__(
-        self,
-        candidate_fraction: float = 0.25,
-        criterion: str = "A",
-        *,
-        fraction: float | None = None,
+        self, candidate_fraction: float = 0.25, criterion: str = "A"
     ) -> None:
         super().__init__()
-        if fraction is not None:
-            candidate_fraction = deprecated_keyword(
-                "SLRU", "fraction", "candidate_fraction", fraction
-            )
         if not 0.0 < candidate_fraction <= 1.0:
             raise ValueError("candidate fraction must be in (0, 1]")
         if criterion not in SPATIAL_CRITERIA:
@@ -63,12 +54,6 @@ class SLRU(ReplacementPolicy):
         self.candidate_fraction = candidate_fraction
         self.criterion = criterion
         self.name = f"SLRU {int(round(candidate_fraction * 100))}%"
-
-    @property
-    def fraction(self) -> float:
-        """Deprecated alias of :attr:`candidate_fraction`."""
-        deprecated_keyword("SLRU", "fraction", "candidate_fraction", None)
-        return self.candidate_fraction
 
     def retune(
         self,
@@ -94,34 +79,27 @@ class SLRU(ReplacementPolicy):
         return max(1, math.ceil(self.candidate_fraction * self.buffer.capacity))
 
     def select_victim(self) -> PageId:
-        frames = self.buffer.frames
-        if isinstance(frames, FrameTable):
-            # The recency chain is ordered by last access, so the first
-            # ``candidate_count`` unpinned frames off the LRU head are
-            # exactly the stable-sorted candidate prefix the paper's rule
-            # asks for — no sort, O(candidates + pinned skips).
-            count = self.candidate_count()
-            criterion = self.criterion
-            frame = frames.head
-            victim = None
-            best = 0.0
-            while frame is not None and count > 0:
-                if frame.pin_count == 0:
-                    count -= 1
-                    value = frame.crit_cache.get(criterion)
-                    if value is None:
-                        value = spatial_criterion(frame, criterion)
-                    if victim is None or value < best:
-                        victim = frame
-                        best = value
-                frame = frame.lru_next
-            if victim is None:
-                from repro.buffer.manager import BufferFullError
+        # The recency chain is ordered by last access, so the first
+        # ``candidate_count`` unpinned frames off the LRU head are
+        # exactly the stable-sorted candidate prefix the paper's rule
+        # asks for — no sort, O(candidates + pinned skips).
+        count = self.candidate_count()
+        criterion = self.criterion
+        frame = self.buffer.frames.head
+        victim = None
+        best = 0.0
+        while frame is not None and count > 0:
+            if frame.pin_count == 0:
+                count -= 1
+                value = frame.crit_cache.get(criterion)
+                if value is None:
+                    value = spatial_criterion(frame, criterion)
+                if victim is None or value < best:
+                    victim = frame
+                    best = value
+            frame = frame.lru_next
+        if victim is None:
+            from repro.buffer.manager import BufferFullError
 
-                raise BufferFullError("all resident pages are pinned")
-            return victim.page.page_id
-        evictable = self._evictable()
-        victim = select_from_candidates(
-            evictable, self.candidate_count(), self.criterion
-        )
-        return victim.page_id
+            raise BufferFullError("all resident pages are pinned")
+        return victim.page.page_id

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.buffer.frames import Frame, FrameTable
+from repro.buffer.frames import Frame
 from repro.buffer.policies.base import ReplacementPolicy
 from repro.geometry.rect import total_overlap
 from repro.storage.page import Page, PageId
@@ -100,35 +100,25 @@ class SpatialPolicy(ReplacementPolicy):
         self.name = criterion
 
     def select_victim(self) -> PageId:
-        frames = self.buffer.frames
         criterion = self.criterion
-        if isinstance(frames, FrameTable):
-            # One walk up the recency chain (ascending last_access): with a
-            # strict ``<`` the *first* frame at the minimal criterion wins,
-            # which is exactly the paper's rule — minimal criterion, ties
-            # broken by LRU.
-            victim: Frame | None = None
-            best = 0.0
-            frame = frames.head
-            while frame is not None:
-                if frame.pin_count == 0:
-                    value = frame.crit_cache.get(criterion)
-                    if value is None:
-                        value = spatial_criterion(frame, criterion)
-                    if victim is None or value < best:
-                        victim = frame
-                        best = value
-                frame = frame.lru_next
-            if victim is None:
-                from repro.buffer.manager import BufferFullError
+        # One walk up the recency chain (ascending last_access): with a
+        # strict ``<`` the *first* frame at the minimal criterion wins,
+        # which is exactly the paper's rule — minimal criterion, ties
+        # broken by LRU.
+        victim: Frame | None = None
+        best = 0.0
+        frame = self.buffer.frames.head
+        while frame is not None:
+            if frame.pin_count == 0:
+                value = frame.crit_cache.get(criterion)
+                if value is None:
+                    value = spatial_criterion(frame, criterion)
+                if victim is None or value < best:
+                    victim = frame
+                    best = value
+            frame = frame.lru_next
+        if victim is None:
+            from repro.buffer.manager import BufferFullError
 
-                raise BufferFullError("all resident pages are pinned")
-            return victim.page.page_id
-        evictable = self._evictable()
-        smallest = min(spatial_criterion(frame, criterion) for frame in evictable)
-        candidates = [
-            frame
-            for frame in evictable
-            if spatial_criterion(frame, criterion) == smallest
-        ]
-        return self.lru_victim(candidates).page_id
+            raise BufferFullError("all resident pages are pinned")
+        return victim.page.page_id

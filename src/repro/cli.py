@@ -393,8 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="core loop only: skip the batched wire "
                               "sweep and the 8-client p99 scenario")
     hotpath.add_argument("--no-gate", action="store_true",
-                         help="report only; do not fail on the 2x "
-                              "hit-speedup acceptance guard")
+                         help="report only; do not fail on the "
+                              "acceptance guards")
     hotpath.add_argument("--seed", type=int, default=7)
     hotpath.add_argument("--out", default="BENCH_hotpath.json",
                          help="output JSON path ('' = don't write)")
@@ -922,9 +922,12 @@ def _cmd_bench_hotpath(args: argparse.Namespace) -> int:
     if args.no_gate:
         return 0
     verdict = report.acceptance()
-    if not verdict["hit_speedup_geomean_geq_2x"]:
-        print("hit-path speedup below 2x vs the recorded pre-refactor "
-              "baseline", file=sys.stderr)
+    if args.skip_serve:
+        del verdict["batching_improves_throughput"]  # not measured
+    failed = sorted(flag for flag, ok in verdict.items() if not ok)
+    if failed:
+        print("bench hotpath: acceptance failed vs the recorded "
+              f"pre-refactor baseline: {', '.join(failed)}", file=sys.stderr)
         return 1
     return 0
 
@@ -951,7 +954,7 @@ def _cmd_bench_ablation(args: argparse.Namespace) -> int:
         print(f"wrote ablation report -> {args.out}")
     verdict = report.acceptance()
     ok = (
-        verdict["at_least_6_components"]
+        verdict["at_least_5_components"]
         and verdict["accounting_identity_holds"]
         and verdict["includes_hostile_workload"]
     )

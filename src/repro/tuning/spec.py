@@ -15,13 +15,12 @@ modes:
   (``python -m repro tune fit``) as the starting mixture.
 
 A spec is frozen and buffer-independent: one spec can build many
-systems.  The old ``tuning=True`` / ``tuning={...}`` spellings keep
-working behind a ``DeprecationWarning`` shim in ``repro.api``.
+systems.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -126,18 +125,6 @@ class TuningSpec:
             eta=self.eta,
             weight_floor=self.weight_floor,
         )
-
-    @classmethod
-    def from_mapping(cls, mapping) -> "TuningSpec":
-        """Build from a plain dict (the deprecated ``tuning={...}`` shim)."""
-        known = {spec.name for spec in fields(cls)}
-        unknown = sorted(set(mapping) - known)
-        if unknown:
-            raise TypeError(
-                f"unknown tuning option(s) {unknown}; accepted: "
-                + ", ".join(sorted(known))
-            )
-        return cls(**dict(mapping))
 
 
 __all__ = ["TuningSpec"]

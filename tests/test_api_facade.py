@@ -77,25 +77,13 @@ class TestMakePolicy:
 
 
 class TestDeprecatedKeywords:
-    def test_slru_fraction_keyword_warns_and_still_works(self):
-        with pytest.warns(DeprecationWarning, match="candidate_fraction"):
-            policy = SLRU(fraction=0.4)
-        assert policy.candidate_fraction == 0.4
+    def test_removed_slru_fraction_keyword_raises_typeerror(self):
+        with pytest.raises(TypeError, match="'fraction'"):
+            SLRU(fraction=0.4)
 
-    def test_asb_initial_fraction_keyword_warns_and_still_works(self):
-        with pytest.warns(DeprecationWarning, match="candidate_fraction"):
-            policy = ASB(initial_fraction=0.3)
-        assert policy.candidate_fraction == 0.3
-
-    def test_deprecated_properties_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            slru = SLRU(candidate_fraction=0.25)
-            asb = ASB()
-        with pytest.warns(DeprecationWarning):
-            assert slru.fraction == 0.25
-        with pytest.warns(DeprecationWarning):
-            assert asb.initial_fraction == asb.candidate_fraction
+    def test_removed_asb_initial_fraction_raises_typeerror(self):
+        with pytest.raises(TypeError, match="'initial_fraction'"):
+            ASB(initial_fraction=0.3)
 
     def test_canonical_keywords_do_not_warn(self):
         with warnings.catch_warnings():
@@ -226,34 +214,6 @@ class TestBuildVariants:
         system.discard(3)
         assert 3 not in system.resident_ids()
         assert len(system) <= system.capacity
-
-
-class TestCoalescingFlag:
-    def test_default_keeps_coalescing_on(self):
-        system = BufferSystem.build(capacity=16, shards=4)
-        assert system.buffer.coalesce is True
-
-    def test_coalescing_off_is_wired_through(self):
-        system = BufferSystem.build(capacity=16, shards=4, coalescing=False)
-        assert system.buffer.coalesce is False
-
-    def test_coalescing_off_requires_shards(self):
-        """The sequential buffer has no in-flight table to disable."""
-        with pytest.raises(ValueError, match="sharded"):
-            BufferSystem.build(capacity=16, coalescing=False)
-
-    def test_uncoalesced_build_serves_pages(self):
-        durable = DurableDisk(page_size=PAGE_SIZE)
-        for page_id in range(8):
-            durable.store(make_page(page_id, payload=page_id))
-        system = BufferSystem.build(
-            disk=durable, capacity=4, shards=2, coalescing=False
-        )
-        for page_id in ACCESS_PATTERN:
-            system.fetch(page_id % 8)
-        stats = system.buffer.stats
-        assert stats.hits + stats.misses == stats.requests
-        assert system.buffer.coalesced_misses == 0
 
 
 class TestBackgroundWritebackFlag:

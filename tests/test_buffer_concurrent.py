@@ -508,83 +508,3 @@ class TestStress:
         assert disk.stats.reads == stats.misses
         for shard in buffer._shards:
             assert shard.inflight == {}
-
-
-class TestUncoalescedMode:
-    """``coalesce=False``: the ablation's one-off without the in-flight
-    table.  Accounting must survive; the price is duplicated reads."""
-
-    def test_concurrent_misses_each_read_the_disk(self):
-        disk = GatedDisk()
-        for page_id in range(8):
-            page = Page(page_id=page_id, page_type=PageType.DATA)
-            disk.store(page)
-        buffer = ConcurrentBufferManager(
-            disk, 4, LRU, shards=1, coalesce=False
-        )
-        n_threads = 4
-
-        def worker():
-            assert buffer.fetch(3).page_id == 3
-
-        threads = [
-            threading.Thread(target=worker, daemon=True)
-            for _ in range(n_threads)
-        ]
-        for thread in threads:
-            thread.start()
-        # Wait for every thread to reach the disk — without coalescing
-        # there is no in-flight entry to queue on — then open the gate.
-        for _ in range(n_threads):
-            assert disk.reading.acquire(timeout=10.0)
-        disk.gate.set()
-        for thread in threads:
-            thread.join(timeout=30.0)
-            assert not thread.is_alive()
-
-        assert disk.stats.reads == n_threads  # the duplicated-read price
-        stats = buffer.stats
-        assert stats.requests == n_threads
-        assert stats.hits + stats.misses == stats.requests
-        assert stats.misses == n_threads  # every racer accounted a miss
-        assert buffer.coalesced_misses == 0
-
-    def test_accounting_identity_under_contention(self):
-        buffer = ConcurrentBufferManager(
-            make_disk(), 8, LRU, shards=2, coalesce=False
-        )
-
-        def worker():
-            for page_id in range(32):
-                assert buffer.fetch(page_id % 16).page_id == page_id % 16
-
-        run_threads([worker] * 4)
-        stats = buffer.stats
-        assert stats.requests == 4 * 32
-        assert stats.hits + stats.misses == stats.requests
-        assert buffer.coalesced_misses == 0
-        # Races may duplicate reads, never lose them.
-        assert buffer.disk.stats.reads >= stats.misses
-
-    def test_failed_read_propagates_without_table(self):
-        disk = make_disk(8)
-        disk.fail_reads.add(5)
-        buffer = ConcurrentBufferManager(disk, 8, LRU, shards=2, coalesce=False)
-        with pytest.raises(DiskError):
-            buffer.fetch(5)
-        assert buffer.fetch(1).page_id == 1
-
-    def test_sequential_results_match_coalesced_mode(self):
-        pattern = [page_id % 12 for page_id in range(60)]
-        coalesced = ConcurrentBufferManager(make_disk(), 6, LRU, shards=2)
-        uncoalesced = ConcurrentBufferManager(
-            make_disk(), 6, LRU, shards=2, coalesce=False
-        )
-        for page_id in pattern:
-            assert coalesced.fetch(page_id).page_id == page_id
-            assert uncoalesced.fetch(page_id).page_id == page_id
-        # Without thread races the two modes are behaviourally identical.
-        assert coalesced.stats.snapshot() == uncoalesced.stats.snapshot()
-        assert (
-            coalesced.disk.stats.reads == uncoalesced.disk.stats.reads
-        )

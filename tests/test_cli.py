@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import POLICY_FACTORIES, main
@@ -203,3 +205,37 @@ class TestReproduceCommand:
         assert (tmp_path / "report" / "figure_14.txt").exists()
         out = capsys.readouterr().out
         assert "running figure_04" in out
+
+
+class TestBenchHotpathGate:
+    """``bench hotpath`` exits 1 when *any* measured acceptance flag fails."""
+
+    @staticmethod
+    def run(tmp_path, hit_fps, miss_fps, *extra):
+        baseline = tmp_path / "baseline.json"
+        cell = {"hit_fps": hit_fps, "miss_fps": miss_fps}
+        baseline.write_text(
+            json.dumps({"core": {name: cell for name in ("LRU", "MRU", "SLRU", "ASB")}})
+        )
+        return main(
+            [
+                "bench", "hotpath",
+                "--baseline", str(baseline),
+                "--reps", "1",
+                "--hit-requests", "2000",
+                "--miss-requests", "500",
+                "--skip-serve",
+                "--out", "",
+                *extra,
+            ]
+        )
+
+    def test_passes_when_both_paths_beat_the_baseline(self, tmp_path, capsys):
+        assert self.run(tmp_path, 1.0, 1.0) == 0
+
+    def test_miss_path_regression_alone_fails_the_gate(self, tmp_path, capsys):
+        assert self.run(tmp_path, 1.0, 1e12) == 1
+        assert "miss_speedup_geomean_geq_1x" in capsys.readouterr().err
+
+    def test_no_gate_reports_only(self, tmp_path, capsys):
+        assert self.run(tmp_path, 1e12, 1e12, "--no-gate") == 0

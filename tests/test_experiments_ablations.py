@@ -49,23 +49,6 @@ def check(result: FigureResult):
     return result
 
 
-class TestDeprecatedAlias:
-    def test_ablations_module_warns_and_reexports(self):
-        import importlib
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            import repro.experiments.ablations as legacy
-
-        with pytest.warns(DeprecationWarning, match="repro.experiments.ablation"):
-            legacy = importlib.reload(legacy)
-        from repro.experiments import ablation
-
-        assert legacy.ablation_overflow_size is ablation.ablation_overflow_size
-        assert legacy.ABLATION_SETS == ablation.ABLATION_SETS
-
-
 class TestAblationsRun:
     def test_overflow_size(self, tiny_setup):
         result = check(ablation_overflow_size(tiny_setup))

@@ -62,12 +62,14 @@ class TestSuite:
 
     def test_ablation_registry_complete(self):
         # Every public ablation function is registered in the suite.
-        from repro.experiments import ablations as module
+        from repro.experiments import ablation as module
 
+        # ``ablation_workloads`` builds ``bench ablation``'s reference
+        # strings; it is not a paper-figure ablation.
         public = {
             name
             for name in dir(module)
-            if name.startswith("ablation_")
+            if name.startswith("ablation_") and name != "ablation_workloads"
         }
         registered = set(ALL_ABLATIONS) | {"ablation_updates"}
         # moving objects shares the updates function under its own label.

@@ -1,21 +1,17 @@
 """Equivalence and deferred-state tests for the slot-based hot path.
 
-The fast path defers per-hit bookkeeping into a hit log that is
-materialised before any reader can observe buffer state; attaching an
-observer forces the fully decomposed path.  These tests pin the contract
-between the two:
+The fast path inlines the reference steps into one closure and defers only
+the recency-chain splice, which is replayed before any reader can observe
+the chain; attaching an observer forces the class-level reference path.
+These tests pin the contract between the two:
 
 * driving the same reference string through both modes produces the same
-  hit/miss decisions, statistics, resident set, recency order,
-  access counts and clock — the deferral is invisible;
+  hit/miss decisions, statistics, resident set, recency order, access
+  counts, clock and per-frame ``last_access`` / ``last_query`` stamps —
+  for every registered policy;
 * management operations (``switch_policy``, ``clear``, ``discard``)
-  issued while deferred hits are pending behave exactly as if every hit
-  had been processed eagerly.
-
-Raw ``last_access`` / ``last_query`` *values* are deliberately not
-compared across modes: the flush assigns compressed stamps whose order
-(the only thing any consumer uses) matches the eager path, but whose
-magnitudes do not.
+  issued while deferred splices are pending behave exactly as if every
+  hit had been spliced eagerly.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.buffer.manager import BufferManager
-from repro.buffer.policies import make_policy
+from repro.buffer.policies import make_policy, policy_names
 from repro.geometry.rect import Rect
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page, PageEntry, PageType
@@ -32,15 +28,10 @@ from repro.storage.page import Page, PageEntry, PageType
 N_PAGES = 24
 CAPACITY = 6
 
-#: Policies covering every fast-path shape: plain no-hook recency (LRU,
-#: MRU, SLRU, FIFO), hook-driven promotion (ASB, 2Q) and history-based
-#: ranking (LRU-2).
-POLICIES = ("LRU", "MRU", "SLRU", "FIFO", "ASB", "2Q", "LRU-2")
-
 
 class NullSink:
     """An observer that records nothing — its presence alone forces the
-    decomposed (seam-checked) fetch path."""
+    reference (seam-checked) fetch path."""
 
     def emit(self, event) -> None:  # noqa: ARG002
         pass
@@ -75,12 +66,16 @@ def snapshot(buffer: BufferManager) -> dict:
             frame.page.page_id: frame.access_count
             for frame in buffer.frames.values()
         },
+        "stamps": {
+            frame.page.page_id: (frame.last_access, frame.last_query)
+            for frame in buffer.frames.values()
+        },
     }
 
 
 # Each step: (page_id, scoped, peek).  ``scoped`` wraps the fetch in a
-# query scope (which disables the deferred branch for that access);
-# ``peek`` reads the statistics right after, forcing a mid-trace flush.
+# query scope (unscoped fetches draw a fresh query id each); ``peek``
+# reads the statistics right after the fetch.
 trace_steps = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=N_PAGES - 1),
@@ -108,8 +103,8 @@ def drive(buffer: BufferManager, steps) -> list[int]:
 
 
 class TestCrossModeEquivalence:
-    @settings(max_examples=30, deadline=None)
-    @given(trace_steps, st.sampled_from(POLICIES))
+    @settings(max_examples=130, deadline=None)
+    @given(trace_steps, st.sampled_from(policy_names()))
     def test_fast_path_matches_decomposed_path(self, steps, policy_name):
         fast = make_buffer(policy_name, observed=False)
         slow = make_buffer(policy_name, observed=True)
@@ -127,7 +122,7 @@ class TestCrossModeEquivalence:
         slow = make_buffer("LRU", observed=True)
         drive(fast, steps[:half])
         drive(slow, steps[:half])
-        fast.observer = NullSink()  # forces a flush + path rebuild
+        fast.observer = NullSink()  # forces a path rebuild
         drive(fast, steps[half:])
         drive(slow, steps[half:])
         assert snapshot(fast) == snapshot(slow)
@@ -138,9 +133,9 @@ class TestDeferredStateManagement:
         buffer = make_buffer(policy_name, observed=False)
         for page_id in range(CAPACITY):
             buffer.fetch(page_id)
-        for page_id in (2, 0, 4, 2, 1):  # all hits → deferred in the log
+        for page_id in (2, 0, 4, 2, 1):  # all hits → splices deferred
             buffer.fetch(page_id)
-        assert buffer._hit_log, "test setup: expected deferred hits"
+        assert buffer.frames.pending, "test setup: expected deferred splices"
         return buffer
 
     def test_switch_policy_with_pending_hits_loses_no_pages(self):
@@ -168,7 +163,7 @@ class TestDeferredStateManagement:
         buffer.clear()
         assert len(buffer) == 0
         assert buffer.stats.requests == 0
-        # The deferred hits happened; their clock ticks survive the clear.
+        # clear() resets the statistics, never the clock.
         assert buffer.clock == requests
 
     def test_discard_with_pending_hits_drops_only_the_target(self):
