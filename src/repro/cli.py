@@ -19,17 +19,9 @@ Four commands cover the common workflows without writing any code:
 * ``map`` — render a dataset (and optionally a query set) as ASCII density
   maps;
 * ``reproduce`` — run every figure and ablation, writing a markdown report;
-* ``bench concurrent`` — sweep real threads × buffer shards against the
-  concurrent buffer service, reporting throughput / hit ratio / miss
-  coalescing per grid cell (optionally saved as JSON);
-* ``bench wal`` — measure group-commit fsync batching and crash-recovery
-  time over a durable update stream (optionally saved as JSON);
 * ``serve`` — run the asyncio page-service front-end over a durable,
   sharded buffer system (ctrl-C drains dirty frames through the WAL
   before exiting);
-* ``bench serve`` — throughput/latency sweep of the page service over
-  1→8 concurrent clients plus a backpressure probe demonstrating
-  ``RETRY_AFTER`` rejection under overload (writes ``BENCH_serve.json``);
 * ``bench tuning`` — phase-shifting workload scored per phase: static
   expert policies vs the self-tuning buffer (ghost caches + controller),
   including the ghost wall-clock overhead (writes ``BENCH_tuning.json``);
@@ -50,6 +42,10 @@ Four commands cover the common workflows without writing any code:
   ``BENCH_*.json`` reports and (with ``--candidate DIR``) fails on >10%
   direction-aware metric regressions with a readable diff.
 
+Throughput and latency of the stack itself — core fetch loop, sharded
+buffer, page service, WAL — are measured by ``python3 bench/run.py``
+(``BENCHMARK.json``), not by a ``bench`` subcommand.
+
 Examples::
 
     python -m repro figure 13
@@ -61,10 +57,8 @@ Examples::
     python -m repro events replay /tmp/t.jsonl --policy LRU
     python -m repro tune fit /tmp/t.jsonl --out weights.json
     python -m repro serve --tune --tune-mode ensemble --tune-weights weights.json
-    python -m repro bench concurrent --threads 1,2,4,8,16 --shards 1,4,8
-    python -m repro bench wal --steps 4000 --out BENCH_wal.json
     python -m repro serve --port 7007 --policy ASB --shards 4
-    python -m repro bench serve --clients 1,2,4,8 --out BENCH_serve.json
+    python -m repro bench tuning --out BENCH_tuning.json
     python -m repro bench ablation --workers 4 --out BENCH_ablation.json
     python -m repro bench cluster --nodes 1,2,4 --out BENCH_cluster.json
     python -m repro bench matrix --replay --out BENCH_matrix.json
@@ -265,41 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench", help="performance benchmarks of the buffer services"
     )
     bench_commands = bench.add_subparsers(dest="bench_command", required=True)
-    concurrent = bench_commands.add_parser(
-        "concurrent",
-        help="contention sweep: threads x shards against the concurrent buffer",
-    )
-    concurrent.add_argument("--threads", default="1,2,4,8,16",
-                            help="comma-separated thread counts to sweep")
-    concurrent.add_argument("--shards", default="1,4,8",
-                            help="comma-separated shard counts to sweep")
-    concurrent.add_argument("--policy", default="ASB",
-                            choices=sorted(POLICY_FACTORIES))
-    concurrent.add_argument("--objects", type=int, default=20_000)
-    concurrent.add_argument("--queries", type=int, default=50,
-                            help="queries per client thread")
-    concurrent.add_argument("--fraction", type=float, default=0.047,
-                            help="buffer size relative to the tree's pages")
-    concurrent.add_argument("--seed", type=int, default=7)
-    concurrent.add_argument("--out", default=None,
-                            help="also write the sweep as JSON to this path")
-    bench_serve = bench_commands.add_parser(
-        "serve",
-        help="client sweep + backpressure probe of the page service",
-    )
-    bench_serve.add_argument("--policy", default="LRU",
-                             choices=sorted(POLICY_FACTORIES))
-    bench_serve.add_argument("--capacity", type=int, default=128)
-    bench_serve.add_argument("--shards", type=int, default=4)
-    bench_serve.add_argument("--pages", type=int, default=512)
-    bench_serve.add_argument("--page-size", type=int, default=512)
-    bench_serve.add_argument("--clients", default="1,2,4,8",
-                             help="comma-separated client counts to sweep")
-    bench_serve.add_argument("--requests", type=int, default=400,
-                             help="requests per client")
-    bench_serve.add_argument("--seed", type=int, default=7)
-    bench_serve.add_argument("--out", default="BENCH_serve.json",
-                             help="output JSON path")
     tuning = bench_commands.add_parser(
         "tuning",
         help="phase-shifting workload: adaptive buffer vs static experts",
@@ -332,24 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tuning.add_argument("--seed", type=int, default=7)
     tuning.add_argument("--out", default="BENCH_tuning.json",
                         help="output JSON path")
-    wal = bench_commands.add_parser(
-        "wal",
-        help="group-commit batching and recovery time of the durable path",
-    )
-    wal.add_argument("--steps", type=int, default=4_000,
-                     help="update-stream length (writes/allocs/frees/commits)")
-    wal.add_argument("--pages", type=int, default=128,
-                     help="base pages on the durable disk")
-    wal.add_argument("--capacity", type=int, default=32,
-                     help="buffer frames")
-    wal.add_argument("--page-size", type=int, default=512)
-    wal.add_argument("--windows", default="1,2,4,8,16",
-                     help="comma-separated group-commit windows to sweep")
-    wal.add_argument("--checkpoint-intervals", default="0,1000,250,50",
-                     help="comma-separated checkpoint intervals (0 = never)")
-    wal.add_argument("--seed", type=int, default=7)
-    wal.add_argument("--out", default=None,
-                     help="also write the report as JSON to this path")
     ablation = bench_commands.add_parser(
         "ablation",
         help="baseline-plus-one-off component matrix with importance ranking",
@@ -376,28 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ablation.add_argument("--seed", type=int, default=7)
     ablation.add_argument("--out", default="BENCH_ablation.json",
                           help="output JSON path ('' = don't write)")
-    hotpath = bench_commands.add_parser(
-        "hotpath",
-        help="single-thread fetch micro-benchmark + batched wire sweep",
-    )
-    hotpath.add_argument("--baseline", default=None,
-                         help="baseline JSON (from 'python src/repro/"
-                              "experiments/hotpath.py --measure-core' on "
-                              "the pre-refactor tree); default: carry the "
-                              "baseline section forward from --out")
-    hotpath.add_argument("--reps", type=int, default=5,
-                         help="repetitions per cell (best-of)")
-    hotpath.add_argument("--hit-requests", type=int, default=200_000)
-    hotpath.add_argument("--miss-requests", type=int, default=50_000)
-    hotpath.add_argument("--skip-serve", action="store_true",
-                         help="core loop only: skip the batched wire "
-                              "sweep and the 8-client p99 scenario")
-    hotpath.add_argument("--no-gate", action="store_true",
-                         help="report only; do not fail on the "
-                              "acceptance guards")
-    hotpath.add_argument("--seed", type=int, default=7)
-    hotpath.add_argument("--out", default="BENCH_hotpath.json",
-                         help="output JSON path ('' = don't write)")
     cluster = bench_commands.add_parser(
         "cluster",
         help="multi-node scaling sweep, replica/far tier, invalidation soak",
@@ -426,7 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--seed", type=int, default=7)
     cluster.add_argument("--no-gate", action="store_true",
                          help="report only; do not fail on the acceptance "
-                              "guards (scaling >= 2.5x, zero stale reads)")
+                              "guards (scaling >= 2.5x, zero stale reads, "
+                              "replica and far hits seen, accounting)")
     cluster.add_argument("--out", default="BENCH_cluster.json",
                          help="output JSON path ('' = don't write)")
     matrix = bench_commands.add_parser(
@@ -747,8 +667,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.api import BufferSystem
-    from repro.experiments.servebench import make_seed_page
     from repro.server import PageServer, UvloopUnavailable, install_uvloop
+    from repro.storage import seed_page
 
     try:
         accelerated = install_uvloop(args.uvloop)
@@ -782,7 +702,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
     for page_id in range(args.pages):
-        system.disk.store(make_seed_page(page_id, page_id, args.page_size))
+        system.disk.store(seed_page(page_id))
     server = PageServer(
         system,
         host=args.host,
@@ -819,23 +739,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.bench_command == "wal":
-        return _cmd_bench_wal(args)
-    if args.bench_command == "serve":
-        return _cmd_bench_serve(args)
-    if args.bench_command == "tuning":
-        return _cmd_bench_tuning(args)
-    if args.bench_command == "ablation":
-        return _cmd_bench_ablation(args)
-    if args.bench_command == "hotpath":
-        return _cmd_bench_hotpath(args)
-    if args.bench_command == "matrix":
-        return _cmd_bench_matrix(args)
-    if args.bench_command == "check":
-        return _cmd_bench_check(args)
-    if args.bench_command == "cluster":
-        return _cmd_bench_cluster(args)
-    return _cmd_bench_concurrent(args)
+    handlers = {
+        "tuning": _cmd_bench_tuning,
+        "ablation": _cmd_bench_ablation,
+        "cluster": _cmd_bench_cluster,
+        "matrix": _cmd_bench_matrix,
+        "check": _cmd_bench_check,
+    }
+    return handlers[args.bench_command](args)
 
 
 def _cmd_bench_cluster(args: argparse.Namespace) -> int:
@@ -865,69 +776,12 @@ def _cmd_bench_cluster(args: argparse.Namespace) -> int:
         print(f"wrote cluster bench report -> {args.out}")
     if args.no_gate:
         return 0
-    verdict = report.acceptance()
-    ok = True
-    if not verdict["scaling_factor_geq_2_5x"]:
-        print(
-            f"aggregate scaling factor {report.scaling_factor():.2f}x is "
-            "below the 2.5x acceptance floor",
-            file=sys.stderr,
-        )
-        ok = False
-    if not verdict["zero_stale_reads"]:
-        print("invalidation soak observed stale reads", file=sys.stderr)
-        ok = False
-    if not verdict["accounting_identity_holds"]:
-        print("fleet accounting identity (requests == hits + misses) "
-              "does not hold", file=sys.stderr)
-        ok = False
-    return 0 if ok else 1
-
-
-def _cmd_bench_hotpath(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.experiments.hotpath import load_baseline, run_hotpath_bench
-
-    baseline_path = args.baseline
-    if baseline_path is None and args.out and os.path.exists(args.out):
-        baseline_path = args.out  # carry the recorded baseline forward
-    if baseline_path is None:
-        print(
-            "bench hotpath: no --baseline given and no existing report at "
-            f"'{args.out}' to carry one forward from.  Record one with:\n"
-            "  PYTHONPATH=<pre-refactor>/src python src/repro/experiments/"
-            "hotpath.py --measure-core --out baseline.json",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        baseline = load_baseline(baseline_path)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"bench hotpath: bad baseline '{baseline_path}': {exc}",
-              file=sys.stderr)
-        return 2
-    report = run_hotpath_bench(
-        baseline=baseline,
-        hit_requests=args.hit_requests,
-        miss_requests=args.miss_requests,
-        reps=args.reps,
-        include_serve=not args.skip_serve,
-        seed=args.seed,
+    failed = sorted(
+        flag for flag, ok in report.acceptance().items() if not ok
     )
-    print(report.to_text())
-    if args.out:
-        report.save(args.out)
-        print(f"wrote hotpath report -> {args.out}")
-    if args.no_gate:
-        return 0
-    verdict = report.acceptance()
-    if args.skip_serve:
-        del verdict["batching_improves_throughput"]  # not measured
-    failed = sorted(flag for flag, ok in verdict.items() if not ok)
     if failed:
-        print("bench hotpath: acceptance failed vs the recorded "
-              f"pre-refactor baseline: {', '.join(failed)}", file=sys.stderr)
+        print(f"bench cluster: acceptance failed: {', '.join(failed)}",
+              file=sys.stderr)
         return 1
     return 0
 
@@ -1055,109 +909,6 @@ def _cmd_bench_tuning(args: argparse.Namespace) -> int:
         print("the controller never adapted — tuning is inert on this "
               "workload", file=sys.stderr)
         return 1
-    return 0
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.experiments.servebench import run_serve_bench
-
-    try:
-        client_counts = [int(item) for item in args.clients.split(",") if item]
-    except ValueError:
-        print("--clients must be comma-separated integers", file=sys.stderr)
-        return 2
-    if not client_counts:
-        print("--clients must name at least one value", file=sys.stderr)
-        return 2
-    report = run_serve_bench(
-        policy=args.policy,
-        capacity=args.capacity,
-        shards=args.shards or None,
-        pages=args.pages,
-        page_size=args.page_size,
-        client_counts=client_counts,
-        requests_per_client=args.requests,
-        seed=args.seed,
-    )
-    print(report.to_text())
-    probe = report.backpressure
-    if probe is None or probe.retry_after == 0:
-        print("backpressure probe saw no RETRY_AFTER — admission control "
-              "is not rejecting under overload", file=sys.stderr)
-        return 1
-    if args.out:
-        report.save(args.out)
-        print(f"wrote serve bench report -> {args.out}")
-    return 0
-
-
-def _cmd_bench_wal(args: argparse.Namespace) -> int:
-    from repro.experiments.walbench import run_wal_bench
-
-    try:
-        windows = [int(item) for item in args.windows.split(",") if item]
-        intervals = [
-            int(item) for item in args.checkpoint_intervals.split(",") if item
-        ]
-    except ValueError:
-        print("--windows/--checkpoint-intervals must be comma-separated "
-              "integers", file=sys.stderr)
-        return 2
-    if not windows or not intervals:
-        print("--windows/--checkpoint-intervals must name at least one value",
-              file=sys.stderr)
-        return 2
-    report = run_wal_bench(
-        steps_count=args.steps,
-        pages=args.pages,
-        capacity=args.capacity,
-        page_size=args.page_size,
-        seed=args.seed,
-        windows=windows,
-        checkpoint_intervals=intervals,
-    )
-    print(report.to_text())
-    if any(not point.property_holds for point in report.recovery):
-        print("recovery property BROKEN — see table above", file=sys.stderr)
-        return 1
-    if args.out:
-        report.save(args.out)
-        print(f"wrote wal bench report -> {args.out}")
-    return 0
-
-
-def _cmd_bench_concurrent(args: argparse.Namespace) -> int:
-    from repro.datasets.synthetic import us_mainland_like
-    from repro.experiments.concurrency import sweep_contention
-    from repro.experiments.harness import build_database
-
-    try:
-        thread_counts = [int(item) for item in args.threads.split(",") if item]
-        shard_counts = [int(item) for item in args.shards.split(",") if item]
-    except ValueError:
-        print("--threads/--shards must be comma-separated integers",
-              file=sys.stderr)
-        return 2
-    if not thread_counts or not shard_counts:
-        print("--threads/--shards must name at least one value", file=sys.stderr)
-        return 2
-    database = build_database(
-        us_mainland_like(n_objects=args.objects, seed=args.seed)
-    )
-    sweep = sweep_contention(
-        database,
-        POLICY_FACTORIES[args.policy],
-        args.policy,
-        thread_counts=thread_counts,
-        shard_counts=shard_counts,
-        buffer_fraction=args.fraction,
-        queries_per_client=args.queries,
-        seed=args.seed,
-    )
-    print(sweep.to_text())
-    if args.out:
-        sweep.save(args.out)
-        print(f"wrote {len(sweep.points)} grid points -> {args.out}")
     return 0
 
 

@@ -43,9 +43,8 @@ from typing import Mapping, Sequence
 
 from repro.api import BufferSystem
 from repro.experiments.benchmeta import run_metadata
-from repro.geometry.rect import Rect
 from repro.server.admission import AdmissionRejected, AdmissionTimeout
-from repro.storage.page import Page, PageEntry, PageType
+from repro.storage.page import seed_page
 from repro.tuning import TuningConfig
 from repro.wal.durable import DurableDisk
 from repro.workloads.access_graph import ReferenceString, adversarial_suite
@@ -163,8 +162,8 @@ def component_specs(params: AblationParams) -> tuple[ComponentSpec, ...]:
             description=(
                 "bounded in-flight/queued admission in front of the buffer "
                 "(off: requests go straight to the shards; the benefit — "
-                "bounded overload — is probed by bench serve, the ablation "
-                "scores its steady-state cost)"
+                "bounded overload — is asserted by the page-service tests, "
+                "the ablation scores its steady-state cost)"
             ),
             overrides={"admission": None},
         ),
@@ -292,14 +291,6 @@ class _DelayedDurableDisk(DurableDisk):
         return page
 
 
-def _seed_page(page_id: int) -> Page:
-    page = Page(page_id=page_id, page_type=PageType.DATA)
-    page.entries.append(
-        PageEntry(mbr=Rect(0.0, 0.0, 1.0, 1.0), payload=page_id)
-    )
-    return page
-
-
 def _make_disk(
     params: AblationParams, workloads: Mapping[str, ReferenceString]
 ) -> _DelayedDurableDisk:
@@ -311,7 +302,7 @@ def _make_disk(
     for reference in workloads.values():
         page_ids.update(reference.graph.nodes)
     for page_id in sorted(page_ids):
-        disk.store(_seed_page(page_id))
+        disk.store(seed_page(page_id))
     disk.stats.reset()
     return disk
 

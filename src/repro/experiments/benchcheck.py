@@ -1,13 +1,16 @@
 """``bench check`` — the regression gate over ``BENCH_*.json`` reports.
 
-The repo commits its benchmark reports (``BENCH_concurrent.json``,
-``BENCH_wal.json``, ``BENCH_serve.json``, ``BENCH_tuning.json``,
-``BENCH_ablation.json``) as the performance baseline of record.  This
-module turns them from documentation into a gate:
+The repo commits the reports of the four behavioural benches
+(``BENCH_tuning.json``, ``BENCH_cluster.json``, ``BENCH_matrix.json``,
+``BENCH_ablation.json``) as the baseline of record; throughput and
+latency of the stack live in ``bench/run.py``, not here.  This module
+turns the reports from documentation into a gate:
 
 * **validate mode** (no candidate): every committed report must parse,
-  carry the metrics its schema promises, and satisfy its own acceptance
-  guards (``property_holds``, backpressure surfaced, tuner adapted, …).
+  carry the metrics its schema promises, satisfy its own acceptance
+  guards (tuner adapted, zero stale reads, indexes agree, accounting
+  identities, …) and name the same ``meta.git_rev`` as the others —
+  reports from different revisions cannot be read as one picture.
   This is what CI runs on every PR — it catches schema drift and
   stale/corrupt reports the moment a writer changes shape;
 * **compare mode** (``--candidate DIR``): a directory of freshly
@@ -19,9 +22,9 @@ module turns them from documentation into a gate:
 Wall-clock metrics (throughput, latency, seconds) are classified
 ``timing`` and skipped by default — they measure the host as much as
 the code.  ``include_timing=True`` gates them too, for humans running
-on a quiet box.  Counter metrics (hit ratios, disk reads, fsyncs,
-redo volumes) are deterministic for a fixed seed, so a >10% shift is a
-code change, not noise.
+on a quiet box.  Counter metrics (hit ratios, disk reads, fsyncs) are
+deterministic for a fixed seed, so a >10% shift is a code change, not
+noise.
 
 A missing or renamed metric is deliberately *not* a ``KeyError``: every
 schema access goes through :func:`_get`, which raises
@@ -152,76 +155,6 @@ def _accounting_guard(prefix: str, point: Mapping, source: str) -> Guard:
 # ----------------------------------------------------------------------
 
 
-def _extract_concurrent(data, source: str):
-    metrics, guards = [], []
-    for prefix, point in _points(data, "points", source, ("threads", "shards")):
-        metrics.append(
-            Metric(f"{prefix}.hit_ratio", _number(point, "hit_ratio", source))
-        )
-        metrics.append(
-            Metric(f"{prefix}.disk_reads",
-                   _number(point, "disk_reads", source), "lower")
-        )
-        metrics.append(
-            Metric(f"{prefix}.throughput",
-                   _number(point, "throughput", source), "higher", timing=True)
-        )
-        guards.append(_accounting_guard(prefix, point, source))
-    return metrics, guards
-
-
-def _extract_wal(data, source: str):
-    metrics, guards = [], []
-    for prefix, point in _points(data, "group_commit", source, ("group_window",)):
-        metrics.append(
-            Metric(f"{prefix}.fsyncs", _number(point, "fsyncs", source), "lower")
-        )
-        metrics.append(
-            Metric(f"{prefix}.commits_per_fsync",
-                   _number(point, "commits_per_fsync", source))
-        )
-        metrics.append(
-            Metric(f"{prefix}.seconds",
-                   _number(point, "seconds", source), "lower", timing=True)
-        )
-    for prefix, point in _points(
-        data, "recovery", source, ("checkpoint_interval",)
-    ):
-        metrics.append(
-            Metric(f"{prefix}.records_redone",
-                   _number(point, "records_redone", source), "lower")
-        )
-        guards.append(
-            Guard(f"{prefix}.property_holds",
-                  _boolean(point, "property_holds", source))
-        )
-    return metrics, guards
-
-
-def _extract_serve(data, source: str):
-    metrics, guards = [], []
-    for prefix, point in _points(data, "points", source, ("clients",)):
-        metrics.append(
-            Metric(f"{prefix}.hit_ratio", _number(point, "hit_ratio", source))
-        )
-        metrics.append(
-            Metric(f"{prefix}.p99_ms",
-                   _number(point, "p99_ms", source), "lower", timing=True)
-        )
-        metrics.append(
-            Metric(f"{prefix}.throughput",
-                   _number(point, "throughput", source), "higher", timing=True)
-        )
-        guards.append(_accounting_guard(prefix, point, source))
-    guards.append(
-        Guard(
-            "backpressure.retry_after>0",
-            _number(data, "backpressure.retry_after", source) > 0,
-        )
-    )
-    return metrics, guards
-
-
 def _extract_tuning(data, source: str):
     metrics = [
         Metric("adaptive.overall_hit_ratio",
@@ -272,54 +205,6 @@ def _extract_ablation(data, source: str):
         Guard("baseline.overall.accounting_ok",
               _boolean(data, "baseline.overall.accounting_ok", source)),
     ]
-    return metrics, guards
-
-
-def _extract_hotpath(data, source: str):
-    metrics, guards = [], []
-    core = _get(data, "core", source)
-    if not isinstance(core, Mapping) or not core:
-        raise BenchCheckError(
-            f"{source}: 'core' should be a non-empty policy->numbers object"
-        )
-    for policy in sorted(core):
-        metrics.append(
-            Metric(f"core.{policy}.hit_fps",
-                   _number(data, f"core.{policy}.hit_fps", source),
-                   "higher", timing=True)
-        )
-        metrics.append(
-            Metric(f"core.{policy}.miss_fps",
-                   _number(data, f"core.{policy}.miss_fps", source),
-                   "higher", timing=True)
-        )
-    metrics.append(
-        Metric("speedups.geomean_hit",
-               _number(data, "speedups.geomean_hit", source),
-               "higher", timing=True)
-    )
-    for prefix, point in _points(data, "batch.points", source, ("batch",)):
-        metrics.append(
-            Metric(f"{prefix}.pages_per_second",
-                   _number(point, "pages_per_second", source),
-                   "higher", timing=True)
-        )
-    p99 = _get(data, "p99_8_clients", source)
-    if p99 is not None:
-        metrics.append(
-            Metric("p99_8_clients.p99_ms",
-                   _number(data, "p99_8_clients.p99_ms", source),
-                   "lower", timing=True)
-        )
-        guards.append(_accounting_guard("p99_8_clients", p99, source))
-    guards.append(
-        Guard("acceptance.hit_speedup_geomean_geq_1x",
-              _boolean(data, "acceptance.hit_speedup_geomean_geq_1x", source))
-    )
-    guards.append(
-        Guard("acceptance.batching_improves_throughput",
-              _boolean(data, "acceptance.batching_improves_throughput", source))
-    )
     return metrics, guards
 
 
@@ -417,23 +302,15 @@ def _extract_matrix(data, source: str):
 #: filename → extractor.  The ``benchmark`` field inside the JSON is the
 #: fallback for reports checked under a non-canonical name.
 EXTRACTORS: "dict[str, Callable]" = {
-    "BENCH_concurrent.json": _extract_concurrent,
-    "BENCH_wal.json": _extract_wal,
-    "BENCH_serve.json": _extract_serve,
     "BENCH_tuning.json": _extract_tuning,
     "BENCH_ablation.json": _extract_ablation,
-    "BENCH_hotpath.json": _extract_hotpath,
     "BENCH_cluster.json": _extract_cluster,
     "BENCH_matrix.json": _extract_matrix,
 }
 
 _BY_BENCHMARK_FIELD: "dict[str, Callable]" = {
-    "concurrent-contention": _extract_concurrent,
-    "wal": _extract_wal,
-    "page-service": _extract_serve,
     "tuning": _extract_tuning,
     "ablation": _extract_ablation,
-    "hotpath": _extract_hotpath,
     "cluster": _extract_cluster,
     "matrix": _extract_matrix,
 }
@@ -615,7 +492,8 @@ def check_directory(
     """Run the gate over every committed ``BENCH_*.json`` in ``bench_dir``.
 
     Without a candidate directory this validates the committed reports
-    (parse + schema + their own acceptance guards).  With one, each
+    (parse + schema + their own acceptance guards + one common
+    ``meta.git_rev``).  With one, each
     committed report is additionally compared metric-by-metric against
     the same-named candidate report.
     """
@@ -623,10 +501,15 @@ def check_directory(
         mode="compare" if candidate_dir else "validate",
         threshold=threshold,
     )
+    revisions: dict[str, str] = {}
     for path in _discover(bench_dir):
         name = os.path.basename(path)
         result.files.append(name)
-        extracted = extract_report(name, load_report(path))
+        data = load_report(path)
+        meta = data.get("meta")
+        if isinstance(meta, Mapping) and "git_rev" in meta:
+            revisions[name] = str(meta["git_rev"])
+        extracted = extract_report(name, data)
         if extracted is None:
             result.notes.append(
                 f"{name}: no metric schema registered; JSON validity only"
@@ -668,4 +551,10 @@ def check_directory(
         for delta in deltas:
             if delta.regressed:
                 result.failures.append(delta.describe(threshold))
+    if len(set(revisions.values())) > 1:
+        result.failures.append(
+            "committed reports disagree on meta.git_rev ("
+            + ", ".join(f"{name} {rev[:7]}" for name, rev in revisions.items())
+            + ") — regenerate them in one working tree"
+        )
     return result

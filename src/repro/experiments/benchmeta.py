@@ -1,7 +1,7 @@
 """Shared provenance metadata for the ``BENCH_*.json`` reports.
 
-Every benchmark writer (``bench concurrent``, ``bench wal``,
-``bench serve``, ``bench tuning``) stamps its JSON with the same ``meta``
+Every benchmark writer (``bench tuning``, ``bench cluster``,
+``bench matrix``, ``bench ablation``) stamps its JSON with the same ``meta``
 block, so a report on disk is self-describing: which revision produced
 it, when, on what interpreter, and with which seed.  Perf-trajectory
 comparisons across PRs need exactly this to be trustworthy.

@@ -5,9 +5,9 @@ fleets, one report (``BENCH_cluster.json``):
 
 **Scaling sweep.**  Fleet sizes × client counts on a read-heavy uniform
 workload over a page set much larger than any node's buffer, against a
-*slow* shared disk (a real ``time.sleep`` per miss, the repo's
-``_SlowDisk`` idiom).  Each node serves misses from a small worker pool,
-so per-node throughput is bounded by ``workers / read_delay`` — an
+*slow* shared disk (a real ``time.sleep`` per miss,
+:class:`~repro.storage.disk.DelayedDisk`).  Each node serves misses
+from a small worker pool, so per-node throughput is bounded by ``workers / read_delay`` — an
 I/O-concurrency bound, not a CPU bound — and adding nodes multiplies
 the aggregate.  This is the regime the cluster tier exists for, and it
 is measurable on a single-core host: the acceptance gate requires the
@@ -42,7 +42,7 @@ from typing import Sequence
 
 from repro.api import ClusterSystem
 from repro.experiments.benchmeta import run_metadata
-from repro.experiments.servebench import make_seed_page
+from repro.storage import DelayedDisk, SimulatedDisk, seed_page
 
 
 def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
@@ -52,27 +52,6 @@ def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
         len(sorted_values) - 1, int(round(fraction * (len(sorted_values) - 1)))
     )
     return sorted_values[index]
-
-
-class _SlowDisk:
-    """Shared-disk wrapper whose reads cost real wall-clock time.
-
-    The scaling sweep needs misses to be *expensive and concurrent*: a
-    per-read sleep makes each node's throughput ``workers / delay`` and
-    leaves the single CPU free to run every node's event loop, which is
-    exactly the I/O-bound regime a distributed buffer tier targets.
-    """
-
-    def __init__(self, inner, delay_s: float) -> None:
-        self._inner = inner
-        self._delay = delay_s
-
-    def read(self, page_id):
-        time.sleep(self._delay)
-        return self._inner.read(page_id)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
 
 
 @dataclass
@@ -242,11 +221,8 @@ class ClusterBenchReport:
 
 
 def _seed_fleet(fleet: ClusterSystem, pages: int) -> None:
-    base = fleet.disk
-    while hasattr(base, "_inner"):
-        base = base._inner
     for page_id in range(pages):
-        base.store(make_seed_page(page_id, page_id, 4096))
+        fleet.disk.store(seed_page(page_id))
 
 
 def _scale_worker(
@@ -282,9 +258,8 @@ def _scale_worker(
 def measure_scale_point(
     params: ClusterBenchParams, nodes: int, clients: int
 ) -> ScalePoint:
-    from repro.storage.disk import SimulatedDisk
-
-    disk = _SlowDisk(SimulatedDisk(), params.read_delay_ms / 1000.0)
+    # Sleeping, not spinning: the nodes' concurrent misses must overlap.
+    disk = DelayedDisk(SimulatedDisk(), params.read_delay_ms / 1000.0)
     fleet = ClusterSystem.build(
         nodes,
         capacity=params.capacity,
@@ -435,7 +410,7 @@ def run_soak(params: ClusterBenchParams) -> SoakResult:
                 while not stop.is_set():
                     pid = rng.choice(mine)
                     version = committed[pid] + 1
-                    client.update(make_seed_page(pid, version, 4096))
+                    client.update(seed_page(pid, version))
                     # Publish only after the ack: the owner has already
                     # invalidated every remote copy of the old version.
                     committed[pid] = version

@@ -46,6 +46,7 @@ from repro.api import BufferSystem
 from repro.datasets.synthetic import us_mainland_like
 from repro.experiments.benchmeta import run_metadata
 from repro.experiments.harness import build_database, buffer_capacity
+from repro.storage import DelayedDisk
 from repro.tuning import DEFAULT_EXPERTS, TuningConfig, TuningSpec, default_candidates
 from repro.workloads.phased import PhasedWorkload, phased_workload
 
@@ -55,33 +56,6 @@ STATIC_PANEL = ("LRU", "LRU-2", "ASB")
 #: The ensemble's expert panel (the registry's default panel).
 ENSEMBLE_EXPERTS = DEFAULT_EXPERTS
 
-
-class _DelayDisk:
-    """A page store whose reads cost simulated I/O time.
-
-    The in-memory :class:`~repro.storage.disk.SimulatedDisk` serves reads
-    in sub-microsecond time, which makes *any* per-access CPU cost look
-    enormous relative to the workload.  Real buffer managers exist
-    because misses cost tens of microseconds (NVMe) to milliseconds
-    (disk); the bench models an SSD-class read by spinning for a fixed
-    latency per read, so wall-clock ratios reflect a system that actually
-    pays for its misses.  Writes and everything else pass through.
-    """
-
-    def __init__(self, inner, latency_s: float) -> None:
-        self._inner = inner
-        self._latency_s = latency_s
-
-    def read(self, page_id):
-        page = self._inner.read(page_id)
-        if self._latency_s > 0.0:
-            deadline = time.perf_counter() + self._latency_s
-            while time.perf_counter() < deadline:
-                pass
-        return page
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
 
 #: Absolute hit-ratio slack added to the 5 % relative bound, so phases
 #: where everyone misses (the scan) cannot fail on noise.
@@ -428,7 +402,10 @@ def run_tuning_bench(
     database = build_database(us_mainland_like(n_objects=objects, seed=seed))
     tree = database.tree
     capacity = buffer_capacity(database, buffer_fraction)
-    disk = _DelayDisk(tree.pagefile.disk, read_latency_us * 1e-6)
+    # An SSD-class read latency, spun rather than slept (sleep overshoots
+    # at ~100 µs): against sub-microsecond in-memory reads any per-access
+    # CPU cost looks enormous, so the overhead ratios would mean nothing.
+    disk = DelayedDisk(tree.pagefile.disk, read_latency_us * 1e-6, spin=True)
     workload = phased_workload(
         database.dataset.space, queries_per_phase=queries_per_phase, seed=seed
     )

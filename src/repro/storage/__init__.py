@@ -8,9 +8,9 @@ counts read/write accesses and can model access latency and inject failures,
 and a page file that handles allocation on top of the disk.
 """
 
-from repro.storage.disk import DiskError, DiskStats, SimulatedDisk
+from repro.storage.disk import DelayedDisk, DiskError, DiskStats, SimulatedDisk
 from repro.storage.objects import ObjectStore, build_tree_with_objects
-from repro.storage.page import Page, PageEntry, PageId, PageType
+from repro.storage.page import Page, PageEntry, PageId, PageType, seed_page
 from repro.storage.pagefile import PageFile
 from repro.storage.serialization import (
     FileDisk,
@@ -21,6 +21,7 @@ from repro.storage.serialization import (
 )
 
 __all__ = [
+    "DelayedDisk",
     "DiskError",
     "DiskStats",
     "SimulatedDisk",
@@ -28,6 +29,7 @@ __all__ = [
     "PageEntry",
     "PageId",
     "PageType",
+    "seed_page",
     "PageFile",
     "ObjectStore",
     "build_tree_with_objects",

@@ -17,7 +17,9 @@ ablation experiments and the test suite:
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
+from typing import Any
 
 from repro.storage.page import Page, PageId
 
@@ -199,3 +201,33 @@ class SimulatedDisk(FailureInjectionMixin):
 
     def page_ids(self) -> list[PageId]:
         return sorted(self._pages)
+
+
+class DelayedDisk:
+    """A disk wrapper whose reads cost real wall-clock time.
+
+    The in-memory disks serve reads in sub-microsecond time; tests and
+    benches that need a miss to *cost* something wrap their disk in this.
+    The default ``time.sleep`` releases the GIL, so concurrent misses
+    overlap (overload probes, the cluster scaling sweep).  ``spin=True``
+    busy-waits instead: at SSD-class latencies (~100 µs, ``bench
+    tuning``) the scheduler's sleep granularity would overshoot the
+    delay several times over.  Everything but ``read`` is forwarded.
+    """
+
+    def __init__(self, inner: Any, delay_s: float, spin: bool = False) -> None:
+        self._inner = inner
+        self._delay_s = delay_s
+        self._spin = spin
+
+    def read(self, page_id: PageId) -> Page:
+        if self._spin:
+            deadline = time.perf_counter() + self._delay_s
+            while time.perf_counter() < deadline:
+                pass
+        else:
+            time.sleep(self._delay_s)
+        return self._inner.read(page_id)
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._inner, name)

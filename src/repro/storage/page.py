@@ -100,3 +100,19 @@ class Page:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def seed_page(page_id: PageId, payload: Any = None) -> Page:
+    """A one-entry data page for preloading a disk.
+
+    ``payload`` defaults to the page id, so a fetched page identifies
+    itself; writers pass a version or marker to tell their update apart.
+    """
+    page = Page(page_id=page_id, page_type=PageType.DATA)
+    page.entries.append(
+        PageEntry(
+            mbr=Rect(0.0, 0.0, 1.0, 1.0),
+            payload=page_id if payload is None else payload,
+        )
+    )
+    return page

@@ -30,38 +30,43 @@ from repro.experiments.benchcheck import (
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def wal_report(
-    fsyncs=40,
-    commits_per_fsync=4.0,
+def matrix_report(
+    disk_reads=40,
+    hit_rate=0.6,
     seconds=0.5,
-    records_redone=100,
-    property_holds=True,
+    indexes_agree=True,
+    git_rev=None,
 ):
-    """A minimal but schema-complete ``BENCH_wal.json`` payload."""
+    """A minimal but schema-complete ``BENCH_matrix.json`` payload."""
+    meta = {"schema_version": 1, "seed": 7}
+    if git_rev is not None:
+        meta["git_rev"] = git_rev
     return {
-        "benchmark": "wal",
-        "meta": {"schema_version": 1, "seed": 7},
-        "group_commit": [
+        "benchmark": "matrix",
+        "meta": meta,
+        "runs": [
             {
-                "group_window": 8,
-                "commits": 160,
-                "fsyncs": fsyncs,
+                "index": "rstar",
+                "policy": "LRU",
+                "hit_rate": hit_rate,
+                "disk_reads": disk_reads,
                 "seconds": seconds,
-                "commits_per_fsync": commits_per_fsync,
+                "hits": 60,
+                "misses": 40,
+                "requests": 100,
             }
         ],
-        "recovery": [
-            {
-                "checkpoint_interval": 0,
-                "records_redone": records_redone,
-                "seconds": 0.1,
-                "property_holds": property_holds,
-            }
-        ],
+        "acceptance": {
+            "at_least_2_indexes": True,
+            "at_least_4_policies": True,
+            "at_least_3_workloads": True,
+            "accounting_identity_holds": True,
+            "indexes_agree_with_rstar": indexes_agree,
+        },
     }
 
 
-def write_report(directory: Path, payload, name="BENCH_wal.json") -> Path:
+def write_report(directory: Path, payload, name="BENCH_matrix.json") -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / name
     path.write_text(json.dumps(payload))
@@ -76,41 +81,41 @@ def dirs(tmp_path):
 class TestRegressionDetection:
     def test_15pct_regression_fails_naming_the_metric(self, dirs):
         committed, candidate = dirs
-        write_report(committed, wal_report(fsyncs=40))
-        write_report(candidate, wal_report(fsyncs=46))  # +15%, lower is better
+        write_report(committed, matrix_report(disk_reads=40))
+        write_report(candidate, matrix_report(disk_reads=46))  # +15%, lower is better
         result = check_directory(str(committed), str(candidate))
         assert not result.ok
         assert len(result.failures) == 1
         failure = result.failures[0]
-        assert "BENCH_wal.json" in failure
-        assert "group_commit[group_window=8].fsyncs" in failure
+        assert "BENCH_matrix.json" in failure
+        assert "runs[index=rstar,policy=LRU].disk_reads" in failure
         assert "40" in failure and "46" in failure
         assert "lower is better" in failure
 
     def test_5pct_wobble_passes(self, dirs):
         committed, candidate = dirs
-        write_report(committed, wal_report(fsyncs=40, records_redone=100))
-        write_report(candidate, wal_report(fsyncs=42, records_redone=95))
+        write_report(committed, matrix_report(disk_reads=40, hit_rate=0.60))
+        write_report(candidate, matrix_report(disk_reads=42, hit_rate=0.63))
         result = check_directory(str(committed), str(candidate))
         assert result.ok, result.failures
 
     def test_higher_is_better_direction(self, dirs):
         committed, candidate = dirs
-        write_report(committed, wal_report(commits_per_fsync=4.0))
+        write_report(committed, matrix_report(hit_rate=0.4))
         # A 25% *increase* of a higher-is-better metric is an improvement.
-        write_report(candidate, wal_report(commits_per_fsync=5.0))
+        write_report(candidate, matrix_report(hit_rate=0.5))
         assert check_directory(str(committed), str(candidate)).ok
         # ... and a 25% drop is a regression.
-        write_report(candidate, wal_report(commits_per_fsync=3.0))
+        write_report(candidate, matrix_report(hit_rate=0.3))
         result = check_directory(str(committed), str(candidate))
         assert not result.ok
-        assert "commits_per_fsync" in result.failures[0]
+        assert "hit_rate" in result.failures[0]
         assert "higher is better" in result.failures[0]
 
     def test_timing_metrics_skipped_by_default(self, dirs):
         committed, candidate = dirs
-        write_report(committed, wal_report(seconds=0.5))
-        write_report(candidate, wal_report(seconds=5.0))  # 10x slower
+        write_report(committed, matrix_report(seconds=0.5))
+        write_report(candidate, matrix_report(seconds=5.0))  # 10x slower
         result = check_directory(str(committed), str(candidate))
         assert result.ok
         assert result.skipped_timing == 1
@@ -122,15 +127,15 @@ class TestRegressionDetection:
 
     def test_candidate_guard_violation_fails(self, dirs):
         committed, candidate = dirs
-        write_report(committed, wal_report())
-        write_report(candidate, wal_report(property_holds=False))
+        write_report(committed, matrix_report())
+        write_report(candidate, matrix_report(indexes_agree=False))
         result = check_directory(str(committed), str(candidate))
         assert not result.ok
-        assert "property_holds" in result.failures[0]
+        assert "indexes_agree_with_rstar" in result.failures[0]
 
     def test_missing_candidate_file_fails(self, dirs):
         committed, candidate = dirs
-        write_report(committed, wal_report())
+        write_report(committed, matrix_report())
         candidate.mkdir()
         result = check_directory(str(committed), str(candidate))
         assert not result.ok
@@ -140,30 +145,28 @@ class TestRegressionDetection:
 class TestSchemaDrift:
     def test_renamed_metric_is_a_named_error_not_keyerror(self, dirs):
         committed, candidate = dirs
-        write_report(committed, wal_report())
-        broken = wal_report()
-        broken["group_commit"][0]["fsync_count"] = broken["group_commit"][0].pop(
-            "fsyncs"
-        )
+        write_report(committed, matrix_report())
+        broken = matrix_report()
+        broken["runs"][0]["reads"] = broken["runs"][0].pop("disk_reads")
         write_report(candidate, broken)
         with pytest.raises(BenchCheckError) as excinfo:
             check_directory(str(committed), str(candidate))
         message = str(excinfo.value)
-        assert "fsyncs" in message
-        assert "BENCH_wal.json" in message
+        assert "disk_reads" in message
+        assert "BENCH_matrix.json" in message
 
     def test_missing_section_in_committed_report(self, dirs):
         committed, _ = dirs
-        broken = wal_report()
-        del broken["recovery"]
+        broken = matrix_report()
+        del broken["acceptance"]
         write_report(committed, broken)
-        with pytest.raises(BenchCheckError, match="recovery"):
+        with pytest.raises(BenchCheckError, match="acceptance"):
             check_directory(str(committed))
 
     def test_non_numeric_metric_is_a_named_error(self, dirs):
         committed, _ = dirs
-        broken = wal_report()
-        broken["group_commit"][0]["fsyncs"] = "forty"
+        broken = matrix_report()
+        broken["runs"][0]["disk_reads"] = "forty"
         write_report(committed, broken)
         with pytest.raises(BenchCheckError, match="should be a number"):
             check_directory(str(committed))
@@ -171,7 +174,7 @@ class TestSchemaDrift:
     def test_invalid_json_is_a_named_error(self, tmp_path):
         committed = tmp_path / "committed"
         committed.mkdir()
-        (committed / "BENCH_wal.json").write_text("{not json")
+        (committed / "BENCH_matrix.json").write_text("{not json")
         with pytest.raises(BenchCheckError, match="invalid JSON"):
             check_directory(str(committed))
 
@@ -189,6 +192,34 @@ class TestSchemaDrift:
         result = check_directory(str(committed))
         assert result.ok
         assert any("no metric schema" in note for note in result.notes)
+
+
+class TestOneRevision:
+    """Committed reports must come from one working tree."""
+
+    @staticmethod
+    def two_reports(directory, first_rev, second_rev):
+        write_report(directory, matrix_report(git_rev=first_rev))
+        # Same schema under a second name: found via the ``benchmark`` field.
+        write_report(
+            directory, matrix_report(git_rev=second_rev),
+            name="BENCH_matrix_rerun.json",
+        )
+
+    def test_differing_git_revs_fail_naming_both_files(self, tmp_path):
+        self.two_reports(tmp_path, "a" * 40, "b" * 40)
+        result = check_directory(str(tmp_path))
+        assert not result.ok
+        assert len(result.failures) == 1
+        failure = result.failures[0]
+        assert "git_rev" in failure
+        assert "BENCH_matrix.json aaaaaaa" in failure
+        assert "BENCH_matrix_rerun.json bbbbbbb" in failure
+        assert main(["bench", "check", "--dir", str(tmp_path)]) == 1
+
+    def test_one_common_git_rev_passes(self, tmp_path):
+        self.two_reports(tmp_path, "a" * 40, "a" * 40)
+        assert check_directory(str(tmp_path)).ok
 
 
 class TestRelativeChange:
@@ -237,8 +268,8 @@ class TestCli:
 
     def test_cli_exit_1_on_regression(self, dirs):
         committed, candidate = dirs
-        write_report(committed, wal_report(fsyncs=40))
-        write_report(candidate, wal_report(fsyncs=50))
+        write_report(committed, matrix_report(disk_reads=40))
+        write_report(candidate, matrix_report(disk_reads=50))
         code = main(
             [
                 "bench", "check",
@@ -255,8 +286,8 @@ class TestCli:
 
     def test_cli_threshold_flag(self, dirs):
         committed, candidate = dirs
-        write_report(committed, wal_report(fsyncs=40))
-        write_report(candidate, wal_report(fsyncs=46))  # +15%
+        write_report(committed, matrix_report(disk_reads=40))
+        write_report(candidate, matrix_report(disk_reads=46))  # +15%
         args = [
             "bench", "check",
             "--dir", str(committed),

@@ -29,17 +29,34 @@ class TestRunMetadata:
         assert git_revision() == git_revision()
 
     def test_every_bench_report_carries_meta(self):
-        from repro.experiments.concurrency import ContentionSweep
-        from repro.experiments.walbench import WalBenchReport
+        """The four kept writers stamp the shared block.
 
-        wal = WalBenchReport(
-            steps=1, pages=1, capacity=1, page_size=512, seed=3
+        Three reports serialise without a run; ``bench tuning``'s needs
+        one, so its block is asserted by the miniature run below.
+        """
+        from repro.experiments.ablation import (
+            AblationParams,
+            AblationReport,
+            ConfigRun,
         )
-        assert wal.to_dict()["meta"]["seed"] == 3
-        sweep = ContentionSweep(
-            capacity=8, queries_per_client=1, policy="LRU", seed=4
+        from repro.experiments.clusterbench import (
+            ClusterBenchParams,
+            ClusterBenchReport,
         )
-        assert sweep.to_dict()["meta"]["seed"] == 4
+        from repro.experiments.matrix import MatrixParams, MatrixReport
+
+        cluster = ClusterBenchReport(params=ClusterBenchParams(seed=3))
+        assert cluster.to_dict()["meta"]["seed"] == 3
+        matrix = MatrixReport(params=MatrixParams(seed=4), run_id="matrix-x")
+        meta = matrix.to_dict()["meta"]
+        assert (meta["seed"], meta["run_id"]) == (4, "matrix-x")
+        ablation = AblationReport(
+            params=AblationParams(seed=5),
+            workloads={},
+            baseline=ConfigRun(key="baseline", run_id="baseline-x", overrides={}),
+        )
+        meta = ablation.to_dict()["meta"]
+        assert (meta["seed"], meta["run_id"]) == (5, "baseline-x")
 
 
 class TestTuningBenchSmoke:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.cli import POLICY_FACTORIES, main
@@ -207,35 +205,33 @@ class TestReproduceCommand:
         assert "running figure_04" in out
 
 
-class TestBenchHotpathGate:
-    """``bench hotpath`` exits 1 when *any* measured acceptance flag fails."""
+class TestBenchClusterGate:
+    """``bench cluster`` exits 1 when *any* acceptance flag is false."""
 
     @staticmethod
-    def run(tmp_path, hit_fps, miss_fps, *extra):
-        baseline = tmp_path / "baseline.json"
-        cell = {"hit_fps": hit_fps, "miss_fps": miss_fps}
-        baseline.write_text(
-            json.dumps({"core": {name: cell for name in ("LRU", "MRU", "SLRU", "ASB")}})
+    def run(monkeypatch, *extra, **flags):
+        from repro.experiments import clusterbench
+
+        class Report(clusterbench.ClusterBenchReport):
+            def acceptance(self):
+                return {**dict.fromkeys(super().acceptance(), True), **flags}
+
+        monkeypatch.setattr(
+            clusterbench, "run_cluster_bench", lambda params: Report(params)
         )
-        return main(
-            [
-                "bench", "hotpath",
-                "--baseline", str(baseline),
-                "--reps", "1",
-                "--hit-requests", "2000",
-                "--miss-requests", "500",
-                "--skip-serve",
-                "--out", "",
-                *extra,
-            ]
-        )
+        return main(["bench", "cluster", "--out", "", *extra])
 
-    def test_passes_when_both_paths_beat_the_baseline(self, tmp_path, capsys):
-        assert self.run(tmp_path, 1.0, 1.0) == 0
+    def test_passes_when_every_flag_holds(self, monkeypatch, capsys):
+        assert self.run(monkeypatch) == 0
 
-    def test_miss_path_regression_alone_fails_the_gate(self, tmp_path, capsys):
-        assert self.run(tmp_path, 1.0, 1e12) == 1
-        assert "miss_speedup_geomean_geq_1x" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag", ["replica_hits_observed", "far_hits_observed", "zero_stale_reads"]
+    )
+    def test_one_false_flag_fails_the_gate_and_is_named(
+        self, monkeypatch, capsys, flag
+    ):
+        assert self.run(monkeypatch, **{flag: False}) == 1
+        assert flag in capsys.readouterr().err
 
-    def test_no_gate_reports_only(self, tmp_path, capsys):
-        assert self.run(tmp_path, 1e12, 1e12, "--no-gate") == 0
+    def test_no_gate_reports_only(self, monkeypatch, capsys):
+        assert self.run(monkeypatch, "--no-gate", far_hits_observed=False) == 0

@@ -24,8 +24,8 @@ from repro.client import (
     ConnectionLost,
     PageClient,
 )
-from repro.experiments.servebench import _SlowDisk, make_seed_page
 from repro.server import ServerThread
+from repro.storage import DelayedDisk, seed_page
 from repro.storage.retry import RetryPolicy
 
 PAGE_SIZE = 512
@@ -36,7 +36,7 @@ def seeded_system(pages: int = 32, capacity: int = 8) -> BufferSystem:
         policy="LRU", capacity=capacity, page_size=PAGE_SIZE
     )
     for page_id in range(pages):
-        system.disk.store(make_seed_page(page_id, page_id, PAGE_SIZE))
+        system.disk.store(seed_page(page_id))
     return system
 
 
@@ -44,7 +44,7 @@ class TestFailAllPending:
     def test_server_hangup_fails_every_pipelined_request(self):
         system = seeded_system()
         # Slow reads keep several requests in flight on one connection.
-        system.buffer.disk = _SlowDisk(system.disk, 0.2)
+        system.buffer.disk = DelayedDisk(system.disk, 0.2)
 
         async def scenario(host: str, port: int) -> None:
             client = await AsyncPageClient.connect(
@@ -127,7 +127,7 @@ def seeded_fleet(**kwargs) -> ClusterSystem:
         page_size=PAGE_SIZE, capacity=16, **kwargs
     )
     for page_id in range(64):
-        fleet.disk.store(make_seed_page(page_id, page_id, PAGE_SIZE))
+        fleet.disk.store(seed_page(page_id))
     return fleet
 
 
@@ -179,11 +179,11 @@ class TestRoutingClient:
         with seeded_fleet(nodes=3) as fleet:
             with fleet.client() as client:
                 client.update_many(
-                    [make_seed_page(pid, 1000 + pid, PAGE_SIZE) for pid in range(16)]
+                    [seed_page(pid, 1000 + pid) for pid in range(16)]
                 )
                 pages = client.fetch_many(list(range(16)))
                 for pid, page in zip(range(16), pages):
-                    expected = make_seed_page(pid, 1000 + pid, PAGE_SIZE)
+                    expected = seed_page(pid, 1000 + pid)
                     assert (
                         page.entries[0].payload
                         == expected.entries[0].payload

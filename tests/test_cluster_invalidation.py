@@ -17,7 +17,7 @@ import random
 import threading
 
 from repro.api import ClusterSystem
-from repro.experiments.servebench import make_seed_page
+from repro.storage import seed_page
 
 PAGE_SIZE = 512
 
@@ -25,7 +25,7 @@ PAGE_SIZE = 512
 def seeded_fleet(**kwargs) -> ClusterSystem:
     fleet = ClusterSystem.build(page_size=PAGE_SIZE, **kwargs)
     for page_id in range(64):
-        fleet.disk.store(make_seed_page(page_id, 0, PAGE_SIZE))
+        fleet.disk.store(seed_page(page_id, 0))
     return fleet
 
 
@@ -56,7 +56,7 @@ class TestDirectedInvalidation:
                     > 0
                 )
                 # Write a new version; the ack means every old copy died.
-                client.update(make_seed_page(0, 7, PAGE_SIZE))
+                client.update(seed_page(0, 7))
                 owner = fleet.cluster_map.owner(0)
                 for node_id, thread in fleet.servers.items():
                     if node_id == owner:
@@ -76,7 +76,7 @@ class TestDirectedInvalidation:
                 for _ in range(10):
                     client.fetch(1)
                 for version in range(1, 6):
-                    client.update(make_seed_page(1, version, PAGE_SIZE))
+                    client.update(seed_page(1, version))
                     # The floor holds immediately after the ack.
                     assert payload_of(client.fetch(1)) >= version
             stats = fleet.node_stats()
@@ -122,7 +122,7 @@ class TestRandomizedNoStaleReads:
                         pid = rng.choice(mine)
                         version = committed[pid] + 1
                         client.update(
-                            make_seed_page(pid, version, PAGE_SIZE)
+                            seed_page(pid, version)
                         )
                         # Publish only after the ack: the owner has
                         # already invalidated every copy of the old

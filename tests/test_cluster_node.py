@@ -27,7 +27,6 @@ from repro.cluster import (
     ReplicaStore,
 )
 from repro.cluster.ring import ClusterMap
-from repro.experiments.servebench import make_seed_page
 from repro.obs.events import BufferEvent
 from repro.server import ServerThread
 from repro.server.protocol import (
@@ -37,6 +36,7 @@ from repro.server.protocol import (
     pack_page_lsn,
     pack_page_lsn_blob,
 )
+from repro.storage import seed_page
 from repro.storage.disk import SimulatedDisk
 from repro.storage.serialization import encode_page
 
@@ -117,7 +117,7 @@ class TestFarBuffer:
 class TestFarProbeDisk:
     def seed_disk(self) -> SimulatedDisk:
         disk = SimulatedDisk()
-        disk.store(make_seed_page(1, 11, PAGE_SIZE))
+        disk.store(seed_page(1, 11))
         return disk
 
     def test_unbound_probe_reads_through(self):
@@ -129,7 +129,7 @@ class TestFarProbeDisk:
     def test_probe_hit_skips_the_disk(self):
         disk = self.seed_disk()
         wrapped = FarProbeDisk(disk)
-        far_page = make_seed_page(1, 99, PAGE_SIZE)
+        far_page = seed_page(1, 99)
         blob = encode_page(far_page, PAGE_SIZE)
         wrapped.bind_probe(lambda page_id: blob if page_id == 1 else None)
         reads_before = disk.stats.reads
@@ -198,7 +198,7 @@ def data_node_server() -> tuple[BufferSystem, ClusterPageServer]:
         policy="LRU", capacity=8, shards=1, page_size=PAGE_SIZE
     )
     for page_id in range(16):
-        system.disk.store(make_seed_page(page_id, page_id, PAGE_SIZE))
+        system.disk.store(seed_page(page_id))
     config = ClusterNodeConfig(node_id="node-0", cluster_map=cluster_map)
     return system, ClusterPageServer(system, config, page_size=PAGE_SIZE)
 
@@ -282,7 +282,7 @@ class TestClusterOpcodes:
         system = BufferSystem.build(
             policy="LRU", capacity=8, page_size=PAGE_SIZE
         )
-        system.disk.store(make_seed_page(1, 1, PAGE_SIZE))
+        system.disk.store(seed_page(1))
         with ServerThread(system, page_size=PAGE_SIZE) as thread:
             async def scenario(client):
                 codes = []

@@ -17,7 +17,7 @@ import threading
 import time
 
 from repro.api import ClusterSystem
-from repro.experiments.servebench import make_seed_page
+from repro.storage import seed_page
 
 PAGE_SIZE = 512
 PAGES = 96
@@ -55,18 +55,14 @@ def client_loop(
                         assert [page.page_id for page in pages] == page_ids
                     elif roll < 0.97:
                         client.update(
-                            make_seed_page(
-                                rng.randrange(PAGES),
-                                rng.randrange(1 << 20),
-                                PAGE_SIZE,
+                            seed_page(
+                                rng.randrange(PAGES), rng.randrange(1 << 20)
                             )
                         )
                     else:
                         client.update_many(
                             [
-                                make_seed_page(
-                                    pid, rng.randrange(1 << 20), PAGE_SIZE
-                                )
+                                seed_page(pid, rng.randrange(1 << 20))
                                 for pid in rng.sample(range(PAGES), 4)
                             ]
                         )
@@ -94,7 +90,7 @@ def test_cluster_smoke():
     lock = threading.Lock()
     try:
         for page_id in range(PAGES):
-            fleet.disk.store(make_seed_page(page_id, 0, PAGE_SIZE))
+            fleet.disk.store(seed_page(page_id, 0))
         deadline = time.time() + smoke_seconds()
         threads = [
             threading.Thread(

@@ -47,10 +47,10 @@ def _record_production_day() -> RecordedTrace:
     from repro.client import PageClient, RetryAfter
     from repro.datasets.places import synthetic_places
     from repro.datasets.synthetic import us_mainland_like_stream
-    from repro.experiments.servebench import make_seed_page
     from repro.experiments.trace import record_trace
     from repro.sam.mqr import MqrTree
     from repro.server import ServerThread
+    from repro.storage import seed_page
     from repro.workloads.sets import make_query_set
 
     # The workload: mainland window queries traced through a streamed
@@ -82,7 +82,7 @@ def _record_production_day() -> RecordedTrace:
         trace=True,
     )
     for page_id in tree.all_page_ids():
-        system.disk.store(make_seed_page(page_id, page_id, PAGE_SIZE))
+        system.disk.store(seed_page(page_id))
 
     def client_session(worker: int) -> None:
         with PageClient(server.host, server.port, page_size=PAGE_SIZE) as client:
@@ -101,9 +101,7 @@ def _record_production_day() -> RecordedTrace:
                     page_id = sequence[-1]
                     while True:
                         try:
-                            client.update(
-                                make_seed_page(page_id, position, PAGE_SIZE)
-                            )
+                            client.update(seed_page(page_id, position))
                             break
                         except RetryAfter:
                             continue

@@ -23,7 +23,6 @@ from repro.client import (
     RetryAfter,
     ServerError,
 )
-from repro.experiments.servebench import _SlowDisk, make_seed_page
 from repro.server import PageServer, ServerThread
 from repro.server.protocol import (
     ErrorCode,
@@ -32,6 +31,7 @@ from repro.server.protocol import (
     encode_request,
     pack_page_id,
 )
+from repro.storage import DelayedDisk, seed_page
 from repro.wal.bytestore import MemoryByteStore
 from repro.wal.log import WriteAheadLog
 from repro.wal.recovery import replay_durable_prefix
@@ -44,7 +44,7 @@ def durable_system(pages: int = 32, capacity: int = 8) -> BufferSystem:
         policy="LRU", capacity=capacity, durability=True, page_size=PAGE_SIZE
     )
     for page_id in range(pages):
-        system.disk.store(make_seed_page(page_id, page_id, PAGE_SIZE))
+        system.disk.store(seed_page(page_id))
     return system
 
 
@@ -114,7 +114,7 @@ class TestClientDisconnect:
         system = durable_system()
         # Slow reads keep the dropped client's request in flight while the
         # connection dies underneath it.
-        system.buffer.disk = _SlowDisk(system.disk, 0.05)
+        system.buffer.disk = DelayedDisk(system.disk, 0.05)
         with ServerThread(system, page_size=PAGE_SIZE) as server:
             with socket.create_connection((server.host, server.port)) as raw:
                 raw.sendall(encode_request(Op.FETCH, 1, pack_page_id(20)))
@@ -127,7 +127,7 @@ class TestClientDisconnect:
 
     def test_pending_client_requests_fail_with_connection_lost(self):
         system = durable_system()
-        system.buffer.disk = _SlowDisk(system.disk, 0.2)
+        system.buffer.disk = DelayedDisk(system.disk, 0.2)
 
         async def scenario(host: str, port: int) -> None:
             client = await AsyncPageClient.connect(host, port, page_size=PAGE_SIZE)
@@ -144,7 +144,7 @@ class TestClientDisconnect:
 class TestRequestTimeout:
     def test_slow_request_fails_with_timeout(self):
         system = durable_system()
-        system.buffer.disk = _SlowDisk(system.disk, 0.5)
+        system.buffer.disk = DelayedDisk(system.disk, 0.5)
         with ServerThread(
             system, request_timeout=0.05, page_size=PAGE_SIZE
         ) as server:
@@ -162,7 +162,7 @@ class TestRequestTimeout:
 class TestAdmissionOverflow:
     def test_overflow_answers_retry_after_queue_full(self):
         system = durable_system()
-        system.buffer.disk = _SlowDisk(system.disk, 0.05)
+        system.buffer.disk = DelayedDisk(system.disk, 0.05)
 
         async def scenario(host: str, port: int) -> None:
             client = await AsyncPageClient.connect(host, port, page_size=PAGE_SIZE)
@@ -190,7 +190,7 @@ class TestAdmissionOverflow:
 
     def test_per_client_quota_answers_retry_after(self):
         system = durable_system()
-        system.buffer.disk = _SlowDisk(system.disk, 0.05)
+        system.buffer.disk = DelayedDisk(system.disk, 0.05)
 
         async def scenario(host: str, port: int) -> None:
             client = await AsyncPageClient.connect(host, port, page_size=PAGE_SIZE)
@@ -231,7 +231,7 @@ class TestDrainOnShutdown:
             ) as client:
                 for page_id in range(8):
                     client.update(
-                        make_seed_page(page_id, 1000 + page_id, PAGE_SIZE)
+                        seed_page(page_id, 1000 + page_id)
                     )
                     if page_id % 3 == 2:
                         assert client.commit() > 0
@@ -299,7 +299,7 @@ class TestBatchOpcodes:
                 )
                 try:
                     pages = [
-                        make_seed_page(pid, pid * 100, PAGE_SIZE)
+                        seed_page(pid, pid * 100)
                         for pid in (40, 41, 42)
                     ]
                     await client.update_many(pages)

@@ -18,8 +18,8 @@ import time
 
 from repro.api import BufferSystem
 from repro.client import PageClient, RetryAfter
-from repro.experiments.servebench import make_seed_page
 from repro.server import ServerThread
+from repro.storage import seed_page
 
 PAGE_SIZE = 512
 PAGES = 256
@@ -52,11 +52,7 @@ def client_loop(
                         page = client.fetch(page_id)
                         assert page.page_id == page_id
                     elif roll < 0.95:
-                        client.update(
-                            make_seed_page(
-                                page_id, rng.randrange(1 << 20), PAGE_SIZE
-                            )
-                        )
+                        client.update(seed_page(page_id, rng.randrange(1 << 20)))
                     else:
                         client.commit()
                     operations += 1
@@ -80,7 +76,7 @@ def test_eight_concurrent_clients_smoke():
         page_size=PAGE_SIZE,
     )
     for page_id in range(PAGES):
-        system.disk.store(make_seed_page(page_id, page_id, PAGE_SIZE))
+        system.disk.store(seed_page(page_id))
     base_image = system.disk.image()
 
     results: dict = {}
