@@ -191,8 +191,8 @@ class BufferManager:
             reference path's exactly; only the chain splice is deferred
             (see :meth:`FrameTable.move_to_tail`).  The hook runs *before*
             the timestamp renewal and the recency append — ASB reads the
-            pre-renewal recency (its chain walks enter through the
-            flushing ``head`` property, so deferred renewals of earlier
+            pre-renewal recency (its chain walk enters through the
+            flushing ``tail`` property, so deferred renewals of earlier
             requests are applied, and this request's own renewal is not
             yet pending).
             """
@@ -534,6 +534,7 @@ class BufferManager:
         frame = self._frame_or_raise(page_id)
         frame.dirty = True
         frame.invalidate_criteria()
+        self._policy.on_update(frame)
         durability = self._durability
         if durability is not None:
             durability.on_page_update(frame.page)

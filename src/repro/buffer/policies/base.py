@@ -1,8 +1,9 @@
 """The replacement-policy interface.
 
-A policy sees three events — a page was loaded, a resident page was hit, a
-frame left the buffer — and answers one question: which resident, unpinned
-page should be dropped to make room (:meth:`ReplacementPolicy.select_victim`).
+A policy sees four events — a page was loaded, a resident page was hit, a
+resident page's content changed, a frame left the buffer — and answers one
+question: which resident, unpinned page should be dropped to make room
+(:meth:`ReplacementPolicy.select_victim`).
 
 Policies read frame metadata (timestamps, page type/level, entry MBRs)
 through the frames the manager exposes; they never touch the disk.  A policy
@@ -71,6 +72,14 @@ class ReplacementPolicy(abc.ABC):
         ``correlated`` is true when this access belongs to the same query as
         the previous access to the page (the paper's correlation notion,
         Section 2.2).  Only LRU-K distinguishes the two cases.
+        """
+
+    def on_update(self, frame: Frame) -> None:
+        """``frame``'s page content changed (``mark_dirty``).
+
+        The frame's cached spatial criteria were just dropped; a policy
+        that keeps criterion values of its own (ASB's index) re-keys the
+        frame here.
         """
 
     def on_evict(self, frame: Frame) -> None:

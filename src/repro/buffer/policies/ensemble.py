@@ -136,6 +136,10 @@ class EnsemblePolicy(ReplacementPolicy):
         for expert in self._hit_experts:
             expert.on_hit(frame, correlated)
 
+    def on_update(self, frame: Frame) -> None:
+        for expert in self.experts:
+            expert.on_update(frame)
+
     def on_evict(self, frame: Frame) -> None:
         for expert in self.experts:
             expert.on_evict(frame)

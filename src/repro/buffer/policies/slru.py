@@ -16,7 +16,11 @@ import math
 
 from repro.buffer.frames import Frame
 from repro.buffer.policies.base import ReplacementPolicy
-from repro.buffer.policies.spatial import SPATIAL_CRITERIA, spatial_criterion
+from repro.buffer.policies.spatial import (
+    SPATIAL_CRITERIA,
+    first_min_candidate,
+    spatial_criterion,
+)
 from repro.storage.page import PageId
 
 
@@ -83,21 +87,9 @@ class SLRU(ReplacementPolicy):
         # ``candidate_count`` unpinned frames off the LRU head are
         # exactly the stable-sorted candidate prefix the paper's rule
         # asks for — no sort, O(candidates + pinned skips).
-        count = self.candidate_count()
-        criterion = self.criterion
-        frame = self.buffer.frames.head
-        victim = None
-        best = 0.0
-        while frame is not None and count > 0:
-            if frame.pin_count == 0:
-                count -= 1
-                value = frame.crit_cache.get(criterion)
-                if value is None:
-                    value = spatial_criterion(frame, criterion)
-                if victim is None or value < best:
-                    victim = frame
-                    best = value
-            frame = frame.lru_next
+        victim = first_min_candidate(
+            self.buffer.frames.head, self.criterion, self.candidate_count()
+        )
         if victim is None:
             from repro.buffer.manager import BufferFullError
 

@@ -81,6 +81,33 @@ def spatial_criterion(frame: Frame, criterion: str) -> float:
     return value
 
 
+def first_min_candidate(
+    frame: Frame | None, criterion: str, count: int
+) -> Frame | None:
+    """The paper's victim rule, walked up the recency chain from ``frame``.
+
+    Pass the chain's LRU head.  The first ``count`` unpinned frames form
+    the candidate set; the candidate with the smallest criterion wins, and
+    the strict ``<`` keeps the *first* frame at the minimum — minimal
+    criterion, ties broken by LRU.  ``None`` when no frame is unpinned.
+    This is the one O(candidates) chain walk: A and SLRU decide by it, and
+    ASB's tests hold its index to it.
+    """
+    victim: Frame | None = None
+    best = 0.0
+    while frame is not None and count > 0:
+        if frame.pin_count == 0:
+            count -= 1
+            value = frame.crit_cache.get(criterion)
+            if value is None:
+                value = spatial_criterion(frame, criterion)
+            if victim is None or value < best:
+                victim = frame
+                best = value
+        frame = frame.lru_next
+    return victim
+
+
 class SpatialPolicy(ReplacementPolicy):
     """Pure spatial replacement: evict the page with the smallest criterion.
 
@@ -100,23 +127,8 @@ class SpatialPolicy(ReplacementPolicy):
         self.name = criterion
 
     def select_victim(self) -> PageId:
-        criterion = self.criterion
-        # One walk up the recency chain (ascending last_access): with a
-        # strict ``<`` the *first* frame at the minimal criterion wins,
-        # which is exactly the paper's rule — minimal criterion, ties
-        # broken by LRU.
-        victim: Frame | None = None
-        best = 0.0
-        frame = self.buffer.frames.head
-        while frame is not None:
-            if frame.pin_count == 0:
-                value = frame.crit_cache.get(criterion)
-                if value is None:
-                    value = spatial_criterion(frame, criterion)
-                if victim is None or value < best:
-                    victim = frame
-                    best = value
-            frame = frame.lru_next
+        frames = self.buffer.frames
+        victim = first_min_candidate(frames.head, self.criterion, len(frames))
         if victim is None:
             from repro.buffer.manager import BufferFullError
 

@@ -102,10 +102,13 @@ class GhostCache:
 
     Duck-types the slice of the :class:`~repro.buffer.manager.BufferManager`
     surface that policies consume (``frames``, ``capacity``, ``clock``,
-    ``current_query``, ``observer``, ``evictable_frames``), so any
-    registered policy attaches and runs unchanged.  Ghost frames are
-    never pinned and never dirty; the ghost never touches a disk.
+    ``current_query``, ``observer``, ``pinned_count``,
+    ``evictable_frames``), so any registered policy attaches and runs
+    unchanged.  Ghost frames are never pinned and never dirty; the ghost
+    never touches a disk.
     """
+
+    pinned_count = 0
 
     def __init__(
         self, policy: "ReplacementPolicy", capacity: int, name: str | None = None

@@ -16,9 +16,10 @@ byte level.
 **Group commit** batches fsyncs: each :meth:`commit` appends a COMMIT
 record but only every ``group_window``-th commit pays an fsync, so the
 fsync count per committed operation drops by the window factor — the
-trade measured by ``python -m repro bench wal``.  A commit is durable
-(and only then survives a crash) once the fsync covering it completes;
-the durable prefix of the log *is* the committed prefix.
+trade measured by ``wal.fsyncs_per_commit`` and ``wal.commit_us`` of
+``python3 bench/run.py --workload served-mixed --trace 1``.  A commit is
+durable (and only then survives a crash) once the fsync covering it
+completes; the durable prefix of the log *is* the committed prefix.
 
 Record format (little-endian)::
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.buffer.manager import BufferManager
 from repro.buffer.policies.asb import ASB
 from repro.buffer.policies.slru import SLRU
+from repro.buffer.policies.spatial import first_min_candidate, spatial_criterion
 from repro.geometry.rect import Rect
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page, PageEntry, PageType
@@ -283,3 +286,167 @@ class TestInstallDiscardIntegration:
         # Buffer keeps operating normally afterwards.
         buffer.fetch(overflow_head)
         assert buffer.contains(overflow_head)
+
+
+# ----------------------------------------------------------------------
+# The index (blocks over the main part, sorted lists over the overflow)
+# must decide what the full walks decide
+# ----------------------------------------------------------------------
+
+
+def reference_main_victim(buffer, policy):
+    """The main part's victim, from the chain in full: filter, cut, min."""
+    overflow = set(policy.overflow_ids())
+    candidates = [
+        frame
+        for frame in buffer.frames.iter_recency()
+        if frame.page_id not in overflow and not frame.pinned
+    ][: policy.candidate_size]
+    return min(
+        candidates,
+        key=lambda frame: spatial_criterion(frame, policy.criterion),
+        default=None,
+    )
+
+
+def reference_adaptation(buffer, policy, page_id):
+    """Sign of the knob change a hit on overflow page ``page_id`` must cause."""
+    promoted = buffer.frames[page_id]
+    others = [buffer.frames[other] for other in policy.overflow_ids() if other != page_id]
+    crit = lambda frame: spatial_criterion(frame, policy.criterion)  # noqa: E731
+    better_spatial = sum(crit(other) > crit(promoted) for other in others)
+    better_lru = sum(other.last_access > promoted.last_access for other in others)
+    return (better_spatial < better_lru) - (better_spatial > better_lru)
+
+
+def resize(buffer, page_id, width, height):
+    """Edit a resident page in place, then tell the buffer."""
+    page = buffer.frames[page_id].page
+    page.entries[0] = PageEntry(mbr=Rect(0, 0, width, height), payload=page_id)
+    buffer.mark_dirty(page_id)
+
+
+class CountingCache(dict):
+    """A criterion cache that counts its probes into ``tally[0]``."""
+
+    def __init__(self, content, tally):
+        super().__init__(content)
+        self.tally = tally
+
+    def get(self, key, default=None):
+        self.tally[0] += 1
+        return dict.get(self, key, default)
+
+    def __getitem__(self, key):
+        self.tally[0] += 1
+        return dict.__getitem__(self, key)
+
+
+class TestIndex:
+    def _slru_like(self):
+        """No overflow, every main page a candidate, four blocks of four."""
+        policy = ASB(overflow_fraction=0.0, candidate_fraction=1.0)
+        buffer = BufferManager(
+            square_disk([float(10 + i) for i in range(20)]), 16, policy
+        )
+        for page_id in range(17):  # the 17th load makes every block remember
+            buffer.fetch(page_id)
+        return policy, buffer
+
+    def test_dirtied_main_page_is_rejudged(self):
+        policy, buffer = self._slru_like()
+        def chain_walk():  # without an overflow the main part is the chain
+            head = buffer.frames.head
+            return first_min_candidate(head, policy.criterion, policy.candidate_size)
+
+        assert policy.select_victim() == 1  # page 0 left; 1 is now smallest
+        resize(buffer, 1, 30.0, 30.0)
+        assert policy.select_victim() == chain_walk().page_id == 2
+        resize(buffer, 9, 1.0, 1.0)
+        assert policy.select_victim() == chain_walk().page_id == 9
+
+    def test_dirtied_overflow_page_is_rejudged(self):
+        policy = ASB(overflow_fraction=0.5, candidate_fraction=0.5, step_fraction=0.2)
+        buffer = BufferManager(
+            square_disk([1.0, 2.0, 3.0, 4.0, 50.0, 60.0, 70.0, 80.0, 90.0]), 8, policy
+        )
+        for page_id in range(8):
+            buffer.fetch(page_id)
+        assert policy.overflow_ids() == [0, 1, 2, 3]
+        # Page 3 judges worse than 0..2 on recency only; grow 0..2 past it
+        # and it judges worse on both, which turns a grow into a tie.
+        assert reference_adaptation(buffer, policy, 3) == 0
+        for page_id in (0, 1, 2):
+            resize(buffer, page_id, 9.0, 9.0)
+        expected = reference_adaptation(buffer, policy, 3)
+        assert expected == -1
+        before = policy.candidate_size
+        buffer.fetch(3)
+        assert policy.candidate_size == before + expected * policy._step
+
+    def test_live_criterion_swap_rekeys_both_parts(self):
+        # Areas (10 + id) rise with the page id, margins (30 - id, as
+        # width + height) fall: A and M rank the pages in opposite orders.
+        disk = SimulatedDisk()
+        for page_id in range(12):
+            page = Page(page_id=page_id, page_type=PageType.DATA)
+            area, half_margin = 10.0 + page_id, 30.0 - page_id
+            spread = (half_margin**2 - 4 * area) ** 0.5
+            rect = Rect(0, 0, (half_margin + spread) / 2, (half_margin - spread) / 2)
+            page.entries.append(PageEntry(mbr=rect, payload=page_id))
+            disk.store(page)
+        policy = ASB(overflow_fraction=0.4, candidate_fraction=1.0, step_fraction=0.2)
+        buffer = BufferManager(disk, 10, policy)
+        for page_id in range(10):
+            buffer.fetch(page_id)
+        assert policy.overflow_ids() == [0, 1, 2, 3]  # smallest areas first
+        policy.retune(criterion="M")
+        policy._sync()
+        assert policy._main_victim() is reference_main_victim(buffer, policy)
+        assert policy._main_victim().page_id == 9  # smallest margin now
+        expected = reference_adaptation(buffer, policy, 0)
+        assert expected == 1  # 1..3 are newer, none has a larger margin
+        policy.retune(candidate_fraction=0.5)
+        before = policy.candidate_size
+        buffer.fetch(0)
+        assert policy.candidate_size == before + expected * policy._step
+        # Candidates are now the four oldest main pages, 4..7; the
+        # smallest margin among them makes room.
+        assert policy.overflow_ids() == [1, 2, 3, 7]
+
+    def test_promotion_reads_few_criteria_and_a_main_hit_none(self):
+        """The work a promotion does is O(sqrt(buffer)), a main hit's is nil.
+
+        Counted, not timed: every slot's criterion cache is swapped for a
+        probe-counting dict once the buffer is warm.  The walks this index
+        replaced probed every overflow page and every candidate — about
+        ``capacity`` probes per promotion at this size.
+        """
+        capacity = 4096
+        rng = random.Random(5)
+        policy = ASB()
+        buffer = BufferManager(
+            square_disk([1.0 + rng.random() for _ in range(capacity)]), capacity, policy
+        )
+        for page_id in range(capacity):
+            buffer.fetch(page_id)
+        tally = [0]
+        for frame in buffer.frames.slots:
+            frame.crit_cache = CountingCache(frame.crit_cache, tally)
+        promotions = worst = 0
+        for _ in range(20_000):
+            page_id = rng.randrange(capacity)
+            promotes = page_id in policy._overflow
+            blocks = [(block, list(block.frames), block.min_frame) for block in policy._blocks]
+            synced, probes = policy._synced, tally[0]
+            buffer.fetch(page_id)
+            if promotes:
+                promotions += 1
+                worst = max(worst, tally[0] - probes)
+            else:
+                assert tally[0] == probes and policy._synced == synced
+                assert blocks == [
+                    (block, block.frames, block.min_frame) for block in policy._blocks
+                ]
+        assert buffer.stats.misses == capacity and promotions > 1000
+        assert worst <= 4 * capacity**0.5
