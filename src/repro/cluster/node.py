@@ -72,7 +72,7 @@ from repro.server.protocol import (
     unpack_page_lsn_blob,
     unpack_update_batch,
 )
-from repro.storage.serialization import decode_page, encode_page
+from repro.storage.serialization import decode_page, encode_page, read_page
 
 if TYPE_CHECKING:
     from repro.api import BufferSystem
@@ -214,7 +214,7 @@ class FarProbeDisk:
         if probe is not None:
             blob = probe(page_id)
             if blob is not None:
-                return decode_page(blob, page_id)
+                return read_page(blob, page_id)
         return self._inner.read(page_id)
 
     def __getattr__(self, name: str):
@@ -780,15 +780,7 @@ class ClusterPageServer(PageServer):
         return [encode_page(fetch(pid), size) for pid in page_ids]
 
     def _install_blobs_blocking(self, items: list[tuple[int, bytes]]) -> None:
-        pages = []
-        for page_id, blob in items:
-            page = decode_page(blob, page_id)
-            if page.page_id != page_id:
-                raise ValueError(
-                    f"payload encodes page {page.page_id}, "
-                    f"header says {page_id}"
-                )
-            pages.append(page)
+        pages = [decode_page(blob, page_id) for page_id, blob in items]
         install = self.system.buffer.install
         for page in pages:
             install(page)

@@ -22,6 +22,7 @@ page through the supplied accessor, normally a buffer manager.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from typing import Any, Iterable
@@ -32,10 +33,20 @@ from repro.storage.page import Page, PageEntry, PageId, PageType
 from repro.storage.pagefile import PageFile
 
 
-try:  # optional acceleration; the library itself has no hard dependencies
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+@functools.cache
+def _numpy():
+    """numpy, or ``None`` where it is not installed: optional acceleration
+    of single inserts; the library itself has no hard dependencies.
+
+    Imported on first use.  A process that only reads or bulk-loads — the
+    page server, every ``bench/run.py`` workload — never pays its 13 MB of
+    resident memory and 150 ms of import.
+    """
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - exercised on numpy-free installs
+        return None
+    return numpy
 
 
 def _choose_subtree_leaf_numpy(entries: list["PageEntry"], mbr: Rect) -> int | None:
@@ -45,6 +56,7 @@ def _choose_subtree_leaf_numpy(entries: list["PageEntry"], mbr: Rect) -> int | N
     entries before and after enlarging it by ``mbr`` — the same key the
     scalar loop builds, evaluated as matrix operations.
     """
+    _np = _numpy()
     if _np is None:
         return None
     boxes = _np.array(

@@ -485,27 +485,17 @@ class PageServer:
         if operation is Op.UPDATE_MANY:
             # All-or-error: decode every item before installing any, so a
             # malformed tail never leaves a half-applied batch.
-            pages = []
-            for page_id, blob in unpack_update_batch(payload):
-                page = decode_page(blob, page_id)
-                if page.page_id != page_id:
-                    raise ValueError(
-                        f"payload encodes page {page.page_id}, "
-                        f"header says {page_id}"
-                    )
-                pages.append(page)
+            pages = [
+                decode_page(blob, page_id)
+                for page_id, blob in unpack_update_batch(payload)
+            ]
             install = buffer.install
             for page in pages:
                 install(page)
             return b""
         if operation is Op.UPDATE:
             page_id, blob = unpack_page_payload(payload)
-            page = decode_page(blob, page_id)
-            if page.page_id != page_id:
-                raise ValueError(
-                    f"payload encodes page {page.page_id}, header says {page_id}"
-                )
-            buffer.install(page)
+            buffer.install(decode_page(blob, page_id))
             return b""
         if operation is Op.PIN:
             buffer.fetch_pinned(unpack_page_id(payload))

@@ -17,6 +17,7 @@ from repro.storage.serialization import (
     decode_page,
     encode_page,
     load_tree,
+    read_page,
     save_tree,
 )
 
@@ -36,6 +37,7 @@ __all__ = [
     "FileDisk",
     "encode_page",
     "decode_page",
+    "read_page",
     "save_tree",
     "load_tree",
 ]

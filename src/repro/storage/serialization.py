@@ -17,12 +17,22 @@ Payloads must be integers (object identifiers) or ``None`` — the library's
 indexes only store object ids, and a self-contained format beats pickling
 arbitrary objects.  ``child``/``payload`` are shifted by one so that -1
 encodes ``None`` unambiguously.
+
+Two readers share one decode routine.  :func:`decode_page` builds the entry
+objects at once — for input from outside the program and for readers that
+traverse what they read.  :func:`read_page` makes every check
+:func:`decode_page` makes and returns a *packed* page that keeps the slot
+bytes as its :class:`PageImage`: serving it on, logging it or ranking it by
+its MBR never builds an entry object, and :func:`encode_page` hands the
+bytes back untouched.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import struct
+from operator import gt
 from pathlib import Path
 
 from repro.geometry.rect import Rect
@@ -44,15 +54,80 @@ def max_entries_for(page_size: int) -> int:
     return (page_size - _HEADER.size) // _ENTRY.size
 
 
+@functools.lru_cache(maxsize=None)
+def _body(count: int) -> struct.Struct:
+    """All ``count`` entries of a page as one struct: six values each."""
+    return struct.Struct("<" + "4dqq" * count)
+
+
+class PageImage:
+    """The verified bytes of one page slot, standing in for its entries.
+
+    Built by :func:`read_page` only, after the checks of
+    :func:`decode_page` have passed, and never changed: a packed
+    :class:`~repro.storage.page.Page` answers from it until its entries
+    are first read, then lets go of it.
+    """
+
+    __slots__ = ("blob", "count")
+
+    def __init__(self, blob: bytes, count: int) -> None:
+        self.blob = blob
+        self.count = count
+
+    def _columns(self) -> tuple:
+        """``x_min, y_min, x_max, y_max, child, payload`` of entry 0, 1, …
+        in one flat tuple: column ``k`` is the slice ``[k::6]``."""
+        return _body(self.count).unpack_from(self.blob, _HEADER.size)
+
+    def ordered(self) -> bool:
+        """No entry has ``x_min > x_max`` or ``y_min > y_max`` — the one
+        check :class:`~repro.geometry.rect.Rect` makes per entry."""
+        flat = self._columns()
+        return not (
+            any(map(gt, flat[0::6], flat[2::6]))
+            or any(map(gt, flat[1::6], flat[3::6]))
+        )
+
+    def entries(self) -> list[PageEntry]:
+        return _entries(self.blob, self.count)
+
+    def mbr(self) -> Rect | None:
+        """As :func:`~repro.geometry.rect.mbr_of_rects` over the entries:
+        ``min``/``max`` keep the first extreme, as its comparisons do."""
+        if not self.count:
+            return None
+        flat = self._columns()
+        return Rect(
+            min(flat[0::6]), min(flat[1::6]), max(flat[2::6]), max(flat[3::6])
+        )
+
+    def children(self) -> list[PageId]:
+        return [child for child in self._columns()[4::6] if child >= 0]
+
+
 def encode_page(page: Page, page_size: int = 4096) -> bytes:
     """Serialize a page into exactly ``page_size`` bytes.
+
+    A page that is still packed is answered with its image, the very bytes
+    it was read from, when they fill a slot of this size.
 
     Raises :class:`ValueError` when the page does not fit or a payload is
     not an integer.
     """
-    if len(page.entries) > max_entries_for(page_size):
+    # Read once: another thread may be unpacking this shared page.
+    image = page.image()
+    if image is not None and len(image) == page_size:
+        return image
+    return _encode_entries(page, page_size)
+
+
+def _encode_entries(page: Page, page_size: int) -> bytes:
+    """The full encode, from the entry objects."""
+    entries = page.entries
+    if len(entries) > max_entries_for(page_size):
         raise ValueError(
-            f"page {page.page_id} has {len(page.entries)} entries; "
+            f"page {page.page_id} has {len(entries)} entries; "
             f"at most {max_entries_for(page_size)} fit into "
             f"{page_size}-byte pages"
         )
@@ -63,10 +138,10 @@ def encode_page(page: Page, page_size: int = 4096) -> bytes:
             VERSION,
             _TYPE_CODES[page.page_type],
             page.level,
-            len(page.entries),
+            len(entries),
         )
     )
-    for entry in page.entries:
+    for entry in entries:
         payload = entry.payload
         if payload is not None and not isinstance(payload, int):
             raise ValueError(
@@ -87,8 +162,8 @@ def encode_page(page: Page, page_size: int = 4096) -> bytes:
     return blob + b"\x00" * (page_size - len(blob))
 
 
-def decode_page(blob: bytes, page_id: PageId) -> Page:
-    """Deserialize one page slot; raises :class:`ValueError` on corruption."""
+def _header(blob: bytes, page_id: PageId) -> tuple[PageType, int, int]:
+    """``(page type, level, entry count)`` of a slot, or :class:`ValueError`."""
     if len(blob) < _HEADER.size:
         raise ValueError(f"page {page_id}: truncated header")
     magic, version, type_code, level, count = _HEADER.unpack_from(blob, 0)
@@ -98,26 +173,49 @@ def decode_page(blob: bytes, page_id: PageId) -> Page:
         raise ValueError(f"page {page_id}: unsupported version {version}")
     if type_code not in _CODE_TYPES:
         raise ValueError(f"page {page_id}: unknown page type {type_code}")
-    needed = _HEADER.size + count * _ENTRY.size
-    if len(blob) < needed:
+    if len(blob) < _HEADER.size + count * _ENTRY.size:
         raise ValueError(f"page {page_id}: truncated entries")
-    page = Page(
-        page_id=page_id, page_type=_CODE_TYPES[type_code], level=level
-    )
-    offset = _HEADER.size
-    for _ in range(count):
-        x_min, y_min, x_max, y_max, child, payload = _ENTRY.unpack_from(
-            blob, offset
+    return _CODE_TYPES[type_code], level, count
+
+
+def _entries(blob: bytes, count: int) -> list[PageEntry]:
+    """The entry objects of a slot whose header has been checked."""
+    # A copy, not a memoryview: when Rect() raises, the traceback keeps the
+    # iterator and its exported view alive, and CPython before 3.13 crashes
+    # if the collector then breaks a cycle through such a view (gh-77894).
+    body = bytes(blob[_HEADER.size : _HEADER.size + count * _ENTRY.size])
+    return [
+        PageEntry(
+            Rect(x_min, y_min, x_max, y_max),
+            None if child < 0 else child,
+            None if payload < 0 else payload,
         )
-        offset += _ENTRY.size
-        page.entries.append(
-            PageEntry(
-                mbr=Rect(x_min, y_min, x_max, y_max),
-                child=None if child < 0 else child,
-                payload=None if payload < 0 else payload,
-            )
-        )
-    return page
+        for x_min, y_min, x_max, y_max, child, payload in _ENTRY.iter_unpack(body)
+    ]
+
+
+def decode_page(blob: bytes, page_id: PageId) -> Page:
+    """Deserialize one page slot; raises :class:`ValueError` on corruption.
+
+    The page's identity is ``page_id``: the format carries none.
+    """
+    page_type, level, count = _header(blob, page_id)
+    return Page(page_id, page_type, level, _entries(blob, count))
+
+
+def read_page(blob: bytes, page_id: PageId) -> Page:
+    """:func:`decode_page` without building the entries: a packed page.
+
+    Every check of :func:`decode_page` is made here, so unpacking later
+    cannot fail; a slot that fails one is handed to :func:`decode_page`
+    to raise what it raises.  ``blob`` is kept as the page's image and
+    must be immutable ``bytes``.
+    """
+    page_type, level, count = _header(blob, page_id)
+    image = PageImage(blob, count)
+    if not image.ordered():
+        return decode_page(blob, page_id)
+    return Page.packed(page_id, page_type, level, image)
 
 
 class FileDisk(FailureInjectionMixin):

@@ -31,7 +31,7 @@ from repro.storage.disk import (
     LatencyModel,
 )
 from repro.storage.page import Page, PageId
-from repro.storage.serialization import decode_page, encode_page
+from repro.storage.serialization import encode_page, read_page
 from repro.wal.bytestore import ByteStore, MemoryByteStore
 from repro.wal.crash import CrashError, CrashInjector
 
@@ -132,7 +132,11 @@ class DurableDisk(FailureInjectionMixin):
     # ------------------------------------------------------------------
 
     def read(self, page_id: PageId) -> Page:
-        """Read and decode a page, counting one disk access."""
+        """Read a page, counting one disk access.
+
+        The page comes back packed (:func:`read_page`): verified, with its
+        entries still inside the slot bytes until someone reads them.
+        """
         self._check_failure("read", page_id)
         if page_id not in self._live:
             raise KeyError(f"page {page_id} does not exist on disk")
@@ -145,7 +149,7 @@ class DurableDisk(FailureInjectionMixin):
             self.stats.random_reads += 1
             self.stats.elapsed_ms += self._latency.random_ms
         self._last_read = page_id
-        return decode_page(payload, page_id)
+        return read_page(payload, page_id)
 
     def write(self, page: Page) -> None:
         """Encode and persist a page, counting one disk access."""
@@ -181,7 +185,7 @@ class DurableDisk(FailureInjectionMixin):
         """Read a page without counting an access (testing/inspection)."""
         if page_id not in self._live:
             raise KeyError(f"page {page_id} does not exist on disk")
-        return decode_page(self._read_slot(page_id), page_id)
+        return read_page(self._read_slot(page_id), page_id)
 
     def delete(self, page_id: PageId) -> None:
         """Zero a page's slot (unaccounted)."""

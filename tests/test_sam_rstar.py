@@ -314,7 +314,7 @@ class TestVectorisedChooseSubtree:
         from repro.sam import rstar as rstar_module
         from repro.storage.page import PageEntry
 
-        if rstar_module._np is None:
+        if rstar_module._numpy() is None:
             pytest.skip("numpy not available")
         rng = random.Random(91)
         for _ in range(25):

@@ -9,9 +9,11 @@ overflow, and the drain-on-shutdown durability guarantee.
 from __future__ import annotations
 
 import asyncio
+import random
 import socket
 import struct
 import time
+from collections import Counter
 
 import pytest
 
@@ -23,16 +25,21 @@ from repro.client import (
     RetryAfter,
     ServerError,
 )
+from repro.geometry.rect import Rect
 from repro.server import PageServer, ServerThread
+from repro.server import core as server_core
 from repro.server.protocol import (
     ErrorCode,
     Op,
     RetryReason,
     encode_request,
     pack_page_id,
+    pack_page_ids,
 )
-from repro.storage import DelayedDisk, seed_page
+from repro.storage import DelayedDisk, seed_page, serialization
+from repro.storage.page import Page, PageEntry, PageType
 from repro.wal.bytestore import MemoryByteStore
+from repro.wal.durable import DurableDisk
 from repro.wal.log import WriteAheadLog
 from repro.wal.recovery import replay_durable_prefix
 
@@ -391,3 +398,102 @@ class TestBatchOpcodes:
                     await client.close()
 
             asyncio.run(scenario())
+
+
+class TestCleanPagesStayPacked:
+    """Work counts, no timing: a clean page goes from its slot to the wire
+    as the same bytes, and the server builds its entry objects only when the
+    policy ranks by them."""
+
+    PAGES = 32
+
+    @pytest.mark.parametrize("criterion", ["A", "M", "EA"])
+    def test_entry_objects_are_built_only_for_entry_criteria(
+        self, criterion, monkeypatch
+    ):
+        disk = DurableDisk(page_size=PAGE_SIZE)
+        rng = random.Random(17)
+        for page_id in range(self.PAGES):
+            page = Page(page_id, PageType.DATA)
+            for index in range(rng.randint(1, 9)):
+                x, y = rng.random(), rng.random()
+                page.entries.append(
+                    PageEntry(Rect(x, y, x + rng.random(), y + rng.random()), payload=index)
+                )
+            disk.store(page)
+        slots = {
+            page_id: serialization.encode_page(disk.peek(page_id), PAGE_SIZE)
+            for page_id in range(self.PAGES)
+        }
+        system = BufferSystem.build(
+            policy="ASB",
+            capacity=8,
+            disk=disk,
+            page_size=PAGE_SIZE,
+            policy_kwargs={"criterion": criterion},
+        )
+
+        counts = Counter()
+
+        def counted(name, call):
+            def wrapper(*args):
+                counts[name] += 1
+                return call(*args)
+
+            return wrapper
+
+        def served(page, page_size):
+            counts["served unpacked"] += page.image() is None
+            return serialization.encode_page(page, page_size)
+
+        monkeypatch.setattr(
+            serialization.PageImage,
+            "entries",
+            counted("unpack", serialization.PageImage.entries),
+        )
+        monkeypatch.setattr(
+            serialization,
+            "_encode_entries",
+            counted("full encode", serialization._encode_entries),
+        )
+        monkeypatch.setattr(server_core, "encode_page", served)
+
+        async def scenario(server: ServerThread) -> None:
+            client = await AsyncPageClient.connect(
+                server.host, server.port, page_size=PAGE_SIZE
+            )
+            try:
+                for _ in range(200):
+                    ids = [rng.randrange(self.PAGES) for _ in range(4)]
+                    reply = await client._request(Op.FETCH_MANY, pack_page_ids(ids))
+                    assert reply == b"".join(slots[page_id] for page_id in ids)
+                misses = system.buffer.stats.misses
+                assert misses > 100
+                if criterion in ("A", "M"):
+                    assert not +counts  # unary plus drops the zero counts
+                else:
+                    # A page is unpacked once at most, when it is first
+                    # ranked, and none leaves the buffer unranked; one that
+                    # has been unpacked is encoded from its entries.
+                    packed = sum(
+                        frame.page.image() is not None
+                        for frame in system.buffer.evictable_frames()
+                    )
+                    assert counts["unpack"] == misses - packed > 0
+                    assert counts["full encode"] == counts["served unpacked"] > 0
+
+                # What a client writes is decoded in full, and served from
+                # a full encode that gives back the bytes it sent.
+                page = serialization.decode_page(slots[5], 5)
+                page.entries[0].payload = 777
+                sent = serialization.encode_page(page, PAGE_SIZE)
+                before = Counter(counts)
+                await client.update_blob(5, sent)
+                assert await client.fetch_blob(5) == sent != slots[5]
+                fresh = counts - before  # installing may evict, hence rank
+                assert (fresh["full encode"], fresh["served unpacked"]) == (1, 1)
+            finally:
+                await client.close()
+
+        with ServerThread(system, page_size=PAGE_SIZE) as server:
+            asyncio.run(scenario(server))

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+import random
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.api import BufferSystem
 from repro.buffer.manager import BufferManager
 from repro.buffer.policies.asb import ASB
 from repro.buffer.policies.lru import LRU
+from repro.buffer.policies.spatial import SPATIAL_CRITERIA
 from repro.geometry.rect import Rect
+from repro.obs.events import TraceRecorder
 from repro.storage.disk import DiskError
 from repro.storage.page import Page, PageEntry, PageType
 from repro.storage.serialization import (
@@ -18,8 +27,10 @@ from repro.storage.serialization import (
     encode_page,
     load_tree,
     max_entries_for,
+    read_page,
     save_tree,
 )
+from repro.wal.durable import DurableDisk
 
 
 def sample_page(page_id=3, entries=5):
@@ -215,3 +226,222 @@ class TestTreeSaveLoad:
             assert len(loaded.all_page_ids()) == len(small_tree.all_page_ids())
         finally:
             loaded.pagefile.disk.close()
+
+
+# ----------------------------------------------------------------------
+# Packed pages: read_page against decode_page
+# ----------------------------------------------------------------------
+
+#: Small slots, so that hypothesis reaches "full" (ten entries) often.
+SLOT = 512
+FULL = max_entries_for(SLOT)
+
+coordinate = st.floats(allow_nan=True, allow_infinity=True)
+reference = st.none() | st.integers(min_value=0, max_value=2**62)
+
+
+@st.composite
+def intervals(draw):
+    """``(low, high)`` that :class:`Rect` accepts: ordered, equal, or with a
+    NaN bound (no comparison with a NaN is true, so Rect lets it through)."""
+    low, high = draw(coordinate), draw(coordinate)
+    if draw(st.booleans()):
+        high = low
+    return (high, low) if low > high else (low, high)
+
+
+@st.composite
+def page_entries(draw):
+    (x_min, x_max), (y_min, y_max) = draw(intervals()), draw(intervals())
+    return PageEntry(Rect(x_min, y_min, x_max, y_max), draw(reference), draw(reference))
+
+
+@st.composite
+def pages(draw, min_entries=0, max_entries=FULL):
+    return Page(
+        page_id=draw(st.integers(min_value=0, max_value=2**31)),
+        page_type=draw(st.sampled_from(PageType)),
+        level=draw(st.integers(min_value=-1, max_value=9)),
+        entries=draw(
+            st.lists(page_entries(), min_size=min_entries, max_size=max_entries)
+        ),
+    )
+
+
+def outcome(call, *args):
+    """What a call returned or raised, comparable across two calls.  The
+    ``repr`` tells ``-0.0`` from ``0.0`` and holds for NaN, where ``==`` of
+    two separately decoded pages does not."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc), str(exc)
+
+
+class TestPackedPage:
+    @given(pages())
+    def test_packed_equals_decoded_without_unpacking(self, page):
+        blob = encode_page(page, SLOT)
+        packed = read_page(blob, page.page_id)
+        eager = decode_page(blob, page.page_id)
+        assert len(packed) == len(eager)
+        assert packed.is_leaf == eager.is_leaf
+        assert packed.children() == eager.children()
+        assert outcome(packed.mbr) == outcome(eager.mbr)
+        assert (packed.page_id, packed.page_type, packed.level) == (
+            eager.page_id,
+            eager.page_type,
+            eager.level,
+        )
+        # None of that built an entry object: the image is still served.
+        assert packed.image() is blob
+        assert encode_page(packed, SLOT) is blob
+        assert repr(packed) == repr(eager)
+        assert packed.image() is None  # repr read the entries
+        assert encode_page(packed, SLOT) == blob
+
+    @given(pages())
+    def test_packed_page_compares_equal_to_its_source(self, page):
+        has_nan = any(
+            value != value for entry in page.entries for value in entry.mbr.as_tuple()
+        )
+        packed = read_page(encode_page(page, SLOT), page.page_id)
+        assert (packed == page) is not has_nan
+
+    @given(pages(), st.data())
+    def test_error_parity_on_damaged_slots(self, page, data):
+        blob = bytearray(encode_page(page, SLOT))
+        used = 8 + 48 * len(page.entries)
+        if data.draw(st.booleans(), label="truncate"):
+            del blob[data.draw(st.integers(0, len(blob)), label="keep") :]
+        for _ in range(data.draw(st.integers(0, 3), label="flips")):
+            if blob:
+                # Mostly inside the header and the entries, where it matters.
+                limit = used if data.draw(st.booleans()) else len(blob)
+                index = data.draw(st.integers(0, max(0, min(limit, len(blob)) - 1)))
+                blob[index] ^= data.draw(st.integers(1, 255))
+        damaged = bytes(blob)
+        try:
+            eager = decode_page(damaged, 7)
+        except Exception as exc:  # noqa: BLE001 - whatever it is, the same
+            with pytest.raises(type(exc)) as raised:
+                read_page(damaged, 7)
+            assert str(raised.value) == str(exc)
+        else:
+            # Accepted by both, and unpacking what was accepted cannot fail.
+            assert repr(read_page(damaged, 7)) == repr(eager)
+
+    @given(pages(min_entries=1, max_entries=FULL - 1), reference, st.sampled_from("pal"))
+    def test_mutation_after_packed_read_is_encoded(self, page, token, how):
+        blob = encode_page(page, SLOT)
+        packed, eager = read_page(blob, page.page_id), decode_page(blob, page.page_id)
+        extra = PageEntry(Rect(0.0, 0.0, 1.0, 1.0), payload=token)
+        for target in (packed, eager):
+            if how == "p":  # what the served-mixed clients do
+                target.entries[0].payload = token
+            elif how == "a":
+                target.entries.append(extra)
+            else:  # assigned over a page whose entries were never read
+                target.entries = [extra]
+        assert packed.image() is None
+        assert encode_page(packed, SLOT) == encode_page(eager, SLOT)
+        assert len(packed) == len(eager)
+        assert outcome(packed.mbr) == outcome(eager.mbr)
+        assert packed.children() == eager.children()
+
+    @given(pages())
+    def test_other_slot_size_takes_the_full_encode(self, page):
+        blob = encode_page(page, SLOT)
+        eager = decode_page(blob, page.page_id)
+        for size in (2 * SLOT, SLOT // 2):
+            packed = read_page(blob, page.page_id)
+            assert outcome(encode_page, packed, size) == outcome(encode_page, eager, size)
+
+    @given(pages())
+    def test_deepcopy_and_pickle_round_trip(self, page):
+        blob = encode_page(page, SLOT)
+        expected = repr(decode_page(blob, page.page_id))
+        for clone in (
+            copy.deepcopy(read_page(blob, page.page_id)),
+            pickle.loads(pickle.dumps(read_page(blob, page.page_id))),
+        ):
+            assert repr(clone) == expected
+            assert encode_page(clone, SLOT) == blob
+
+    def test_concurrent_readers_share_one_entry_list(self):
+        """Eight threads reading ``entries`` of one packed page at once all
+        get the same list; with two lists, one reader's edits would be lost."""
+        blob = encode_page(sample_page(entries=FULL), SLOT)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(200):
+                page = read_page(blob, 3)
+                barrier = threading.Barrier(8)
+                seen = []
+
+                def reader():
+                    barrier.wait(timeout=10)
+                    seen.append(page.entries)
+
+                threads = [threading.Thread(target=reader) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(seen) == 8
+                assert all(entries is seen[0] for entries in seen)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestPackedReplay:
+    """ASB decides from packed pages exactly as it does from page objects."""
+
+    @pytest.fixture(scope="class")
+    def media(self, small_tree):
+        """The tree's own in-memory disk, a byte copy of it, and the page
+        ids a few hundred window queries fetch, in order."""
+        source = small_tree.pagefile.disk
+        copy_ = DurableDisk()
+        for page_id in small_tree.all_page_ids():
+            copy_.store(source.peek(page_id))
+
+        class Recorder:
+            def __init__(self):
+                self.string = []
+
+            def fetch(self, page_id):
+                self.string.append(page_id)
+                return source.peek(page_id)
+
+        recorder = Recorder()
+        rng = random.Random(5)
+        for _ in range(300):
+            x, y = rng.uniform(0.0, 0.9), rng.uniform(0.0, 0.9)
+            small_tree.window_query(Rect(x, y, x + 0.08, y + 0.08), recorder)
+        return source, copy_, recorder.string
+
+    @pytest.mark.parametrize("criterion", sorted(SPATIAL_CRITERIA))
+    def test_same_decisions_on_bytes_and_on_objects(self, media, criterion):
+        source, durable, string = media
+
+        def replay(disk):
+            recorder = TraceRecorder(kinds=("evict", "adapt"))
+            system = BufferSystem.build(
+                policy="ASB",
+                capacity=24,
+                disk=disk,
+                trace=recorder,
+                policy_kwargs={"criterion": criterion},
+            )
+            for page_id in string:
+                system.buffer.fetch(page_id)
+            victims = [e.page_id for e in recorder.events if e.kind == "evict"]
+            sizes = [(e.clock, e.size) for e in recorder.events if e.kind == "adapt"]
+            return victims, sizes, system.buffer.stats
+
+        on_objects, on_bytes = replay(source), replay(durable)
+        assert len(on_objects[0]) > 1000 and len(set(s for _, s in on_objects[1])) > 1
+        assert on_bytes == on_objects
