@@ -534,6 +534,7 @@ class BufferManager:
         frame = self._frame_or_raise(page_id)
         frame.dirty = True
         frame.invalidate_criteria()
+        frame.page.drop_scan()
         self._policy.on_update(frame)
         durability = self._durability
         if durability is not None:

@@ -83,8 +83,10 @@ class SpatialIndex(abc.ABC):
 
         Pages mutated during an update must be written back on eviction.
         If the buffer already evicted the (then-clean) page, the write is
-        charged immediately instead.
+        charged immediately instead.  With or without a buffer, the page's
+        scan block goes first: it may describe the entries as they were.
         """
+        page.drop_scan()
         accessor = self._live_accessor
         mark = getattr(accessor, "mark_dirty", None)
         if mark is None:

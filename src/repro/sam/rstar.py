@@ -627,16 +627,17 @@ class RStarTree(SpatialIndex):
         stack: list[PageId] = [self.root_id]
         while stack:
             page = accessor.fetch(stack.pop())
-            if page.is_leaf:
+            if not page.is_leaf:
+                stack.extend(page.matching(window))
+            elif fetch_objects:
+                # The one caller that needs a leaf entry's payload and child.
                 for entry in page.entries:
                     if entry.mbr.intersects(window):
                         results.append(entry.payload)
-                        if fetch_objects and entry.child is not None:
+                        if entry.child is not None:
                             accessor.fetch(entry.child)
             else:
-                for entry in page.entries:
-                    if entry.mbr.intersects(window):
-                        stack.append(entry.child)  # type: ignore[arg-type]
+                results.extend(page.matching(window))
         return results
 
     def point_query(
@@ -645,25 +646,12 @@ class RStarTree(SpatialIndex):
         accessor: PageAccessor | None = None,
         fetch_objects: bool = False,
     ) -> list[Any]:
-        """Payloads of all objects whose MBR contains the point."""
-        if self.root_id is None:
-            return []
-        accessor = self._accessor_or_build(accessor)
-        results: list[Any] = []
-        stack: list[PageId] = [self.root_id]
-        while stack:
-            page = accessor.fetch(stack.pop())
-            if page.is_leaf:
-                for entry in page.entries:
-                    if entry.mbr.contains_point(point):
-                        results.append(entry.payload)
-                        if fetch_objects and entry.child is not None:
-                            accessor.fetch(entry.child)
-            else:
-                for entry in page.entries:
-                    if entry.mbr.contains_point(point):
-                        stack.append(entry.child)  # type: ignore[arg-type]
-        return results
+        """Payloads of all objects whose MBR contains the point.
+
+        Rectangles are closed, so this is the window query of the
+        degenerate window: the same four comparisons per entry.
+        """
+        return self.window_query(point.as_rect(), accessor, fetch_objects)
 
     def knn(
         self, point: Point, k: int, accessor: PageAccessor | None = None
@@ -733,7 +721,8 @@ class RStarTree(SpatialIndex):
         Verified invariants: every directory entry's MBR equals its child's
         MBR; levels decrease by one on the way down; leaves are at level 0;
         nodes except the root respect the minimum fill; the recorded entry
-        count matches the leaves.
+        count matches the leaves; no page carries a stale scan block (an
+        in-place edit that was not followed by ``_mark_dirty``).
         """
         if self.root_id is None:
             assert self.height == 0 and self.entry_count == 0
@@ -753,6 +742,7 @@ class RStarTree(SpatialIndex):
             assert len(page.entries) <= self._max_entries(page.level), (
                 f"page {page_id} over-full: {len(page.entries)} entries"
             )
+            assert page._scan_is_exact(), f"page {page_id}: stale scan block"
             if page.is_leaf:
                 seen_entries += len(page.entries)
                 continue

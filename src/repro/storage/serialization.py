@@ -11,12 +11,13 @@ Format (little-endian), one page per ``page_size`` slot at byte offset
 
     header:  magic (2s) | version (B) | type (B) | level (h) |
              entry_count (H) | payload flags per entry follow inline
-    entry:   x_min, y_min, x_max, y_max (4d) | child+1 (q) | payload+1 (q)
+    entry:   x_min, y_min, x_max, y_max (4d) | child (q) | payload (q)
 
-Payloads must be integers (object identifiers) or ``None`` — the library's
-indexes only store object ids, and a self-contained format beats pickling
-arbitrary objects.  ``child``/``payload`` are shifted by one so that -1
-encodes ``None`` unambiguously.
+Payloads must be non-negative integers (object identifiers) or ``None`` —
+the library's indexes only store object ids, and a self-contained format
+beats pickling arbitrary objects.  ``child``/``payload`` are written as
+they are and ``None`` as -1; every negative value reads back as ``None``,
+so a negative child or payload is refused at encode time.
 
 Two readers share one decode routine.  :func:`decode_page` builds the entry
 objects at once — for input from outside the program and for readers that
@@ -105,6 +106,23 @@ class PageImage:
     def children(self) -> list[PageId]:
         return [child for child in self._columns()[4::6] if child >= 0]
 
+    def matching(self, window: Rect, leaf: bool) -> list:
+        """:meth:`Page.matching <repro.storage.page.Page.matching>` over the
+        slot bytes: no entry object is built.  A negative child or payload
+        is ``None``, as :func:`_entries` decodes it."""
+        w_x_min, w_y_min, w_x_max, w_y_max = window.as_tuple()
+        # iter_unpack wants whole records; a copy for the reason _entries has.
+        body = self.blob[_HEADER.size : _HEADER.size + self.count * _ENTRY.size]
+        return [
+            None if ref < 0 else ref
+            for x_min, y_min, x_max, y_max, child, payload in _ENTRY.iter_unpack(body)
+            if x_min <= w_x_max
+            and w_x_min <= x_max
+            and y_min <= w_y_max
+            and w_y_min <= y_max
+            for ref in [payload if leaf else child]
+        ]
+
 
 def encode_page(page: Page, page_size: int = 4096) -> bytes:
     """Serialize a page into exactly ``page_size`` bytes.
@@ -112,8 +130,9 @@ def encode_page(page: Page, page_size: int = 4096) -> bytes:
     A page that is still packed is answered with its image, the very bytes
     it was read from, when they fill a slot of this size.
 
-    Raises :class:`ValueError` when the page does not fit or a payload is
-    not an integer.
+    Raises :class:`ValueError` when the page does not fit, a payload is not
+    an integer, or a child or payload is negative (it would read back as
+    ``None``).
     """
     # Read once: another thread may be unpacking this shared page.
     image = page.image()
@@ -142,11 +161,17 @@ def _encode_entries(page: Page, page_size: int) -> bytes:
         )
     )
     for entry in entries:
+        child = entry.child
         payload = entry.payload
         if payload is not None and not isinstance(payload, int):
             raise ValueError(
                 "only integer payloads are serializable "
                 f"(page {page.page_id} holds {type(payload).__name__})"
+            )
+        if (child is not None and child < 0) or (payload is not None and payload < 0):
+            raise ValueError(
+                f"page {page.page_id} holds a negative child or payload; the "
+                "format cannot carry it (negative values read back as None)"
             )
         out.write(
             _ENTRY.pack(
@@ -154,7 +179,7 @@ def _encode_entries(page: Page, page_size: int) -> bytes:
                 entry.mbr.y_min,
                 entry.mbr.x_max,
                 entry.mbr.y_max,
-                -1 if entry.child is None else entry.child,
+                -1 if child is None else child,
                 -1 if payload is None else payload,
             )
         )

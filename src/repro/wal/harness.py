@@ -54,7 +54,12 @@ def random_page(page_id: PageId, rng: random.Random, page_size: int) -> Page:
 
 
 def mutate_page(page: Page, rng: random.Random, page_size: int) -> None:
-    """Rewrite a page's entries in place (the content of an update)."""
+    """Rewrite a page's entries in place (the content of an update).
+
+    The list keeps its identity and may keep its length, so the caller
+    follows with ``mark_dirty`` (as :func:`apply_steps` does): cached
+    criteria and a scan block of the page go stale otherwise.
+    """
     fresh = random_page(page.page_id, rng, page_size)
     page.entries[:] = fresh.entries
 

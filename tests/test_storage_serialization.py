@@ -80,6 +80,25 @@ class TestPageCodec:
         with pytest.raises(ValueError):
             encode_page(page)
 
+    @pytest.mark.parametrize("field", ["child", "payload"])
+    @pytest.mark.parametrize("value", [-1, -5, -(2**40)])
+    def test_negative_reference_rejected(self, field, value):
+        """Every negative value reads back as ``None``; encoding one used to
+        succeed and lose it."""
+        page = Page(page_id=0, page_type=PageType.DATA)
+        page.entries.append(PageEntry(mbr=Rect(0, 0, 1, 1), **{field: value}))
+        with pytest.raises(ValueError, match="cannot carry"):
+            encode_page(page)
+
+    @pytest.mark.parametrize("child", [None, 0, 7])
+    @pytest.mark.parametrize("payload", [None, 0, 2**62])
+    def test_reference_roundtrip(self, child, payload):
+        page = Page(page_id=0, page_type=PageType.DATA)
+        page.entries.append(PageEntry(Rect(0, 0, 1, 1), child, payload))
+        for reader in (decode_page, read_page):
+            (entry,) = reader(encode_page(page), 0).entries
+            assert (entry.child, entry.payload) == (child, payload)
+
     def test_corrupt_magic_rejected(self):
         blob = bytearray(encode_page(sample_page()))
         blob[0] = 0xFF
@@ -299,6 +318,22 @@ class TestPackedPage:
         assert repr(packed) == repr(eager)
         assert packed.image() is None  # repr read the entries
         assert encode_page(packed, SLOT) == blob
+
+    @given(pages(), page_entries())
+    def test_packed_page_is_scanned_inside_its_image(self, page, probe):
+        """NaN and infinite bounds included: the image scan makes the four
+        comparisons of ``Rect.intersects`` on the same doubles."""
+        blob = encode_page(page, SLOT)
+        packed = read_page(blob, page.page_id)
+        eager = decode_page(blob, page.page_id)
+        want = [
+            entry.payload if eager.level == 0 else entry.child
+            for entry in eager.entries
+            if entry.mbr.intersects(probe.mbr)
+        ]
+        assert packed.matching(probe.mbr) == want
+        assert packed.image() is blob
+        assert eager.matching(probe.mbr) == want
 
     @given(pages())
     def test_packed_page_compares_equal_to_its_source(self, page):
