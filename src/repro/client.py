@@ -58,7 +58,7 @@ from repro.server.protocol import (
     unpack_lsn,
     unpack_retry_after,
 )
-from repro.storage.serialization import decode_page, encode_page
+from repro.storage.serialization import encode_page, read_page
 
 if TYPE_CHECKING:
     from repro.storage.page import Page, PageId
@@ -210,15 +210,17 @@ class AsyncPageClient:
     # ------------------------------------------------------------------
 
     async def fetch(self, page_id: "PageId") -> "Page":
+        """Fetch one page, *packed*: verified, its entries still inside the
+        reply's bytes (``page.image()``) until ``page.entries`` is read."""
         blob = await self._request(Op.FETCH, pack_page_id(page_id))
-        return decode_page(blob, page_id)
+        return read_page(blob, page_id)
 
     async def fetch_blob(self, page_id: "PageId") -> bytes:
-        """Fetch a page's *encoded bytes* without decoding them.
+        """Fetch a page's *encoded bytes* without verifying them.
 
         The cluster forwarding path uses this: a node relaying a fetch to
-        the owner hands the blob straight back to its own client, so the
-        page is decoded exactly once — at the final consumer.
+        the owner hands the blob straight back to its own client, which
+        verifies it.
         """
         return await self._request(Op.FETCH, pack_page_id(page_id))
 
@@ -269,9 +271,9 @@ class AsyncPageClient:
                         f"FETCH_MANY of {len(page_ids)} pages returned "
                         f"{len(blob)} bytes, expected {size * len(page_ids)}"
                     )
-                view = memoryview(blob)
+                # bytes slices: each page's image owns its 4 KB, not the reply.
                 return [
-                    decode_page(view[index * size : (index + 1) * size], pid)
+                    read_page(blob[index * size : (index + 1) * size], pid)
                     for index, pid in enumerate(page_ids)
                 ]
         return list(

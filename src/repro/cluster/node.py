@@ -72,7 +72,7 @@ from repro.server.protocol import (
     unpack_page_lsn_blob,
     unpack_update_batch,
 )
-from repro.storage.serialization import decode_page, encode_page, read_page
+from repro.storage.serialization import encode_page, read_page
 
 if TYPE_CHECKING:
     from repro.api import BufferSystem
@@ -780,7 +780,7 @@ class ClusterPageServer(PageServer):
         return [encode_page(fetch(pid), size) for pid in page_ids]
 
     def _install_blobs_blocking(self, items: list[tuple[int, bytes]]) -> None:
-        pages = [decode_page(blob, page_id) for page_id, blob in items]
+        pages = [read_page(blob, page_id) for page_id, blob in items]
         install = self.system.buffer.install
         for page in pages:
             install(page)

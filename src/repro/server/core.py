@@ -64,7 +64,7 @@ from repro.server.protocol import (
     unpack_page_payload,
     unpack_update_batch,
 )
-from repro.storage.serialization import decode_page, encode_page
+from repro.storage.serialization import encode_page, read_page
 
 if TYPE_CHECKING:
     from repro.api import BufferSystem
@@ -483,10 +483,11 @@ class PageServer:
             page_size = self.page_size
             return [encode_page(fetch(pid), page_size) for pid in page_ids]
         if operation is Op.UPDATE_MANY:
-            # All-or-error: decode every item before installing any, so a
-            # malformed tail never leaves a half-applied batch.
+            # All-or-error: verify every item before installing any, so a
+            # malformed tail never leaves a half-applied batch.  The pages
+            # stay packed: log, write-back and FETCH serve the sent bytes.
             pages = [
-                decode_page(blob, page_id)
+                read_page(blob, page_id)
                 for page_id, blob in unpack_update_batch(payload)
             ]
             install = buffer.install
@@ -495,7 +496,7 @@ class PageServer:
             return b""
         if operation is Op.UPDATE:
             page_id, blob = unpack_page_payload(payload)
-            buffer.install(decode_page(blob, page_id))
+            buffer.install(read_page(blob, page_id))
             return b""
         if operation is Op.PIN:
             buffer.fetch_pinned(unpack_page_id(payload))

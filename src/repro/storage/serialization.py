@@ -19,13 +19,14 @@ beats pickling arbitrary objects.  ``child``/``payload`` are written as
 they are and ``None`` as -1; every negative value reads back as ``None``,
 so a negative child or payload is refused at encode time.
 
-Two readers share one decode routine.  :func:`decode_page` builds the entry
-objects at once — for input from outside the program and for readers that
-traverse what they read.  :func:`read_page` makes every check
-:func:`decode_page` makes and returns a *packed* page that keeps the slot
-bytes as its :class:`PageImage`: serving it on, logging it or ranking it by
-its MBR never builds an entry object, and :func:`encode_page` hands the
-bytes back untouched.
+Two readers share one decode routine.  :func:`read_page` is how bytes become
+a page at every boundary of the stack (media, wire, peers): it makes every
+check :func:`decode_page` makes and returns a *packed* page that keeps the
+slot bytes as its :class:`PageImage` — serving it on, logging it or ranking
+it by its MBR never builds an entry object, and :func:`encode_page` hands
+the bytes back untouched.  :func:`decode_page` builds the entry objects at
+once: the public eager reader, and :func:`read_page`'s fallback for a slot
+that fails a check (to raise what it raises) or is not canonical.
 """
 
 from __future__ import annotations
@@ -233,12 +234,16 @@ def read_page(blob: bytes, page_id: PageId) -> Page:
 
     Every check of :func:`decode_page` is made here, so unpacking later
     cannot fail; a slot that fails one is handed to :func:`decode_page`
-    to raise what it raises.  ``blob`` is kept as the page's image and
-    must be immutable ``bytes``.
+    to raise what it raises, and so is a slot with non-zero bytes after its
+    last entry: only what :func:`encode_page` would write is served on
+    verbatim.  The image owns its bytes — a ``memoryview`` slice is copied
+    (it would pin the whole received frame), ``bytes`` are kept as they are.
     """
+    blob = bytes(blob)
     page_type, level, count = _header(blob, page_id)
     image = PageImage(blob, count)
-    if not image.ordered():
+    used = _HEADER.size + count * _ENTRY.size
+    if not image.ordered() or blob[used:] != bytes(len(blob) - used):
         return decode_page(blob, page_id)
     return Page.packed(page_id, page_type, level, image)
 
@@ -246,10 +251,10 @@ def read_page(blob: bytes, page_id: PageId) -> Page:
 class FileDisk(FailureInjectionMixin):
     """A page store backed by a real file, with the SimulatedDisk interface.
 
-    Pages occupy fixed-size slots addressed by page id.  Reads decode the
-    slot, writes encode and seek — there is no in-memory page table, so a
-    reopened :class:`FileDisk` serves the pages the previous process
-    stored.  Access counting and failure injection match
+    Pages occupy fixed-size slots addressed by page id.  Reads hand out the
+    slot packed (:func:`read_page`), writes encode and seek — there is no
+    in-memory page table, so a reopened :class:`FileDisk` serves the pages
+    the previous process stored.  Access counting and failure injection match
     :class:`~repro.storage.disk.SimulatedDisk`, so buffer managers and
     indexes work unchanged on either.
     """
@@ -304,7 +309,7 @@ class FileDisk(FailureInjectionMixin):
             self.stats.random_reads += 1
             self.stats.elapsed_ms += self._latency.random_ms
         self._last_read = page_id
-        return decode_page(blob, page_id)
+        return read_page(blob, page_id)
 
     def write(self, page: Page) -> None:
         self._check_failure("write", page.page_id)
@@ -329,7 +334,7 @@ class FileDisk(FailureInjectionMixin):
         if page_id not in self._live:
             raise KeyError(f"page {page_id} does not exist on disk")
         self._file.seek(page_id * self.page_size)
-        return decode_page(self._file.read(self.page_size), page_id)
+        return read_page(self._file.read(self.page_size), page_id)
 
     def delete(self, page_id: PageId) -> None:
         if page_id in self._live:

@@ -26,6 +26,7 @@ from repro.client import (
 )
 from repro.server import ServerThread
 from repro.storage import DelayedDisk, seed_page
+from repro.storage.serialization import encode_page
 from repro.storage.retry import RetryPolicy
 
 PAGE_SIZE = 512
@@ -188,6 +189,28 @@ class TestRoutingClient:
                         page.entries[0].payload
                         == expected.entries[0].payload
                     )
+
+    def test_a_relayed_batch_stays_packed(self):
+        """Through one node without routing, so it relays two thirds of each
+        batch: what comes back and what the owners install are images that
+        own their bytes."""
+        with seeded_fleet(nodes=3) as fleet:
+            ids = list(range(24))
+            with PageClient(*fleet.address(), page_size=PAGE_SIZE) as client:
+                sent = [seed_page(pid, 500 + pid) for pid in ids]
+                client.update_many(sent)
+                relayed = client.fetch_many(ids)
+            with fleet.client() as client:
+                routed = client.fetch_many(ids)
+            owners = {fleet.cluster_map.owner(pid) for pid in ids}
+            assert owners == set(fleet.data_nodes)
+            for page, other, source in zip(relayed, routed, sent):
+                installed = fleet.systems[
+                    fleet.cluster_map.owner(page.page_id)
+                ].buffer.fetch(page.page_id)
+                for packed in (page, other, installed):
+                    assert type(packed.image()) is bytes
+                    assert packed.image() == encode_page(source, PAGE_SIZE)
 
     def test_spread_reads_serve_from_replicas(self):
         with seeded_fleet(nodes=3, replicas=1, replicate_after=2) as fleet:

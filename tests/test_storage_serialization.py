@@ -145,6 +145,16 @@ class TestFileDisk:
             assert len(page.entries) == 5
             assert disk.stats.reads == 1
 
+    def test_reads_hand_out_the_slot_packed(self, tmp_path):
+        with FileDisk(tmp_path / "pages.db", page_size=512) as disk:
+            disk.store(sample_page(page_id=2))
+            slot = encode_page(sample_page(page_id=2), 512)
+            for page in (disk.read(2), disk.peek(2)):
+                assert page.image() == slot
+                assert page.matching(Rect(0.0, 0.0, 0.12, 1.0)) == [0, 7]
+                assert page.image() is not None  # scanned inside the image
+                assert page == sample_page(page_id=2)
+
     def test_missing_page_raises(self, tmp_path):
         with FileDisk(tmp_path / "pages.db") as disk:
             with pytest.raises(KeyError):
@@ -287,6 +297,23 @@ def pages(draw, min_entries=0, max_entries=FULL):
     )
 
 
+@st.composite
+def damaged_slots(draw):
+    """An encoded slot after a truncation and up to three byte flips."""
+    page = draw(pages())
+    blob = bytearray(encode_page(page, SLOT))
+    used = 8 + 48 * len(page.entries)
+    if draw(st.booleans(), label="truncate"):
+        del blob[draw(st.integers(0, len(blob)), label="keep") :]
+    for _ in range(draw(st.integers(0, 3), label="flips")):
+        if blob:
+            # Mostly inside the header and the entries, where it matters.
+            limit = used if draw(st.booleans()) else len(blob)
+            index = draw(st.integers(0, max(0, min(limit, len(blob)) - 1)))
+            blob[index] ^= draw(st.integers(1, 255))
+    return bytes(blob)
+
+
 def outcome(call, *args):
     """What a call returned or raised, comparable across two calls.  The
     ``repr`` tells ``-0.0`` from ``0.0`` and holds for NaN, where ``==`` of
@@ -343,19 +370,8 @@ class TestPackedPage:
         packed = read_page(encode_page(page, SLOT), page.page_id)
         assert (packed == page) is not has_nan
 
-    @given(pages(), st.data())
-    def test_error_parity_on_damaged_slots(self, page, data):
-        blob = bytearray(encode_page(page, SLOT))
-        used = 8 + 48 * len(page.entries)
-        if data.draw(st.booleans(), label="truncate"):
-            del blob[data.draw(st.integers(0, len(blob)), label="keep") :]
-        for _ in range(data.draw(st.integers(0, 3), label="flips")):
-            if blob:
-                # Mostly inside the header and the entries, where it matters.
-                limit = used if data.draw(st.booleans()) else len(blob)
-                index = data.draw(st.integers(0, max(0, min(limit, len(blob)) - 1)))
-                blob[index] ^= data.draw(st.integers(1, 255))
-        damaged = bytes(blob)
+    @given(damaged_slots())
+    def test_error_parity_on_damaged_slots(self, damaged):
         try:
             eager = decode_page(damaged, 7)
         except Exception as exc:  # noqa: BLE001 - whatever it is, the same
@@ -365,6 +381,23 @@ class TestPackedPage:
         else:
             # Accepted by both, and unpacking what was accepted cannot fail.
             assert repr(read_page(damaged, 7)) == repr(eager)
+
+    @given(pages(), st.data())
+    def test_image_is_owned_canonical_bytes(self, page, data):
+        blob = encode_page(page, SLOT)
+        # A slice of a received frame is copied: a view would pin the frame
+        # and reach the log and ``writelines`` as a view.
+        frame = b"head" + blob + b"tail"
+        packed = read_page(memoryview(frame)[4 : 4 + SLOT], page.page_id)
+        assert type(packed.image()) is bytes and packed.image() == blob
+        # Non-zero bytes after the last entry are accepted, as decode_page
+        # accepts them, and not served on: the page comes back unpacked.
+        dirty = bytearray(blob)
+        index = data.draw(st.integers(8 + 48 * len(page.entries), SLOT - 1))
+        dirty[index] = data.draw(st.integers(1, 255))
+        padded = read_page(bytes(dirty), page.page_id)
+        assert padded.image() is None
+        assert encode_page(padded, SLOT) == blob
 
     @given(pages(min_entries=1, max_entries=FULL - 1), reference, st.sampled_from("pal"))
     def test_mutation_after_packed_read_is_encoded(self, page, token, how):
