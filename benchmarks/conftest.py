@@ -1,8 +1,8 @@
 """Shared fixtures for the benchmark suite.
 
-Every bench regenerates one figure of the paper (or an ablation) and both
-prints the table and writes it to ``benchmarks/results/``.  The databases
-are built once per session.
+Every case of ``bench_suite.py`` regenerates one figure of the paper (or an
+ablation) and both prints the table and writes it to
+``benchmarks/results/``.  The databases are built once per session.
 
 Scale knobs (environment variables):
 

@@ -2,7 +2,8 @@
 
 Four commands cover the common workflows without writing any code:
 
-* ``figure`` — regenerate one (or all) of the paper's figures;
+* ``figure`` — regenerate one (or all) of the paper's figures, or one study
+  table by its registry key;
 * ``dataset`` — generate and describe a synthetic dataset;
 * ``trace`` — record the page-access trace of a query set to JSON;
 * ``replay`` — replay a recorded trace against a replacement policy;
@@ -50,6 +51,7 @@ Examples::
 
     python -m repro figure 13
     python -m repro figure all --objects 10000 --queries 150
+    python -m repro figure ablation_knn
     python -m repro dataset db2 --objects 50000
     python -m repro trace --set INT-W-100 --out /tmp/trace.json
     python -m repro replay /tmp/trace.json --policy ASB --capacity 64
@@ -95,9 +97,11 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     figure = commands.add_parser(
-        "figure", help="regenerate a paper figure (4-9, 12-14, or 'all')"
+        "figure", help="regenerate one table: a paper figure (4-9, 12-14), "
+                       "'all' figures, or a study such as ablation_knn"
     )
-    figure.add_argument("number", help="figure number, e.g. 13, or 'all'")
+    figure.add_argument("number", help="figure number (13), 'all', or a "
+                        "registry key (figure_13, ablation_knn)")
     figure.add_argument("--objects", type=int, default=40_000,
                         help="objects in database 1 (db2 scales to 3/4)")
     figure.add_argument("--queries", type=int, default=300,
@@ -405,13 +409,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.experiments.figures import ALL_FIGURES, make_setup
+    from repro.experiments.suite import ALL_ABLATIONS
 
+    tables = ALL_FIGURES | ALL_ABLATIONS
     if args.number == "all":
         names = sorted(ALL_FIGURES)
     else:
-        key = f"figure_{int(args.number):02d}"
-        if key not in ALL_FIGURES:
-            print(f"no such figure: {args.number}", file=sys.stderr)
+        key = args.number
+        if key.isdecimal():
+            key = f"figure_{int(key):02d}"
+        if key not in tables:
+            print(
+                f"no such figure: {args.number} (valid: all, a figure number, "
+                f"or one of {', '.join(tables)})",
+                file=sys.stderr,
+            )
             return 2
         names = [key]
     setup = make_setup(
@@ -421,7 +433,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     for name in names:
-        print(ALL_FIGURES[name](setup).to_text())
+        print(tables[name](setup).to_text())
         print()
     return 0
 

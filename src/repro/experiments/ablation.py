@@ -48,25 +48,39 @@ from repro.storage.page import seed_page
 from repro.tuning import TuningConfig
 from repro.wal.durable import DurableDisk
 from repro.workloads.access_graph import ReferenceString, adversarial_suite
+from repro.buffer.manager import BufferManager
 from repro.buffer.policies.asb import ASB
 from repro.buffer.policies.clock import Clock
 from repro.buffer.policies.fifo import FIFO
 from repro.buffer.policies.lfu import LFU
 from repro.buffer.policies.lru import LRU
 from repro.buffer.policies.lru_k import LRUK
+from repro.buffer.policies.lru_p import LRUP
 from repro.buffer.policies.mru import MRU
 from repro.buffer.policies.random_policy import RandomPolicy
 from repro.buffer.policies.spatial import SpatialPolicy
+from repro.datasets.synthetic import us_mainland_like
 from repro.experiments.figures import FigureResult, PaperSetup
 from repro.experiments.harness import (
+    FOUR_POLICIES,
+    Database,
+    append_gain,
     buffer_capacity,
     gain,
+    grid_rows,
+    lru_gain_rows,
+    pin_top_levels,
     replay,
+    replay_misses,
     replay_mixed,
+    run_grid,
+    run_queries,
 )
 from repro.experiments.report import format_gain
 from repro.sam.quadtree import Quadtree
+from repro.sam.rstar import RStarTree
 from repro.sam.zbtree import ZBTree
+from repro.storage.objects import build_tree_with_objects
 from repro.workloads.sets import make_query_set
 
 #: Metrics that are bit-deterministic for a fixed seed at ``workers=1``
@@ -867,24 +881,19 @@ def ablation_overflow_size(
     Overflow fraction 0 degenerates to static SLRU (no adaptation signal);
     very large fractions starve the main part.  The paper fixes 20 %.
     """
-    database = setup.db1
-    capacity = buffer_capacity(database, buffer_fraction)
-    rows: list[list[object]] = []
-    for set_name in ABLATION_SETS:
-        query_set = database.query_set(set_name, setup.n_queries, setup.seed)
-        lru = replay(database.tree, query_set, LRU(), capacity).stats.misses
-        cells: list[object] = [set_name]
-        for fraction in overflow_fractions:
-            policy = ASB(overflow_fraction=fraction)
-            misses = replay(database.tree, query_set, policy, capacity).stats.misses
-            cells.append(format_gain(gain(lru, misses)))
-        rows.append(cells)
+    capacity = buffer_capacity(setup.db1, buffer_fraction)
+    policies = {
+        fraction: (lambda f=fraction: ASB(overflow_fraction=f))
+        for fraction in overflow_fractions
+    }
     return FigureResult(
         figure="Ablation overflow-size",
         title="ASB gain vs LRU for different overflow-buffer fractions",
         headers=["query set"]
         + [f"{int(f * 100)}%" for f in overflow_fractions],
-        rows=rows,
+        rows=lru_gain_rows(
+            setup, policies, ABLATION_SETS, (buffer_fraction,), lead=("set",)
+        ),
         notes=f"buffer = {capacity} pages ({buffer_fraction:.1%} of the tree)",
     )
 
@@ -895,23 +904,17 @@ def ablation_step_size(
     buffer_fraction: float = 0.047,
 ) -> FigureResult:
     """Sensitivity of ASB to the adaptation step (paper: 1 % of the main part)."""
-    database = setup.db1
-    capacity = buffer_capacity(database, buffer_fraction)
-    rows: list[list[object]] = []
-    for set_name in ABLATION_SETS:
-        query_set = database.query_set(set_name, setup.n_queries, setup.seed)
-        lru = replay(database.tree, query_set, LRU(), capacity).stats.misses
-        cells: list[object] = [set_name]
-        for step in step_fractions:
-            policy = ASB(step_fraction=step)
-            misses = replay(database.tree, query_set, policy, capacity).stats.misses
-            cells.append(format_gain(gain(lru, misses)))
-        rows.append(cells)
+    capacity = buffer_capacity(setup.db1, buffer_fraction)
+    policies = {
+        step: (lambda s=step: ASB(step_fraction=s)) for step in step_fractions
+    }
     return FigureResult(
         figure="Ablation step-size",
         title="ASB gain vs LRU for different adaptation step sizes",
         headers=["query set"] + [f"{step:.1%}" for step in step_fractions],
-        rows=rows,
+        rows=lru_gain_rows(
+            setup, policies, ABLATION_SETS, (buffer_fraction,), lead=("set",)
+        ),
         notes=f"buffer = {capacity} pages",
     )
 
@@ -939,30 +942,21 @@ def ablation_sams(
     for rect, payload in dataset.items():
         gridfile.insert(rect, payload)
     indexes = {"quadtree": quadtree, "z-b+tree": zbtree, "gridfile": gridfile}
-    policies = {
-        "A": lambda: SpatialPolicy("A"),
-        "LRU-2": lambda: LRUK(k=2),
-        "ASB": ASB,
-    }
-    rows: list[list[object]] = []
-    for index_name, index in indexes.items():
-        pages = index.stats().page_count
-        capacity = max(8, round(buffer_fraction * pages))
-        for set_name in ABLATION_SETS:
-            query_set = make_query_set(
-                set_name, dataset, setup.db1.places, setup.n_queries, setup.seed
-            )
-            lru = replay(index, query_set, LRU(), capacity).stats.misses
-            cells: list[object] = [index_name, set_name]
-            for name, factory in policies.items():
-                misses = replay(index, query_set, factory(), capacity).stats.misses
-                cells.append(format_gain(gain(lru, misses)))
-            rows.append(cells)
+    cells = run_grid(
+        setup,
+        FOUR_POLICIES,
+        ABLATION_SETS,
+        (buffer_fraction,),
+        databases={
+            name: Database(dataset, index, setup.db1.places)
+            for name, index in indexes.items()
+        },
+    )
     return FigureResult(
         figure="Ablation SAMs",
         title="Policy gains vs LRU on non-R-tree spatial access methods",
         headers=["index", "query set", "A", "LRU-2", "ASB"],
-        rows=rows,
+        rows=grid_rows(cells, ("A", "LRU-2", "ASB"), lead=("db", "set")),
     )
 
 
@@ -971,8 +965,6 @@ def ablation_baselines(
     buffer_fraction: float = 0.047,
 ) -> FigureResult:
     """Classic baselines (FIFO, CLOCK, LFU, MRU, RANDOM) vs LRU."""
-    database = setup.db1
-    capacity = buffer_capacity(database, buffer_fraction)
     policies = {
         "FIFO": FIFO,
         "CLOCK": Clock,
@@ -980,20 +972,13 @@ def ablation_baselines(
         "MRU": MRU,
         "RANDOM": lambda: RandomPolicy(seed=3),
     }
-    rows: list[list[object]] = []
-    for set_name in ABLATION_SETS:
-        query_set = database.query_set(set_name, setup.n_queries, setup.seed)
-        lru = replay(database.tree, query_set, LRU(), capacity).stats.misses
-        cells: list[object] = [set_name]
-        for name, factory in policies.items():
-            misses = replay(database.tree, query_set, factory(), capacity).stats.misses
-            cells.append(format_gain(gain(lru, misses)))
-        rows.append(cells)
     return FigureResult(
         figure="Ablation baselines",
         title="Classic replacement baselines vs LRU (database 1)",
         headers=["query set"] + list(policies),
-        rows=rows,
+        rows=lru_gain_rows(
+            setup, policies, ABLATION_SETS, (buffer_fraction,), lead=("set",)
+        ),
     )
 
 
@@ -1006,58 +991,38 @@ def ablation_pinned_levels(
 
     LRU-P generalises level pinning; this ablation runs the original:
     LRU with the top 1 / 2 levels fetched once and pinned, against plain
-    LRU and LRU-P.  Pinned pages cost their initial fetch but can never be
-    evicted — a static commitment LRU-P makes dynamically.
+    LRU and LRU-P.  Pinned pages can never be evicted — a static
+    commitment LRU-P makes dynamically.  The reads of a pinned row count
+    the query sets only: the pins' own initial fetches happen before the
+    count starts, so the row is short by the number of pinned pages.
     """
-    from repro.buffer.manager import BufferManager
-    from repro.buffer.policies.lru_p import LRUP
-    from repro.experiments.harness import pin_top_levels
-
     database = setup.db1
     capacity = buffer_capacity(database, buffer_fraction)
 
-    def run_pinned(levels: int) -> int:
+    def pinned_row(levels: int) -> list[object]:
+        label = f"LRU + pin top {levels}"
         buffer = BufferManager(database.tree.pagefile.disk, capacity, LRU())
         try:
             pin_top_levels(database.tree, buffer, levels)
         except ValueError:
-            return -1  # does not fit at this buffer size
-        misses = 0
+            return [label, "n/a", "does not fit"]  # at this buffer size
+        start = buffer.stats.misses
         for set_name in sets:
             query_set = database.query_set(set_name, setup.n_queries, setup.seed)
-            start = buffer.stats.misses
-            for query in query_set:
-                with buffer.query_scope():
-                    query.run(database.tree, buffer)
-            misses += buffer.stats.misses - start
-        return misses
+            run_queries(buffer, database.tree, query_set)
+        return [label, buffer.stats.misses - start]
 
-    def run_plain(policy_factory) -> int:
-        total = 0
-        for set_name in sets:
-            query_set = database.query_set(set_name, setup.n_queries, setup.seed)
-            total += replay(
-                database.tree, query_set, policy_factory(), capacity
-            ).stats.misses
-        return total
-
-    lru = run_plain(LRU)
-    rows: list[list[object]] = [["LRU", lru, format_gain(0.0)]]
-    for levels in (1, 2):
-        misses = run_pinned(levels)
-        if misses < 0:
-            rows.append([f"LRU + pin top {levels}", "n/a", "does not fit"])
-        else:
-            rows.append(
-                [f"LRU + pin top {levels}", misses, format_gain(gain(lru, misses))]
-            )
-    lru_p = run_plain(LRUP)
-    rows.append(["LRU-P", lru_p, format_gain(gain(lru, lru_p))])
+    plain = run_grid(setup, {"LRU": LRU, "LRU-P": LRUP}, sets, (buffer_fraction,))
+    lru, lru_p = (
+        sum(cell.counts[name] for cell in plain) for name in ("LRU", "LRU-P")
+    )
     return FigureResult(
         figure="Ablation pinned-levels",
         title="Static level pinning (ref [8]) vs the dynamic LRU-P",
         headers=["strategy", "reads", "gain vs LRU"],
-        rows=rows,
+        rows=append_gain(
+            [["LRU", lru], pinned_row(1), pinned_row(2), ["LRU-P", lru_p]]
+        ),
         notes=(
             f"summed over {', '.join(sets)}; buffer = {capacity} pages; "
             "pinned runs keep the pages across sets (no clearing), plain "
@@ -1092,8 +1057,7 @@ def ablation_adaptive_buffers(
     from repro.buffer.policies.gclock import GClock, type_weight
     from repro.buffer.policies.two_q import TwoQ
 
-    database = setup.db1
-    capacity = buffer_capacity(database, buffer_fraction)
+    capacity = buffer_capacity(setup.db1, buffer_fraction)
     policies = {
         "ASB": ASB,
         "2Q": TwoQ,
@@ -1102,22 +1066,40 @@ def ablation_adaptive_buffers(
         "GCLOCK": lambda: GClock(initial_weight=type_weight),
         "DOMAIN": DomainSeparation,
     }
-    rows: list[list[object]] = []
-    for set_name in sets:
-        query_set = database.query_set(set_name, setup.n_queries, setup.seed)
-        lru = replay(database.tree, query_set, LRU(), capacity).stats.misses
-        cells: list[object] = [set_name]
-        for name, factory in policies.items():
-            misses = replay(database.tree, query_set, factory(), capacity).stats.misses
-            cells.append(format_gain(gain(lru, misses)))
-        rows.append(cells)
     return FigureResult(
         figure="Ablation adaptive-buffers",
         title="ASB vs 2Q, ARC, LRU-2, GCLOCK and domain separation (gains vs LRU)",
         headers=["query set"] + list(policies),
-        rows=rows,
+        rows=lru_gain_rows(setup, policies, sets, (buffer_fraction,), lead=("set",)),
         notes=f"database 1, buffer = {capacity} pages",
     )
+
+
+def _object_page_workload(setup: PaperSetup, n_objects: int, seed_offset: int):
+    """A tree whose leaves reference object pages, and its S-W-100 workload.
+
+    Returns the tree, its object store and ``misses(manager)``, which runs
+    the windows with ``fetch_objects=True`` through a buffer manager and
+    returns its miss count.
+    """
+    dataset = us_mainland_like(n_objects=n_objects, seed=setup.seed + seed_offset)
+    tree, store = build_tree_with_objects(
+        dataset, lambda pagefile: RStarTree(pagefile=pagefile)
+    )
+    windows = [
+        query.region
+        for query in make_query_set(
+            "S-W-100", dataset, setup.db1.places, setup.n_queries, setup.seed
+        )
+    ]
+
+    def misses(manager) -> int:
+        for window in windows:
+            with manager.query_scope():
+                tree.window_query(window, manager, fetch_objects=True)
+        return manager.stats.misses
+
+    return tree, store, misses
 
 
 def ablation_object_pages(
@@ -1133,25 +1115,11 @@ def ablation_object_pages(
     data and object pages compete for frames — the setting LRU-T was
     designed for (drop object pages first, keep directory pages longest).
     """
-    from repro.buffer.manager import BufferManager
-    from repro.buffer.policies.lru_p import LRUP
     from repro.buffer.policies.lru_t import LRUT
-    from repro.datasets.synthetic import us_mainland_like
-    from repro.sam.rstar import RStarTree
-    from repro.storage.objects import build_tree_with_objects
 
-    dataset = us_mainland_like(n_objects=n_objects, seed=setup.seed + 6)
-    tree, store = build_tree_with_objects(
-        dataset, lambda pagefile: RStarTree(pagefile=pagefile)
-    )
+    tree, store, misses = _object_page_workload(setup, n_objects, 6)
     total_pages = tree.stats().page_count + store.page_count
     capacity = max(8, round(buffer_fraction * total_pages))
-    windows = [
-        query.region
-        for query in make_query_set(
-            "S-W-100", dataset, setup.db1.places, setup.n_queries, setup.seed
-        )
-    ]
     policies = {
         "LRU": LRU,
         "LRU-T": LRUT,
@@ -1160,22 +1128,16 @@ def ablation_object_pages(
         "A": lambda: SpatialPolicy("A"),
         "ASB": ASB,
     }
-    rows: list[list[object]] = []
-    lru_misses: int | None = None
-    for name, factory in policies.items():
-        buffer = BufferManager(tree.pagefile.disk, capacity, factory())
-        for window in windows:
-            with buffer.query_scope():
-                tree.window_query(window, buffer, fetch_objects=True)
-        misses = buffer.stats.misses
-        if lru_misses is None:
-            lru_misses = misses
-        rows.append([name, misses, format_gain(gain(lru_misses, misses))])
     return FigureResult(
         figure="Ablation object-pages",
         title="Three page categories (directory/data/object) in one buffer",
         headers=["policy", "reads", "gain vs LRU"],
-        rows=rows,
+        rows=append_gain(
+            [
+                [name, misses(BufferManager(tree.pagefile.disk, capacity, factory()))]
+                for name, factory in policies.items()
+            ]
+        ),
         notes=(
             f"{tree.stats().page_count} tree pages + {store.page_count} "
             f"object pages; buffer = {capacity} pages; S-W-100 with "
@@ -1197,68 +1159,41 @@ def ablation_partitioned_buffer(
     natural hybrid: spatial replacement for the tree partition, LRU for
     the object partition.
     """
-    from repro.buffer.manager import BufferManager
     from repro.buffer.partitioned import PartitionedBufferManager
-    from repro.datasets.synthetic import us_mainland_like
-    from repro.sam.rstar import RStarTree
-    from repro.storage.objects import build_tree_with_objects
     from repro.storage.page import PageType
 
-    dataset = us_mainland_like(n_objects=n_objects, seed=setup.seed + 7)
-    tree, store = build_tree_with_objects(
-        dataset, lambda pagefile: RStarTree(pagefile=pagefile)
-    )
+    tree, store, misses = _object_page_workload(setup, n_objects, 7)
     total_pages = tree.stats().page_count + store.page_count
     capacity = max(12, round(buffer_fraction * total_pages))
     tree_share = max(4, round(capacity * 0.5))
     dir_share = max(2, round(tree_share * 0.15))
     data_share = tree_share - dir_share
     object_share = capacity - tree_share
-    windows = [
-        query.region
-        for query in make_query_set(
-            "S-W-100", dataset, setup.db1.places, setup.n_queries, setup.seed
-        )
-    ]
+    disk = tree.pagefile.disk
 
-    def run(manager) -> int:
-        for window in windows:
-            with manager.query_scope():
-                tree.window_query(window, manager, fetch_objects=True)
-        return manager.stats.misses
+    def split(data_policy) -> PartitionedBufferManager:
+        return PartitionedBufferManager(
+            disk,
+            {
+                PageType.DIRECTORY: (dir_share, LRU()),
+                PageType.DATA: (data_share, data_policy),
+                PageType.OBJECT: (object_share, LRU()),
+            },
+        )
 
     layouts = {
-        "shared LRU": lambda: BufferManager(tree.pagefile.disk, capacity, LRU()),
-        "shared ASB": lambda: BufferManager(tree.pagefile.disk, capacity, ASB()),
-        "split LRU/LRU": lambda: PartitionedBufferManager(
-            tree.pagefile.disk,
-            {
-                PageType.DIRECTORY: (dir_share, LRU()),
-                PageType.DATA: (data_share, LRU()),
-                PageType.OBJECT: (object_share, LRU()),
-            },
-        ),
-        "split A/LRU": lambda: PartitionedBufferManager(
-            tree.pagefile.disk,
-            {
-                PageType.DIRECTORY: (dir_share, LRU()),
-                PageType.DATA: (data_share, SpatialPolicy("A")),
-                PageType.OBJECT: (object_share, LRU()),
-            },
-        ),
+        "shared LRU": lambda: BufferManager(disk, capacity, LRU()),
+        "shared ASB": lambda: BufferManager(disk, capacity, ASB()),
+        "split LRU/LRU": lambda: split(LRU()),
+        "split A/LRU": lambda: split(SpatialPolicy("A")),
     }
-    rows: list[list[object]] = []
-    baseline: int | None = None
-    for name, factory in layouts.items():
-        misses = run(factory())
-        if baseline is None:
-            baseline = misses
-        rows.append([name, misses, format_gain(gain(baseline, misses))])
     return FigureResult(
         figure="Ablation partitioned-buffer",
         title="Shared vs per-category buffers at equal total memory",
         headers=["layout", "reads", "gain vs shared LRU"],
-        rows=rows,
+        rows=append_gain(
+            [[name, misses(factory())] for name, factory in layouts.items()]
+        ),
         notes=(
             f"total = {capacity} frames (dir {dir_share} / data {data_share} "
             f"/ object {object_share} in the split layouts); S-W-100 with "
@@ -1281,8 +1216,6 @@ def ablation_updates(
     disk reads, write-backs and the total-access gain over LRU.  With
     ``moving=True`` the update half is a pure moving-objects stream.
     """
-    from repro.datasets.synthetic import us_mainland_like
-    from repro.sam.rstar import RStarTree
     from repro.workloads.updates import (
         interleave,
         moving_objects_stream,
@@ -1298,38 +1231,22 @@ def ablation_updates(
     else:
         updates = update_stream(dataset, n_updates, seed=setup.seed)
     stream = interleave(queries, updates, seed=setup.seed)
-    policies = {
-        "LRU": LRU,
-        "LRU-2": lambda: LRUK(k=2),
-        "A": lambda: SpatialPolicy("A"),
-        "ASB": ASB,
-    }
     rows: list[list[object]] = []
-    lru_total: int | None = None
     capacity = 0
-    for name, factory in policies.items():
+    for name, factory in FOUR_POLICIES.items():
         tree = RStarTree()
         tree.bulk_load(dataset.items())
         capacity = max(8, round(buffer_fraction * tree.stats().page_count))
-        buffer = replay_mixed(tree, stream, factory(), capacity)
-        total = buffer.stats.misses + buffer.stats.writebacks
-        if lru_total is None:
-            lru_total = total
+        stats = replay_mixed(tree, stream, factory(), capacity).stats
         rows.append(
-            [
-                name,
-                buffer.stats.misses,
-                buffer.stats.writebacks,
-                total,
-                format_gain(gain(lru_total, total)),
-            ]
+            [name, stats.misses, stats.writebacks, stats.misses + stats.writebacks]
         )
     kind = "moving objects" if moving else "inserts/deletes/moves"
     return FigureResult(
         figure="Ablation updates" + ("-moving" if moving else ""),
         title=f"Queries interleaved with {kind}, through the buffer",
         headers=["policy", "reads", "writebacks", "total", "gain vs LRU"],
-        rows=rows,
+        rows=append_gain(rows),
         notes=(
             f"{n_queries} S-W-100 queries + {n_updates} updates, "
             f"buffer = {capacity} pages"
@@ -1362,39 +1279,24 @@ def ablation_multiclient(
         )
         for set_name in client_sets
     ]
-    policies = {
-        "LRU": LRU,
-        "LRU-2": lambda: LRUK(k=2),
-        "A": lambda: SpatialPolicy("A"),
-        "ASB": ASB,
-    }
+    sequential = run_grid(setup, FOUR_POLICIES, client_sets, (buffer_fraction,))
     rows: list[list[object]] = []
-    lru_interleaved: int | None = None
-    for name, factory in policies.items():
+    for name, factory in FOUR_POLICIES.items():
         buffer, _ = replay_clients(
             database.tree, clients, factory(), capacity, seed=setup.seed
         )
-        interleaved = buffer.stats.misses
-        sequential = 0
-        for client in clients:
-            sequential += replay_queries(
-                database.tree, list(client.queries), factory(), capacity
-            ).stats.misses
-        if lru_interleaved is None:
-            lru_interleaved = interleaved
         rows.append(
             [
                 name,
-                interleaved,
-                sequential,
-                format_gain(gain(lru_interleaved, interleaved)),
+                buffer.stats.misses,
+                sum(cell.counts[name] for cell in sequential),
             ]
         )
     return FigureResult(
         figure="Ablation multiclient",
         title="Three interleaved clients vs sequential execution",
         headers=["policy", "interleaved reads", "sequential reads", "gain vs LRU"],
-        rows=rows,
+        rows=append_gain(rows, column=1),
         notes=(
             f"clients: {', '.join(client_sets)}; "
             f"{setup.n_queries} queries each; buffer = {capacity} pages"
@@ -1419,26 +1321,33 @@ def ablation_opt_gap(
 
     database = setup.db1
     capacity = buffer_capacity(database, buffer_fraction)
-    policies = {
-        "LRU": LRU,
-        "LRU-2": lambda: LRUK(k=2),
-        "A": lambda: SpatialPolicy("A"),
-        "ASB": ASB,
+    traces = {
+        set_name: record_trace(
+            database.tree,
+            database.query_set(set_name, setup.n_queries, setup.seed),
+        )
+        for set_name in sets
     }
+    cells = run_grid(
+        setup,
+        FOUR_POLICIES,
+        traces,
+        (buffer_fraction,),
+        measure=lambda index, trace, policy, capacity: replay_trace(
+            trace, policy, capacity
+        ).misses,
+    )
     rows: list[list[object]] = []
-    for set_name in sets:
-        query_set = database.query_set(set_name, setup.n_queries, setup.seed)
-        trace = record_trace(database.tree, query_set)
-        optimum = opt_misses(trace, capacity)
-        cells: list[object] = [set_name, optimum]
-        for name, factory in policies.items():
-            misses = replay_trace(trace, factory(), capacity).misses
-            cells.append(f"+{(misses / optimum - 1) * 100:.1f}%")
-        rows.append(cells)
+    for cell in cells:
+        optimum = opt_misses(traces[cell.set], capacity)
+        gaps = [
+            f"+{(misses / optimum - 1) * 100:.1f}%" for misses in cell.counts.values()
+        ]
+        rows.append([cell.set, optimum] + gaps)
     return FigureResult(
         figure="Ablation opt-gap",
         title="Distance from Belady's offline optimum (misses above OPT)",
-        headers=["query set", "OPT misses"] + list(policies),
+        headers=["query set", "OPT misses"] + list(FOUR_POLICIES),
         rows=rows,
         notes=f"database 1, buffer = {capacity} pages",
     )
@@ -1460,7 +1369,6 @@ def ablation_build_method(
     cost per build method.
     """
     from repro.datasets.synthetic import world_atlas_like
-    from repro.sam.rstar import RStarTree
 
     dataset = world_atlas_like(n_objects=n_objects, seed=setup.seed + 10)
     items = dataset.items()
@@ -1494,8 +1402,8 @@ def ablation_build_method(
         query_set = make_query_set(
             "IND-W-100", dataset, setup.db1.places, setup.n_queries, setup.seed
         )
-        lru = replay(tree, query_set, LRU(), capacity).stats.misses
-        a = replay(tree, query_set, SpatialPolicy("A"), capacity).stats.misses
+        lru = replay_misses(tree, query_set, LRU(), capacity)
+        a = replay_misses(tree, query_set, SpatialPolicy("A"), capacity)
         rows.append(
             [
                 method,
@@ -1528,10 +1436,7 @@ def ablation_join(
     inner pages heavily — the workload where buffering decides the cost.
     The nested-loop row shows the algorithmic baseline under plain LRU.
     """
-    from repro.buffer.manager import BufferManager
-    from repro.datasets.synthetic import us_mainland_like
     from repro.sam.join import nested_loop_join, spatial_join
-    from repro.sam.rstar import RStarTree
     from repro.storage.pagefile import PageFile
 
     pagefile = PageFile()
@@ -1550,42 +1455,23 @@ def ablation_join(
     )
     total_pages = len(left.all_page_ids()) + len(right.all_page_ids())
     capacity = max(8, round(buffer_fraction * total_pages))
-    policies = {
-        "LRU": LRU,
-        "LRU-2": lambda: LRUK(k=2),
-        "A": lambda: SpatialPolicy("A"),
-        "ASB": ASB,
-    }
     rows: list[list[object]] = []
-    lru_misses: int | None = None
     result_size = 0
-    for name, factory in policies.items():
+    for name, factory in FOUR_POLICIES.items():
         buffer = BufferManager(pagefile.disk, capacity, factory())
         with buffer.query_scope():
             pairs = spatial_join(left, right, buffer, buffer)
         result_size = len(pairs)
-        misses = buffer.stats.misses
-        if lru_misses is None:
-            lru_misses = misses
-        rows.append(
-            ["sync-traversal", name, misses, format_gain(gain(lru_misses, misses))]
-        )
+        rows.append(["sync-traversal", name, buffer.stats.misses])
     nested = BufferManager(pagefile.disk, capacity, LRU())
     with nested.query_scope():
         nested_loop_join(left, right, nested, nested)
-    rows.append(
-        [
-            "nested-loop",
-            "LRU",
-            nested.stats.misses,
-            format_gain(gain(lru_misses, nested.stats.misses)),
-        ]
-    )
+    rows.append(["nested-loop", "LRU", nested.stats.misses])
     return FigureResult(
         figure="Ablation join",
         title="R-tree spatial join through a shared buffer",
         headers=["algorithm", "policy", "reads", "gain vs sync/LRU"],
-        rows=rows,
+        rows=append_gain(rows),
         notes=(
             f"{n_left} x {n_right} objects, {result_size} result pairs, "
             f"buffer = {capacity} pages"
@@ -1613,23 +1499,14 @@ def ablation_drifting_hotspot(
     queries = drifting_hotspot(
         database.dataset.space, count, seed=setup.seed, extent=0.03
     )
-    policies = {
-        "LRU-2": lambda: LRUK(k=2),
-        "A": lambda: SpatialPolicy("A"),
-        "ASB": ASB,
-    }
-    lru = replay_queries(database.tree, queries, LRU(), capacity).stats.misses
-    rows: list[list[object]] = [["LRU", lru, format_gain(0.0)]]
-    for name, factory in policies.items():
-        misses = replay_queries(
-            database.tree, queries, factory(), capacity
-        ).stats.misses
-        rows.append([name, misses, format_gain(gain(lru, misses))])
+    (cell,) = run_grid(
+        setup, FOUR_POLICIES, {"drifting hotspot": queries}, (buffer_fraction,)
+    )
     return FigureResult(
         figure="Ablation drifting-hotspot",
         title="A hotspot orbiting the map (continuously drifting working set)",
         headers=["policy", "reads", "gain vs LRU"],
-        rows=rows,
+        rows=append_gain([[name, misses] for name, misses in cell.counts.items()]),
         notes=f"{count} window queries, buffer = {capacity} pages",
     )
 
@@ -1654,42 +1531,20 @@ def ablation_knn(
     capacity = buffer_capacity(database, buffer_fraction)
     rng = random_module.Random(setup.seed)
     weights = [place.weight_intensified for place in database.places]
-    policies = {
-        "LRU-2": lambda: LRUK(k=2),
-        "A": lambda: SpatialPolicy("A"),
-        "ASB": ASB,
-    }
-    rows: list[list[object]] = []
+    workloads: dict[str, list[KnnQuery]] = {}
     for k in k_values:
         chosen = rng.choices(database.places, weights=weights, k=setup.n_queries)
-        queries = [KnnQuery(point=place.location, k=k) for place in chosen]
-        lru_buffer = replay_queries(database.tree, queries, LRU(), capacity)
-        lru = lru_buffer.stats.misses
-        cells: list[object] = [f"k={k}", lru]
-        for name, factory in policies.items():
-            misses = replay_queries(
-                database.tree, queries, factory(), capacity
-            ).stats.misses
-            cells.append(format_gain(gain(lru, misses)))
-        rows.append(cells)
+        workloads[f"k={k}"] = [KnnQuery(point=place.location, k=k) for place in chosen]
+    policies = {name: FOUR_POLICIES[name] for name in ("LRU-2", "A", "ASB")}
     return FigureResult(
         figure="Ablation knn",
         title="k-nearest-neighbour workloads (intensified query points)",
         headers=["workload", "LRU reads"] + list(policies),
-        rows=rows,
+        rows=lru_gain_rows(
+            setup, policies, workloads, (buffer_fraction,), lead=("set", "LRU")
+        ),
         notes=f"database 1, buffer = {capacity} pages",
     )
-
-
-def replay_queries(index, queries, policy, capacity):
-    """Replay a plain list of queries (no QuerySet wrapper needed)."""
-    from repro.buffer.manager import BufferManager
-
-    buffer = BufferManager(index.pagefile.disk, capacity, policy)
-    for query in queries:
-        with buffer.query_scope():
-            query.run(index, buffer)
-    return buffer
 
 
 def ablation_io_time(
@@ -1703,38 +1558,35 @@ def ablation_io_time(
     structurally close pages together preserve more sequentiality, so the
     time ranking can differ from the pure access-count ranking.
     """
-    database = setup.db1
-    capacity = buffer_capacity(database, buffer_fraction)
-    disk = database.tree.pagefile.disk
-    policies = {
-        "LRU": LRU,
-        "LRU-2": lambda: LRUK(k=2),
-        "A": lambda: SpatialPolicy("A"),
-        "ASB": ASB,
-    }
-    rows: list[list[object]] = []
-    for set_name in ABLATION_SETS:
-        query_set = database.query_set(set_name, setup.n_queries, setup.seed)
-        for name, factory in policies.items():
-            reads_before = disk.stats.reads
-            sequential_before = disk.stats.sequential_reads
-            elapsed_before = disk.stats.elapsed_ms
-            replay(database.tree, query_set, factory(), capacity)
-            reads = disk.stats.reads - reads_before
-            sequential = disk.stats.sequential_reads - sequential_before
-            elapsed = disk.stats.elapsed_ms - elapsed_before
-            rows.append(
-                [
-                    set_name,
-                    name,
-                    reads,
-                    f"{sequential / reads:.1%}" if reads else "n/a",
-                    f"{elapsed:.0f} ms",
-                ]
-            )
+
+    def io_profile(index, query_set, policy, capacity) -> tuple[int, int, float]:
+        stats = index.pagefile.disk.stats
+        reads_before = stats.reads
+        sequential_before = stats.sequential_reads
+        elapsed_before = stats.elapsed_ms
+        replay(index, query_set, policy, capacity)
+        return (
+            stats.reads - reads_before,
+            stats.sequential_reads - sequential_before,
+            stats.elapsed_ms - elapsed_before,
+        )
+
+    cells = run_grid(
+        setup, FOUR_POLICIES, ABLATION_SETS, (buffer_fraction,), measure=io_profile
+    )
     return FigureResult(
         figure="Ablation io-time",
         title="Access counts vs simulated I/O time (random 10 ms, seq. 1 ms)",
         headers=["query set", "policy", "reads", "sequential", "sim. time"],
-        rows=rows,
+        rows=[
+            [
+                cell.set,
+                name,
+                reads,
+                f"{sequential / reads:.1%}" if reads else "n/a",
+                f"{elapsed:.0f} ms",
+            ]
+            for cell in cells
+            for name, (reads, sequential, elapsed) in cell.counts.items()
+        ],
     )

@@ -18,23 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from repro.buffer.policies.asb import ASB
 from repro.buffer.policies.base import ReplacementPolicy
 from repro.buffer.policies.lru import LRU
-from repro.buffer.policies.lru_k import LRUK
-from repro.buffer.policies.spatial import SpatialPolicy
 from repro.experiments.analysis import lru_miss_curve, opt_misses
+from repro.experiments.harness import FOUR_POLICIES
 from repro.experiments.trace import AccessTrace, record_trace, replay_trace
 from repro.sam.base import SpatialIndex
 from repro.workloads.queries import Query
 
 #: Default candidate policies considered by the advisor.
-DEFAULT_CANDIDATES: dict[str, Callable[[], ReplacementPolicy]] = {
-    "LRU": LRU,
-    "LRU-2": lambda: LRUK(k=2),
-    "A": lambda: SpatialPolicy("A"),
-    "ASB": ASB,
-}
+DEFAULT_CANDIDATES: dict[str, Callable[[], ReplacementPolicy]] = FOUR_POLICIES
 
 
 @dataclass(slots=True)

@@ -25,13 +25,15 @@ from repro.obs.events import Fanout, TraceRecorder
 from repro.obs.windows import WindowedMetrics
 from repro.experiments.harness import (
     Database,
+    PolicyFactory,
     buffer_capacity,
     build_database,
-    compare_policies,
-    gains_vs_lru,
+    grid_rows,
+    lru_gain_rows,
     replay,
+    run_grid,
 )
-from repro.experiments.report import format_gain, format_ratio, format_table
+from repro.experiments.report import format_table
 from repro.workloads.sets import QuerySet
 
 
@@ -124,8 +126,22 @@ ALL_DISTRIBUTION_SETS = (
 )
 
 
-def _fraction_label(fraction: float) -> str:
-    return f"{fraction * 100:.1f}%"
+def _gain_figure(
+    setup: PaperSetup,
+    figure: str,
+    title: str,
+    policies: dict[str, PolicyFactory],
+    sets: tuple[str, ...],
+    fractions: tuple[float, ...],
+    headers: list[str] | None = None,
+) -> FigureResult:
+    """Gains of ``policies`` over LRU on both databases, one row per cell."""
+    return FigureResult(
+        figure=figure,
+        title=title,
+        headers=["database", "query set", "buffer"] + (headers or list(policies)),
+        rows=lru_gain_rows(setup, policies, sets, fractions, ("db1", "db2")),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -143,29 +159,14 @@ def figure_04(
     window queries on database 1.
     """
     sets = UNIFORM_SETS + ("INT-P", "INT-W-333", "INT-W-100", "INT-W-33")
-    rows: list[list[object]] = []
-    for db_key in ("db1", "db2"):
-        database = setup.database(db_key)
-        for set_name in sets:
-            query_set = database.query_set(set_name, setup.n_queries, setup.seed)
-            for fraction in fractions:
-                capacity = buffer_capacity(database, fraction)
-                gains = gains_vs_lru(
-                    database.tree, query_set, {"LRU-P": LRUP}, capacity
-                )
-                rows.append(
-                    [
-                        db_key,
-                        set_name,
-                        _fraction_label(fraction),
-                        format_gain(gains["LRU-P"]),
-                    ]
-                )
-    return FigureResult(
-        figure="Figure 4",
-        title="Performance gain of LRU-P compared to LRU",
-        headers=["database", "query set", "buffer", "gain(LRU-P)"],
-        rows=rows,
+    return _gain_figure(
+        setup,
+        "Figure 4",
+        "Performance gain of LRU-P compared to LRU",
+        {"LRU-P": LRUP},
+        sets,
+        fractions,
+        headers=["gain(LRU-P)"],
     )
 
 
@@ -199,23 +200,12 @@ def figure_05(
         "IND-P",
         "IND-W-100",
     )
-    database = setup.db1
     policies = {f"LRU-{k}": (lambda kk=k: LRUK(k=kk)) for k in ks}
-    rows: list[list[object]] = []
-    for set_name in sets:
-        query_set = database.query_set(set_name, setup.n_queries, setup.seed)
-        for fraction in fractions:
-            capacity = buffer_capacity(database, fraction)
-            gains = gains_vs_lru(database.tree, query_set, policies, capacity)
-            rows.append(
-                [set_name, _fraction_label(fraction)]
-                + [format_gain(gains[f"LRU-{k}"]) for k in ks]
-            )
     return FigureResult(
         figure="Figure 5",
         title="Performance gain using LRU-K compared to LRU (database 1)",
         headers=["query set", "buffer"] + [f"gain(LRU-{k})" for k in ks],
-        rows=rows,
+        rows=lru_gain_rows(setup, policies, sets, fractions, lead=("set", "buffer")),
     )
 
 
@@ -234,28 +224,20 @@ def figure_06(
     """
     sets = ("U-W-333", "U-W-100", "S-W-100", "ID-W", "S-W-33")
     criteria = ("A", "EA", "M", "EM", "EO")
-    database = setup.db1
     policies = {
         crit: (lambda c=crit: SpatialPolicy(criterion=c)) for crit in criteria
     }
-    rows: list[list[object]] = []
-    for fraction in fractions:
-        capacity = buffer_capacity(database, fraction)
-        for set_name in sets:
-            query_set = database.query_set(set_name, setup.n_queries, setup.seed)
-            accesses = compare_policies(
-                database.tree, query_set, policies, capacity
-            )
-            base = accesses["A"]
-            rows.append(
-                [set_name, _fraction_label(fraction)]
-                + [format_ratio(accesses[crit] / base) for crit in criteria]
-            )
+    # Buffer size is the outer loop here (the paper groups by buffer).
+    cells = [
+        cell
+        for fraction in fractions
+        for cell in run_grid(setup, policies, sets, (fraction,))
+    ]
     return FigureResult(
         figure="Figure 6",
         title="Disk accesses of the spatial criteria relative to A (=100%)",
         headers=["query set", "buffer"] + list(criteria),
-        rows=rows,
+        rows=grid_rows(cells, criteria, ("set", "buffer"), base="A", ratio=True),
     )
 
 
@@ -270,50 +252,15 @@ _COMPARISON_POLICIES = {
 }
 
 
-def _comparison_figure(
-    setup: PaperSetup,
-    figure: str,
-    title: str,
-    sets: tuple[str, ...],
-    fractions: tuple[float, ...],
-    db_keys: tuple[str, ...] = ("db1", "db2"),
-) -> FigureResult:
-    rows: list[list[object]] = []
-    for db_key in db_keys:
-        database = setup.database(db_key)
-        for set_name in sets:
-            query_set = database.query_set(set_name, setup.n_queries, setup.seed)
-            for fraction in fractions:
-                capacity = buffer_capacity(database, fraction)
-                gains = gains_vs_lru(
-                    database.tree, query_set, _COMPARISON_POLICIES, capacity
-                )
-                rows.append(
-                    [
-                        db_key,
-                        set_name,
-                        _fraction_label(fraction),
-                        format_gain(gains["LRU-P"]),
-                        format_gain(gains["A"]),
-                        format_gain(gains["LRU-2"]),
-                    ]
-                )
-    return FigureResult(
-        figure=figure,
-        title=title,
-        headers=["database", "query set", "buffer", "LRU-P", "A", "LRU-2"],
-        rows=rows,
-    )
-
-
 def figure_07(
     setup: PaperSetup, fractions: tuple[float, ...] = (0.006, 0.047)
 ) -> FigureResult:
     """Uniform distribution: the spatial strategy wins, LRU-P is worst."""
-    return _comparison_figure(
+    return _gain_figure(
         setup,
         "Figure 7",
         "Performance gain for the uniform distribution",
+        _COMPARISON_POLICIES,
         UNIFORM_SETS,
         fractions,
     )
@@ -323,10 +270,11 @@ def figure_08(
     setup: PaperSetup, fractions: tuple[float, ...] = (0.006, 0.047)
 ) -> FigureResult:
     """Identical/similar: A mostly >= LRU-2, with collapses for big windows."""
-    return _comparison_figure(
+    return _gain_figure(
         setup,
         "Figure 8",
         "Performance gain for the identical and similar distributions",
+        _COMPARISON_POLICIES,
         IDENTICAL_SIMILAR_SETS,
         fractions,
     )
@@ -336,10 +284,11 @@ def figure_09(
     setup: PaperSetup, fractions: tuple[float, ...] = (0.006, 0.047)
 ) -> FigureResult:
     """Independent/intensified: A collapses (db2 water, hot small pages)."""
-    return _comparison_figure(
+    return _gain_figure(
         setup,
         "Figure 9",
         "Performance gain for the independent and intensified distributions",
+        _COMPARISON_POLICIES,
         INDEPENDENT_INTENSIFIED_SETS,
         fractions,
     )
@@ -372,29 +321,13 @@ def figure_12(
         "SLRU 50%": lambda: SLRU(candidate_fraction=0.50),
         "SLRU 25%": lambda: SLRU(candidate_fraction=0.25),
     }
-    rows: list[list[object]] = []
-    for db_key in ("db1", "db2"):
-        database = setup.database(db_key)
-        for set_name in sets:
-            query_set = database.query_set(set_name, setup.n_queries, setup.seed)
-            for fraction in fractions:
-                capacity = buffer_capacity(database, fraction)
-                gains = gains_vs_lru(database.tree, query_set, policies, capacity)
-                rows.append(
-                    [
-                        db_key,
-                        set_name,
-                        _fraction_label(fraction),
-                        format_gain(gains["A"]),
-                        format_gain(gains["SLRU 50%"]),
-                        format_gain(gains["SLRU 25%"]),
-                    ]
-                )
-    return FigureResult(
-        figure="Figure 12",
-        title="Performance gains using a candidate set of static size",
-        headers=["database", "query set", "buffer", "A", "SLRU 50%", "SLRU 25%"],
-        rows=rows,
+    return _gain_figure(
+        setup,
+        "Figure 12",
+        "Performance gains using a candidate set of static size",
+        policies,
+        sets,
+        fractions,
     )
 
 
@@ -419,30 +352,13 @@ def figure_13(
         "ASB": ASB,
         "LRU-2": lambda: LRUK(k=2),
     }
-    rows: list[list[object]] = []
-    for db_key in ("db1", "db2"):
-        database = setup.database(db_key)
-        for set_name in sets:
-            query_set = database.query_set(set_name, setup.n_queries, setup.seed)
-            for fraction in fractions:
-                capacity = buffer_capacity(database, fraction)
-                gains = gains_vs_lru(database.tree, query_set, policies, capacity)
-                rows.append(
-                    [
-                        db_key,
-                        set_name,
-                        _fraction_label(fraction),
-                        format_gain(gains["A"]),
-                        format_gain(gains["SLRU"]),
-                        format_gain(gains["ASB"]),
-                        format_gain(gains["LRU-2"]),
-                    ]
-                )
-    return FigureResult(
-        figure="Figure 13",
-        title="Performance gains of A, SLRU, ASB and LRU-2 compared to LRU",
-        headers=["database", "query set", "buffer", "A", "SLRU", "ASB", "LRU-2"],
-        rows=rows,
+    return _gain_figure(
+        setup,
+        "Figure 13",
+        "Performance gains of A, SLRU, ASB and LRU-2 compared to LRU",
+        policies,
+        sets,
+        fractions,
     )
 
 

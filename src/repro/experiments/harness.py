@@ -15,16 +15,20 @@ The experimental protocol follows Section 3 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from repro.access import FullPageAccessor
 from repro.buffer.manager import BufferManager
+from repro.buffer.policies.asb import ASB
 from repro.buffer.policies.base import ReplacementPolicy
 from repro.buffer.policies.lru import LRU
+from repro.buffer.policies.lru_k import LRUK
+from repro.buffer.policies.spatial import SpatialPolicy
 from repro.datasets.places import Place, synthetic_places
 from repro.datasets.synthetic import Dataset
 from repro.sam.base import SpatialIndex
 from repro.sam.rstar import RStarTree
+from repro.experiments.report import format_gain, format_ratio
 from repro.workloads.sets import QuerySet, make_query_set
 
 #: A fresh policy per replay — policies bind to one buffer manager.
@@ -221,6 +225,16 @@ def gain(lru_accesses: int, policy_accesses: int) -> float:
     return lru_accesses / policy_accesses - 1.0
 
 
+def replay_misses(
+    index: SpatialIndex,
+    query_set: QuerySet,
+    policy: ReplacementPolicy,
+    capacity: int,
+) -> int:
+    """Disk accesses (buffer misses) of one replay against a fresh buffer."""
+    return replay(index, query_set, policy, capacity).stats.misses
+
+
 def compare_policies(
     index: SpatialIndex,
     query_set: QuerySet,
@@ -232,11 +246,10 @@ def compare_policies(
     Each policy replays the identical query sequence against its own fresh
     buffer, mirroring the paper's cleared-buffer protocol.
     """
-    results: dict[str, int] = {}
-    for name, factory in policies.items():
-        buffer = replay(index, query_set, factory(), capacity)
-        results[name] = buffer.stats.misses
-    return results
+    return {
+        name: replay_misses(index, query_set, factory(), capacity)
+        for name, factory in policies.items()
+    }
 
 
 def gains_vs_lru(
@@ -246,7 +259,135 @@ def gains_vs_lru(
     capacity: int,
 ) -> dict[str, float]:
     """Relative gains of each policy over a plain LRU buffer."""
-    lru_buffer = replay(index, query_set, LRU(), capacity)
-    lru_misses = lru_buffer.stats.misses
+    lru_misses = replay_misses(index, query_set, LRU(), capacity)
     accesses = compare_policies(index, query_set, policies, capacity)
     return {name: gain(lru_misses, misses) for name, misses in accesses.items()}
+
+
+# ----------------------------------------------------------------------
+# The grid runner — the protocol above, once, for every figure and study
+# ----------------------------------------------------------------------
+
+#: The comparison most studies repeat: LRU (the baseline, replayed first),
+#: the history-based LRU-2, the pure spatial criterion A, and ASB.
+FOUR_POLICIES: dict[str, PolicyFactory] = {
+    "LRU": LRU,
+    "LRU-2": lambda: LRUK(k=2),
+    "A": lambda: SpatialPolicy("A"),
+    "ASB": ASB,
+}
+
+
+@dataclass(slots=True)
+class GridCell:
+    """The raw counts of one (database, query set, buffer size) cell."""
+
+    db: str
+    set: str
+    #: The relative buffer size as the tables print it, e.g. ``4.7%``.
+    buffer: str
+    capacity: int
+    #: policy label -> what ``measure`` returned, in replay order.
+    counts: dict[object, object]
+
+
+def run_grid(
+    setup,
+    policies: Mapping[object, PolicyFactory],
+    sets: Sequence[str] | Mapping[str, object],
+    fractions: Sequence[float] = (0.047,),
+    databases: Sequence[str] | Mapping[str, Database] = ("db1",),
+    measure: Callable[..., object] = replay_misses,
+) -> list[GridCell]:
+    """Database x query set x relative buffer size x policy, in that order.
+
+    The paper's whole evaluation is this loop: every policy of ``policies``
+    (the baseline is one of them, ``"LRU"`` first by convention) replays the
+    cell's query set against a fresh buffer of ``buffer_capacity(database,
+    fraction)`` pages.  ``databases`` are keys of ``setup`` (a
+    :class:`~repro.experiments.figures.PaperSetup`) or a ``{label:
+    Database}`` mapping; ``sets`` are query-set names, built at
+    ``setup.n_queries`` / ``setup.seed``, or a ``{label: workload}`` mapping
+    whose values go to ``measure`` as they are (query lists, traces).
+    ``measure(index, workload, policy, capacity)`` is the per-replay metric,
+    disk accesses unless a study passes its own.  Returns the cells in loop
+    order; :func:`grid_rows` turns them into table rows.
+    """
+    if not isinstance(databases, Mapping):
+        databases = {key: setup.database(key) for key in databases}
+    if not isinstance(sets, Mapping):
+        sets = dict.fromkeys(sets)
+    cells: list[GridCell] = []
+    for db_key, database in databases.items():
+        for set_name, workload in sets.items():
+            if workload is None:
+                workload = database.query_set(set_name, setup.n_queries, setup.seed)
+            for fraction in fractions:
+                capacity = buffer_capacity(database, fraction)
+                counts = {
+                    label: measure(database.tree, workload, factory(), capacity)
+                    for label, factory in policies.items()
+                }
+                buffer = f"{fraction * 100:.1f}%"
+                cells.append(GridCell(db_key, set_name, buffer, capacity, counts))
+    return cells
+
+
+def grid_rows(
+    cells: Sequence[GridCell],
+    columns: Sequence[object],
+    lead: Sequence[str] = ("db", "set", "buffer"),
+    base: object = "LRU",
+    ratio: bool = False,
+) -> list[list[object]]:
+    """One table row per cell: ``lead``, then every policy of ``columns``.
+
+    A ``lead`` name is a :class:`GridCell` field (``db``, ``set``,
+    ``buffer``) or a policy label, which prints that policy's raw count.
+    Each column is the policy's gain over ``base`` (``+12.3%``), or with
+    ``ratio`` its count relative to ``base`` (``103.5%``, Figure 6's scale).
+    """
+
+    def text(counts: dict, label: object) -> str:
+        if ratio:
+            return format_ratio(counts[label] / counts[base])
+        return format_gain(gain(counts[base], counts[label]))
+
+    return [
+        [
+            cell.counts[name] if name in cell.counts else getattr(cell, name)
+            for name in lead
+        ]
+        + [text(cell.counts, label) for label in columns]
+        for cell in cells
+    ]
+
+
+def lru_gain_rows(
+    setup,
+    policies: Mapping[object, PolicyFactory],
+    sets: Sequence[str] | Mapping[str, object],
+    fractions: Sequence[float],
+    databases: Sequence[str] | Mapping[str, Database] = ("db1",),
+    lead: Sequence[str] = ("db", "set", "buffer"),
+) -> list[list[object]]:
+    """The commonest table body: :func:`run_grid` with LRU replayed first as
+    the baseline, one row per cell with the gain of each policy over it."""
+    cells = run_grid(setup, {"LRU": LRU, **policies}, sets, fractions, databases)
+    return grid_rows(cells, list(policies), lead)
+
+
+def append_gain(rows: list[list[object]], column: int = -1) -> list[list[object]]:
+    """The "one row per policy" tail: append to every row the gain of its
+    ``column`` cell (a count) over the first row's.
+
+    A row whose cell is not a count (a pinned level that does not fit) is
+    kept as it is.
+    """
+    base = rows[0][column]
+    return [
+        row + [format_gain(gain(base, row[column]))]
+        if isinstance(row[column], int)
+        else row
+        for row in rows
+    ]

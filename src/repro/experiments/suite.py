@@ -6,8 +6,8 @@ experiment), so the complete paper-vs-measured evidence regenerates with::
 
     python -m repro reproduce --out results/
 
-The benches under ``benchmarks/`` wrap the same experiment functions for
-pytest-benchmark; this module is the scriptable entry point.
+``benchmarks/bench_suite.py`` runs the same two registries as one
+pytest-benchmark case each; this module is the scriptable entry point.
 """
 
 from __future__ import annotations

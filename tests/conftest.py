@@ -10,7 +10,9 @@ import pytest
 
 from repro.datasets.places import synthetic_places
 from repro.datasets.synthetic import us_mainland_like, world_atlas_like
+from repro.experiments.figures import make_setup
 from repro.experiments.harness import build_database
+from repro.experiments.suite import run_reproduction
 from repro.geometry.rect import Rect
 from repro.sam.rstar import RStarTree
 
@@ -44,6 +46,31 @@ def small_tree(small_dataset):
 def small_database(small_dataset):
     """A full Database (tree + places) over the small dataset (read-only!)."""
     return build_database(small_dataset, n_places=200)
+
+
+@pytest.fixture(scope="session")
+def reproduction():
+    """All 26 figure and study tables, run once for the whole session.
+
+    The scale is the one ``tests/golden/experiment_tables.json`` pins; the
+    tests that only look at a table read it from here instead of running
+    the experiment again.
+    """
+    setup = make_setup(2_500, 1_500, n_places=150, n_queries=30, seed=3)
+    return run_reproduction(setup)
+
+
+@pytest.fixture(scope="session")
+def table(reproduction):
+    """Look one table of the shared run up by its registry key."""
+
+    def lookup(name: str):
+        assert name not in reproduction.errors, (
+            f"{name} failed: {reproduction.errors.get(name)}"
+        )
+        return reproduction.results[name]
+
+    return lookup
 
 
 @pytest.fixture()

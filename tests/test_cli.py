@@ -27,6 +27,25 @@ class TestFigureCommand:
         assert code == 0
         assert "Figure 7" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["thirteen", "10", "figure_10", "ablation_no"])
+    def test_every_unknown_name_exits_2_and_lists_the_valid_ones(self, name, capsys):
+        assert main(["figure", name]) == 2
+        err = capsys.readouterr().err
+        assert f"no such figure: {name}" in err
+        assert "figure_13" in err and "ablation_knn" in err
+
+    @pytest.mark.parametrize(
+        "name, title",
+        [
+            ("figure_14", "Figure 14"),
+            ("ablation_drifting_hotspot", "Ablation drifting-hotspot"),
+        ],
+    )
+    def test_registry_keys_accepted(self, name, title, capsys):
+        code = main(["figure", name, "--objects", "1000", "--queries", "8"])
+        assert code == 0
+        assert title in capsys.readouterr().out
+
 
 class TestDatasetCommand:
     def test_describe_db1(self, capsys):

@@ -153,8 +153,8 @@ class TestReport:
 
 class TestFigures:
     @pytest.mark.parametrize("name", sorted(ALL_FIGURES))
-    def test_every_figure_runs_and_reports(self, name, tiny_setup):
-        result = ALL_FIGURES[name](tiny_setup)
+    def test_every_figure_runs_and_reports(self, name, table):
+        result = table(name)
         assert isinstance(result, FigureResult)
         assert result.rows, f"{name} produced no rows"
         text = result.to_text()

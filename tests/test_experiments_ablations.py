@@ -1,43 +1,20 @@
 """Tiny-scale smoke tests for every ablation experiment.
 
 The benches run the ablations at full scale; these tests verify structure
-and basic sanity at a scale that keeps the suite fast.
+and basic sanity on the tables of the session's one shared
+``run_reproduction`` (the ``table`` fixture), so no study runs twice.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments.ablation import (
-    ablation_adaptive_buffers,
-    ablation_baselines,
-    ablation_build_method,
     ablation_drifting_hotspot,
-    ablation_io_time,
-    ablation_join,
     ablation_knn,
     ablation_multiclient,
-    ablation_object_pages,
     ablation_opt_gap,
-    ablation_overflow_size,
-    ablation_partitioned_buffer,
     ablation_pinned_levels,
-    ablation_sams,
-    ablation_step_size,
-    ablation_updates,
 )
 from repro.experiments.figures import FigureResult, make_setup
-
-
-@pytest.fixture(scope="module")
-def tiny_setup():
-    return make_setup(
-        n_objects_db1=2_500,
-        n_objects_db2=1_500,
-        n_places=150,
-        n_queries=30,
-        seed=3,
-    )
 
 
 def check(result: FigureResult):
@@ -50,87 +27,97 @@ def check(result: FigureResult):
 
 
 class TestAblationsRun:
-    def test_overflow_size(self, tiny_setup):
-        result = check(ablation_overflow_size(tiny_setup))
+    def test_overflow_size(self, table):
+        result = check(table("ablation_overflow_size"))
         assert len(result.headers) == 6  # query set + 5 fractions
 
-    def test_step_size(self, tiny_setup):
-        check(ablation_step_size(tiny_setup))
+    def test_step_size(self, table):
+        check(table("ablation_step_size"))
 
-    def test_sams(self, tiny_setup):
-        result = check(ablation_sams(tiny_setup))
+    def test_sams(self, table):
+        result = check(table("ablation_sams"))
         indexes = {row[0] for row in result.rows}
         assert indexes == {"quadtree", "z-b+tree", "gridfile"}
 
-    def test_baselines(self, tiny_setup):
-        check(ablation_baselines(tiny_setup))
+    def test_baselines(self, table):
+        check(table("ablation_baselines"))
 
-    def test_io_time(self, tiny_setup):
-        result = check(ablation_io_time(tiny_setup))
+    def test_io_time(self, table):
+        result = check(table("ablation_io_time"))
         assert any("ms" in str(row[-1]) for row in result.rows)
 
-    def test_adaptive_buffers(self, tiny_setup):
-        result = check(ablation_adaptive_buffers(tiny_setup))
+    def test_adaptive_buffers(self, table):
+        result = check(table("ablation_adaptive_buffers"))
         assert "ASB" in result.headers
 
-    def test_object_pages(self, tiny_setup):
-        result = check(ablation_object_pages(tiny_setup, n_objects=2_000))
+    def test_object_pages(self, table):
+        result = check(table("ablation_object_pages"))
         policies = {row[0] for row in result.rows}
         assert "LRU-T" in policies
 
-    def test_partitioned_buffer(self, tiny_setup):
-        result = check(
-            ablation_partitioned_buffer(tiny_setup, n_objects=2_000)
-        )
+    def test_partitioned_buffer(self, table):
+        result = check(table("ablation_partitioned_buffer"))
         layouts = {row[0] for row in result.rows}
         assert "shared LRU" in layouts
         assert "split A/LRU" in layouts
 
-    def test_updates(self, tiny_setup):
-        result = check(
-            ablation_updates(tiny_setup, n_updates=60, n_queries=30)
-        )
+    def test_updates(self, table):
+        result = check(table("ablation_updates"))
         assert result.rows[0][0] == "LRU"
         # reads + writebacks = total in every row
         for row in result.rows:
             assert row[1] + row[2] == row[3]
 
-    def test_updates_moving(self, tiny_setup):
-        result = check(
-            ablation_updates(tiny_setup, n_updates=60, n_queries=30, moving=True)
-        )
+    def test_updates_moving(self, table):
+        result = check(table("ablation_moving_objects"))
         assert "moving" in result.title
 
-    def test_join(self, tiny_setup):
-        result = check(ablation_join(tiny_setup, n_left=1_500, n_right=1_500))
+    def test_join(self, table):
+        result = check(table("ablation_join"))
         algorithms = {row[0] for row in result.rows}
         assert algorithms == {"sync-traversal", "nested-loop"}
 
-    def test_drifting_hotspot(self, tiny_setup):
-        result = check(ablation_drifting_hotspot(tiny_setup, n_queries=50))
+    def test_drifting_hotspot(self, table):
+        result = check(table("ablation_drifting_hotspot"))
         assert result.rows[0][0] == "LRU"
 
-    def test_knn(self, tiny_setup):
-        result = check(ablation_knn(tiny_setup, k_values=(1, 5)))
-        assert len(result.rows) == 2
+    def test_knn(self, table):
+        result = check(table("ablation_knn"))
+        assert [row[0] for row in result.rows] == ["k=1", "k=10", "k=50"]
 
-    def test_opt_gap(self, tiny_setup):
-        result = check(ablation_opt_gap(tiny_setup, sets=("U-W-100",)))
+    def test_opt_gap(self, table):
+        result = check(table("ablation_opt_gap"))
         assert result.rows[0][1] > 0  # OPT misses are positive
 
-    def test_pinned_levels(self, tiny_setup):
-        result = check(ablation_pinned_levels(tiny_setup, sets=("U-W-100",)))
+    def test_pinned_levels(self, table):
+        result = check(table("ablation_pinned_levels"))
         strategies = [row[0] for row in result.rows]
         assert strategies[0] == "LRU"
         assert strategies[-1] == "LRU-P"
 
-    def test_multiclient(self, tiny_setup):
-        result = check(
-            ablation_multiclient(tiny_setup, client_sets=("U-W-100", "S-W-100"))
-        )
+    def test_multiclient(self, table):
+        result = check(table("ablation_multiclient"))
         assert result.rows[0][0] == "LRU"
 
-    def test_build_method(self, tiny_setup):
-        result = check(ablation_build_method(tiny_setup, n_objects=1_200))
+    def test_build_method(self, table):
+        result = check(table("ablation_build_method"))
         builds = [row[0] for row in result.rows]
         assert builds == ["str", "hilbert", "insert"]
+
+    def test_arguments_shape_the_table(self):
+        # The shared run uses every default; the cheap studies are run once
+        # more here so their keyword arguments stay covered.
+        setup = make_setup(1_500, 1_000, n_places=80, n_queries=10, seed=4)
+        assert [row[0] for row in ablation_knn(setup, k_values=(1, 5)).rows] == [
+            "k=1",
+            "k=5",
+        ]
+        assert len(ablation_opt_gap(setup, sets=("U-W-100",)).rows) == 1
+        pinned = check(ablation_pinned_levels(setup, sets=("U-W-100",)))
+        assert "summed over U-W-100;" in pinned.notes
+        clients = check(
+            ablation_multiclient(setup, client_sets=("U-W-100", "S-W-100"))
+        )
+        assert "clients: U-W-100, S-W-100;" in clients.notes
+        drifting = check(ablation_drifting_hotspot(setup, n_queries=50))
+        assert drifting.notes.startswith("50 window queries")
