@@ -28,10 +28,10 @@ update takes a lock, and no thread writes another thread's record.
 **Miss coalescing.**  Concurrent misses on the same page would each issue
 the identical disk read.  A per-shard in-flight table makes the first
 misser the *loader* (it reads the disk outside the shard lock, then admits
-the page); later missers wait on the loader's event and are then served
-from the frame it installed.  Exactly one disk read per coalesced group —
-waiters count as hits on the loaded frame, with the wait recorded in the
-``coalesced`` counter.
+the page); later missers wait on an event the first of them creates and
+are then served from the frame it installed.  Exactly one disk read per
+coalesced group — waiters count as hits on the loaded frame, with the wait
+recorded in the ``coalesced`` counter.
 
 **Query correlation.**  Scope ids come from one process-wide counter, and
 the current scope travels in a ``threading.local``: each thread's scope
@@ -86,7 +86,9 @@ class _InFlight:
     __slots__ = ("event", "error", "superseded")
 
     def __init__(self) -> None:
-        self.event = threading.Event()
+        #: Created by the first waiter and set by the loader, both under
+        #: the shard lock; a miss nobody waits on allocates none.
+        self.event: threading.Event | None = None
         self.error: BaseException | None = None
         #: Set by install()/discard() while the read is in flight: the
         #: bytes being loaded may describe an older version of the page
@@ -259,6 +261,8 @@ class ConcurrentBufferManager:
                         counted_miss = True
                     am_loader = True
                 else:
+                    if entry.event is None:
+                        entry.event = threading.Event()
                     am_loader = False
             if not am_loader:
                 # Another thread is already reading this page: wait without
@@ -278,7 +282,8 @@ class ConcurrentBufferManager:
                 with shard.lock:
                     del shard.inflight[page_id]
                     entry.error = exc
-                    entry.event.set()
+                    if entry.event is not None:
+                        entry.event.set()
                 raise
             with shard.lock:
                 self._bind(manager, query_id)
@@ -305,7 +310,8 @@ class ConcurrentBufferManager:
                     raise
                 finally:
                     del shard.inflight[page_id]
-                    entry.event.set()
+                    if entry.event is not None:
+                        entry.event.set()
 
     def install(self, page: Page) -> None:
         """Place a newly allocated page into its shard without a disk read."""

@@ -4,9 +4,10 @@ A frame records logical timestamps (the buffer's access counter, never wall
 clock — experiments must be deterministic), the id of the query that last
 touched the page (for LRU-K's correlated-access rule), a pin count, a dirty
 flag, and a small cache for the spatial criteria, which are pure functions
-of the page content and therefore computed at most once per load (the paper
-notes that area and margin cause "only a small overhead" when a page is
-loaded; caching keeps EO affordable too).
+of the page content: it memoises, for one load, the values the page version
+keeps itself (see :func:`~repro.buffer.policies.spatial.spatial_criterion`;
+the paper notes that area and margin cause "only a small overhead" when a
+page is loaded; caching keeps EO affordable too).
 
 :class:`FrameTable` is the hot-path container behind
 :class:`~repro.buffer.manager.BufferManager` (and the metadata-only ghost
@@ -71,7 +72,7 @@ class Frame:
     access_count: int = 1
     pin_count: int = 0
     dirty: bool = False
-    #: Cache for spatial criteria, keyed by criterion name ("A", "EA", ...).
+    #: Per-load memo of spatial criteria, keyed by name ("A", "EA", ...).
     crit_cache: dict[str, float] = field(default_factory=dict)
     #: Index into the owning :class:`FrameTable`'s slot pool; ``-1`` for
     #: frames built outside a pool (ghost frames, standalone tests).

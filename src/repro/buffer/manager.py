@@ -19,8 +19,9 @@ Hot path.  Resident frames live in a :class:`~repro.buffer.frames.FrameTable`
 (slot pool + intrusive recency chain), and ``fetch`` is *rebound per
 instance*: while no observer, durability seam or tuning tap is attached,
 requests run through one closure compiled by :meth:`_refresh_fast_path` —
-one dict probe, inline accounting, a deferred chain splice, and the policy's
-``on_hit`` only when the policy overrides it.  Attaching any seam (they are
+one dict probe, inline accounting, a deferred chain splice on a hit, the
+read-evict-admit sequence inline on a miss, and each policy hook only when
+the policy overrides it.  Attaching any seam (they are
 properties) swaps the class-level reference path
 (:meth:`begin_request` / :meth:`serve_hit` / :meth:`complete_miss`) back in;
 both paths leave the same clock, stats, recency order and frame stamps, so
@@ -138,13 +139,14 @@ class BufferManager:
         """Rebind ``fetch`` to the inlined fast path iff no seam is live.
 
         The fast path assumes: no observer to emit to, no durability tick,
-        no tuning tap.  The policy's ``on_hit`` is *elided* (not called at
-        all) when the policy inherits the base no-op — checked by identity
-        against :class:`~repro.buffer.policies.base.ReplacementPolicy`, so
-        a policy that overrides the hook always receives it.
+        no tuning tap.  The policy's ``on_hit``, ``on_load`` and
+        ``on_evict`` are *elided* (not called at all) when the policy
+        inherits the base no-op — checked by identity against
+        :class:`~repro.buffer.policies.base.ReplacementPolicy`, so a policy
+        that overrides a hook always receives it.
 
         The path is built as a closure so the frame table, its bound
-        ``get``, the stats object and the hook are free variables instead
+        methods, the stats object and the hooks are free variables instead
         of per-request attribute lookups.  All of them are stable for the
         life of the manager (``clear()`` resets them in place); anything
         that can change — policy, seams — rebuilds the closure through the
@@ -153,10 +155,9 @@ class BufferManager:
         from repro.buffer.policies.base import ReplacementPolicy
 
         # Back to the class-level reference fetch; it serves every request
-        # while a seam is live, and the fast path's misses otherwise.
-        # ``del``, not ``__dict__.pop``: touching ``__dict__`` materialises
-        # it, which de-specialises every attribute load of the hot path on
-        # CPython 3.11+ (measured: -25 % on hits).
+        # while a seam is live.  ``del``, not ``__dict__.pop``: touching
+        # ``__dict__`` materialises it, which de-specialises every attribute
+        # load of the hot path on CPython 3.11+ (measured: -25 % on hits).
         try:
             del self.fetch
         except AttributeError:
@@ -169,15 +170,21 @@ class BufferManager:
             return
 
         policy = self._policy
-        if type(policy).on_hit is ReplacementPolicy.on_hit:
-            hook = None
-        else:
-            hook = policy.on_hit
+        hook, on_load, on_evict = (
+            None
+            if getattr(type(policy), name) is getattr(ReplacementPolicy, name)
+            else getattr(policy, name)
+            for name in ("on_hit", "on_load", "on_evict")
+        )
         mgr = self
         table = self.frames
         get = table.get
+        admit = table.admit
+        remove = table.remove
+        capacity = self.capacity
+        victim_of = self._victim
+        writeback = self.writeback_frame
         stats = self._stats
-        miss = self.fetch
         length = len
         limit = table.PENDING_LIMIT
         pending = table.pending
@@ -188,25 +195,40 @@ class BufferManager:
             """Seam-free ``fetch``: the reference steps, inlined.
 
             Clock, stats and frame stamps are eager and equal the
-            reference path's exactly; only the chain splice is deferred
-            (see :meth:`FrameTable.move_to_tail`).  The hook runs *before*
-            the timestamp renewal and the recency append — ASB reads the
-            pre-renewal recency (its chain walk enters through the
-            flushing ``tail`` property, so deferred renewals of earlier
+            reference path's exactly; only the chain splice of a hit is
+            deferred (see :meth:`FrameTable.move_to_tail`).  The hook runs
+            *before* the timestamp renewal and the recency append — ASB
+            reads the pre-renewal recency (its chain walk enters through
+            the flushing ``tail`` property, so deferred renewals of earlier
             requests are applied, and this request's own renewal is not
-            yet pending).
+            yet pending).  A miss makes the reference path's calls in its
+            order — read, victim, write-back, removal, ``on_evict``,
+            admission, ``on_load`` — and fails where it fails.
             """
             frame = get(page_id)
-            if frame is None:
-                # No state was touched yet: the reference path takes over.
-                return miss(page_id)
             mgr._clock = clock = mgr._clock + 1
             stats.requests += 1
-            stats.hits += 1
             if mgr._in_query:
                 query_id = mgr._query_id
             else:
                 mgr._query_id = query_id = mgr._query_id + 1
+            if frame is None:
+                stats.misses += 1
+                # Looked up per miss: callers wrap or replace the disk.
+                page = mgr.disk.read(page_id)
+                if length(table) >= capacity:
+                    victim = victim_of()
+                    if victim.dirty:
+                        writeback(victim)
+                    remove(victim.page.page_id)
+                    stats.evictions += 1
+                    if on_evict is not None:
+                        on_evict(victim)
+                frame = admit(page, clock, query_id)
+                if on_load is not None:
+                    on_load(frame)
+                return page
+            stats.hits += 1
             if hook is not None:
                 hook(frame, frame.last_query == query_id)
             frame.last_access = clock
@@ -353,13 +375,13 @@ class BufferManager:
     def _admit(self, page: Page) -> Frame:
         """Place a freshly read page into a frame, evicting if needed."""
         if len(self.frames) >= self.capacity:
-            self._evict_one()
+            self._drop(self._victim())
         frame = self.frames.admit(page, self._clock, self._query_id)
         self._policy.on_load(frame)
         return frame
 
-    def _evict_one(self) -> None:
-        """Ask the policy for a victim and drop it (writing back if dirty).
+    def _victim(self) -> Frame:
+        """The resident, unpinned frame the policy picks to make room.
 
         Raises :class:`BufferFullError` when every resident frame is
         pinned — guaranteed here at the manager level, so no policy's
@@ -377,9 +399,9 @@ class BufferManager:
             raise RuntimeError(
                 f"policy selected page {victim_id}, which is not resident"
             )
-        if frame.pinned:
+        if frame.pin_count:
             raise RuntimeError(f"policy selected pinned page {victim_id}")
-        self._drop(frame)
+        return frame
 
     def _drop(self, frame: Frame) -> None:
         # The evict event reports whether the eviction *found* the frame

@@ -35,8 +35,8 @@ it keeps no state about pages that left the buffer.
 Neither decision walks the buffer (docs/architecture.md "Hot path" has the
 invariants).  The overflow comparison is two ``bisect`` probes into sorted
 lists of the overflow pages' recency stamps and criterion values — both
-fixed while a page sits there.  The main part is a recency-ordered list of
-blocks of about sqrt(main_capacity) frames, each remembering its
+fixed while a page sits there.  The main part is a recency-ordered linked
+list of blocks of about sqrt(main_capacity) frames, each remembering its
 first-minimum criterion frame, so the candidate set's minimum is the best
 of some whole blocks plus one partial block.  Hits on main pages do not
 touch the blocks; whichever call next changes the main part first moves
@@ -47,9 +47,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
-from itertools import chain
+from itertools import islice
 from math import isqrt
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.buffer.frames import Frame
 from repro.buffer.manager import BufferFullError, BufferManager
@@ -60,16 +60,22 @@ from repro.storage.page import PageId
 
 
 class _Block:
-    """A run of main-part frames, adjacent and ascending in recency."""
+    """A run of main-part frames, adjacent and ascending in recency.
 
-    __slots__ = ("frames", "min_frame", "min_value")
+    The blocks form a ring through ASB's empty sentinel block, least
+    recently used first, and a block keeps its frames as the keys of a
+    dict: both drop a member in O(1) and keep the order of the rest.
+    """
+
+    __slots__ = ("frames", "min_frame", "min_value", "prev", "next")
 
     def __init__(self) -> None:
-        self.frames: list[Frame] = []
+        self.frames: dict[Frame, None] = {}
         #: First frame of the run at its smallest criterion, or ``None``
         #: when unknown (a frame joined, the minimum left or was updated).
         self.min_frame: Frame | None = None
         self.min_value = 0.0
+        self.prev = self.next = self
 
 
 class ASB(ReplacementPolicy):
@@ -99,15 +105,15 @@ class ASB(ReplacementPolicy):
         self.record_trace = record_trace
         self.name = "ASB"
         # Membership of the two buffer parts.  The main part maps each
-        # *frame* (identity-hashed) to its block; ``_blocks`` holds the
-        # blocks least-recently-used first, in the order the recency chain
-        # had at clock ``_synced``.  The overflow dict is page-id keyed and
-        # ordered oldest-first, i.e. FIFO order; its values are the page's
-        # (last access, criterion) as filed in the two sorted lists.  A
-        # frame object can never linger: ``on_evict`` always runs before
-        # the manager recycles a frame.
+        # *frame* (identity-hashed) to its block; the blocks follow the
+        # sentinel ``_ring``, least-recently-used first, in the order the
+        # recency chain had at clock ``_synced``.  The overflow dict is
+        # page-id keyed and ordered oldest-first, i.e. FIFO order; its
+        # values are the page's (last access, criterion) as filed in the
+        # two sorted lists.  A frame object can never linger: ``on_evict``
+        # always runs before the manager recycles a frame.
         self._block_of: dict[Frame, _Block] = {}
-        self._blocks: list[_Block] = []
+        self._ring = _Block()
         self._block_limit = 2
         self._synced = 0
         self._overflow: OrderedDict[PageId, tuple[int, float]] = OrderedDict()
@@ -126,6 +132,7 @@ class ASB(ReplacementPolicy):
 
     def attach(self, buffer: BufferManager) -> None:
         super().attach(buffer)
+        self._frames = buffer.frames  # for good; skips the property chain
         self.overflow_capacity = int(round(self.overflow_fraction * buffer.capacity))
         if self.overflow_capacity >= buffer.capacity:
             self.overflow_capacity = buffer.capacity - 1
@@ -150,8 +157,21 @@ class ASB(ReplacementPolicy):
     # ------------------------------------------------------------------
 
     def on_load(self, frame: Frame) -> None:
-        """A new page enters the main part, demoting a main page if full."""
-        self._enter_main(frame)
+        """A new page enters the main part at the MRU end, as a promoted
+        one does; a full main part first demotes its SLRU victim into the
+        overflow buffer."""
+        self._sync()
+        if len(self._block_of) >= self.main_capacity:
+            victim, value = self._main_victim()
+            # With every main page pinned the main part exceeds its nominal
+            # share rather than evicting a pinned page.
+            if victim is not None:
+                self._leave_main(victim)
+                stamp = victim.last_access
+                self._overflow[victim.page.page_id] = (stamp, value)
+                insort(self._overflow_stamps, stamp)
+                insort(self._overflow_crits, value)
+        self._append(frame)
 
     def on_hit(self, frame: Frame, correlated: bool) -> None:
         """Promote overflow hits back to the main part, adapting the knob.
@@ -168,7 +188,7 @@ class ASB(ReplacementPolicy):
         if page_id not in self._overflow:
             return
         self._adapt(frame, *self._leave_overflow(page_id))
-        self._enter_main(frame)
+        self.on_load(frame)
         observer = self.observer
         if observer is not None:
             observer.emit(
@@ -203,7 +223,7 @@ class ASB(ReplacementPolicy):
 
     def reset(self) -> None:
         self._block_of.clear()
-        self._blocks.clear()
+        self._ring.prev = self._ring.next = self._ring
         self._synced = 0
         self._overflow.clear()
         self._overflow_stamps.clear()
@@ -301,24 +321,34 @@ class ASB(ReplacementPolicy):
         change the main part do, so a hit's share is amortised O(1).
         """
         synced = self._synced
-        block_of = self._block_of
-        touched = []
-        frame = self.buffer.frames.tail
+        oldest = None
+        frame = self._frames.tail
         while frame is not None and frame.last_access > synced:
-            if frame in block_of:
-                touched.append(frame)
+            oldest = frame
             frame = frame.lru_prev
-        self._synced = self.buffer.clock
-        for frame in reversed(touched):
-            self._leave_main(frame)
-            self._append(frame)
+        self._synced = self._buffer.clock
+        block_of = self._block_of
+        while oldest is not None:
+            if oldest in block_of:
+                self._leave_main(oldest)
+                self._append(oldest)
+            oldest = oldest.lru_next
+
+    def _blocks(self) -> Iterator[_Block]:
+        """The blocks, least recently used first."""
+        block = self._ring.next
+        while block is not self._ring:
+            yield block
+            block = block.next
 
     def _append(self, frame: Frame) -> None:
-        blocks = self._blocks
-        if not blocks or len(blocks[-1].frames) >= self._block_limit:
-            blocks.append(_Block())
-        block = blocks[-1]
-        block.frames.append(frame)
+        ring = self._ring
+        block = ring.prev
+        if block is ring or len(block.frames) >= self._block_limit:
+            block = _Block()
+            block.prev, block.next = ring.prev, ring
+            ring.prev.next = ring.prev = block
+        block.frames[frame] = None
         # Unknown rather than updated: the newcomer's criterion is read
         # when a victim walk reaches it, as the full walk would.
         block.min_frame = None
@@ -327,25 +357,22 @@ class ASB(ReplacementPolicy):
     def _leave_main(self, frame: Frame) -> None:
         block = self._block_of.pop(frame)
         frames = block.frames
-        frames.remove(frame)
+        del frames[frame]
         if block.min_frame is frame:
             block.min_frame = None
         if 2 * len(frames) > self._block_limit:
             return
         # A block at half size or less folds into a neighbour with room,
         # which keeps the block count O(main / limit).
-        blocks = self._blocks
-        index = blocks.index(block)
         if not frames:
-            del blocks[index]
+            block.prev.next, block.next.prev = block.next, block.prev
             return
-        for left in (index, index - 1):
-            if 0 <= left < len(blocks) - 1:
-                head, rest = blocks[left], blocks[left + 1]
-                if len(head.frames) + len(rest.frames) <= self._block_limit:
-                    self._merge(head, rest)
-                    del blocks[left + 1]
-                    return
+        ring = self._ring
+        limit = self._block_limit - len(frames)
+        if block.next is not ring and len(block.next.frames) <= limit:
+            self._merge(block, block.next)
+        elif block.prev is not ring and len(block.prev.frames) <= limit:
+            self._merge(block.prev, block)
 
     def _merge(self, head: _Block, rest: _Block) -> None:
         """Fold ``rest`` into ``head``, the block just before it."""
@@ -354,17 +381,11 @@ class ASB(ReplacementPolicy):
         elif rest.min_value < head.min_value:
             head.min_frame = rest.min_frame
             head.min_value = rest.min_value
-        head.frames.extend(rest.frames)
+        head.frames.update(rest.frames)
         block_of = self._block_of
         for frame in rest.frames:
             block_of[frame] = head
-
-    def _enter_main(self, frame: Frame) -> None:
-        """``frame`` joins the main part at the MRU end; a full one demotes."""
-        self._sync()
-        if len(self._block_of) >= self.main_capacity:
-            self._demote_main_victim()
-        self._append(frame)
+        head.next, rest.next.prev = rest.next, head
 
     def _leave_overflow(self, page_id: PageId) -> tuple[int, float]:
         """Unfile an overflow page; returns its (last access, criterion)."""
@@ -377,10 +398,10 @@ class ASB(ReplacementPolicy):
 
     def _rekey(self) -> None:
         """The criterion changed: every remembered value is void."""
-        for block in self._blocks:
+        for block in self._blocks():
             block.min_frame = None
         criterion = self.criterion
-        lookup = self.buffer.frames.get
+        lookup = self._frames.get
         overflow = self._overflow
         for page_id, (stamp, _) in overflow.items():
             overflow[page_id] = (
@@ -393,25 +414,22 @@ class ASB(ReplacementPolicy):
         self, frames: Iterable[Frame], count: int
     ) -> tuple[Frame | None, float]:
         """First frame at the smallest criterion, and that value, among the
-        first ``count`` unpinned of ``frames`` (blocks, in recency order)."""
+        first ``count`` of ``frames`` (unpinned, in recency order)."""
         criterion = self.criterion
         victim: Frame | None = None
         best = 0.0
-        for frame in frames:
-            if count <= 0:
-                break
-            if frame.pin_count == 0:
-                count -= 1
-                value = frame.crit_cache.get(criterion)
-                if value is None:
-                    value = spatial_criterion(frame, criterion)
-                if victim is None or value < best:
-                    victim = frame
-                    best = value
+        for frame in islice(frames, count):
+            value = frame.crit_cache.get(criterion)
+            if value is None:
+                value = spatial_criterion(frame, criterion)
+            if victim is None or value < best:
+                victim = frame
+                best = value
         return victim, best
 
-    def _main_victim(self) -> Frame | None:
-        """The SLRU victim of the main part, or ``None`` if all pinned.
+    def _main_victim(self) -> tuple[Frame | None, float]:
+        """The SLRU victim of the main part and its criterion; ``None``
+        (and 0.0) if all are pinned.
 
         The ``candidate_size`` least-recently-used unpinned main pages are
         the candidates, the first one at the smallest criterion the victim
@@ -426,40 +444,37 @@ class ASB(ReplacementPolicy):
         scan goes frame by frame over the same blocks instead.
         """
         count = self._candidate_size
-        if self.buffer.pinned_count:
-            frames = chain.from_iterable(block.frames for block in self._blocks)
-            return self._scan(frames, count)[0]
+        if self._buffer.pinned_count:
+            unpinned = (
+                frame
+                for block in self._blocks()
+                for frame in block.frames
+                if frame.pin_count == 0
+            )
+            return self._scan(unpinned, count)
         victim: Frame | None = None
         best = 0.0
-        for block in self._blocks:
+        ring = self._ring
+        block = ring.next
+        while block is not ring:
             frames = block.frames
-            if len(frames) > count:
+            size = len(frames)
+            if size > count:
                 frame, value = self._scan(frames, count)
+            elif block.min_frame is None:
+                frame, value = block.min_frame, block.min_value = self._scan(
+                    frames, count
+                )
             else:
-                if block.min_frame is None:
-                    block.min_frame, block.min_value = self._scan(frames, count)
                 frame, value = block.min_frame, block.min_value
             if victim is None or value < best:
                 victim = frame
                 best = value
-            count -= len(frames)
+            count -= size
             if count <= 0:
                 break
-        return victim
-
-    def _demote_main_victim(self) -> None:
-        """Move the SLRU victim of the main part into the overflow buffer."""
-        victim = self._main_victim()
-        if victim is None:
-            # Every main page is pinned; let the main part exceed its
-            # nominal share rather than evicting a pinned page.
-            return
-        self._leave_main(victim)
-        stamp = victim.last_access
-        value = spatial_criterion(victim, self.criterion)
-        self._overflow[victim.page.page_id] = (stamp, value)
-        insort(self._overflow_stamps, stamp)
-        insort(self._overflow_crits, value)
+            block = block.next
+        return victim, best
 
     def select_victim(self) -> PageId:
         """The FIFO head of the overflow buffer leaves memory.
@@ -468,15 +483,15 @@ class ASB(ReplacementPolicy):
         buffer too small to have one) the policy degenerates to SLRU on the
         main part.
         """
-        lookup = self.buffer.frames.get
+        lookup = self._frames.get
         for page_id in self._overflow:
             if lookup(page_id).pin_count == 0:
                 return page_id
         self._sync()
-        victim = self._main_victim()
+        victim = self._main_victim()[0]
         if victim is None:
             raise BufferFullError("all resident pages are pinned")
-        return victim.page_id
+        return victim.page.page_id
 
     # ------------------------------------------------------------------
     # Introspection (reports, tests, Fig. 14)

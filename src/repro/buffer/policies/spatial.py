@@ -18,10 +18,11 @@ in the paper's victim rule: compute the set ``C`` of minimal-criterion
 pages, and pick from ``C`` by LRU.
 
 Criterion values are pure functions of the page content; they are computed
-when first needed and cached on the frame (invalidated when the page is
-dirtied), matching the paper's remark that area/margin cost "only a small
-overhead when a new page is loaded into the buffer" while the overlap is
-costlier and worth materialising.
+when first needed, kept with the page version they describe (dropped with
+it when the page is dirtied) and memoised on the frame, matching the
+paper's remark that area/margin cost "only a small overhead when a new page
+is loaded into the buffer" while the overlap is costlier and worth
+materialising.
 """
 
 from __future__ import annotations
@@ -72,12 +73,18 @@ SPATIAL_CRITERIA: dict[str, Callable[[Page], float]] = {
 
 
 def spatial_criterion(frame: Frame, criterion: str) -> float:
-    """Criterion value of a frame's page, cached on the frame."""
-    cached = frame.crit_cache.get(criterion)
-    if cached is not None:
-        return cached
-    value = SPATIAL_CRITERIA[criterion](frame.page)
-    frame.crit_cache[criterion] = value
+    """Criterion value of a frame's page, computed once per page version:
+    kept with the page's image or scan block (``Page._derived``), so a page
+    loaded again brings it along, and memoised on the frame."""
+    cache = frame.crit_cache
+    value = cache.get(criterion)
+    if value is None:
+        page = frame.page
+        kept = page._derived()
+        value = kept.get(criterion)
+        if value is None:
+            value = kept[criterion] = SPATIAL_CRITERIA[criterion](page)
+        cache[criterion] = value
     return value
 
 

@@ -148,7 +148,8 @@ class SimulatedDisk(FailureInjectionMixin):
 
     def read(self, page_id: PageId) -> Page:
         """Read a page, counting one disk access."""
-        self._check_failure("read", page_id)
+        if self.fail_reads or self._transient_failures:
+            self._check_failure("read", page_id)
         try:
             page = self._pages[page_id]
         except KeyError:

@@ -22,7 +22,9 @@ An unpacked page that has been scanned (:meth:`Page.matching`) keeps a
 entry refers to, and the page MBR.  Walking ~45 entry objects costs a cache
 miss per object once the heap is larger than the cache; the block is read
 front to back.  It is derived data with a two-part validity rule, see
-:meth:`Page.matching`.
+:meth:`Page.matching`.  The image and the block also keep the page's
+spatial criteria once computed, so each is computed once per version of the
+page, not once per load.
 """
 
 from __future__ import annotations
@@ -184,7 +186,7 @@ class Page:
         """
         image = self._packed()
         if image is not None:
-            return image.mbr()
+            return image.mbr
         entries = self.entries
         if not entries:
             return None
@@ -206,6 +208,16 @@ class Page:
             return block
         return None
 
+    def _derived(self) -> dict:
+        """Values derived from the page as it is now (its spatial criteria),
+        kept with its image or its scan block and valid as long as they
+        are; without either, a dict nobody keeps."""
+        image = self._packed()
+        if image is not None:
+            return image._derived
+        block = self._scan_if_valid(self.entries)
+        return {} if block is None else block[6]
+
     def matching(self, window: Rect) -> list[Any]:
         """What the entries whose MBR meets ``window`` refer to, in entry
         order: payloads on a leaf (level 0), child page ids above.
@@ -225,8 +237,8 @@ class Page:
         field or the page's ``level`` — is followed by ``mark_dirty``
         (:meth:`~repro.sam.base.SpatialIndex._mark_dirty`,
         :meth:`~repro.buffer.manager.BufferManager.mark_dirty`), which
-        calls :meth:`drop_scan`; cached spatial criteria
-        (``Frame.crit_cache``) live by the same rule.
+        calls :meth:`drop_scan`; the spatial criteria kept in the block
+        (:meth:`_derived`) live and die with it.
 
         No lock.  Threads sharing the page may each build the block: the
         blocks are equal, one store installs either, and a thread that took
@@ -252,6 +264,10 @@ class Page:
                     if entry.mbr.intersects(window)
                 ]
             self._scan = block
+        mbr = block[5]
+        if mbr is not None and window.contains(mbr):
+            # Every entry lies inside the page MBR, so it meets the window.
+            return list(block[4])
         w_x_min, w_y_min, w_x_max, w_y_max = window.as_tuple()
         # One iterator four times: zip draws x_min, y_min, x_max, y_max of
         # an entry in turn.  The test is Rect.intersects, inlined.
@@ -285,9 +301,10 @@ class Page:
             return True
         entries = self.entries
         block = self._scan_if_valid(entries)
-        return block is None or block == _scan_block(
-            entries, self.level == 0, self._scan_epoch
-        )
+        # Derived values (the last item) follow from the rest on demand.
+        return block is None or block[:6] == (
+            _scan_block(entries, self.level == 0, self._scan_epoch) or ()
+        )[:6]
 
     def entry_mbrs(self) -> list[Rect]:
         """The MBRs of all entries (inputs of the EA, EM, EO criteria)."""
@@ -318,12 +335,13 @@ _ENTRIES_SLOT = Page.__dict__["entries"]
 def _scan_block(entries: list[PageEntry], leaf: bool, epoch: int) -> tuple | None:
     """The scan block of a page holding ``entries``, or ``None``.
 
-    ``(entries, count, epoch, coords, refs, mbr)``: the stamp (the list
-    itself, its length when read, the page's ``_scan_epoch`` from before
-    that), ``x_min, y_min, x_max, y_max`` of entry 0, 1, … as one
-    ``array('d')``, what each entry refers to (payload on a leaf, child
-    above), and the page MBR (``None`` for an empty page).  The tuple is
-    immutable and complete before anyone can see it.
+    ``(entries, count, epoch, coords, refs, mbr, derived)``: the stamp
+    (the list itself, its length when read, the page's ``_scan_epoch``
+    from before that), ``x_min, y_min, x_max, y_max`` of entry 0, 1, … as
+    one ``array('d')``, what each entry refers to (payload on a leaf, child
+    above), the page MBR (``None`` for an empty page), and the dict
+    :meth:`Page._derived` hands out.  The tuple is complete before anyone
+    can see it.
 
     Exact or absent: a coordinate a C double does not hold exactly (an
     integer beyond 2**53, a NaN, a ``Fraction``) yields no block, so a scan
@@ -351,7 +369,7 @@ def _scan_block(entries: list[PageEntry], leaf: bool, epoch: int) -> tuple | Non
         if flat
         else None
     )
-    return entries, len(snapshot), epoch, coords, refs, mbr
+    return entries, len(snapshot), epoch, coords, refs, mbr, {}
 
 
 def seed_page(page_id: PageId, payload: Any = None) -> Page:

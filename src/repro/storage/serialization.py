@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import io
 import struct
-from operator import gt
+from operator import gt, le
 from pathlib import Path
 
 from repro.geometry.rect import Rect
@@ -68,41 +68,31 @@ class PageImage:
     Built by :func:`read_page` only, after the checks of
     :func:`decode_page` have passed, and never changed: a packed
     :class:`~repro.storage.page.Page` answers from it until its entries
-    are first read, then lets go of it.
+    are first read, then lets go of it and of what it keeps.
     """
 
-    __slots__ = ("blob", "count")
+    __slots__ = ("blob", "count", "mbr", "_hull", "_derived")
 
-    def __init__(self, blob: bytes, count: int) -> None:
+    def __init__(
+        self, blob: bytes, count: int, mbr: Rect | None, hull: Rect | None
+    ) -> None:
         self.blob = blob
         self.count = count
+        #: As :func:`~repro.geometry.rect.mbr_of_rects` over the entries.
+        self.mbr = mbr
+        #: ``mbr`` when no bound is a NaN, else ``None``: a window that
+        #: contains it meets every entry.
+        self._hull = hull
+        #: What ``Page._derived`` hands out for the page while packed.
+        self._derived: dict = {}
 
     def _columns(self) -> tuple:
         """``x_min, y_min, x_max, y_max, child, payload`` of entry 0, 1, …
         in one flat tuple: column ``k`` is the slice ``[k::6]``."""
         return _body(self.count).unpack_from(self.blob, _HEADER.size)
 
-    def ordered(self) -> bool:
-        """No entry has ``x_min > x_max`` or ``y_min > y_max`` — the one
-        check :class:`~repro.geometry.rect.Rect` makes per entry."""
-        flat = self._columns()
-        return not (
-            any(map(gt, flat[0::6], flat[2::6]))
-            or any(map(gt, flat[1::6], flat[3::6]))
-        )
-
     def entries(self) -> list[PageEntry]:
         return _entries(self.blob, self.count)
-
-    def mbr(self) -> Rect | None:
-        """As :func:`~repro.geometry.rect.mbr_of_rects` over the entries:
-        ``min``/``max`` keep the first extreme, as its comparisons do."""
-        if not self.count:
-            return None
-        flat = self._columns()
-        return Rect(
-            min(flat[0::6]), min(flat[1::6]), max(flat[2::6]), max(flat[3::6])
-        )
 
     def children(self) -> list[PageId]:
         return [child for child in self._columns()[4::6] if child >= 0]
@@ -111,6 +101,10 @@ class PageImage:
         """:meth:`Page.matching <repro.storage.page.Page.matching>` over the
         slot bytes: no entry object is built.  A negative child or payload
         is ``None``, as :func:`_entries` decodes it."""
+        hull = self._hull
+        if hull is not None and window.contains(hull):
+            column = 5 if leaf else 4
+            return [None if ref < 0 else ref for ref in self._columns()[column::6]]
         w_x_min, w_y_min, w_x_max, w_y_max = window.as_tuple()
         # iter_unpack wants whole records; a copy for the reason _entries has.
         body = self.blob[_HEADER.size : _HEADER.size + self.count * _ENTRY.size]
@@ -241,10 +235,20 @@ def read_page(blob: bytes, page_id: PageId) -> Page:
     """
     blob = bytes(blob)
     page_type, level, count = _header(blob, page_id)
-    image = PageImage(blob, count)
+    flat = _body(count).unpack_from(blob, _HEADER.size)
+    x_min, y_min, x_max, y_max = flat[0::6], flat[1::6], flat[2::6], flat[3::6]
+    # Ordered and free of NaN bounds (no comparison with a NaN is true); a
+    # slot that is not ordered fails the one check Rect makes per entry.
+    exact = all(map(le, x_min, x_max)) and all(map(le, y_min, y_max))
+    unordered = not exact and (
+        any(map(gt, x_min, x_max)) or any(map(gt, y_min, y_max))
+    )
     used = _HEADER.size + count * _ENTRY.size
-    if not image.ordered() or blob[used:] != bytes(len(blob) - used):
+    if unordered or blob[used:] != bytes(len(blob) - used):
         return decode_page(blob, page_id)
+    # min/max keep the first extreme, as mbr_of_rects' comparisons do.
+    mbr = Rect(min(x_min), min(y_min), max(x_max), max(y_max)) if count else None
+    image = PageImage(blob, count, mbr, mbr if exact else None)
     return Page.packed(page_id, page_type, level, image)
 
 

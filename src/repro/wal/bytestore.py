@@ -35,15 +35,19 @@ class ByteStore(Protocol):
 
 
 class MemoryByteStore:
-    """A growable in-memory medium (the default for experiments)."""
+    """A growable in-memory medium (the default for experiments).  Mounted
+    on an image, it reads the image's ``bytes`` in place and copies them on
+    its first write: a log that recovery only scans costs no second copy."""
 
     def __init__(self, initial: bytes = b"") -> None:
-        self._buffer = bytearray(initial)
+        self._buffer = initial if initial and type(initial) is bytes else bytearray(initial)
 
     def read_at(self, offset: int, length: int) -> bytes:
         return bytes(self._buffer[offset : offset + length])
 
     def write_at(self, offset: int, data: bytes) -> None:
+        if type(self._buffer) is bytes:
+            self._buffer = bytearray(self._buffer)
         end = offset + len(data)
         if end > len(self._buffer):
             self._buffer.extend(b"\x00" * (end - len(self._buffer)))

@@ -45,6 +45,7 @@ do not abort background cleaning or redo.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import TYPE_CHECKING
 
@@ -100,7 +101,9 @@ class DurabilityManager:
         self.page_lsn: dict[PageId, int] = {}
         self._writer = RetryingDisk(disk, retry or RetryPolicy(), sleeper)
         self._lock = threading.RLock()
-        self._requests = 0
+        # ``next()`` on an itertools.count is atomic under CPython, so
+        # counting requests takes no lock.
+        self._requests = itertools.count(1)
 
     # ------------------------------------------------------------------
     # Hooks called by the buffer managers
@@ -143,9 +146,7 @@ class DurabilityManager:
         already holds its shard lock (if any); frames of *other* shards
         are never touched here.
         """
-        with self._lock:
-            self._requests += 1
-            requests = self._requests
+        requests = next(self._requests)
         if self.flush_interval and requests % self.flush_interval == 0:
             self.flush_cold(buffer)
         if self.checkpoint_interval and requests % self.checkpoint_interval == 0:

@@ -1,9 +1,10 @@
 """ARIES-style redo recovery: replay the durable log onto the data disk.
 
-The write path logs **full page images**, so recovery is a single redo
-pass: scan the durable, checksum-valid log prefix, find the last complete
-CHECKPOINT record, and re-apply every later PAGE_IMAGE / FREE record in
-LSN order.  Full-image redo is idempotent — recovering twice, or
+The write path logs **full page images**, so recovery is one redo pass
+after an analysis pass: one scan of the durable, checksum-valid log prefix
+finds the last complete CHECKPOINT record, a second re-applies every later
+PAGE_IMAGE / FREE record in LSN order; neither holds more than one record.
+Full-image redo is idempotent — recovering twice, or
 re-applying records whose effect already reached the disk, converges to
 the same image — and repairs torn page slots (their covering record is
 durable by the WAL invariant).
@@ -73,17 +74,18 @@ def recover(
     Slot restores run under bounded retry, so a transient disk failure
     during redo does not abort recovery.
     """
-    records = list(wal.records())
-    report = RecoveryReport(records_scanned=len(records))
+    report = RecoveryReport()
     redo_from = 0
-    for record in records:
+    for record in wal.records():
+        report.records_scanned += 1
+        report.last_lsn = record.lsn
         if record.kind == CHECKPOINT:
             redo_from = record.lsn
             report.checkpoints_seen += 1
         elif record.kind == COMMIT:
             report.commits_seen += 1
     report.redo_from_lsn = redo_from
-    for record in records:
+    for record in wal.records():
         if record.lsn <= redo_from:
             continue
         if record.kind == PAGE_IMAGE:
@@ -96,9 +98,6 @@ def recover(
         elif record.kind == FREE:
             disk.delete(record.page_id)
             report.frees_redone += 1
-        report.last_lsn = record.lsn
-    if records:
-        report.last_lsn = max(report.last_lsn, records[-1].lsn)
     if observer is not None:
         observer.emit(
             BufferEvent(

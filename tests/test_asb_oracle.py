@@ -185,14 +185,19 @@ def check_index(policy: ASB, frames) -> None:
         assert stamp == frame.last_access
         assert value == spatial_criterion(frame, policy.criterion)
     seen = 0
-    for block in policy._blocks:
+    previous = policy._ring
+    for block in policy._blocks():
+        assert block.prev is previous
         assert 0 < len(block.frames) <= policy._block_limit
         assert all(policy._block_of[frame] is block for frame in block.frames)
         seen += len(block.frames)
         if block.min_frame is not None and not any(f.pin_count for f in block.frames):
-            values = [spatial_criterion(frame, policy.criterion) for frame in block.frames]
+            frames = list(block.frames)
+            values = [spatial_criterion(frame, policy.criterion) for frame in frames]
             assert block.min_value == min(values)
-            assert block.min_frame is block.frames[values.index(block.min_value)]
+            assert block.min_frame is frames[values.index(block.min_value)]
+        previous = block
+    assert policy._ring.prev is previous and not policy._ring.frames
     assert seen == policy.main_size == len(policy._block_of)
 
 

@@ -259,6 +259,78 @@ class TestMissCoalescing:
         for shard in buffer._shards:
             assert shard.inflight == {}
 
+    @staticmethod
+    def stage_a_waiter(disk, buffer, page_id):
+        """Start a loader and hold it inside ``disk.read``; then start one
+        more misser and return once it waits on the loader's entry.
+
+        Returns ``(outcomes, threads)``; each thread appends its page or
+        its exception to ``outcomes``."""
+        outcomes = []
+
+        def fetch():
+            try:
+                outcomes.append(buffer.fetch(page_id))
+            except DiskError as exc:
+                outcomes.append(exc)
+
+        loader = threading.Thread(target=fetch, daemon=True)
+        loader.start()
+        assert disk.reading.acquire(timeout=10.0)  # inside read(), off the lock
+        entry = buffer._shards[0].inflight[page_id]
+        assert entry.event is None, "a miss nobody waits on allocates no event"
+        waiter = threading.Thread(target=fetch, daemon=True)
+        waiter.start()
+        pause = threading.Event()
+        for _ in range(1000):
+            if buffer.coalesced_misses == 1:
+                break
+            pause.wait(timeout=0.01)
+        assert buffer.coalesced_misses == 1 and entry.event is not None
+        return outcomes, [loader, waiter]
+
+    def test_a_waiter_is_served_from_the_loaders_frame(self):
+        class CopyingDisk(GatedDisk):
+            """Every read is a new page object, as on a byte medium."""
+
+            def read(self, page_id):
+                page = super().read(page_id)
+                return Page(page.page_id, page.page_type, page.level, list(page.entries))
+
+        disk = CopyingDisk()
+        for page_id in range(8):
+            disk.store(Page(page_id=page_id, page_type=PageType.DATA))
+        buffer = ConcurrentBufferManager(disk, 4, LRU, shards=1)
+        outcomes, threads = self.stage_a_waiter(disk, buffer, 3)
+        disk.gate.set()
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        frame = buffer.shard_managers()[0].frames.get(3)
+        assert len(outcomes) == 2
+        assert outcomes[0] is outcomes[1] is frame.page
+        assert disk.stats.reads == 1
+        stats = buffer.stats
+        assert (stats.requests, stats.hits, stats.misses) == (2, 1, 1)
+        assert buffer._shards[0].inflight == {}
+
+    def test_a_failed_load_raises_in_the_loader_and_the_waiter(self):
+        disk = GatedDisk()
+        disk.store(Page(page_id=0, page_type=PageType.DATA))
+        disk.fail_reads.add(0)
+        buffer = ConcurrentBufferManager(disk, 4, LRU, shards=1)
+        outcomes, threads = self.stage_a_waiter(disk, buffer, 0)
+        disk.gate.set()
+        for thread in threads:
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+        assert len(outcomes) == 2
+        assert isinstance(outcomes[0], DiskError)
+        assert outcomes[1] is outcomes[0], "the waiter raises the loader's error"
+        assert not disk.reading.acquire(blocking=False), "the waiter read nothing"
+        assert buffer._shards[0].inflight == {}
+        assert buffer.stats.misses == 1
+
     def test_install_racing_a_loader_leaves_no_chain_zombie(self):
         # install() goes straight through the shard lock and never consults
         # the in-flight table, so it can make a page resident while a miss

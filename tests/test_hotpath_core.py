@@ -1,14 +1,19 @@
 """Equivalence and deferred-state tests for the slot-based hot path.
 
-The fast path inlines the reference steps into one closure and defers only
-the recency-chain splice, which is replayed before any reader can observe
-the chain; attaching an observer forces the class-level reference path.
-These tests pin the contract between the two:
+The fast path inlines the reference steps into one closure — hits and
+misses alike — and defers only the recency-chain splice of a hit, which is
+replayed before any reader can observe the chain; attaching an observer
+forces the class-level reference path.  These tests pin the contract
+between the two:
 
-* driving the same reference string through both modes produces the same
-  hit/miss decisions, statistics, resident set, recency order, access
-  counts, clock and per-frame ``last_access`` / ``last_query`` stamps —
-  for every registered policy;
+* driving the same steps (fetches in and out of query scopes, pins, unpins,
+  in-place edits declared by ``mark_dirty``, and misses with every frame
+  pinned) through both modes produces the same outcomes, statistics, disk
+  reads and writes, resident set, recency order, access counts, clock and
+  per-frame ``loaded_at`` / ``last_access`` / ``last_query`` / dirty / pin
+  state — for every registered policy, on pages whose MBRs differ, so the
+  spatial policies rank rather than fall back to their LRU tie-break — and
+  the same ASB adaptation trace and overflow FIFO;
 * management operations (``switch_policy``, ``clear``, ``discard``)
   issued while deferred splices are pending behave exactly as if every
   hit had been spliced eagerly.
@@ -19,8 +24,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.buffer.manager import BufferManager
-from repro.buffer.policies import make_policy, policy_names
+from repro.buffer.manager import BufferFullError, BufferManager
+from repro.buffer.policies import ASB, make_policy, policy_names
 from repro.geometry.rect import Rect
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page, PageEntry, PageType
@@ -37,17 +42,27 @@ class NullSink:
         pass
 
 
+def make_page(page_id: int, width: float) -> Page:
+    """Two entries; page MBR, entry areas, margins and overlap all vary."""
+    height = 1.0 + (5 * page_id) % 11
+    page = Page(page_id=page_id, page_type=PageType.DATA)
+    page.entries.append(PageEntry(mbr=Rect(0, 0, width, height), payload=page_id))
+    page.entries.append(
+        PageEntry(mbr=Rect(width / 2, 1, width + page_id % 3, height + 1), payload=page_id)
+    )
+    return page
+
+
 def make_disk(n_pages: int = N_PAGES) -> SimulatedDisk:
     disk = SimulatedDisk()
     for page_id in range(n_pages):
-        page = Page(page_id=page_id, page_type=PageType.DATA)
-        page.entries.append(PageEntry(mbr=Rect(0, 0, 1, 1), payload=page_id))
-        disk.store(page)
+        disk.store(make_page(page_id, 1.0 + page_id % 7 + page_id / 10))
     return disk
 
 
 def make_buffer(policy_name: str, observed: bool) -> BufferManager:
-    buffer = BufferManager(make_disk(), CAPACITY, make_policy(policy_name))
+    kwargs = {"record_trace": True} if policy_name == "ASB" else {}
+    buffer = BufferManager(make_disk(), CAPACITY, make_policy(policy_name, **kwargs))
     if observed:
         buffer.observer = NullSink()
     return buffer
@@ -55,51 +70,90 @@ def make_buffer(policy_name: str, observed: bool) -> BufferManager:
 
 def snapshot(buffer: BufferManager) -> dict:
     """Everything both modes must agree on (order matters for recency)."""
-    return {
-        "requests": buffer.stats.requests,
-        "hits": buffer.stats.hits,
-        "misses": buffer.stats.misses,
-        "evictions": buffer.stats.evictions,
+    state = {
+        "stats": buffer.stats.snapshot(),
+        "disk": (buffer.disk.stats.reads, buffer.disk.stats.writes),
         "clock": buffer.clock,
+        "pinned": buffer.pinned_count,
         "recency": [frame.page.page_id for frame in buffer.frames.iter_recency()],
-        "access_counts": {
-            frame.page.page_id: frame.access_count
-            for frame in buffer.frames.values()
-        },
-        "stamps": {
-            frame.page.page_id: (frame.last_access, frame.last_query)
+        "frames": {
+            frame.page.page_id: (
+                frame.loaded_at,
+                frame.last_access,
+                frame.last_query,
+                frame.access_count,
+                frame.dirty,
+                frame.pin_count,
+            )
             for frame in buffer.frames.values()
         },
     }
+    policy = buffer.policy
+    if isinstance(policy, ASB):
+        state["asb"] = (list(policy.trace), policy.overflow_ids(), policy.candidate_size)
+    return state
 
 
-# Each step: (page_id, scoped, peek).  ``scoped`` wraps the fetch in a
-# query scope (unscoped fetches draw a fresh query id each); ``peek``
-# reads the statistics right after the fetch.
+# Each step: (kind, page_id, size).  ``fetch`` draws a fresh query id,
+# ``scoped`` fetches the page and one more inside a query scope, ``pin`` /
+# ``unpin`` hold or release a resident page (at most CAPACITY - 2 at once),
+# ``dirty`` edits a resident page in place to ``size`` wide and declares it,
+# and ``full`` pins every resident page of a full buffer and then misses.
 trace_steps = st.lists(
     st.tuples(
+        st.sampled_from(
+            ["fetch"] * 6 + ["scoped"] * 3 + ["pin", "unpin", "dirty", "full"]
+        ),
         st.integers(min_value=0, max_value=N_PAGES - 1),
-        st.booleans(),
-        st.booleans(),
+        st.integers(min_value=1, max_value=9),
     ),
     min_size=1,
     max_size=120,
 )
 
 
-def drive(buffer: BufferManager, steps) -> list[int]:
-    """Replay a trace; return the per-step miss counter (the decisions)."""
-    decisions = []
-    for page_id, scoped, peek in steps:
-        if scoped:
-            with buffer.query_scope():
-                buffer.fetch(page_id)
-        else:
+def step(buffer: BufferManager, kind: str, page_id: int, size: int) -> None:
+    if kind == "fetch":
+        buffer.fetch(page_id)
+    elif kind == "scoped":
+        with buffer.query_scope():
             buffer.fetch(page_id)
-        if peek:
-            decisions.append(buffer.stats.misses)
-    decisions.append(buffer.stats.misses)
-    return decisions
+            buffer.fetch((page_id + size) % N_PAGES)
+    elif kind == "pin":
+        if buffer.contains(page_id) and buffer.pinned_count < CAPACITY - 2:
+            buffer.pin(page_id)
+    elif kind == "unpin":
+        held = [pid for pid in buffer.resident_ids() if buffer.frames[pid].pinned]
+        if held:
+            buffer.unpin(held[page_id % len(held)])
+    elif kind == "dirty":
+        if buffer.contains(page_id):
+            page = buffer.frames[page_id].page
+            page.entries[0] = PageEntry(mbr=Rect(0, 0, size, 2.5), payload=page_id)
+            buffer.mark_dirty(page_id)
+    elif len(buffer) == CAPACITY and not buffer.contains(page_id):
+        free = [pid for pid in buffer.resident_ids() if not buffer.frames[pid].pinned]
+        for pid in free:
+            buffer.pin(pid)
+        try:
+            buffer.fetch(page_id)
+        finally:
+            for pid in free:
+                buffer.unpin(pid)
+
+
+def drive(buffer: BufferManager, steps) -> list:
+    """Replay a trace; return what each step left behind (the decisions):
+    the miss counter, or the refusal a step met."""
+    outcomes = []
+    for kind, page_id, size in steps:
+        try:
+            step(buffer, kind, page_id, size)
+        except BufferFullError as exc:
+            outcomes.append((kind, str(exc)))
+        else:
+            outcomes.append(buffer.stats.misses)
+    return outcomes
 
 
 class TestCrossModeEquivalence:
@@ -108,18 +162,43 @@ class TestCrossModeEquivalence:
     def test_fast_path_matches_decomposed_path(self, steps, policy_name):
         fast = make_buffer(policy_name, observed=False)
         slow = make_buffer(policy_name, observed=True)
+        assert "fetch" in vars(fast) and "fetch" not in vars(slow)
         fast_decisions = drive(fast, steps)
         slow_decisions = drive(slow, steps)
         assert fast_decisions == slow_decisions
         assert snapshot(fast) == snapshot(slow)
+
+    def test_a_miss_with_every_frame_pinned_leaves_equal_state(self):
+        """The refusal is raised after the clock, the request and the miss
+        are counted and the page is read, on both paths alike."""
+        states = []
+        for observed in (False, True):
+            buffer = make_buffer("ASB", observed)
+            for page_id in range(CAPACITY):
+                buffer.fetch(page_id)
+            for page_id in range(CAPACITY):
+                buffer.pin(page_id)
+            before = buffer.clock
+            try:
+                buffer.fetch(CAPACITY)
+            except BufferFullError as exc:
+                refusal = str(exc)
+            else:  # pragma: no cover - the assertion below reports it
+                refusal = None
+            assert buffer.clock == before + 1
+            assert buffer.stats.misses == CAPACITY + 1
+            assert buffer.disk.stats.reads == CAPACITY + 1
+            states.append((refusal, snapshot(buffer)))
+        assert states[0] == states[1]
+        assert states[0][0] is not None
 
     @settings(max_examples=10, deadline=None)
     @given(trace_steps)
     def test_observer_attach_mid_trace_preserves_state(self, steps):
         """Flipping a hot buffer into decomposed mode loses nothing."""
         half = len(steps) // 2
-        fast = make_buffer("LRU", observed=False)
-        slow = make_buffer("LRU", observed=True)
+        fast = make_buffer("ASB", observed=False)
+        slow = make_buffer("ASB", observed=True)
         drive(fast, steps[:half])
         drive(slow, steps[:half])
         fast.observer = NullSink()  # forces a path rebuild

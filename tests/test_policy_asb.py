@@ -402,8 +402,10 @@ class TestIndex:
         assert policy.overflow_ids() == [0, 1, 2, 3]  # smallest areas first
         policy.retune(criterion="M")
         policy._sync()
-        assert policy._main_victim() is reference_main_victim(buffer, policy)
-        assert policy._main_victim().page_id == 9  # smallest margin now
+        victim, value = policy._main_victim()
+        assert victim is reference_main_victim(buffer, policy)
+        assert victim.page_id == 9  # smallest margin now
+        assert value == spatial_criterion(victim, "M")
         expected = reference_adaptation(buffer, policy, 0)
         assert expected == 1  # 1..3 are newer, none has a larger margin
         policy.retune(candidate_fraction=0.5)
@@ -437,7 +439,9 @@ class TestIndex:
         for _ in range(20_000):
             page_id = rng.randrange(capacity)
             promotes = page_id in policy._overflow
-            blocks = [(block, list(block.frames), block.min_frame) for block in policy._blocks]
+            blocks = [
+                (block, list(block.frames), block.min_frame) for block in policy._blocks()
+            ]
             synced, probes = policy._synced, tally[0]
             buffer.fetch(page_id)
             if promotes:
@@ -446,7 +450,8 @@ class TestIndex:
             else:
                 assert tally[0] == probes and policy._synced == synced
                 assert blocks == [
-                    (block, block.frames, block.min_frame) for block in policy._blocks
+                    (block, list(block.frames), block.min_frame)
+                    for block in policy._blocks()
                 ]
         assert buffer.stats.misses == capacity and promotions > 1000
         assert worst <= 4 * capacity**0.5

@@ -28,7 +28,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from repro import BufferSystem
 from repro.buffer.concurrent import ConcurrentBufferManager
 from repro.buffer.manager import BufferManager
-from repro.buffer.policies import ASB, LRU
+from repro.buffer.policies import ASB, LRU, spatial
 from repro.geometry import rect as rect_module
 from repro.geometry.rect import Point, Rect, mbr_of_rects
 from repro.sam.rstar import RStarTree
@@ -393,6 +393,47 @@ class TestBlockIsDerivedData:
         assert has_block(packed)
 
 
+class TestContainedWindows:
+    """A window that contains the page MBR meets every entry, so both scans
+    answer it with every ref and no comparison — and must still be the
+    walk: boundary-equal and point windows, windows that only touch, and a
+    NaN bound that the MBR's ``min``/``max`` can hide."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        page=pages(min_size=1),
+        nan_at=st.none() | st.integers(min_value=0, max_value=50),
+        pad=st.sampled_from([0.0, 1e-300, 0.5, math.inf]),
+        window=windows,
+    )
+    def test_both_scans_are_the_walk_on_and_around_the_page_mbr(
+        self, page, nan_at, pad, window
+    ):
+        for entry in page.entries:
+            # The format holds doubles: int bounds read back as floats.
+            entry.mbr = Rect(*map(float, entry.mbr.as_tuple()))
+        if nan_at is not None:
+            entry = page.entries[nan_at % len(page.entries)]
+            entry.mbr = Rect(math.nan, *entry.mbr.as_tuple()[1:])
+        packed = read_page(encode_page(page, PAGE_SIZE), page.page_id)
+        mbr = packed.mbr()
+        x_min, y_min, x_max, y_max = mbr.as_tuple()
+        probes = [
+            window,
+            mbr,
+            Rect(x_min - pad, y_min - pad, x_max + pad, y_max + pad),
+            Point(x_min, y_min).as_rect(),
+            Point(x_max, y_max).as_rect(),
+            Rect(x_min - 1.0, y_min, x_min, y_max),  # touches the left edge
+        ]
+        for probe in probes:
+            want = walk(page, probe)
+            assert packed.matching(probe) == want
+            assert page.matching(probe) == want
+        assert packed.image() is not None, "scanning must not unpack"
+        assert has_block(page) == (nan_at is None)
+
+
 # ----------------------------------------------------------------------
 # (b) Per tree
 # ----------------------------------------------------------------------
@@ -696,6 +737,67 @@ class TestWorkCounts:
         assert reference[0] == first[0], "results, in order"
         assert reference[1] == first[1], "fetch/hit/miss/evict/promote/adapt events"
         assert reference[2] == first[2], "hit, miss, eviction and write-back counts"
+
+    def test_a_pages_criterion_is_computed_once_per_version(
+        self, fresh_tree, monkeypatch
+    ):
+        tree = fresh_tree
+        space = space_of(tree)
+        queries = [scaled(w, space) for w in query_windows(200, seed=31)]
+        capacity = max(4, round(0.05 * len(tree.all_page_ids())))
+        computed = Counter()
+        area = spatial.SPATIAL_CRITERIA["A"]
+
+        def counted(page):
+            computed[page.page_id] += 1
+            return area(page)
+
+        monkeypatch.setitem(spatial.SPATIAL_CRITERIA, "A", counted)
+
+        def replay():
+            system = BufferSystem.build(
+                policy="ASB", capacity=capacity, disk=tree.pagefile.disk
+            )
+            results = []
+            for window in queries:
+                with system.buffer.query_scope():
+                    results.append(tree.window_query(window, system.buffer))
+            return results, system.stats_snapshot()
+
+        first = replay()
+        assert first[1]["evictions"] > capacity
+        assert computed and max(computed.values()) == 1, "once per page, not per load"
+        computed.clear()
+        assert replay() == first
+        assert not computed, "a page loaded again brings its criterion along"
+
+    def test_a_seam_free_miss_never_enters_the_reference_path(
+        self, fresh_tree, monkeypatch
+    ):
+        tree = fresh_tree
+        space = space_of(tree)
+        queries = [scaled(w, space) for w in query_windows(50, seed=37)]
+        capacity = max(4, round(0.05 * len(tree.all_page_ids())))
+        entered = Counter()
+        reference = BufferManager.complete_miss
+
+        def counted(buffer, page):
+            entered[buffer.observer is not None] += 1
+            return reference(buffer, page)
+
+        monkeypatch.setattr(BufferManager, "complete_miss", counted)
+        stats = {}
+        for observed in (False, True):
+            system = BufferSystem.build(
+                policy="ASB", capacity=capacity, disk=tree.pagefile.disk, trace=observed
+            )
+            for window in queries:
+                with system.buffer.query_scope():
+                    tree.window_query(window, system.buffer)
+            stats[observed] = system.stats_snapshot()
+        assert stats[False] == stats[True] and stats[False]["misses"] > capacity
+        assert entered[False] == 0, "the compiled path serves every seam-free miss"
+        assert entered[True] == stats[True]["misses"]
 
 
 class TestPackedPagesAreScannedInPlace:

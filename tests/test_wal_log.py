@@ -135,6 +135,23 @@ class TestTornTail:
         assert [r.lsn for r in damaged.records()] == [1]
 
 
+class TestMemoryByteStore:
+    def test_mounted_image_is_copied_on_first_write(self):
+        image = bytes(range(16))
+        store = MemoryByteStore(image)
+        assert store.image() is image  # only read so far: no copy
+        store.write_at(4, b"\xff\xff")
+        store.write_at(18, b"\x01")
+        assert image == bytes(range(16))
+        assert store.read_at(2, 4) == bytes([2, 3, 255, 255])
+        assert store.image() == bytes([0, 1, 2, 3, 255, 255, *range(6, 16), 0, 0, 1])
+
+    def test_empty_store_grows(self):
+        store = MemoryByteStore()
+        store.write_at(2, b"ab")
+        assert store.image() == b"\x00\x00ab"
+
+
 class TestFileByteStore:
     def test_log_survives_reopen_from_file(self, tmp_path):
         path = tmp_path / "wal.bin"

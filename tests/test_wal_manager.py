@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.buffer.concurrent import ConcurrentBufferManager
@@ -226,6 +230,49 @@ class TestConcurrentSeam:
         assert sum(1 for r in records if r.kind == COMMIT) == 1
         for manager in service.shard_managers():
             assert all(not frame.dirty for frame in manager.frames.values())
+
+    def test_flusher_cadence_is_exact_across_shards_and_threads(self):
+        """Four threads on four shards share one request count: the
+        flusher runs once per ``flush_interval`` requests, none lost."""
+        disk = DurableDisk(page_size=PAGE_SIZE)
+        for page_id in range(64):
+            disk.store(make_page(page_id))
+        calls = []
+
+        class Counting(DurabilityManager):
+            def flush_cold(self, buffer, batch=None):
+                calls.append(buffer)
+                return super().flush_cold(buffer, batch)
+
+        durability = Counting(disk, flush_interval=7)
+        service = ConcurrentBufferManager(
+            disk, 16, LRU, shards=4, durability=durability
+        )
+
+        def worker(seed):
+            rng = random.Random(seed)
+            for _ in range(500):
+                service.fetch(rng.randrange(64))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(seed,)) for seed in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        requests = service.stats.requests
+        assert requests == 4 * 500
+        assert len(calls) == requests // 7
+        assert {id(buffer) for buffer in calls} <= {
+            id(manager) for manager in service.shard_managers()
+        }
 
     def test_commit_without_seam_raises(self):
         disk = DurableDisk(page_size=PAGE_SIZE)

@@ -25,7 +25,7 @@ from repro.wal.harness import (
     random_steps,
     run_stream,
 )
-from repro.wal.log import WriteAheadLog
+from repro.wal.log import CHECKPOINT, COMMIT, FREE, PAGE_IMAGE, WriteAheadLog
 from repro.wal.recovery import recover, replay_durable_prefix
 
 PAGE_SIZE = 512
@@ -63,6 +63,25 @@ class TestRecoveryBasics:
         assert report.checkpoints_seen >= 1
         assert report.redo_from_lsn > 0
         assert report.records_redone < report.records_scanned
+
+    def test_report_counts_the_log(self):
+        base = make_base_image(pages=8, seed=7, page_size=PAGE_SIZE)
+        outcome = run_stream(
+            base, random_steps(7, 120, 8), seed=7, checkpoint_interval=20,
+        )
+        wal = WriteAheadLog(store=MemoryByteStore(outcome.wal_image))
+        disk = DurableDisk.from_image(outcome.disk_image, page_size=PAGE_SIZE)
+        report = recover(wal, disk)
+        records = list(wal.records())
+        later = [r.kind for r in records if r.lsn > report.redo_from_lsn]
+        assert report.records_scanned == len(records)
+        assert report.last_lsn == records[-1].lsn
+        assert report.redo_from_lsn == max(
+            r.lsn for r in records if r.kind == CHECKPOINT
+        )
+        assert report.pages_redone == later.count(PAGE_IMAGE)
+        assert report.frees_redone == later.count(FREE)
+        assert report.commits_seen == sum(r.kind == COMMIT for r in records)
 
     def test_recovery_retries_transient_failures(self):
         base = make_base_image(pages=4, seed=6, page_size=PAGE_SIZE)
