@@ -22,30 +22,11 @@ Four commands cover the common workflows without writing any code:
 * ``reproduce`` — run every figure and ablation, writing a markdown report;
 * ``serve`` — run the asyncio page-service front-end over a durable,
   sharded buffer system (ctrl-C drains dirty frames through the WAL
-  before exiting);
-* ``bench tuning`` — phase-shifting workload scored per phase: static
-  expert policies vs the self-tuning buffer (ghost caches + controller),
-  including the ghost wall-clock overhead (writes ``BENCH_tuning.json``);
-* ``bench ablation`` — baseline-plus-one-off component matrix over
-  hostile + locality access-graph workloads, ranking each component by
-  measured importance (writes ``BENCH_ablation.json``);
-* ``bench cluster`` — multi-node distributed tier: aggregate-throughput
-  scaling sweep over 1→N consistent-hash nodes, a replica + far-buffer
-  scenario, and a randomized invalidation soak asserting zero stale
-  reads (writes ``BENCH_cluster.json``);
-* ``bench matrix`` — the robustness matrix: every replacement policy ×
-  every spatial index (R*-tree, mqr-tree, grid file) × every workload
-  (phased, access-graph walk, paper-scale mainland queries), built from
-  the streamed Database-1-like generator, with ranked hit-rate tables,
-  an R*-tree ground-truth agreement check and an optional replay of the
-  recorded production-day server trace (writes ``BENCH_matrix.json``);
-* ``bench check`` — the regression gate: validates the committed
-  ``BENCH_*.json`` reports and (with ``--candidate DIR``) fails on >10%
-  direction-aware metric regressions with a readable diff.
+  before exiting).
 
-Throughput and latency of the stack itself — core fetch loop, sharded
-buffer, page service, WAL — are measured by ``python3 bench/run.py``
-(``BENCHMARK.json``), not by a ``bench`` subcommand.
+Throughput, latency and disk reads relative to LRU of the stack itself —
+core fetch loop, sharded buffer, page service, WAL — are measured by
+``python3 bench/run.py`` (``BENCHMARK.json``), not by a subcommand.
 
 Examples::
 
@@ -60,12 +41,6 @@ Examples::
     python -m repro tune fit /tmp/t.jsonl --out weights.json
     python -m repro serve --tune --tune-mode ensemble --tune-weights weights.json
     python -m repro serve --port 7007 --policy ASB --shards 4
-    python -m repro bench tuning --out BENCH_tuning.json
-    python -m repro bench ablation --workers 4 --out BENCH_ablation.json
-    python -m repro bench cluster --nodes 1,2,4 --out BENCH_cluster.json
-    python -m repro bench matrix --replay --out BENCH_matrix.json
-    python -m repro bench matrix --scale paper --policies LRU,ASB
-    python -m repro bench check --dir . --candidate /tmp/fresh
 """
 
 from __future__ import annotations
@@ -259,151 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "uses it when installed, 'off' (default) "
                             "keeps the stock asyncio loop")
 
-    bench = commands.add_parser(
-        "bench", help="performance benchmarks of the buffer services"
-    )
-    bench_commands = bench.add_subparsers(dest="bench_command", required=True)
-    tuning = bench_commands.add_parser(
-        "tuning",
-        help="phase-shifting workload: adaptive buffer vs static experts",
-    )
-    tuning.add_argument("--objects", type=int, default=20_000)
-    tuning.add_argument("--queries", type=int, default=400,
-                        help="queries per workload phase")
-    tuning.add_argument("--fraction", type=float, default=0.05,
-                        help="buffer size relative to the tree's pages")
-    tuning.add_argument("--epoch", type=int, default=100,
-                        help="tuning epoch length in page accesses")
-    tuning.add_argument("--policy", default="LRU",
-                        choices=sorted(POLICY_FACTORIES),
-                        help="starting (deliberately naive) live policy")
-    tuning.add_argument("--latency-us", type=float, default=100.0,
-                        help="simulated SSD read latency in microseconds")
-    tuning.add_argument("--sample", type=float, default=0.15,
-                        help="SHARDS-style ghost sampling rate (0, 1]")
-    tuning.add_argument("--eta", type=float, default=16.0,
-                        help="ensemble multiplicative-weights learning "
-                             "rate")
-    tuning.add_argument("--ensemble-epoch", type=int, default=60,
-                        help="ensemble epoch length (the mixture profits "
-                             "from faster updates than the selector)")
-    tuning.add_argument("--ensemble-sample", type=float, default=0.2,
-                        help="ghost sampling rate for the ensemble's "
-                             "expert shadows (0, 1]")
-    tuning.add_argument("--reps", type=int, default=5,
-                        help="repetitions for the min-of-N overhead timing")
-    tuning.add_argument("--seed", type=int, default=7)
-    tuning.add_argument("--out", default="BENCH_tuning.json",
-                        help="output JSON path")
-    ablation = bench_commands.add_parser(
-        "ablation",
-        help="baseline-plus-one-off component matrix with importance ranking",
-    )
-    ablation.add_argument("--capacity", type=int, default=32,
-                          help="buffer frames")
-    ablation.add_argument("--shards", type=int, default=2)
-    ablation.add_argument("--workers", type=int, default=4,
-                          help="driver threads (1 = serial, deterministic)")
-    ablation.add_argument("--length", type=int, default=4_000,
-                          help="requests per workload reference string")
-    ablation.add_argument("--write-every", type=int, default=4,
-                          help="every Nth access is a page update")
-    ablation.add_argument("--commit-every", type=int, default=16,
-                          help="commit after every Nth access")
-    ablation.add_argument("--epoch", type=int, default=400,
-                          help="tuning epoch length in page accesses")
-    ablation.add_argument("--latency-us", type=float, default=20.0,
-                          help="simulated SSD read latency in microseconds")
-    ablation.add_argument("--start-policy", default="MRU",
-                          choices=sorted(POLICY_FACTORIES),
-                          help="deliberately naive live policy the tuner "
-                               "is expected to fix")
-    ablation.add_argument("--seed", type=int, default=7)
-    ablation.add_argument("--out", default="BENCH_ablation.json",
-                          help="output JSON path ('' = don't write)")
-    cluster = bench_commands.add_parser(
-        "cluster",
-        help="multi-node scaling sweep, replica/far tier, invalidation soak",
-    )
-    cluster.add_argument("--nodes", default="1,2,4",
-                         help="comma-separated data-node counts to sweep")
-    cluster.add_argument("--clients", default="1,2,4,8",
-                         help="comma-separated client thread counts")
-    cluster.add_argument("--pages", type=int, default=1024,
-                         help="seeded pages per fleet")
-    cluster.add_argument("--capacity", type=int, default=32,
-                         help="buffer frames per data node")
-    cluster.add_argument("--workers", type=int, default=2,
-                         help="server worker threads per node")
-    cluster.add_argument("--read-delay-ms", type=float, default=2.0,
-                         help="simulated disk read latency per page")
-    cluster.add_argument("--batch", type=int, default=16,
-                         help="pages per FETCH_MANY batch")
-    cluster.add_argument("--batches-per-client", type=int, default=30)
-    cluster.add_argument("--replicas", type=int, default=1,
-                         help="read replicas per hot page (tiered scenario)")
-    cluster.add_argument("--far-capacity", type=int, default=256,
-                         help="far-buffer node capacity in pages")
-    cluster.add_argument("--soak-seconds", type=float, default=3.0,
-                         help="invalidation soak duration")
-    cluster.add_argument("--seed", type=int, default=7)
-    cluster.add_argument("--no-gate", action="store_true",
-                         help="report only; do not fail on the acceptance "
-                              "guards (scaling >= 2.5x, zero stale reads, "
-                              "replica and far hits seen, accounting)")
-    cluster.add_argument("--out", default="BENCH_cluster.json",
-                         help="output JSON path ('' = don't write)")
-    matrix = bench_commands.add_parser(
-        "matrix",
-        help="policy × spatial-index × workload robustness matrix",
-    )
-    matrix.add_argument("--objects", type=int, default=8_000,
-                        help="streamed dataset size (objects per index)")
-    matrix.add_argument("--scale", default=None,
-                        help="multiply --objects by this factor, or 'paper' "
-                             "for the paper's Database-1 size (1,641,079)")
-    matrix.add_argument("--queries", type=int, default=320,
-                        help="queries per spatial workload leg")
-    matrix.add_argument("--graph-length", type=int, default=4_000,
-                        help="page references in the access-graph walk")
-    matrix.add_argument("--policies", default=",".join(
-                            ("LRU", "LRU-2", "ASB", "AWRP", "ENSEMBLE")),
-                        help="comma-separated replacement policies")
-    matrix.add_argument("--indexes", default="rstar,mqr,gridfile",
-                        help="comma-separated index kinds "
-                             "(rstar, mqr, gridfile)")
-    matrix.add_argument("--workloads", default="phased,graph,mainland",
-                        help="comma-separated workload legs")
-    matrix.add_argument("--buffer-fraction", type=float, default=0.047,
-                        help="buffer frames as a fraction of index pages")
-    matrix.add_argument("--replay", nargs="?", const="tests/golden/"
-                        "production_day.jsonl", default=None, metavar="TRACE",
-                        help="also replay the recorded production-day "
-                             "server trace under every policy (optionally "
-                             "give an alternative trace path)")
-    matrix.add_argument("--seed", type=int, default=7)
-    matrix.add_argument("--no-gate", action="store_true",
-                        help="report only; do not fail on the acceptance "
-                             "checks (coverage, accounting, index "
-                             "agreement)")
-    matrix.add_argument("--out", default="BENCH_matrix.json",
-                        help="output JSON path ('' = don't write)")
-    check = bench_commands.add_parser(
-        "check",
-        help="regression gate over the committed BENCH_*.json reports",
-    )
-    check.add_argument("--dir", default=".",
-                       help="directory holding the committed baseline "
-                            "BENCH_*.json reports")
-    check.add_argument("--candidate", default=None,
-                       help="directory of freshly generated reports to "
-                            "compare against the baseline (omit to only "
-                            "validate the committed reports)")
-    check.add_argument("--threshold", type=float, default=0.10,
-                       help="relative regression tolerance (0.10 = 10%%)")
-    check.add_argument("--include-timing", action="store_true",
-                       help="also gate wall-clock metrics (noisy; off by "
-                            "default)")
     return parser
 
 
@@ -750,180 +580,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    handlers = {
-        "tuning": _cmd_bench_tuning,
-        "ablation": _cmd_bench_ablation,
-        "cluster": _cmd_bench_cluster,
-        "matrix": _cmd_bench_matrix,
-        "check": _cmd_bench_check,
-    }
-    return handlers[args.bench_command](args)
-
-
-def _cmd_bench_cluster(args: argparse.Namespace) -> int:
-    from repro.experiments.clusterbench import (
-        ClusterBenchParams,
-        run_cluster_bench,
-    )
-
-    params = ClusterBenchParams(
-        nodes=tuple(int(n) for n in args.nodes.split(",")),
-        clients=tuple(int(c) for c in args.clients.split(",")),
-        pages=args.pages,
-        capacity=args.capacity,
-        workers=args.workers,
-        read_delay_ms=args.read_delay_ms,
-        batch=args.batch,
-        batches_per_client=args.batches_per_client,
-        replicas=args.replicas,
-        far_capacity=args.far_capacity,
-        soak_seconds=args.soak_seconds,
-        seed=args.seed,
-    )
-    report = run_cluster_bench(params)
-    print(report.to_text())
-    if args.out:
-        report.save(args.out)
-        print(f"wrote cluster bench report -> {args.out}")
-    if args.no_gate:
-        return 0
-    failed = sorted(
-        flag for flag, ok in report.acceptance().items() if not ok
-    )
-    if failed:
-        print(f"bench cluster: acceptance failed: {', '.join(failed)}",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_ablation(args: argparse.Namespace) -> int:
-    from repro.experiments.ablation import AblationParams, run_ablation
-
-    params = AblationParams(
-        capacity=args.capacity,
-        shards=args.shards,
-        workers=args.workers,
-        length=args.length,
-        seed=args.seed,
-        write_every=args.write_every,
-        commit_every=args.commit_every,
-        epoch_length=args.epoch,
-        read_delay_us=args.latency_us,
-        start_policy=args.start_policy,
-    )
-    report = run_ablation(params)
-    print(report.to_text())
-    if args.out:
-        report.save(args.out)
-        print(f"wrote ablation report -> {args.out}")
-    verdict = report.acceptance()
-    ok = (
-        verdict["at_least_5_components"]
-        and verdict["accounting_identity_holds"]
-        and verdict["includes_hostile_workload"]
-    )
-    return 0 if ok else 1
-
-
-def _cmd_bench_matrix(args: argparse.Namespace) -> int:
-    from repro.datasets.synthetic import PAPER_DB1_OBJECTS
-    from repro.experiments.matrix import MatrixParams, run_matrix
-
-    n_objects = args.objects
-    if args.scale is not None:
-        if args.scale == "paper":
-            n_objects = PAPER_DB1_OBJECTS
-        else:
-            try:
-                factor = float(args.scale)
-            except ValueError:
-                print(f"bench matrix: --scale must be a number or 'paper', "
-                      f"got {args.scale!r}", file=sys.stderr)
-                return 2
-            n_objects = max(1, round(n_objects * factor))
-    try:
-        params = MatrixParams(
-            n_objects=n_objects,
-            n_queries=args.queries,
-            seed=args.seed,
-            buffer_fraction=args.buffer_fraction,
-            graph_length=args.graph_length,
-            policies=tuple(p.strip() for p in args.policies.split(",") if p),
-            indexes=tuple(i.strip() for i in args.indexes.split(",") if i),
-            workloads=tuple(w.strip() for w in args.workloads.split(",") if w),
-            replay_trace=args.replay,
-        )
-    except ValueError as exc:
-        print(f"bench matrix: {exc}", file=sys.stderr)
-        return 2
-    report = run_matrix(params)
-    print(report.to_text())
-    if args.out:
-        report.save(args.out)
-        print(f"wrote matrix report -> {args.out}")
-    if args.no_gate:
-        return 0
-    verdict = report.acceptance()
-    ok = True
-    for key in (
-        "accounting_identity_holds",
-        "indexes_agree_with_rstar",
-    ):
-        if not verdict[key]:
-            print(f"bench matrix: acceptance check failed: {key}",
-                  file=sys.stderr)
-            ok = False
-    return 0 if ok else 1
-
-
-def _cmd_bench_check(args: argparse.Namespace) -> int:
-    from repro.experiments.benchcheck import BenchCheckError, check_directory
-
-    try:
-        result = check_directory(
-            bench_dir=args.dir,
-            candidate_dir=args.candidate,
-            threshold=args.threshold,
-            include_timing=args.include_timing,
-        )
-    except BenchCheckError as exc:
-        print(f"bench check: {exc}", file=sys.stderr)
-        return 2
-    print(result.to_text())
-    return 0 if result.ok else 1
-
-
-def _cmd_bench_tuning(args: argparse.Namespace) -> int:
-    from repro.experiments.tuningbench import run_tuning_bench
-
-    report = run_tuning_bench(
-        objects=args.objects,
-        queries_per_phase=args.queries,
-        buffer_fraction=args.fraction,
-        seed=args.seed,
-        epoch_length=args.epoch,
-        start_policy=args.policy,
-        read_latency_us=args.latency_us,
-        sample=args.sample,
-        overhead_reps=args.reps,
-        eta=args.eta,
-        ensemble_epoch_length=args.ensemble_epoch,
-        ensemble_sample=args.ensemble_sample,
-    )
-    print(report.to_text())
-    verdict = report.acceptance()
-    if args.out:
-        report.save(args.out)
-        print(f"wrote tuning bench report -> {args.out}")
-    if not verdict["adapted_at_least_once"]:
-        print("the controller never adapted — tuning is inert on this "
-              "workload", file=sys.stderr)
-        return 1
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
@@ -938,6 +594,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         "map": _cmd_map,
         "reproduce": _cmd_reproduce,
         "serve": _cmd_serve,
-        "bench": _cmd_bench,
     }
     return handlers[args.command](args)

@@ -17,8 +17,7 @@ package adds everything needed to run several cells as one cluster:
 * :class:`FarBuffer` / :class:`ReplicaStore` — the LSN-guarded page
   byte stores behind the new opcodes.
 
-The facade lives in :class:`repro.api.ClusterSystem`; the benchmark in
-:mod:`repro.experiments.clusterbench` (``python -m repro bench cluster``).
+The facade lives in :class:`repro.api.ClusterSystem`.
 """
 
 from repro.cluster.client import ClusterClient, RoutingClient

@@ -1,13 +1,9 @@
-"""Shared provenance metadata for the ``BENCH_*.json`` reports.
+"""Provenance metadata for the benchmark report of ``bench/run.py``.
 
-Every benchmark writer (``bench tuning``, ``bench cluster``,
-``bench matrix``, ``bench ablation``) stamps its JSON with the same ``meta``
-block, so a report on disk is self-describing: which revision produced
-it, when, on what interpreter, and with which seed.  Perf-trajectory
-comparisons across PRs need exactly this to be trustworthy.
-
-The block is additive — consumers that predate it ignore the extra key,
-and the determinism-sensitive payload stays outside it.
+The report carries a ``meta`` block, so a result on disk is
+self-describing: which revision produced it, when, on what interpreter,
+and with which seed.  Perf-trajectory comparisons across revisions need
+exactly this to be trustworthy.
 """
 
 from __future__ import annotations
@@ -16,7 +12,7 @@ import platform
 import subprocess
 from datetime import datetime, timezone
 
-#: Bumped when the shared meta-block layout changes shape.
+#: Bumped when the meta-block layout changes shape.
 SCHEMA_VERSION = 1
 
 
@@ -36,13 +32,8 @@ def git_revision() -> str:
     return revision if output.returncode == 0 and revision else "unknown"
 
 
-def run_metadata(seed: int | None = None, run_id: str | None = None) -> dict:
-    """The shared ``meta`` block: schema, provenance, timestamp, seed.
-
-    ``run_id`` is an optional caller-chosen identifier for the run (the
-    ablation harness derives one deterministically from its configuration
-    digest, so re-runs of the same matrix are recognisable on disk).
-    """
+def run_metadata(seed: int | None = None) -> dict:
+    """The ``meta`` block: schema, provenance, timestamp, seed."""
     meta = {
         "schema_version": SCHEMA_VERSION,
         "git_rev": git_revision(),
@@ -52,6 +43,4 @@ def run_metadata(seed: int | None = None, run_id: str | None = None) -> dict:
     }
     if seed is not None:
         meta["seed"] = seed
-    if run_id is not None:
-        meta["run_id"] = run_id
     return meta

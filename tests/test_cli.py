@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import POLICY_FACTORIES, main
@@ -224,33 +226,30 @@ class TestReproduceCommand:
         assert "running figure_04" in out
 
 
-class TestBenchClusterGate:
-    """``bench cluster`` exits 1 when *any* acceptance flag is false."""
+class TestTuneFitCommand:
+    def test_record_fit_then_build_from_the_weights(self, tmp_path, capsys):
+        """``events record -> tune fit -> weights_path`` end to end."""
+        from repro import BufferSystem, TuningSpec
 
-    @staticmethod
-    def run(monkeypatch, *extra, **flags):
-        from repro.experiments import clusterbench
-
-        class Report(clusterbench.ClusterBenchReport):
-            def acceptance(self):
-                return {**dict.fromkeys(super().acceptance(), True), **flags}
-
-        monkeypatch.setattr(
-            clusterbench, "run_cluster_bench", lambda params: Report(params)
-        )
-        return main(["bench", "cluster", "--out", "", *extra])
-
-    def test_passes_when_every_flag_holds(self, monkeypatch, capsys):
-        assert self.run(monkeypatch) == 0
-
-    @pytest.mark.parametrize(
-        "flag", ["replica_hits_observed", "far_hits_observed", "zero_stale_reads"]
-    )
-    def test_one_false_flag_fails_the_gate_and_is_named(
-        self, monkeypatch, capsys, flag
-    ):
-        assert self.run(monkeypatch, **{flag: False}) == 1
-        assert flag in capsys.readouterr().err
-
-    def test_no_gate_reports_only(self, monkeypatch, capsys):
-        assert self.run(monkeypatch, "--no-gate", far_hits_observed=False) == 0
+        trace = tmp_path / "trace.jsonl"
+        weights = tmp_path / "weights.json"
+        assert main(
+            ["events", "record", "--set", "S-W-100", "--policy", "LRU",
+             "--objects", "2000", "--queries", "30", "--capacity", "24",
+             "--out", str(trace)]
+        ) == 0
+        assert main(
+            ["tune", "fit", str(trace), "--epoch", "20", "--out", str(weights)]
+        ) == 0
+        artifact = json.loads(weights.read_text())
+        # The fit moved the mixture off uniform, so loading it shows.
+        assert len(set(artifact["weights"])) > 1
+        spec = TuningSpec(mode="ensemble", weights_path=str(weights))
+        with BufferSystem.build(
+            policy="ENSEMBLE", capacity=24, tuning=spec
+        ) as system:
+            snapshot = system.tuner.snapshot()
+            assert snapshot["mode"] == "ensemble"
+            assert snapshot["weights"] == pytest.approx(
+                dict(zip(artifact["experts"], artifact["weights"]))
+            )

@@ -1,12 +1,13 @@
 """Cluster smoke test: concurrent clients against a live 3-node fleet.
 
-The quick (~2 s) pass keeps tier-1 fast; the CI cluster-smoke job sets
+The quick (~2 s) pass keeps tier-1 fast; the CI service-smoke job sets
 ``REPRO_CLUSTER_SMOKE_SECONDS`` to soak longer.  Whatever the length,
 the assertions match the single-node smoke test, lifted to the fleet:
 every routed operation succeeds, the summed accounting identity
 ``hits + misses == requests`` holds across all nodes (routing,
 replication and the far tier only move *where* a page is served from),
-no invalidation fails, and shutdown drains every node cleanly.
+no invalidation fails, read replicas and the far buffer both serve hits,
+and shutdown drains every node cleanly.
 """
 
 from __future__ import annotations
@@ -115,6 +116,10 @@ def test_cluster_smoke():
     node_blocks = [st["node"] for st in stats.values()]
     assert sum(block["invalidate_failures"] for block in node_blocks) == 0
     assert sum(block["forward_failures"] for block in node_blocks) == 0
+    # Both tiers off the owner's buffer served reads: hot pages from a
+    # read replica, evicted pages from the far buffer.
+    assert sum(block["replica_hits"] for block in node_blocks) > 0
+    assert sum(block["far_hits"] for block in node_blocks) > 0
     # Shutdown drained every node: nothing left in flight.
     for st in stats.values():
         assert st["admission"]["inflight"] == 0

@@ -124,9 +124,8 @@ class TestSuite:
 
     def test_ablation_registry_complete(self):
         # Every ablation function is a value of the registry, so none can
-        # drop out of ``reproduce`` and the bench.  ``ablation_workloads``
-        # builds ``bench ablation``'s reference strings; it is not a study.
-        studies = defined_in(ablation, "ablation_") - {ablation.ablation_workloads}
+        # drop out of ``reproduce`` and the bench.
+        studies = defined_in(ablation, "ablation_")
         assert ablation.ablation_knn in studies
         # (moving objects is the updates function under a second label.)
         assert studies <= set(ALL_ABLATIONS.values())

@@ -10,7 +10,7 @@ nondeterministic — that is the point: it is the kind of reference
 string a production day produces, not one a generator would.  The
 canonical fixture pins one such day; replaying it is fully
 deterministic (logical clocks), so it doubles as a regression fixture
-and as the ``bench matrix --replay`` leg.
+and as a counterfactual workload for any policy.
 
 To re-record a fresh production day (new interleaving, new fixture)::
 
@@ -181,15 +181,21 @@ class TestProductionDayTrace:
         stats = replayed.stats
         assert stats["hits"] + stats["misses"] == stats["requests"]
 
-    def test_matrix_replay_leg_reads_the_fixture(self):
-        """The ``bench matrix --replay`` leg consumes this fixture."""
-        from repro.experiments.matrix import PRODUCTION_TRACE, replay_production
+    def test_buffer_system_replay_reads_the_fixture(self):
+        """The fixture's catalogue backs a full ``BufferSystem`` under any
+        policy, and every request of the day is served."""
+        from repro.api import BufferSystem
+        from repro.obs.trace import disk_from_catalogue, drive_requests
 
-        assert Path(PRODUCTION_TRACE) == Path(
-            "tests/golden/production_day.jsonl"
-        )
-        results = replay_production(str(FIXTURE), ("LRU", "ASB"))
         trace = RecordedTrace.load(FIXTURE)
-        for metrics in results.values():
-            assert metrics.requests == len(trace.requests())
-            assert metrics.accounting_ok
+        for policy in ("LRU", "ASB"):
+            with BufferSystem.build(
+                policy=policy,
+                capacity=trace.capacity,
+                disk=disk_from_catalogue(trace.catalogue),
+            ) as system:
+                drive_requests(system.buffer, trace.requests())
+                stats = system.buffer.stats
+                assert stats.requests == len(trace.requests())
+                assert stats.hits + stats.misses == stats.requests
+                assert system.disk.stats.reads == stats.misses
