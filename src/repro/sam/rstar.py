@@ -93,6 +93,18 @@ def _choose_subtree_leaf_numpy(entries: list["PageEntry"], mbr: Rect) -> int | N
     return best
 
 
+def _center_xy(entry: PageEntry) -> tuple[float, float]:
+    """``entry.mbr.center`` as ``(x, y)``, without building the Point."""
+    mbr = entry.mbr
+    return ((mbr.x_min + mbr.x_max) / 2.0, (mbr.y_min + mbr.y_max) / 2.0)
+
+
+def _center_yx(entry: PageEntry) -> tuple[float, float]:
+    """``entry.mbr.center`` as ``(y, x)``: the STR slab order."""
+    mbr = entry.mbr
+    return ((mbr.y_min + mbr.y_max) / 2.0, (mbr.x_min + mbr.x_max) / 2.0)
+
+
 class RStarTree(SpatialIndex):
     """An R*-tree over a page file."""
 
@@ -514,45 +526,44 @@ class RStarTree(SpatialIndex):
             raise ValueError("fill must be in (0, 1]")
         if method not in ("str", "hilbert"):
             raise ValueError("method must be 'str' or 'hilbert'")
-        item_list = list(items)
-        if not item_list:
-            return
-        self.entry_count = len(item_list)
         links = object_pages or {}
         entries = [
-            PageEntry(mbr=mbr, payload=payload, child=links.get(payload))
-            for mbr, payload in item_list
+            PageEntry(mbr, links.get(payload), payload) for mbr, payload in items
         ]
+        if not entries:
+            return
+        self.entry_count = len(entries)
+        pack = self._hilbert_pack if method == "hilbert" else self._str_pack
         level = 0
         while True:
             capacity = max(2, int(self._max_entries(level) * fill))
-            if method == "hilbert":
-                pages = self._hilbert_pack(entries, level, capacity)
-            else:
-                pages = self._str_pack(entries, level, capacity)
+            pages = pack(entries, level, capacity)
             if len(pages) == 1:
                 self.root_id = pages[0].page_id
                 self.height = level + 1
                 return
-            entries = []
-            for page in pages:
-                page_mbr = page.mbr()
-                assert page_mbr is not None
-                entries.append(PageEntry(mbr=page_mbr, child=page.page_id))
+            entries = [
+                PageEntry(mbr_of_rects(entry.mbr for entry in page.entries), page.page_id)
+                for page in pages
+            ]
             level += 1
 
     def _str_pack(
         self, entries: list[PageEntry], level: int, capacity: int
     ) -> list[Page]:
-        """Pack entries into pages of one level using Sort-Tile-Recursive."""
+        """Pack entries into pages of one level using Sort-Tile-Recursive.
+
+        The sort keys are MBR centres, ``(x_min + x_max) / 2.0`` as
+        :attr:`Rect.center` computes them, taken from the floats.
+        """
         page_count = math.ceil(len(entries) / capacity)
         slab_count = math.ceil(math.sqrt(page_count))
         per_slab = slab_count * capacity
-        by_x = sorted(entries, key=lambda e: (e.mbr.center.x, e.mbr.center.y))
+        by_x = sorted(entries, key=_center_xy)
         pages: list[Page] = []
         for slab_start in range(0, len(by_x), per_slab):
             slab = by_x[slab_start : slab_start + per_slab]
-            slab.sort(key=lambda e: (e.mbr.center.y, e.mbr.center.x))
+            slab.sort(key=_center_yx)
             for page_start in range(0, len(slab), capacity):
                 page = self._new_page(level)
                 page.entries = slab[page_start : page_start + capacity]
@@ -563,17 +574,26 @@ class RStarTree(SpatialIndex):
     def _hilbert_pack(
         self, entries: list[PageEntry], level: int, capacity: int
     ) -> list[Page]:
-        """Pack entries into pages of one level in Hilbert-curve order."""
-        from repro.geometry.hilbert import hilbert_encode
+        """Pack entries into pages of one level in Hilbert-curve order.
+
+        The key is :func:`~repro.geometry.hilbert.hilbert_encode` of the
+        MBR centre, computed from the floats as in :meth:`_str_pack`.
+        """
+        from repro.geometry.hilbert import xy_to_hilbert
+        from repro.geometry.zorder import quantise
 
         space = mbr_of_rects(e.mbr for e in entries)
         if space.area == 0.0:
             space = Rect(
                 space.x_min, space.y_min, space.x_min + 1.0, space.y_min + 1.0
             )
-        ordered = sorted(
-            entries, key=lambda e: hilbert_encode(e.mbr.center, space)
-        )
+        x_lo, y_lo, x_hi, y_hi = space.as_tuple()
+
+        def hilbert_key(entry: PageEntry) -> int:
+            x, y = _center_xy(entry)
+            return xy_to_hilbert(quantise(x, x_lo, x_hi), quantise(y, y_lo, y_hi))
+
+        ordered = sorted(entries, key=hilbert_key)
         pages: list[Page] = []
         for start in range(0, len(ordered), capacity):
             page = self._new_page(level)
