@@ -17,15 +17,7 @@ import random
 import pytest
 
 from repro.buffer.manager import BufferManager
-from repro.buffer.policies import (
-    ARC,
-    ASB,
-    LRU,
-    LRUK,
-    SLRU,
-    SpatialPolicy,
-    TwoQ,
-)
+from repro.buffer.policies import ASB, LRU, LRUK, SLRU, SpatialPolicy
 from repro.geometry.rect import Rect
 from repro.obs import TraceRecorder, WindowedMetrics
 from repro.storage.disk import SimulatedDisk
@@ -42,8 +34,6 @@ POLICIES = {
     "EO": lambda: SpatialPolicy("EO"),
     "SLRU": lambda: SLRU(candidate_fraction=0.25),
     "ASB": ASB,
-    "2Q": TwoQ,
-    "ARC": ARC,
 }
 
 

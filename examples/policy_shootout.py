@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""The full policy zoo, head to head, across all five query distributions.
+"""The paper's policies, head to head, across all five query distributions.
 
-Runs every replacement policy the library ships — classic baselines,
-structural LRU variants, LRU-K, the five spatial criteria, SLRU and ASB —
+Runs the paper's replacement policies — LRU with the FIFO and MRU
+baselines, structural LRU variants, LRU-K, the five spatial criteria, SLRU
+and ASB —
 over one query set per distribution family, and prints a leaderboard of
 disk reads plus each policy's worst-case behaviour relative to LRU (the
 paper's robustness lens: a policy that sometimes loses to LRU is not
@@ -12,10 +13,8 @@ Run:  python examples/policy_shootout.py
 """
 
 from repro import (
-    ARC,
     ASB,
     FIFO,
-    LFU,
     LRU,
     LRUK,
     LRUP,
@@ -23,13 +22,8 @@ from repro import (
     MRU,
     SLRU,
     BufferManager,
-    Clock,
-    DomainSeparation,
-    GClock,
-    RandomPolicy,
     RStarTree,
     SpatialPolicy,
-    TwoQ,
 )
 from repro.datasets.places import synthetic_places
 from repro.datasets.synthetic import us_mainland_like
@@ -42,10 +36,7 @@ BUFFER_FRACTION = 0.047
 POLICIES = {
     "LRU": LRU,
     "FIFO": FIFO,
-    "CLOCK": Clock,
-    "LFU": LFU,
     "MRU": MRU,
-    "RANDOM": lambda: RandomPolicy(seed=1),
     "LRU-T": LRUT,
     "LRU-P": LRUP,
     "LRU-2": lambda: LRUK(k=2),
@@ -57,10 +48,6 @@ POLICIES = {
     "EO": lambda: SpatialPolicy("EO"),
     "SLRU 25%": lambda: SLRU(candidate_fraction=0.25),
     "ASB": ASB,
-    "2Q": TwoQ,
-    "ARC": ARC,
-    "GCLOCK": GClock,
-    "DOMAIN": DomainSeparation,
 }
 
 QUERY_SETS = ("U-W-100", "ID-W", "S-W-100", "INT-W-100", "IND-W-100")

@@ -8,8 +8,9 @@ A faithful, self-contained reproduction of
 The library provides the full stack the paper's experiments need: geometry,
 a page/disk storage substrate with access accounting, spatial access
 methods (R*-tree, R-tree, quadtree, z-order B+-tree), a buffer manager with
-the complete policy zoo (LRU, FIFO, CLOCK, LFU, MRU, LRU-T, LRU-P, LRU-K,
-the spatial criteria A/EA/M/EM/EO, SLRU, and the self-tuning ASB), synthetic
+the paper's policies (LRU, LRU-T, LRU-P, LRU-K, the spatial criteria
+A/EA/M/EM/EO, SLRU and the self-tuning ASB, beside the FIFO and MRU
+baselines and the AWRP/EEvA experts), synthetic
 datasets and query workloads mirroring the paper's distributions, and an
 experiment harness that regenerates every figure of the evaluation.
 
@@ -58,25 +59,18 @@ from repro.buffer.policies import (
     policy_param_space,
 )
 from repro.buffer.policies import (
-    ARC,
     ASB,
     AWRP,
     FIFO,
-    LFU,
     LRU,
     LRUK,
     LRUP,
     LRUT,
     MRU,
     SLRU,
-    Clock,
-    DomainSeparation,
     EEvA,
     EnsemblePolicy,
-    GClock,
-    RandomPolicy,
     SpatialPolicy,
-    TwoQ,
 )
 from repro.datasets.synthetic import Dataset, us_mainland_like, world_atlas_like
 from repro.geometry.rect import Point, Rect
@@ -138,20 +132,13 @@ __all__ = [
     "EnsemblePolicy",
     "LRU",
     "FIFO",
-    "Clock",
-    "LFU",
     "MRU",
-    "RandomPolicy",
     "LRUT",
     "LRUP",
     "LRUK",
     "SpatialPolicy",
     "SLRU",
     "ASB",
-    "TwoQ",
-    "ARC",
-    "GClock",
-    "DomainSeparation",
     # spatial access methods
     "RStarTree",
     "RTree",

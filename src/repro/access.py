@@ -4,7 +4,6 @@ Every layer that *consumes* pages — the spatial access methods, queries,
 the experiment harness, the workload drivers — programs against
 :class:`PageAccessor` and nothing else.  Every layer that *serves* pages —
 :class:`~repro.buffer.manager.BufferManager`,
-:class:`~repro.buffer.partitioned.PartitionedBufferManager`,
 :class:`~repro.buffer.concurrent.ConcurrentBufferManager`, and the
 unbuffered accessors below — implements it.  The protocol is the
 architectural seam future scaling work (async I/O, multi-backend pools,

@@ -6,10 +6,9 @@ to drop when a new page must be loaded (Section 1 of the paper).  Everything
 the paper measures — hits, misses, disk accesses per query set — is recorded
 by :class:`~repro.buffer.stats.BufferStats`.
 
-Three services implement the page accessor protocol (:mod:`repro.access`):
-the sequential :class:`BufferManager`, the per-page-category
-:class:`~repro.buffer.partitioned.PartitionedBufferManager`, and the
-thread-safe sharded :class:`~repro.buffer.concurrent.ConcurrentBufferManager`.
+Two services implement the page accessor protocol (:mod:`repro.access`):
+the sequential :class:`BufferManager` and the thread-safe sharded
+:class:`~repro.buffer.concurrent.ConcurrentBufferManager`.
 """
 
 from repro.buffer.concurrent import ConcurrentBufferManager

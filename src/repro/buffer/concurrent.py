@@ -521,9 +521,9 @@ class ConcurrentBufferManager:
 
     @property
     def stats(self) -> BufferStats:
-        """Merged statistics snapshot (fresh object, like the partitioned
-        manager's): request counters from the per-thread records,
-        eviction/write-back counters from the shard cores."""
+        """Merged statistics snapshot (a fresh object): request counters
+        from the per-thread records, eviction/write-back counters from the
+        shard cores."""
         total = BufferStats()
         with self._registry_lock:
             records = list(self._registry)

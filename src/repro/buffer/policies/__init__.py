@@ -2,12 +2,8 @@
 
 The policy zoo follows the paper's taxonomy:
 
-* classic baselines — :class:`LRU`, plus :class:`FIFO`, :class:`Clock`,
-  :class:`GClock`, :class:`LFU`, :class:`MRU` and :class:`RandomPolicy`
-  for wider baselining;
-* literature competitors beyond the paper — :class:`TwoQ` (Johnson/Shasha
-  1994), :class:`ARC` (Megiddo/Modha 2003) and :class:`DomainSeparation`
-  (per-category LRU pools);
+* the baseline :class:`LRU`, plus the analytical baselines :class:`FIFO`
+  and :class:`MRU` (the recency-inverse order);
 * structural LRU variants (Section 2.1) — :class:`LRUT` (type-based) and
   :class:`LRUP` (priority/level-based);
 * history-based (Section 2.2) — :class:`LRUK`;
@@ -27,30 +23,23 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.buffer.policies.arc import ARC
 from repro.buffer.policies.asb import ASB
 from repro.buffer.policies.awrp import AWRP
 from repro.buffer.policies.base import ReplacementPolicy
-from repro.buffer.policies.clock import Clock
-from repro.buffer.policies.domain_separation import DomainSeparation
 from repro.buffer.policies.eeva import EEvA
 from repro.buffer.policies.ensemble import DEFAULT_EXPERTS, EnsemblePolicy
 from repro.buffer.policies.fifo import FIFO
-from repro.buffer.policies.gclock import GClock
-from repro.buffer.policies.lfu import LFU
 from repro.buffer.policies.lru import LRU
 from repro.buffer.policies.lru_k import LRUK
 from repro.buffer.policies.lru_p import LRUP
 from repro.buffer.policies.lru_t import LRUT
 from repro.buffer.policies.mru import MRU
-from repro.buffer.policies.random_policy import RandomPolicy
 from repro.buffer.policies.slru import SLRU
 from repro.buffer.policies.spatial import (
     SPATIAL_CRITERIA,
     SpatialPolicy,
     spatial_criterion,
 )
-from repro.buffer.policies.two_q import TwoQ
 
 # ----------------------------------------------------------------------
 # The policy registry: one construction path for the whole zoo
@@ -200,43 +189,30 @@ _CRITERION = ParamSpec(
     description="spatial ranking criterion",
 )
 
+_RETAIN_HISTORY = ParamSpec(
+    "retain_history",
+    kind="bool",
+    default=True,
+    description="keep HIST across evictions",
+)
+
+
+def _lru_k_variant(k: int) -> PolicySpec:
+    """``LRU-<k>``: LRU-K with K fixed by the name, so ``k`` is no keyword."""
+    return PolicySpec(
+        f"LRU-{k}",
+        LRUK,
+        params=(_RETAIN_HISTORY,),
+        defaults={"k": k},
+        description=f"LRU-K with K={k}",
+    )
+
 
 def _specs() -> dict[str, PolicySpec]:
     entries = [
         PolicySpec("LRU", LRU, description="least recently used"),
         PolicySpec("FIFO", FIFO, description="first in, first out"),
-        PolicySpec("CLOCK", Clock, description="second-chance clock"),
-        PolicySpec(
-            "GCLOCK",
-            GClock,
-            params=(
-                ParamSpec(
-                    "initial_weight",
-                    kind="object",
-                    description="callable Page -> initial counter weight",
-                ),
-                ParamSpec(
-                    "max_count",
-                    kind="int",
-                    default=3,
-                    lo=1,
-                    hi=64,
-                    description="counter ceiling",
-                ),
-            ),
-            description="generalized clock with weighted counters",
-        ),
-        PolicySpec("LFU", LFU, description="least frequently used"),
         PolicySpec("MRU", MRU, description="most recently used"),
-        PolicySpec(
-            "RANDOM",
-            RandomPolicy,
-            params=(
-                ParamSpec("seed", kind="int", default=0,
-                          description="RNG seed"),
-            ),
-            description="uniform random victim (seeded)",
-        ),
         PolicySpec("LRU-T", LRUT, description="type-based LRU (Section 2.1)"),
         PolicySpec(
             "LRU-P",
@@ -258,10 +234,7 @@ def _specs() -> dict[str, PolicySpec]:
                     "k", kind="int", default=2, lo=1, hi=8, retunable=True,
                     description="history depth K",
                 ),
-                ParamSpec(
-                    "retain_history", kind="bool", default=True,
-                    description="keep HIST across evictions",
-                ),
+                _RETAIN_HISTORY,
             ),
             aliases=("LRUK",),
             description="history-based LRU-K (Section 2.2)",
@@ -295,25 +268,6 @@ def _specs() -> dict[str, PolicySpec]:
             ),
             description="adaptable spatial buffer (Section 4.2)",
         ),
-        PolicySpec(
-            "2Q",
-            TwoQ,
-            params=(
-                ParamSpec(
-                    "kin_fraction", kind="float", default=0.25,
-                    lo=0.01, hi=0.99,
-                    description="A1in share of the buffer",
-                ),
-                ParamSpec(
-                    "kout_fraction", kind="float", default=0.5,
-                    lo=0.01, hi=4.0,
-                    description="A1out ghost list share",
-                ),
-            ),
-            aliases=("TWOQ",),
-            description="2Q (Johnson/Shasha 1994)",
-        ),
-        PolicySpec("ARC", ARC, description="adaptive replacement cache"),
         PolicySpec(
             "AWRP",
             AWRP,
@@ -372,36 +326,9 @@ def _specs() -> dict[str, PolicySpec]:
             description="weighted expert-vote mixture steered by the "
                         "tuning controller",
         ),
-        PolicySpec(
-            "DOMAIN",
-            DomainSeparation,
-            params=(
-                ParamSpec(
-                    "shares",
-                    kind="object",
-                    description="mapping PageType -> buffer share",
-                ),
-            ),
-            aliases=("DOMAIN-SEPARATION",),
-            description="per-category LRU pools with static shares",
-        ),
     ]
     # The named LRU-K variants the experiments sweep (Fig. 4-9).
-    for k in (2, 3, 5):
-        entries.append(
-            PolicySpec(
-                f"LRU-{k}",
-                LRUK,
-                params=(
-                    ParamSpec(
-                        "retain_history", kind="bool", default=True,
-                        description="keep HIST across evictions",
-                    ),
-                ),
-                defaults={"k": k},
-                description=f"LRU-K with K={k}",
-            )
-        )
+    entries.extend(_lru_k_variant(k) for k in (2, 3, 5))
     # The pure spatial criteria are policies of their own in the paper.
     for criterion in sorted(SPATIAL_CRITERIA):
         entries.append(
@@ -426,6 +353,20 @@ POLICY_REGISTRY: dict[str, PolicySpec] = _specs()
 _LRU_K_NAME = re.compile(r"^LRU-(\d+)$")
 
 
+def _lookup(name: str) -> PolicySpec:
+    """The spec behind a canonical name, an alias or an ``LRU-<k>`` name."""
+    key = name.strip().upper()
+    spec = POLICY_REGISTRY.get(key)
+    if spec is not None:
+        return spec
+    match = _LRU_K_NAME.match(key)
+    if match is None:
+        raise UnknownPolicyError(name)
+    k = int(match.group(1))
+    POLICY_REGISTRY["LRU-K"].param("k").validate(name, k)
+    return _lru_k_variant(k)
+
+
 def policy_names() -> list[str]:
     """The canonical policy names, sorted (aliases excluded)."""
     return sorted({spec.name for spec in POLICY_REGISTRY.values()})
@@ -448,14 +389,7 @@ def policy_param_space(name: str | None = None) -> dict:
     {}
     """
     if name is not None:
-        key = name.strip().upper()
-        spec = POLICY_REGISTRY.get(key)
-        if spec is None:
-            if _LRU_K_NAME.match(key):
-                spec = POLICY_REGISTRY["LRU-K"]
-            else:
-                raise UnknownPolicyError(name)
-        return {param.name: param for param in spec.params}
+        return {param.name: param for param in _lookup(name).params}
     return {
         spec.name: {param.name: param for param in spec.params}
         for spec in POLICY_REGISTRY.values()
@@ -469,21 +403,15 @@ def make_policy(name: str, **kwargs) -> ReplacementPolicy:
     facade, and the page server: names are case-insensitive and accept a
     few historical aliases; keywords are validated against the policy's
     normalised surface, so misspellings fail with the accepted list.
-    Parameterised LRU-K names (``LRU-4``) resolve to ``LRUK(k=4)``.
+    Parameterised LRU-K names (``LRU-4``) resolve to ``LRUK(k=4)``, with
+    K range-checked as ``LRU-K``'s ``k`` and the keywords of ``LRU-2``.
 
     >>> make_policy("asb").name
     'ASB'
     >>> make_policy("SLRU", candidate_fraction=0.5).name
     'SLRU 50%'
     """
-    key = name.strip().upper()
-    spec = POLICY_REGISTRY.get(key)
-    if spec is None:
-        match = _LRU_K_NAME.match(key)
-        if match:
-            return LRUK(k=int(match.group(1)), **kwargs)
-        raise UnknownPolicyError(name)
-    return spec.build(**kwargs)
+    return _lookup(name).build(**kwargs)
 
 
 __all__ = [
@@ -500,15 +428,8 @@ __all__ = [
     "EnsemblePolicy",
     "DEFAULT_EXPERTS",
     "LRU",
-    "ARC",
-    "TwoQ",
-    "GClock",
-    "DomainSeparation",
     "FIFO",
-    "Clock",
-    "LFU",
     "MRU",
-    "RandomPolicy",
     "LRUT",
     "LRUP",
     "LRUK",

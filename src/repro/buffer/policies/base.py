@@ -160,8 +160,3 @@ class ReplacementPolicy(abc.ABC):
         if not frames:
             raise BufferFullError("all resident pages are pinned")
         return frames
-
-    @staticmethod
-    def lru_victim(frames: list[Frame]) -> Frame:
-        """The least-recently-used frame of a non-empty list."""
-        return min(frames, key=lambda frame: frame.last_access)

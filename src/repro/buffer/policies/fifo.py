@@ -1,8 +1,8 @@
 """First-in first-out replacement.
 
-Not part of the paper's comparison, but a standard baseline (it is also the
-rule ASB uses *inside* its overflow buffer, Section 4.2) and useful for the
-wider baseline ablation.
+Not part of the paper's comparison, but a standard analytical baseline (it
+is also the rule ASB uses *inside* its overflow buffer, Section 4.2) and a
+column of the baseline ablation.
 """
 
 from __future__ import annotations

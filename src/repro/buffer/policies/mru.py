@@ -2,7 +2,8 @@
 
 Evicts the page touched most recently.  MRU is optimal for cyclic scans
 that exceed the buffer size and pathological for most other workloads; it is
-included to give the baseline ablation a known-bad contrast point.  On the
+kept as the recency-inverse analytical baseline, the baseline ablation's
+known-bad contrast point.  On the
 slot core the victim is the first unpinned frame off the recency chain's
 MRU tail — the mirror image of LRU's head walk.
 """

@@ -10,14 +10,11 @@ from __future__ import annotations
 
 from repro.buffer.manager import BufferManager
 from repro.buffer.policies.asb import ASB
-from repro.buffer.policies.clock import Clock
 from repro.buffer.policies.fifo import FIFO
-from repro.buffer.policies.lfu import LFU
 from repro.buffer.policies.lru import LRU
 from repro.buffer.policies.lru_k import LRUK
 from repro.buffer.policies.lru_p import LRUP
 from repro.buffer.policies.mru import MRU
-from repro.buffer.policies.random_policy import RandomPolicy
 from repro.buffer.policies.spatial import SpatialPolicy
 from repro.datasets.synthetic import us_mainland_like
 from repro.experiments.figures import FigureResult, PaperSetup
@@ -142,14 +139,8 @@ def ablation_baselines(
     setup: PaperSetup,
     buffer_fraction: float = 0.047,
 ) -> FigureResult:
-    """Classic baselines (FIFO, CLOCK, LFU, MRU, RANDOM) vs LRU."""
-    policies = {
-        "FIFO": FIFO,
-        "CLOCK": Clock,
-        "LFU": LFU,
-        "MRU": MRU,
-        "RANDOM": lambda: RandomPolicy(seed=3),
-    }
+    """The analytical baselines FIFO and MRU vs LRU."""
+    policies = {"FIFO": FIFO, "MRU": MRU}
     return FigureResult(
         figure="Ablation baselines",
         title="Classic replacement baselines vs LRU (database 1)",
@@ -209,77 +200,6 @@ def ablation_pinned_levels(
     )
 
 
-def ablation_adaptive_buffers(
-    setup: PaperSetup,
-    buffer_fraction: float = 0.047,
-    sets: tuple[str, ...] = (
-        "U-W-100",
-        "ID-W",
-        "S-W-100",
-        "INT-P",
-        "INT-W-100",
-        "IND-W-100",
-    ),
-) -> FigureResult:
-    """ASB against the wider literature of self-tuning / two-part buffers.
-
-    2Q (Johnson/Shasha 1994) and ARC (Megiddo/Modha 2003) split the buffer
-    along the recency-vs-frequency axis; the paper's ASB splits along the
-    recency-vs-spatial axis.  GCLOCK with type weights and static domain
-    separation represent the type-aware classics.  The question this
-    extension answers: does spatial feedback buy anything the
-    frequency-based adapters do not already provide?
-    """
-    from repro.buffer.policies.arc import ARC as ARCPolicy
-    from repro.buffer.policies.domain_separation import DomainSeparation
-    from repro.buffer.policies.gclock import GClock, type_weight
-    from repro.buffer.policies.two_q import TwoQ
-
-    capacity = buffer_capacity(setup.db1, buffer_fraction)
-    policies = {
-        "ASB": ASB,
-        "2Q": TwoQ,
-        "ARC": ARCPolicy,
-        "LRU-2": lambda: LRUK(k=2),
-        "GCLOCK": lambda: GClock(initial_weight=type_weight),
-        "DOMAIN": DomainSeparation,
-    }
-    return FigureResult(
-        figure="Ablation adaptive-buffers",
-        title="ASB vs 2Q, ARC, LRU-2, GCLOCK and domain separation (gains vs LRU)",
-        headers=["query set"] + list(policies),
-        rows=lru_gain_rows(setup, policies, sets, (buffer_fraction,), lead=("set",)),
-        notes=f"database 1, buffer = {capacity} pages",
-    )
-
-
-def _object_page_workload(setup: PaperSetup, n_objects: int, seed_offset: int):
-    """A tree whose leaves reference object pages, and its S-W-100 workload.
-
-    Returns the tree, its object store and ``misses(manager)``, which runs
-    the windows with ``fetch_objects=True`` through a buffer manager and
-    returns its miss count.
-    """
-    dataset = us_mainland_like(n_objects=n_objects, seed=setup.seed + seed_offset)
-    tree, store = build_tree_with_objects(
-        dataset, lambda pagefile: RStarTree(pagefile=pagefile)
-    )
-    windows = [
-        query.region
-        for query in make_query_set(
-            "S-W-100", dataset, setup.db1.places, setup.n_queries, setup.seed
-        )
-    ]
-
-    def misses(manager) -> int:
-        for window in windows:
-            with manager.query_scope():
-                tree.window_query(window, manager, fetch_objects=True)
-        return manager.stats.misses
-
-    return tree, store, misses
-
-
 def ablation_object_pages(
     setup: PaperSetup,
     buffer_fraction: float = 0.047,
@@ -295,7 +215,23 @@ def ablation_object_pages(
     """
     from repro.buffer.policies.lru_t import LRUT
 
-    tree, store, misses = _object_page_workload(setup, n_objects, 6)
+    dataset = us_mainland_like(n_objects=n_objects, seed=setup.seed + 6)
+    tree, store = build_tree_with_objects(
+        dataset, lambda pagefile: RStarTree(pagefile=pagefile)
+    )
+    windows = [
+        query.region
+        for query in make_query_set(
+            "S-W-100", dataset, setup.db1.places, setup.n_queries, setup.seed
+        )
+    ]
+
+    def misses(manager: BufferManager) -> int:
+        for window in windows:
+            with manager.query_scope():
+                tree.window_query(window, manager, fetch_objects=True)
+        return manager.stats.misses
+
     total_pages = tree.stats().page_count + store.page_count
     capacity = max(8, round(buffer_fraction * total_pages))
     policies = {
@@ -319,62 +255,6 @@ def ablation_object_pages(
         notes=(
             f"{tree.stats().page_count} tree pages + {store.page_count} "
             f"object pages; buffer = {capacity} pages; S-W-100 with "
-            "fetch_objects=True"
-        ),
-    )
-
-
-def ablation_partitioned_buffer(
-    setup: PaperSetup,
-    buffer_fraction: float = 0.047,
-    n_objects: int = 12_000,
-) -> FigureResult:
-    """Shared buffer vs per-category partitions (the paper's architecture).
-
-    The paper buffers object pages separately from the tree; this ablation
-    compares, at equal total memory, a single shared buffer against
-    partitioned layouts with different policy assignments — including the
-    natural hybrid: spatial replacement for the tree partition, LRU for
-    the object partition.
-    """
-    from repro.buffer.partitioned import PartitionedBufferManager
-    from repro.storage.page import PageType
-
-    tree, store, misses = _object_page_workload(setup, n_objects, 7)
-    total_pages = tree.stats().page_count + store.page_count
-    capacity = max(12, round(buffer_fraction * total_pages))
-    tree_share = max(4, round(capacity * 0.5))
-    dir_share = max(2, round(tree_share * 0.15))
-    data_share = tree_share - dir_share
-    object_share = capacity - tree_share
-    disk = tree.pagefile.disk
-
-    def split(data_policy) -> PartitionedBufferManager:
-        return PartitionedBufferManager(
-            disk,
-            {
-                PageType.DIRECTORY: (dir_share, LRU()),
-                PageType.DATA: (data_share, data_policy),
-                PageType.OBJECT: (object_share, LRU()),
-            },
-        )
-
-    layouts = {
-        "shared LRU": lambda: BufferManager(disk, capacity, LRU()),
-        "shared ASB": lambda: BufferManager(disk, capacity, ASB()),
-        "split LRU/LRU": lambda: split(LRU()),
-        "split A/LRU": lambda: split(SpatialPolicy("A")),
-    }
-    return FigureResult(
-        figure="Ablation partitioned-buffer",
-        title="Shared vs per-category buffers at equal total memory",
-        headers=["layout", "reads", "gain vs shared LRU"],
-        rows=append_gain(
-            [[name, misses(factory())] for name, factory in layouts.items()]
-        ),
-        notes=(
-            f"total = {capacity} frames (dir {dir_share} / data {data_share} "
-            f"/ object {object_share} in the split layouts); S-W-100 with "
             "fetch_objects=True"
         ),
     )

@@ -105,8 +105,8 @@ def run_queries(
     """Drive a query set through *any* page accessor.
 
     The harness core is accessor-generic: the same loop runs against a
-    plain :class:`~repro.buffer.manager.BufferManager`, a partitioned one,
-    the concurrent service, or an unbuffered accessor — each query inside
+    plain :class:`~repro.buffer.manager.BufferManager`, the concurrent
+    service, or an unbuffered accessor — each query inside
     its own query scope (the correlation unit).  ``after_query`` is an
     optional hook called with (query index, accessor) after each query.
     """

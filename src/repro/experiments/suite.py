@@ -26,9 +26,7 @@ ALL_ABLATIONS: dict[str, Callable[[PaperSetup], FigureResult]] = {
     "ablation_sams": ablations.ablation_sams,
     "ablation_baselines": ablations.ablation_baselines,
     "ablation_pinned_levels": ablations.ablation_pinned_levels,
-    "ablation_adaptive_buffers": ablations.ablation_adaptive_buffers,
     "ablation_object_pages": ablations.ablation_object_pages,
-    "ablation_partitioned_buffer": ablations.ablation_partitioned_buffer,
     "ablation_updates": ablations.ablation_updates,
     "ablation_moving_objects": lambda setup: ablations.ablation_updates(
         setup, moving=True

@@ -1,6 +1,6 @@
 """Observability: a typed event stream over the buffer subsystem.
 
-The buffer manager, the partitioned buffer and the policies emit
+The buffer managers and the policies emit
 :class:`~repro.obs.events.BufferEvent` records through a pluggable
 *observer* (any object with an ``emit(event)`` method).  When no observer
 is attached the hooks cost a single attribute check per event site, so

@@ -50,7 +50,7 @@ def small_database(small_dataset):
 
 @pytest.fixture(scope="session")
 def reproduction():
-    """All 26 figure and study tables, run once for the whole session.
+    """All 24 figure and study tables, run once for the whole session.
 
     The scale is the one ``tests/golden/experiment_tables.json`` pins; the
     tests that only look at a table read it from here instead of running

@@ -9,7 +9,12 @@ import pytest
 from repro.api import BufferSystem, build_buffer_system
 from repro.buffer.concurrent import ConcurrentBufferManager
 from repro.buffer.manager import BufferManager
-from repro.buffer.policies import make_policy, policy_names
+from repro.buffer.policies import (
+    UnknownPolicyError,
+    make_policy,
+    policy_names,
+    policy_param_space,
+)
 from repro.buffer.policies.asb import ASB
 from repro.buffer.policies.lru import LRU
 from repro.buffer.policies.lru_k import LRUK
@@ -54,14 +59,55 @@ class TestMakePolicy:
         assert make_policy("asb").name == make_policy("ASB").name
 
     def test_aliases_resolve(self):
-        assert make_policy("TWOQ").name == make_policy("2Q").name
-        assert make_policy("DOMAIN-SEPARATION").name == make_policy("DOMAIN").name
+        assert make_policy("LRUK").name == make_policy("LRU-K").name
+        assert make_policy("EEVA-BASE").name == make_policy("EEVA").name
 
     def test_parameterised_lru_k_names(self):
         assert isinstance(make_policy("LRU-2"), LRUK)
         seven = make_policy("LRU-7")
         assert isinstance(seven, LRUK)
         assert seven.k == 7
+
+    def test_parameterised_k_is_range_checked_like_lru_k(self):
+        with pytest.raises(ValueError, match="must be <= 8"):
+            make_policy("LRU-K", k=9)
+        with pytest.raises(ValueError, match="must be <= 8"):
+            make_policy("LRU-9")
+
+    def test_parameterised_name_rejects_keywords_like_the_registry(self):
+        with pytest.raises(TypeError, match="accepted keywords: retain_history$"):
+            make_policy("LRU-4", bogus=1)
+        assert make_policy("LRU-4", retain_history=False).retain_history is False
+
+    def test_parameterised_name_fixes_k(self):
+        assert policy_param_space("LRU-4") == policy_param_space("LRU-2")
+        with pytest.raises(TypeError, match="accepted keywords: retain_history$"):
+            make_policy("LRU-4", k=3)
+
+    def test_the_registry_is_the_paper_set_plus_the_experts(self):
+        assert policy_names() == [
+            "A", "ASB", "AWRP", "EA", "EEVA", "EM", "ENSEMBLE", "EO", "FIFO",
+            "LRU", "LRU-2", "LRU-3", "LRU-5", "LRU-K", "LRU-P", "LRU-T", "M",
+            "MRU", "SLRU",
+        ]
+
+    @pytest.mark.parametrize(
+        "name, export",
+        [
+            ("2Q", "TwoQ"),
+            ("ARC", "ARC"),
+            ("CLOCK", "Clock"),
+            ("GCLOCK", "GClock"),
+            ("LFU", "LFU"),
+            ("RANDOM", "RandomPolicy"),
+            ("DOMAIN", "DomainSeparation"),
+        ],
+    )
+    def test_retired_policies_are_gone(self, name, export):
+        with pytest.raises(UnknownPolicyError):
+            make_policy(name)
+        with pytest.raises(ImportError):
+            exec(f"from repro import {export}", {})
 
     def test_keywords_are_forwarded(self):
         policy = make_policy("SLRU", candidate_fraction=0.5)

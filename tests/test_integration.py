@@ -6,50 +6,21 @@ import pytest
 
 from repro.buffer.manager import BufferManager
 from repro.buffer.policies import (
-    ARC,
     ASB,
-    FIFO,
-    LFU,
     LRU,
-    LRUK,
-    LRUP,
-    LRUT,
-    MRU,
-    SLRU,
-    Clock,
-    DomainSeparation,
-    GClock,
-    RandomPolicy,
     SpatialPolicy,
-    TwoQ,
+    make_policy,
+    policy_names,
 )
 from repro.geometry.rect import Rect
 from repro.sam.quadtree import Quadtree
 from repro.sam.zbtree import ZBTree
 from repro.storage.disk import DiskError
 
+#: Every registered policy, by canonical name: a policy added to (or
+#: removed from) the registry is covered here without an edit.
 ALL_POLICY_FACTORIES = {
-    "LRU": LRU,
-    "FIFO": FIFO,
-    "CLOCK": Clock,
-    "LFU": LFU,
-    "MRU": MRU,
-    "RANDOM": lambda: RandomPolicy(seed=9),
-    "LRU-T": LRUT,
-    "LRU-P": LRUP,
-    "LRU-2": lambda: LRUK(k=2),
-    "LRU-3": lambda: LRUK(k=3),
-    "A": lambda: SpatialPolicy("A"),
-    "EA": lambda: SpatialPolicy("EA"),
-    "M": lambda: SpatialPolicy("M"),
-    "EM": lambda: SpatialPolicy("EM"),
-    "EO": lambda: SpatialPolicy("EO"),
-    "SLRU": lambda: SLRU(candidate_fraction=0.25),
-    "ASB": ASB,
-    "2Q": TwoQ,
-    "ARC": ARC,
-    "GCLOCK": GClock,
-    "DOMAIN": DomainSeparation,
+    name: (lambda name=name: make_policy(name)) for name in policy_names()
 }
 
 

@@ -1,9 +1,8 @@
 """Tests for the observability subsystem (repro.obs).
 
 Covers the event model and sinks, the manager/policy emission contract
-(kinds, ordering, zero-cost-when-disabled), windowed metrics, the
-partitioned buffer's observer propagation, and JSON-lines trace
-persistence with deterministic replay.
+(kinds, ordering, zero-cost-when-disabled), windowed metrics, and
+JSON-lines trace persistence with deterministic replay.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import random
 import pytest
 
 from repro.buffer.manager import BufferManager
-from repro.buffer.partitioned import PartitionedBufferManager
 from repro.buffer.policies import ASB, LRU, SpatialPolicy
 from repro.geometry.rect import Rect
 from repro.obs import (
@@ -251,47 +249,6 @@ class TestWindowedMetrics:
             buffer.stats.hit_ratio
         )  # window covers the whole run
         assert summary["evictions"] == buffer.stats.evictions
-
-
-class TestPartitionedObserver:
-    def _partitioned(self, observer=None):
-        disk = SimulatedDisk()
-        for page_id in range(6):
-            page_type = PageType.DATA if page_id < 3 else PageType.DIRECTORY
-            page = Page(page_id=page_id, page_type=page_type,
-                        level=0 if page_id < 3 else 1)
-            page.entries.append(
-                PageEntry(mbr=Rect(0, 0, 1, 1), payload=page_id)
-            )
-            disk.store(page)
-        return PartitionedBufferManager(
-            disk,
-            {
-                PageType.DATA: (2, LRU()),
-                PageType.DIRECTORY: (2, LRU()),
-            },
-            observer=observer,
-        )
-
-    def test_constructor_observer_reaches_all_partitions(self):
-        recorder = TraceRecorder()
-        buffers = self._partitioned(observer=recorder)
-        buffers.fetch(0)  # data partition
-        buffers.fetch(4)  # directory partition
-        pages = {event.page_id for event in recorder.events}
-        assert pages == {0, 4}
-
-    def test_observer_setter_propagates(self):
-        buffers = self._partitioned()
-        assert buffers.observer is None
-        recorder = TraceRecorder()
-        buffers.observer = recorder
-        buffers.fetch(1)
-        buffers.fetch(5)
-        assert {e.kind for e in recorder.events} == {"fetch", "miss"}
-        buffers.observer = None
-        buffers.fetch(1)
-        assert len(recorder.events) == 4  # detached: nothing new
 
 
 class TestRecordedTrace:

@@ -14,16 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.buffer.manager import BufferManager
-from repro.buffer.policies import (
-    ARC,
-    ASB,
-    FIFO,
-    LRU,
-    LRUK,
-    SLRU,
-    SpatialPolicy,
-    TwoQ,
-)
+from repro.buffer.policies import ASB, FIFO, LRU, LRUK, SLRU, SpatialPolicy
 from repro.geometry.rect import Rect
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page, PageEntry, PageType
@@ -103,8 +94,6 @@ class TestUniversalInvariants:
         ("A", lambda: SpatialPolicy("A")),
         ("SLRU", lambda: SLRU(candidate_fraction=0.5)),
         ("ASB", lambda: ASB(overflow_fraction=0.25)),
-        ("2Q", TwoQ),
-        ("ARC", ARC),
     ]
 
     @settings(max_examples=40, deadline=None)

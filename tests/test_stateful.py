@@ -26,7 +26,7 @@ from hypothesis.stateful import (
 )
 
 from repro.buffer.manager import BufferManager
-from repro.buffer.policies import ARC, ASB, LRU, LRUK, SpatialPolicy, TwoQ
+from repro.buffer.policies import ASB, LRU, LRUK, SpatialPolicy
 from repro.geometry.rect import Rect
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page, PageEntry, PageType
@@ -40,8 +40,6 @@ POLICY_FACTORIES = [
     lambda: LRUK(k=2),
     lambda: SpatialPolicy("A"),
     ASB,
-    TwoQ,
-    ARC,
 ]
 
 
