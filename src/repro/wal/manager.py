@@ -31,8 +31,8 @@ flusher never distorts the eviction order itself (it touches no
 policy state, only the dirty flag).
 
 ``checkpoint_interval > 0`` additionally takes periodic checkpoints:
-flush *all* dirty frames, then log a CHECKPOINT record — recovery may
-skip every earlier record.  Automatic checkpoints require a single
+flush *all* dirty frames, sync the page store, then log a CHECKPOINT
+record — recovery may skip every earlier record.  Automatic checkpoints require a single
 sequential buffer (a checkpoint must cover every frame pool); the
 concurrent service exposes an explicit all-shard
 :meth:`~repro.buffer.concurrent.ConcurrentBufferManager.checkpoint`
@@ -219,7 +219,12 @@ class DurabilityManager:
                 buffer.writeback_frame(frame, disk=self._writer)
 
     def finish_checkpoint(self) -> int:
-        """Phase 3: log the durable CHECKPOINT record; returns its LSN."""
+        """Phase 3: log the durable CHECKPOINT record; returns its LSN.
+
+        The pages written back are synced first: the record lets recovery
+        skip the log records that would otherwise restore them.
+        """
+        self.disk.sync()
         with self._lock:
             lsn = self.wal.append_checkpoint()
             self.wal.sync()

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+import zlib
+
 import pytest
 
 from repro.geometry.rect import Rect
 from repro.storage.disk import DiskError, TransientDiskError
 from repro.storage.page import Page, PageEntry, PageType
-from repro.storage.serialization import encode_page
+from repro.storage.serialization import decode_page, encode_page, read_page
 from repro.wal.crash import CrashError, CrashInjector
 from repro.wal.durable import DurableDisk, TornPageError
+from tests.test_storage_serialization import outcome
 
 PAGE_SIZE = 256
 
@@ -137,3 +143,216 @@ class TestFailureInjection:
             with pytest.raises(TransientDiskError):
                 disk.read(0)
         assert disk.read(0).page_id == 0
+
+
+def version_page(page_id: int, version: int) -> Page:
+    """Version ``version`` of a page: its level, type and entries all say
+    which version it is."""
+    level = version % 3
+    page = Page(page_id, PageType.DATA if level == 0 else PageType.DIRECTORY, level)
+    for index in range(1 + version % 4):
+        x = version + index / 8
+        page.entries.append(
+            PageEntry(
+                Rect(x, 0.0, x + 1.0, 1.0),
+                child=None if level == 0 else index,
+                payload=version * 100 + index if level == 0 else None,
+            )
+        )
+    return page
+
+
+def rewrite(disk: DurableDisk, page_id: int, payload: bytes) -> None:
+    """Put ``payload`` into a slot under the disk, with a matching CRC."""
+    disk.store_backend.write_at(
+        page_id * disk.slot_size, zlib.crc32(payload).to_bytes(4, "little") + payload
+    )
+
+
+def model_read(disk: DurableDisk, page_id: int) -> Page:
+    """A read that verifies every time: the CRC, then :func:`read_page`."""
+    if page_id not in disk:
+        raise KeyError(page_id)
+    slot = disk.store_backend.read_at(page_id * disk.slot_size, disk.slot_size)
+    slot = slot.ljust(disk.slot_size, b"\x00")
+    if zlib.crc32(slot[4:]) != int.from_bytes(slot[:4], "little"):
+        raise TornPageError(page_id)
+    return read_page(slot[4:], page_id)
+
+
+def observed(read, page_id: int):
+    """What one read shows: header, image, MBR and entries, or the error."""
+    try:
+        page = read(page_id)
+    except (KeyError, TornPageError) as exc:
+        return type(exc)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    return (
+        page.page_id,
+        page.page_type,
+        page.level,
+        page.image(),
+        outcome(page.mbr),
+        repr(page.entries),
+    )
+
+
+class TestVerifiedOnce:
+    """A slot version is verified once; every read still equals a read
+    that verifies every time."""
+
+    PAGES = 4
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reads_equal_the_model(self, seed):
+        rng = random.Random(seed)
+        crash = CrashInjector()
+        disk = DurableDisk(page_size=PAGE_SIZE, crash=crash)
+        for step in range(400):
+            page_id = rng.randrange(self.PAGES)
+            version = rng.randrange(12)
+            blob = encode_page(version_page(page_id, version), PAGE_SIZE)
+            action = rng.choice(
+                [
+                    "read", "read", "read", "store", "write", "write packed",
+                    "write back", "write wide", "restore", "delete", "torn",
+                    "after", "raw", "raw malformed", "raw padded", "raw flip",
+                ]
+            )
+            if action == "read":
+                assert observed(disk.read, page_id) == observed(
+                    lambda page_id: model_read(disk, page_id), page_id
+                ), step
+                continue
+            if action == "store":
+                disk.store(version_page(page_id, version))
+            elif action == "write":
+                disk.write(version_page(page_id, version))
+            elif action == "write packed":
+                disk.write(read_page(blob, page_id))
+            elif action == "write back":
+                try:
+                    disk.write(disk.read(page_id))
+                except (KeyError, TornPageError, ValueError):
+                    pass
+            elif action == "write wide":
+                # Packed, but its image is not a slot of this disk.
+                wide = encode_page(version_page(page_id, version), 2 * PAGE_SIZE)
+                disk.write(read_page(wide, page_id))
+            elif action == "restore":
+                disk.restore(page_id, blob)
+            elif action == "delete":
+                disk.delete(page_id)
+            elif action in ("torn", "after"):
+                crash.arm("disk.write.torn" if action == "torn" else "disk.write.after")
+                with pytest.raises(CrashError):
+                    disk.write(read_page(blob, page_id))
+            elif action == "raw":
+                rewrite(disk, page_id, blob)
+            elif action == "raw malformed":
+                damaged = bytearray(blob)
+                damaged[rng.randrange(8)] ^= rng.randrange(1, 256)
+                rewrite(disk, page_id, bytes(damaged))
+            elif action == "raw padded":
+                rewrite(disk, page_id, blob[:-1] + b"\xab")
+            else:
+                offset = page_id * disk.slot_size + 4 + rng.randrange(PAGE_SIZE)
+                (byte,) = disk.store_backend.read_at(offset, 1) or b"\x00"
+                disk.store_backend.write_at(offset, bytes([byte ^ 0x5A]))
+        for page_id in range(self.PAGES):
+            assert observed(disk.read, page_id) == observed(
+                lambda page_id: model_read(disk, page_id), page_id
+            )
+
+    def test_a_version_is_verified_once_and_its_image_shared(self):
+        disk = DurableDisk(page_size=PAGE_SIZE)
+        disk.store(version_page(0, 1))
+        first, second = disk.read(0), disk.read(0)
+        assert first is not second
+        assert first._image is second._image is not None
+        first._derived()["A"] = 1.5
+        assert first.entries  # unpacking one page leaves the shared image
+        assert disk.read(0)._derived() == {"A": 1.5}
+        disk.write(disk.read(0))  # a packed page's image is adopted
+        assert disk.read(0)._image is second._image
+        disk.write(version_page(0, 1))  # same bytes, from entry objects
+        assert disk.read(0)._image is not second._image
+
+    def test_a_torn_write_is_caught_on_the_same_disk(self):
+        crash = CrashInjector()
+        disk = DurableDisk(page_size=PAGE_SIZE, crash=crash)
+        disk.store(full_page(0, marker=1))
+        assert disk.read(0).image() is not None
+        crash.arm("disk.write.torn")
+        with pytest.raises(CrashError):
+            disk.write(read_page(encode_page(full_page(0, marker=2), PAGE_SIZE), 0))
+        with pytest.raises(TornPageError):
+            disk.read(0)
+
+    def test_a_rewrite_with_a_matching_crc_is_verified_again(self):
+        disk = DurableDisk(page_size=PAGE_SIZE)
+        disk.store(version_page(0, 1))
+        disk.read(0)
+        other = encode_page(version_page(0, 2), PAGE_SIZE)
+        rewrite(disk, 0, other)
+        page = disk.read(0)
+        assert (page.level, page.image()) == (2, other)
+        malformed = b"XX" + other[2:]
+        rewrite(disk, 0, malformed)
+        with pytest.raises(ValueError) as raised:
+            disk.read(0)
+        with pytest.raises(ValueError) as expected:
+            decode_page(malformed, 0)
+        assert str(raised.value) == str(expected.value)
+
+    def test_threads_share_one_disk(self):
+        """Readers and writers race on four slots: every read is a version
+        that was written, whole, with that version's header."""
+        disk = DurableDisk(page_size=PAGE_SIZE)
+        versions = {
+            page_id: [version_page(page_id, version) for version in range(6)]
+            for page_id in range(self.PAGES)
+        }
+        headers = {
+            encode_page(page, PAGE_SIZE): (page.page_type, page.level)
+            for pages in versions.values()
+            for page in pages
+        }
+        for page_id in range(self.PAGES):
+            disk.store(versions[page_id][0])
+        failures: list = []
+
+        def worker(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(400):
+                    page_id = rng.randrange(self.PAGES)
+                    if seed % 2:
+                        page = rng.choice(versions[page_id])
+                        blob = encode_page(page, PAGE_SIZE)
+                        disk.write(read_page(blob, page_id) if rng.random() < 0.5 else page)
+                        continue
+                    page = disk.read(page_id)
+                    blob = page.image()
+                    if headers.get(blob) != (page.page_type, page.level):
+                        failures.append((page_id, blob))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        for page_id in range(self.PAGES):
+            assert observed(disk.read, page_id) == observed(
+                lambda page_id: model_read(disk, page_id), page_id
+            )

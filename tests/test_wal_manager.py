@@ -16,9 +16,12 @@ from repro.buffer.policies.mru import MRU
 from repro.geometry.rect import Rect
 from repro.obs.events import TraceRecorder
 from repro.storage.page import Page, PageEntry, PageType
+from repro.storage.serialization import encode_page
+from repro.wal.bytestore import MemoryByteStore
 from repro.wal.durable import DurableDisk
-from repro.wal.log import CHECKPOINT, COMMIT, FREE, PAGE_IMAGE
+from repro.wal.log import CHECKPOINT, COMMIT, FREE, PAGE_IMAGE, WriteAheadLog
 from repro.wal.manager import DurabilityManager
+from repro.wal.recovery import recover
 
 PAGE_SIZE = 256
 
@@ -29,6 +32,37 @@ def make_page(page_id: int, payload: int = 0) -> Page:
         PageEntry(mbr=Rect(0.0, 0.0, 1.0, 1.0), payload=payload)
     )
     return page
+
+
+class PowerLossStore:
+    """A medium whose writes stay in a volatile cache until ``sync``; a
+    power loss keeps only the synced bytes."""
+
+    def __init__(self) -> None:
+        self._view = MemoryByteStore()
+        self._synced = MemoryByteStore()
+        self._pending: list[tuple[int, bytes]] = []
+
+    def read_at(self, offset: int, length: int) -> bytes:
+        return self._view.read_at(offset, length)
+
+    def write_at(self, offset: int, data: bytes) -> None:
+        self._view.write_at(offset, data)
+        self._pending.append((offset, bytes(data)))
+
+    def size(self) -> int:
+        return self._view.size()
+
+    def sync(self) -> None:
+        for offset, data in self._pending:
+            self._synced.write_at(offset, data)
+        self._pending.clear()
+
+    def image(self) -> bytes:
+        return self._view.image()
+
+    def after_power_loss(self) -> MemoryByteStore:
+        return MemoryByteStore(self._synced.image())
 
 
 def make_rig(capacity=4, policy=None, **durability_kwargs):
@@ -170,6 +204,27 @@ class TestCheckpoints:
         assert records[-1].kind == CHECKPOINT
         assert records[-1].lsn == lsn
         buffer.unpin(1)
+
+    def test_checkpoint_survives_power_loss(self):
+        """The checkpoint lets recovery skip the records of the pages it
+        wrote back, so those pages must be on the medium, not in a cache."""
+        page_store, log_store = PowerLossStore(), PowerLossStore()
+        disk = DurableDisk(page_store, page_size=PAGE_SIZE)
+        for page_id in range(4):
+            disk.store(make_page(page_id, payload=page_id))
+        page_store.sync()
+        durability = DurabilityManager(disk, WriteAheadLog(log_store))
+        buffer = BufferManager(disk, 4, LRU(), durability=durability)
+        buffer.fetch(2).entries[0].payload = 99
+        buffer.mark_dirty(2)
+        durability.commit()
+        durability.checkpoint(buffer)
+
+        survivor = DurableDisk(page_store.after_power_loss(), page_size=PAGE_SIZE)
+        recover(WriteAheadLog(log_store.after_power_loss()), survivor)
+        assert encode_page(survivor.peek(2), PAGE_SIZE) == encode_page(
+            make_page(2, payload=99), PAGE_SIZE
+        )
 
     def test_auto_checkpoint_via_tick(self):
         _, durability, buffer = make_rig(
