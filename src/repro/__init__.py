@@ -7,10 +7,10 @@ A faithful, self-contained reproduction of
 
 The library provides the full stack the paper's experiments need: geometry,
 a page/disk storage substrate with access accounting, spatial access
-methods (R*-tree, R-tree, quadtree, z-order B+-tree), a buffer manager with
-the paper's policies (LRU, LRU-T, LRU-P, LRU-K, the spatial criteria
-A/EA/M/EM/EO, SLRU and the self-tuning ASB, beside the FIFO and MRU
-baselines and the AWRP/EEvA experts), synthetic
+methods (the paper's R*-tree, a grid file and an mqr-tree), a buffer
+manager with the paper's policies (LRU, LRU-T, LRU-P, LRU-K, the spatial
+criteria A/EA/M/EM/EO, SLRU and the self-tuning ASB, beside the FIFO and
+MRU baselines and the AWRP/EEvA experts), synthetic
 datasets and query workloads mirroring the paper's distributions, and an
 experiment harness that regenerates every figure of the evaluation.
 
@@ -48,7 +48,7 @@ from repro.access import (
     FullPageAccessor,
     PageAccessor,
 )
-from repro.api import BufferSystem, ClusterSystem, build_buffer_system
+from repro.api import BufferSystem, ClusterSystem
 from repro.buffer.concurrent import ConcurrentBufferManager
 from repro.buffer.manager import BufferFullError, BufferManager
 from repro.buffer.policies import (
@@ -83,10 +83,7 @@ from repro.obs import (
 )
 from repro.sam.gridfile import GridFile
 from repro.tuning import FittedWeights, TuningSpec, fit_weights
-from repro.sam.quadtree import Quadtree
 from repro.sam.rstar import RStarTree
-from repro.sam.rtree import RTree
-from repro.sam.zbtree import ZBTree
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page, PageEntry, PageType
 from repro.storage.pagefile import PageFile
@@ -116,7 +113,6 @@ __all__ = [
     # facade
     "BufferSystem",
     "ClusterSystem",
-    "build_buffer_system",
     # self-tuning
     "TuningSpec",
     "FittedWeights",
@@ -141,9 +137,6 @@ __all__ = [
     "ASB",
     # spatial access methods
     "RStarTree",
-    "RTree",
-    "Quadtree",
-    "ZBTree",
     "GridFile",
     # datasets
     "Dataset",

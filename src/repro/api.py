@@ -68,11 +68,6 @@ _ADMISSION_KEYS = (
     "retry_hint_ms",
 )
 
-#: ``background_writeback=True`` cleans cold dirty frames every this many
-#: buffer requests (see ``flush_interval`` on
-#: :class:`~repro.wal.manager.DurabilityManager`).
-DEFAULT_WRITEBACK_INTERVAL = 64
-
 
 @dataclass
 class BufferSystem:
@@ -110,7 +105,6 @@ class BufferSystem:
         policy_kwargs: Mapping | None = None,
         page_size: int = 4096,
         tuning: object | None = None,
-        background_writeback: "bool | int | None" = None,
         admission: "bool | Mapping | AdmissionController | None" = None,
     ) -> "BufferSystem":
         """Wire a complete buffer system in one call.
@@ -152,17 +146,6 @@ class BufferSystem:
             A raw :class:`~repro.tuning.TuningConfig` is the advanced
             controller surface and passes through unchanged.
             The controller is exposed as ``system.tuner``.
-        ``background_writeback``
-            ``None`` (default) leaves background cleaning to the
-            ``durability`` options — off unless ``flush_interval`` is
-            given, bit-identical to the pre-flag wiring.  ``True``
-            enables the background flusher at
-            :data:`DEFAULT_WRITEBACK_INTERVAL`; an integer sets the
-            interval directly; ``False``/``0`` forces it off.  Requires
-            durability (the flusher lives in the
-            :class:`~repro.wal.manager.DurabilityManager`) and refuses
-            to fight an explicit ``flush_interval`` in the durability
-            mapping.
         ``admission``
             ``None`` (default) attaches no admission control — the page
             server builds its own controller exactly as before.
@@ -188,7 +171,6 @@ class BufferSystem:
             observer = trace
 
         # --- durability -------------------------------------------------
-        durability = cls._apply_writeback(durability, background_writeback)
         durability_manager = cls._build_durability(durability, disk, page_size)
         if durability_manager is not None:
             disk = durability_manager.disk
@@ -357,46 +339,6 @@ class BufferSystem:
         return "ENSEMBLE", kwargs
 
     @staticmethod
-    def _apply_writeback(
-        durability: "bool | Mapping | DurabilityManager | None",
-        background_writeback: "bool | int | None",
-    ) -> "bool | Mapping | DurabilityManager | None":
-        """Fold the ``background_writeback`` flag into the durability spec."""
-        if background_writeback is None:
-            return durability
-        if background_writeback is True:
-            interval = DEFAULT_WRITEBACK_INTERVAL
-        elif background_writeback is False:
-            interval = 0
-        else:
-            interval = int(background_writeback)
-            if interval < 0:
-                raise ValueError("background_writeback must be non-negative")
-        if durability is None or durability is False:
-            if interval:
-                raise ValueError(
-                    "background_writeback requires durability (the background "
-                    "flusher lives in the DurabilityManager); pass "
-                    "durability=True or a durability mapping"
-                )
-            return durability
-        if durability is True:
-            return {"flush_interval": interval}
-        if isinstance(durability, Mapping):
-            if "flush_interval" in durability:
-                raise ValueError(
-                    "pass either background_writeback= or a flush_interval "
-                    "in the durability mapping, not both"
-                )
-            merged = dict(durability)
-            merged["flush_interval"] = interval
-            return merged
-        raise ValueError(
-            "background_writeback cannot reconfigure a ready "
-            "DurabilityManager; set flush_interval on it directly"
-        )
-
-    @staticmethod
     def _build_admission(
         admission: "bool | Mapping | AdmissionController | None",
         observer: "EventSink | None",
@@ -545,11 +487,6 @@ class BufferSystem:
 
     def resident_ids(self) -> "list[PageId]":
         return self.buffer.resident_ids()
-
-
-def build_buffer_system(**kwargs) -> BufferSystem:
-    """Module-level convenience alias of :meth:`BufferSystem.build`."""
-    return BufferSystem.build(**kwargs)
 
 
 @dataclass

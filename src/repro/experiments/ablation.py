@@ -34,9 +34,8 @@ from repro.experiments.harness import (
     run_queries,
 )
 from repro.experiments.report import format_gain
-from repro.sam.quadtree import Quadtree
+from repro.sam.gridfile import GridFile
 from repro.sam.rstar import RStarTree
-from repro.sam.zbtree import ZBTree
 from repro.storage.objects import build_tree_with_objects
 from repro.workloads.sets import make_query_set
 
@@ -98,38 +97,27 @@ def ablation_sams(
     setup: PaperSetup,
     buffer_fraction: float = 0.047,
 ) -> FigureResult:
-    """The policies on other spatial access methods (Section 2.3's claim).
+    """The policies on a non-hierarchical index (Section 2.3's claim).
 
-    The spatial criteria are defined for generic page entries — quadtree
-    cells and z-values included.  This ablation indexes database 1's
-    objects with a bucket quadtree and a z-order B+-tree and repeats the
-    A / LRU-2 / ASB comparison on them.
+    The spatial criteria are defined for generic page entries, so they
+    also rank a grid file's directory stripes and buckets.  This ablation
+    indexes database 1's objects with a grid file and repeats the
+    A / LRU-2 / ASB comparison on it.
     """
-    from repro.sam.gridfile import GridFile
-
     dataset = setup.db1.dataset
-    quadtree = Quadtree(dataset.space, capacity=42)
-    for rect, payload in dataset.items():
-        quadtree.insert(rect, payload)
-    zbtree = ZBTree(dataset.space, max_entries=42)
-    zbtree.bulk_load(dataset.items())
     gridfile = GridFile(dataset.space, bucket_capacity=42, max_splits=32)
     for rect, payload in dataset.items():
         gridfile.insert(rect, payload)
-    indexes = {"quadtree": quadtree, "z-b+tree": zbtree, "gridfile": gridfile}
     cells = run_grid(
         setup,
         FOUR_POLICIES,
         ABLATION_SETS,
         (buffer_fraction,),
-        databases={
-            name: Database(dataset, index, setup.db1.places)
-            for name, index in indexes.items()
-        },
+        databases={"gridfile": Database(dataset, gridfile, setup.db1.places)},
     )
     return FigureResult(
         figure="Ablation SAMs",
-        title="Policy gains vs LRU on non-R-tree spatial access methods",
+        title="Policy gains vs LRU on a grid file (a non-R-tree SAM)",
         headers=["index", "query set", "A", "LRU-2", "ASB"],
         rows=grid_rows(cells, ("A", "LRU-2", "ASB"), lead=("db", "set")),
     )
@@ -477,63 +465,6 @@ def ablation_build_method(
         headers=["build", "pages", "leaf overlap", "LRU reads", "gain(A)"],
         rows=rows,
         notes=f"{n_objects} objects, paper fanout 51/42, buffer {buffer_fraction:.1%}",
-    )
-
-
-def ablation_join(
-    setup: PaperSetup,
-    buffer_fraction: float = 0.047,
-    n_left: int = 15_000,
-    n_right: int = 15_000,
-) -> FigureResult:
-    """Spatial joins through one shared buffer (future work #2, join side).
-
-    Joins two R*-trees (two map layers over the same region) with the
-    synchronized-traversal join; both trees share one disk and one buffer.
-    The join's access pattern alternates between the trees and revisits
-    inner pages heavily — the workload where buffering decides the cost.
-    The nested-loop row shows the algorithmic baseline under plain LRU.
-    """
-    from repro.sam.join import nested_loop_join, spatial_join
-    from repro.storage.pagefile import PageFile
-
-    pagefile = PageFile()
-    # Two layers of one map: point features joined with extended features
-    # (e.g. places x waterways), so the filter step finds real pairs.
-    left = RStarTree(pagefile=pagefile)
-    left.bulk_load(us_mainland_like(n_objects=n_left, seed=setup.seed + 8).items())
-    right = RStarTree(pagefile=pagefile)
-    right.bulk_load(
-        us_mainland_like(
-            n_objects=n_right,
-            seed=setup.seed + 9,
-            extended_fraction=1.0,
-            mean_extent=0.004,
-        ).items()
-    )
-    total_pages = len(left.all_page_ids()) + len(right.all_page_ids())
-    capacity = max(8, round(buffer_fraction * total_pages))
-    rows: list[list[object]] = []
-    result_size = 0
-    for name, factory in FOUR_POLICIES.items():
-        buffer = BufferManager(pagefile.disk, capacity, factory())
-        with buffer.query_scope():
-            pairs = spatial_join(left, right, buffer, buffer)
-        result_size = len(pairs)
-        rows.append(["sync-traversal", name, buffer.stats.misses])
-    nested = BufferManager(pagefile.disk, capacity, LRU())
-    with nested.query_scope():
-        nested_loop_join(left, right, nested, nested)
-    rows.append(["nested-loop", "LRU", nested.stats.misses])
-    return FigureResult(
-        figure="Ablation join",
-        title="R-tree spatial join through a shared buffer",
-        headers=["algorithm", "policy", "reads", "gain vs sync/LRU"],
-        rows=append_gain(rows),
-        notes=(
-            f"{n_left} x {n_right} objects, {result_size} result pairs, "
-            f"buffer = {capacity} pages"
-        ),
     )
 
 

@@ -32,7 +32,6 @@ ALL_ABLATIONS: dict[str, Callable[[PaperSetup], FigureResult]] = {
         setup, moving=True
     ),
     "ablation_io_time": ablations.ablation_io_time,
-    "ablation_join": ablations.ablation_join,
     "ablation_drifting_hotspot": ablations.ablation_drifting_hotspot,
     "ablation_knn": ablations.ablation_knn,
     "ablation_multiclient": ablations.ablation_multiclient,

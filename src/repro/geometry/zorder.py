@@ -1,16 +1,14 @@
 """Z-order (Morton) space-filling curve.
 
 Section 2.3 of the paper notes that the entries of a page may also be
-z-values stored in a B-tree (Orenstein/Manola's PROBE approach).  To let the
-spatial replacement policies run on a non-R-tree index, the library ships a
-B+-tree over z-values (:mod:`repro.sam.zbtree`); this module provides the
-curve itself: interleaving of quantised coordinates, decoding, and the
-decomposition of a query window into contiguous z-ranges.
+z-values stored in a B-tree (Orenstein/Manola's PROBE approach).  The
+reproduction indexes with the paper's R*-tree, so only the curve's encoding
+is kept: :class:`~repro.storage.objects.ObjectStore` packs object pages in
+z-order, and the Hilbert keys of ``bulk_load(method="hilbert")`` share its
+quantisation.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from repro.geometry.rect import Point, Rect
 
@@ -24,14 +22,6 @@ def _interleave(value: int, bits: int) -> int:
     result = 0
     for i in range(bits):
         result |= ((value >> i) & 1) << (2 * i)
-    return result
-
-
-def _deinterleave(value: int, bits: int) -> int:
-    """Inverse of :func:`_interleave`: collect even bit positions."""
-    result = 0
-    for i in range(bits):
-        result |= ((value >> (2 * i)) & 1) << i
     return result
 
 
@@ -50,94 +40,3 @@ def z_encode(point: Point, space: Rect, bits: int = DEFAULT_BITS) -> int:
     ix = quantise(point.x, space.x_min, space.x_max, bits)
     iy = quantise(point.y, space.y_min, space.y_max, bits)
     return _interleave(ix, bits) | (_interleave(iy, bits) << 1)
-
-
-def z_decode(code: int, space: Rect, bits: int = DEFAULT_BITS) -> Rect:
-    """The grid cell (as a rectangle in data-space units) of a Morton code."""
-    ix = _deinterleave(code, bits)
-    iy = _deinterleave(code >> 1, bits)
-    cells = 1 << bits
-    cell_w = (space.x_max - space.x_min) / cells
-    cell_h = (space.y_max - space.y_min) / cells
-    x_min = space.x_min + ix * cell_w
-    y_min = space.y_min + iy * cell_h
-    return Rect(x_min, y_min, x_min + cell_w, y_min + cell_h)
-
-
-def _quadrant_rect(space: Rect, level_bits: int, prefix: int, bits: int) -> Rect:
-    """Data-space rectangle of the z-curve quadrant identified by ``prefix``.
-
-    ``prefix`` holds ``2 * level_bits`` interleaved bits; the quadrant is a
-    square block of ``2^(bits - level_bits)`` grid cells per side.
-    """
-    ix = _deinterleave(prefix, level_bits)
-    iy = _deinterleave(prefix >> 1, level_bits)
-    side = 1 << (bits - level_bits)
-    cells = 1 << bits
-    cell_w = (space.x_max - space.x_min) / cells
-    cell_h = (space.y_max - space.y_min) / cells
-    x_min = space.x_min + (ix * side) * cell_w
-    y_min = space.y_min + (iy * side) * cell_h
-    return Rect(x_min, y_min, x_min + side * cell_w, y_min + side * cell_h)
-
-
-def z_region_ranges(
-    window: Rect,
-    space: Rect,
-    bits: int = DEFAULT_BITS,
-    max_ranges: int = 64,
-) -> list[tuple[int, int]]:
-    """Decompose a query window into inclusive z-value ranges.
-
-    A window query on a z-ordered B+-tree scans the leaves covering the
-    ranges returned here.  The decomposition recursively subdivides the
-    curve's quadrants: a quadrant fully inside the window contributes one
-    contiguous range; a partially covered quadrant is split further until
-    either the cell level or the ``max_ranges`` budget is reached (at which
-    point the whole quadrant range is taken, over-approximating the window —
-    correct, merely less selective, exactly like coarse z-value indexing in
-    a real system).
-
-    Returns a sorted list of merged ``(lo, hi)`` inclusive ranges.
-    """
-    if not window.intersects(space):
-        return []
-    ranges: list[tuple[int, int]] = []
-    # Work queue of (level_bits, prefix): the quadrant whose interleaved
-    # prefix of 2*level_bits bits is `prefix`.
-    queue: list[tuple[int, int]] = [(0, 0)]
-    while queue:
-        level_bits, prefix = queue.pop()
-        quad = _quadrant_rect(space, level_bits, prefix, bits)
-        if not window.intersects(quad):
-            continue
-        span = 2 * (bits - level_bits)
-        lo = prefix << span
-        hi = lo + (1 << span) - 1
-        fully_inside = window.contains(quad)
-        at_cell_level = level_bits == bits
-        out_of_budget = len(ranges) + len(queue) >= max_ranges
-        if fully_inside or at_cell_level or out_of_budget:
-            ranges.append((lo, hi))
-        else:
-            next_bits = level_bits + 1
-            for child in range(4):
-                queue.append((next_bits, (prefix << 2) | child))
-    ranges.sort()
-    return _merge_ranges(ranges)
-
-
-def _merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Merge sorted inclusive ranges that touch or overlap."""
-    merged: list[tuple[int, int]] = []
-    for lo, hi in ranges:
-        if merged and lo <= merged[-1][1] + 1:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
-def z_range_cells(lo: int, hi: int) -> Iterator[int]:
-    """Iterate the z-codes of an inclusive range (testing helper)."""
-    return iter(range(lo, hi + 1))

@@ -1,15 +1,14 @@
 """Spatial access methods (SAMs).
 
-The paper evaluates replacement policies on an R*-tree; Section 2.3 notes
-that page entries may equally be R-tree rectangles, quadtree cells, or
-z-values in a B-tree.  This package provides all of them:
+The paper evaluates replacement policies on an R*-tree; Section 2.3 only
+remarks that page entries could also be quadtree cells or z-values.  This
+package provides the paper's index and two contrasts:
 
 * :class:`RStarTree` — the paper's index (Beckmann et al. 1990), with
   forced reinsertion, the R* split, deletion, and STR bulk loading;
-* :class:`RTree` — Guttman's original R-tree (linear/quadratic split) as a
-  baseline SAM;
-* :class:`Quadtree` — a bucket PR quadtree over buffered pages;
-* :class:`ZBTree` — a B+-tree over z-order values;
+* :class:`GridFile` — the grid file (Nievergelt et al.), a
+  non-hierarchical directory over shared buckets: the contrast index of
+  the policy x index x workload matrix and of ``ablation_sams``;
 * :class:`MqrTree` — the mqr-tree (Moreau & Osborn), whose 2-dimensional
   nodes organise entries by centroid relationships and keep equal-level
   node MBRs overlap-free for point data.
@@ -23,19 +22,13 @@ a query passes through the replacement policy under study.
 from repro.sam.base import PageAccessor, SpatialIndex, TreeStats
 from repro.sam.gridfile import GridFile
 from repro.sam.mqr import MqrTree
-from repro.sam.quadtree import Quadtree
 from repro.sam.rstar import RStarTree
-from repro.sam.rtree import RTree
-from repro.sam.zbtree import ZBTree
 
 __all__ = [
     "PageAccessor",
     "SpatialIndex",
     "TreeStats",
     "RStarTree",
-    "RTree",
-    "Quadtree",
-    "ZBTree",
     "GridFile",
     "MqrTree",
 ]

@@ -1,11 +1,12 @@
 """The grid file (Nievergelt, Hinterberger, Sevcik 1984).
 
-A fifth spatial access method, structurally unlike the trees: a
-*non-hierarchical* directory maps grid cells to data buckets, giving
-two-disk-access point queries.  Included because its page-access profile
-differs fundamentally from tree descent — every query touches directory
-page(s) plus bucket pages directly, with no intermediate levels for LRU-P
-to prioritise.
+The contrast index beside the paper's R*-tree (and the mqr-tree):
+structurally unlike a tree, a *non-hierarchical* directory maps grid cells
+to data buckets, giving two-disk-access point queries.  Its page-access
+profile differs fundamentally from tree descent — every query touches
+directory page(s) plus bucket pages directly, with no intermediate levels
+for LRU-P to prioritise — which is why the policy x index x workload
+matrix and ``ablation_sams`` run the policies on it.
 
 Layout on pages:
 
@@ -17,11 +18,9 @@ Layout on pages:
   may share one bucket (the grid file's bucket-sharing property), and a
   bucket splits when full, refining a linear scale when necessary.
 
-Objects are assigned to buckets by their MBR centre; window queries visit
-all cells the window intersects and filter by actual MBR intersection, so
-extended objects must also be checked in neighbouring cells — handled by
-inserting objects into every cell their MBR overlaps (replication, like
-the quadtree; results are de-duplicated).
+Window queries visit all cells the window intersects and filter by actual
+MBR intersection, so an extended object is replicated into the bucket of
+every cell its MBR overlaps (results are de-duplicated).
 """
 
 from __future__ import annotations
@@ -144,25 +143,37 @@ class GridFile(SpatialIndex):
         if not mbr.intersects(self.space):
             raise ValueError("object lies outside the grid file's space")
         self.entry_count += 1
-        for cell in self._cells_overlapping(mbr):
+        # A split renumbers the cells still to visit (a refined scale shifts
+        # their indexes), so start over on the fresh cell list after one;
+        # the cells already done hold the replica and are skipped.
+        while any(
             self._insert_into_cell(cell, mbr, payload)
+            for cell in self._cells_overlapping(mbr)
+        ):
+            pass
 
     def _insert_into_cell(
         self, cell: tuple[int, int], mbr: Rect, payload: Any
-    ) -> None:
+    ) -> bool:
+        """Place one replica; ``True`` when that split a bucket."""
         bucket = self._page(self._grid[cell[0]][cell[1]])
         if any(
             entry.payload == payload and entry.mbr == mbr
             for entry in bucket.entries
         ):
-            return  # replica already present via a sharing bucket
+            return False  # replica already present via a sharing bucket
         bucket.entries.append(PageEntry(mbr=mbr, payload=payload))
         self._mark_dirty(bucket)
-        if len(bucket.entries) > self.bucket_capacity:
-            self._split_bucket(bucket)
+        if len(bucket.entries) <= self.bucket_capacity:
+            return False
+        return self._split_bucket(bucket)
 
-    def _split_bucket(self, bucket: Page) -> None:
-        """Split an overflowing bucket, refining a scale if necessary."""
+    def _split_bucket(self, bucket: Page) -> bool:
+        """Split an overflowing bucket, refining a scale if necessary.
+
+        ``False`` when the refinement budget is spent and the overflow is
+        tolerated (the grid is unchanged).
+        """
         cells = [
             (cell_x, cell_y)
             for cell_x in range(len(self._grid))
@@ -183,9 +194,9 @@ class GridFile(SpatialIndex):
                 self._grid[cell_x][cell_y] = sibling.page_id
             self._redistribute(bucket, sibling)
             self._rebuild_directory_pages()
-            return
+            return True
         if len(self._x_scale) + len(self._y_scale) >= 2 * self.max_splits:
-            return  # refinement budget exhausted: tolerate the overflow
+            return False  # refinement budget exhausted: tolerate the overflow
         # Single cell: refine the directory by splitting the cell's longer
         # axis at its midpoint.
         (cell_x, cell_y) = cells[0]
@@ -204,6 +215,7 @@ class GridFile(SpatialIndex):
             self._grid[cell_x][cell_y + 1] = sibling.page_id
         self._redistribute(bucket, sibling)
         self._rebuild_directory_pages()
+        return True
 
     def _redistribute(self, bucket: Page, sibling: Page) -> None:
         """Re-home the two buckets' entries according to the new grid."""

@@ -32,6 +32,10 @@ from repro.sam.base import PageAccessor, SpatialIndex, TreeStats
 from repro.storage.page import Page, PageEntry, PageId, PageType
 from repro.storage.pagefile import PageFile
 
+#: Share of an overflowing node's M+1 entries that R* forced reinsertion
+#: removes and re-queues (Beckmann et al.'s p = 30 %).
+_REINSERT_FRACTION = 0.3
+
 
 @functools.cache
 def _numpy():
@@ -114,7 +118,6 @@ class RStarTree(SpatialIndex):
         max_dir_entries: int = 51,
         max_data_entries: int = 42,
         min_fill: float = 0.4,
-        reinsert_fraction: float = 0.3,
     ) -> None:
         super().__init__(pagefile if pagefile is not None else PageFile())
         if max_dir_entries < 4 or max_data_entries < 4:
@@ -125,7 +128,6 @@ class RStarTree(SpatialIndex):
         self.max_data_entries = max_data_entries
         self.min_dir_entries = max(2, int(round(min_fill * max_dir_entries)))
         self.min_data_entries = max(2, int(round(min_fill * max_data_entries)))
-        self.reinsert_fraction = reinsert_fraction
         self.root_id: PageId | None = None
         self.height = 0  # number of levels; 1 == a single leaf root
         self.entry_count = 0
@@ -270,9 +272,7 @@ class RStarTree(SpatialIndex):
     # ------------------------------------------------------------------
 
     def _overflow_treatment(self, node: Page, level: int) -> PageEntry | None:
-        is_root = node.page_id == self.root_id
-        first_on_level = level not in self._reinserted_levels
-        if not is_root and first_on_level and self.reinsert_fraction > 0.0:
+        if node.page_id != self.root_id and level not in self._reinserted_levels:
             self._reinserted_levels.add(level)
             self._force_reinsert(node, level)
             return None
@@ -285,7 +285,7 @@ class RStarTree(SpatialIndex):
         their centre from the centre of the node MBR; the farthest entries
         are removed and reinserted closest-first ("close reinsert").
         """
-        count = max(1, int(round(self.reinsert_fraction * len(node.entries))))
+        count = max(1, int(round(_REINSERT_FRACTION * len(node.entries))))
         node_mbr = node.mbr()
         assert node_mbr is not None
         center = node_mbr.center

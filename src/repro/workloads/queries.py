@@ -61,7 +61,7 @@ class WindowQuery(Query):
 class KnnQuery(Query):
     """Find the k objects nearest to a point (best-first search).
 
-    Only supported by indexes that implement ``knn`` (the R-trees).  The
+    Only supported by indexes that implement ``knn`` (the R*- and mqr-tree).  The
     access pattern differs from window queries: the search spirals outward
     from the query point, revisiting high directory levels via the
     priority queue — a distinct stress profile for replacement policies.

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from repro.api import BufferSystem, build_buffer_system
+from repro.api import BufferSystem
 from repro.buffer.concurrent import ConcurrentBufferManager
 from repro.buffer.manager import BufferManager
 from repro.buffer.policies import (
@@ -131,6 +131,31 @@ class TestDeprecatedKeywords:
         with pytest.raises(TypeError, match="'initial_fraction'"):
             ASB(initial_fraction=0.3)
 
+    def test_removed_build_and_tree_options_raise_typeerror(self):
+        # durability={"flush_interval": n} is the one spelling of the
+        # background flusher; R* always reinserts 30 %.
+        with pytest.raises(TypeError, match="'background_writeback'"):
+            BufferSystem.build(background_writeback=True)
+        from repro.sam.rstar import RStarTree
+
+        with pytest.raises(TypeError, match="'reinsert_fraction'"):
+            RStarTree(reinsert_fraction=0.0)
+
+    @pytest.mark.parametrize(
+        "module, export",
+        [
+            ("repro", "RTree"),
+            ("repro", "Quadtree"),
+            ("repro", "ZBTree"),
+            ("repro", "build_buffer_system"),
+            ("repro.geometry", "z_decode"),
+            ("repro.geometry", "z_region_ranges"),
+        ],
+    )
+    def test_retired_names_are_gone(self, module, export):
+        with pytest.raises(ImportError):
+            exec(f"from {module} import {export}", {})
+
     def test_canonical_keywords_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -167,11 +192,6 @@ class TestBuildDefaults:
 
         assert facade_recorder.events == hand_recorder.events
         assert system.stats_snapshot() == hand.stats.snapshot()
-
-    def test_module_level_alias(self):
-        system = build_buffer_system(policy="FIFO", capacity=8)
-        assert system.policy_name == "FIFO"
-        assert system.capacity == 8
 
 
 class TestBuildVariants:
@@ -213,6 +233,14 @@ class TestBuildVariants:
         system.install(make_page(0, payload=9))
         assert system.commit() > 0
         system.close()
+
+    def test_durability_default_has_no_background_flusher(self):
+        system = BufferSystem.build(durability=True, page_size=PAGE_SIZE)
+        assert system.durability.flush_interval == 0
+        flushing = BufferSystem.build(
+            durability={"flush_interval": 16}, page_size=PAGE_SIZE
+        )
+        assert flushing.durability.flush_interval == 16
 
     def test_durability_mapping_forwards_options(self):
         system = BufferSystem.build(
@@ -260,65 +288,6 @@ class TestBuildVariants:
         system.discard(3)
         assert 3 not in system.resident_ids()
         assert len(system) <= system.capacity
-
-
-class TestBackgroundWritebackFlag:
-    def test_default_leaves_flush_interval_alone(self):
-        system = BufferSystem.build(durability=True, page_size=PAGE_SIZE)
-        assert system.durability.flush_interval == 0
-
-    def test_true_uses_the_default_interval(self):
-        from repro.api import DEFAULT_WRITEBACK_INTERVAL
-
-        system = BufferSystem.build(
-            durability=True, background_writeback=True, page_size=PAGE_SIZE
-        )
-        assert system.durability.flush_interval == DEFAULT_WRITEBACK_INTERVAL
-
-    def test_integer_sets_the_interval(self):
-        system = BufferSystem.build(
-            durability={"group_window": 4},
-            background_writeback=16,
-            page_size=PAGE_SIZE,
-        )
-        assert system.durability.flush_interval == 16
-        assert system.durability.wal.group_window == 4
-
-    def test_false_disables_the_flusher(self):
-        system = BufferSystem.build(
-            durability=True, background_writeback=False, page_size=PAGE_SIZE
-        )
-        assert system.durability.flush_interval == 0
-
-    def test_requires_durability(self):
-        with pytest.raises(ValueError, match="requires durability"):
-            BufferSystem.build(background_writeback=True)
-
-    def test_false_without_durability_is_a_no_op(self):
-        system = BufferSystem.build(background_writeback=False)
-        assert system.durability is None
-
-    def test_rejects_double_specification(self):
-        with pytest.raises(ValueError, match="not both"):
-            BufferSystem.build(
-                durability={"flush_interval": 8},
-                background_writeback=16,
-                page_size=PAGE_SIZE,
-            )
-
-    def test_rejects_negative_interval(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            BufferSystem.build(
-                durability=True, background_writeback=-1, page_size=PAGE_SIZE
-            )
-
-    def test_rejects_ready_manager(self):
-        disk = DurableDisk(page_size=PAGE_SIZE)
-        manager = DurabilityManager(disk)
-        with pytest.raises(ValueError, match="ready"):
-            BufferSystem.build(
-                durability=manager, disk=disk, background_writeback=8
-            )
 
 
 class TestAdmissionFlag:

@@ -37,7 +37,7 @@ class TestAblationsRun:
     def test_sams(self, table):
         result = check(table("ablation_sams"))
         indexes = {row[0] for row in result.rows}
-        assert indexes == {"quadtree", "z-b+tree", "gridfile"}
+        assert indexes == {"gridfile"}
 
     def test_baselines(self, table):
         result = check(table("ablation_baselines"))
@@ -62,11 +62,6 @@ class TestAblationsRun:
     def test_updates_moving(self, table):
         result = check(table("ablation_moving_objects"))
         assert "moving" in result.title
-
-    def test_join(self, table):
-        result = check(table("ablation_join"))
-        algorithms = {row[0] for row in result.rows}
-        assert algorithms == {"sync-traversal", "nested-loop"}
 
     def test_drifting_hotspot(self, table):
         result = check(table("ablation_drifting_hotspot"))

@@ -1,6 +1,6 @@
 """Tests for the one-call reproduction suite.
 
-``tests/golden/experiment_tables.json`` pins ``sha256(to_text())`` of all 24
+``tests/golden/experiment_tables.json`` pins ``sha256(to_text())`` of all 23
 tables at the scale of the session's shared run (``conftest.reproduction``).
 A refactor of the experiment code must leave every digest alone; after an
 *intentional* change to a table regenerate with::
@@ -105,7 +105,7 @@ class TestSuite:
 
     def test_markdown_contains_every_result(self, reproduction):
         markdown = reproduction.to_markdown()
-        assert len(reproduction.results) == 24
+        assert len(reproduction.results) == 23
         for result in reproduction.results.values():
             assert result.title in markdown
 

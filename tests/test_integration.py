@@ -6,15 +6,10 @@ import pytest
 
 from repro.buffer.manager import BufferManager
 from repro.buffer.policies import (
-    ASB,
     LRU,
-    SpatialPolicy,
     make_policy,
     policy_names,
 )
-from repro.geometry.rect import Rect
-from repro.sam.quadtree import Quadtree
-from repro.sam.zbtree import ZBTree
 from repro.storage.disk import DiskError
 
 #: Every registered policy, by canonical name: a policy added to (or
@@ -54,27 +49,6 @@ class TestPolicyTransparency:
 
 
 class TestBufferAcrossSams:
-    def test_quadtree_through_buffer(self, small_dataset):
-        tree = Quadtree(small_dataset.space, capacity=16)
-        for i, rect in enumerate(small_dataset.rects[:800]):
-            tree.insert(rect, i)
-        buffer = BufferManager(tree.pagefile.disk, 16, ASB())
-        window = Rect(0.3, 0.3, 0.6, 0.6)
-        with buffer.query_scope():
-            buffered = sorted(tree.window_query(window, buffer))
-        assert buffered == sorted(tree.window_query(window))
-        assert buffer.stats.misses > 0
-
-    def test_zbtree_through_buffer(self, small_dataset):
-        tree = ZBTree(small_dataset.space, max_entries=16)
-        points = [rect for rect in small_dataset.rects[:800] if rect.area == 0]
-        tree.bulk_load([(rect, i) for i, rect in enumerate(points)])
-        buffer = BufferManager(tree.pagefile.disk, 16, SpatialPolicy("A"))
-        window = Rect(0.3, 0.3, 0.6, 0.6)
-        with buffer.query_scope():
-            buffered = sorted(set(tree.window_query(window, buffer)))
-        assert buffered == sorted(set(tree.window_query(window)))
-
     def test_pinning_tree_root_keeps_it_resident(self, small_database):
         tree = small_database.tree
         buffer = BufferManager(tree.pagefile.disk, 12, LRU())

@@ -170,6 +170,45 @@ class TestGridFileProperties:
             grid.insert(rect, i)
         assert sorted(grid.window_query(window)) == brute_window(rects, window)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1.0),
+                st.floats(min_value=0.0, max_value=1.0),
+                st.floats(min_value=0.0, max_value=0.3),
+                st.floats(min_value=0.0, max_value=0.3),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=3, max_value=32),
+    )
+    def test_every_replica_sits_in_every_overlapped_cell(
+        self, raw_rects, bucket_capacity, max_splits
+    ):
+        """Extended objects: a bucket split during an insert refines a scale
+        and renumbers the cells the insert has still to visit; the object
+        must still reach the bucket of every cell its MBR overlaps."""
+        rects = [
+            Rect(x, y, min(x + w, 1.0), min(y + h, 1.0)) for x, y, w, h in raw_rects
+        ]
+        grid = GridFile(
+            SPACE, bucket_capacity=bucket_capacity, max_splits=max_splits
+        )
+        for i, rect in enumerate(rects):
+            grid.insert(rect, i)
+        for i, rect in enumerate(rects):
+            for cell_x, cell_y in grid._cells_overlapping(rect):
+                bucket = grid._page(grid._grid[cell_x][cell_y])
+                assert any(
+                    entry.payload == i and entry.mbr == rect
+                    for entry in bucket.entries
+                ), f"object {i} missing from cell {(cell_x, cell_y)}"
+        for i, rect in enumerate(rects):
+            assert i in grid.window_query(rect)
+
 
 class TestGridFileViaBuffer:
     def test_buffered_inserts_match_plain(self):

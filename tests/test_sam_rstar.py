@@ -103,13 +103,6 @@ class TestInsertAndQuery:
         assert sorted(tree.window_query(rect)) == list(range(30))
         tree.validate()
 
-    def test_forced_reinsert_can_be_disabled(self):
-        rects = random_rects(200, seed=9)
-        tree = build_tree(rects, reinsert_fraction=0.0)
-        tree.validate()
-        window = Rect(0.2, 0.2, 0.6, 0.6)
-        assert sorted(tree.window_query(window)) == brute_window(rects, window)
-
 
 class TestBulkLoad:
     def test_bulk_load_matches_brute_force(self):

@@ -32,7 +32,6 @@ from repro.buffer.policies import ASB, LRU, spatial
 from repro.geometry import rect as rect_module
 from repro.geometry.rect import Point, Rect, mbr_of_rects
 from repro.sam.rstar import RStarTree
-from repro.sam.rtree import RTree
 from repro.storage import page as page_module
 from repro.storage import serialization
 from repro.storage.disk import SimulatedDisk
@@ -442,17 +441,16 @@ HOSTS = ["build", "buffer", "concurrent"]
 
 
 class TreeMachine(RuleBasedStateMachine):
-    """Inserts, deletes, bulk loads and queries on an R*-tree or a Guttman
-    R-tree, on the build path or through a buffer, against a brute-force
-    list of the live objects and against the entry-loop traversal."""
+    """Inserts, deletes, bulk loads and queries on an R*-tree, on the build
+    path or through a buffer, against a brute-force list of the live objects
+    and against the entry-loop traversal."""
 
     @initialize(
-        kind=st.sampled_from([RStarTree, RTree]),
         host=st.sampled_from(HOSTS),
         bulk=st.lists(rects(st.floats(0.0, 1.0)), max_size=60),
     )
-    def setup(self, kind, host, bulk):
-        self.tree = kind(max_dir_entries=5, max_data_entries=5)
+    def setup(self, host, bulk):
+        self.tree = RStarTree(max_dir_entries=5, max_data_entries=5)
         self.live: dict[int, Rect] = dict(enumerate(bulk))
         self.tree.bulk_load(list(zip(bulk, range(len(bulk)))))
         self.counter = len(bulk)

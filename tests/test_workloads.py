@@ -186,9 +186,9 @@ class TestKnnQuery:
     def test_knn_on_unsupported_index_raises(self, small_dataset):
         from repro.workloads.queries import KnnQuery
         from repro.geometry.rect import Point
-        from repro.sam.quadtree import Quadtree
+        from repro.sam.gridfile import GridFile
 
-        tree = Quadtree(small_dataset.space)
+        tree = GridFile(small_dataset.space)
         query = KnnQuery(point=Point(0.5, 0.5), k=3)
         with pytest.raises(TypeError):
             query.run(tree)
