@@ -69,7 +69,6 @@ from repro.buffer.policies import (
     MRU,
     SLRU,
     EEvA,
-    EnsemblePolicy,
     SpatialPolicy,
 )
 from repro.datasets.synthetic import Dataset, us_mainland_like, world_atlas_like
@@ -82,7 +81,7 @@ from repro.obs import (
     WindowedMetrics,
 )
 from repro.sam.gridfile import GridFile
-from repro.tuning import FittedWeights, TuningSpec, fit_weights
+from repro.tuning import TuningSpec
 from repro.sam.rstar import RStarTree
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page, PageEntry, PageType
@@ -115,8 +114,6 @@ __all__ = [
     "ClusterSystem",
     # self-tuning
     "TuningSpec",
-    "FittedWeights",
-    "fit_weights",
     # policies
     "make_policy",
     "policy_names",
@@ -125,7 +122,6 @@ __all__ = [
     "UnknownPolicyError",
     "AWRP",
     "EEvA",
-    "EnsemblePolicy",
     "LRU",
     "FIFO",
     "MRU",

@@ -136,16 +136,10 @@ class BufferSystem:
         ``tuning``
             ``None`` (default) keeps the buffer static — bit-identical
             to every pre-tuning build.  A
-            :class:`~repro.tuning.TuningSpec` is the typed surface:
-            ``TuningSpec()`` attaches a default winner-take-all
-            controller, ``TuningSpec(mode="ensemble", ...)`` replaces
-            the policy with an
-            :class:`~repro.tuning.EnsemblePolicy` over the spec's
-            experts and re-weights its mixture per epoch (optionally
-            seeded from an offline-fitted ``weights_path`` artifact).
-            A raw :class:`~repro.tuning.TuningConfig` is the advanced
-            controller surface and passes through unchanged.
-            The controller is exposed as ``system.tuner``.
+            :class:`~repro.tuning.TuningSpec` attaches the ghost-cache
+            controller: ``TuningSpec()`` a default winner-take-all
+            panel, ``TuningSpec(candidates=..., epoch_length=...)`` an
+            explicit one.  The controller is exposed as ``system.tuner``.
         ``admission``
             ``None`` (default) attaches no admission control — the page
             server builds its own controller exactly as before.
@@ -182,9 +176,6 @@ class BufferSystem:
         # --- policy + buffer -------------------------------------------
         policy_kwargs = dict(policy_kwargs or {})
         tuning = cls._normalise_tuning(tuning)
-        policy, policy_kwargs = cls._apply_ensemble_mode(
-            policy, policy_kwargs, tuning
-        )
         if isinstance(policy, str):
             policy_name = policy
             factory = lambda: make_policy(policy_name, **policy_kwargs)  # noqa: E731
@@ -238,15 +229,12 @@ class BufferSystem:
         # --- self-tuning -----------------------------------------------
         tuner = None
         if tuning is not None:
-            from repro.tuning import TuningController, TuningSpec
+            from repro.tuning import TuningController
 
-            config = (
-                tuning.to_config() if isinstance(tuning, TuningSpec) else tuning
-            )
             # The concurrent service wraps the observer in a LockingSink;
             # the controller must emit through the wrapped sink.
             tuner = TuningController(
-                config, observer=getattr(buffer, "observer", observer)
+                tuning, observer=getattr(buffer, "observer", observer)
             )
             tuner.attach_buffer(buffer, policy_name, policy_kwargs)
 
@@ -268,75 +256,16 @@ class BufferSystem:
 
     @staticmethod
     def _normalise_tuning(tuning: object) -> object | None:
-        """Type-check ``tuning=``: a TuningSpec/TuningConfig, or None."""
+        """Type-check ``tuning=``: a TuningSpec, or None."""
         if tuning is None or tuning is False:
             return None
-        from repro.tuning import TuningConfig, TuningSpec
-
-        if isinstance(tuning, (TuningSpec, TuningConfig)):
-            return tuning
-        raise TypeError(
-            "tuning must be None, a TuningSpec, or a TuningConfig; got "
-            f"{type(tuning).__name__}"
-        )
-
-    @staticmethod
-    def _apply_ensemble_mode(
-        policy: "str | ReplacementPolicy | Callable[[], ReplacementPolicy]",
-        policy_kwargs: dict,
-        tuning: object | None,
-    ) -> tuple:
-        """Fold an ensemble-mode TuningSpec into the policy arguments.
-
-        ``TuningSpec(mode="ensemble")`` means the live policy must be an
-        :class:`~repro.tuning.EnsemblePolicy`.  A policy *name* is folded
-        into the expert panel (the named policy leads, the spec's experts
-        follow, duplicates dropped); ``policy="ENSEMBLE"`` keeps its own
-        ``policy_kwargs``; ready instances and factories pass through
-        untouched (the controller validates them at attach time).
-        ``weights_path`` seeds the mixture with the offline-fitted
-        weights.
-        """
         from repro.tuning import TuningSpec
 
-        if not (isinstance(tuning, TuningSpec) and tuning.mode == "ensemble"):
-            return policy, policy_kwargs
-        if not isinstance(policy, str):
-            # An EnsemblePolicy instance or factory already fixes the
-            # panel; a spec trying to override it would be ignored
-            # silently — refuse instead.
-            if tuning.experts is not None or tuning.weights_path is not None:
-                raise ValueError(
-                    "ensemble experts/weights_path can only be applied to "
-                    "a policy *name*; pass them to the EnsemblePolicy "
-                    "constructor instead"
-                )
-            return policy, policy_kwargs
-        name = policy.strip().upper()
-        if name == "ENSEMBLE":
-            kwargs = dict(policy_kwargs)
-            kwargs.setdefault("experts", tuning.resolved_experts())
-        else:
-            if policy_kwargs:
-                raise ValueError(
-                    'mode="ensemble" folds the policy name into the expert '
-                    "panel, where per-policy kwargs cannot follow; pass "
-                    "policy='ENSEMBLE' with policy_kwargs={'experts': "
-                    "[...]} to configure experts explicitly"
-                )
-            panel: list[str] = []
-            for expert in (name, *tuning.resolved_experts()):
-                if expert not in panel:
-                    panel.append(expert)
-            kwargs = {"experts": tuple(panel)}
-        if tuning.weights_path is not None and "weights" not in kwargs:
-            from repro.tuning import FittedWeights
-
-            experts = kwargs["experts"]
-            if all(isinstance(expert, str) for expert in experts):
-                fitted = FittedWeights.load(tuning.weights_path)
-                kwargs["weights"] = fitted.weights_for(experts)
-        return "ENSEMBLE", kwargs
+        if isinstance(tuning, TuningSpec):
+            return tuning
+        raise TypeError(
+            f"tuning must be None or a TuningSpec; got {type(tuning).__name__}"
+        )
 
     @staticmethod
     def _build_admission(

@@ -12,9 +12,8 @@ The policy zoo follows the paper's taxonomy:
 * combined (Section 4.1) — :class:`SLRU` with a static candidate set;
 * self-tuning (Section 4.2) — :class:`ASB`, the adaptable spatial buffer;
 * expert-based (PAPERS.md) — :class:`AWRP` (frequency×recency weight
-  ranking, Swain 2011), :class:`EEvA` (weighted expert retention
-  scoring, Demin 2024) and :class:`EnsemblePolicy`, the weighted
-  expert-vote mixture the tuning controller steers per epoch.
+  ranking, Swain 2011) and :class:`EEvA` (weighted expert retention
+  scoring, Demin 2024).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.buffer.policies.asb import ASB
 from repro.buffer.policies.awrp import AWRP
 from repro.buffer.policies.base import ReplacementPolicy
 from repro.buffer.policies.eeva import EEvA
-from repro.buffer.policies.ensemble import DEFAULT_EXPERTS, EnsemblePolicy
 from repro.buffer.policies.fifo import FIFO
 from repro.buffer.policies.lru import LRU
 from repro.buffer.policies.lru_k import LRUK
@@ -305,27 +303,6 @@ def _specs() -> dict[str, PolicySpec]:
             aliases=("EEVA-BASE",),
             description="weighted expert retention scoring (Demin 2024)",
         ),
-        PolicySpec(
-            "ENSEMBLE",
-            EnsemblePolicy,
-            params=(
-                ParamSpec(
-                    "experts",
-                    kind="object",
-                    description="expert policy names or instances "
-                                f"(default: {', '.join(DEFAULT_EXPERTS)})",
-                ),
-                ParamSpec(
-                    "weights",
-                    kind="object",
-                    retunable=True,
-                    description="per-expert mixture weights "
-                                "(normalised to sum to one)",
-                ),
-            ),
-            description="weighted expert-vote mixture steered by the "
-                        "tuning controller",
-        ),
     ]
     # The named LRU-K variants the experiments sweep (Fig. 4-9).
     entries.extend(_lru_k_variant(k) for k in (2, 3, 5))
@@ -425,8 +402,6 @@ __all__ = [
     "policy_param_space",
     "AWRP",
     "EEvA",
-    "EnsemblePolicy",
-    "DEFAULT_EXPERTS",
     "LRU",
     "FIFO",
     "MRU",

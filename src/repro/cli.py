@@ -12,11 +12,6 @@ Four commands cover the common workflows without writing any code:
   ``events replay`` re-runs a recorded trace (optionally under a different
   policy), verifies determinism, and prints windowed metrics;
 * ``advise`` — recommend a buffer size and policy for a recorded trace;
-* ``tune fit`` — fit expert-ensemble weights offline from a recorded
-  event trace (one ghost cache per expert + the controller's
-  multiplicative-weights update) and write a loadable weights artifact
-  for ``BufferSystem.build(tuning=TuningSpec(weights_path=...))`` and
-  ``serve --tune --tune-mode ensemble --tune-weights ...``;
 * ``map`` — render a dataset (and optionally a query set) as ASCII density
   maps;
 * ``reproduce`` — run every figure and ablation, writing a markdown report;
@@ -38,8 +33,7 @@ Examples::
     python -m repro replay /tmp/trace.json --policy ASB --capacity 64
     python -m repro events record --set S-W-100 --policy ASB --out /tmp/t.jsonl
     python -m repro events replay /tmp/t.jsonl --policy LRU
-    python -m repro tune fit /tmp/t.jsonl --out weights.json
-    python -m repro serve --tune --tune-mode ensemble --tune-weights weights.json
+    python -m repro serve --tune --policy ASB
     python -m repro serve --port 7007 --policy ASB --shards 4
 """
 
@@ -49,7 +43,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.buffer.policies import UnknownPolicyError, make_policy, policy_names
+from repro.buffer.policies import make_policy, policy_names
 
 #: Policy names accepted by ``--policy`` options, derived from the policy
 #: registry (see :func:`repro.buffer.policies.make_policy`).  The "LRU-K"
@@ -141,30 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
     events_replay.add_argument("--window", type=int, default=256,
                                help="rolling hit-ratio window")
 
-    tune = commands.add_parser(
-        "tune", help="offline tuning: fit ensemble weights from a trace"
-    )
-    tune_commands = tune.add_subparsers(dest="tune_command", required=True)
-
-    tune_fit = tune_commands.add_parser(
-        "fit", help="fit expert-ensemble weights from a recorded event trace"
-    )
-    tune_fit.add_argument("trace", help="event-trace JSON-lines path "
-                                        "(from 'events record')")
-    tune_fit.add_argument("--experts", default=None,
-                          help="comma-separated expert policy names "
-                               "(default: LRU,LRU-2,ASB,AWRP,EEVA)")
-    tune_fit.add_argument("--capacity", type=int, default=None,
-                          help="ghost-cache capacity (default: as recorded)")
-    tune_fit.add_argument("--epoch", type=int, default=100,
-                          help="epoch length in page accesses")
-    tune_fit.add_argument("--eta", type=float, default=10.0,
-                          help="multiplicative-weights learning rate")
-    tune_fit.add_argument("--weight-floor", type=float, default=0.01,
-                          help="minimum per-expert weight after each update")
-    tune_fit.add_argument("--out", required=True,
-                          help="output weights-artifact JSON path")
-
     advise = commands.add_parser(
         "advise", help="recommend buffer size and policy for a trace"
     )
@@ -219,15 +189,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--tune", action="store_true",
                        help="attach the self-tuning controller (ghost "
                             "caches; state appears under STATS)")
-    serve.add_argument("--tune-mode", choices=["select", "ensemble"],
-                       default="select",
-                       help="controller mode: 'select' races ghost "
-                            "candidates winner-take-all, 'ensemble' "
-                            "reweights an expert mixture per epoch")
-    serve.add_argument("--tune-weights", default=None, metavar="PATH",
-                       help="weights artifact from 'tune fit' used as "
-                            "the ensemble's starting mixture "
-                            "(requires --tune-mode ensemble)")
     serve.add_argument("--uvloop", choices=["auto", "on", "off"],
                        default="off",
                        help="event loop: 'on' requires uvloop, 'auto' "
@@ -400,50 +361,6 @@ def _cmd_events_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
-    return _cmd_tune_fit(args)
-
-
-def _cmd_tune_fit(args: argparse.Namespace) -> int:
-    from repro.obs import RecordedTrace
-    from repro.tuning import fit_weights
-
-    recorded = RecordedTrace.load(args.trace)
-    experts = None
-    if args.experts:
-        experts = tuple(
-            name.strip() for name in args.experts.split(",") if name.strip()
-        )
-    try:
-        fitted = fit_weights(
-            recorded,
-            experts=experts,
-            capacity=args.capacity,
-            epoch_length=args.epoch,
-            eta=args.eta,
-            weight_floor=args.weight_floor,
-        )
-    except (UnknownPolicyError, ValueError) as error:
-        print(f"tune fit: {error}", file=sys.stderr)
-        return 2
-    fitted.save(args.out)
-    meta = fitted.meta
-    print(
-        f"fitted {len(fitted.experts)} experts over "
-        f"{meta['requests']} requests ({meta['epochs']} epochs of "
-        f"{fitted.epoch_length}) at capacity {meta['fit_capacity']}"
-    )
-    ratios = meta.get("expert_hit_ratios", {})
-    for name, weight in sorted(
-        zip(fitted.experts, fitted.weights), key=lambda pair: -pair[1]
-    ):
-        ratio = ratios.get(name)
-        detail = f" (hit ratio {ratio:.1%})" if ratio is not None else ""
-        print(f"  {name:<8} weight {weight:.3f}{detail}")
-    print(f"weights artifact -> {args.out}")
-    return 0
-
-
 def _cmd_advise(args: argparse.Namespace) -> int:
     from repro.experiments.advisor import advise_from_trace
     from repro.experiments.trace import AccessTrace
@@ -521,16 +438,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.tune:
         from repro.tuning import TuningSpec
 
-        if args.tune_weights and args.tune_mode != "ensemble":
-            print("serve: --tune-weights requires --tune-mode ensemble",
-                  file=sys.stderr)
-            return 2
-        tuning = TuningSpec(mode=args.tune_mode,
-                            weights_path=args.tune_weights)
-    elif args.tune_mode != "select" or args.tune_weights:
-        print("serve: --tune-mode/--tune-weights require --tune",
-              file=sys.stderr)
-        return 2
+        tuning = TuningSpec()
     try:
         system = BufferSystem.build(
             policy=args.policy,
@@ -589,7 +497,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "trace": _cmd_trace,
         "replay": _cmd_replay,
         "events": _cmd_events,
-        "tune": _cmd_tune,
         "advise": _cmd_advise,
         "map": _cmd_map,
         "reproduce": _cmd_reproduce,

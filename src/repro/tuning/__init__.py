@@ -7,39 +7,27 @@ candidate configurations runs as metadata-only :class:`GhostCache`
 shadows of the live reference stream, and an epoch-based
 :class:`TuningController` retunes the live policy in place or hands the
 buffer over to a better policy — live, without evicting a page.
+:class:`TuningSpec` is its one configuration object.
 
 See ``docs/tuning.md`` for the design tour.
 """
 
 from repro.tuning.controller import (
     Candidate,
-    TuningConfig,
     TuningController,
+    TuningSpec,
     candidate_variants,
     default_candidates,
 )
-from repro.tuning.ensemble import (
-    DEFAULT_EXPERTS,
-    EnsemblePolicy,
-    multiplicative_update,
-)
-from repro.tuning.fit import FittedWeights, fit_weights
 from repro.tuning.ghost import GhostCache, MetaFactory, PageMeta
-from repro.tuning.spec import TuningSpec
 
 __all__ = [
     "Candidate",
-    "DEFAULT_EXPERTS",
-    "EnsemblePolicy",
-    "FittedWeights",
     "GhostCache",
     "MetaFactory",
     "PageMeta",
-    "TuningConfig",
     "TuningController",
     "TuningSpec",
     "candidate_variants",
     "default_candidates",
-    "fit_weights",
-    "multiplicative_update",
 ]

@@ -42,7 +42,6 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.buffer.policies import make_policy, policy_param_space
 from repro.obs.events import BufferEvent
-from repro.tuning.ensemble import EnsemblePolicy, multiplicative_update
 from repro.tuning.ghost import GhostCache, PageMeta
 
 if TYPE_CHECKING:
@@ -70,13 +69,14 @@ class Candidate:
 
 
 @dataclass(frozen=True)
-class TuningConfig:
-    """Knobs of the tuning subsystem (all defaults deliberately gentle).
+class TuningSpec:
+    """The tuner's configuration, for ``BufferSystem.build(tuning=...)``.
 
     ``candidates=None`` derives a default panel from the live policy via
     :func:`default_candidates`.  ``hysteresis`` is an absolute hit-rate
     margin (0.02 = the ghost must win by two hit-percentage points), the
-    regret guard that keeps noise from flapping the buffer.
+    regret guard that keeps noise from flapping the buffer.  A spec is
+    frozen and buffer-independent: one spec can build many systems.
     """
 
     candidates: Sequence[Candidate] | None = None
@@ -84,21 +84,6 @@ class TuningConfig:
     hysteresis: float = 0.02
     patience: int = 2
     cooldown: int = 2
-    allow_retune: bool = True
-    allow_switch: bool = True
-    #: ``"select"`` is the winner-take-all mode above.  ``"ensemble"``
-    #: requires the live policy to be an
-    #: :class:`~repro.tuning.ensemble.EnsemblePolicy`: the ghosts shadow
-    #: its experts and every epoch re-weights the live mixture with the
-    #: multiplicative-weights update instead of replacing the policy.
-    mode: str = "select"
-    #: Ensemble learning rate: how hard one epoch of regret cuts an
-    #: expert's weight.  0 freezes the mixture (observation only).
-    eta: float = 10.0
-    #: Ensemble regret guard: every expert keeps at least (about) this
-    #: share of the mixture, so a losing expert can recover after a
-    #: workload shift.
-    weight_floor: float = 0.01
     #: SHARDS-style spatial sampling (Waldspurger et al., FAST'15): ghosts
     #: see only pages whose id-hash falls below ``sample`` of the hash
     #: space, and each ghost's capacity is scaled by the same factor, so
@@ -118,14 +103,6 @@ class TuningConfig:
             raise ValueError("cooldown must be non-negative")
         if not 0.0 < self.sample <= 1.0:
             raise ValueError("sample must be in (0, 1]")
-        if self.mode not in ("select", "ensemble"):
-            raise ValueError(
-                f'mode must be "select" or "ensemble", got {self.mode!r}'
-            )
-        if self.eta < 0:
-            raise ValueError("eta must be non-negative")
-        if not 0.0 <= self.weight_floor < 1.0:
-            raise ValueError("weight_floor must be in [0, 1)")
 
 
 def default_candidates(
@@ -191,10 +168,10 @@ class TuningController:
 
     def __init__(
         self,
-        config: TuningConfig | None = None,
+        config: TuningSpec | None = None,
         observer: "EventSink | None" = None,
     ) -> None:
-        self.config = config or TuningConfig()
+        self.config = config or TuningSpec()
         self.observer = observer
         self._lock = threading.Lock()
         self._ghosts: list[GhostCache] = []
@@ -216,14 +193,7 @@ class TuningController:
         self.epochs = 0
         self.retunes = 0
         self.switches = 0
-        self.weight_updates = 0
-        self._weights: list[float] = []   # ensemble mode: the live mixture
         self.last_epoch: dict = {}
-        # Shared page-metadata cache: criteria are computed once per
-        # distinct page, not once per ghost miss.  Bounded defensively;
-        # like the ghost criterion caches it can serve a stale footprint
-        # for pages modified after capture (hysteresis absorbs that).
-        self._meta_cache: dict = {}
         self._ghost_capacity = 0
         self._sample_threshold: int | None = None  # None = feed everything
 
@@ -244,45 +214,25 @@ class TuningController:
         self._live_kwargs = dict(policy_kwargs or {})
         live_policy = self._managers[0].policy
         self.live_name = live_policy.name
-        if self.config.mode == "ensemble":
-            # The expert panel *is* the ghost panel: one shadow per
-            # expert of the live mixture, no control ghost (the mixture
-            # is compared against its own experts, not replaced).
-            if not isinstance(live_policy, EnsemblePolicy):
-                raise TypeError(
-                    'tuning mode "ensemble" requires the live policy to '
-                    f"be ENSEMBLE, got {live_policy.name!r}; build with "
-                    "BufferSystem.build(tuning=TuningSpec(mode='ensemble'))"
+        candidates = self.config.candidates
+        if candidates is None:
+            candidates = default_candidates(policy_name, self._live_kwargs)
+        candidates = list(candidates)
+        # Shadow the live configuration too (when it is registry-buildable):
+        # a control ghost the controller can always switch *back* to after
+        # the workload shifts again.
+        if not any(candidate.name == self.live_name for candidate in candidates):
+            try:
+                live = Candidate(
+                    name=self.live_name,
+                    policy=policy_name,
+                    kwargs=dict(self._live_kwargs),
                 )
-            candidates = [
-                Candidate(name=name, policy=spec)
-                for name, spec in zip(
-                    live_policy.expert_names, live_policy.expert_specs
-                )
-            ]
-            self._weights = list(live_policy.weights)
-        else:
-            candidates = self.config.candidates
-            if candidates is None:
-                candidates = default_candidates(policy_name, self._live_kwargs)
-            candidates = list(candidates)
-            # Shadow the live configuration too (when it is
-            # registry-buildable): a control ghost the controller can
-            # always switch *back* to after the workload shifts again.
-            if not any(
-                candidate.name == self.live_name for candidate in candidates
-            ):
-                try:
-                    live = Candidate(
-                        name=self.live_name,
-                        policy=policy_name,
-                        kwargs=dict(self._live_kwargs),
-                    )
-                    live.build_policy()
-                except (ValueError, TypeError):
-                    pass
-                else:
-                    candidates.insert(0, live)
+                live.build_policy()
+            except (ValueError, TypeError):
+                pass
+            else:
+                candidates.insert(0, live)
         sample = self.config.sample
         if sample < 1.0:
             # Map ids into the 32-bit hash space (Fibonacci hashing) and
@@ -329,16 +279,22 @@ class TuningController:
                 threshold is None
                 or ((page_id * 2654435761) & 0xFFFFFFFF) < threshold
             ):
-                cache = self._meta_cache
-                meta = cache.get(page_id)
-                if meta is None:
-                    if len(cache) >= 65536:
-                        cache.clear()
-                    meta = PageMeta.from_frame(frame, self._criteria)
-                    cache[page_id] = meta
+                # Built from the live frame on the first ghost miss, at
+                # most once per access: the criteria are memoised on the
+                # frame and the page version, so an edited page re-enters
+                # a ghost with its current footprint.
+                meta = None
+                criteria = self._criteria
+
+                def live_meta() -> PageMeta:
+                    nonlocal meta
+                    if meta is None:
+                        meta = PageMeta.from_frame(frame, criteria)
+                    return meta
+
                 query = manager._query_id
                 for ghost in self._ghosts:
-                    ghost.access(page_id, query, meta)
+                    ghost.access(page_id, query, live_meta)
             if self._epoch_accesses >= self.config.epoch_length:
                 self._close_epoch(manager)
 
@@ -383,9 +339,6 @@ class TuningController:
                     label=leader.name if leader else None,
                 )
             )
-        if self.config.mode == "ensemble":
-            self._update_mixture(rates, manager)
-            return
         if self._cooldown_left > 0:
             self._cooldown_left -= 1
             self._leader_name = None
@@ -419,55 +372,11 @@ class TuningController:
             return
         self._adopt(leader, leader_rate, manager)
 
-    def _update_mixture(self, rates: list[float], manager: "BufferManager") -> None:
-        """One multiplicative-weights step on the live ensemble mixture.
-
-        The new weight vector is propagated through the adaptation log as
-        a plain ``retune`` action, so sharded buffers converge on it
-        exactly like any other retune — shard by shard, on each shard's
-        next tapped access, without cross-shard locking.
-        """
-        if not rates:
-            return
-        new = multiplicative_update(
-            self._weights,
-            rates,
-            eta=self.config.eta,
-            weight_floor=self.config.weight_floor,
-        )
-        self.last_epoch["weights"] = {
-            ghost.name: weight for ghost, weight in zip(self._ghosts, new)
-        }
-        if max(
-            abs(a - b) for a, b in zip(new, self._weights)
-        ) <= 1e-12:
-            return
-        self._weights = list(new)
-        self._actions.append(("retune", {"weights": tuple(new)}))
-        self.weight_updates += 1
-        self.retunes += 1
-        self._apply_pending(manager)
-        observer = self.observer
-        if observer is not None:
-            top = max(range(len(new)), key=new.__getitem__)
-            observer.emit(
-                BufferEvent(
-                    kind="tune_weights",
-                    clock=self._accesses,
-                    value=round(new[top], 6),
-                    label=self._ghosts[top].name,
-                )
-            )
-
     def _adopt(
         self, candidate: Candidate, rate: float, manager: "BufferManager"
     ) -> None:
         """Record the adaptation and apply it to the deciding manager now."""
         is_retune = bool(candidate.retune) and candidate.policy == self._live_policy_name
-        if is_retune and not self.config.allow_retune:
-            return
-        if not is_retune and not self.config.allow_switch:
-            return
         if is_retune:
             self._actions.append(("retune", dict(candidate.retune)))
             self._live_kwargs.update(candidate.retune)
@@ -535,8 +444,7 @@ class TuningController:
     def snapshot(self) -> dict:
         """Tuner state as a plain dict (reported by the page service)."""
         with self._lock:
-            snapshot = {
-                "mode": self.config.mode,
+            return {
                 "live": self.live_name,
                 "policy": self._live_policy_name,
                 "policy_kwargs": dict(self._live_kwargs),
@@ -558,15 +466,6 @@ class TuningController:
                 },
                 "last_epoch": dict(self.last_epoch),
             }
-            if self.config.mode == "ensemble":
-                snapshot["weights"] = {
-                    ghost.name: weight
-                    for ghost, weight in zip(self._ghosts, self._weights)
-                }
-                snapshot["weight_updates"] = self.weight_updates
-                snapshot["eta"] = self.config.eta
-                snapshot["weight_floor"] = self.config.weight_floor
-            return snapshot
 
 
 def candidate_variants(
@@ -607,8 +506,8 @@ def candidate_variants(
 
 __all__ = [
     "Candidate",
-    "TuningConfig",
     "TuningController",
+    "TuningSpec",
     "default_candidates",
     "candidate_variants",
 ]

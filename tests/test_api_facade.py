@@ -86,9 +86,9 @@ class TestMakePolicy:
 
     def test_the_registry_is_the_paper_set_plus_the_experts(self):
         assert policy_names() == [
-            "A", "ASB", "AWRP", "EA", "EEVA", "EM", "ENSEMBLE", "EO", "FIFO",
-            "LRU", "LRU-2", "LRU-3", "LRU-5", "LRU-K", "LRU-P", "LRU-T", "M",
-            "MRU", "SLRU",
+            "A", "ASB", "AWRP", "EA", "EEVA", "EM", "EO", "FIFO", "LRU",
+            "LRU-2", "LRU-3", "LRU-5", "LRU-K", "LRU-P", "LRU-T", "M", "MRU",
+            "SLRU",
         ]
 
     @pytest.mark.parametrize(
@@ -101,6 +101,7 @@ class TestMakePolicy:
             ("LFU", "LFU"),
             ("RANDOM", "RandomPolicy"),
             ("DOMAIN", "DomainSeparation"),
+            ("ENSEMBLE", "EnsemblePolicy"),
         ],
     )
     def test_retired_policies_are_gone(self, name, export):
@@ -150,6 +151,10 @@ class TestDeprecatedKeywords:
             ("repro", "build_buffer_system"),
             ("repro.geometry", "z_decode"),
             ("repro.geometry", "z_region_ranges"),
+            ("repro", "FittedWeights"),
+            ("repro", "fit_weights"),
+            ("repro.tuning", "TuningConfig"),
+            ("repro.tuning", "EnsemblePolicy"),
         ],
     )
     def test_retired_names_are_gone(self, module, export):

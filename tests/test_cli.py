@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.cli import POLICY_FACTORIES, main
@@ -225,31 +223,3 @@ class TestReproduceCommand:
         out = capsys.readouterr().out
         assert "running figure_04" in out
 
-
-class TestTuneFitCommand:
-    def test_record_fit_then_build_from_the_weights(self, tmp_path, capsys):
-        """``events record -> tune fit -> weights_path`` end to end."""
-        from repro import BufferSystem, TuningSpec
-
-        trace = tmp_path / "trace.jsonl"
-        weights = tmp_path / "weights.json"
-        assert main(
-            ["events", "record", "--set", "S-W-100", "--policy", "LRU",
-             "--objects", "2000", "--queries", "30", "--capacity", "24",
-             "--out", str(trace)]
-        ) == 0
-        assert main(
-            ["tune", "fit", str(trace), "--epoch", "20", "--out", str(weights)]
-        ) == 0
-        artifact = json.loads(weights.read_text())
-        # The fit moved the mixture off uniform, so loading it shows.
-        assert len(set(artifact["weights"])) > 1
-        spec = TuningSpec(mode="ensemble", weights_path=str(weights))
-        with BufferSystem.build(
-            policy="ENSEMBLE", capacity=24, tuning=spec
-        ) as system:
-            snapshot = system.tuner.snapshot()
-            assert snapshot["mode"] == "ensemble"
-            assert snapshot["weights"] == pytest.approx(
-                dict(zip(artifact["experts"], artifact["weights"]))
-            )

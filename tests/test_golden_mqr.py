@@ -5,7 +5,7 @@ policy decisions on a hand-built synthetic page population.  These pin
 them on the page-reference strings of a *real* spatial index: a
 canonical mqr-tree is built from the streamed mainland dataset, a
 mainland query workload is traced through it, and the resulting
-reference string is recorded under LRU, ASB and the expert ensemble.
+reference string is recorded under LRU and ASB.
 Any change to the mqr-tree's structure (node layout, insertion
 placement, search order) or to the policies' decisions shows up as an
 event-level diff against a checked-in JSON-lines file.
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.buffer.policies import ASB, LRU, EnsemblePolicy
+from repro.buffer.policies import ASB, LRU
 from repro.datasets.places import synthetic_places
 from repro.datasets.synthetic import us_mainland_like_stream
 from repro.experiments.trace import AccessTrace, record_trace, trace_disk
@@ -40,7 +40,6 @@ SEED = 11
 GOLDEN_POLICIES = {
     "mqr_lru": LRU,
     "mqr_asb": lambda: ASB(overflow_fraction=0.25),
-    "mqr_ensemble": lambda: EnsemblePolicy(experts=("LRU", "ASB", "AWRP")),
 }
 
 

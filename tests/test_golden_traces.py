@@ -27,7 +27,6 @@ from repro.buffer.policies import (
     LRUK,
     SLRU,
     EEvA,
-    EnsemblePolicy,
     LRU,
     SpatialPolicy,
 )
@@ -55,7 +54,6 @@ GOLDEN_POLICIES = {
     "asb": lambda: ASB(overflow_fraction=0.25),
     "awrp": AWRP,
     "eeva": EEvA,
-    "ensemble": lambda: EnsemblePolicy(experts=("LRU", "ASB", "AWRP")),
 }
 
 

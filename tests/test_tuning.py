@@ -18,25 +18,37 @@ stream-shaped:
 
 from __future__ import annotations
 
+import dataclasses
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import BufferSystem
 from repro.buffer.manager import BufferManager
-from repro.buffer.policies import make_policy, policy_param_space
+from repro.buffer.policies import (
+    POLICY_REGISTRY,
+    UnknownPolicyError,
+    make_policy,
+    policy_names,
+    policy_param_space,
+)
+from repro.buffer.policies.spatial import spatial_criterion
 from repro.datasets.synthetic import us_mainland_like
-from repro.experiments.harness import build_database, buffer_capacity
+from repro.experiments.harness import (
+    build_database,
+    buffer_capacity,
+    run_queries,
+)
 from repro.geometry.rect import Rect
 from repro.obs.events import TraceRecorder
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page, PageEntry, PageType
 from repro.tuning import (
-    DEFAULT_EXPERTS,
     Candidate,
     GhostCache,
     PageMeta,
-    TuningConfig,
     TuningController,
     TuningSpec,
     candidate_variants,
@@ -59,7 +71,7 @@ capacities = st.integers(min_value=1, max_value=7)
 
 #: Policies the ghost-equivalence property quantifies over: the recency
 #: baseline, the history expert, the paper's spatial self-tuner, and the
-#: two ensemble experts added for the expert-mixture controller.
+#: two PAPERS.md experts.
 GHOST_POLICIES = ("LRU", "LRU-2", "ASB", "FIFO", "AWRP", "EEVA")
 
 
@@ -169,6 +181,62 @@ class TestGhostEquivalence:
         assert ghost.stats.requests == 0
 
 
+class TestGhostMetadata:
+    """The controller feeds ghosts the live frame's current metadata."""
+
+    def test_edited_page_reenters_the_ghost_with_its_new_criterion(self):
+        disk = build_disk()
+        buffer = BufferManager(disk, 4, make_policy("LRU"))
+        controller = TuningController(
+            TuningSpec(
+                candidates=(Candidate(name="A", policy="A"),),
+                epoch_length=10_000,
+            )
+        )
+        controller.attach_buffer(buffer, "LRU")
+        ghost = next(g for g in controller.ghosts if g.name == "A")
+        page = buffer.fetch(0)                     # A = 1 x 1
+        page.entries[0] = PageEntry(mbr=Rect(0, 0, 10, 10), payload=0)
+        buffer.mark_dirty(0)
+        for page_id in (1, 2, 0, 3, 4):            # 4 pushes 0 out of the ghost
+            buffer.fetch(page_id)
+        assert 0 not in ghost.frames and 0 in buffer.frames
+        buffer.fetch(0)                            # re-enters the ghost
+        live = spatial_criterion(buffer.frames.get(0), "A")
+        assert live == 100.0
+        assert ghost.frames.get(0).crit_cache == {"A": live}
+
+    def test_at_most_one_meta_per_tapped_access(self, monkeypatch):
+        calls = 0
+        original = PageMeta.from_frame.__func__
+
+        def counting(cls, frame, criteria):
+            nonlocal calls
+            calls += 1
+            return original(cls, frame, criteria)
+
+        monkeypatch.setattr(PageMeta, "from_frame", classmethod(counting))
+        disk = build_disk()
+        buffer = BufferManager(disk, 8, make_policy("LRU"))
+        controller = TuningController(
+            TuningSpec(
+                candidates=tuple(
+                    Candidate(name=name, policy=name)
+                    for name in ("A", "MRU", "FIFO")
+                ),
+                epoch_length=10_000,
+            )
+        )
+        controller.attach_buffer(buffer, "LRU")
+        assert len(controller.ghosts) == 4
+        for page_id in range(8):                   # every ghost misses
+            buffer.fetch(page_id)
+        assert calls == 8
+        for page_id in range(8):                   # every ghost hits
+            buffer.fetch(page_id)
+        assert calls == 8
+
+
 class TestPolicyHandoff:
     """switch_policy: a live hand-off that loses nothing."""
 
@@ -226,13 +294,15 @@ def cyclic_controller(
     """
     disk = build_disk()
     buffer = BufferManager(disk, capacity, make_policy("LRU"))
-    config = TuningConfig(
-        candidates=(Candidate(name="MRU", policy="MRU"),),
-        epoch_length=epoch_length,
-        hysteresis=0.01,
-        patience=1,
-        cooldown=0,
-        **config_kwargs,
+    config = TuningSpec(
+        **{
+            "candidates": (Candidate(name="MRU", policy="MRU"),),
+            "epoch_length": epoch_length,
+            "hysteresis": 0.01,
+            "patience": 1,
+            "cooldown": 0,
+            **config_kwargs,
+        }
     )
     controller = TuningController(config, observer=observer)
     controller.attach_buffer(buffer, "LRU")
@@ -257,8 +327,8 @@ class TestController:
         stats = buffer.stats
         assert stats.hits + stats.misses == stats.requests
 
-    def test_allow_switch_false_observes_without_acting(self):
-        buffer, controller = cyclic_controller(allow_switch=False)
+    def test_unbeatable_margin_observes_without_acting(self):
+        buffer, controller = cyclic_controller(hysteresis=1.0)
         for step in range(120):
             buffer.fetch(step % 6)
         assert controller.switches == 0
@@ -299,7 +369,7 @@ class TestController:
             policy="LRU",
             capacity=8,
             shards=2,
-            tuning=TuningConfig(
+            tuning=TuningSpec(
                 candidates=(Candidate(name="MRU", policy="MRU"),),
                 epoch_length=16,
                 hysteresis=0.01,
@@ -325,17 +395,17 @@ class TestController:
 class TestConfigAndCandidates:
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TuningConfig(epoch_length=0)
+            TuningSpec(epoch_length=0)
         with pytest.raises(ValueError):
-            TuningConfig(hysteresis=-0.1)
+            TuningSpec(hysteresis=-0.1)
         with pytest.raises(ValueError):
-            TuningConfig(patience=0)
+            TuningSpec(patience=0)
         with pytest.raises(ValueError):
-            TuningConfig(cooldown=-1)
+            TuningSpec(cooldown=-1)
         with pytest.raises(ValueError):
-            TuningConfig(sample=0.0)
+            TuningSpec(sample=0.0)
         with pytest.raises(ValueError):
-            TuningConfig(sample=1.5)
+            TuningSpec(sample=1.5)
 
     def test_default_candidates_for_parameter_free_policy(self):
         panel = default_candidates("LRU")
@@ -384,8 +454,104 @@ class TestConfigAndCandidates:
         assert "tuning" not in system.stats_snapshot()
 
 
+class TestTuningSpec:
+    def test_defaults(self):
+        spec = TuningSpec()
+        assert [field.name for field in dataclasses.fields(spec)] == [
+            "candidates", "epoch_length", "hysteresis", "patience",
+            "cooldown", "sample",
+        ]
+        assert spec.candidates is None
+        assert spec.epoch_length == 2000
+        assert spec.sample == 1.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            TuningSpec(epoch_length=0)
+        # The expert ensemble's options are gone, not silently ignored.
+        for retired in ("mode", "experts", "weights_path", "eta", "weight_floor"):
+            with pytest.raises(TypeError, match=f"'{retired}'"):
+                TuningSpec(**{retired: None})
+
+    def test_unknown_option_is_a_typeerror_naming_it(self):
+        with pytest.raises(TypeError, match="'epoch_len'"):
+            TuningSpec(epoch_len=100)
+        with pytest.raises(TypeError, match="'mode'"):
+            TuningSpec(mode="select")
+
+    def test_build_with_spec_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            system = BufferSystem.build(
+                policy="LRU", capacity=8, tuning=TuningSpec(epoch_length=32)
+            )
+        assert system.tuner is not None
+        assert system.tuner.config.epoch_length == 32
+
+
+class TestBenchmarkRung:
+    """``BufferSystem.build(policy="ASB", tuning=TuningSpec())``: the build
+    ``bench/run.py`` times for ``tuning.ghost_extra_us_per_fetch``."""
+
+    def test_default_panel_shadows_without_deciding(self):
+        database = build_database(us_mainland_like(n_objects=2_000, seed=7))
+        tree = database.tree
+        capacity = buffer_capacity(database, 0.047)
+        query_set = database.query_set("U-W-100", 30, seed=1)
+
+        def replay(tuning):
+            system = BufferSystem.build(
+                policy="ASB", capacity=capacity, disk=tree.pagefile.disk,
+                tuning=tuning,
+            )
+            run_queries(system.buffer, tree, query_set)
+            return system
+
+        plain = replay(None)
+        tuned = replay(TuningSpec())
+        assert [ghost.name for ghost in tuned.tuner.ghosts] == [
+            "ASB",
+            "ASB candidate_fraction=0.50",
+            "ASB candidate_fraction=0.12",
+            "ASB step_fraction=0.02",
+        ]
+        assert tuned.buffer.stats.requests < TuningSpec().epoch_length
+        assert tuned.tuner.epochs == 0
+        assert tuned.buffer.stats.misses == plain.buffer.stats.misses
+        assert tuned.buffer.stats.hits == plain.buffer.stats.hits
+
+
+class TestRegistryMetadata:
+    @pytest.mark.parametrize("name", policy_names())
+    def test_param_defaults_round_trip_through_make_policy(self, name):
+        space = policy_param_space(name)
+        defaults = {
+            pname: spec.default
+            for pname, spec in space.items()
+            if spec.default is not None
+        }
+        policy = make_policy(name, **defaults)
+        assert policy.name
+
+    def test_unknown_name_raises_named_error(self):
+        with pytest.raises(UnknownPolicyError) as excinfo:
+            policy_param_space("NOPE")
+        assert excinfo.value.policy_name == "NOPE"
+        assert isinstance(excinfo.value, ValueError)
+        with pytest.raises(UnknownPolicyError):
+            make_policy("NOPE")
+
+    def test_aliases_share_the_canonical_param_space(self):
+        for key, spec in POLICY_REGISTRY.items():
+            for alias in spec.aliases:
+                assert policy_param_space(alias) == policy_param_space(
+                    spec.name
+                )
+                assert make_policy(alias).name == make_policy(spec.name).name
+
+
 # ----------------------------------------------------------------------
-# The phase-shifting workload: adaptive and ensemble vs static experts
+# The phase-shifting workload: adaptive vs static experts
 # ----------------------------------------------------------------------
 
 #: The static experts every adaptive run is judged against.
@@ -420,13 +586,7 @@ def _overall(scores: dict[str, tuple[int, int]]) -> float:
 
 @pytest.fixture(scope="module")
 def phased_runs():
-    """Every panel buffer over one seeded phased workload (counts only).
-
-    At 4,000 objects, 200 queries per phase is the smallest count from
-    which the ensemble beats every static expert at every count tried up
-    to 400.  Below it the margin is noise: at 80 it scores 0.6850 against
-    ASB's 0.6881, at 120 it wins, at 160 it loses 0.7508 to 0.7583.
-    """
+    """Every panel buffer over one seeded phased workload (counts only)."""
     seed = 7
     database = build_database(us_mainland_like(n_objects=4_000, seed=seed))
     tree = database.tree
@@ -443,34 +603,26 @@ def phased_runs():
         return _phase_hits(system, tree, workload), system
 
     static = {name: run(name)[0] for name in STATIC_PANEL}
-    adaptive, system = run("LRU", TuningConfig(
+    adaptive, system = run("LRU", TuningSpec(
         candidates=default_candidates("LRU"), epoch_length=60,
         hysteresis=0.01, patience=1, cooldown=1, sample=1.0,
     ))
-    tuner = system.tuner.snapshot()
-    ensemble, _ = run("ENSEMBLE", TuningSpec(
-        mode="ensemble", experts=DEFAULT_EXPERTS, epoch_length=60,
-        sample=0.2, eta=16.0,
-    ))
-    return static, adaptive, tuner, ensemble
+    return static, adaptive, system.tuner.snapshot()
 
 
 class TestPhasedWorkload:
     def test_adaptive_within_5pct_of_best_static_each_phase(self, phased_runs):
-        static, adaptive, _, _ = phased_runs
+        static, adaptive, _ = phased_runs
         for phase, (hits, requests) in adaptive.items():
             best = max(h / r for h, r in (run[phase] for run in static.values()))
             got = hits / requests
             assert best - got <= max(0.05 * best, ABSOLUTE_SLACK), phase
 
     def test_adaptive_beats_worst_static_overall(self, phased_runs):
-        static, adaptive, _, _ = phased_runs
+        static, adaptive, _ = phased_runs
         assert _overall(adaptive) >= min(map(_overall, static.values()))
 
     def test_controller_adapts_at_least_once(self, phased_runs):
-        _, _, tuner, _ = phased_runs
+        _, _, tuner = phased_runs
         assert tuner["retunes"] + tuner["switches"] >= 1
 
-    def test_ensemble_beats_every_static_overall(self, phased_runs):
-        static, _, _, ensemble = phased_runs
-        assert _overall(ensemble) > max(map(_overall, static.values()))
