@@ -20,8 +20,8 @@ Failures map to three exceptions:
 * :class:`RetryAfter` — the server refused the request under load
   (``.reason``, ``.hint_ms``); back off and retry.
 * :class:`ConnectionLost` — the transport died; *every* outstanding
-  request fails with it, whether the loss surfaced on the read side (the
-  reader hit EOF or garbage) or the write side (a send failed
+  request fails with it, whether the loss surfaced on the read side (EOF,
+  garbage or a reply it cannot parse) or the write side (a send failed
   mid-pipeline), and the client refuses further use.  The sync
   :class:`PageClient` additionally *reconnects* through a
   :class:`~repro.storage.retry.RetryPolicy` and replays the failed call —
@@ -58,7 +58,7 @@ from repro.server.protocol import (
     unpack_lsn,
     unpack_retry_after,
 )
-from repro.storage.serialization import encode_page, read_page
+from repro.storage.serialization import VerifiedPages, encode_page
 
 if TYPE_CHECKING:
     from repro.storage.page import Page, PageId
@@ -116,6 +116,8 @@ class AsyncPageClient:
         # server answers ``ERROR/UNKNOWN_OP`` (batches are well-formed
         # frames), which downgrades this once, permanently.
         self._batch_supported: bool | None = None
+        # A page re-fetched with unchanged bytes is not verified again.
+        self._verified = VerifiedPages()
         self._reader_task = asyncio.ensure_future(self._read_loop())
 
     @classmethod
@@ -138,8 +140,11 @@ class AsyncPageClient:
                     error = ConnectionLost("server closed the connection")
                     break
                 status, request_id, payload = decode_head(frame)
-                future = self._pending.pop(request_id, None)
+                # Taken once parsed: a malformed ERROR or RETRY_AFTER payload
+                # (ValueError) fails every pending request, this one too.
+                future = self._pending.get(request_id)
                 if future is None or future.done():
+                    self._pending.pop(request_id, None)
                     continue  # response to a request we gave up on
                 if status == Status.OK:
                     future.set_result(payload)
@@ -151,9 +156,10 @@ class AsyncPageClient:
                     future.set_exception(
                         ProtocolError(f"unknown response status {status}")
                     )
+                del self._pending[request_id]
         except asyncio.CancelledError:
             error = ConnectionLost("client is closing")
-        except (ProtocolError, ConnectionError, OSError) as exc:
+        except (ProtocolError, ValueError, ConnectionError, OSError) as exc:
             error = ConnectionLost(f"connection lost: {exc}")
         self._fail_pending(error)
 
@@ -210,10 +216,10 @@ class AsyncPageClient:
     # ------------------------------------------------------------------
 
     async def fetch(self, page_id: "PageId") -> "Page":
-        """Fetch one page, *packed*: verified, its entries still inside the
-        reply's bytes (``page.image()``) until ``page.entries`` is read."""
+        """Fetch one page, *packed* (verified once per connection and page
+        version), its entries inside the reply (``page.image()``) until read."""
         blob = await self._request(Op.FETCH, pack_page_id(page_id))
-        return read_page(blob, page_id)
+        return self._verified.read(blob, page_id)
 
     async def fetch_blob(self, page_id: "PageId") -> bytes:
         """Fetch a page's *encoded bytes* without verifying them.
@@ -273,7 +279,7 @@ class AsyncPageClient:
                     )
                 # bytes slices: each page's image owns its 4 KB, not the reply.
                 return [
-                    read_page(blob[index * size : (index + 1) * size], pid)
+                    self._verified.read(blob[index * size : (index + 1) * size], pid)
                     for index, pid in enumerate(page_ids)
                 ]
         return list(

@@ -26,7 +26,9 @@ slot bytes as its :class:`PageImage` — serving it on, logging it or ranking
 it by its MBR never builds an entry object, and :func:`encode_page` hands
 the bytes back untouched.  :func:`decode_page` builds the entry objects at
 once: the public eager reader, and :func:`read_page`'s fallback for a slot
-that fails a check (to raise what it raises) or is not canonical.
+that fails a check (to raise what it raises) or is not canonical.  Where
+the same bytes arrive again (a medium's slot, a client's connection) one
+rule, :class:`VerifiedPages`, verifies each page version once.
 """
 
 from __future__ import annotations
@@ -65,10 +67,11 @@ def _body(count: int) -> struct.Struct:
 class PageImage:
     """The verified bytes of one page slot, standing in for its entries.
 
-    Built by :func:`read_page` only, after the checks of
-    :func:`decode_page` have passed, and never changed: a packed
-    :class:`~repro.storage.page.Page` answers from it until its entries
-    are first read, then lets go of it and of what it keeps.
+    Built by :func:`read_page` once the checks of :func:`decode_page` have
+    passed (or by :class:`VerifiedPages` for bytes equal to ones that
+    have), and never changed: a packed :class:`~repro.storage.page.Page`
+    answers from it until its entries are first read, then lets go of it
+    and of what it keeps.
     """
 
     __slots__ = ("blob", "count", "mbr", "_hull", "_derived")
@@ -250,6 +253,47 @@ def read_page(blob: bytes, page_id: PageId) -> Page:
     mbr = Rect(min(x_min), min(y_min), max(x_max), max(y_max)) if count else None
     image = PageImage(blob, count, mbr, mbr if exact else None)
     return Page.packed(page_id, page_type, level, image)
+
+
+class VerifiedPages:
+    """Verify once per receiving end, medium or wire: :meth:`read` equals
+    :func:`read_page`, but bytes equal to a page id's remembered *verified
+    prefix* (header and entries) plus zeros come back packed around a new
+    image over *them* that shares the remembered type, level, MBR, hull and
+    criteria (``_derived``).  Others are verified, and remembered if packed.
+    Nothing keeps an image or a slot; each access is one dict ``get``,
+    ``pop`` or store, so a race costs a verify, never a stale page.
+    """
+
+    __slots__ = ("_known",)
+
+    def __init__(self) -> None:
+        self._known: dict[PageId, tuple] = {}
+
+    def read(self, blob: bytes, page_id: PageId) -> Page:
+        blob = bytes(blob)
+        known = self._known.get(page_id)
+        if known is not None:
+            prefix, page_type, level, count, mbr, hull, derived = known
+            if blob.startswith(prefix) and blob.endswith(bytes(len(blob) - len(prefix))):
+                image = PageImage(blob, count, mbr, hull)
+                image._derived = derived
+                return Page.packed(page_id, page_type, level, image)
+        page = read_page(blob, page_id)
+        self.remember(page_id, page)
+        return page
+
+    def remember(self, page_id: PageId, page: Page) -> None:
+        """Remember ``page`` if still packed, typed as its image's header."""
+        image = page._packed()
+        if image is not None:
+            page_type, level, count = _header(image.blob, page_id)
+            prefix = image.blob[: _HEADER.size + count * _ENTRY.size]
+            known = (prefix, page_type, level, count, image.mbr, image._hull, image._derived)
+            self._known[page_id] = known
+
+    def forget(self, page_id: PageId) -> None:
+        self._known.pop(page_id, None)
 
 
 class FileDisk(FailureInjectionMixin):

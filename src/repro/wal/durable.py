@@ -14,11 +14,11 @@ mid-slot, injected via ``disk.write.torn``) is *detected* on the next
 read — :class:`TornPageError` — instead of silently serving garbage.
 Recovery repairs torn slots from the write-ahead log.
 
-Every read fetches the slot and checks its CRC; :func:`read_page` then
-verifies the payload once per slot version.  The disk remembers the
-verified image it last handed out for each slot, and a read whose
-payload equals that image byte for byte is served around the same
-image, so the spatial criteria kept with it (``PageImage._derived``)
+Every read fetches the slot and checks its CRC; the payload is then
+verified once per slot version, by the verify-once rule every receiving
+end shares (:class:`~repro.storage.serialization.VerifiedPages`): a
+payload equal to the last one verified for the slot is not verified
+again, and the spatial criteria kept with it (``PageImage._derived``)
 outlive the page's eviction.
 
 The access surface matches ``SimulatedDisk`` (accounted ``read``/
@@ -38,7 +38,7 @@ from repro.storage.disk import (
     LatencyModel,
 )
 from repro.storage.page import Page, PageId
-from repro.storage.serialization import _header, encode_page, read_page
+from repro.storage.serialization import VerifiedPages, encode_page, read_page
 from repro.wal.bytestore import ByteStore, MemoryByteStore
 from repro.wal.crash import CrashError, CrashInjector
 
@@ -79,12 +79,8 @@ class DurableDisk(FailureInjectionMixin):
         self.crash = crash
         self._init_failure_injection()
         self._live: set[PageId] = set()
-        #: page -> (type, level, image) of the packed page :func:`read_page`
-        #: made of the slot's bytes when they were last verified.  A plain
-        #: dict: every access is one ``get``, ``pop`` or store, and a hit
-        #: needs the slot's bytes to equal the image's, so a racing store
-        #: of an older image costs a re-verify, never a stale page.
-        self._verified: dict[PageId, tuple] = {}
+        #: The slots' last verified bytes; forgotten before a slot changes.
+        self._verified = VerifiedPages()
         self._scan_existing()
 
     def _scan_existing(self) -> None:
@@ -149,8 +145,8 @@ class DurableDisk(FailureInjectionMixin):
 
         The page comes back packed (:func:`read_page`): verified, with its
         entries still inside the slot bytes until someone reads them.  A
-        slot whose checked payload equals the image last verified for it
-        (``bytes ==``) is not verified again: the page shares that image.
+        slot whose checked payload equals the one last verified for it is
+        not verified again: the page shares that version's criteria.
         """
         self._check_failure("read", page_id)
         if page_id not in self._live:
@@ -164,30 +160,23 @@ class DurableDisk(FailureInjectionMixin):
             self.stats.random_reads += 1
             self.stats.elapsed_ms += self._latency.random_ms
         self._last_read = page_id
-        known = self._verified.get(page_id)
-        if known is not None and known[2].blob == payload:
-            return Page.packed(page_id, *known)
-        page = read_page(payload, page_id)
-        if page._image is not None:
-            self._verified[page_id] = (page.page_type, page.level, page._image)
-        return page
+        return self._verified.read(payload, page_id)
 
     def write(self, page: Page) -> None:
         """Encode and persist a page, counting one disk access.
 
-        A page still packed is written as its image's bytes, and the
-        image is remembered as the slot's once the write has succeeded.
+        A page still packed is written as its image's bytes, and those are
+        remembered as the slot's verified ones once the write has succeeded.
         """
         self._check_failure("write", page.page_id)
-        self._verified.pop(page.page_id, None)
+        self._verified.forget(page.page_id)
         image = page._packed()
         payload = encode_page(page, self.page_size)
         self._write_slot(page.page_id, payload)
         self.stats.writes += 1
         self.stats.elapsed_ms += self._latency.random_ms
         if image is not None and payload is image.blob:
-            page_type, level, _ = _header(payload, page.page_id)
-            self._verified[page.page_id] = (page_type, level, image)
+            self._verified.remember(page.page_id, page)
 
     def sync(self) -> None:
         """Make every slot written so far durable on the medium."""
@@ -199,7 +188,7 @@ class DurableDisk(FailureInjectionMixin):
 
     def store(self, page: Page) -> None:
         """Persist a page without counting an access (build phase)."""
-        self._verified.pop(page.page_id, None)
+        self._verified.forget(page.page_id)
         self._write_slot(page.page_id, encode_page(page, self.page_size))
 
     def restore(self, page_id: PageId, payload: bytes) -> None:
@@ -215,7 +204,7 @@ class DurableDisk(FailureInjectionMixin):
             raise ValueError(
                 f"payload is {len(payload)} bytes; slots hold {self.page_size}"
             )
-        self._verified.pop(page_id, None)
+        self._verified.forget(page_id)
         self._write_slot(page_id, payload)
 
     def peek(self, page_id: PageId) -> Page:
@@ -226,7 +215,7 @@ class DurableDisk(FailureInjectionMixin):
 
     def delete(self, page_id: PageId) -> None:
         """Zero a page's slot (unaccounted)."""
-        self._verified.pop(page_id, None)
+        self._verified.forget(page_id)
         if page_id in self._live:
             self.store_backend.write_at(
                 self._offset(page_id), b"\x00" * self.slot_size

@@ -12,6 +12,7 @@ import asyncio
 import random
 import socket
 import struct
+import threading
 import time
 from collections import Counter
 from dataclasses import asdict
@@ -36,14 +37,17 @@ from repro.server.protocol import (
     ErrorCode,
     Op,
     RetryReason,
+    Status,
+    decode_head,
     encode_request,
+    encode_response,
     pack_page_id,
     pack_page_ids,
     pack_update_batch,
+    read_frame,
 )
 from repro.storage import DelayedDisk, seed_page, serialization
 from repro.storage.page import Page, PageEntry, PageType
-from repro.wal import durable
 from repro.wal.bytestore import MemoryByteStore
 from repro.wal.durable import DurableDisk
 from repro.wal.log import WriteAheadLog
@@ -506,18 +510,24 @@ class TestCleanPagesStayPacked:
 
 
 class TestVerifiedOncePerVersion:
-    """Work counts, no timing: a served DurableDisk runs ``read_page`` once
-    per page version, however often the page is evicted and read again."""
+    """Work counts, no timing: each receiving end runs ``read_page`` once per
+    page version — the served DurableDisk however often the page is evicted
+    and read again, the client however often it fetches the page again."""
 
     def test_each_page_version_is_verified_once(self, monkeypatch):
         verified = Counter()
-        read_page = durable.read_page
+        read_page = serialization.read_page
 
         def counted(blob, page_id):
-            verified[page_id, bytes(blob)] += 1
+            # PageClient runs its event loop on a thread of this name.
+            client = threading.current_thread().name == "page-client-loop"
+            verified["client" if client else "disk", page_id, bytes(blob)] += 1
             return read_page(blob, page_id)
 
-        monkeypatch.setattr(durable, "read_page", counted)
+        def ends() -> Counter:
+            return Counter(end for end, _, _ in verified)
+
+        monkeypatch.setattr(serialization, "read_page", counted)
         system = durable_system()
         rng = random.Random(29)
         with ServerThread(system, page_size=PAGE_SIZE) as server:
@@ -525,11 +535,12 @@ class TestVerifiedOncePerVersion:
                 for _ in range(150):
                     client.fetch_many([rng.randrange(32) for _ in range(4)])
                 assert system.buffer.stats.misses > 100
-                assert len(verified) <= 32
+                assert 16 < ends()["disk"] <= 32
+                assert 16 < ends()["client"] <= 32
                 assert max(verified.values()) == 1
 
                 # Installed by UPDATE_MANY, written back, evicted, read
-                # again: the write-back kept the image it was installed as.
+                # again: the write-back kept the bytes it was installed as.
                 sent = [seed_page(3, 333), seed_page(4, 444)]
                 client.update_many(sent)
                 client.commit()
@@ -541,8 +552,58 @@ class TestVerifiedOncePerVersion:
                 blobs = [serialization.encode_page(page, PAGE_SIZE) for page in sent]
                 assert [page.image() for page in client.fetch_many([3, 4])] == blobs
                 assert max(verified.values()) == 1
-                assert (3, blobs[0]) not in verified
-                assert (4, blobs[1]) not in verified
+                assert ("disk", 3, blobs[0]) not in verified
+                assert ("disk", 4, blobs[1]) not in verified
+                assert verified["client", 3, blobs[0]] == 1
+
+                # Another connection rewrites a page: this one's next
+                # fetches return the new bytes and verify them once.
+                with PageClient(server.host, server.port, page_size=PAGE_SIZE) as other:
+                    other.update_many([seed_page(5, 555)])
+                    other.commit()
+                new = serialization.encode_page(seed_page(5, 555), PAGE_SIZE)
+                assert client.fetch(5).image() == new
+                assert client.fetch_many([5, 6])[0].image() == new
+                assert verified["client", 5, new] == 1
+                assert max(verified.values()) == 1
+
+
+class TestMalformedReplies:
+    """A reply the client cannot parse breaks the protocol: every pending
+    request fails with ConnectionLost and the client latches dead, never a
+    request left waiting forever."""
+
+    @pytest.mark.parametrize(
+        "status", [Status.ERROR, Status.RETRY_AFTER], ids=["ERROR", "RETRY_AFTER"]
+    )
+    def test_a_short_payload_fails_every_pending_request(self, status):
+        async def serve(reader, writer) -> None:
+            frames = [await read_frame(reader) for _ in range(2)]
+            _, request_id, _ = decode_head(frames[0])
+            writer.write(encode_response(status, request_id, b""))
+            await writer.drain()
+            await reader.read()  # until the client hangs up
+            writer.close()
+            await writer.wait_closed()
+
+        async def scenario() -> None:
+            server = await asyncio.start_server(serve, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            client = await AsyncPageClient.connect("127.0.0.1", port, page_size=PAGE_SIZE)
+            try:
+                fetches = [asyncio.ensure_future(client.fetch(pid)) for pid in (1, 2)]
+                results = await asyncio.wait_for(
+                    asyncio.gather(*fetches, return_exceptions=True), 2.0
+                )
+                assert [type(result) for result in results] == [ConnectionLost] * 2
+                with pytest.raises(ConnectionLost):
+                    await client.fetch(3)
+            finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
 
 
 class TestPackedEndToEnd:

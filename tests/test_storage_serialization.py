@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import struct
 import sys
 import threading
 
@@ -23,6 +24,7 @@ from repro.storage.disk import DiskError
 from repro.storage.page import Page, PageEntry, PageType
 from repro.storage.serialization import (
     FileDisk,
+    VerifiedPages,
     decode_page,
     encode_page,
     load_tree,
@@ -513,3 +515,136 @@ class TestPackedReplay:
         on_objects, on_bytes = replay(source), replay(durable)
         assert len(on_objects[0]) > 1000 and len(set(s for _, s in on_objects[1])) > 1
         assert on_bytes == on_objects
+
+
+# ----------------------------------------------------------------------
+# Verify once: VerifiedPages against read_page
+# ----------------------------------------------------------------------
+
+
+def version_blob(page_id: int, version: int) -> bytes:
+    """Version ``version`` of a page as a slot: its level, type and entries
+    all say which version it is; version 0 is empty."""
+    level = version % 3
+    page = Page(page_id, PageType.DATA if level == 0 else PageType.DIRECTORY, level)
+    for index in range(version % 5):
+        x = version + index / 8
+        page.entries.append(
+            PageEntry(Rect(x, -x, x + 1.0, 1.0), child=index, payload=version)
+        )
+    return encode_page(page, SLOT)
+
+
+def seen(page: Page) -> tuple:
+    """Everything a read shows, its image's hull included."""
+    image = page._image
+    return (
+        page.page_id,
+        page.page_type,
+        page.level,
+        page.image(),
+        None if image is None else repr(image._hull),
+        outcome(page.mbr),
+        repr(page.entries),
+    )
+
+
+class TestVerifiedPages:
+    """``memo.read`` equals ``read_page`` on every input, and shares one
+    version's criteria across the reads that find it remembered."""
+
+    PAGES = 4
+
+    @staticmethod
+    def variant(rng: random.Random, blob: bytes) -> bytes:
+        """``blob`` as it arrives: unchanged or damaged in one of the ways
+        a slot or a reply can be."""
+        count = struct.unpack_from("<H", blob, 6)[0]
+        used = 8 + 48 * count
+        data = bytearray(blob)
+        kind = rng.choice(
+            [
+                "same", "same", "same", "magic", "version", "type", "truncate",
+                "unordered", "nan", "padding", "longer", "shorter",
+            ]
+        )
+        if kind == "magic":
+            data[0:2] = b"XX"
+        elif kind == "version":
+            data[2] = 9
+        elif kind == "type":
+            data[3] = 7
+        elif kind == "truncate":
+            del data[rng.randrange(len(data)) :]
+        elif kind in ("unordered", "nan") and count:
+            bound = 8 + 48 * rng.randrange(count) + 8 * rng.randrange(4)
+            struct.pack_into("<d", data, bound, 1e9 if kind == "unordered" else float("nan"))
+        elif kind == "padding" and used < len(data):
+            data[rng.randrange(used, len(data))] = 0xAB
+        elif kind == "longer":
+            data += bytes(rng.randrange(1, 64))
+        elif kind == "shorter":
+            del data[rng.randrange(used, len(data) + 1) :]
+        return bytes(data)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reads_equal_read_page(self, seed):
+        rng = random.Random(seed)
+        memo = VerifiedPages()
+        #: page -> (verified prefix, criteria) the memo should remember.
+        known: dict = {}
+
+        def remembered(page_id: int, blob: bytes):
+            """The criteria of the version ``blob`` is, if remembered."""
+            prefix, criteria = known.get(page_id, (b"", None))
+            if prefix and blob[: len(prefix)] == prefix and not any(blob[len(prefix) :]):
+                return criteria
+            return None
+
+        def learn(page_id: int, page: Page, blob: bytes) -> None:
+            count = struct.unpack_from("<H", blob, 6)[0]
+            known[page_id] = (blob[: 8 + 48 * count], page._derived())
+
+        hits = misses = 0
+        for step in range(500):
+            page_id = rng.randrange(self.PAGES)
+            blob = self.variant(rng, version_blob(page_id, rng.randrange(3)))
+            action = rng.choice(["read"] * 6 + ["forget", "remember", "remember unpacked"])
+            if action == "forget":
+                memo.forget(page_id)
+                known.pop(page_id, None)
+                continue
+            if action.startswith("remember"):
+                try:
+                    page = read_page(blob, page_id)
+                except ValueError:
+                    continue
+                if action == "remember unpacked":
+                    assert len(page.entries) >= 0  # unpacked: not remembered
+                memo.remember(page_id, page)
+                if page.image() is not None:
+                    learn(page_id, page, blob)
+                continue
+            sent = rng.choice([blob, memoryview(blob), memoryview(bytearray(blob))])
+            try:
+                page = memo.read(sent, page_id)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as expected:
+                    read_page(blob, page_id)
+                assert (type(exc), str(exc)) == (expected.type, str(expected.value)), step
+                continue
+            if page.image() is not None:
+                # The image is the bytes passed in, never remembered ones.
+                assert page.image() == blob, step
+                assert sent is not blob or page.image() is blob, step
+                criteria = remembered(page_id, blob)
+                if criteria is not None:
+                    assert page._derived() is criteria, step
+                    hits += 1
+                else:
+                    assert page._derived() == {}, step
+                    page._derived()["step"] = step
+                    learn(page_id, page, blob)
+                    misses += 1
+            assert seen(page) == seen(read_page(blob, page_id)), step
+        assert hits >= 25 and misses >= 100

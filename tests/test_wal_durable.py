@@ -11,6 +11,7 @@ import pytest
 
 from repro.geometry.rect import Rect
 from repro.storage.disk import DiskError, TransientDiskError
+from repro.storage import serialization
 from repro.storage.page import Page, PageEntry, PageType
 from repro.storage.serialization import decode_page, encode_page, read_page
 from repro.wal.crash import CrashError, CrashInjector
@@ -265,19 +266,35 @@ class TestVerifiedOnce:
                 lambda page_id: model_read(disk, page_id), page_id
             )
 
-    def test_a_version_is_verified_once_and_its_image_shared(self):
+    def test_a_version_is_verified_once_and_its_criteria_shared(self, monkeypatch):
+        """Work counts: ``read_page`` runs once per slot version."""
+        verified = []
+        read_page_ = serialization.read_page
+
+        def counted(blob, page_id):
+            verified.append(page_id)
+            return read_page_(blob, page_id)
+
+        monkeypatch.setattr(serialization, "read_page", counted)
         disk = DurableDisk(page_size=PAGE_SIZE)
         disk.store(version_page(0, 1))
         first, second = disk.read(0), disk.read(0)
+        assert len(verified) == 1
         assert first is not second
-        assert first._image is second._image is not None
-        first._derived()["A"] = 1.5
-        assert first.entries  # unpacking one page leaves the shared image
-        assert disk.read(0)._derived() == {"A": 1.5}
-        disk.write(disk.read(0))  # a packed page's image is adopted
-        assert disk.read(0)._image is second._image
+        assert first._derived() is second._derived()
+        criteria = second._derived()
+        criteria["A"] = 1.5
+        assert first.entries  # unpacking one page leaves the shared criteria
+        assert disk.read(0)._derived() is criteria == {"A": 1.5}
+        disk.write(disk.read(0))  # a packed page's bytes are adopted
+        assert disk.read(0)._derived() is criteria
+        assert len(verified) == 1
         disk.write(version_page(0, 1))  # same bytes, from entry objects
-        assert disk.read(0)._image is not second._image
+        fresh = disk.read(0)
+        assert len(verified) == 2
+        assert fresh._derived() is not criteria and fresh._derived() == {}
+        assert disk.read(0)._derived() is fresh._derived()
+        assert len(verified) == 2
 
     def test_a_torn_write_is_caught_on_the_same_disk(self):
         crash = CrashInjector()
