@@ -10,8 +10,7 @@ a page/disk storage substrate with access accounting, spatial access
 methods (the paper's R*-tree, a grid file and an mqr-tree), a buffer
 manager with the paper's policies (LRU, LRU-T, LRU-P, LRU-K, the spatial
 criteria A/EA/M/EM/EO, SLRU and the self-tuning ASB, beside the FIFO and
-MRU baselines and the AWRP/EEvA experts), synthetic
-datasets and query workloads mirroring the paper's distributions, and an
+MRU baselines), synthetic datasets and query workloads mirroring the paper's distributions, and an
 experiment harness that regenerates every figure of the evaluation.
 
 Quickstart::
@@ -60,7 +59,6 @@ from repro.buffer.policies import (
 )
 from repro.buffer.policies import (
     ASB,
-    AWRP,
     FIFO,
     LRU,
     LRUK,
@@ -68,7 +66,6 @@ from repro.buffer.policies import (
     LRUT,
     MRU,
     SLRU,
-    EEvA,
     SpatialPolicy,
 )
 from repro.datasets.synthetic import Dataset, us_mainland_like, world_atlas_like
@@ -120,8 +117,6 @@ __all__ = [
     "policy_param_space",
     "ParamSpec",
     "UnknownPolicyError",
-    "AWRP",
-    "EEvA",
     "LRU",
     "FIFO",
     "MRU",

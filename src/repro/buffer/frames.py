@@ -69,7 +69,6 @@ class Frame:
     loaded_at: int
     last_access: int
     last_query: int
-    access_count: int = 1
     pin_count: int = 0
     dirty: bool = False
     #: Per-load memo of spatial criteria, keyed by name ("A", "EA", ...).
@@ -94,7 +93,6 @@ class Frame:
         """Record an access at logical time ``clock`` by query ``query_id``."""
         self.last_access = clock
         self.last_query = query_id
-        self.access_count += 1
 
     def invalidate_criteria(self) -> None:
         """Drop cached spatial criteria after the page content changed."""
@@ -293,7 +291,6 @@ class FrameTable(dict):
             frame.loaded_at = clock
             frame.last_access = clock
             frame.last_query = query_id
-            frame.access_count = 1
             frame.pin_count = 0
             frame.dirty = False
             cache = frame.crit_cache

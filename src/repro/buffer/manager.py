@@ -233,7 +233,6 @@ class BufferManager:
                 hook(frame, frame.last_query == query_id)
             frame.last_access = clock
             frame.last_query = query_id
-            frame.access_count += 1
             pend(frame)
             if length(pending) >= limit:
                 flush()

@@ -10,10 +10,7 @@ The policy zoo follows the paper's taxonomy:
 * spatial (Section 2.3) — :class:`SpatialPolicy` with criteria A, EA, M,
   EM, EO;
 * combined (Section 4.1) — :class:`SLRU` with a static candidate set;
-* self-tuning (Section 4.2) — :class:`ASB`, the adaptable spatial buffer;
-* expert-based (PAPERS.md) — :class:`AWRP` (frequency×recency weight
-  ranking, Swain 2011) and :class:`EEvA` (weighted expert retention
-  scoring, Demin 2024).
+* self-tuning (Section 4.2) — :class:`ASB`, the adaptable spatial buffer.
 """
 
 from __future__ import annotations
@@ -23,9 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.buffer.policies.asb import ASB
-from repro.buffer.policies.awrp import AWRP
 from repro.buffer.policies.base import ReplacementPolicy
-from repro.buffer.policies.eeva import EEvA
 from repro.buffer.policies.fifo import FIFO
 from repro.buffer.policies.lru import LRU
 from repro.buffer.policies.lru_k import LRUK
@@ -266,43 +261,6 @@ def _specs() -> dict[str, PolicySpec]:
             ),
             description="adaptable spatial buffer (Section 4.2)",
         ),
-        PolicySpec(
-            "AWRP",
-            AWRP,
-            params=(
-                ParamSpec(
-                    "decay", kind="float", default=1.0,
-                    lo=0.0, hi=8.0, retunable=True,
-                    description="recency exponent of the weight ranking "
-                                "(0 = pure LFU, large = LRU-like)",
-                ),
-            ),
-            description="adaptive weight ranking: frequency x recency "
-                        "(Swain 2011)",
-        ),
-        PolicySpec(
-            "EEVA",
-            EEvA,
-            params=(
-                ParamSpec(
-                    "recency_weight", kind="float", default=1.0,
-                    lo=0.0, hi=16.0, retunable=True,
-                    description="weight of the recency expert",
-                ),
-                ParamSpec(
-                    "frequency_weight", kind="float", default=1.0,
-                    lo=0.0, hi=16.0, retunable=True,
-                    description="weight of the frequency expert",
-                ),
-                ParamSpec(
-                    "level_weight", kind="float", default=0.5,
-                    lo=0.0, hi=16.0, retunable=True,
-                    description="weight of the tree-level expert",
-                ),
-            ),
-            aliases=("EEVA-BASE",),
-            description="weighted expert retention scoring (Demin 2024)",
-        ),
     ]
     # The named LRU-K variants the experiments sweep (Fig. 4-9).
     entries.extend(_lru_k_variant(k) for k in (2, 3, 5))
@@ -400,8 +358,6 @@ __all__ = [
     "make_policy",
     "policy_names",
     "policy_param_space",
-    "AWRP",
-    "EEvA",
     "LRU",
     "FIFO",
     "MRU",

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Four commands cover the common workflows without writing any code:
+Seven commands cover the common workflows without writing any code:
 
 * ``figure`` — regenerate one (or all) of the paper's figures, or one study
   table by its registry key;
@@ -11,10 +11,8 @@ Four commands cover the common workflows without writing any code:
   ``events record`` runs a query set under a policy with tracing on,
   ``events replay`` re-runs a recorded trace (optionally under a different
   policy), verifies determinism, and prints windowed metrics;
-* ``advise`` — recommend a buffer size and policy for a recorded trace;
-* ``map`` — render a dataset (and optionally a query set) as ASCII density
-  maps;
-* ``reproduce`` — run every figure and ablation, writing a markdown report;
+* ``reproduce`` — run every figure and study table, writing a markdown
+  report;
 * ``serve`` — run the asyncio page-service front-end over a durable,
   sharded buffer system (ctrl-C drains dirty frames through the WAL
   before exiting).
@@ -27,7 +25,7 @@ Examples::
 
     python -m repro figure 13
     python -m repro figure all --objects 10000 --queries 150
-    python -m repro figure ablation_knn
+    python -m repro figure ablation_opt_gap
     python -m repro dataset db2 --objects 50000
     python -m repro trace --set INT-W-100 --out /tmp/trace.json
     python -m repro replay /tmp/trace.json --policy ASB --capacity 64
@@ -55,6 +53,17 @@ POLICY_FACTORIES = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type for counts: a bad value exits 2 naming the option."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -67,13 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     figure = commands.add_parser(
         "figure", help="regenerate one table: a paper figure (4-9, 12-14), "
-                       "'all' figures, or a study such as ablation_knn"
+                       "'all' figures, or a study such as ablation_opt_gap"
     )
     figure.add_argument("number", help="figure number (13), 'all', or a "
-                        "registry key (figure_13, ablation_knn)")
-    figure.add_argument("--objects", type=int, default=40_000,
+                        "registry key (figure_13, ablation_opt_gap)")
+    figure.add_argument("--objects", type=_positive_int, default=40_000,
                         help="objects in database 1 (db2 scales to 3/4)")
-    figure.add_argument("--queries", type=int, default=300,
+    figure.add_argument("--queries", type=_positive_int, default=300,
                         help="queries per query set")
     figure.add_argument("--seed", type=int, default=7)
 
@@ -81,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "dataset", help="generate and describe a synthetic dataset"
     )
     dataset.add_argument("which", choices=["db1", "db2"])
-    dataset.add_argument("--objects", type=int, default=40_000)
+    dataset.add_argument("--objects", type=_positive_int, default=40_000)
     dataset.add_argument("--seed", type=int, default=7)
 
     trace = commands.add_parser(
@@ -90,8 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--set", dest="set_name", default="S-W-100",
                        help="query set name (e.g. U-P, INT-W-33)")
     trace.add_argument("--out", required=True, help="output JSON path")
-    trace.add_argument("--objects", type=int, default=20_000)
-    trace.add_argument("--queries", type=int, default=200)
+    trace.add_argument("--objects", type=_positive_int, default=20_000)
+    trace.add_argument("--queries", type=_positive_int, default=200)
     trace.add_argument("--seed", type=int, default=7)
 
     replay = commands.add_parser(
@@ -100,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     replay.add_argument("trace", help="trace JSON path")
     replay.add_argument("--policy", default="ASB",
                         choices=sorted(POLICY_FACTORIES))
-    replay.add_argument("--capacity", type=int, default=64,
+    replay.add_argument("--capacity", type=_positive_int, default=64,
                         help="buffer size in pages")
 
     events = commands.add_parser(
@@ -115,12 +124,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="query set name (e.g. U-P, INT-W-33)")
     events_record.add_argument("--policy", default="ASB",
                                choices=sorted(POLICY_FACTORIES))
-    events_record.add_argument("--capacity", type=int, default=64,
+    events_record.add_argument("--capacity", type=_positive_int, default=64,
                                help="buffer size in pages")
     events_record.add_argument("--out", required=True,
                                help="output JSON-lines path")
-    events_record.add_argument("--objects", type=int, default=20_000)
-    events_record.add_argument("--queries", type=int, default=200)
+    events_record.add_argument("--objects", type=_positive_int, default=20_000)
+    events_record.add_argument("--queries", type=_positive_int, default=200)
     events_record.add_argument("--seed", type=int, default=7)
 
     events_replay = events_commands.add_parser(
@@ -130,36 +139,17 @@ def _build_parser() -> argparse.ArgumentParser:
     events_replay.add_argument("--policy", default=None,
                                choices=sorted(POLICY_FACTORIES),
                                help="replay policy (default: as recorded)")
-    events_replay.add_argument("--capacity", type=int, default=None,
+    events_replay.add_argument("--capacity", type=_positive_int, default=None,
                                help="buffer size (default: as recorded)")
-    events_replay.add_argument("--window", type=int, default=256,
+    events_replay.add_argument("--window", type=_positive_int, default=256,
                                help="rolling hit-ratio window")
 
-    advise = commands.add_parser(
-        "advise", help="recommend buffer size and policy for a trace"
-    )
-    advise.add_argument("trace", help="trace JSON path")
-    advise.add_argument("--coverage", type=float, default=0.9,
-                        help="share of achievable hits the size must reach")
-
-    map_cmd = commands.add_parser(
-        "map", help="render dataset / query densities as ASCII maps"
-    )
-    map_cmd.add_argument("which", choices=["db1", "db2"])
-    map_cmd.add_argument("--objects", type=int, default=30_000)
-    map_cmd.add_argument("--seed", type=int, default=7)
-    map_cmd.add_argument("--set", dest="set_name", default=None,
-                         help="also render this query set's density")
-    map_cmd.add_argument("--queries", type=int, default=500)
-    map_cmd.add_argument("--width", type=int, default=72)
-    map_cmd.add_argument("--height", type=int, default=24)
-
     reproduce = commands.add_parser(
-        "reproduce", help="run every figure + ablation into a report"
+        "reproduce", help="run every figure + study table into a report"
     )
     reproduce.add_argument("--out", required=True, help="output directory")
-    reproduce.add_argument("--objects", type=int, default=40_000)
-    reproduce.add_argument("--queries", type=int, default=300)
+    reproduce.add_argument("--objects", type=_positive_int, default=40_000)
+    reproduce.add_argument("--queries", type=_positive_int, default=300)
     reproduce.add_argument("--seed", type=int, default=7)
     reproduce.add_argument("--figures-only", action="store_true")
 
@@ -316,7 +306,7 @@ def _cmd_events_replay(args: argparse.Namespace) -> int:
         print(f"unknown recorded policy {policy_name!r}; pass --policy",
               file=sys.stderr)
         return 2
-    capacity = args.capacity or recorded.capacity
+    capacity = recorded.capacity if args.capacity is None else args.capacity
     policy = POLICY_FACTORIES[policy_name]()
     replayed = replay_recorded(recorded, policy, capacity)
     print(
@@ -358,41 +348,6 @@ def _cmd_events_replay(args: argparse.Namespace) -> int:
         for level, ratio in summary["level_hit_ratios"].items()
     )
     print(f"hit ratio by level: {levels or 'n/a'}")
-    return 0
-
-
-def _cmd_advise(args: argparse.Namespace) -> int:
-    from repro.experiments.advisor import advise_from_trace
-    from repro.experiments.trace import AccessTrace
-
-    trace = AccessTrace.load(args.trace)
-    advice = advise_from_trace(trace, coverage=args.coverage)
-    print(advice.to_text())
-    return 0
-
-
-def _cmd_map(args: argparse.Namespace) -> int:
-    from repro.datasets.places import synthetic_places
-    from repro.datasets.render import density_map, query_map
-    from repro.datasets.synthetic import us_mainland_like, world_atlas_like
-    from repro.workloads.sets import make_query_set
-
-    generator = us_mainland_like if args.which == "db1" else world_atlas_like
-    dataset = generator(n_objects=args.objects, seed=args.seed)
-    print(f"object density of {dataset.name}:")
-    print(density_map(dataset, columns=args.width, rows=args.height))
-    if args.set_name:
-        places = synthetic_places(dataset, count=1_000, seed=args.seed)
-        queries = make_query_set(
-            args.set_name, dataset, places, args.queries, args.seed
-        )
-        print(f"\nquery density of {args.set_name}:")
-        print(
-            query_map(
-                queries.queries, dataset.space,
-                columns=args.width, rows=args.height,
-            )
-        )
     return 0
 
 
@@ -497,8 +452,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "trace": _cmd_trace,
         "replay": _cmd_replay,
         "events": _cmd_events,
-        "advise": _cmd_advise,
-        "map": _cmd_map,
         "reproduce": _cmd_reproduce,
         "serve": _cmd_serve,
     }

@@ -18,7 +18,6 @@ from repro.datasets.synthetic import (
     us_mainland_like_stream,
     world_atlas_like,
 )
-from repro.datasets.render import density_map, query_map
 from repro.datasets.stats import DatasetStats, describe
 
 __all__ = [
@@ -33,6 +32,4 @@ __all__ = [
     "synthetic_places",
     "DatasetStats",
     "describe",
-    "density_map",
-    "query_map",
 ]

@@ -15,7 +15,6 @@ from repro.experiments.harness import (
     gain,
     replay,
 )
-from repro.experiments.advisor import Advice, advise, advise_from_trace
 from repro.experiments.analysis import (
     lru_miss_curve,
     opt_misses,
@@ -40,9 +39,6 @@ __all__ = [
     "replay",
     "format_gain",
     "format_table",
-    "Advice",
-    "advise",
-    "advise_from_trace",
     "lru_miss_curve",
     "opt_misses",
     "profile_trace",

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from repro.buffer.manager import BufferManager
 from repro.buffer.policies.asb import ASB
-from repro.buffer.policies.fifo import FIFO
 from repro.buffer.policies.lru import LRU
 from repro.buffer.policies.lru_k import LRUK
 from repro.buffer.policies.lru_p import LRUP
-from repro.buffer.policies.mru import MRU
 from repro.buffer.policies.spatial import SpatialPolicy
 from repro.datasets.synthetic import us_mainland_like
 from repro.experiments.figures import FigureResult, PaperSetup
@@ -23,17 +21,12 @@ from repro.experiments.harness import (
     Database,
     append_gain,
     buffer_capacity,
-    gain,
     grid_rows,
     lru_gain_rows,
-    pin_top_levels,
     replay,
-    replay_misses,
     replay_mixed,
     run_grid,
-    run_queries,
 )
-from repro.experiments.report import format_gain
 from repro.sam.gridfile import GridFile
 from repro.sam.rstar import RStarTree
 from repro.storage.objects import build_tree_with_objects
@@ -120,71 +113,6 @@ def ablation_sams(
         title="Policy gains vs LRU on a grid file (a non-R-tree SAM)",
         headers=["index", "query set", "A", "LRU-2", "ASB"],
         rows=grid_rows(cells, ("A", "LRU-2", "ASB"), lead=("db", "set")),
-    )
-
-
-def ablation_baselines(
-    setup: PaperSetup,
-    buffer_fraction: float = 0.047,
-) -> FigureResult:
-    """The analytical baselines FIFO and MRU vs LRU."""
-    policies = {"FIFO": FIFO, "MRU": MRU}
-    return FigureResult(
-        figure="Ablation baselines",
-        title="Classic replacement baselines vs LRU (database 1)",
-        headers=["query set"] + list(policies),
-        rows=lru_gain_rows(
-            setup, policies, ABLATION_SETS, (buffer_fraction,), lead=("set",)
-        ),
-    )
-
-
-def ablation_pinned_levels(
-    setup: PaperSetup,
-    buffer_fraction: float = 0.047,
-    sets: tuple[str, ...] = ABLATION_SETS,
-) -> FigureResult:
-    """Pinning top tree levels (Leutenegger & Lopez, the paper's ref [8]).
-
-    LRU-P generalises level pinning; this ablation runs the original:
-    LRU with the top 1 / 2 levels fetched once and pinned, against plain
-    LRU and LRU-P.  Pinned pages can never be evicted — a static
-    commitment LRU-P makes dynamically.  The reads of a pinned row count
-    the query sets only: the pins' own initial fetches happen before the
-    count starts, so the row is short by the number of pinned pages.
-    """
-    database = setup.db1
-    capacity = buffer_capacity(database, buffer_fraction)
-
-    def pinned_row(levels: int) -> list[object]:
-        label = f"LRU + pin top {levels}"
-        buffer = BufferManager(database.tree.pagefile.disk, capacity, LRU())
-        try:
-            pin_top_levels(database.tree, buffer, levels)
-        except ValueError:
-            return [label, "n/a", "does not fit"]  # at this buffer size
-        start = buffer.stats.misses
-        for set_name in sets:
-            query_set = database.query_set(set_name, setup.n_queries, setup.seed)
-            run_queries(buffer, database.tree, query_set)
-        return [label, buffer.stats.misses - start]
-
-    plain = run_grid(setup, {"LRU": LRU, "LRU-P": LRUP}, sets, (buffer_fraction,))
-    lru, lru_p = (
-        sum(cell.counts[name] for cell in plain) for name in ("LRU", "LRU-P")
-    )
-    return FigureResult(
-        figure="Ablation pinned-levels",
-        title="Static level pinning (ref [8]) vs the dynamic LRU-P",
-        headers=["strategy", "reads", "gain vs LRU"],
-        rows=append_gain(
-            [["LRU", lru], pinned_row(1), pinned_row(2), ["LRU-P", lru_p]]
-        ),
-        notes=(
-            f"summed over {', '.join(sets)}; buffer = {capacity} pages; "
-            "pinned runs keep the pages across sets (no clearing), plain "
-            "runs use a fresh buffer per set"
-        ),
     )
 
 
@@ -300,56 +228,6 @@ def ablation_updates(
     )
 
 
-def ablation_multiclient(
-    setup: PaperSetup,
-    client_sets: tuple[str, ...] = ("U-W-100", "S-W-100", "INT-W-100"),
-    buffer_fraction: float = 0.047,
-) -> FigureResult:
-    """Concurrent clients sharing one buffer (beyond the paper's protocol).
-
-    Three clients with different distributions interleave at the buffer;
-    the same queries also run sequentially for contrast.  Interleaving
-    stretches reuse distances, so per-policy behaviour under concurrency
-    is a robustness test of its own.
-    """
-    from repro.workloads.multiclient import ClientStream, replay_clients
-
-    database = setup.db1
-    capacity = buffer_capacity(database, buffer_fraction)
-    clients = [
-        ClientStream(
-            name=set_name,
-            queries=database.query_set(
-                set_name, setup.n_queries, setup.seed
-            ).queries,
-        )
-        for set_name in client_sets
-    ]
-    sequential = run_grid(setup, FOUR_POLICIES, client_sets, (buffer_fraction,))
-    rows: list[list[object]] = []
-    for name, factory in FOUR_POLICIES.items():
-        buffer, _ = replay_clients(
-            database.tree, clients, factory(), capacity, seed=setup.seed
-        )
-        rows.append(
-            [
-                name,
-                buffer.stats.misses,
-                sum(cell.counts[name] for cell in sequential),
-            ]
-        )
-    return FigureResult(
-        figure="Ablation multiclient",
-        title="Three interleaved clients vs sequential execution",
-        headers=["policy", "interleaved reads", "sequential reads", "gain vs LRU"],
-        rows=append_gain(rows, column=1),
-        notes=(
-            f"clients: {', '.join(client_sets)}; "
-            f"{setup.n_queries} queries each; buffer = {capacity} pages"
-        ),
-    )
-
-
 def ablation_opt_gap(
     setup: PaperSetup,
     buffer_fraction: float = 0.047,
@@ -395,143 +273,6 @@ def ablation_opt_gap(
         title="Distance from Belady's offline optimum (misses above OPT)",
         headers=["query set", "OPT misses"] + list(FOUR_POLICIES),
         rows=rows,
-        notes=f"database 1, buffer = {capacity} pages",
-    )
-
-
-def ablation_build_method(
-    setup: PaperSetup,
-    n_objects: int = 8_000,
-    buffer_fraction: float = 0.047,
-) -> FigureResult:
-    """STR vs Hilbert packing vs R* insertion (EXPERIMENTS.md's hypothesis).
-
-    The paper's trees were grown by R* insertion; ours are bulk loaded.
-    Insertion-grown trees have looser, more overlapping directory MBRs, so
-    queries into sparse regions (database 2's water) descend further —
-    which is the suspected cause of the db2-independent deviation.  This
-    ablation builds the same world-atlas dataset three ways (smaller
-    fanout keeps insertion affordable) and compares structure and query
-    cost per build method.
-    """
-    from repro.datasets.synthetic import world_atlas_like
-
-    dataset = world_atlas_like(n_objects=n_objects, seed=setup.seed + 10)
-    items = dataset.items()
-
-    def build(method: str) -> RStarTree:
-        tree = RStarTree()  # paper fanout (numpy-accelerated insertion)
-        if method == "insert":
-            for mbr, payload in items:
-                tree.insert(mbr, payload)
-        else:
-            tree.bulk_load(items, method=method)
-        return tree
-
-    def directory_overlap(tree: RStarTree) -> float:
-        pages = [
-            tree.pagefile.disk.peek(pid)
-            for pid in tree.all_page_ids()
-        ]
-        leaf_mbrs = [page.mbr() for page in pages if page.is_leaf]
-        total = 0.0
-        for i in range(len(leaf_mbrs)):
-            for j in range(i + 1, len(leaf_mbrs)):
-                total += leaf_mbrs[i].intersection_area(leaf_mbrs[j])
-        return total
-
-    rows: list[list[object]] = []
-    for method in ("str", "hilbert", "insert"):
-        tree = build(method)
-        pages = len(tree.all_page_ids())
-        capacity = max(8, round(buffer_fraction * pages))
-        query_set = make_query_set(
-            "IND-W-100", dataset, setup.db1.places, setup.n_queries, setup.seed
-        )
-        lru = replay_misses(tree, query_set, LRU(), capacity)
-        a = replay_misses(tree, query_set, SpatialPolicy("A"), capacity)
-        rows.append(
-            [
-                method,
-                pages,
-                f"{directory_overlap(tree):.2e}",
-                lru,
-                format_gain(gain(lru, a)),
-            ]
-        )
-    return FigureResult(
-        figure="Ablation build-method",
-        title="STR vs Hilbert vs R*-insertion builds (db2-like, IND-W-100)",
-        headers=["build", "pages", "leaf overlap", "LRU reads", "gain(A)"],
-        rows=rows,
-        notes=f"{n_objects} objects, paper fanout 51/42, buffer {buffer_fraction:.1%}",
-    )
-
-
-def ablation_drifting_hotspot(
-    setup: PaperSetup,
-    buffer_fraction: float = 0.047,
-    n_queries: int | None = None,
-) -> FigureResult:
-    """A continuously moving hotspot (non-stationary beyond Figure 14).
-
-    Figure 14 switches the distribution abruptly; real interactive loads
-    drift.  The hotspot orbits the map, so the working set never stops
-    moving — recency-driven policies follow naturally, a static spatial
-    preference chases the past, and ASB's knob must keep re-tuning.
-    """
-    from repro.workloads.patterns import drifting_hotspot
-
-    database = setup.db1
-    capacity = buffer_capacity(database, buffer_fraction)
-    count = n_queries or 2 * setup.n_queries
-    queries = drifting_hotspot(
-        database.dataset.space, count, seed=setup.seed, extent=0.03
-    )
-    (cell,) = run_grid(
-        setup, FOUR_POLICIES, {"drifting hotspot": queries}, (buffer_fraction,)
-    )
-    return FigureResult(
-        figure="Ablation drifting-hotspot",
-        title="A hotspot orbiting the map (continuously drifting working set)",
-        headers=["policy", "reads", "gain vs LRU"],
-        rows=append_gain([[name, misses] for name, misses in cell.counts.items()]),
-        notes=f"{count} window queries, buffer = {capacity} pages",
-    )
-
-
-def ablation_knn(
-    setup: PaperSetup,
-    k_values: tuple[int, ...] = (1, 10, 50),
-    buffer_fraction: float = 0.047,
-) -> FigureResult:
-    """Nearest-neighbour workloads (a query type beyond the paper's study).
-
-    Best-first kNN search re-touches high tree levels through its priority
-    queue and spirals outward from the query point; its locality profile
-    sits between point and window queries.  Query points follow the
-    intensified distribution (the spatial policies' hardest case).
-    """
-    import random as random_module
-
-    from repro.workloads.queries import KnnQuery
-
-    database = setup.db1
-    capacity = buffer_capacity(database, buffer_fraction)
-    rng = random_module.Random(setup.seed)
-    weights = [place.weight_intensified for place in database.places]
-    workloads: dict[str, list[KnnQuery]] = {}
-    for k in k_values:
-        chosen = rng.choices(database.places, weights=weights, k=setup.n_queries)
-        workloads[f"k={k}"] = [KnnQuery(point=place.location, k=k) for place in chosen]
-    policies = {name: FOUR_POLICIES[name] for name in ("LRU-2", "A", "ASB")}
-    return FigureResult(
-        figure="Ablation knn",
-        title="k-nearest-neighbour workloads (intensified query points)",
-        headers=["workload", "LRU reads"] + list(policies),
-        rows=lru_gain_rows(
-            setup, policies, workloads, (buffer_fraction,), lead=("set", "LRU")
-        ),
         notes=f"database 1, buffer = {capacity} pages",
     )
 

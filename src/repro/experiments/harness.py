@@ -183,37 +183,6 @@ def replay_mixed(
     return buffer
 
 
-def pin_top_levels(
-    tree: RStarTree, buffer: FullPageAccessor, levels: int
-) -> int:
-    """Pre-load and pin the top ``levels`` levels of a tree in a buffer.
-
-    The buffer model of Leutenegger & Lopez (the paper's reference [8]):
-    the root and the next ``levels - 1`` directory levels are fetched once
-    and pinned, so they never leave the buffer.  Works against any page
-    accessor with a ``capacity``.  Returns the number of pinned pages.
-    Raises :class:`ValueError` if they would not fit.
-    """
-    if levels < 1:
-        return 0
-    if tree.root_id is None:
-        return 0
-    to_pin = [
-        page_id
-        for page_id in tree.all_page_ids()
-        if tree.pagefile.disk.peek(page_id).level > tree.height - 1 - levels
-    ]
-    capacity = getattr(buffer, "capacity", None)
-    if capacity is not None and len(to_pin) >= capacity:
-        raise ValueError(
-            f"pinning {len(to_pin)} pages exceeds the {capacity}-frame buffer"
-        )
-    for page_id in to_pin:
-        buffer.fetch(page_id)
-        buffer.pin(page_id)
-    return len(to_pin)
-
-
 def gain(lru_accesses: int, policy_accesses: int) -> float:
     """The paper's performance gain: |LRU accesses| / |policy accesses| - 1.
 
@@ -343,8 +312,7 @@ def grid_rows(
     """One table row per cell: ``lead``, then every policy of ``columns``.
 
     A ``lead`` name is a :class:`GridCell` field (``db``, ``set``,
-    ``buffer``) or a policy label, which prints that policy's raw count.
-    Each column is the policy's gain over ``base`` (``+12.3%``), or with
+    ``buffer``).  Each column is the policy's gain over ``base`` (``+12.3%``), or with
     ``ratio`` its count relative to ``base`` (``103.5%``, Figure 6's scale).
     """
 
@@ -354,10 +322,7 @@ def grid_rows(
         return format_gain(gain(counts[base], counts[label]))
 
     return [
-        [
-            cell.counts[name] if name in cell.counts else getattr(cell, name)
-            for name in lead
-        ]
+        [getattr(cell, name) for name in lead]
         + [text(cell.counts, label) for label in columns]
         for cell in cells
     ]
@@ -366,7 +331,7 @@ def grid_rows(
 def lru_gain_rows(
     setup,
     policies: Mapping[object, PolicyFactory],
-    sets: Sequence[str] | Mapping[str, object],
+    sets: Sequence[str],
     fractions: Sequence[float],
     databases: Sequence[str] | Mapping[str, Database] = ("db1",),
     lead: Sequence[str] = ("db", "set", "buffer"),
@@ -377,17 +342,8 @@ def lru_gain_rows(
     return grid_rows(cells, list(policies), lead)
 
 
-def append_gain(rows: list[list[object]], column: int = -1) -> list[list[object]]:
+def append_gain(rows: list[list[object]]) -> list[list[object]]:
     """The "one row per policy" tail: append to every row the gain of its
-    ``column`` cell (a count) over the first row's.
-
-    A row whose cell is not a count (a pinned level that does not fit) is
-    kept as it is.
-    """
-    base = rows[0][column]
-    return [
-        row + [format_gain(gain(base, row[column]))]
-        if isinstance(row[column], int)
-        else row
-        for row in rows
-    ]
+    last cell (a count) over the first row's."""
+    base = rows[0][-1]
+    return [row + [format_gain(gain(base, row[-1]))] for row in rows]

@@ -24,19 +24,13 @@ ALL_ABLATIONS: dict[str, Callable[[PaperSetup], FigureResult]] = {
     "ablation_overflow_size": ablations.ablation_overflow_size,
     "ablation_step_size": ablations.ablation_step_size,
     "ablation_sams": ablations.ablation_sams,
-    "ablation_baselines": ablations.ablation_baselines,
-    "ablation_pinned_levels": ablations.ablation_pinned_levels,
     "ablation_object_pages": ablations.ablation_object_pages,
     "ablation_updates": ablations.ablation_updates,
     "ablation_moving_objects": lambda setup: ablations.ablation_updates(
         setup, moving=True
     ),
     "ablation_io_time": ablations.ablation_io_time,
-    "ablation_drifting_hotspot": ablations.ablation_drifting_hotspot,
-    "ablation_knn": ablations.ablation_knn,
-    "ablation_multiclient": ablations.ablation_multiclient,
     "ablation_opt_gap": ablations.ablation_opt_gap,
-    "ablation_build_method": ablations.ablation_build_method,
 }
 
 

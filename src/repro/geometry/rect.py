@@ -196,16 +196,6 @@ class Rect:
         """Area growth needed to include ``other`` (Guttman's insert metric)."""
         return self.union(other).area - self.area
 
-    def min_distance_to_point(self, point: Point) -> float:
-        """Euclidean distance from ``point`` to the nearest rectangle point.
-
-        Zero when the point lies inside.  Used by the kNN search of the
-        spatial access methods (MINDIST of Roussopoulos et al.).
-        """
-        dx = max(self.x_min - point.x, 0.0, point.x - self.x_max)
-        dy = max(self.y_min - point.y, 0.0, point.y - self.y_max)
-        return math.hypot(dx, dy)
-
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------

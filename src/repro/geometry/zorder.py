@@ -4,8 +4,7 @@ Section 2.3 of the paper notes that the entries of a page may also be
 z-values stored in a B-tree (Orenstein/Manola's PROBE approach).  The
 reproduction indexes with the paper's R*-tree, so only the curve's encoding
 is kept: :class:`~repro.storage.objects.ObjectStore` packs object pages in
-z-order, and the Hilbert keys of ``bulk_load(method="hilbert")`` share its
-quantisation.
+z-order.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ Design notes of this implementation:
   under the group's own centroid; inseparable groups (duplicate points,
   pathological extended objects) stay in the node as a small bucket, so
   recursion always terminates.
-* **Queries** (window, point, kNN) traverse by MBR geometry only and
+* **Queries** (window and point) traverse by MBR geometry only and
   request every page through the supplied accessor, so the index runs
   unmodified under any buffer manager, the WAL, the server and the
   tuner.  Updates inside :meth:`~repro.sam.base.SpatialIndex.via` are
@@ -50,7 +50,6 @@ generates, which is what the policy × index experiments need.
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Iterable
 
 from repro.geometry.rect import Point, Rect, mbr_of_rects
@@ -544,41 +543,6 @@ class MqrTree(SpatialIndex):
                     stack.append(entry.child)
                 else:
                     results.append(entry.payload)
-        return results
-
-    def knn(
-        self, point: Point, k: int, accessor: PageAccessor | None = None
-    ) -> list[Any]:
-        """The k objects with the smallest MINDIST to ``point``.
-
-        Best-first search exactly as on the R*-tree; mqr-tree pages mix
-        objects and subnodes, so the heap discriminates per entry.
-        """
-        if self.root_id is None or k < 1:
-            return []
-        accessor = self._accessor_or_build(accessor)
-        counter = 0  # tie-breaker to keep heap entries comparable
-        heap: list[tuple[float, int, bool, Any]] = [
-            (0.0, counter, False, self.root_id)
-        ]
-        results: list[Any] = []
-        while heap and len(results) < k:
-            distance, _, is_object, item = heapq.heappop(heap)
-            if is_object:
-                results.append(item)
-                continue
-            page = accessor.fetch(item)
-            for entry in page.entries:
-                counter += 1
-                entry_distance = entry.mbr.min_distance_to_point(point)
-                if _is_subnode(entry):
-                    heapq.heappush(
-                        heap, (entry_distance, counter, False, entry.child)
-                    )
-                else:
-                    heapq.heappush(
-                        heap, (entry_distance, counter, True, entry.payload)
-                    )
         return results
 
     # ------------------------------------------------------------------

@@ -23,7 +23,6 @@ page through the supplied accessor, normally a buffer manager.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from typing import Any, Iterable
 
@@ -508,24 +507,19 @@ class RStarTree(SpatialIndex):
         items: Iterable[tuple[Rect, Any]],
         fill: float = 0.7,
         object_pages: dict[Any, PageId] | None = None,
-        method: str = "str",
     ) -> None:
-        """Build the tree bottom-up with STR or Hilbert packing.
+        """Build the tree bottom-up with Sort-Tile-Recursive packing.
 
         ``fill`` controls storage utilisation: the paper's database 1 holds
         1,641,079 entries in 56,745 data pages, i.e. ~69 % of the 42-entry
         capacity, so 0.7 is the default.  ``object_pages`` optionally maps
         payloads to the object pages holding their exact representation
-        (see :mod:`repro.storage.objects`).  ``method`` selects the packing
-        order: ``"str"`` (Sort-Tile-Recursive) or ``"hilbert"`` (Kamel &
-        Faloutsos' Hilbert packing).  Only valid on an empty tree.
+        (see :mod:`repro.storage.objects`).  Only valid on an empty tree.
         """
         if self.root_id is not None:
             raise RuntimeError("bulk_load() requires an empty tree")
         if not 0.0 < fill <= 1.0:
             raise ValueError("fill must be in (0, 1]")
-        if method not in ("str", "hilbert"):
-            raise ValueError("method must be 'str' or 'hilbert'")
         links = object_pages or {}
         entries = [
             PageEntry(mbr, links.get(payload), payload) for mbr, payload in items
@@ -533,11 +527,10 @@ class RStarTree(SpatialIndex):
         if not entries:
             return
         self.entry_count = len(entries)
-        pack = self._hilbert_pack if method == "hilbert" else self._str_pack
         level = 0
         while True:
             capacity = max(2, int(self._max_entries(level) * fill))
-            pages = pack(entries, level, capacity)
+            pages = self._str_pack(entries, level, capacity)
             if len(pages) == 1:
                 self.root_id = pages[0].page_id
                 self.height = level + 1
@@ -568,37 +561,6 @@ class RStarTree(SpatialIndex):
                 page = self._new_page(level)
                 page.entries = slab[page_start : page_start + capacity]
                 pages.append(page)
-        self._rebalance_tail(pages, level)
-        return pages
-
-    def _hilbert_pack(
-        self, entries: list[PageEntry], level: int, capacity: int
-    ) -> list[Page]:
-        """Pack entries into pages of one level in Hilbert-curve order.
-
-        The key is :func:`~repro.geometry.hilbert.hilbert_encode` of the
-        MBR centre, computed from the floats as in :meth:`_str_pack`.
-        """
-        from repro.geometry.hilbert import xy_to_hilbert
-        from repro.geometry.zorder import quantise
-
-        space = mbr_of_rects(e.mbr for e in entries)
-        if space.area == 0.0:
-            space = Rect(
-                space.x_min, space.y_min, space.x_min + 1.0, space.y_min + 1.0
-            )
-        x_lo, y_lo, x_hi, y_hi = space.as_tuple()
-
-        def hilbert_key(entry: PageEntry) -> int:
-            x, y = _center_xy(entry)
-            return xy_to_hilbert(quantise(x, x_lo, x_hi), quantise(y, y_lo, y_hi))
-
-        ordered = sorted(entries, key=hilbert_key)
-        pages: list[Page] = []
-        for start in range(0, len(ordered), capacity):
-            page = self._new_page(level)
-            page.entries = ordered[start : start + capacity]
-            pages.append(page)
         self._rebalance_tail(pages, level)
         return pages
 
@@ -672,44 +634,6 @@ class RStarTree(SpatialIndex):
         degenerate window: the same four comparisons per entry.
         """
         return self.window_query(point.as_rect(), accessor, fetch_objects)
-
-    def knn(
-        self, point: Point, k: int, accessor: PageAccessor | None = None
-    ) -> list[Any]:
-        """The k objects with the smallest MINDIST to ``point``.
-
-        Best-first search (Hjaltason/Samet): the priority queue holds
-        *deferred* page references ordered by MINDIST; a page is fetched
-        only when its queue entry is popped, so subtrees farther than the
-        k-th best object are never read.
-        """
-        if self.root_id is None or k < 1:
-            return []
-        accessor = self._accessor_or_build(accessor)
-        counter = 0  # tie-breaker to keep heap entries comparable
-        # Heap items: (distance, counter, is_object, payload-or-page-id).
-        heap: list[tuple[float, int, bool, Any]] = [
-            (0.0, counter, False, self.root_id)
-        ]
-        results: list[Any] = []
-        while heap and len(results) < k:
-            distance, _, is_object, item = heapq.heappop(heap)
-            if is_object:
-                results.append(item)
-                continue
-            page = accessor.fetch(item)
-            for entry in page.entries:
-                counter += 1
-                entry_distance = entry.mbr.min_distance_to_point(point)
-                if page.is_leaf:
-                    heapq.heappush(
-                        heap, (entry_distance, counter, True, entry.payload)
-                    )
-                else:
-                    heapq.heappush(
-                        heap, (entry_distance, counter, False, entry.child)
-                    )
-        return results
 
     # ------------------------------------------------------------------
     # Introspection

@@ -184,7 +184,6 @@ class GhostCache:
                 hook(frame, frame.last_query == query)
             frame.last_access = clock
             frame.last_query = query
-            frame.access_count += 1
             frames.move_to_tail(frame)
             return True
         stats.misses += 1

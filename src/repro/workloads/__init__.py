@@ -15,17 +15,12 @@ from repro.workloads.distributions import (
     similar_queries,
     uniform_queries,
 )
-from repro.workloads.multiclient import (
-    ClientStream,
-    interleave_clients,
-    replay_clients,
-)
 from repro.workloads.patterns import (
     drifting_hotspot,
     session_workload,
     zoom_sequence,
 )
-from repro.workloads.queries import KnnQuery, PointQuery, Query, WindowQuery
+from repro.workloads.queries import PointQuery, Query, WindowQuery
 from repro.workloads.updates import (
     Delete,
     Insert,
@@ -47,7 +42,6 @@ __all__ = [
     "Query",
     "PointQuery",
     "WindowQuery",
-    "KnnQuery",
     "uniform_queries",
     "identical_queries",
     "similar_queries",
@@ -58,9 +52,6 @@ __all__ = [
     "parse_set_name",
     "QUERY_SET_NAMES",
     "EX_VALUES",
-    "ClientStream",
-    "interleave_clients",
-    "replay_clients",
     "drifting_hotspot",
     "zoom_sequence",
     "session_workload",

@@ -55,29 +55,3 @@ class WindowQuery(Query):
     @property
     def region(self) -> Rect:
         return self.window
-
-
-@dataclass(frozen=True, slots=True)
-class KnnQuery(Query):
-    """Find the k objects nearest to a point (best-first search).
-
-    Only supported by indexes that implement ``knn`` (the R*- and mqr-tree).  The
-    access pattern differs from window queries: the search spirals outward
-    from the query point, revisiting high directory levels via the
-    priority queue — a distinct stress profile for replacement policies.
-    """
-
-    point: Point
-    k: int
-
-    def run(self, index: SpatialIndex, accessor: PageAccessor | None = None) -> list[Any]:
-        knn = getattr(index, "knn", None)
-        if knn is None:
-            raise TypeError(
-                f"{type(index).__name__} does not support nearest-neighbour queries"
-            )
-        return knn(self.point, self.k, accessor)
-
-    @property
-    def region(self) -> Rect:
-        return self.point.as_rect()

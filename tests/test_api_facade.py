@@ -60,7 +60,6 @@ class TestMakePolicy:
 
     def test_aliases_resolve(self):
         assert make_policy("LRUK").name == make_policy("LRU-K").name
-        assert make_policy("EEVA-BASE").name == make_policy("EEVA").name
 
     def test_parameterised_lru_k_names(self):
         assert isinstance(make_policy("LRU-2"), LRUK)
@@ -84,11 +83,10 @@ class TestMakePolicy:
         with pytest.raises(TypeError, match="accepted keywords: retain_history$"):
             make_policy("LRU-4", k=3)
 
-    def test_the_registry_is_the_paper_set_plus_the_experts(self):
+    def test_the_registry_is_the_paper_set_plus_two_baselines(self):
         assert policy_names() == [
-            "A", "ASB", "AWRP", "EA", "EEVA", "EM", "EO", "FIFO", "LRU",
-            "LRU-2", "LRU-3", "LRU-5", "LRU-K", "LRU-P", "LRU-T", "M", "MRU",
-            "SLRU",
+            "A", "ASB", "EA", "EM", "EO", "FIFO", "LRU", "LRU-2", "LRU-3",
+            "LRU-5", "LRU-K", "LRU-P", "LRU-T", "M", "MRU", "SLRU",
         ]
 
     @pytest.mark.parametrize(
@@ -102,6 +100,9 @@ class TestMakePolicy:
             ("RANDOM", "RandomPolicy"),
             ("DOMAIN", "DomainSeparation"),
             ("ENSEMBLE", "EnsemblePolicy"),
+            ("AWRP", "AWRP"),
+            ("EEVA", "EEvA"),
+            ("EEVA-BASE", "EEvA"),
         ],
     )
     def test_retired_policies_are_gone(self, name, export):
@@ -141,6 +142,8 @@ class TestDeprecatedKeywords:
 
         with pytest.raises(TypeError, match="'reinsert_fraction'"):
             RStarTree(reinsert_fraction=0.0)
+        with pytest.raises(TypeError, match="'method'"):
+            RStarTree().bulk_load([], method="str")
 
     @pytest.mark.parametrize(
         "module, export",
@@ -155,6 +158,11 @@ class TestDeprecatedKeywords:
             ("repro", "fit_weights"),
             ("repro.tuning", "TuningConfig"),
             ("repro.tuning", "EnsemblePolicy"),
+            ("repro.geometry", "xy_to_hilbert"),
+            ("repro.workloads", "KnnQuery"),
+            ("repro.workloads", "ClientStream"),
+            ("repro.datasets", "density_map"),
+            ("repro.experiments", "advise"),
         ],
     )
     def test_retired_names_are_gone(self, module, export):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import threading
+import time
 
 import pytest
 
@@ -580,3 +581,37 @@ class TestStress:
         assert disk.stats.reads == stats.misses
         for shard in buffer._shards:
             assert shard.inflight == {}
+
+    def test_reads_match_misses(self, small_database, monkeypatch):
+        """Four threads run real R*-tree queries at a 4-shard buffer: each
+        miss group reads the disk once and admits one frame, even with
+        threads racing on the same pages."""
+        tree = small_database.tree
+        disk = tree.pagefile.disk
+        read = disk.read
+
+        def slow_read(page_id):
+            time.sleep(0.0002)  # a read that takes time lets misses overlap
+            return read(page_id)
+
+        monkeypatch.setattr(disk, "read", slow_read)
+        reads_before = disk.stats.reads
+        buffer = ConcurrentBufferManager(disk, 16, LRU, shards=4)
+        streams = [
+            small_database.query_set(name, 15, seed=index).queries
+            for index, name in enumerate(("S-W-100", "S-W-100", "INT-W-100", "U-P"))
+        ]
+        start = threading.Barrier(len(streams))
+
+        def client(queries):
+            start.wait(timeout=10.0)  # start together so the streams overlap
+            for query in queries:
+                with buffer.query_scope():
+                    query.run(tree, buffer)
+
+        run_threads([lambda queries=queries: client(queries) for queries in streams])
+        stats = buffer.stats
+        assert stats.queries == 60
+        assert disk.stats.reads - reads_before == stats.misses
+        resident = sum(len(shard.frames) for shard in buffer.shard_managers())
+        assert stats.misses == stats.evictions + resident

@@ -4,7 +4,7 @@ Every experiment and benchmark starts from a synthetic dataset packed into an
 R*-tree by ``bulk_load``.  The golden tables and traces pin what queries
 *read* from such a tree, three layers up; the digests here pin the build
 itself: the generated rects and the encoded bytes of every page of an STR
-and a Hilbert tree over them.  An edit to the generators or the packing that
+tree over them.  An edit to the generators or the packing that
 moves one byte fails here first.
 
 The work counts guard the build's price: one :class:`Rect` per generated
@@ -95,14 +95,10 @@ ITEM_DIGESTS = {
 #: blake2b-128 of root, height and every encoded page of the bulk-loaded
 #: tree, computed before the sort keys came from the MBR floats.
 TREE_DIGESTS = {
-    ("atlas", "str"): "f0ee6006b027a03aa7ea01538304220e",
-    ("atlas", "hilbert"): "1038fe62cea8031eee5aa484a83e3155",
-    ("clipped", "str"): "44c2f1e978c98f5d196fae225b007450",
-    ("clipped", "hilbert"): "20410c1ef514f1383c225dea011c9fdf",
-    ("mainland", "str"): "aa7b0edc1fa1c1d50a022ba1d8a62a59",
-    ("mainland", "hilbert"): "a360d59f089605ae3f097f5b0e82fb7c",
-    ("stream", "str"): "43140029e9e34c022ff2a110c5b12731",
-    ("stream", "hilbert"): "28892bafc4c60220bb1ada8e520b858d",
+    "atlas": "f0ee6006b027a03aa7ea01538304220e",
+    "clipped": "44c2f1e978c98f5d196fae225b007450",
+    "mainland": "aa7b0edc1fa1c1d50a022ba1d8a62a59",
+    "stream": "43140029e9e34c022ff2a110c5b12731",
 }
 
 
@@ -111,13 +107,12 @@ class TestPinnedBuildDigests:
     def test_generated_rects(self, name):
         assert _items_digest(_items(name)) == ITEM_DIGESTS[name]
 
-    @pytest.mark.parametrize("method", ["str", "hilbert"])
     @pytest.mark.parametrize("name", sorted(_DATASETS))
-    def test_bulk_loaded_pages(self, name, method):
+    def test_bulk_loaded_pages(self, name):
         tree = RStarTree()
-        tree.bulk_load(_items(name), method=method)
+        tree.bulk_load(_items(name))
         tree.validate()
-        assert _tree_digest(tree) == TREE_DIGESTS[name, method]
+        assert _tree_digest(tree) == TREE_DIGESTS[name]
 
 
 @pytest.fixture
@@ -160,8 +155,7 @@ class TestBuildWorkCounts:
         assert rects_many - rects_one == 2_000, "one Rect per generated object"
         assert points_many == points_one, "no Point per generated object"
 
-    @pytest.mark.parametrize("method", ["str", "hilbert"])
-    def test_bulk_load_builds_no_center(self, method, constructions, monkeypatch):
+    def test_bulk_load_builds_no_center(self, constructions, monkeypatch):
         items = us_mainland_like(3_000, seed=4).items()
         centers = []
         center = Rect.center
@@ -173,8 +167,8 @@ class TestBuildWorkCounts:
         monkeypatch.setattr(Rect, "center", property(counted))
         constructions.clear()
         tree = RStarTree()
-        tree.bulk_load(items, method=method)
+        tree.bulk_load(items)
         assert not centers, "sort keys come from the MBR floats"
         assert constructions["Point"] == 0
-        # One MBR per page below the root, plus Hilbert's data space per level.
-        assert constructions["Rect"] <= tree.stats().page_count - 1 + tree.height
+        # One MBR per page below the root.
+        assert constructions["Rect"] <= tree.stats().page_count - 1

@@ -32,13 +32,13 @@ class TestFigureCommand:
         assert main(["figure", name]) == 2
         err = capsys.readouterr().err
         assert f"no such figure: {name}" in err
-        assert "figure_13" in err and "ablation_knn" in err
+        assert "figure_13" in err and "ablation_opt_gap" in err
 
     @pytest.mark.parametrize(
         "name, title",
         [
             ("figure_14", "Figure 14"),
-            ("ablation_drifting_hotspot", "Ablation drifting-hotspot"),
+            ("ablation_updates", "Ablation updates"),
         ],
     )
     def test_registry_keys_accepted(self, name, title, capsys):
@@ -153,6 +153,50 @@ class TestEventsCommand:
         assert "deterministic replay" not in out
 
 
+class TestCountOptions:
+    """Every count option rejects zero and negatives at parse time."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["figure", "14", "--objects", "0"], id="figure-objects"),
+            pytest.param(["figure", "14", "--queries", "0"], id="figure-queries"),
+            pytest.param(["dataset", "db1", "--objects", "-3"], id="dataset-objects"),
+            pytest.param(["trace", "--out", "t.json", "--objects", "0"],
+                         id="trace-objects"),
+            pytest.param(["trace", "--out", "t.json", "--queries", "-1"],
+                         id="trace-queries"),
+            pytest.param(["replay", "missing.json", "--capacity", "0"],
+                         id="replay-capacity"),
+            pytest.param(["events", "record", "--out", "t.jsonl", "--capacity", "0"],
+                         id="events-record-capacity"),
+            pytest.param(["events", "record", "--out", "t.jsonl", "--objects", "-2"],
+                         id="events-record-objects"),
+            pytest.param(["events", "record", "--out", "t.jsonl", "--queries", "0"],
+                         id="events-record-queries"),
+            pytest.param(["events", "replay", "missing.jsonl", "--capacity", "0"],
+                         id="events-replay-capacity"),
+            pytest.param(["events", "replay", "missing.jsonl", "--window", "0"],
+                         id="events-replay-window"),
+            pytest.param(["reproduce", "--out", "r", "--objects", "0"],
+                         id="reproduce-objects"),
+            pytest.param(["reproduce", "--out", "r", "--queries", "-4"],
+                         id="reproduce-queries"),
+        ],
+    )
+    def test_non_positive_count_exits_2_naming_the_option(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        option = argv[-2]
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {option}: must be a positive integer" in (
+            capsys.readouterr().err
+        )
+
+
 class TestParser:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
@@ -160,46 +204,6 @@ class TestParser:
 
     def test_module_entrypoint_importable(self):
         import repro.__main__  # noqa: F401
-
-
-class TestAdviseCommand:
-    def test_advise_on_recorded_trace(self, tmp_path, capsys):
-        trace_path = tmp_path / "trace.json"
-        main(
-            [
-                "trace",
-                "--set",
-                "S-W-100",
-                "--out",
-                str(trace_path),
-                "--objects",
-                "3000",
-                "--queries",
-                "40",
-            ]
-        )
-        capsys.readouterr()
-        assert main(["advise", str(trace_path)]) == 0
-        out = capsys.readouterr().out
-        assert "recommended policy" in out
-        assert "OPT" in out
-
-
-class TestMapCommand:
-    def test_render_dataset(self, capsys):
-        assert main(["map", "db1", "--objects", "2000", "--width", "30",
-                     "--height", "10"]) == 0
-        out = capsys.readouterr().out
-        assert "object density" in out
-        assert out.count("|") >= 20  # borders of 10 rows
-
-    def test_render_with_query_set(self, capsys):
-        assert main(
-            ["map", "db1", "--objects", "2000", "--set", "INT-P",
-             "--queries", "50", "--width", "30", "--height", "8"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "query density of INT-P" in out
 
 
 class TestReproduceCommand:

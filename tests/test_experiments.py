@@ -98,33 +98,6 @@ class TestHarness:
         gains = gains_vs_lru(small_database.tree, query_set, {"LRU": LRU}, 24)
         assert gains["LRU"] == pytest.approx(0.0)
 
-    def test_pin_top_levels(self, small_database):
-        from repro.buffer.manager import BufferManager
-        from repro.buffer.policies.lru import LRU
-        from repro.experiments.harness import pin_top_levels
-
-        tree = small_database.tree
-        buffer = BufferManager(tree.pagefile.disk, 64, LRU())
-        pinned = pin_top_levels(tree, buffer, 2)
-        assert pinned >= 1
-        root_frame = buffer.frames[tree.root_id]
-        assert root_frame.pinned
-        # Pinned pages survive arbitrary pressure.
-        query_set = small_database.query_set("U-W-33", 20)
-        for query in query_set:
-            with buffer.query_scope():
-                query.run(tree, buffer)
-        assert buffer.contains(tree.root_id)
-
-    def test_pin_top_levels_rejects_overflow(self, small_database):
-        from repro.buffer.manager import BufferManager
-        from repro.buffer.policies.lru import LRU
-        from repro.experiments.harness import pin_top_levels
-
-        buffer = BufferManager(small_database.tree.pagefile.disk, 8, LRU())
-        with pytest.raises(ValueError):
-            pin_top_levels(small_database.tree, buffer, 3)
-
     def test_bigger_buffer_never_hurts_lru(self, small_database):
         query_set = small_database.query_set("U-W-100", 40)
         small = replay(small_database.tree, query_set, LRU(), 16).stats.misses

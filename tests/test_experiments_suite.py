@@ -1,6 +1,6 @@
 """Tests for the one-call reproduction suite.
 
-``tests/golden/experiment_tables.json`` pins ``sha256(to_text())`` of all 23
+``tests/golden/experiment_tables.json`` pins ``sha256(to_text())`` of all 17
 tables at the scale of the session's shared run (``conftest.reproduction``).
 A refactor of the experiment code must leave every digest alone; after an
 *intentional* change to a table regenerate with::
@@ -105,7 +105,7 @@ class TestSuite:
 
     def test_markdown_contains_every_result(self, reproduction):
         markdown = reproduction.to_markdown()
-        assert len(reproduction.results) == 23
+        assert len(reproduction.results) == 17
         for result in reproduction.results.values():
             assert result.title in markdown
 
@@ -126,7 +126,7 @@ class TestSuite:
         # Every ablation function is a value of the registry, so none can
         # drop out of ``reproduce`` and the bench.
         studies = defined_in(ablation, "ablation_")
-        assert ablation.ablation_knn in studies
+        assert ablation.ablation_opt_gap in studies
         # (moving objects is the updates function under a second label.)
         assert studies <= set(ALL_ABLATIONS.values())
 

@@ -32,11 +32,6 @@ def rects(draw):
     return Rect(x1, y1, x2, y2)
 
 
-@st.composite
-def points(draw):
-    return Point(draw(coords), draw(coords))
-
-
 # ----------------------------------------------------------------------
 # Point
 # ----------------------------------------------------------------------
@@ -152,12 +147,6 @@ class TestCombinations:
         assert a.enlargement(Rect(0.25, 0.25, 0.5, 0.5)) == 0.0
         assert a.enlargement(Rect(0.0, 0.0, 2.0, 1.0)) == 1.0
 
-    def test_min_distance_to_point(self):
-        rect = Rect(0.0, 0.0, 1.0, 1.0)
-        assert rect.min_distance_to_point(Point(0.5, 0.5)) == 0.0
-        assert rect.min_distance_to_point(Point(2.0, 0.5)) == 1.0
-        assert rect.min_distance_to_point(Point(4.0, 5.0)) == 5.0
-
 
 # ----------------------------------------------------------------------
 # Transformations
@@ -266,11 +255,6 @@ class TestRectProperties:
     @given(rects(), rects())
     def test_enlargement_nonnegative(self, a, b):
         assert a.enlargement(b) >= 0.0
-
-    @given(rects(), points())
-    def test_min_distance_zero_iff_contained(self, rect, point):
-        distance = rect.min_distance_to_point(point)
-        assert (distance == 0.0) == rect.contains_point(point)
 
     @given(st.lists(rects(), min_size=1, max_size=8))
     def test_mbr_of_rects_is_tight(self, rect_list):

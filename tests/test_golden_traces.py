@@ -23,10 +23,8 @@ import pytest
 
 from repro.buffer.policies import (
     ASB,
-    AWRP,
     LRUK,
     SLRU,
-    EEvA,
     LRU,
     SpatialPolicy,
 )
@@ -52,8 +50,6 @@ GOLDEN_POLICIES = {
     "spatial_em": lambda: SpatialPolicy("EM"),
     "spatial_eo": lambda: SpatialPolicy("EO"),
     "asb": lambda: ASB(overflow_fraction=0.25),
-    "awrp": AWRP,
-    "eeva": EEvA,
 }
 
 

@@ -81,7 +81,6 @@ def snapshot(buffer: BufferManager) -> dict:
                 frame.loaded_at,
                 frame.last_access,
                 frame.last_query,
-                frame.access_count,
                 frame.dirty,
                 frame.pin_count,
             )

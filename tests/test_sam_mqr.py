@@ -119,7 +119,6 @@ class TestMqrTree:
         tree = MqrTree()
         assert tree.window_query(Rect(0, 0, 1, 1)) == []
         assert tree.point_query(Point(0.5, 0.5)) == []
-        assert tree.knn(Point(0.5, 0.5), 3) == []
         assert tree.stats().page_count == 0
         assert not tree.delete(Rect(0, 0, 0, 0), 1)
         tree.validate(strict_regions=True)
@@ -165,28 +164,6 @@ class TestMqrTree:
                 if mbr.contains_point(point)
             )
             assert sorted(mqr.point_query(point)) == expected
-
-    def test_knn_distances_match_brute_force(self):
-        items = random_points(800, seed=17)
-        mqr = build(items)
-        rng = random.Random(18)
-        for _ in range(25):
-            point = Point(rng.random(), rng.random())
-            got = mqr.knn(point, 10)
-            assert len(got) == 10
-            by_distance = sorted(
-                items, key=lambda item: item[0].min_distance_to_point(point)
-            )
-            expected = {payload for _, payload in by_distance[:10]}
-            # Distance ties may swap payloads; distances must agree exactly.
-            got_d = sorted(
-                items[p][0].min_distance_to_point(point) for p in got
-            )
-            exp_d = sorted(
-                mbr.min_distance_to_point(point) for mbr, _ in by_distance[:10]
-            )
-            assert got_d == exp_d
-            assert len(set(got) & expected) >= 8
 
     def test_zero_equal_level_overlap_for_points(self):
         mqr = build(random_points(2000, seed=19))

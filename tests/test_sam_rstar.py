@@ -49,7 +49,6 @@ class TestInsertAndQuery:
         tree = RStarTree()
         assert tree.window_query(Rect(0, 0, 1, 1)) == []
         assert tree.point_query(Point(0.5, 0.5)) == []
-        assert tree.knn(Point(0.5, 0.5), 3) == []
 
     def test_single_insert(self):
         tree = RStarTree()
@@ -198,35 +197,6 @@ class TestDeletion:
                 counter += 1
         tree.validate()
         assert sorted(tree.window_query(Rect(0, 0, 1, 1))) == sorted(live)
-
-
-class TestKnn:
-    def test_knn_matches_brute_force(self):
-        rects = random_rects(300, seed=18)
-        tree = build_tree(rects)
-        rng = random.Random(19)
-        for _ in range(10):
-            point = Point(rng.random(), rng.random())
-            found = tree.knn(point, 5)
-            distances = sorted(
-                (rect.min_distance_to_point(point), i)
-                for i, rect in enumerate(rects)
-            )
-            expected_distance = distances[4][0]
-            found_max = max(
-                rects[i].min_distance_to_point(point) for i in found
-            )
-            assert len(found) == 5
-            assert found_max <= expected_distance + 1e-12
-
-    def test_knn_k_larger_than_tree(self):
-        rects = random_rects(10, seed=20)
-        tree = build_tree(rects)
-        assert len(tree.knn(Point(0.5, 0.5), 50)) == 10
-
-    def test_knn_zero_k(self):
-        tree = build_tree(random_rects(10, seed=21))
-        assert tree.knn(Point(0.5, 0.5), 0) == []
 
 
 class TestAccessors:

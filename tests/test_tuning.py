@@ -70,9 +70,9 @@ traces = st.lists(
 capacities = st.integers(min_value=1, max_value=7)
 
 #: Policies the ghost-equivalence property quantifies over: the recency
-#: baseline, the history expert, the paper's spatial self-tuner, and the
-#: two PAPERS.md experts.
-GHOST_POLICIES = ("LRU", "LRU-2", "ASB", "FIFO", "AWRP", "EEVA")
+#: baselines, the history expert, the paper's spatial self-tuner, and one
+#: policy reading page criteria on each spatial path (pure A, static SLRU).
+GHOST_POLICIES = ("LRU", "LRU-2", "ASB", "FIFO", "A", "SLRU")
 
 
 def build_disk() -> SimulatedDisk:

@@ -165,44 +165,3 @@ class TestSetNames:
         assert len(mixed) == 10
         assert mixed.queries[:5] == a.queries
         assert mixed.queries[5:] == b.queries
-
-
-class TestKnnQuery:
-    def test_knn_query_runs(self, small_tree):
-        from repro.workloads.queries import KnnQuery
-        from repro.geometry.rect import Point
-
-        query = KnnQuery(point=Point(0.5, 0.5), k=5)
-        results = query.run(small_tree)
-        assert len(results) == 5
-
-    def test_knn_region_is_the_point(self):
-        from repro.workloads.queries import KnnQuery
-        from repro.geometry.rect import Point, Rect
-
-        query = KnnQuery(point=Point(0.3, 0.4), k=3)
-        assert query.region == Rect(0.3, 0.4, 0.3, 0.4)
-
-    def test_knn_on_unsupported_index_raises(self, small_dataset):
-        from repro.workloads.queries import KnnQuery
-        from repro.geometry.rect import Point
-        from repro.sam.gridfile import GridFile
-
-        tree = GridFile(small_dataset.space)
-        query = KnnQuery(point=Point(0.5, 0.5), k=3)
-        with pytest.raises(TypeError):
-            query.run(tree)
-
-    def test_knn_through_buffer_defers_fetches(self, small_tree):
-        """Best-first search must not read subtrees beyond the k-th hit."""
-        from repro.buffer.manager import BufferManager
-        from repro.buffer.policies.lru import LRU
-        from repro.workloads.queries import KnnQuery
-        from repro.geometry.rect import Point
-
-        buffer = BufferManager(small_tree.pagefile.disk, 64, LRU())
-        with buffer.query_scope():
-            KnnQuery(point=Point(0.5, 0.5), k=1).run(small_tree, buffer)
-        # A k=1 search touches roughly one root-to-leaf path; allow some
-        # slack for sibling inspection but far less than the tree size.
-        assert buffer.stats.requests < 0.2 * len(small_tree.all_page_ids())
