@@ -53,15 +53,27 @@ POLICY_FACTORIES = {
 }
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type for counts: a bad value exits 2 naming the option."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _checked(convert, requirement: str, holds):
+    """An argparse type for counts and limits: a bad value exits 2 naming
+    the option, before any command runs."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}"
+            ) from None
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, "a positive integer", lambda value: value >= 1)
+_non_negative_int = _checked(int, "a non-negative integer", lambda value: value >= 0)
+_positive_float = _checked(float, "a positive number", lambda value: value > 0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -165,16 +177,16 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="buffer frames")
     serve.add_argument("--shards", type=int, default=4,
                        help="buffer shards (0 = sequential core)")
-    serve.add_argument("--pages", type=int, default=512,
+    serve.add_argument("--pages", type=_positive_int, default=512,
                        help="pages preloaded on the durable disk")
-    serve.add_argument("--page-size", type=int, default=512)
-    serve.add_argument("--max-inflight", type=int, default=16,
+    serve.add_argument("--page-size", type=_positive_int, default=512)
+    serve.add_argument("--max-inflight", type=_positive_int, default=16,
                        help="requests executing at once")
-    serve.add_argument("--max-queued", type=int, default=64,
+    serve.add_argument("--max-queued", type=_non_negative_int, default=64,
                        help="requests allowed to wait for a slot")
-    serve.add_argument("--per-client-limit", type=int, default=None,
+    serve.add_argument("--per-client-limit", type=_positive_int, default=None,
                        help="one client's admitted+queued bound")
-    serve.add_argument("--request-timeout", type=float, default=None,
+    serve.add_argument("--request-timeout", type=_positive_float, default=None,
                        help="seconds before a request fails with TIMEOUT")
     serve.add_argument("--tune", action="store_true",
                        help="attach the self-tuning controller (ghost "

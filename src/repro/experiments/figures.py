@@ -2,13 +2,15 @@
 
 One function per figure of the paper's evaluation (Figures 4-9 and 12-14 —
 the evaluation has no numbered tables).  Each function runs the experiment
-at a configurable scale and returns a :class:`FigureResult` whose rows are
-the same series the paper plots; ``to_text()`` renders the table the
-corresponding bench prints.
+on a :class:`PaperSetup` and returns a :class:`FigureResult` whose rows are
+the same series the paper plots; ``to_text()`` renders the table
+``python -m repro figure N`` prints.
 
-The functions are scale-parametric: the unit tests run them tiny, the
-benches at a scale where the paper's qualitative shapes are visible.  See
-EXPERIMENTS.md for paper-vs-measured notes per figure.
+The setup alone sets the scale: the golden tests run the figures tiny,
+``repro figure`` and the shape guards of ``tests/test_paper_claims.py`` at
+bench scale (the defaults of :func:`make_setup`), where the paper's
+qualitative shapes are visible.  See EXPERIMENTS.md for paper-vs-measured
+notes per figure.
 """
 
 from __future__ import annotations
@@ -148,10 +150,7 @@ def _gain_figure(
 # Figure 4 — LRU-P vs LRU
 # ----------------------------------------------------------------------
 
-def figure_04(
-    setup: PaperSetup,
-    fractions: tuple[float, ...] = (0.006, 0.012, 0.023, 0.047),
-) -> FigureResult:
+def figure_04(setup: PaperSetup) -> FigureResult:
     """Performance gain of LRU-P compared to LRU, both databases.
 
     Paper shape: largest gains for small buffers and medium window sizes;
@@ -159,6 +158,7 @@ def figure_04(
     window queries on database 1.
     """
     sets = UNIFORM_SETS + ("INT-P", "INT-W-333", "INT-W-100", "INT-W-33")
+    fractions = (0.006, 0.012, 0.023, 0.047)
     return _gain_figure(
         setup,
         "Figure 4",
@@ -174,11 +174,7 @@ def figure_04(
 # Figure 5 — LRU-K vs LRU
 # ----------------------------------------------------------------------
 
-def figure_05(
-    setup: PaperSetup,
-    fractions: tuple[float, ...] = (0.012, 0.047),
-    ks: tuple[int, ...] = (2, 3, 5),
-) -> FigureResult:
+def figure_05(setup: PaperSetup) -> FigureResult:
     """Performance gain of LRU-2/3/5 compared to LRU, database 1.
 
     Paper shape: 15-25 % gains for point and small/medium window queries,
@@ -200,6 +196,8 @@ def figure_05(
         "IND-P",
         "IND-W-100",
     )
+    fractions = (0.012, 0.047)
+    ks = (2, 3, 5)
     policies = {f"LRU-{k}": (lambda kk=k: LRUK(k=kk)) for k in ks}
     return FigureResult(
         figure="Figure 5",
@@ -213,10 +211,7 @@ def figure_05(
 # Figure 6 — the five spatial criteria against each other
 # ----------------------------------------------------------------------
 
-def figure_06(
-    setup: PaperSetup,
-    fractions: tuple[float, ...] = (0.003, 0.047),
-) -> FigureResult:
+def figure_06(setup: PaperSetup) -> FigureResult:
     """Relative disk accesses of A/EA/M/EM/EO with A as the 100 % baseline.
 
     Paper shape: A best for the 0.3 % buffer, EO worst; with the 4.7 %
@@ -224,6 +219,7 @@ def figure_06(
     """
     sets = ("U-W-333", "U-W-100", "S-W-100", "ID-W", "S-W-33")
     criteria = ("A", "EA", "M", "EM", "EO")
+    fractions = (0.003, 0.047)
     policies = {
         crit: (lambda c=crit: SpatialPolicy(criterion=c)) for crit in criteria
     }
@@ -250,11 +246,10 @@ _COMPARISON_POLICIES = {
     "A": lambda: SpatialPolicy(criterion="A"),
     "LRU-2": lambda: LRUK(k=2),
 }
+_COMPARISON_FRACTIONS = (0.006, 0.047)
 
 
-def figure_07(
-    setup: PaperSetup, fractions: tuple[float, ...] = (0.006, 0.047)
-) -> FigureResult:
+def figure_07(setup: PaperSetup) -> FigureResult:
     """Uniform distribution: the spatial strategy wins, LRU-P is worst."""
     return _gain_figure(
         setup,
@@ -262,13 +257,11 @@ def figure_07(
         "Performance gain for the uniform distribution",
         _COMPARISON_POLICIES,
         UNIFORM_SETS,
-        fractions,
+        _COMPARISON_FRACTIONS,
     )
 
 
-def figure_08(
-    setup: PaperSetup, fractions: tuple[float, ...] = (0.006, 0.047)
-) -> FigureResult:
+def figure_08(setup: PaperSetup) -> FigureResult:
     """Identical/similar: A mostly >= LRU-2, with collapses for big windows."""
     return _gain_figure(
         setup,
@@ -276,13 +269,11 @@ def figure_08(
         "Performance gain for the identical and similar distributions",
         _COMPARISON_POLICIES,
         IDENTICAL_SIMILAR_SETS,
-        fractions,
+        _COMPARISON_FRACTIONS,
     )
 
 
-def figure_09(
-    setup: PaperSetup, fractions: tuple[float, ...] = (0.006, 0.047)
-) -> FigureResult:
+def figure_09(setup: PaperSetup) -> FigureResult:
     """Independent/intensified: A collapses (db2 water, hot small pages)."""
     return _gain_figure(
         setup,
@@ -290,7 +281,7 @@ def figure_09(
         "Performance gain for the independent and intensified distributions",
         _COMPARISON_POLICIES,
         INDEPENDENT_INTENSIFIED_SETS,
-        fractions,
+        _COMPARISON_FRACTIONS,
     )
 
 
@@ -298,10 +289,7 @@ def figure_09(
 # Figure 12 — static candidate sets (SLRU)
 # ----------------------------------------------------------------------
 
-def figure_12(
-    setup: PaperSetup,
-    fractions: tuple[float, ...] = (0.023,),
-) -> FigureResult:
+def figure_12(setup: PaperSetup) -> FigureResult:
     """A vs SLRU 50 % vs SLRU 25 %: the combination shifts A towards LRU.
 
     Paper shape: where A gains a lot, SLRU gains less; where A loses, SLRU
@@ -327,7 +315,7 @@ def figure_12(
         "Performance gains using a candidate set of static size",
         policies,
         sets,
-        fractions,
+        (0.023,),
     )
 
 
@@ -335,11 +323,7 @@ def figure_12(
 # Figure 13 — the headline comparison: A, SLRU, ASB, LRU-2 vs LRU
 # ----------------------------------------------------------------------
 
-def figure_13(
-    setup: PaperSetup,
-    fractions: tuple[float, ...] = (0.047,),
-    sets: tuple[str, ...] = ALL_DISTRIBUTION_SETS,
-) -> FigureResult:
+def figure_13(setup: PaperSetup) -> FigureResult:
     """The paper's central result.
 
     Paper shape: ASB tracks A where A excels, avoids A's losses elsewhere,
@@ -357,8 +341,8 @@ def figure_13(
         "Figure 13",
         "Performance gains of A, SLRU, ASB and LRU-2 compared to LRU",
         policies,
-        sets,
-        fractions,
+        ALL_DISTRIBUTION_SETS,
+        (0.047,),
     )
 
 
@@ -366,11 +350,7 @@ def figure_13(
 # Figure 14 — the ASB adaptation trace on a mixed query set
 # ----------------------------------------------------------------------
 
-def figure_14(
-    setup: PaperSetup,
-    fraction: float = 0.047,
-    queries_per_phase: int | None = None,
-) -> FigureResult:
+def figure_14(setup: PaperSetup) -> FigureResult:
     """Candidate-set size of ASB over INT-W-33, then U-W-33, then S-W-33.
 
     Paper shape: the size drops during the intensified phase (LRU
@@ -378,11 +358,13 @@ def figure_14(
     and settles in between during the similar phase.
     """
     database = setup.db1
-    count = queries_per_phase or setup.n_queries
+    # Twice the usual queries per phase, so each phase is long enough for
+    # the knob to settle.
+    count = 2 * setup.n_queries
     phases = ("INT-W-33", "U-W-33", "S-W-33")
     parts = [database.query_set(name, count, setup.seed) for name in phases]
     mixed = QuerySet.concat("INT-W-33 + U-W-33 + S-W-33", parts)
-    capacity = buffer_capacity(database, fraction)
+    capacity = buffer_capacity(database, 0.047)
     policy = ASB(record_trace=True)
     sizes: list[float] = []
     # The event stream drives both the adaptation record and the rolling
@@ -435,7 +417,7 @@ def figure_14(
     )
 
 
-#: Registry used by benches, examples and EXPERIMENTS.md generation.
+#: Registry behind ``repro figure``, ``repro reproduce`` and the golden tables.
 ALL_FIGURES = {
     "figure_04": figure_04,
     "figure_05": figure_05,

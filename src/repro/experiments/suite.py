@@ -6,8 +6,9 @@ experiment), so the complete paper-vs-measured evidence regenerates with::
 
     python -m repro reproduce --out results/
 
-``benchmarks/bench_suite.py`` runs the same two registries as one
-pytest-benchmark case each; this module is the scriptable entry point.
+``python -m repro figure <key>`` prints one table of the same two
+registries; ``tests/test_paper_claims.py`` asserts the paper's claims on
+Figures 9, 13 and 14 at the same default scale.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ class ReproductionRun:
 def run_reproduction(
     setup: PaperSetup | None = None,
     output_dir: str | Path | None = None,
-    include_figures: bool = True,
     include_ablations: bool = True,
     progress: Callable[[str], None] | None = None,
 ) -> ReproductionRun:
@@ -90,9 +90,7 @@ def run_reproduction(
     """
     setup = setup or make_setup()
     run = ReproductionRun()
-    jobs: dict[str, Callable[[PaperSetup], FigureResult]] = {}
-    if include_figures:
-        jobs.update(ALL_FIGURES)
+    jobs: dict[str, Callable[[PaperSetup], FigureResult]] = dict(ALL_FIGURES)
     if include_ablations:
         jobs.update(ALL_ABLATIONS)
     for name, job in jobs.items():

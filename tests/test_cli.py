@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import cli
 from repro.cli import POLICY_FACTORIES, main
 
 
@@ -156,6 +157,12 @@ class TestEventsCommand:
 class TestCountOptions:
     """Every count option rejects zero and negatives at parse time."""
 
+    #: The options whose valid range is not the positive integers.
+    REQUIREMENTS = {
+        "--max-queued": "a non-negative integer",
+        "--request-timeout": "a positive number",
+    }
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -182,19 +189,40 @@ class TestCountOptions:
                          id="reproduce-objects"),
             pytest.param(["reproduce", "--out", "r", "--queries", "-4"],
                          id="reproduce-queries"),
+            pytest.param(["serve", "--max-inflight", "0"], id="serve-max-inflight"),
+            pytest.param(["serve", "--pages", "-3"], id="serve-pages"),
+            pytest.param(["serve", "--page-size", "0"], id="serve-page-size"),
+            pytest.param(["serve", "--per-client-limit", "0"],
+                         id="serve-per-client-limit"),
+            pytest.param(["serve", "--max-queued", "-1"], id="serve-max-queued"),
+            pytest.param(["serve", "--request-timeout", "-1"],
+                         id="serve-request-timeout"),
+            pytest.param(["serve", "--request-timeout", "0"],
+                         id="serve-request-timeout-zero"),
         ],
     )
     def test_non_positive_count_exits_2_naming_the_option(
         self, argv, tmp_path, monkeypatch, capsys
     ):
+        # A value that gets past the parser must not start a server.
+        monkeypatch.setattr(
+            cli, "_cmd_serve", lambda args: pytest.fail("serve ran with a bad value")
+        )
         option = argv[-2]
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
-        assert f"argument {option}: must be a positive integer" in (
+        requirement = self.REQUIREMENTS.get(option, "a positive integer")
+        assert f"argument {option}: must be {requirement}" in (
             capsys.readouterr().err
         )
+
+    def test_zero_max_queued_stays_valid(self, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(cli, "_cmd_serve", lambda args: parsed.append(args) or 0)
+        assert main(["serve", "--max-queued", "0"]) == 0
+        assert parsed[0].max_queued == 0
 
 
 class TestParser:

@@ -136,9 +136,9 @@ class TestFigures:
             assert len(row) == len(result.headers)
 
     def test_figure_14_trace_spans_all_phases(self, tiny_setup):
-        result = figure_14(tiny_setup, queries_per_phase=30)
+        result = figure_14(tiny_setup)
         trace = result.series["candidate_size"]
-        assert len(trace) == 90
+        assert len(trace) == 3 * 2 * tiny_setup.n_queries  # 2x queries per phase
         assert all(size >= 1 for size in trace)
         assert len(result.rows) == 3
 

@@ -20,11 +20,7 @@ import pytest
 
 from repro.experiments import ablation, figures
 from repro.experiments.figures import ALL_FIGURES, make_setup
-from repro.experiments.suite import (
-    ALL_ABLATIONS,
-    ReproductionRun,
-    run_reproduction,
-)
+from repro.experiments.suite import ALL_ABLATIONS, run_reproduction
 
 GOLDEN_TABLES = Path(__file__).parent / "golden" / "experiment_tables.json"
 
@@ -124,7 +120,7 @@ class TestSuite:
 
     def test_ablation_registry_complete(self):
         # Every ablation function is a value of the registry, so none can
-        # drop out of ``reproduce`` and the bench.
+        # drop out of ``reproduce`` and ``repro figure``.
         studies = defined_in(ablation, "ablation_")
         assert ablation.ablation_opt_gap in studies
         # (moving objects is the updates function under a second label.)
@@ -132,10 +128,3 @@ class TestSuite:
 
     def test_figure_registry_complete(self):
         assert defined_in(figures, "figure_") == set(ALL_FIGURES.values())
-
-    def test_empty_run(self, tiny_setup):
-        run = run_reproduction(
-            tiny_setup, include_figures=False, include_ablations=False
-        )
-        assert run.results == {}
-        assert isinstance(run, ReproductionRun)

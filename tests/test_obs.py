@@ -103,6 +103,21 @@ class TestManagerEmission:
         assert buffer.observer is None
         buffer.fetch(0)  # must not fail without a sink
 
+    def test_disabled_tracing_emits_nothing(self):
+        """With no observer the buffer keeps no event state at all: an
+        observer attached late sees the next fetch and its outcome only."""
+        buffer = BufferManager(make_disk(), 4, LRU())
+        assert buffer.observer is None
+        requests = workload()
+        for page_id, _ in requests:
+            buffer.fetch(page_id)
+        recorder = TraceRecorder()
+        buffer.observer = recorder
+        last_page = requests[-1][0]
+        buffer.fetch(last_page)  # still resident: a hit
+        assert [event.kind for event in recorder.events] == ["fetch", "hit"]
+        assert all(event.page_id == last_page for event in recorder.events)
+
     def test_hit_and_miss_events(self):
         recorder = TraceRecorder()
         buffer = BufferManager(make_disk(), 2, LRU(), observer=recorder)
