@@ -23,7 +23,7 @@ from repro.experiments.analysis import (
     profile_trace,
 )
 from repro.experiments.plots import line_chart
-from repro.experiments.trace import record_trace, replay_trace
+from repro.obs.trace import record_trace, replay_requests
 from repro.workloads.sets import make_query_set
 
 N_OBJECTS = 25_000
@@ -64,7 +64,9 @@ def main() -> None:
         "A": lambda: SpatialPolicy("A"),
         "ASB": ASB,
     }.items():
-        misses = replay_trace(trace, factory(), capacity).misses
+        misses = replay_requests(
+            trace.catalogue, trace.references, factory(), capacity
+        ).stats.misses
         print(f"{name:<8} {misses:>7} {misses / optimum - 1:>+9.1%}")
 
     print(

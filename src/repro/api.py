@@ -40,7 +40,6 @@ if TYPE_CHECKING:
     from contextlib import AbstractContextManager
 
     from repro.obs.events import EventSink, TraceRecorder
-    from repro.server.admission import AdmissionController
     from repro.storage.page import Page, PageId
     from repro.wal.manager import DurabilityManager
 
@@ -56,16 +55,6 @@ _DURABILITY_KEYS = (
     "flush_batch",
     "checkpoint_interval",
     "retry",
-)
-
-#: Keys accepted by ``admission=dict(...)``; forwarded to
-#: :class:`~repro.server.admission.AdmissionController`.
-_ADMISSION_KEYS = (
-    "max_inflight",
-    "max_queued",
-    "per_client_limit",
-    "queue_timeout",
-    "retry_hint_ms",
 )
 
 
@@ -86,7 +75,6 @@ class BufferSystem:
     recorder: "TraceRecorder | None" = None
     durability: "DurabilityManager | None" = None
     tuner: object | None = None
-    admission: "AdmissionController | None" = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -105,7 +93,6 @@ class BufferSystem:
         policy_kwargs: Mapping | None = None,
         page_size: int = 4096,
         tuning: object | None = None,
-        admission: "bool | Mapping | AdmissionController | None" = None,
     ) -> "BufferSystem":
         """Wire a complete buffer system in one call.
 
@@ -140,16 +127,6 @@ class BufferSystem:
             controller: ``TuningSpec()`` a default winner-take-all
             panel, ``TuningSpec(candidates=..., epoch_length=...)`` an
             explicit one.  The controller is exposed as ``system.tuner``.
-        ``admission``
-            ``None`` (default) attaches no admission control — the page
-            server builds its own controller exactly as before.
-            ``True`` attaches a default
-            :class:`~repro.server.admission.AdmissionController`; a
-            mapping forwards its keys (``max_inflight``, ``max_queued``,
-            ``per_client_limit``, ``queue_timeout``, ``retry_hint_ms``);
-            a ready controller is attached as-is.  Exposed as
-            ``system.admission`` and preferred by
-            :class:`~repro.server.PageServer` when present.
         """
         from repro.obs.events import TraceRecorder
 
@@ -238,11 +215,6 @@ class BufferSystem:
             )
             tuner.attach_buffer(buffer, policy_name, policy_kwargs)
 
-        # --- admission control -------------------------------------------
-        admission_controller = cls._build_admission(
-            admission, getattr(buffer, "observer", observer)
-        )
-
         return cls(
             buffer=buffer,
             disk=disk,
@@ -251,7 +223,6 @@ class BufferSystem:
             recorder=recorder,
             durability=durability_manager,
             tuner=tuner,
-            admission=admission_controller,
         )
 
     @staticmethod
@@ -265,32 +236,6 @@ class BufferSystem:
             return tuning
         raise TypeError(
             f"tuning must be None or a TuningSpec; got {type(tuning).__name__}"
-        )
-
-    @staticmethod
-    def _build_admission(
-        admission: "bool | Mapping | AdmissionController | None",
-        observer: "EventSink | None",
-    ) -> "AdmissionController | None":
-        if admission is None or admission is False:
-            return None
-        from repro.server.admission import AdmissionController
-
-        if isinstance(admission, AdmissionController):
-            return admission
-        if admission is True:
-            return AdmissionController(observer=observer)
-        if isinstance(admission, Mapping):
-            unknown = sorted(set(admission) - set(_ADMISSION_KEYS))
-            if unknown:
-                raise TypeError(
-                    f"unknown admission option(s) {unknown}; accepted: "
-                    + ", ".join(_ADMISSION_KEYS)
-                )
-            return AdmissionController(**dict(admission), observer=observer)
-        raise TypeError(
-            "admission must be None/True, a mapping of options, or an "
-            f"AdmissionController; got {type(admission).__name__}"
         )
 
     @staticmethod
@@ -384,8 +329,6 @@ class BufferSystem:
             snapshot = self.buffer.stats.snapshot()
         if self.tuner is not None:
             snapshot["tuning"] = self.tuner.snapshot()
-        if self.admission is not None:
-            snapshot["admission"] = self.admission.snapshot()
         return snapshot
 
     def commit(self) -> int:

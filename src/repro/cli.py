@@ -1,16 +1,15 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Seven commands cover the common workflows without writing any code:
+Five commands cover the common workflows without writing any code:
 
 * ``figure`` — regenerate one (or all) of the paper's figures, or one study
   table by its registry key;
 * ``dataset`` — generate and describe a synthetic dataset;
-* ``trace`` — record the page-access trace of a query set to JSON;
-* ``replay`` — replay a recorded trace against a replacement policy;
-* ``events`` — record or replay a full buffer-event trace (JSON lines):
+* ``events`` — record or replay a buffer-event trace (JSON lines):
   ``events record`` runs a query set under a policy with tracing on,
   ``events replay`` re-runs a recorded trace (optionally under a different
-  policy), verifies determinism, and prints windowed metrics;
+  policy or capacity), prints its disk reads, verifies determinism, and
+  prints windowed metrics;
 * ``reproduce`` — run every figure and study table, writing a markdown
   report;
 * ``serve`` — run the asyncio page-service front-end over a durable,
@@ -27,8 +26,6 @@ Examples::
     python -m repro figure all --objects 10000 --queries 150
     python -m repro figure ablation_opt_gap
     python -m repro dataset db2 --objects 50000
-    python -m repro trace --set INT-W-100 --out /tmp/trace.json
-    python -m repro replay /tmp/trace.json --policy ASB --capacity 64
     python -m repro events record --set S-W-100 --policy ASB --out /tmp/t.jsonl
     python -m repro events replay /tmp/t.jsonl --policy LRU
     python -m repro serve --tune --policy ASB
@@ -76,6 +73,18 @@ _non_negative_int = _checked(int, "a non-negative integer", lambda value: value 
 _positive_float = _checked(float, "a positive number", lambda value: value > 0)
 
 
+def _set_name(text: str) -> str:
+    """An argparse type for ``--set``: a malformed query-set name exits 2
+    naming the option, before the database is built."""
+    from repro.workloads.sets import parse_set_name
+
+    try:
+        parse_set_name(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -105,25 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dataset.add_argument("--objects", type=_positive_int, default=40_000)
     dataset.add_argument("--seed", type=int, default=7)
 
-    trace = commands.add_parser(
-        "trace", help="record a query set's page-access trace to JSON"
-    )
-    trace.add_argument("--set", dest="set_name", default="S-W-100",
-                       help="query set name (e.g. U-P, INT-W-33)")
-    trace.add_argument("--out", required=True, help="output JSON path")
-    trace.add_argument("--objects", type=_positive_int, default=20_000)
-    trace.add_argument("--queries", type=_positive_int, default=200)
-    trace.add_argument("--seed", type=int, default=7)
-
-    replay = commands.add_parser(
-        "replay", help="replay a recorded trace against a policy"
-    )
-    replay.add_argument("trace", help="trace JSON path")
-    replay.add_argument("--policy", default="ASB",
-                        choices=sorted(POLICY_FACTORIES))
-    replay.add_argument("--capacity", type=_positive_int, default=64,
-                        help="buffer size in pages")
-
     events = commands.add_parser(
         "events", help="record / replay full buffer-event traces (JSON lines)"
     )
@@ -132,7 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
     events_record = events_commands.add_parser(
         "record", help="run a query set with tracing on, save the event trace"
     )
-    events_record.add_argument("--set", dest="set_name", default="S-W-100",
+    events_record.add_argument("--set", dest="set_name", type=_set_name,
+                               default="S-W-100",
                                help="query set name (e.g. U-P, INT-W-33)")
     events_record.add_argument("--policy", default="ASB",
                                choices=sorted(POLICY_FACTORIES))
@@ -191,11 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--tune", action="store_true",
                        help="attach the self-tuning controller (ghost "
                             "caches; state appears under STATS)")
-    serve.add_argument("--uvloop", choices=["auto", "on", "off"],
-                       default="off",
-                       help="event loop: 'on' requires uvloop, 'auto' "
-                            "uses it when installed, 'off' (default) "
-                            "keeps the stock asyncio loop")
 
     return parser
 
@@ -241,38 +227,6 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.datasets.synthetic import us_mainland_like
-    from repro.experiments.harness import build_database
-    from repro.experiments.trace import record_trace
-
-    database = build_database(
-        us_mainland_like(n_objects=args.objects, seed=args.seed)
-    )
-    query_set = database.query_set(args.set_name, args.queries, args.seed)
-    trace = record_trace(database.tree, query_set)
-    trace.save(args.out)
-    print(
-        f"recorded {len(trace)} references over {trace.query_count} queries "
-        f"({trace.distinct_pages} distinct pages) -> {args.out}"
-    )
-    return 0
-
-
-def _cmd_replay(args: argparse.Namespace) -> int:
-    from repro.experiments.trace import AccessTrace, replay_trace
-
-    trace = AccessTrace.load(args.trace)
-    policy = POLICY_FACTORIES[args.policy]()
-    stats = replay_trace(trace, policy, args.capacity)
-    print(
-        f"{args.policy} @ {args.capacity} pages: "
-        f"{stats.misses} disk reads, {stats.hits} hits "
-        f"(hit ratio {stats.hit_ratio:.1%}) over {stats.requests} requests"
-    )
-    return 0
-
-
 def _cmd_events(args: argparse.Namespace) -> int:
     if args.events_command == "record":
         return _cmd_events_record(args)
@@ -282,15 +236,17 @@ def _cmd_events(args: argparse.Namespace) -> int:
 def _cmd_events_record(args: argparse.Namespace) -> int:
     from repro.datasets.synthetic import us_mainland_like
     from repro.experiments.harness import build_database
-    from repro.experiments.trace import record_event_trace, record_trace
+    from repro.obs.trace import record_run, record_trace
 
     database = build_database(
         us_mainland_like(n_objects=args.objects, seed=args.seed)
     )
     query_set = database.query_set(args.set_name, args.queries, args.seed)
-    access_trace = record_trace(database.tree, query_set)
+    references = record_trace(database.tree, query_set).references
     policy = POLICY_FACTORIES[args.policy]()
-    recorded = record_event_trace(access_trace, policy, args.capacity)
+    recorded = record_run(
+        references, database.tree.pagefile.disk, policy, args.capacity
+    )
     recorded.save(args.out)
     by_kind = {}
     for event in recorded.events:
@@ -309,10 +265,13 @@ def _cmd_events_record(args: argparse.Namespace) -> int:
 
 def _cmd_events_replay(args: argparse.Namespace) -> int:
     from repro.obs import RecordedTrace, WindowedMetrics, replay_recorded
-    from repro.obs.trace import disk_from_catalogue, drive_requests
-    from repro.buffer.manager import BufferManager
 
-    recorded = RecordedTrace.load(args.trace)
+    try:
+        recorded = RecordedTrace.load(args.trace)
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"repro: {args.trace}: {reason}", file=sys.stderr)
+        return 2
     policy_name = args.policy or recorded.policy
     if policy_name not in POLICY_FACTORIES:
         print(f"unknown recorded policy {policy_name!r}; pass --policy",
@@ -339,15 +298,9 @@ def _cmd_events_replay(args: argparse.Namespace) -> int:
               f"{len(replayed)} events vs {len(recorded)} recorded")
         if not identical:
             return 1
-    # Windowed metrics of the replayed stream.
     metrics = WindowedMetrics(window=args.window)
-    buffer = BufferManager(
-        disk_from_catalogue(recorded.catalogue),
-        capacity,
-        POLICY_FACTORIES[policy_name](),
-        observer=metrics,
-    )
-    drive_requests(buffer, recorded.requests())
+    for event in replayed.events:
+        metrics.emit(event)
     summary = metrics.summary()
     print(f"rolling hit ratio (last {summary['window']}): "
           f"{summary['rolling_hit_ratio']:.1%}")
@@ -393,14 +346,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.api import BufferSystem
-    from repro.server import PageServer, UvloopUnavailable, install_uvloop
+    from repro.server import PageServer
     from repro.storage import seed_page
 
-    try:
-        accelerated = install_uvloop(args.uvloop)
-    except UvloopUnavailable as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
     tuning = None
     if args.tune:
         from repro.tuning import TuningSpec
@@ -433,12 +381,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def _serve() -> None:
         await server.start()
-        loop_name = "uvloop" if accelerated else "asyncio"
         print(
             f"page service on {server.host}:{server.port} — "
             f"{args.policy} @ {args.capacity} frames, "
             f"{args.shards} shard(s), {args.pages} pages, "
-            f"{loop_name} loop (ctrl-C to drain)"
+            "asyncio loop (ctrl-C to drain)"
         )
         try:
             await server.serve_forever()
@@ -461,8 +408,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     handlers = {
         "figure": _cmd_figure,
         "dataset": _cmd_dataset,
-        "trace": _cmd_trace,
-        "replay": _cmd_replay,
         "events": _cmd_events,
         "reproduce": _cmd_reproduce,
         "serve": _cmd_serve,

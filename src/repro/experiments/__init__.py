@@ -22,12 +22,6 @@ from repro.experiments.analysis import (
     stack_distances,
 )
 from repro.experiments.report import format_gain, format_table
-from repro.experiments.trace import (
-    AccessTrace,
-    record_event_trace,
-    record_trace,
-    replay_trace,
-)
 
 __all__ = [
     "BUFFER_FRACTIONS",
@@ -43,8 +37,4 @@ __all__ = [
     "opt_misses",
     "profile_trace",
     "stack_distances",
-    "AccessTrace",
-    "record_trace",
-    "record_event_trace",
-    "replay_trace",
 ]

@@ -241,7 +241,7 @@ def ablation_opt_gap(
     barely beats LRU, no replacement cleverness can pay off.
     """
     from repro.experiments.analysis import opt_misses
-    from repro.experiments.trace import record_trace, replay_trace
+    from repro.obs.trace import record_trace, replay_requests
 
     database = setup.db1
     capacity = buffer_capacity(database, buffer_fraction)
@@ -257,9 +257,9 @@ def ablation_opt_gap(
         FOUR_POLICIES,
         traces,
         (buffer_fraction,),
-        measure=lambda index, trace, policy, capacity: replay_trace(
-            trace, policy, capacity
-        ).misses,
+        measure=lambda index, trace, policy, capacity: replay_requests(
+            trace.catalogue, trace.references, policy, capacity
+        ).stats.misses,
     )
     rows: list[list[object]] = []
     for cell in cells:

@@ -1,7 +1,7 @@
 """Reference-string analysis: stack distances, miss-ratio curves, OPT.
 
 Classic tooling of the buffer-management literature, operating on recorded
-access traces (:mod:`repro.experiments.trace`):
+reference strings (:class:`repro.obs.trace.AccessTrace`):
 
 * **Mattson stack-distance analysis** — one pass over the trace yields the
   exact LRU miss count for *every* buffer size simultaneously (Mattson et
@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from repro.experiments.trace import AccessTrace
+from repro.obs.trace import AccessTrace
 from repro.storage.page import PageId
 
 

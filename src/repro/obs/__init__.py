@@ -12,9 +12,9 @@ Three layers build on the stream:
   :class:`Fanout` tees one stream into several consumers;
 * windowed metrics (:mod:`repro.obs.windows`) — rolling hit ratio,
   eviction-age histogram and per-level hit counters, all incremental;
-* traces (:mod:`repro.obs.trace`) — :class:`RecordedTrace` bundles the
-  event stream with the page catalogue and final statistics, serialises to
-  JSON lines, and replays deterministically against any policy.
+* traces (:mod:`repro.obs.trace`) — :class:`AccessTrace` (a reference
+  string) and :class:`RecordedTrace` (plus events and statistics, saved
+  as JSON lines), both replayed by :func:`replay_requests`.
 
 Because every timestamp in the buffer is logical (one tick per request),
 recording a workload and replaying its request stream through
@@ -32,11 +32,13 @@ from repro.obs.events import (
     TraceRecorder,
 )
 from repro.obs.trace import (
+    AccessTrace,
     RecordedTrace,
     disk_from_catalogue,
-    drive_requests,
     record_run,
+    record_trace,
     replay_recorded,
+    replay_requests,
 )
 from repro.obs.windows import (
     EvictionAgeHistogram,
@@ -56,9 +58,11 @@ __all__ = [
     "EvictionAgeHistogram",
     "LevelHitCounters",
     "WindowedMetrics",
+    "AccessTrace",
     "RecordedTrace",
     "disk_from_catalogue",
-    "drive_requests",
     "record_run",
+    "record_trace",
     "replay_recorded",
+    "replay_requests",
 ]

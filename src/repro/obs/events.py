@@ -72,7 +72,7 @@ files stay compact.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, get_args, get_type_hints
 
 #: The closed set of event kinds, in canonical order.
 EVENT_KINDS = (
@@ -127,7 +127,35 @@ class BufferEvent:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BufferEvent":
+        """Rebuild an event from :meth:`to_dict`'s form; raises
+        ``ValueError`` for an unknown, ill-typed or missing field."""
+        for name, value in data.items():
+            if name not in _FIELD_TYPES:
+                raise ValueError(f"unknown event field {name!r}")
+            expected = _FIELD_TYPES[name]
+            if value is not None and not _json_type_ok(value, expected):
+                raise ValueError(
+                    f"event field {name!r} must be {expected.__name__}, got {value!r}"
+                )
+        kind = data.get("kind")
+        if kind not in EVENT_KINDS:
+            raise ValueError(f"event field 'kind' must be an event kind, got {kind!r}")
+        if data.get("clock") is None:
+            raise ValueError("event field 'clock' is missing")
         return cls(**data)
+
+
+#: Each event field's JSON type (the optional fields' ``X | None`` hint
+#: unwrapped to ``X``).
+_FIELD_TYPES = {
+    name: (get_args(hint) or (hint,))[0]
+    for name, hint in get_type_hints(BufferEvent).items()
+}
+
+
+def _json_type_ok(value: object, expected: type) -> bool:
+    """A JSON type check: a ``bool`` is no ``int``, a ``float`` may be one."""
+    return type(value) is expected or (expected is float and type(value) is int)
 
 
 class EventSink(Protocol):

@@ -1,38 +1,42 @@
-"""Recorded event traces: JSON-lines persistence and deterministic replay.
+"""Reference strings and recorded event traces: one format, one replay loop.
 
-A :class:`RecordedTrace` is a self-contained run record: the policy name
-and capacity, a catalogue of the page metadata the policies consume (type,
-level, entry MBRs), the full event stream, and the final statistics
-snapshot.  Because every buffer timestamp is logical, re-running the
-trace's request stream (its ``fetch`` events) against the same policy
-class reproduces the event stream and the statistics exactly — a recorded
-trace is therefore both a debugging artefact and a golden regression
-fixture.
+An :class:`AccessTrace` is a query set's page-reference string plus a
+catalogue of the referenced pages' policy-visible metadata (type, level,
+entry MBRs).  A :class:`RecordedTrace` adds the policy, capacity, event
+stream and final statistics of one run.  :func:`replay_requests` is the
+one replay loop.  Every buffer timestamp is logical, so re-running a
+recorded request stream under the same policy reproduces its events and
+statistics exactly: a recorded trace is a golden regression fixture.
 
-File format (JSON lines): the first line is a header object carrying
-``format``/``version``, policy, capacity, stats and the catalogue; each
-following line is one event (``None`` fields omitted).
+File format (JSON lines, the only one): the first line is a header
+object carrying ``format``/``version``, policy, capacity, stats and the
+catalogue; each following line is one event (``None`` fields omitted).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.buffer.manager import BufferManager
 from repro.buffer.policies.base import ReplacementPolicy
 from repro.geometry.rect import Rect
-from repro.obs.events import BufferEvent, TraceRecorder
+from repro.obs.events import BufferEvent, EventSink, TraceRecorder, _json_type_ok
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page, PageEntry, PageId, PageType
+
+if TYPE_CHECKING:
+    from repro.sam.base import SpatialIndex
+    from repro.workloads.queries import Query
 
 FORMAT_NAME = "repro-obs-trace"
 FORMAT_VERSION = 1
 
-#: page_id -> (page_type value, level, [entry mbr tuples]) — the same
-#: catalogue shape as :class:`repro.experiments.trace.AccessTrace`.
+#: page_id -> (page_type value, level, [entry mbr tuples]).
 Catalogue = dict[PageId, tuple[str, int, list[tuple[float, float, float, float]]]]
 
 
@@ -61,27 +65,68 @@ def disk_from_catalogue(catalogue: Catalogue) -> SimulatedDisk:
     return disk
 
 
-def drive_requests(
-    buffer: BufferManager, requests: Iterable[tuple[PageId, int]]
-) -> None:
-    """Fetch a ``(page_id, query)`` stream, bracketing query scopes.
+def replay_requests(
+    catalogue: Catalogue,
+    requests: Iterable[tuple[PageId, int]],
+    policy: ReplacementPolicy,
+    capacity: int,
+    observer: EventSink | None = None,
+) -> BufferManager:
+    """Fetch a ``(page_id, query)`` stream through a fresh buffer over
+    :func:`disk_from_catalogue`; returns the buffer.
 
     Consecutive references sharing a query index run inside one query
-    scope, so correlation semantics match the live run that produced the
-    stream.
+    scope, so correlation semantics match the live run.
     """
-    current_query: int | None = None
-    scope = None
-    for page_id, query in requests:
-        if query != current_query:
-            if scope is not None:
-                scope.__exit__(None, None, None)
-            scope = buffer.query_scope()
-            scope.__enter__()
-            current_query = query
-        buffer.fetch(page_id)
-    if scope is not None:
-        scope.__exit__(None, None, None)
+    buffer = BufferManager(
+        disk_from_catalogue(catalogue), capacity, policy, observer=observer
+    )
+    for _, references in groupby(requests, key=itemgetter(1)):
+        with buffer.query_scope():
+            for page_id, _ in references:
+                buffer.fetch(page_id)
+    return buffer
+
+
+@dataclass(slots=True)
+class AccessTrace:
+    """A recorded page-reference string plus the referenced pages' metadata."""
+
+    #: (page_id, query_index) per reference, in order.
+    references: list[tuple[PageId, int]] = field(default_factory=list)
+    catalogue: Catalogue = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.references)
+
+    @property
+    def distinct_pages(self) -> int:
+        return len(self.catalogue)
+
+
+class _RecordingAccessor:
+    """Appends every fetch to a trace; ``peek`` leaves disk stats alone."""
+
+    def __init__(self, disk: SimulatedDisk, trace: AccessTrace) -> None:
+        self._disk = disk
+        self._trace = trace
+        self.current_query = 0
+
+    def fetch(self, page_id: PageId) -> Page:
+        page = self._disk.peek(page_id)
+        self._trace.references.append((page_id, self.current_query))
+        catalogue_page(self._trace.catalogue, page)
+        return page
+
+
+def record_trace(index: "SpatialIndex", queries: Iterable["Query"]) -> AccessTrace:
+    """Run the queries against the index, recording every page reference."""
+    trace = AccessTrace()
+    accessor = _RecordingAccessor(index.pagefile.disk, trace)
+    for position, query in enumerate(queries):
+        accessor.current_query = position
+        query.run(index, accessor)
+    return trace
 
 
 @dataclass(slots=True)
@@ -133,30 +178,22 @@ class RecordedTrace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "RecordedTrace":
-        lines = [line for line in text.splitlines() if line.strip()]
+        """Parse a trace file; raises ``ValueError`` naming the line of
+        the first malformed header field or event."""
+        lines = [
+            (number, line)
+            for number, line in enumerate(text.splitlines(), start=1)
+            if line.strip()
+        ]
         if not lines:
             raise ValueError("empty trace file")
-        header = json.loads(lines[0])
-        if header.get("format") != FORMAT_NAME:
-            raise ValueError(f"not a {FORMAT_NAME} file")
-        if header.get("version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported trace version {header.get('version')!r}")
-        trace = cls(
-            policy=header["policy"],
-            capacity=header["capacity"],
-            stats=header.get("stats", {}),
-        )
-        trace.catalogue = {
-            int(page_id): (
-                type_value,
-                level,
-                [tuple(mbr) for mbr in mbrs],
-            )
-            for page_id, (type_value, level, mbrs) in header["catalogue"].items()
-        }
-        trace.events = [
-            BufferEvent.from_dict(json.loads(line)) for line in lines[1:]
-        ]
+        number, line = lines[0]
+        try:
+            trace = _parse_header(json.loads(line))
+            for number, line in lines[1:]:
+                trace.events.append(_parse_event(json.loads(line), trace.catalogue))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
         return trace
 
     def save(self, path: str | Path) -> None:
@@ -165,6 +202,77 @@ class RecordedTrace:
     @classmethod
     def load(cls, path: str | Path) -> "RecordedTrace":
         return cls.from_jsonl(Path(path).read_text(encoding="utf-8"))
+
+
+# ----------------------------------------------------------------------
+# Parsing
+# ----------------------------------------------------------------------
+
+_PAGE_TYPES = frozenset(page_type.value for page_type in PageType)
+
+
+def _is_mbr(value: object) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) == 4
+        and all(_json_type_ok(coordinate, float) for coordinate in value)
+    )
+
+
+def _require(holds: bool, message: str) -> None:
+    if not holds:
+        raise ValueError(message)
+
+
+def _parse_header(header: object) -> RecordedTrace:
+    _require(isinstance(header, dict), "the header is not a JSON object")
+    _require(header.get("format") == FORMAT_NAME, f"not a {FORMAT_NAME} file")
+    version = header.get("version")
+    _require(version == FORMAT_VERSION, f"unsupported trace version {version!r}")
+    policy, capacity = header.get("policy"), header.get("capacity")
+    stats, entries = header.get("stats", {}), header.get("catalogue")
+    _require(
+        isinstance(policy, str) and policy != "",
+        f"header field 'policy' must be a policy name, got {policy!r}",
+    )
+    _require(
+        _json_type_ok(capacity, int) and capacity >= 1,
+        f"header field 'capacity' must be a positive integer, got {capacity!r}",
+    )
+    _require(
+        isinstance(stats, dict)
+        and all(_json_type_ok(value, float) for value in stats.values()),
+        "header field 'stats' must map names to numbers",
+    )
+    _require(isinstance(entries, dict), "header field 'catalogue' must be a JSON object")
+    for key, entry in entries.items():
+        _require(
+            key.isdecimal()
+            and isinstance(entry, list)
+            and len(entry) == 3
+            and entry[0] in _PAGE_TYPES
+            and _json_type_ok(entry[1], int)
+            and isinstance(entry[2], list)
+            and all(map(_is_mbr, entry[2])),
+            f"catalogue entry {key!r} must be [page type, level, [mbr, ...]]",
+        )
+    catalogue: Catalogue = {
+        int(key): (type_value, level, [tuple(mbr) for mbr in mbrs])
+        for key, (type_value, level, mbrs) in entries.items()
+    }
+    return RecordedTrace(
+        policy=policy, capacity=capacity, catalogue=catalogue, stats=stats
+    )
+
+
+def _parse_event(data: object, catalogue: Catalogue) -> BufferEvent:
+    _require(isinstance(data, dict), "the event is not a JSON object")
+    event = BufferEvent.from_dict(data)
+    _require(
+        event.kind != "fetch" or (event.page_id in catalogue and event.query is not None),
+        "a fetch event needs a catalogued 'page_id' and a 'query'",
+    )
+    return event
 
 
 # ----------------------------------------------------------------------
@@ -191,9 +299,7 @@ def record_run(
         if page_id not in catalogue:
             catalogue_page(catalogue, disk.peek(page_id))
     recorder = TraceRecorder()
-    buffer = BufferManager(disk_from_catalogue(catalogue), capacity, policy)
-    buffer.observer = recorder
-    drive_requests(buffer, requests)
+    buffer = replay_requests(catalogue, requests, policy, capacity, recorder)
     return RecordedTrace(
         policy=policy.name,
         capacity=capacity,
@@ -220,9 +326,9 @@ def replay_recorded(
     if capacity is None:
         capacity = trace.capacity
     recorder = TraceRecorder()
-    buffer = BufferManager(disk_from_catalogue(trace.catalogue), capacity, policy)
-    buffer.observer = recorder
-    drive_requests(buffer, trace.requests())
+    buffer = replay_requests(
+        trace.catalogue, trace.requests(), policy, capacity, recorder
+    )
     return RecordedTrace(
         policy=policy.name,
         capacity=capacity,

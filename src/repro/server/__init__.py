@@ -20,7 +20,6 @@ from repro.server.admission import (
     AdmissionTimeout,
 )
 from repro.server.core import PageServer
-from repro.server.loops import UvloopUnavailable, install_uvloop
 from repro.server.protocol import (
     ErrorCode,
     Op,
@@ -41,6 +40,4 @@ __all__ = [
     "RetryReason",
     "ServerThread",
     "Status",
-    "UvloopUnavailable",
-    "install_uvloop",
 ]

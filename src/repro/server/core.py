@@ -123,21 +123,14 @@ class PageServer:
         self.port = port
         self.page_size = getattr(system.disk, "page_size", page_size)
         self.request_timeout = request_timeout
-        # A controller attached by BufferSystem.build(admission=...) wins;
-        # otherwise the server wires its own from the keyword limits,
-        # exactly as it always has.
-        system_admission = getattr(system, "admission", None)
-        if system_admission is not None:
-            self.admission = system_admission
-        else:
-            self.admission = AdmissionController(
-                max_inflight=max_inflight,
-                max_queued=max_queued,
-                per_client_limit=per_client_limit,
-                queue_timeout=request_timeout,
-                retry_hint_ms=retry_hint_ms,
-                observer=system.observer,
-            )
+        self.admission = AdmissionController(
+            max_inflight=max_inflight,
+            max_queued=max_queued,
+            per_client_limit=per_client_limit,
+            queue_timeout=request_timeout,
+            retry_hint_ms=retry_hint_ms,
+            observer=system.observer,
+        )
         if workers is None:
             shard_count = getattr(system.buffer, "shard_count", 1)
             workers = max(4, min(32, 2 * shard_count))

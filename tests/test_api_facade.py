@@ -304,51 +304,7 @@ class TestBuildVariants:
 
 
 class TestAdmissionFlag:
-    def test_default_attaches_no_controller(self):
-        assert BufferSystem.build().admission is None
-
-    def test_true_attaches_a_controller(self):
-        from repro.server.admission import AdmissionController
-
-        system = BufferSystem.build(admission=True)
-        assert isinstance(system.admission, AdmissionController)
-
-    def test_mapping_forwards_limits(self):
-        system = BufferSystem.build(
-            admission={"max_inflight": 3, "max_queued": 5}
-        )
-        assert system.admission.max_inflight == 3
-        assert system.admission.max_queued == 5
-
-    def test_mapping_rejects_unknown_keys(self):
-        with pytest.raises(TypeError, match="max_parallel"):
-            BufferSystem.build(admission={"max_parallel": 3})
-
-    def test_rejects_wrong_type(self):
-        with pytest.raises(TypeError, match="admission"):
-            BufferSystem.build(admission=7)
-
-    def test_ready_controller_is_adopted(self):
-        from repro.server.admission import AdmissionController
-
-        controller = AdmissionController(max_inflight=2)
-        system = BufferSystem.build(admission=controller)
-        assert system.admission is controller
-
-    def test_snapshot_includes_admission(self):
-        system = BufferSystem.build(admission=True)
-        assert "admission" in system.stats_snapshot()
-        assert "admission" not in BufferSystem.build().stats_snapshot()
-
-    def test_page_server_prefers_the_system_controller(self):
-        from repro.server.core import PageServer
-
-        system = BufferSystem.build(
-            capacity=16, shards=2, admission={"max_inflight": 3}
-        )
-        server = PageServer(system, max_inflight=99)
-        assert server.admission is system.admission
-        assert server.admission.max_inflight == 3
+    """PageServer's own limits are the one way to set admission."""
 
     def test_page_server_builds_its_own_without_one(self):
         from repro.server.core import PageServer

@@ -60,57 +60,6 @@ class TestDatasetCommand:
         assert "world-atlas-like" in capsys.readouterr().out
 
 
-class TestTraceAndReplay:
-    def test_record_then_replay(self, tmp_path, capsys):
-        trace_path = tmp_path / "trace.json"
-        code = main(
-            [
-                "trace",
-                "--set",
-                "U-W-100",
-                "--out",
-                str(trace_path),
-                "--objects",
-                "3000",
-                "--queries",
-                "30",
-            ]
-        )
-        assert code == 0
-        assert trace_path.exists()
-        assert "recorded" in capsys.readouterr().out
-
-        code = main(
-            ["replay", str(trace_path), "--policy", "ASB", "--capacity", "24"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "ASB @ 24 pages" in out
-        assert "disk reads" in out
-
-    def test_replay_all_policies_accepted(self, tmp_path, capsys):
-        trace_path = tmp_path / "trace.json"
-        main(
-            [
-                "trace",
-                "--out",
-                str(trace_path),
-                "--objects",
-                "2000",
-                "--queries",
-                "15",
-            ]
-        )
-        capsys.readouterr()
-        for policy in sorted(POLICY_FACTORIES):
-            assert (
-                main(["replay", str(trace_path), "--policy", policy]) == 0
-            ), policy
-        assert capsys.readouterr().out.count("disk reads") == len(
-            POLICY_FACTORIES
-        )
-
-
 class TestEventsCommand:
     def _record(self, tmp_path, policy="ASB"):
         path = tmp_path / "events.jsonl"
@@ -153,6 +102,58 @@ class TestEventsCommand:
         # Different policy: no determinism verdict is claimed.
         assert "deterministic replay" not in out
 
+    def test_replay_all_policies_accepted(self, tmp_path, capsys):
+        path = self._record(tmp_path)
+        capsys.readouterr()
+        for policy in sorted(POLICY_FACTORIES):
+            argv = ["events", "replay", str(path), "--policy", policy, "--capacity", "16"]
+            assert main(argv) == 0, policy
+            assert capsys.readouterr().out.startswith(f"{policy} @ 16 pages: "), policy
+
+    @pytest.mark.parametrize("name", ["NOPE", "INT-W-0", "U-W-x", "S"])
+    def test_record_rejects_a_malformed_set_at_parse_time(self, name, monkeypatch, capsys):
+        monkeypatch.setattr(
+            cli, "_cmd_events_record", lambda args: pytest.fail("recorded a bad set")
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["events", "record", "--set", name, "--out", "t.jsonl"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --set: " in err and repr(name) in err
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            pytest.param(None, "No such file or directory", id="missing-file"),
+            pytest.param("", "empty trace file", id="empty"),
+            pytest.param("{not json\n", "line 1: ", id="not-json"),
+            pytest.param(
+                '{"format": "repro-obs-trace", "version": 1, "capacity": 4, '
+                '"catalogue": {}}\n',
+                "line 1: header field 'policy'",
+                id="no-policy",
+            ),
+            pytest.param(
+                '{"format": "repro-obs-trace", "version": 1, "policy": "LRU", '
+                '"capacity": 0, "catalogue": {}}\n',
+                "line 1: header field 'capacity'",
+                id="zero-capacity",
+            ),
+            pytest.param(
+                '{"format": "repro-obs-trace", "version": 1, "policy": "LRU", '
+                '"capacity": 4, "catalogue": {}}\n\n{"kind": "hit"}\n',
+                "line 3: event field 'clock'",
+                id="event-without-clock",
+            ),
+        ],
+    )
+    def test_replay_of_a_malformed_file_exits_2(self, text, reason, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        assert main(["events", "replay", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"repro: {path}: {reason}")
+
 
 class TestCountOptions:
     """Every count option rejects zero and negatives at parse time."""
@@ -169,12 +170,6 @@ class TestCountOptions:
             pytest.param(["figure", "14", "--objects", "0"], id="figure-objects"),
             pytest.param(["figure", "14", "--queries", "0"], id="figure-queries"),
             pytest.param(["dataset", "db1", "--objects", "-3"], id="dataset-objects"),
-            pytest.param(["trace", "--out", "t.json", "--objects", "0"],
-                         id="trace-objects"),
-            pytest.param(["trace", "--out", "t.json", "--queries", "-1"],
-                         id="trace-queries"),
-            pytest.param(["replay", "missing.json", "--capacity", "0"],
-                         id="replay-capacity"),
             pytest.param(["events", "record", "--out", "t.jsonl", "--capacity", "0"],
                          id="events-record-capacity"),
             pytest.param(["events", "record", "--out", "t.jsonl", "--objects", "-2"],

@@ -13,7 +13,7 @@ from repro.experiments.analysis import (
     profile_trace,
     stack_distances,
 )
-from repro.experiments.trace import AccessTrace, replay_trace, record_trace
+from repro.obs.trace import AccessTrace, record_trace, replay_requests
 
 
 def trace_of(reference_ids, queries=None):
@@ -73,7 +73,9 @@ class TestLruMissCurve:
         """The analytic curve must equal an actual LRU simulation."""
         trace = trace_of(references)
         curve = lru_miss_curve(trace, capacity)
-        simulated = replay_trace(trace, LRU(), capacity).misses
+        simulated = replay_requests(
+            trace.catalogue, trace.references, LRU(), capacity
+        ).stats.misses
         assert curve[capacity - 1] == simulated
 
 
@@ -103,7 +105,9 @@ class TestOpt:
         trace = trace_of(references)
         bound = opt_misses(trace, capacity)
         for name in policy_names():
-            misses = replay_trace(trace, make_policy(name), capacity).misses
+            misses = replay_requests(
+                trace.catalogue, trace.references, make_policy(name), capacity
+            ).stats.misses
             assert misses >= bound, name
 
     @settings(max_examples=30, deadline=None)

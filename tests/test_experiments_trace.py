@@ -1,4 +1,4 @@
-"""Tests for trace recording and trace-driven replay."""
+"""Tests for recording a query set's reference string and replaying it."""
 
 from __future__ import annotations
 
@@ -9,12 +9,11 @@ from repro.buffer.policies.lru import LRU
 from repro.buffer.policies.lru_k import LRUK
 from repro.buffer.policies.spatial import SpatialPolicy
 from repro.experiments.harness import replay
-from repro.experiments.trace import (
-    AccessTrace,
-    record_trace,
-    replay_trace,
-    trace_disk,
-)
+from repro.obs.trace import AccessTrace, record_trace, replay_requests
+
+
+def replay_stats(trace, policy, capacity):
+    return replay_requests(trace.catalogue, trace.references, policy, capacity).stats
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +33,7 @@ class TestRecording:
     def test_trace_structure(self, recorded):
         database, query_set, trace = recorded
         assert len(trace) > 0
-        assert trace.query_count == len(query_set)
+        assert {query for _, query in trace.references} == set(range(len(query_set)))
         assert trace.distinct_pages <= database.page_count
 
     def test_every_reference_catalogued(self, recorded):
@@ -61,48 +60,20 @@ class TestReplayFidelity:
         the property that makes traces a valid experimental shortcut."""
         database, query_set, trace = recorded
         live = replay(database.tree, query_set, policy_factory(), 24).stats
-        traced = replay_trace(trace, policy_factory(), 24)
+        traced = replay_stats(trace, policy_factory(), 24)
         assert traced.misses == live.misses
         assert traced.hits == live.hits
         assert traced.requests == live.requests
 
     def test_replay_capacity_matters(self, recorded):
         _, _, trace = recorded
-        small = replay_trace(trace, LRU(), 8)
-        large = replay_trace(trace, LRU(), 64)
+        small = replay_stats(trace, LRU(), 8)
+        large = replay_stats(trace, LRU(), 64)
         assert large.misses <= small.misses
 
 
 class TestPersistence:
-    def test_roundtrip_dict(self, recorded):
-        _, _, trace = recorded
-        clone = AccessTrace.from_dict(trace.to_dict())
-        assert clone.references == trace.references
-        assert clone.catalogue == trace.catalogue
-
-    def test_roundtrip_file(self, recorded, tmp_path):
-        _, _, trace = recorded
-        path = tmp_path / "trace.json"
-        trace.save(path)
-        loaded = AccessTrace.load(path)
-        assert loaded.references == trace.references
-        before = replay_trace(trace, LRU(), 16).misses
-        after = replay_trace(loaded, LRU(), 16).misses
-        assert before == after
-
-    def test_trace_disk_rebuilds_pages(self, recorded):
-        _, _, trace = recorded
-        disk = trace_disk(trace)
-        assert len(disk) == trace.distinct_pages
-        sample_id = next(iter(trace.catalogue))
-        page = disk.peek(sample_id)
-        type_value, level, mbrs = trace.catalogue[sample_id]
-        assert page.page_type.value == type_value
-        assert page.level == level
-        assert len(page.entries) == len(mbrs)
-
     def test_empty_trace(self):
         trace = AccessTrace()
-        assert trace.query_count == 0
-        stats = replay_trace(trace, LRU(), 4)
-        assert stats.requests == 0
+        assert len(trace) == 0 and trace.distinct_pages == 0
+        assert replay_stats(trace, LRU(), 4).requests == 0

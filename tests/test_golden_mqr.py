@@ -25,8 +25,8 @@ import pytest
 from repro.buffer.policies import ASB, LRU
 from repro.datasets.places import synthetic_places
 from repro.datasets.synthetic import us_mainland_like_stream
-from repro.experiments.trace import AccessTrace, record_trace, trace_disk
 from repro.obs import RecordedTrace, record_run, replay_recorded
+from repro.obs.trace import AccessTrace, disk_from_catalogue, record_trace
 from repro.sam.mqr import MqrTree
 from repro.workloads.sets import make_query_set
 
@@ -67,7 +67,10 @@ def canonical_trace() -> AccessTrace:
 def record_canonical(name: str) -> RecordedTrace:
     trace = canonical_trace()
     return record_run(
-        trace.references, trace_disk(trace), GOLDEN_POLICIES[name](), CAPACITY
+        trace.references,
+        disk_from_catalogue(trace.catalogue),
+        GOLDEN_POLICIES[name](),
+        CAPACITY,
     )
 
 

@@ -7,6 +7,7 @@ JSON-lines trace persistence with deterministic replay.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -338,3 +339,70 @@ class TestRecordedTrace:
         )
         fetches = recorded.events_of("fetch")
         assert len(fetches) == int(recorded.stats["requests"])
+
+    #: A valid one-page header and fetch; each case below breaks one field.
+    HEADER = {
+        "format": "repro-obs-trace",
+        "version": 1,
+        "policy": "LRU",
+        "capacity": 4,
+        "stats": {"requests": 1},
+        "catalogue": {"0": ["data", 0, [[0.0, 0.0, 1.0, 1.0]]]},
+    }
+    FETCH = {"kind": "fetch", "clock": 1, "page_id": 0, "query": 1}
+
+    @pytest.mark.parametrize(
+        "header, event, match",
+        [
+            ({"policy": None}, {}, "^line 1: header field 'policy'"),
+            ({"policy": 7}, {}, "^line 1: header field 'policy'"),
+            ({"capacity": 0}, {}, "^line 1: header field 'capacity'"),
+            ({"capacity": "4"}, {}, "^line 1: header field 'capacity'"),
+            ({"stats": {"hits": "many"}}, {}, "^line 1: header field 'stats'"),
+            ({"catalogue": None}, {}, "^line 1: header field 'catalogue'"),
+            ({"catalogue": {"0": ["leaf", 0, []]}}, {}, "^line 1: catalogue entry '0'"),
+            ({"catalogue": {"0": ["data", 0, [[0, 1]]]}}, {}, "^line 1: catalogue entry '0'"),
+            ({"catalogue": {"x": ["data", 0, []]}}, {}, "^line 1: catalogue entry 'x'"),
+            ({}, {"clock": None}, "^line 2: event field 'clock'"),
+            ({}, {"clock": "1"}, "^line 2: event field 'clock'"),
+            ({}, {"kind": "teleport"}, "^line 2: event field 'kind'"),
+            ({}, {"page_id": "0"}, "^line 2: event field 'page_id'"),
+            ({}, {"colour": "red"}, "^line 2: unknown event field 'colour'"),
+            ({}, {"page_id": 9}, "^line 2: a fetch event needs a catalogued"),
+        ],
+        ids=[
+            "no-policy", "int-policy", "zero-capacity", "string-capacity",
+            "text-stats", "no-catalogue", "bad-page-type", "short-mbr",
+            "bad-page-id", "no-clock", "string-clock", "unknown-kind",
+            "string-page-id", "unknown-field", "uncatalogued-fetch",
+        ],
+    )
+    def test_malformed_file_raises_value_error_naming_the_line(
+        self, header, event, match
+    ):
+        header = {
+            key: value
+            for key, value in {**self.HEADER, **header}.items()
+            if value is not None
+        }
+        event = {
+            key: value
+            for key, value in {**self.FETCH, **event}.items()
+            if value is not None
+        }
+        text = json.dumps(header) + "\n" + json.dumps(event) + "\n"
+        with pytest.raises(ValueError, match=match):
+            RecordedTrace.from_jsonl(text)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("[1, 2]\n", "^line 1: the header is not a JSON object"),
+            ('{"format": "repro-obs-trace", "version": 1, "policy": "LRU", '
+             '"capacity": 1, "catalogue": {}}\n\n{"kind"\n', "^line 3: "),
+        ],
+        ids=["list-header", "truncated-event"],
+    )
+    def test_malformed_json_names_the_line(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            RecordedTrace.from_jsonl(text)

@@ -47,7 +47,7 @@ def _record_production_day() -> RecordedTrace:
     from repro.client import PageClient, RetryAfter
     from repro.datasets.places import synthetic_places
     from repro.datasets.synthetic import us_mainland_like_stream
-    from repro.experiments.trace import record_trace
+    from repro.obs.trace import record_trace
     from repro.sam.mqr import MqrTree
     from repro.server import ServerThread
     from repro.storage import seed_page
@@ -182,20 +182,16 @@ class TestProductionDayTrace:
         assert stats["hits"] + stats["misses"] == stats["requests"]
 
     def test_buffer_system_replay_reads_the_fixture(self):
-        """The fixture's catalogue backs a full ``BufferSystem`` under any
-        policy, and every request of the day is served."""
-        from repro.api import BufferSystem
-        from repro.obs.trace import disk_from_catalogue, drive_requests
+        """The fixture's catalogue backs a buffer under any policy, every
+        request of the day is served, and every miss reads the disk."""
+        from repro.obs.trace import replay_requests
 
         trace = RecordedTrace.load(FIXTURE)
         for policy in ("LRU", "ASB"):
-            with BufferSystem.build(
-                policy=policy,
-                capacity=trace.capacity,
-                disk=disk_from_catalogue(trace.catalogue),
-            ) as system:
-                drive_requests(system.buffer, trace.requests())
-                stats = system.buffer.stats
-                assert stats.requests == len(trace.requests())
-                assert stats.hits + stats.misses == stats.requests
-                assert system.disk.stats.reads == stats.misses
+            buffer = replay_requests(
+                trace.catalogue, trace.requests(), make_policy(policy), trace.capacity
+            )
+            stats = buffer.stats
+            assert stats.requests == len(trace.requests())
+            assert stats.hits + stats.misses == stats.requests
+            assert buffer.disk.stats.reads == stats.misses
