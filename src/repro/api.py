@@ -417,8 +417,9 @@ class ClusterSystem:
 
         Nodes always get the thread-safe
         :class:`~repro.buffer.concurrent.ConcurrentBufferManager`
-        (``shards=None`` builds one shard): every node serves requests
-        from a worker pool, so the sequential core is never safe here.
+        (``shards=None`` builds one shard): every data node serves
+        requests from a worker pool (its ``FarProbeDisk`` may block), so
+        the sequential core is never safe here.
         """
         from repro.cluster import (
             ClusterNodeConfig,

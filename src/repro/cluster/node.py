@@ -199,6 +199,12 @@ class FarProbeDisk:
     read.
     """
 
+    #: A probe is a network round-trip to the far node, whose answer the
+    #: node's own event loop delivers: it must never run on that loop.  A
+    #: class attribute, so that ``__getattr__`` never forwards the inner
+    #: disk's answer.
+    may_block = True
+
     def __init__(self, inner: object) -> None:
         self._inner = inner
         self._probe: Optional[Callable[[int], Optional[bytes]]] = None

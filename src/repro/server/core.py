@@ -7,22 +7,35 @@ PIN / UNPIN / COMMIT / STATS against any :class:`~repro.api.BufferSystem`.
 Execution model
 ===============
 
-The event loop owns connections, framing and admission; the buffer work
-itself is blocking (the concurrent buffer manager synchronises with
-plain locks), so every admitted request runs on a small thread pool via
-``run_in_executor``.  Per-connection **pipelining** falls out of the
-design: the reader loop spawns one task per frame and never waits for
-the previous request, responses are written in completion order and
-matched by request id.
+The event loop owns connections, framing and admission.  Where an
+admitted request's buffer work runs depends on the media it can touch
+(:func:`_may_block`, read per request): the buffer's read disk, the
+system's write-back disk and, with durability attached, the WAL's byte
+store.  Each says whether an access may block (``may_block``):
+
+* all in memory (``SimulatedDisk``, ``DurableDisk`` and WAL over
+  ``MemoryByteStore`` — what ``repro serve`` builds): nothing can block,
+  so the request runs on the event loop itself; a hop to a worker thread
+  would only cost CPU in a process the GIL already serialises;
+* anything else (``FileByteStore``, ``FileDisk``, ``DelayedDisk``, the
+  cluster's ``FarProbeDisk``, an armed transient failure whose retry
+  sleeps, or a medium without the attribute): the request runs on a
+  small thread pool via ``run_in_executor``, so a slow medium never
+  stalls the loop.
+
+Per-connection **pipelining** falls out of the design: the reader loop
+spawns one task per frame and never waits for the previous request,
+responses are written in completion order and matched by request id.
 
 Overload never queues unboundedly: the :class:`AdmissionController`
 bounds both in-flight and queued requests, rejects the rest with
 ``RETRY_AFTER``, enforces per-client quotas, and times out stale
-waiters.  ``request_timeout`` additionally bounds *execution*: a request
-that exceeds it is answered with ``ERROR/TIMEOUT``, and its admission
-slot is returned only when the blocking work actually finishes (a stuck
-disk keeps its slot occupied — which is exactly the backpressure a
-healthy server wants).
+waiters.  ``request_timeout`` additionally bounds the *execution* of
+pooled work: a request that exceeds it is answered with
+``ERROR/TIMEOUT``, and its admission slot is returned only when the
+blocking work actually finishes (a stuck disk keeps its slot occupied —
+which is exactly the backpressure a healthy server wants).  It cannot
+fire for a request run on the loop, which cannot stall.
 
 Shutdown is a graceful drain: stop accepting, bounce new requests with
 ``RETRY_AFTER/SHUTTING_DOWN``, wait for the in-flight tail, then flush
@@ -70,6 +83,23 @@ if TYPE_CHECKING:
     from repro.api import BufferSystem
 
 
+def _may_block(system: "BufferSystem") -> bool:
+    """Whether one request on ``system`` may block the thread it runs on.
+
+    A request reads through the buffer's disk, writes dirty pages back
+    through the system's disk (``flush_to`` on the WAL first) and, on
+    ``COMMIT``, may fsync the WAL's store.  A medium without ``may_block``
+    counts as blocking.  Read per request: callers swap
+    ``system.buffer.disk`` after the build.
+    """
+    if getattr(system.buffer.disk, "may_block", True):
+        return True
+    if getattr(system.disk, "may_block", True):
+        return True
+    durability = system.durability
+    return durability is not None and getattr(durability.wal.store, "may_block", True)
+
+
 class _Connection:
     """Per-connection state: writer, write lock, client id."""
 
@@ -89,7 +119,13 @@ class _Connection:
 
 
 class PageServer:
-    """Serve a :class:`~repro.api.BufferSystem` over TCP."""
+    """Serve a :class:`~repro.api.BufferSystem` over TCP.
+
+    An admitted request runs on the event loop when none of its media may
+    block, and on a pool of ``workers`` threads otherwise (see the module
+    docstring).  ``request_timeout`` bounds queueing and pooled execution;
+    it cannot fire for a request run on the loop, which cannot stall.
+    """
 
     #: Opcodes this server implements.  The cluster-plane opcodes decode
     #: as valid :class:`Op` members but a single-node server must answer
@@ -371,41 +407,49 @@ class PageServer:
         request_id: int,
         payload: bytes,
     ) -> bytes:
-        """Run the blocking buffer work on the pool; build the response.
+        """Run one admitted request's buffer work; build the response.
 
-        The admission slot is released exactly once: normally when the
-        work finishes, or — after an execution timeout — by a done
-        callback when the stuck work eventually returns (the slot stays
-        occupied meanwhile, which is deliberate backpressure).
+        A request whose media cannot block (:func:`_may_block`) runs right
+        here on the event loop, because the pool hop would only cost CPU;
+        any other runs on the worker pool.  The admission slot is released
+        exactly once: normally when the work finishes, or — after an
+        execution timeout of pooled work — by a done callback when the
+        stuck work eventually returns (the slot stays occupied meanwhile,
+        which is deliberate backpressure).
         """
-        loop = asyncio.get_running_loop()
         client_id = connection.client_id
-        assert self._pool is not None
-        future = loop.run_in_executor(
-            self._pool, self._run_operation, operation, payload
-        )
         try:
-            if self.request_timeout is None:
-                result = await future
+            if not _may_block(self.system):
+                result = self._run_operation(operation, payload)
             else:
-                result = await asyncio.wait_for(
-                    asyncio.shield(future), self.request_timeout
+                assert self._pool is not None
+                future = asyncio.get_running_loop().run_in_executor(
+                    self._pool, self._run_operation, operation, payload
                 )
-        except asyncio.TimeoutError:
-            self.admission._emit("req_timeout", client_id, self.admission.inflight)
-            self.admission.timeouts += 1
+                try:
+                    if self.request_timeout is None:
+                        result = await future
+                    else:
+                        result = await asyncio.wait_for(
+                            asyncio.shield(future), self.request_timeout
+                        )
+                except asyncio.TimeoutError:
+                    self.admission._emit(
+                        "req_timeout", client_id, self.admission.inflight
+                    )
+                    self.admission.timeouts += 1
 
-            def _release_when_done(done: "asyncio.Future") -> None:
-                done.exception()  # consume, avoid "never retrieved"
-                self.admission.release(client_id)
+                    def _release_when_done(done: "asyncio.Future") -> None:
+                        done.exception()  # consume, avoid "never retrieved"
+                        self.admission.release(client_id)
 
-            future.add_done_callback(_release_when_done)
-            self.responses_error += 1
-            return encode_error(
-                request_id,
-                ErrorCode.TIMEOUT,
-                f"request exceeded {self.request_timeout}s",
-            )
+                    future.add_done_callback(_release_when_done)
+                    self.responses_error += 1
+                    return encode_error(
+                        request_id,
+                        ErrorCode.TIMEOUT,
+                        f"request exceeded {self.request_timeout}s",
+                    )
         except BufferFullError as exc:
             self.admission.release(client_id)
             self.responses_retry += 1
@@ -458,7 +502,7 @@ class PageServer:
             return encode_response(Status.OK, request_id, result)
 
     def _run_operation(self, operation: Op, payload: bytes):
-        """The blocking buffer work of one request (worker-thread side).
+        """The buffer work of one request (loop or worker thread).
 
         Returns the OK payload: ``bytes`` for the single-page operations,
         a buffer *list* for the batched ones (written via ``writelines``).

@@ -54,6 +54,21 @@ class FailureInjectionMixin:
     fail_writes: set[PageId]
     _transient_failures: dict[tuple[str, PageId], int]
 
+    #: Whether the medium itself may block the calling thread.  True by
+    #: default (a file, a socket); subclasses over memory set it ``False``.
+    _medium_blocks: bool = True
+
+    @property
+    def may_block(self) -> bool:
+        """Whether an access may block the calling thread.
+
+        True for a blocking medium, and while a transient failure is
+        armed: the write-back path retries it through
+        :class:`~repro.storage.retry.RetryingDisk`, which sleeps before
+        each retry.  A permanent failure raises without sleeping.
+        """
+        return self._medium_blocks or bool(self._transient_failures)
+
     def _init_failure_injection(self) -> None:
         self.fail_reads = set()
         self.fail_writes = set()
@@ -130,6 +145,8 @@ class SimulatedDisk(FailureInjectionMixin):
     not serialisation.  Callers that need copy-on-write semantics (none in
     this library) would layer them on top.
     """
+
+    _medium_blocks = False
 
     def __init__(self, latency: LatencyModel | None = None) -> None:
         self._pages: dict[PageId, Page] = {}
@@ -213,8 +230,13 @@ class DelayedDisk:
     overlap (overload probes, the cluster scaling sweep).  ``spin=True``
     busy-waits instead: at SSD-class latencies (~100 µs, ``bench
     tuning``) the scheduler's sleep granularity would overshoot the
-    delay several times over.  Everything but ``read`` is forwarded.
+    delay several times over.  Everything but ``read`` and ``may_block``
+    is forwarded.
     """
+
+    #: Every read waits.  A class attribute, so that ``__getattr__`` never
+    #: forwards the wrapped disk's answer.
+    may_block = True
 
     def __init__(self, inner: Any, delay_s: float, spin: bool = False) -> None:
         self._inner = inner

@@ -10,6 +10,11 @@ written here stays.  Two implementations share the surface:
   (the crash-recovery property) a one-liner;
 * :class:`FileByteStore` — a real file with seek/write/fsync, so a WAL or
   durable disk can genuinely outlive the process.
+
+Each says whether an access may block the calling thread (``may_block``);
+the page server runs a request on its event loop only when no medium the
+request can touch may block, and counts a store without the attribute as
+blocking.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ class MemoryByteStore:
     on an image, it reads the image's ``bytes`` in place and copies them on
     its first write: a log that recovery only scans costs no second copy."""
 
+    may_block = False
+
     def __init__(self, initial: bytes = b"") -> None:
         self._buffer = initial if initial and type(initial) is bytes else bytearray(initial)
 
@@ -66,6 +73,8 @@ class MemoryByteStore:
 
 class FileByteStore:
     """A file-backed medium; ``sync`` is a real flush + ``os.fsync``."""
+
+    may_block = True
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)

@@ -83,6 +83,11 @@ class DurableDisk(FailureInjectionMixin):
         self._verified = VerifiedPages()
         self._scan_existing()
 
+    @property
+    def _medium_blocks(self) -> bool:
+        """The byte store answers; one without ``may_block`` may block."""
+        return getattr(self.store_backend, "may_block", True)
+
     def _scan_existing(self) -> None:
         """Rebuild the live-page set from the medium (reopen/recovery)."""
         from repro.storage.serialization import MAGIC

@@ -9,6 +9,7 @@ overflow, and the drain-on-shutdown durability guarantee.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import random
 import socket
 import struct
@@ -47,10 +48,12 @@ from repro.server.protocol import (
     read_frame,
 )
 from repro.storage import DelayedDisk, seed_page, serialization
+from repro.storage.disk import SimulatedDisk, TransientDiskError
 from repro.storage.page import Page, PageEntry, PageType
-from repro.wal.bytestore import MemoryByteStore
+from repro.wal.bytestore import FileByteStore, MemoryByteStore
 from repro.wal.durable import DurableDisk
 from repro.wal.log import WriteAheadLog
+from repro.wal.manager import DurabilityManager
 from repro.wal.recovery import replay_durable_prefix
 from tests.test_storage_serialization import damaged_slots, outcome
 
@@ -722,3 +725,135 @@ class TestPackedEndToEnd:
             assert outcome(client.fetch, 7) == expected
             if len(damaged) == PAGE_SIZE:  # a batch reply is whole slots
                 assert outcome(lambda: client.fetch_many([7])[0]) == expected
+
+
+class _BareStore:
+    """A byte store that does not say whether it may block."""
+
+    def __init__(self) -> None:
+        self._inner = MemoryByteStore()
+        self.read_at = self._inner.read_at
+        self.write_at = self._inner.write_at
+        self.size = self._inner.size
+        self.sync = self._inner.sync
+        self.image = self._inner.image
+
+
+def _seeded(disk, durability=None) -> BufferSystem:
+    system = BufferSystem.build(
+        policy="LRU", capacity=8, disk=disk, durability=durability, page_size=PAGE_SIZE
+    )
+    for page_id in range(32):
+        system.disk.store(seed_page(page_id))
+    return system
+
+
+def _delayed_reads() -> BufferSystem:
+    system = durable_system()
+    system.buffer.disk = DelayedDisk(system.disk, 0.01)
+    return system
+
+
+def _file_wal(tmp_path, closing: contextlib.ExitStack) -> BufferSystem:
+    disk = DurableDisk(page_size=PAGE_SIZE)
+    wal = WriteAheadLog(closing.enter_context(FileByteStore(tmp_path / "wal.bin")))
+    return _seeded(disk, DurabilityManager(disk, wal))
+
+
+class TestWhereRequestsRun:
+    """Thread identity, no timing: an admitted request runs on the event
+    loop when none of the media it can touch may block, and on a
+    ``page-server`` pool thread otherwise."""
+
+    OPS = ("FETCH", "FETCH_MANY", "UPDATE_MANY", "COMMIT", "PIN", "UNPIN")
+
+    SYSTEMS = {
+        "simulated-disk": lambda *_: _seeded(SimulatedDisk()),
+        "memory-durable": lambda *_: durable_system(),
+        "delayed-read-disk": lambda *_: _delayed_reads(),
+        "store-without-attribute": lambda *_: _seeded(
+            DurableDisk(_BareStore(), page_size=PAGE_SIZE), durability=True
+        ),
+        "file-wal-memory-pages": _file_wal,
+    }
+
+    @staticmethod
+    async def each_op(client: AsyncPageClient) -> None:
+        await client.fetch(1)
+        await client.fetch_many([2, 3])
+        await client.update_many([seed_page(4, 44)])
+        await client.commit()
+        await client.pin(5)
+        await client.unpin(5)
+
+    @classmethod
+    def serve(cls, system: BufferSystem, *between) -> list[dict[str, str]]:
+        """Serve every op once per round, running ``between[i]`` after
+        round ``i``; per round, where each op ran: "loop" or "pool"."""
+        server = PageServer(system, page_size=PAGE_SIZE)
+        run, seen = server._run_operation, {}
+
+        def spy(operation, payload):
+            seen[operation.name] = threading.current_thread()
+            return run(operation, payload)
+
+        server._run_operation = spy
+        rounds = []
+
+        def place(thread, loop_thread) -> str:
+            if thread is loop_thread:
+                return "loop"
+            return "pool" if thread.name.startswith("page-server_") else thread.name
+
+        async def scenario() -> None:
+            await server.start()
+            client = await AsyncPageClient.connect(
+                server.host, server.port, page_size=PAGE_SIZE
+            )
+            try:
+                for step in (*between, None):
+                    seen.clear()
+                    await cls.each_op(client)
+                    loop_thread = threading.current_thread()
+                    rounds.append({op: place(t, loop_thread) for op, t in seen.items()})
+                    if step is not None:
+                        step()
+            finally:
+                await client.close()
+                await server.stop()
+
+        asyncio.run(scenario())
+        return rounds
+
+    @pytest.mark.parametrize(
+        "media, place",
+        [
+            ("simulated-disk", "loop"),
+            ("memory-durable", "loop"),
+            ("delayed-read-disk", "pool"),
+            ("store-without-attribute", "pool"),
+            ("file-wal-memory-pages", "pool"),
+        ],
+    )
+    def test_each_op_runs_where_its_media_allow(self, media, place, tmp_path):
+        with contextlib.ExitStack() as closing:
+            system = self.SYSTEMS[media](tmp_path, closing)
+            assert server_core._may_block(system) is (place == "pool")
+            assert self.serve(system) == [dict.fromkeys(self.OPS, place)]
+
+    def test_an_armed_transient_failure_keeps_the_pool_until_spent(self):
+        """The write-back path retries a transient failure through
+        RetryingDisk, which sleeps: while one is armed, the pool serves."""
+        system = durable_system()
+        system.disk.fail_transiently(9, "write")
+        assert system.disk.may_block
+
+        def spend() -> None:
+            with pytest.raises(TransientDiskError):
+                system.disk.write(seed_page(9))
+            assert not system.disk.may_block
+
+        assert self.serve(system, spend) == [
+            dict.fromkeys(self.OPS, "pool"),
+            dict.fromkeys(self.OPS, "loop"),
+        ]
