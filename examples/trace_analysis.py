@@ -23,7 +23,7 @@ from repro.experiments.analysis import (
     profile_trace,
 )
 from repro.experiments.plots import line_chart
-from repro.obs.trace import record_trace, replay_requests
+from repro.obs.trace import disk_from_catalogue, record_trace, replay_requests
 from repro.workloads.sets import make_query_set
 
 N_OBJECTS = 25_000
@@ -58,6 +58,7 @@ def main() -> None:
     print(f"\nat {capacity} pages (4.7% of the tree):")
     print(f"{'policy':<8} {'misses':>7} {'above OPT':>10}")
     print(f"{'OPT':<8} {optimum:>7} {'--':>10}")
+    disk = disk_from_catalogue(trace.catalogue)
     for name, factory in {
         "LRU": LRU,
         "LRU-2": lambda: LRUK(k=2),
@@ -65,7 +66,7 @@ def main() -> None:
         "ASB": ASB,
     }.items():
         misses = replay_requests(
-            trace.catalogue, trace.references, factory(), capacity
+            disk, trace.references, factory(), capacity
         ).stats.misses
         print(f"{name:<8} {misses:>7} {misses / optimum - 1:>+9.1%}")
 

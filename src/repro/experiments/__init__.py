@@ -1,8 +1,10 @@
 """The experiment harness.
 
 Rebuilds the paper's evaluation: construct a database (synthetic dataset +
-R*-tree), replay a named query set against a fresh buffer per policy, and
-report the relative performance gain over LRU — the paper's metric
+R*-tree), record a named query set's reference string once
+(:meth:`Database.trace`), replay it against a fresh buffer per policy and
+size (:func:`~repro.experiments.harness.run_grid`), and report the
+relative performance gain over LRU — the paper's metric
 ``|disk accesses of LRU| / |disk accesses of policy| - 1``.
 """
 
@@ -11,7 +13,6 @@ from repro.experiments.harness import (
     Database,
     build_database,
     buffer_capacity,
-    compare_policies,
     gain,
     replay,
 )
@@ -28,7 +29,6 @@ __all__ = [
     "Database",
     "build_database",
     "buffer_capacity",
-    "compare_policies",
     "gain",
     "replay",
     "format_gain",

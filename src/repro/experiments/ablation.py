@@ -23,10 +23,10 @@ from repro.experiments.harness import (
     buffer_capacity,
     grid_rows,
     lru_gain_rows,
-    replay,
     replay_mixed,
     run_grid,
 )
+from repro.obs.trace import replay_requests
 from repro.sam.gridfile import GridFile
 from repro.sam.rstar import RStarTree
 from repro.storage.objects import build_tree_with_objects
@@ -241,29 +241,14 @@ def ablation_opt_gap(
     barely beats LRU, no replacement cleverness can pay off.
     """
     from repro.experiments.analysis import opt_misses
-    from repro.obs.trace import record_trace, replay_requests
 
     database = setup.db1
     capacity = buffer_capacity(database, buffer_fraction)
-    traces = {
-        set_name: record_trace(
-            database.tree,
-            database.query_set(set_name, setup.n_queries, setup.seed),
-        )
-        for set_name in sets
-    }
-    cells = run_grid(
-        setup,
-        FOUR_POLICIES,
-        traces,
-        (buffer_fraction,),
-        measure=lambda index, trace, policy, capacity: replay_requests(
-            trace.catalogue, trace.references, policy, capacity
-        ).stats.misses,
-    )
+    cells = run_grid(setup, FOUR_POLICIES, sets, (buffer_fraction,))
     rows: list[list[object]] = []
     for cell in cells:
-        optimum = opt_misses(traces[cell.set], capacity)
+        trace = database.trace(cell.set, setup.n_queries, setup.seed)
+        optimum = opt_misses(trace, capacity)
         gaps = [
             f"+{(misses / optimum - 1) * 100:.1f}%" for misses in cell.counts.values()
         ]
@@ -288,35 +273,33 @@ def ablation_io_time(
     structurally close pages together preserve more sequentiality, so the
     time ranking can differ from the pure access-count ranking.
     """
-
-    def io_profile(index, query_set, policy, capacity) -> tuple[int, int, float]:
-        stats = index.pagefile.disk.stats
-        reads_before = stats.reads
-        sequential_before = stats.sequential_reads
-        elapsed_before = stats.elapsed_ms
-        replay(index, query_set, policy, capacity)
-        return (
-            stats.reads - reads_before,
-            stats.sequential_reads - sequential_before,
-            stats.elapsed_ms - elapsed_before,
-        )
-
-    cells = run_grid(
-        setup, FOUR_POLICIES, ABLATION_SETS, (buffer_fraction,), measure=io_profile
-    )
+    database = setup.db1
+    disk = database.tree.pagefile.disk
+    stats = disk.stats
+    capacity = buffer_capacity(database, buffer_fraction)
+    rows: list[list[object]] = []
+    for set_name in ABLATION_SETS:
+        trace = database.trace(set_name, setup.n_queries, setup.seed)
+        for name, factory in FOUR_POLICIES.items():
+            reads_before = stats.reads
+            sequential_before = stats.sequential_reads
+            elapsed_before = stats.elapsed_ms
+            replay_requests(disk, trace.references, factory(), capacity)
+            reads = stats.reads - reads_before
+            sequential = stats.sequential_reads - sequential_before
+            elapsed = stats.elapsed_ms - elapsed_before
+            rows.append(
+                [
+                    set_name,
+                    name,
+                    reads,
+                    f"{sequential / reads:.1%}" if reads else "n/a",
+                    f"{elapsed:.0f} ms",
+                ]
+            )
     return FigureResult(
         figure="Ablation io-time",
         title="Access counts vs simulated I/O time (random 10 ms, seq. 1 ms)",
         headers=["query set", "policy", "reads", "sequential", "sim. time"],
-        rows=[
-            [
-                cell.set,
-                name,
-                reads,
-                f"{sequential / reads:.1%}" if reads else "n/a",
-                f"{elapsed:.0f} ms",
-            ]
-            for cell in cells
-            for name, (reads, sequential, elapsed) in cell.counts.items()
-        ],
+        rows=rows,
     )

@@ -10,6 +10,12 @@ The experimental protocol follows Section 3 of the paper:
 * every query runs inside a query scope (its page accesses are correlated);
 * the reported metric is the number of disk accesses, and comparisons use
   the relative gain over LRU.
+
+The queries are read-only, so a query set's page-reference string does not
+depend on the policy or the buffer size: :meth:`Database.trace` records it
+once, and :func:`run_grid` replays every (size, policy) cell from it over
+the index's own disk.  :func:`replay` runs a query set live, for checks
+against the trace and for hooks between queries (Figure 14).
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from repro.datasets.synthetic import Dataset
 from repro.sam.base import SpatialIndex
 from repro.sam.rstar import RStarTree
 from repro.experiments.report import format_gain, format_ratio
+from repro.obs.trace import AccessTrace, Catalogue, record_trace, replay_requests
 from repro.workloads.sets import QuerySet, make_query_set
 
 #: A fresh policy per replay — policies bind to one buffer manager.
@@ -47,6 +54,8 @@ class Database:
     tree: RStarTree
     places: list[Place]
     _query_sets: dict[tuple[str, int, int], QuerySet] = field(default_factory=dict)
+    _traces: dict[tuple[str, int, int], AccessTrace] = field(default_factory=dict)
+    _catalogue: Catalogue = field(default_factory=dict)
 
     @property
     def page_count(self) -> int:
@@ -59,6 +68,28 @@ class Database:
         if cached is None:
             cached = make_query_set(name, self.dataset, self.places, count, seed)
             self._query_sets[key] = cached
+        return cached
+
+    def trace(self, name: str, count: int, seed: int = 0) -> AccessTrace:
+        """Record (and cache) the reference string of :meth:`query_set`.
+
+        Recording reads through ``peek``, so it moves no disk counter and
+        no sequential-read marker.  The cache is only right while the tree
+        does not change after a set is recorded: every tree
+        :func:`build_database` builds is read-only from then on, and the
+        update studies build their own.  For the same reason the cached
+        traces share one catalogue entry per page.
+        """
+        key = (name, count, seed)
+        cached = self._traces.get(key)
+        if cached is None:
+            cached = record_trace(self.tree, self.query_set(name, count, seed))
+            shared = self._catalogue
+            cached.catalogue = {
+                page_id: shared.setdefault(page_id, metadata)
+                for page_id, metadata in cached.catalogue.items()
+            }
+            self._traces[key] = cached
         return cached
 
 
@@ -194,45 +225,6 @@ def gain(lru_accesses: int, policy_accesses: int) -> float:
     return lru_accesses / policy_accesses - 1.0
 
 
-def replay_misses(
-    index: SpatialIndex,
-    query_set: QuerySet,
-    policy: ReplacementPolicy,
-    capacity: int,
-) -> int:
-    """Disk accesses (buffer misses) of one replay against a fresh buffer."""
-    return replay(index, query_set, policy, capacity).stats.misses
-
-
-def compare_policies(
-    index: SpatialIndex,
-    query_set: QuerySet,
-    policies: Mapping[str, PolicyFactory],
-    capacity: int,
-) -> dict[str, int]:
-    """Disk accesses (buffer misses) per policy for one query set.
-
-    Each policy replays the identical query sequence against its own fresh
-    buffer, mirroring the paper's cleared-buffer protocol.
-    """
-    return {
-        name: replay_misses(index, query_set, factory(), capacity)
-        for name, factory in policies.items()
-    }
-
-
-def gains_vs_lru(
-    index: SpatialIndex,
-    query_set: QuerySet,
-    policies: Mapping[str, PolicyFactory],
-    capacity: int,
-) -> dict[str, float]:
-    """Relative gains of each policy over a plain LRU buffer."""
-    lru_misses = replay_misses(index, query_set, LRU(), capacity)
-    accesses = compare_policies(index, query_set, policies, capacity)
-    return {name: gain(lru_misses, misses) for name, misses in accesses.items()}
-
-
 # ----------------------------------------------------------------------
 # The grid runner — the protocol above, once, for every figure and study
 # ----------------------------------------------------------------------
@@ -256,17 +248,16 @@ class GridCell:
     #: The relative buffer size as the tables print it, e.g. ``4.7%``.
     buffer: str
     capacity: int
-    #: policy label -> what ``measure`` returned, in replay order.
-    counts: dict[object, object]
+    #: policy label -> disk accesses, in replay order.
+    counts: dict[object, int]
 
 
 def run_grid(
     setup,
     policies: Mapping[object, PolicyFactory],
-    sets: Sequence[str] | Mapping[str, object],
+    sets: Sequence[str],
     fractions: Sequence[float] = (0.047,),
     databases: Sequence[str] | Mapping[str, Database] = ("db1",),
-    measure: Callable[..., object] = replay_misses,
 ) -> list[GridCell]:
     """Database x query set x relative buffer size x policy, in that order.
 
@@ -276,25 +267,25 @@ def run_grid(
     fraction)`` pages.  ``databases`` are keys of ``setup`` (a
     :class:`~repro.experiments.figures.PaperSetup`) or a ``{label:
     Database}`` mapping; ``sets`` are query-set names, built at
-    ``setup.n_queries`` / ``setup.seed``, or a ``{label: workload}`` mapping
-    whose values go to ``measure`` as they are (query lists, traces).
-    ``measure(index, workload, policy, capacity)`` is the per-replay metric,
-    disk accesses unless a study passes its own.  Returns the cells in loop
-    order; :func:`grid_rows` turns them into table rows.
+    ``setup.n_queries`` / ``setup.seed``.  Each set is recorded once
+    (:meth:`Database.trace`) and every cell replays its reference string
+    over the index's own disk, whose pages keep their spatial criteria from
+    one replay to the next.  Returns the cells in loop order;
+    :func:`grid_rows` turns them into table rows.
     """
     if not isinstance(databases, Mapping):
         databases = {key: setup.database(key) for key in databases}
-    if not isinstance(sets, Mapping):
-        sets = dict.fromkeys(sets)
     cells: list[GridCell] = []
     for db_key, database in databases.items():
-        for set_name, workload in sets.items():
-            if workload is None:
-                workload = database.query_set(set_name, setup.n_queries, setup.seed)
+        disk = database.tree.pagefile.disk
+        for set_name in sets:
+            trace = database.trace(set_name, setup.n_queries, setup.seed)
             for fraction in fractions:
                 capacity = buffer_capacity(database, fraction)
                 counts = {
-                    label: measure(database.tree, workload, factory(), capacity)
+                    label: replay_requests(
+                        disk, trace.references, factory(), capacity
+                    ).stats.misses
                     for label, factory in policies.items()
                 }
                 buffer = f"{fraction * 100:.1f}%"

@@ -66,21 +66,21 @@ def disk_from_catalogue(catalogue: Catalogue) -> SimulatedDisk:
 
 
 def replay_requests(
-    catalogue: Catalogue,
+    disk: SimulatedDisk,
     requests: Iterable[tuple[PageId, int]],
     policy: ReplacementPolicy,
     capacity: int,
     observer: EventSink | None = None,
 ) -> BufferManager:
     """Fetch a ``(page_id, query)`` stream through a fresh buffer over
-    :func:`disk_from_catalogue`; returns the buffer.
+    ``disk``; returns the buffer.
 
+    ``disk`` is the index's own disk for a string recorded from a live
+    tree, or :func:`disk_from_catalogue` for a trace read from a file.
     Consecutive references sharing a query index run inside one query
     scope, so correlation semantics match the live run.
     """
-    buffer = BufferManager(
-        disk_from_catalogue(catalogue), capacity, policy, observer=observer
-    )
+    buffer = BufferManager(disk, capacity, policy, observer=observer)
     for _, references in groupby(requests, key=itemgetter(1)):
         with buffer.query_scope():
             for page_id, _ in references:
@@ -120,7 +120,11 @@ class _RecordingAccessor:
 
 
 def record_trace(index: "SpatialIndex", queries: Iterable["Query"]) -> AccessTrace:
-    """Run the queries against the index, recording every page reference."""
+    """Run the queries against the index, recording every page reference.
+
+    Pages are read through ``peek``, so neither the disk's counters nor
+    its sequential-read marker move.
+    """
     trace = AccessTrace()
     accessor = _RecordingAccessor(index.pagefile.disk, trace)
     for position, query in enumerate(queries):
@@ -299,7 +303,9 @@ def record_run(
         if page_id not in catalogue:
             catalogue_page(catalogue, disk.peek(page_id))
     recorder = TraceRecorder()
-    buffer = replay_requests(catalogue, requests, policy, capacity, recorder)
+    buffer = replay_requests(
+        disk_from_catalogue(catalogue), requests, policy, capacity, recorder
+    )
     return RecordedTrace(
         policy=policy.name,
         capacity=capacity,
@@ -327,7 +333,11 @@ def replay_recorded(
         capacity = trace.capacity
     recorder = TraceRecorder()
     buffer = replay_requests(
-        trace.catalogue, trace.requests(), policy, capacity, recorder
+        disk_from_catalogue(trace.catalogue),
+        trace.requests(),
+        policy,
+        capacity,
+        recorder,
     )
     return RecordedTrace(
         policy=policy.name,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.buffer.policies.asb import ASB
@@ -17,12 +19,12 @@ from repro.experiments.harness import (
     BUFFER_FRACTIONS,
     buffer_capacity,
     build_database,
-    compare_policies,
     gain,
-    gains_vs_lru,
     replay,
+    run_grid,
 )
 from repro.experiments.report import format_gain, format_ratio, format_table
+from repro.workloads.queries import PointQuery, WindowQuery
 
 
 @pytest.fixture(scope="module")
@@ -82,27 +84,40 @@ class TestHarness:
         with pytest.raises(ValueError):
             gain(100, 0)
 
-    def test_compare_policies_runs_each_factory(self, small_database):
-        query_set = small_database.query_set("ID-P", 25)
-        results = compare_policies(
-            small_database.tree,
-            query_set,
-            {"LRU": LRU, "A": lambda: SpatialPolicy("A")},
-            24,
-        )
-        assert set(results) == {"LRU", "A"}
-        assert all(misses > 0 for misses in results.values())
-
-    def test_gains_vs_lru_zero_for_lru_itself(self, small_database):
-        query_set = small_database.query_set("U-P", 25)
-        gains = gains_vs_lru(small_database.tree, query_set, {"LRU": LRU}, 24)
-        assert gains["LRU"] == pytest.approx(0.0)
-
     def test_bigger_buffer_never_hurts_lru(self, small_database):
         query_set = small_database.query_set("U-W-100", 40)
         small = replay(small_database.tree, query_set, LRU(), 16).stats.misses
         large = replay(small_database.tree, query_set, LRU(), 64).stats.misses
         assert large <= small
+
+
+class TestRecordOnce:
+    def test_grid_runs_each_query_once(self, monkeypatch):
+        """The grid records a query set once per (database, set, count,
+        seed): 3 policies x 2 buffer sizes, asked for twice, run every query
+        of the set exactly once."""
+        setup = make_setup(
+            n_objects_db1=1_000, n_objects_db2=800, n_places=60, n_queries=12, seed=4
+        )
+        runs: Counter = Counter()
+        for query_class in (PointQuery, WindowQuery):
+
+            def counted(query, index, accessor=None, run=query_class.run):
+                runs[id(query)] += 1
+                return run(query, index, accessor)
+
+            monkeypatch.setattr(query_class, "run", counted)
+        policies = {"LRU": LRU, "A": lambda: SpatialPolicy("A"), "ASB": ASB}
+        sets = ("U-P", "S-W-100")
+        for _ in range(2):
+            run_grid(setup, policies, sets, (0.012, 0.047))
+        queries = [
+            query
+            for name in sets
+            for query in setup.db1.query_set(name, setup.n_queries, setup.seed)
+        ]
+        assert len(queries) == 24
+        assert runs == Counter(id(query) for query in queries)
 
 
 class TestReport:

@@ -13,7 +13,12 @@ from repro.experiments.analysis import (
     profile_trace,
     stack_distances,
 )
-from repro.obs.trace import AccessTrace, record_trace, replay_requests
+from repro.obs.trace import (
+    AccessTrace,
+    disk_from_catalogue,
+    record_trace,
+    replay_requests,
+)
 
 
 def trace_of(reference_ids, queries=None):
@@ -74,7 +79,7 @@ class TestLruMissCurve:
         trace = trace_of(references)
         curve = lru_miss_curve(trace, capacity)
         simulated = replay_requests(
-            trace.catalogue, trace.references, LRU(), capacity
+            disk_from_catalogue(trace.catalogue), trace.references, LRU(), capacity
         ).stats.misses
         assert curve[capacity - 1] == simulated
 
@@ -104,9 +109,10 @@ class TestOpt:
         for every registered policy."""
         trace = trace_of(references)
         bound = opt_misses(trace, capacity)
+        disk = disk_from_catalogue(trace.catalogue)
         for name in policy_names():
             misses = replay_requests(
-                trace.catalogue, trace.references, make_policy(name), capacity
+                disk, trace.references, make_policy(name), capacity
             ).stats.misses
             assert misses >= bound, name
 

@@ -184,12 +184,15 @@ class TestProductionDayTrace:
     def test_buffer_system_replay_reads_the_fixture(self):
         """The fixture's catalogue backs a buffer under any policy, every
         request of the day is served, and every miss reads the disk."""
-        from repro.obs.trace import replay_requests
+        from repro.obs.trace import disk_from_catalogue, replay_requests
 
         trace = RecordedTrace.load(FIXTURE)
         for policy in ("LRU", "ASB"):
             buffer = replay_requests(
-                trace.catalogue, trace.requests(), make_policy(policy), trace.capacity
+                disk_from_catalogue(trace.catalogue),
+                trace.requests(),
+                make_policy(policy),
+                trace.capacity,
             )
             stats = buffer.stats
             assert stats.requests == len(trace.requests())
