@@ -1,20 +1,18 @@
 #!/usr/bin/env python3
-"""One buffer policy, three spatial access methods.
+"""One buffer policy, two spatial access methods.
 
 Section 2.3 of the paper defines the spatial replacement criteria for
 generic page entries, not only for the R*-tree it measures on.  This
 example runs the same window-query workload over the paper's R*-tree and
-the library's two contrast indexes — the mqr-tree (centroid-organised
-2-dimensional nodes) and the grid file (a non-hierarchical directory over
-shared buckets) — each behind an ASB buffer, and compares structure sizes
-and I/O behaviour.
+the library's contrast index, the grid file (a non-hierarchical directory
+over shared buckets), each behind an ASB buffer, and compares structure
+sizes and I/O behaviour.
 
 Run:  python examples/sam_comparison.py
 """
 
 from repro import ASB, BufferManager, GridFile, RStarTree
 from repro.datasets.synthetic import us_mainland_like
-from repro.sam import MqrTree
 from repro.workloads.distributions import uniform_queries
 
 N_OBJECTS = 4_000
@@ -27,16 +25,14 @@ def main() -> None:
     items = dataset.items()
     queries = uniform_queries(dataset.space, N_QUERIES, ex=100, seed=32)
 
-    print(f"building three indexes over {len(dataset)} objects ...")
+    print(f"building two indexes over {len(dataset)} objects ...")
     rstar = RStarTree(max_dir_entries=24, max_data_entries=24)
     rstar.bulk_load(items)
-    mqr = MqrTree()
-    mqr.bulk_load(items)
     gridfile = GridFile(dataset.space, bucket_capacity=24, max_splits=30)
     for rect, payload in items:
         gridfile.insert(rect, payload)
 
-    indexes = {"R*-tree": rstar, "mqr-tree": mqr, "Grid file": gridfile}
+    indexes = {"R*-tree": rstar, "Grid file": gridfile}
 
     print(
         f"\n{'index':<10} {'pages':>7} {'dir%':>6} {'height':>7} "
@@ -57,8 +53,8 @@ def main() -> None:
             f"{sum(map(len, answers[name])):>8}"
         )
 
-    assert all(answer == answers["R*-tree"] for answer in answers.values())
-    print("\nAll three indexes return the same objects for every query.")
+    assert answers["Grid file"] == answers["R*-tree"]
+    print("\nBoth indexes return the same objects for every query.")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ A faithful, self-contained reproduction of
 
 The library provides the full stack the paper's experiments need: geometry,
 a page/disk storage substrate with access accounting, spatial access
-methods (the paper's R*-tree, a grid file and an mqr-tree), a buffer
+methods (the paper's R*-tree and a grid file), a buffer
 manager with the paper's policies (LRU, LRU-T, LRU-P, LRU-K, the spatial
 criteria A/EA/M/EM/EO, SLRU and the self-tuning ASB, beside the FIFO and
 MRU baselines), synthetic datasets and query workloads mirroring the paper's distributions, and an

@@ -1,6 +1,6 @@
 """The grid file (Nievergelt, Hinterberger, Sevcik 1984).
 
-The contrast index beside the paper's R*-tree (and the mqr-tree):
+The contrast index beside the paper's R*-tree:
 structurally unlike a tree, a *non-hierarchical* directory maps grid cells
 to data buckets, giving two-disk-access point queries.  Its page-access
 profile differs fundamentally from tree descent — every query touches

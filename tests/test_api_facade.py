@@ -151,6 +151,7 @@ class TestDeprecatedKeywords:
             ("repro", "RTree"),
             ("repro", "Quadtree"),
             ("repro", "ZBTree"),
+            ("repro.sam", "MqrTree"),
             ("repro", "build_buffer_system"),
             ("repro.geometry", "z_decode"),
             ("repro.geometry", "z_region_ranges"),

@@ -1,18 +1,26 @@
-"""The canned "production day" trace: recorded once, replayed forever.
+"""Reference strings of a real spatial index, recorded once, replayed forever.
 
-``tests/golden/production_day.jsonl`` is a :class:`RecordedTrace` whose
-request stream was captured through the *live page server*: an mqr-tree
-was built from the streamed mainland dataset, its query-derived page
-sequences were partitioned across four concurrent ``PageClient``
-threads, and the server-side buffer recorded the page references in
-arrival order (``trace=True``).  The interleaving at capture time was
-nondeterministic — that is the point: it is the kind of reference
-string a production day produces, not one a generator would.  The
-canonical fixture pins one such day; replaying it is fully
-deterministic (logical clocks), so it doubles as a regression fixture
-and as a counterfactual workload for any policy.
+Three committed :class:`RecordedTrace` fixtures pin policy decisions on
+the deep, narrow descent of a real index.  Each replays from its own
+catalogue, so no index is built to check it:
 
-To re-record a fresh production day (new interleaving, new fixture)::
+* ``tests/golden/mqr_lru.jsonl`` and ``tests/golden/mqr_asb.jsonl`` — 60
+  mainland window queries traced through an mqr-tree (Moreau & Osborn)
+  built from the streamed mainland dataset, under LRU and under
+  ``ASB(overflow_fraction=0.25)`` at 24 frames.
+* ``tests/golden/production_day.jsonl`` — a "production day" captured
+  through the *live page server*: the query-derived page sequences of an
+  index were partitioned across four concurrent ``PageClient`` threads,
+  and the server-side buffer recorded the page references in arrival
+  order (``trace=True``).  The interleaving at capture time was
+  nondeterministic — that is the point: it is the kind of reference
+  string a production day produces, not one a generator would.  Replaying
+  it is fully deterministic (logical clocks), so it doubles as a
+  regression fixture and as a counterfactual workload for any policy.
+
+The committed day was captured through an mqr-tree build.  A re-record
+(new interleaving, new fixture) now traces the queries through an
+R*-tree built by ``insert`` in stream order::
 
     REGEN_PRODUCTION=1 PYTHONPATH=src python -m pytest tests/test_production_trace.py
 """
@@ -25,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.buffer.policies import make_policy
+from repro.buffer.policies import ASB, LRU, make_policy
 from repro.obs import RecordedTrace, replay_recorded
 from repro.obs.trace import record_run
 
@@ -36,9 +44,21 @@ CLIENTS = 4
 SEED = 19
 N_OBJECTS = 2_000
 N_QUERIES = 120
+NODE_ENTRIES = 12
 FIXTURE_CAPACITY = 32
 FIXTURE_REQUESTS = 1_200
 FIXTURE_POLICY = "ASB"
+
+#: Each index-derived fixture and the policy it was recorded under.
+INDEX_FIXTURES = {
+    "mqr_lru": LRU,
+    "mqr_asb": lambda: ASB(overflow_fraction=0.25),
+    "production_day": lambda: make_policy(FIXTURE_POLICY),
+}
+
+
+def golden(name: str) -> Path:
+    return FIXTURE.parent / f"{name}.jsonl"
 
 
 def _record_production_day() -> RecordedTrace:
@@ -48,17 +68,21 @@ def _record_production_day() -> RecordedTrace:
     from repro.datasets.places import synthetic_places
     from repro.datasets.synthetic import us_mainland_like_stream
     from repro.obs.trace import record_trace
-    from repro.sam.mqr import MqrTree
+    from repro.sam import RStarTree
     from repro.server import ServerThread
     from repro.storage import seed_page
     from repro.workloads.sets import make_query_set
 
-    # The workload: mainland window queries traced through a streamed
-    # mqr-tree build — each query yields one root-to-leaf page sequence.
+    # The workload: mainland window queries traced through an R*-tree
+    # built by insertion in stream order — each query yields one
+    # root-to-leaf page sequence.  Small nodes keep the descent deep
+    # enough for a day of at least 500 requests.
     stream = us_mainland_like_stream(
         n_objects=N_OBJECTS, seed=SEED, chunk_size=500
     )
-    tree = MqrTree()
+    tree = RStarTree(
+        max_dir_entries=NODE_ENTRIES, max_data_entries=NODE_ENTRIES
+    )
     for rect, object_id in stream.items():
         tree.insert(rect, object_id)
     places = synthetic_places(stream.skeleton, count=200, seed=SEED)
@@ -144,6 +168,32 @@ def regenerate_if_requested():
         _record_production_day().save(FIXTURE)
 
 
+@pytest.mark.parametrize("name", sorted(INDEX_FIXTURES))
+class TestIndexTraceFixtures:
+    def test_fixture_exists(self, name):
+        assert golden(name).exists()
+
+    def test_replay_reproduces_fixture(self, name):
+        """The recorded policy at the recorded capacity reproduces events
+        and stats exactly — the contract that makes a fixture a
+        regression gate."""
+        trace = RecordedTrace.load(golden(name))
+        replayed = replay_recorded(trace, INDEX_FIXTURES[name]())
+        assert replayed.events == trace.events
+        assert replayed.stats == trace.stats
+
+    def test_catalogue_spans_three_levels(self, name):
+        """A real index descent: root, interior and leaf levels."""
+        trace = RecordedTrace.load(golden(name))
+        levels = {level for _, level, _ in trace.catalogue.values()}
+        assert len(levels) >= 3
+
+    def test_fixture_exercises_eviction(self, name):
+        trace = RecordedTrace.load(golden(name))
+        assert trace.events_of("evict")
+        assert trace.stats["requests"] == len(trace.requests())
+
+
 class TestProductionDayTrace:
     def test_fixture_exists_and_is_substantial(self):
         assert FIXTURE.exists(), (
@@ -153,18 +203,6 @@ class TestProductionDayTrace:
         assert trace.policy == FIXTURE_POLICY
         assert trace.capacity == FIXTURE_CAPACITY
         assert len(trace.requests()) >= 500
-        # The stream must exercise a real index descent: directory and
-        # data pages across at least three levels.
-        levels = {level for _, level, _ in trace.catalogue.values()}
-        assert len(levels) >= 3
-
-    def test_replay_is_deterministic(self):
-        """Same policy class + capacity reproduces events and stats
-        exactly — the contract that makes the fixture a regression gate."""
-        trace = RecordedTrace.load(FIXTURE)
-        replayed = replay_recorded(trace, make_policy(trace.policy))
-        assert replayed.events == trace.events
-        assert replayed.stats == trace.stats
 
     def test_replay_twice_is_stable(self):
         trace = RecordedTrace.load(FIXTURE)
