@@ -171,23 +171,6 @@ class FrameTable(dict):
         frame.lru_prev = None
         frame.lru_next = None
 
-    def _splice_to_tail(self, frame: Frame) -> None:
-        """The actual O(1) pointer surgery of one recency renewal."""
-        if self._tail is frame:
-            return
-        prev = frame.lru_prev
-        nxt = frame.lru_next
-        if prev is None:
-            self._head = nxt
-        else:
-            prev.lru_next = nxt
-        nxt.lru_prev = prev  # nxt is not None: frame is not the tail
-        tail = self._tail
-        tail.lru_next = frame
-        frame.lru_prev = tail
-        frame.lru_next = None
-        self._tail = frame
-
     def _flush_pending(self) -> None:
         """Replay deferred renewals: last access per frame wins, in order.
 
@@ -197,14 +180,28 @@ class FrameTable(dict):
         maintained eagerly.  Every entry references a resident frame:
         hits only touch resident pages, and :meth:`admit`/:meth:`adopt`/
         :meth:`remove` flush before a frame can leave the table or a slot
-        can be recycled.
+        can be recycled.  The O(1) splice of each renewal is inlined: an
+        ASB promotion flushes about one frame per hit since the last one.
         """
         pending = self.pending
         newest_first = dict.fromkeys(reversed(pending))
         pending.clear()
-        splice = self._splice_to_tail
+        tail = self._tail
         for frame in reversed(newest_first):
-            splice(frame)
+            if frame is tail:
+                continue
+            prev = frame.lru_prev
+            nxt = frame.lru_next
+            if prev is None:
+                self._head = nxt
+            else:
+                prev.lru_next = nxt
+            nxt.lru_prev = prev  # nxt is not None: frame is not the tail
+            tail.lru_next = frame
+            frame.lru_prev = tail
+            frame.lru_next = None
+            tail = frame
+        self._tail = tail
 
     def move_to_tail(self, frame: Frame) -> None:
         """Renew ``frame``'s recency; the splice itself is deferred.

@@ -327,11 +327,27 @@ class ASB(ReplacementPolicy):
             oldest = frame
             frame = frame.lru_prev
         self._synced = self._buffer.clock
+        # _leave_main and _append inlined: a promotion in a buffer that fits
+        # moves about one frame per main hit since the last one.
         block_of = self._block_of
+        ring = self._ring
+        limit = self._block_limit
+        half = limit // 2
         while oldest is not None:
-            if oldest in block_of:
-                self._leave_main(oldest)
-                self._append(oldest)
+            block = block_of.get(oldest)
+            if block is not None:
+                frames = block.frames
+                del frames[oldest]
+                if block.min_frame is oldest:
+                    block.min_frame = None
+                if len(frames) <= half:
+                    self._shrunk(block)
+                block = ring.prev
+                if block is ring or len(block.frames) >= limit:
+                    block = self._new_block()
+                block.frames[oldest] = None
+                block.min_frame = None
+                block_of[oldest] = block
             oldest = oldest.lru_next
 
     def _blocks(self) -> Iterator[_Block]:
@@ -341,13 +357,18 @@ class ASB(ReplacementPolicy):
             yield block
             block = block.next
 
-    def _append(self, frame: Frame) -> None:
+    def _new_block(self) -> _Block:
+        """An empty block at the MRU end."""
         ring = self._ring
-        block = ring.prev
-        if block is ring or len(block.frames) >= self._block_limit:
-            block = _Block()
-            block.prev, block.next = ring.prev, ring
-            ring.prev.next = ring.prev = block
+        block = _Block()
+        block.prev, block.next = ring.prev, ring
+        ring.prev.next = ring.prev = block
+        return block
+
+    def _append(self, frame: Frame) -> None:
+        block = self._ring.prev
+        if block is self._ring or len(block.frames) >= self._block_limit:
+            block = self._new_block()
         block.frames[frame] = None
         # Unknown rather than updated: the newcomer's criterion is read
         # when a victim walk reaches it, as the full walk would.
@@ -360,10 +381,13 @@ class ASB(ReplacementPolicy):
         del frames[frame]
         if block.min_frame is frame:
             block.min_frame = None
-        if 2 * len(frames) > self._block_limit:
-            return
-        # A block at half size or less folds into a neighbour with room,
-        # which keeps the block count O(main / limit).
+        if 2 * len(frames) <= self._block_limit:
+            self._shrunk(block)
+
+    def _shrunk(self, block: _Block) -> None:
+        """A block at half size or less folds into a neighbour with room,
+        which keeps the block count O(main / limit)."""
+        frames = block.frames
         if not frames:
             block.prev.next, block.next.prev = block.next, block.prev
             return

@@ -605,21 +605,24 @@ class RStarTree(SpatialIndex):
         if self.root_id is None:
             return []
         accessor = self._accessor_or_build(accessor)
+        fetch = accessor.fetch
         results: list[Any] = []
         stack: list[PageId] = [self.root_id]
+        pop = stack.pop
+        push = stack.extend
         while stack:
-            page = accessor.fetch(stack.pop())
-            if not page.is_leaf:
-                stack.extend(page.matching(window))
+            page = fetch(pop())
+            if page.level != 0:  # not a leaf
+                push(page.matching(window))
             elif fetch_objects:
                 # The one caller that needs a leaf entry's payload and child.
                 for entry in page.entries:
                     if entry.mbr.intersects(window):
                         results.append(entry.payload)
                         if entry.child is not None:
-                            accessor.fetch(entry.child)
+                            fetch(entry.child)
             else:
-                results.extend(page.matching(window))
+                results += page.matching(window)
         return results
 
     def point_query(

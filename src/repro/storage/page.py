@@ -18,10 +18,12 @@ fields are decoded and its entries are still inside the verified slot image
 while nobody has held the entry objects — there is nothing to invalidate.
 
 An unpacked page that has been scanned (:meth:`Page.matching`) keeps a
-**scan block**: its entries' coordinates as one contiguous array, what each
-entry refers to, and the page MBR.  Walking ~45 entry objects costs a cache
-miss per object once the heap is larger than the cache; the block is read
-front to back.  It is derived data with a two-part validity rule, see
+**scan block**: its entries' coordinates and then the page MBR's as one
+contiguous array, what each entry refers to, and the page MBR.  Walking ~45
+entry objects costs a cache miss per object once the heap is larger than
+the cache; the block is read front to back, and a visit's containment test
+reads the MBR from the array, not from the Rect's scattered floats.
+It is derived data with a two-part validity rule, see
 :meth:`Page.matching`.  The image and the block also keep the page's
 spatial criteria once computed, so each is computed once per version of the
 page, not once per load.
@@ -246,12 +248,21 @@ class Page:
         meanwhile.  A block begun before a ``drop_scan`` and stored after
         it carries the older count and fails the stamp.
         """
-        image = self._packed()
-        if image is not None:
-            return image.matching(window, self.level == 0)
+        # This runs once per page a query reaches, so the stamp test of
+        # _scan_if_valid, Rect.contains and Rect.as_tuple are inlined, and
+        # _packed is called only for a page that still has an image.
+        if self._image is not None:
+            image = self._packed()
+            if image is not None:
+                return image.matching(window, self.level == 0)
         entries = self.entries
-        block = self._scan_if_valid(entries)
-        if block is None:
+        block = self._scan
+        if (
+            block is None
+            or block[0] is not entries
+            or block[1] != len(entries)
+            or block[2] != self._scan_epoch
+        ):
             leaf = self.level == 0
             # The drop count is read before the entries' content is:
             # whoever edits them from here on bumps it afterwards.
@@ -264,14 +275,24 @@ class Page:
                     if entry.mbr.intersects(window)
                 ]
             self._scan = block
-        mbr = block[5]
-        if mbr is not None and window.contains(mbr):
+        w_x_min = window.x_min
+        w_y_min = window.y_min
+        w_x_max = window.x_max
+        w_y_max = window.y_max
+        coords = block[3]
+        if (
+            block[5] is not None
+            and w_x_min <= coords[-4]
+            and w_y_min <= coords[-3]
+            and coords[-2] <= w_x_max
+            and coords[-1] <= w_y_max
+        ):
             # Every entry lies inside the page MBR, so it meets the window.
             return list(block[4])
-        w_x_min, w_y_min, w_x_max, w_y_max = window.as_tuple()
         # One iterator four times: zip draws x_min, y_min, x_max, y_max of
-        # an entry in turn.  The test is Rect.intersects, inlined.
-        coords = iter(block[3])
+        # an entry in turn, and stops at the last ref, before the MBR.  The
+        # test is Rect.intersects, inlined.
+        coords = iter(coords)
         return [
             ref
             for x_min, y_min, x_max, y_max, ref in zip(
@@ -337,11 +358,13 @@ def _scan_block(entries: list[PageEntry], leaf: bool, epoch: int) -> tuple | Non
 
     ``(entries, count, epoch, coords, refs, mbr, derived)``: the stamp
     (the list itself, its length when read, the page's ``_scan_epoch``
-    from before that), ``x_min, y_min, x_max, y_max`` of entry 0, 1, … as
-    one ``array('d')``, what each entry refers to (payload on a leaf, child
-    above), the page MBR (``None`` for an empty page), and the dict
-    :meth:`Page._derived` hands out.  The tuple is complete before anyone
-    can see it.
+    from before that), ``x_min, y_min, x_max, y_max`` of entry 0, 1, … and
+    last of the page MBR as one ``array('d')``, what each entry refers to
+    (payload on a leaf, child above), the page MBR (``None`` for an empty
+    page), and the dict :meth:`Page._derived` hands out.  The tuple is
+    complete before anyone can see it.  :meth:`Page.matching` reads the
+    MBR's copy in the array: the Rect's floats lie elsewhere in memory,
+    and a visit that touches them pays a cache miss apiece.
 
     Exact or absent: a coordinate a C double does not hold exactly (an
     integer beyond 2**53, a NaN, a ``Fraction``) yields no block, so a scan
@@ -356,6 +379,10 @@ def _scan_block(entries: list[PageEntry], leaf: bool, epoch: int) -> tuple | Non
     for entry in snapshot:
         rect = entry.mbr
         flat += (rect.x_min, rect.y_min, rect.x_max, rect.y_max)
+    mbr = None
+    if flat:
+        mbr = Rect(min(flat[0::4]), min(flat[1::4]), max(flat[2::4]), max(flat[3::4]))
+        flat += mbr.as_tuple()
     try:
         # Built from the list at its exact size; extend() over-allocates.
         coords = array("d", flat)
@@ -364,11 +391,6 @@ def _scan_block(entries: list[PageEntry], leaf: bool, epoch: int) -> tuple | Non
     if coords.tolist() != flat:
         return None
     refs = tuple([entry.payload if leaf else entry.child for entry in snapshot])
-    mbr = (
-        Rect(min(flat[0::4]), min(flat[1::4]), max(flat[2::4]), max(flat[3::4]))
-        if flat
-        else None
-    )
     return entries, len(snapshot), epoch, coords, refs, mbr, {}
 
 

@@ -12,6 +12,8 @@ sequence), overflow FIFO, candidate-set size and counters.
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, precondition, rule
@@ -319,3 +321,79 @@ TestASBOracleInGhostCache = GhostMachine.TestCase
 TestASBOracleInGhostCache.settings = budget
 TestASBOracleInConcurrentManager = ShardedMachine.TestCase
 TestASBOracleInConcurrentManager.settings = budget
+
+
+# ----------------------------------------------------------------------
+# A buffer that fits: hundreds of frames, tens of blocks
+# ----------------------------------------------------------------------
+
+
+class TestManyBlocks:
+    """The regime of a buffer that holds most of the tree.
+
+    The machines above run at 14 frames, where the main part is a handful
+    of blocks of three.  Here 640 frames make a main part of 512 in blocks
+    of up to 22; the candidate set starts at the whole main part, so whole
+    blocks answer from their rankings, and the adaptation moves it down
+    and up again, so a block is also cut by it.  A seeded reference string
+    of scoped queries (a hot half and a cold tail) promotes hundreds of
+    overflow pages and folds blocks together; after every query the
+    indexed ASB and the oracle hold the same pages, the same overflow FIFO
+    and the same candidate size, and every 50 queries the index checks
+    its own invariants.
+    """
+
+    CAPACITY = 640
+    PAGES = 900
+    QUERIES = 1500
+
+    def test_matches_the_oracle_after_every_query(self, monkeypatch):
+        seen = {"merges": 0, "searches": 0, "whole": 0, "cut": 0, "blocks": 0}
+        merge, main_victim = ASB._merge, ASB._main_victim
+
+        def counted_merge(policy, head, rest):
+            seen["merges"] += 1
+            merge(policy, head, rest)
+
+        def counted_search(policy):
+            blocks = sum(1 for _ in policy._blocks())
+            seen["blocks"] = max(seen["blocks"], blocks)
+            seen["searches"] += 1
+            if policy.candidate_size >= policy.main_capacity:
+                seen["whole"] += 1
+            else:
+                seen["cut"] += 1
+            return main_victim(policy)
+
+        monkeypatch.setattr(ASB, "_merge", counted_merge)
+        monkeypatch.setattr(ASB, "_main_victim", counted_search)
+        knobs = dict(overflow_fraction=0.2, candidate_fraction=1.0, step_fraction=0.01)
+        sides = []
+        for policy in (ASB(record_trace=True, **knobs), OracleASB(**knobs)):
+            disk = SimulatedDisk()
+            for page_id in range(self.PAGES):
+                # Five widths and seven heights: criterion ties are common.
+                disk.store(make_page(page_id, 1.0 + page_id % 5, 1.0 + page_id % 7))
+            sides.append(BufferManager(disk, self.CAPACITY, policy))
+        fast, slow = sides
+        rng = random.Random(48)
+        for query in range(self.QUERIES):
+            page_ids = [
+                rng.randrange(450) if rng.random() < 0.75 else rng.randrange(self.PAGES)
+                for _ in range(6)
+            ]
+            for side in sides:
+                with side.query_scope():
+                    for page_id in page_ids:
+                        side.fetch(page_id)
+            assert sorted(dict.keys(fast.frames)) == sorted(dict.keys(slow.frames))
+            assert fast.policy.overflow_ids() == slow.policy.overflow_ids()
+            assert fast.policy.candidate_size == slow.policy.candidate_size
+            if query % 50 == 0:
+                check_index(fast.policy, fast.frames)
+        check_index(fast.policy, fast.frames)
+        assert fast.policy.main_capacity == 512
+        assert seen["blocks"] >= 20, seen
+        assert len(fast.policy.trace) >= 1000, "promotions (one adaptation each)"
+        assert seen["merges"] >= 200, seen
+        assert seen["whole"] >= 100 and seen["cut"] >= 100, seen
