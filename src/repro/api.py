@@ -366,16 +366,13 @@ class ClusterSystem:
     """An in-process cluster: N page-server nodes over one shared disk.
 
     :meth:`build` wires everything the cluster tier needs — a consistent
-    hash ring over ``nodes`` data nodes, one :class:`BufferSystem` and
-    :class:`~repro.cluster.ClusterPageServer` per node (each on its own
-    :class:`~repro.server.ServerThread` event loop), optional hot-page
-    read replication (``replicas``) and an optional far-memory node
-    (``far_buffer``).  All nodes share one underlying disk — the cluster
-    partitions the *buffer* tier, not the storage tier — wrapped
-    per-node in a :class:`~repro.cluster.FarProbeDisk` so misses can
-    probe the far tier before paying the disk read.
+    hash ring over ``nodes`` data nodes and one :class:`BufferSystem` and
+    :class:`~repro.cluster.ClusterPageServer` per node, each on its own
+    :class:`~repro.server.ServerThread` event loop.  All nodes share one
+    disk — the cluster partitions the *buffer* tier, not the storage
+    tier — and each node owns the pages the ring assigns it.
 
-    The facade exists for tests, benchmarks and the CLI; production-shaped
+    The facade exists for tests and benchmarks; production-shaped
     deployments would run one :class:`ClusterPageServer` per host against
     the same :class:`~repro.cluster.ClusterMap`.
     """
@@ -391,13 +388,10 @@ class ClusterSystem:
         cls,
         nodes: int = 3,
         *,
-        replicas: int = 0,
-        far_buffer: "bool | int | None" = None,
         policy: "str" = "LRU",
         capacity: int = 64,
         shards: int | None = None,
         page_size: int = 4096,
-        replicate_after: int = 4,
         vnodes: int | None = None,
         slots: int | None = None,
         host: str = "127.0.0.1",
@@ -407,26 +401,17 @@ class ClusterSystem:
     ) -> "ClusterSystem":
         """Start an ``nodes``-node cluster and return the running fleet.
 
-        ``far_buffer``
-            ``None``/``False`` for no far tier; ``True`` for a far node
-            with the default capacity; an integer for a far node holding
-            that many clean pages.
         ``server_kwargs``
             Forwarded to every node's :class:`ClusterPageServer`
             (``max_inflight``, ``workers``, ...).
 
         Nodes always get the thread-safe
         :class:`~repro.buffer.concurrent.ConcurrentBufferManager`
-        (``shards=None`` builds one shard): every data node serves
-        requests from a worker pool (its ``FarProbeDisk`` may block), so
-        the sequential core is never safe here.
+        (``shards=None`` builds one shard): a node serves the owned slice
+        of a mixed batch on its worker pool while the event loop may run
+        other requests, so the sequential core is never safe here.
         """
-        from repro.cluster import (
-            ClusterNodeConfig,
-            ClusterPageServer,
-            EvictOfferSink,
-            FarProbeDisk,
-        )
+        from repro.cluster import ClusterPageServer
         from repro.cluster.ring import (
             DEFAULT_SLOTS,
             DEFAULT_VNODES,
@@ -437,26 +422,11 @@ class ClusterSystem:
 
         if nodes < 1:
             raise ValueError("a cluster needs at least one data node")
-        if replicas >= nodes:
-            raise ValueError(
-                f"replicas={replicas} needs at least {replicas + 1} data nodes"
-            )
-        far_capacity = 1024
-        if far_buffer is True:
-            far_node = "far"
-        elif far_buffer:
-            far_node = "far"
-            far_capacity = int(far_buffer)
-        else:
-            far_node = None
-
         if disk is None:
             disk = SimulatedDisk()
-        data_ids = [f"node-{index}" for index in range(nodes)]
+        node_ids = [f"node-{index}" for index in range(nodes)]
         cluster_map = ClusterMap.build(
-            data_ids,
-            replicas=replicas,
-            far_node=far_node,
+            node_ids,
             vnodes=DEFAULT_VNODES if vnodes is None else vnodes,
             slots=DEFAULT_SLOTS if slots is None else slots,
             host=host,
@@ -465,44 +435,29 @@ class ClusterSystem:
         systems: dict[str, BufferSystem] = {}
         servers: dict[str, ServerThread] = {}
         server_kwargs = dict(server_kwargs or {})
-        started: list[ServerThread] = []
         try:
-            for node_id in [*data_ids, *([far_node] if far_node else [])]:
-                is_far = node_id == far_node
-                offer_sink = (
-                    EvictOfferSink() if far_node and not is_far else None
-                )
+            for node_id in node_ids:
                 system = BufferSystem.build(
                     policy=policy,
-                    capacity=capacity if not is_far else max(4, capacity // 8),
-                    shards=(shards or 1) if not is_far else 1,
-                    disk=FarProbeDisk(disk) if not is_far else disk,
+                    capacity=capacity,
+                    shards=shards or 1,
+                    disk=disk,
                     page_size=page_size,
-                    trace=offer_sink,
                     policy_kwargs=policy_kwargs,
-                )
-                config = ClusterNodeConfig(
-                    node_id=node_id,
-                    cluster_map=cluster_map,
-                    replicate_after=replicate_after,
-                    far_capacity=far_capacity,
-                    offer_sink=offer_sink,
                 )
                 server = ClusterPageServer(
                     system,
-                    config,
+                    cluster_map,
+                    node_id,
                     host=host,
                     port=0,
                     page_size=page_size,
                     **server_kwargs,
                 )
-                thread = ServerThread(server=server)
-                thread.start()
-                started.append(thread)
+                servers[node_id] = ServerThread(server=server).start()
                 systems[node_id] = system
-                servers[node_id] = thread
         except BaseException:
-            for thread in reversed(started):
+            for thread in reversed(list(servers.values())):
                 try:
                     thread.stop()
                 except Exception:  # noqa: BLE001 - best-effort teardown
@@ -528,17 +483,13 @@ class ClusterSystem:
             node_id = self.cluster_map.data_nodes[0]
         return self.cluster_map.address(node_id)
 
-    def client(self, *, spread_reads: bool = False, timeout: float = 30.0):
+    def client(self, *, timeout: float = 30.0):
         """A synchronous :class:`~repro.cluster.ClusterClient` for the fleet."""
         from repro.cluster import ClusterClient
 
         host, port = self.address()
         return ClusterClient(
-            host,
-            port,
-            page_size=self.page_size,
-            timeout=timeout,
-            spread_reads=spread_reads,
+            host, port, page_size=self.page_size, timeout=timeout
         )
 
     def node_stats(self) -> "dict[str, dict]":
@@ -552,9 +503,9 @@ class ClusterSystem:
         """Buffer accounting summed across the fleet.
 
         The per-node identity (``requests == hits + misses``) survives
-        summation, which is what the cluster smoke test asserts: routing,
-        replication and the far tier move *where* a page is served from,
-        never how the serving node accounts for it.
+        summation, which is what the cluster smoke test asserts: routing
+        moves *where* a page is served from, never how the serving node
+        accounts for it.
         """
         totals = {"requests": 0, "hits": 0, "misses": 0}
         for system in self.systems.values():
@@ -565,7 +516,7 @@ class ClusterSystem:
         return totals
 
     def close(self) -> None:
-        """Stop every node (graceful drain), far node last."""
+        """Stop every node (graceful drain), last node first."""
         for node_id in reversed(list(self.servers)):
             try:
                 self.servers[node_id].stop()

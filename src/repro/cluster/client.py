@@ -4,11 +4,7 @@
 and one lazy :class:`~repro.client.AsyncPageClient` per node.  Singles
 go straight to the owner; batches are split per owner and fanned out
 concurrently, so one ``fetch_many`` costs one round trip *per owner
-touched*, not per page.  With ``spread_reads`` the client rotates reads
-across the page's preference list (owner first, then its ring
-successors) — foreign nodes answer from their replica store when the
-page is hot, which is how read replication turns into client-visible
-throughput.
+touched*, not per page.
 
 Failures route around: on :class:`ConnectionLost` / ``RETRY_AFTER`` the
 client sleeps the :class:`~repro.storage.retry.RetryPolicy` schedule,
@@ -25,7 +21,6 @@ daemon thread), mirroring :class:`~repro.client.PageClient`.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import threading
 from typing import TYPE_CHECKING
 
@@ -51,15 +46,12 @@ class RoutingClient:
         *,
         page_size: int = 4096,
         retry: RetryPolicy | None = None,
-        spread_reads: bool = False,
     ) -> None:
         self.cluster_map = cluster_map
         self.page_size = page_size
         self._retry = retry if retry is not None else RetryPolicy()
-        self.spread_reads = spread_reads
         self._clients: dict[str, AsyncPageClient] = {}
         self._locks: dict[str, asyncio.Lock] = {}
-        self._rr = itertools.count()
         self._closed = False
         self.map_refreshes = 0
         self.rerouted = 0
@@ -76,7 +68,6 @@ class RoutingClient:
         *,
         page_size: int = 4096,
         retry: RetryPolicy | None = None,
-        spread_reads: bool = False,
     ) -> "RoutingClient":
         """Bootstrap from any one node: fetch its map, then route."""
         seed = await AsyncPageClient.connect(host, port, page_size=page_size)
@@ -86,12 +77,7 @@ class RoutingClient:
             await seed.close()
             raise
         cluster_map = ClusterMap.from_json(blob.decode("utf-8"))
-        client = cls(
-            cluster_map,
-            page_size=page_size,
-            retry=retry,
-            spread_reads=spread_reads,
-        )
+        client = cls(cluster_map, page_size=page_size, retry=retry)
         # Keep the bootstrap connection if the seed is a cluster member.
         adopted = False
         for node_id, (node_host, node_port) in cluster_map.nodes.items():
@@ -165,20 +151,11 @@ class RoutingClient:
             return False
         return False
 
-    def _read_target(self, page_id: int) -> str:
-        """The node a read goes to: the owner, or a rotated replica."""
-        replicas = self.cluster_map.replicas
-        if not self.spread_reads or replicas <= 0:
-            return self.cluster_map.owner(page_id)
-        preference = self.cluster_map.preference(page_id, 1 + replicas)
-        return preference[next(self._rr) % len(preference)]
-
     async def _routed(self, node_for, call):
         """Run ``call`` against ``node_for()``; reroute on failure.
 
         ``node_for`` is re-evaluated every attempt — after a map refresh
-        it may name a different node (new epoch, or the rotation moving
-        past a dead replica).
+        under a new epoch it may name a different node.
         """
         failure: Exception | None = None
         for attempt in range(self._retry.attempts):
@@ -207,7 +184,7 @@ class RoutingClient:
 
     async def fetch(self, page_id: "PageId") -> "Page":
         return await self._routed(
-            lambda: self._read_target(page_id),
+            lambda: self.cluster_map.owner(page_id),
             lambda client: client.fetch(page_id),
         )
 
@@ -223,7 +200,7 @@ class RoutingClient:
             return []
         groups: dict[str, list] = {}
         for pid in page_ids:
-            groups.setdefault(self._read_target(pid), []).append(pid)
+            groups.setdefault(self.cluster_map.owner(pid), []).append(pid)
         by_pid: dict = {}
 
         async def _one(node_id: str, ids: list) -> None:
@@ -267,7 +244,7 @@ class RoutingClient:
         return await client.stats()
 
     async def stats_all(self) -> dict[str, dict]:
-        """STATS from every node (including the far node), keyed by id."""
+        """STATS from every node, keyed by id."""
         out: dict[str, dict] = {}
         for node_id in sorted(self.cluster_map.nodes):
             client = await self._node_client(node_id)
@@ -286,7 +263,6 @@ class ClusterClient:
         page_size: int = 4096,
         timeout: float = 30.0,
         retry: RetryPolicy | None = None,
-        spread_reads: bool = False,
     ) -> None:
         self.timeout = timeout
         self._loop = asyncio.new_event_loop()
@@ -299,11 +275,7 @@ class ClusterClient:
         try:
             self._client: RoutingClient = self._call(
                 RoutingClient.connect(
-                    host,
-                    port,
-                    page_size=page_size,
-                    retry=retry,
-                    spread_reads=spread_reads,
+                    host, port, page_size=page_size, retry=retry
                 )
             )
         except BaseException:

@@ -18,8 +18,7 @@ on it without coordination:
   rather than relying on vnode statistics.
 
 The :class:`ClusterMap` wraps a ring with the membership document the
-fleet shares: an epoch number, node → address table, the replica fan-out
-K, and the optional far-memory node (which owns no slots).  It is JSON
+fleet shares: an epoch number and a node → address table.  It is JSON
 round-trippable because the OWNERSHIP opcode ships it over the wire.
 """
 
@@ -80,10 +79,10 @@ class HashRing:
         self.balance = balance
         self._points: List[Tuple[int, str]] = []
         for node in self.nodes:
-            for replica in range(vnodes):
-                point = stable_hash(f"{node}#{replica}".encode())
+            for vnode in range(vnodes):
+                point = stable_hash(f"{node}#{vnode}".encode())
                 self._points.append((point, node))
-        # Ties between distinct (node, replica) pairs are broken by node
+        # Ties between distinct (node, vnode) pairs are broken by node
         # id so the walk order is total and deterministic.
         self._points.sort()
         self._hashes = [point for point, _ in self._points]
@@ -137,30 +136,6 @@ class HashRing:
 
         return self.slot_owner[page_slot(page_id, self.slots)]
 
-    def preference(self, page_id: int, count: int) -> List[str]:
-        """Owner followed by up to ``count - 1`` distinct successor nodes.
-
-        The successors (used as replica targets) are the distinct nodes
-        met walking the virtual-node ring clockwise from the page's
-        point, skipping the owner.  Deterministic for a fixed ring.
-        """
-
-        slot = page_slot(page_id, self.slots)
-        primary = self.slot_owner[slot]
-        result = [primary]
-        if count <= 1 or len(self.nodes) == 1:
-            return result
-        start = bisect_right(self._hashes, stable_hash(b"slot:%d" % slot)) % len(
-            self._points
-        )
-        for step in range(len(self._points)):
-            node = self._points[(start + step) % len(self._points)][1]
-            if node not in result:
-                result.append(node)
-                if len(result) >= count:
-                    break
-        return result
-
     def owned_slots(self, node: str) -> int:
         """How many slots ``node`` currently owns."""
 
@@ -183,9 +158,8 @@ class HashRing:
 class ClusterMap:
     """Epoch-numbered membership shared by servers and clients.
 
-    ``nodes`` maps node id → ``(host, port)`` for every node including
-    the optional far-memory node; ``data_nodes`` (the ring members) is
-    everything except ``far_node``.  Any membership change goes through
+    ``nodes`` maps node id → ``(host, port)``; ``data_nodes`` is the
+    ring members in sorted order.  Any membership change goes through
     :meth:`with_node` / :meth:`without_node`, which return a *new* map
     with the epoch bumped — the epoch is how the routing client knows a
     stale ring explains a misdelivered request.
@@ -193,26 +167,18 @@ class ClusterMap:
 
     epoch: int
     nodes: Dict[str, Tuple[str, int]]
-    replicas: int = 0
-    far_node: Optional[str] = None
     vnodes: int = DEFAULT_VNODES
     slots: int = DEFAULT_SLOTS
     balance: float = DEFAULT_BALANCE
     _ring: Optional[HashRing] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.far_node is not None and self.far_node not in self.nodes:
-            raise ValueError(f"far node {self.far_node!r} not in membership")
-        if not self.data_nodes:
+        if not self.nodes:
             raise ValueError("cluster map needs at least one data node")
-        if self.replicas < 0:
-            raise ValueError("replicas must be >= 0")
 
     @property
     def data_nodes(self) -> Tuple[str, ...]:
-        return tuple(
-            sorted(node for node in self.nodes if node != self.far_node)
-        )
+        return tuple(sorted(self.nodes))
 
     @property
     def ring(self) -> HashRing:
@@ -230,16 +196,6 @@ class ClusterMap:
     def owner(self, page_id: int) -> str:
         return self.ring.owner(page_id)
 
-    def replica_nodes(self, page_id: int) -> List[str]:
-        """The nodes (excluding the owner) that may hold read replicas."""
-
-        if self.replicas <= 0:
-            return []
-        return self.ring.preference(page_id, 1 + self.replicas)[1:]
-
-    def preference(self, page_id: int, count: int) -> List[str]:
-        return self.ring.preference(page_id, count)
-
     def address(self, node_id: str) -> Tuple[str, int]:
         return self.nodes[node_id]
 
@@ -251,7 +207,7 @@ class ClusterMap:
         self.nodes[node_id] = (host, port)
 
     def owned_slots(self, node_id: str) -> int:
-        if node_id == self.far_node or node_id not in self.nodes:
+        if node_id not in self.nodes:
             return 0
         return self.ring.owned_slots(node_id)
 
@@ -262,38 +218,19 @@ class ClusterMap:
             raise ValueError(f"node {node_id!r} already in membership")
         nodes = dict(self.nodes)
         nodes[node_id] = (host, port)
-        return ClusterMap(
-            epoch=self.epoch + 1,
-            nodes=nodes,
-            replicas=self.replicas,
-            far_node=self.far_node,
-            vnodes=self.vnodes,
-            slots=self.slots,
-            balance=self.balance,
-        )
+        return self._next_epoch(nodes)
 
     def without_node(self, node_id: str) -> "ClusterMap":
         if node_id not in self.nodes:
             raise KeyError(node_id)
-        if node_id == self.far_node:
-            nodes = dict(self.nodes)
-            del nodes[node_id]
-            return ClusterMap(
-                epoch=self.epoch + 1,
-                nodes=nodes,
-                replicas=self.replicas,
-                far_node=None,
-                vnodes=self.vnodes,
-                slots=self.slots,
-                balance=self.balance,
-            )
         nodes = dict(self.nodes)
         del nodes[node_id]
+        return self._next_epoch(nodes)
+
+    def _next_epoch(self, nodes: Dict[str, Tuple[str, int]]) -> "ClusterMap":
         return ClusterMap(
             epoch=self.epoch + 1,
             nodes=nodes,
-            replicas=self.replicas,
-            far_node=self.far_node,
             vnodes=self.vnodes,
             slots=self.slots,
             balance=self.balance,
@@ -305,8 +242,6 @@ class ClusterMap:
         return {
             "epoch": self.epoch,
             "nodes": {node: list(addr) for node, addr in self.nodes.items()},
-            "replicas": self.replicas,
-            "far_node": self.far_node,
             "vnodes": self.vnodes,
             "slots": self.slots,
             "balance": self.balance,
@@ -318,12 +253,9 @@ class ClusterMap:
             str(node): (str(addr[0]), int(addr[1]))
             for node, addr in dict(data["nodes"]).items()  # type: ignore[arg-type]
         }
-        far = data.get("far_node")
         return cls(
             epoch=int(data["epoch"]),  # type: ignore[arg-type]
             nodes=nodes,
-            replicas=int(data.get("replicas", 0)),  # type: ignore[arg-type]
-            far_node=None if far is None else str(far),
             vnodes=int(data.get("vnodes", DEFAULT_VNODES)),  # type: ignore[arg-type]
             slots=int(data.get("slots", DEFAULT_SLOTS)),  # type: ignore[arg-type]
             balance=float(data.get("balance", DEFAULT_BALANCE)),  # type: ignore[arg-type]
@@ -341,8 +273,6 @@ class ClusterMap:
         cls,
         node_ids: Iterable[str],
         *,
-        replicas: int = 0,
-        far_node: Optional[str] = None,
         vnodes: int = DEFAULT_VNODES,
         slots: int = DEFAULT_SLOTS,
         balance: float = DEFAULT_BALANCE,
@@ -350,14 +280,9 @@ class ClusterMap:
     ) -> "ClusterMap":
         """A fresh epoch-0 map with unbound addresses (port 0)."""
 
-        nodes = {node: (host, 0) for node in node_ids}
-        if far_node is not None and far_node not in nodes:
-            nodes[far_node] = (host, 0)
         return cls(
             epoch=0,
-            nodes=nodes,
-            replicas=replicas,
-            far_node=far_node,
+            nodes={node: (host, 0) for node in node_ids},
             vnodes=vnodes,
             slots=slots,
             balance=balance,

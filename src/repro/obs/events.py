@@ -38,15 +38,9 @@ tune_retune the controller retuned the live policy's parameters in
 tune_switch the controller handed the buffer to a different policy
             (``label`` = new policy name, ``value`` = ghost hit-rate,
             ``size`` = resident frames migrated)
-cluster_route  a cluster node served a request for a page it does not
-            own — forwarded to the owner or served from a local replica
-            (``page_id``, ``label`` = ``"forward:<node>"`` or
-            ``"replica"``)
-cluster_invalidate  an owner retired remote copies of an updated page
-            (``page_id``, ``lsn`` = new committed LSN, ``size`` =
-            copies invalidated)
-far_hit     a miss was served from the far-memory tier instead of disk
-            (``page_id``, ``lsn`` = the LSN the copy matched)
+cluster_route  a cluster node forwarded a request for a page it does
+            not own to the owner (``page_id``, ``label`` =
+            ``"forward:<node>"``)
 ==========  ==========================================================
 
 The durability events (``wal_*``, ``bg_flush``, ``checkpoint``,
@@ -96,8 +90,6 @@ EVENT_KINDS = (
     "tune_retune",
     "tune_switch",
     "cluster_route",
-    "cluster_invalidate",
-    "far_hit",
 )
 
 

@@ -17,11 +17,10 @@ store.  Each says whether an access may block (``may_block``):
   ``MemoryByteStore`` — what ``repro serve`` builds): nothing can block,
   so the request runs on the event loop itself; a hop to a worker thread
   would only cost CPU in a process the GIL already serialises;
-* anything else (``FileByteStore``, ``FileDisk``, ``DelayedDisk``, the
-  cluster's ``FarProbeDisk``, an armed transient failure whose retry
-  sleeps, or a medium without the attribute): the request runs on a
-  small thread pool via ``run_in_executor``, so a slow medium never
-  stalls the loop.
+* anything else (``FileByteStore``, ``FileDisk``, ``DelayedDisk``, an
+  armed transient failure whose retry sleeps, or a medium without the
+  attribute): the request runs on a small thread pool via
+  ``run_in_executor``, so a slow medium never stalls the loop.
 
 Per-connection **pipelining** falls out of the design: the reader loop
 spawns one task per frame and never waits for the previous request,
@@ -127,17 +126,17 @@ class PageServer:
     it cannot fire for a request run on the loop, which cannot stall.
     """
 
-    #: Opcodes this server implements.  The cluster-plane opcodes decode
-    #: as valid :class:`Op` members but a single-node server must answer
-    #: them ``ERROR/UNKNOWN_OP`` exactly like a genuinely unknown byte —
-    #: without this set they would fall through ``_run_operation`` and be
+    #: Opcodes this server implements.  The cluster-plane opcode decodes
+    #: as a valid :class:`Op` member but a single-node server must answer
+    #: it ``ERROR/UNKNOWN_OP`` exactly like a genuinely unknown byte —
+    #: without this set it would fall through ``_run_operation`` and be
     #: misreported as ``MALFORMED``.  ``ClusterPageServer`` widens it.
     SUPPORTED_OPS: frozenset = frozenset(Op) - CLUSTER_OPS
 
     #: Opcodes served directly on the event loop (no admission, no worker
-    #: pool).  Empty here; the cluster server routes its peer-plane
-    #: opcodes through this so replica/invalidation traffic can never
-    #: deadlock against a full admission queue.
+    #: pool).  Empty here; the cluster server answers ``OWNERSHIP``
+    #: through this, so a map refresh never waits behind a full
+    #: admission queue.
     LOOP_OPS: frozenset = frozenset()
 
     def __init__(
@@ -366,8 +365,8 @@ class PageServer:
             )
             return
         if operation in self.LOOP_OPS:
-            # Peer-plane work: cheap in-memory bookkeeping answered on the
-            # event loop itself, outside admission — see LOOP_OPS.
+            # Cheap in-memory bookkeeping answered on the event loop
+            # itself, outside admission — see LOOP_OPS.
             frame = await self._handle_loop_op(operation, request_id, payload)
             await self._respond(connection, frame)
             return
@@ -553,7 +552,7 @@ class PageServer:
         """Everything STATS reports: buffer, admission, service counters.
 
         A cluster-aware server additionally reports a ``node`` block
-        (node id, ring epoch, owned slots, replica counters) via
+        (node id, ring epoch, owned slots, forwarding counters) via
         :meth:`_node_stats`; single-node servers omit it.
         """
         snapshot = {

@@ -25,23 +25,13 @@ STATS        (empty)                                UTF-8 JSON object
 FETCH_MANY   count:u16 | page_id:i64 x count        count fixed-size page blobs
 UPDATE_MANY  count:u16 | item x count               (empty)
 OWNERSHIP    (empty)                                UTF-8 JSON cluster map
-REPLICATE    page_id:i64 | lsn:i64 | page bytes     (empty)
-INVALIDATE   page_id:i64 | lsn:i64                  (empty)
-OFFER_FAR    page_id:i64 | lsn:i64 | page bytes     (empty)
-FETCH_FAR    page_id:i64 | lsn:i64                  encoded page bytes
 ===========  =====================================  ===========================
 
-The ``OWNERSHIP`` group are the *cluster-plane* opcodes added by
-:mod:`repro.cluster`: ``OWNERSHIP`` returns the node's current
-:class:`~repro.cluster.ring.ClusterMap` as JSON; ``REPLICATE`` pushes a
-hot page's bytes (stamped with the owner's committed LSN) to a replica;
-``INVALIDATE`` retires every copy with LSN *older than* the given LSN at
-a replica or the far-memory node; ``OFFER_FAR`` donates a clean evicted
-page to the far node; ``FETCH_FAR`` asks the far node for a page *at an
-exact LSN* — anything else is ``ERROR/NOT_FOUND`` and the caller falls
-through to disk.  A single-node :class:`~repro.server.PageServer`
-answers all five with ``ERROR/UNKNOWN_OP``: they are well-formed but
-unsupported there, exactly like a genuinely unknown opcode.
+``OWNERSHIP`` is the *cluster-plane* opcode of :mod:`repro.cluster`: it
+returns the node's current :class:`~repro.cluster.ring.ClusterMap` as
+JSON.  A single-node :class:`~repro.server.PageServer` answers it with
+``ERROR/UNKNOWN_OP``: it is well-formed but unsupported there, exactly
+like a genuinely unknown opcode.
 
 The batched operations amortise one frame, one syscall and one admission
 decision over up to :data:`MAX_BATCH` pages.  A ``FETCH_MANY`` OK payload
@@ -102,19 +92,13 @@ class Op(IntEnum):
     STATS = 6
     FETCH_MANY = 7
     UPDATE_MANY = 8
-    # Cluster-plane opcodes (repro.cluster); a single-node PageServer
-    # answers these with ERROR/UNKNOWN_OP.
+    # Cluster-plane opcode (repro.cluster); a single-node PageServer
+    # answers it with ERROR/UNKNOWN_OP.
     OWNERSHIP = 9
-    REPLICATE = 10
-    INVALIDATE = 11
-    OFFER_FAR = 12
-    FETCH_FAR = 13
 
 
 #: Opcodes only a cluster-aware server implements.
-CLUSTER_OPS = frozenset(
-    {Op.OWNERSHIP, Op.REPLICATE, Op.INVALIDATE, Op.OFFER_FAR, Op.FETCH_FAR}
-)
+CLUSTER_OPS = frozenset({Op.OWNERSHIP})
 
 
 class Status(IntEnum):
@@ -270,35 +254,6 @@ def unpack_update_batch(payload: bytes) -> list[tuple[int, memoryview]]:
             f"batch has {len(payload) - offset} bytes of trailing garbage"
         )
     return items
-
-
-_PAGE_LSN = struct.Struct("<qq")  # page_id, lsn
-
-
-def pack_page_lsn(page_id: int, lsn: int) -> bytes:
-    """INVALIDATE / FETCH_FAR payload: ``page_id:i64 | lsn:i64``."""
-    return _PAGE_LSN.pack(page_id, lsn)
-
-
-def unpack_page_lsn(payload: bytes) -> tuple[int, int]:
-    if len(payload) != _PAGE_LSN.size:
-        raise ValueError(
-            f"page/lsn payload needs {_PAGE_LSN.size} bytes, got {len(payload)}"
-        )
-    page_id, lsn = _PAGE_LSN.unpack(payload)
-    return page_id, lsn
-
-
-def pack_page_lsn_blob(page_id: int, lsn: int, blob: bytes) -> bytes:
-    """REPLICATE / OFFER_FAR payload: ``page_id:i64 | lsn:i64 | bytes``."""
-    return _PAGE_LSN.pack(page_id, lsn) + blob
-
-
-def unpack_page_lsn_blob(payload: bytes) -> tuple[int, int, bytes]:
-    if len(payload) <= _PAGE_LSN.size:
-        raise ValueError("page/lsn/blob payload is missing the page bytes")
-    page_id, lsn = _PAGE_LSN.unpack_from(payload, 0)
-    return page_id, lsn, payload[_PAGE_LSN.size :]
 
 
 # ----------------------------------------------------------------------

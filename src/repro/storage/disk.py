@@ -227,7 +227,7 @@ class DelayedDisk:
     The in-memory disks serve reads in sub-microsecond time; tests and
     benches that need a miss to *cost* something wrap their disk in this.
     The default ``time.sleep`` releases the GIL, so concurrent misses
-    overlap (overload probes, the cluster scaling sweep).  ``spin=True``
+    overlap (overload probes, pooled server requests).  ``spin=True``
     busy-waits instead: at SSD-class latencies (~100 µs, ``bench
     tuning``) the scheduler's sleep granularity would overshoot the
     delay several times over.  Everything but ``read`` and ``may_block``

@@ -6,6 +6,9 @@ tests only read them.  Tests that mutate trees build their own.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.datasets.places import synthetic_places
@@ -71,6 +74,29 @@ def table(reproduction):
         return reproduction.results[name]
 
     return lookup
+
+
+#: Event-loop threads of servers and synchronous clients.  Each is stopped by
+#: its owner's ``stop``/``close``; one still running after a test means the
+#: test skipped that, and it would outlive the test into interpreter exit.
+LOOP_THREADS = ("page-server-loop", "page-client-loop", "cluster-client-loop")
+
+
+@pytest.fixture(autouse=True)
+def no_loop_thread_left_behind():
+    before = set(threading.enumerate())
+    yield
+    started = [
+        thread
+        for thread in threading.enumerate()
+        if thread not in before and thread.name in LOOP_THREADS
+    ]
+    deadline = time.monotonic() + 2.0
+    for thread in started:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    alive = sorted(thread.name for thread in started if thread.is_alive())
+    if alive:
+        pytest.fail(f"test left loop threads running: {alive}")
 
 
 @pytest.fixture()

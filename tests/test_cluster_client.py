@@ -7,8 +7,7 @@ connection dies, *every* in-flight future must fail with the same typed
 client must transparently reconnect through its
 :class:`~repro.storage.retry.RetryPolicy` and replay.  The routing
 layer (:class:`RoutingClient` / :class:`ClusterClient`): singles go to
-the page's owner, batches fan out one request per owner touched, and
-``spread_reads`` turns hot-page replicas into served reads.
+the page's owner and batches fan out one request per owner touched.
 """
 
 from __future__ import annotations
@@ -212,28 +211,12 @@ class TestRoutingClient:
                     assert type(packed.image()) is bytes
                     assert packed.image() == encode_page(source, PAGE_SIZE)
 
-    def test_spread_reads_serve_from_replicas(self):
-        with seeded_fleet(nodes=3, replicas=1, replicate_after=2) as fleet:
-            with fleet.client(spread_reads=True) as client:
-                # Hammer a few pages hot enough to replicate, then keep
-                # reading: the rotation must land some reads on replicas.
-                for _ in range(12):
-                    for page_id in range(4):
-                        assert client.fetch(page_id).page_id == page_id
-            stats = fleet.node_stats()
-            pushes = sum(
-                node["node"]["replica_pushes"] for node in stats.values()
-            )
-            hits = sum(
-                node["node"]["replica_hits"] for node in stats.values()
-            )
-            assert pushes > 0
-            assert hits > 0
-
-    def test_stats_all_covers_every_node_including_far(self):
-        with seeded_fleet(nodes=2, far_buffer=32) as fleet:
+    def test_stats_all_covers_every_node(self):
+        with seeded_fleet(nodes=2) as fleet:
             with fleet.client() as client:
                 stats = client.stats_all()
-            assert sorted(stats) == ["far", "node-0", "node-1"]
-            assert stats["far"]["node"]["is_far_node"] is True
-            assert stats["far"]["node"]["far_capacity"] == 32
+            assert sorted(stats) == ["node-0", "node-1"]
+            assert [stats[node]["node"]["node_id"] for node in sorted(stats)] == [
+                "node-0",
+                "node-1",
+            ]

@@ -131,21 +131,6 @@ class TestDeterminism:
         assert slot == page_slot(page_id, SLOTS)
 
 
-class TestPreference:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        count=st.integers(min_value=2, max_value=6),
-        page_id=st.integers(min_value=0, max_value=10_000),
-    )
-    def test_preference_is_distinct_and_starts_with_the_owner(
-        self, count, page_id
-    ):
-        ring = HashRing(make_nodes(count), slots=SLOTS)
-        prefs = ring.preference(page_id, count)
-        assert prefs[0] == ring.owner(page_id)
-        assert len(prefs) == len(set(prefs)) == count
-
-
 class TestValidation:
     def test_rejects_empty_membership(self):
         with pytest.raises(ValueError):
@@ -162,12 +147,7 @@ class TestValidation:
 
 class TestClusterMap:
     def build_map(self) -> ClusterMap:
-        return ClusterMap.build(
-            ["node-0", "node-1", "node-2"],
-            replicas=1,
-            far_node="far",
-            slots=SLOTS,
-        )
+        return ClusterMap.build(["node-0", "node-1", "node-2"], slots=SLOTS)
 
     def test_membership_changes_bump_the_epoch(self):
         base = self.build_map()
@@ -176,21 +156,10 @@ class TestClusterMap:
         assert (base.epoch, grown.epoch, shrunk.epoch) == (0, 1, 2)
         assert "node-3" in grown.nodes and "node-3" not in shrunk.nodes
 
-    def test_far_node_owns_no_slots(self):
+    def test_a_non_member_owns_no_slots(self):
         cmap = self.build_map()
-        assert cmap.far_node == "far"
-        assert "far" not in cmap.data_nodes
-        assert cmap.owned_slots("far") == 0
+        assert cmap.owned_slots("node-9") == 0
         assert sum(cmap.owned_slots(node) for node in cmap.data_nodes) == SLOTS
-
-    def test_replica_nodes_exclude_the_owner(self):
-        cmap = self.build_map()
-        for page_id in range(64):
-            owner = cmap.owner(page_id)
-            replicas = cmap.replica_nodes(page_id)
-            assert len(replicas) == 1
-            assert owner not in replicas
-            assert replicas[0] in cmap.data_nodes
 
     def test_json_round_trip_preserves_routing(self):
         cmap = self.build_map()

@@ -70,7 +70,7 @@ class TestEventModel:
             "wal_append", "wal_fsync", "bg_flush", "checkpoint", "recover",
             "req_queued", "req_admitted", "req_rejected", "req_timeout",
             "tune_epoch", "tune_retune", "tune_switch",
-            "cluster_route", "cluster_invalidate", "far_hit",
+            "cluster_route",
         )
 
     def test_to_dict_drops_none_fields(self):
