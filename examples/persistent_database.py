@@ -4,7 +4,8 @@
 Demonstrates the storage side of the library beyond simulation:
 
 1. build an R*-tree over a synthetic map in memory,
-2. save it with the binary page format (fixed-size slots + JSON sidecar),
+2. save it with the binary page format (checksummed fixed-size slots + JSON
+   sidecar),
 3. reopen the file as a read-only database,
 4. serve buffered queries from the file-backed pages — every miss is now a
    real ``seek`` + ``read`` on the file,

@@ -20,10 +20,11 @@ engineer around) shrinks by the shard count.  Because each shard runs the
 unmodified sequential core, every policy's documented invariants hold
 per shard — a policy never observes concurrent mutation.
 
-**Lock-free statistics.**  The hot-path counters (requests, hits, misses,
-coalesced waits, query scopes) go to per-thread counter records registered
-once per thread; reading :attr:`stats` merges the records.  No counter
-update takes a lock, and no thread writes another thread's record.
+**Statistics from the shards.**  Each shard core counts its requests,
+hits, misses, evictions and write-backs under its lock, and each shard
+counts the waits on its in-flight reads; reading :attr:`stats` sums the
+shards.  Only query scopes, which belong to no shard, have a counter of
+their own.
 
 **Miss coalescing.**  Concurrent misses on the same page would each issue
 the identical disk read.  A per-shard in-flight table makes the first
@@ -67,19 +68,6 @@ if TYPE_CHECKING:
 PolicyFactory = Callable[[], "ReplacementPolicy"]
 
 
-class _ThreadCounters:
-    """One thread's private slice of the service statistics."""
-
-    __slots__ = ("requests", "hits", "misses", "coalesced", "queries")
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self.hits = 0
-        self.misses = 0
-        self.coalesced = 0
-        self.queries = 0
-
-
 class _InFlight:
     """One in-progress disk read that concurrent missers wait on."""
 
@@ -100,12 +88,14 @@ class _InFlight:
 class _Shard:
     """One lock-protected sub-pool: a sequential core plus coalescing state."""
 
-    __slots__ = ("lock", "manager", "inflight")
+    __slots__ = ("lock", "manager", "inflight", "coalesced")
 
     def __init__(self, manager: BufferManager) -> None:
         self.lock = threading.RLock()
         self.manager = manager
         self.inflight: dict[PageId, _InFlight] = {}
+        #: Requests that waited on another thread's in-flight read.
+        self.coalesced = 0
 
 
 class ConcurrentBufferManager:
@@ -169,14 +159,11 @@ class ConcurrentBufferManager:
         # under CPython, so scope allocation takes no lock.
         self._query_ids = itertools.count(1)
         self._scopes = threading.local()
-        # Per-thread counter records.  Registration (first use per thread)
-        # takes the registry lock once; every later update is lock-free.
-        self._counters_local = threading.local()
-        self._registry: list[_ThreadCounters] = []
-        self._registry_lock = threading.Lock()
+        self._queries = 0
+        self._queries_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # Internals: routing, counters, query binding
+    # Internals: routing, query binding
     # ------------------------------------------------------------------
 
     @property
@@ -189,15 +176,6 @@ class ConcurrentBufferManager:
 
     def _shard(self, page_id: PageId) -> _Shard:
         return self._shards[page_id % len(self._shards)]
-
-    def _counters(self) -> _ThreadCounters:
-        counters = getattr(self._counters_local, "value", None)
-        if counters is None:
-            counters = _ThreadCounters()
-            self._counters_local.value = counters
-            with self._registry_lock:
-                self._registry.append(counters)
-        return counters
 
     def _scope_stack(self) -> list[int]:
         stack = getattr(self._scopes, "stack", None)
@@ -232,8 +210,6 @@ class ConcurrentBufferManager:
 
     def fetch(self, page_id: PageId) -> Page:
         """Request a page; at most one disk read per concurrent miss group."""
-        counters = self._counters()
-        counters.requests += 1
         query_id = self._request_query_id()
         shard = self._shard(page_id)
         manager = shard.manager
@@ -247,7 +223,6 @@ class ConcurrentBufferManager:
                     first_attempt = False
                 frame = manager.frames.get(page_id)
                 if frame is not None:
-                    counters.hits += 1
                     return manager.serve_hit(frame)
                 entry = shard.inflight.get(page_id)
                 if entry is None:
@@ -257,19 +232,18 @@ class ConcurrentBufferManager:
                     shard.inflight[page_id] = entry
                     if not counted_miss:
                         manager.stats.misses += 1
-                        counters.misses += 1
                         counted_miss = True
                     am_loader = True
                 else:
                     if entry.event is None:
                         entry.event = threading.Event()
+                    shard.coalesced += 1
                     am_loader = False
             if not am_loader:
                 # Another thread is already reading this page: wait without
                 # holding the shard lock, then retry the lookup.  If the
                 # frame was evicted again before we re-acquired the lock,
                 # the loop promotes us to loader — a genuine second miss.
-                counters.coalesced += 1
                 entry.event.wait()
                 if entry.error is not None:
                     raise entry.error
@@ -422,7 +396,8 @@ class ConcurrentBufferManager:
         query_id = next(self._query_ids)
         stack = self._scope_stack()
         stack.append(query_id)
-        self._counters().queries += 1
+        with self._queries_lock:
+            self._queries += 1
         try:
             yield query_id
         finally:
@@ -507,13 +482,9 @@ class ConcurrentBufferManager:
         for shard in self._shards:
             with shard.lock:
                 shard.manager.clear(force=force)
-        with self._registry_lock:
-            for counters in self._registry:
-                counters.requests = 0
-                counters.hits = 0
-                counters.misses = 0
-                counters.coalesced = 0
-                counters.queries = 0
+                shard.coalesced = 0
+        with self._queries_lock:
+            self._queries = 0
 
     # ------------------------------------------------------------------
     # Statistics and introspection
@@ -521,29 +492,23 @@ class ConcurrentBufferManager:
 
     @property
     def stats(self) -> BufferStats:
-        """Merged statistics snapshot (a fresh object): request counters
-        from the per-thread records, eviction/write-back counters from the
-        shard cores."""
-        total = BufferStats()
-        with self._registry_lock:
-            records = list(self._registry)
-        for counters in records:
-            total.requests += counters.requests
-            total.hits += counters.hits
-            total.misses += counters.misses
-            total.queries += counters.queries
+        """Merged statistics snapshot (a fresh object): the shard cores'
+        counters summed, and the query scopes opened."""
+        total = BufferStats(queries=self._queries)
         for shard in self._shards:
             with shard.lock:
-                total.evictions += shard.manager.stats.evictions
-                total.writebacks += shard.manager.stats.writebacks
+                stats = shard.manager.stats
+                total.requests += stats.requests
+                total.hits += stats.hits
+                total.misses += stats.misses
+                total.evictions += stats.evictions
+                total.writebacks += stats.writebacks
         return total
 
     @property
     def coalesced_misses(self) -> int:
         """Requests that waited on another thread's in-flight read."""
-        with self._registry_lock:
-            records = list(self._registry)
-        return sum(counters.coalesced for counters in records)
+        return sum(shard.coalesced for shard in self._shards)
 
     def stats_snapshot(self) -> dict[str, float]:
         """The merged stats as a dict, with the coalescing counter added."""

@@ -182,7 +182,8 @@ class ClusterMap:
 
     @property
     def ring(self) -> HashRing:
-        if self._ring is None or self._ring.nodes != self.data_nodes:
+        """Built once per map: membership changes return a new map."""
+        if self._ring is None:
             self._ring = HashRing(
                 self.data_nodes,
                 vnodes=self.vnodes,

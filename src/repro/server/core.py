@@ -17,9 +17,9 @@ store.  Each says whether an access may block (``may_block``):
   ``MemoryByteStore`` — what ``repro serve`` builds): nothing can block,
   so the request runs on the event loop itself; a hop to a worker thread
   would only cost CPU in a process the GIL already serialises;
-* anything else (``FileByteStore``, ``FileDisk``, ``DelayedDisk``, an
-  armed transient failure whose retry sleeps, or a medium without the
-  attribute): the request runs on a small thread pool via
+* anything else (``FileByteStore``, a ``DurableDisk`` over one,
+  ``DelayedDisk``, an armed transient failure whose retry sleeps, or a
+  medium without the attribute): the request runs on a small thread pool via
   ``run_in_executor``, so a slow medium never stalls the loop.
 
 Per-connection **pipelining** falls out of the design: the reader loop

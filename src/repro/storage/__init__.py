@@ -13,7 +13,6 @@ from repro.storage.objects import ObjectStore, build_tree_with_objects
 from repro.storage.page import Page, PageEntry, PageId, PageType, seed_page
 from repro.storage.pagefile import PageFile
 from repro.storage.serialization import (
-    FileDisk,
     decode_page,
     encode_page,
     load_tree,
@@ -34,7 +33,6 @@ __all__ = [
     "PageFile",
     "ObjectStore",
     "build_tree_with_objects",
-    "FileDisk",
     "encode_page",
     "decode_page",
     "read_page",

@@ -138,7 +138,43 @@ class LatencyModel:
     sequential_ms: float = 1.0
 
 
-class SimulatedDisk(FailureInjectionMixin):
+class _AccountedDisk(FailureInjectionMixin):
+    """Access accounting shared by the page stores: the paper's metric is
+    counted here and nowhere else.
+
+    One lock guards the counters and the sequential-read detector, so
+    concurrent buffer shards can share one disk without losing counts
+    (``+=`` on a dataclass field is not atomic).
+    """
+
+    def _init_accounting(self, latency: LatencyModel | None) -> None:
+        self._latency = latency or LatencyModel()
+        self._last_read: PageId | None = None
+        self.stats = DiskStats()
+        self._stats_lock = threading.Lock()
+        self._init_failure_injection()
+
+    def _count_read(self, page_id: PageId) -> None:
+        """Count one read: sequential when it follows the last one read."""
+        stats = self.stats
+        with self._stats_lock:
+            stats.reads += 1
+            if self._last_read is not None and page_id == self._last_read + 1:
+                stats.sequential_reads += 1
+                stats.elapsed_ms += self._latency.sequential_ms
+            else:
+                stats.random_reads += 1
+                stats.elapsed_ms += self._latency.random_ms
+            self._last_read = page_id
+
+    def _count_write(self) -> None:
+        """Count one write, charged as a random access."""
+        with self._stats_lock:
+            self.stats.writes += 1
+            self.stats.elapsed_ms += self._latency.random_ms
+
+
+class SimulatedDisk(_AccountedDisk):
     """In-memory page store with access accounting.
 
     Pages are stored by reference — the simulation measures access counts,
@@ -150,14 +186,7 @@ class SimulatedDisk(FailureInjectionMixin):
 
     def __init__(self, latency: LatencyModel | None = None) -> None:
         self._pages: dict[PageId, Page] = {}
-        self._latency = latency or LatencyModel()
-        self._last_read: PageId | None = None
-        self.stats = DiskStats()
-        #: Guards the access counters and the sequential-read detector, so
-        #: concurrent buffer shards can share one disk without losing
-        #: counts (``+=`` on a dataclass field is not atomic).
-        self._stats_lock = threading.Lock()
-        self._init_failure_injection()
+        self._init_accounting(latency)
 
     # ------------------------------------------------------------------
     # Accounted accesses
@@ -171,24 +200,14 @@ class SimulatedDisk(FailureInjectionMixin):
             page = self._pages[page_id]
         except KeyError:
             raise KeyError(f"page {page_id} does not exist on disk") from None
-        with self._stats_lock:
-            self.stats.reads += 1
-            if self._last_read is not None and page_id == self._last_read + 1:
-                self.stats.sequential_reads += 1
-                self.stats.elapsed_ms += self._latency.sequential_ms
-            else:
-                self.stats.random_reads += 1
-                self.stats.elapsed_ms += self._latency.random_ms
-            self._last_read = page_id
+        self._count_read(page_id)
         return page
 
     def write(self, page: Page) -> None:
         """Write a page back, counting one disk access."""
         self._check_failure("write", page.page_id)
         self._pages[page.page_id] = page
-        with self._stats_lock:
-            self.stats.writes += 1
-            self.stats.elapsed_ms += self._latency.random_ms
+        self._count_write()
 
     # ------------------------------------------------------------------
     # Unaccounted maintenance (tree construction, tests)

@@ -1,13 +1,13 @@
-"""Binary page serialization and a file-backed disk.
+"""Binary page serialization, and saving a built tree to a file.
 
 The in-memory :class:`~repro.storage.disk.SimulatedDisk` measures access
-counts — all the paper's experiments need.  For durability (saving a built
-index to disk and reopening it later) this module adds a fixed-size binary
-page format and :class:`FileDisk`, a drop-in disk whose pages live in a
-real file, read and written with seeks like a classic slotted-page store.
+counts — all the paper's experiments need.  Every byte medium (a durable
+disk's slots, the wire, a saved tree) holds pages in the fixed-size binary
+format defined here.  :func:`save_tree` writes a built tree into the
+checksummed slots of a :class:`~repro.wal.durable.DurableDisk` over a
+file, and :func:`load_tree` reopens it.
 
-Format (little-endian), one page per ``page_size`` slot at byte offset
-``page_id * page_size``::
+Format (little-endian), one page in ``page_size`` bytes::
 
     header:  magic (2s) | version (B) | type (B) | level (h) |
              entry_count (H) | payload flags per entry follow inline
@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import functools
 import io
+import json
 import struct
 from operator import gt, le
 from pathlib import Path
 
 from repro.geometry.rect import Rect
-from repro.storage.disk import DiskStats, FailureInjectionMixin, LatencyModel
 from repro.storage.page import Page, PageEntry, PageId, PageType
 
 MAGIC = b"RP"
@@ -296,144 +296,34 @@ class VerifiedPages:
         self._known.pop(page_id, None)
 
 
-class FileDisk(FailureInjectionMixin):
-    """A page store backed by a real file, with the SimulatedDisk interface.
-
-    Pages occupy fixed-size slots addressed by page id.  Reads hand out the
-    slot packed (:func:`read_page`), writes encode and seek — there is no
-    in-memory page table, so a reopened :class:`FileDisk` serves the pages
-    the previous process stored.  Access counting and failure injection match
-    :class:`~repro.storage.disk.SimulatedDisk`, so buffer managers and
-    indexes work unchanged on either.
-    """
-
-    def __init__(
-        self,
-        path: str | Path,
-        page_size: int = 4096,
-        latency: LatencyModel | None = None,
-    ) -> None:
-        if page_size < _HEADER.size + _ENTRY.size:
-            raise ValueError("page_size too small for even one entry")
-        self.path = Path(path)
-        self.page_size = page_size
-        self._latency = latency or LatencyModel()
-        self._last_read: PageId | None = None
-        self.stats = DiskStats()
-        self._init_failure_injection()
-        #: Ids with a live page in their slot (slot reuse leaves garbage).
-        self._live: set[PageId] = set()
-        # "a+b" must not be used: POSIX append mode forces every write to
-        # the end of the file, ignoring seeks.
-        mode = "r+b" if self.path.exists() else "w+b"
-        self._file = open(self.path, mode)  # noqa: SIM115 - long-lived handle
-        self._scan_existing()
-
-    def _scan_existing(self) -> None:
-        """Discover live pages of an existing file (reopen support)."""
-        self._file.seek(0, io.SEEK_END)
-        size = self._file.tell()
-        for page_id in range(size // self.page_size):
-            self._file.seek(page_id * self.page_size)
-            head = self._file.read(_HEADER.size)
-            if len(head) == _HEADER.size and head[:2] == MAGIC:
-                self._live.add(page_id)
-
-    # ------------------------------------------------------------------
-    # Accounted accesses
-    # ------------------------------------------------------------------
-
-    def read(self, page_id: PageId) -> Page:
-        self._check_failure("read", page_id)
-        if page_id not in self._live:
-            raise KeyError(f"page {page_id} does not exist on disk")
-        self._file.seek(page_id * self.page_size)
-        blob = self._file.read(self.page_size)
-        self.stats.reads += 1
-        if self._last_read is not None and page_id == self._last_read + 1:
-            self.stats.sequential_reads += 1
-            self.stats.elapsed_ms += self._latency.sequential_ms
-        else:
-            self.stats.random_reads += 1
-            self.stats.elapsed_ms += self._latency.random_ms
-        self._last_read = page_id
-        return read_page(blob, page_id)
-
-    def write(self, page: Page) -> None:
-        self._check_failure("write", page.page_id)
-        self._store(page)
-        self.stats.writes += 1
-        self.stats.elapsed_ms += self._latency.random_ms
-
-    # ------------------------------------------------------------------
-    # Unaccounted maintenance
-    # ------------------------------------------------------------------
-
-    def _store(self, page: Page) -> None:
-        self._file.seek(page.page_id * self.page_size)
-        self._file.write(encode_page(page, self.page_size))
-        self._live.add(page.page_id)
-
-    def store(self, page: Page) -> None:
-        """Place a page without counting an access (build phase)."""
-        self._store(page)
-
-    def peek(self, page_id: PageId) -> Page:
-        if page_id not in self._live:
-            raise KeyError(f"page {page_id} does not exist on disk")
-        self._file.seek(page_id * self.page_size)
-        return read_page(self._file.read(self.page_size), page_id)
-
-    def delete(self, page_id: PageId) -> None:
-        if page_id in self._live:
-            self._file.seek(page_id * self.page_size)
-            self._file.write(b"\x00" * self.page_size)
-            self._live.discard(page_id)
-
-    def flush(self) -> None:
-        self._file.flush()
-
-    def close(self) -> None:
-        self._file.flush()
-        self._file.close()
-
-    def __contains__(self, page_id: PageId) -> bool:
-        return page_id in self._live
-
-    def __len__(self) -> int:
-        return len(self._live)
-
-    def page_ids(self) -> list[PageId]:
-        return sorted(self._live)
-
-    def __enter__(self) -> "FileDisk":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 # ----------------------------------------------------------------------
 # Saving and loading built indexes
 # ----------------------------------------------------------------------
 #
 # SimulatedDisk persists mutations implicitly (pages are shared objects);
-# FileDisk copies on read, so indexes are *built* in memory and then saved.
-# A JSON sidecar next to the page file records the tree metadata that does
-# not live on pages (root id, height, capacities).
+# a DurableDisk copies on read, so indexes are *built* in memory and then
+# saved.  A JSON sidecar next to the page file records the tree metadata
+# that does not live on pages (root id, height, capacities) and the slot
+# format the pages were saved in.
+
+#: The slot format of a saved tree: a CRC-32 before each encoded page.
+_SLOT_FORMAT = "crc32-slots"
 
 
 def save_tree(tree, path: str | Path, page_size: int = 4096) -> None:
     """Persist a built R-tree: pages to ``path``, metadata to ``path.json``.
 
-    Payloads must be integers (see :func:`encode_page`).
+    Each page goes into a checksummed :class:`~repro.wal.durable.DurableDisk`
+    slot.  Payloads must be integers (see :func:`encode_page`).
     """
-    import json
+    from repro.wal.bytestore import FileByteStore
+    from repro.wal.durable import DurableDisk
 
     path = Path(path)
     if path.exists():
         path.unlink()
-    with FileDisk(path, page_size=page_size) as disk:
+    with FileByteStore(path) as store:
+        disk = DurableDisk(store, page_size=page_size)
         for page_id in tree.all_page_ids():
             disk.store(tree.pagefile.disk.peek(page_id))
     metadata = {
@@ -443,6 +333,7 @@ def save_tree(tree, path: str | Path, page_size: int = 4096) -> None:
         "max_dir_entries": tree.max_dir_entries,
         "max_data_entries": tree.max_data_entries,
         "page_size": page_size,
+        "slot_format": _SLOT_FORMAT,
     }
     Path(str(path) + ".json").write_text(json.dumps(metadata), encoding="utf-8")
 
@@ -452,27 +343,39 @@ def load_tree(path: str | Path, mutable: bool = False):
 
     With ``mutable=False`` (default) the tree reads pages straight from the
     file; it must be treated as **read-only** — updates would mutate
-    transient page copies.  With ``mutable=True`` all pages are
-    materialised into an in-memory :class:`SimulatedDisk`, giving a fully
-    updatable tree at the cost of loading everything.
+    transient page copies — and its ``pagefile.disk`` closed when done.
+    With ``mutable=True`` all pages are materialised into an in-memory
+    :class:`SimulatedDisk`, giving a fully updatable tree at the cost of
+    loading everything.  A slot whose checksum fails raises
+    :class:`~repro.wal.durable.TornPageError` when read; a file saved in
+    another slot format raises :class:`ValueError`.
     """
-    import json
-
     from repro.sam.rstar import RStarTree
     from repro.storage.disk import SimulatedDisk
     from repro.storage.pagefile import PageFile
+    from repro.wal.bytestore import FileByteStore
+    from repro.wal.durable import DurableDisk
 
     path = Path(path)
     metadata = json.loads(Path(str(path) + ".json").read_text(encoding="utf-8"))
-    disk = FileDisk(path, page_size=metadata["page_size"])
-    if mutable:
-        memory = SimulatedDisk()
-        for page_id in disk.page_ids():
-            memory.store(disk.peek(page_id))
-        disk.close()
-        backing = memory
-    else:
+    if metadata.get("slot_format") != _SLOT_FORMAT:
+        raise ValueError(
+            f"{path} was saved without checksummed slots; "
+            "re-save it with save_tree"
+        )
+    store = FileByteStore(path)
+    try:
+        disk = DurableDisk(store, page_size=metadata["page_size"])
         backing = disk
+        if mutable:
+            backing = SimulatedDisk()
+            for page_id in disk.page_ids():
+                backing.store(disk.peek(page_id))
+    except BaseException:
+        store.close()
+        raise
+    if mutable:
+        disk.close()
     pagefile = PageFile(backing)  # type: ignore[arg-type]
     pagefile._next_id = (max(backing.page_ids()) + 1) if len(backing) else 0
     tree = RStarTree(

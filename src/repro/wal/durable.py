@@ -31,14 +31,15 @@ from __future__ import annotations
 import struct
 import zlib
 
-from repro.storage.disk import (
-    DiskError,
-    DiskStats,
-    FailureInjectionMixin,
-    LatencyModel,
-)
+from repro.storage.disk import DiskError, LatencyModel, _AccountedDisk
 from repro.storage.page import Page, PageId
-from repro.storage.serialization import VerifiedPages, encode_page, read_page
+from repro.storage.serialization import (
+    MAGIC,
+    VerifiedPages,
+    encode_page,
+    max_entries_for,
+    read_page,
+)
 from repro.wal.bytestore import ByteStore, MemoryByteStore
 from repro.wal.crash import CrashError, CrashInjector
 
@@ -49,7 +50,7 @@ class TornPageError(DiskError):
     """A page slot failed its checksum — a write tore mid-slot."""
 
 
-class DurableDisk(FailureInjectionMixin):
+class DurableDisk(_AccountedDisk):
     """Fixed-slot page store over a byte medium, with checksums.
 
     Slot layout at byte offset ``page_id * (4 + page_size)``::
@@ -69,15 +70,14 @@ class DurableDisk(FailureInjectionMixin):
         latency: LatencyModel | None = None,
         crash: CrashInjector | None = None,
     ) -> None:
+        if max_entries_for(page_size) < 1:
+            raise ValueError("page_size too small for even one entry")
         self.store_backend = store if store is not None else MemoryByteStore()
         self.page_size = page_size
         self.slot_size = _CRC.size + page_size
-        self._latency = latency or LatencyModel()
-        self._last_read: PageId | None = None
-        self.stats = DiskStats()
         #: Crash injection hooks; ``None`` means crashes never fire.
         self.crash = crash
-        self._init_failure_injection()
+        self._init_accounting(latency)
         self._live: set[PageId] = set()
         #: The slots' last verified bytes; forgotten before a slot changes.
         self._verified = VerifiedPages()
@@ -90,8 +90,6 @@ class DurableDisk(FailureInjectionMixin):
 
     def _scan_existing(self) -> None:
         """Rebuild the live-page set from the medium (reopen/recovery)."""
-        from repro.storage.serialization import MAGIC
-
         # Ceiling division: canonical images strip trailing zeros, which
         # may truncate the final slot's zero padding — it still counts.
         slots = -(-self.store_backend.size() // self.slot_size)
@@ -157,14 +155,7 @@ class DurableDisk(FailureInjectionMixin):
         if page_id not in self._live:
             raise KeyError(f"page {page_id} does not exist on disk")
         payload = self._read_slot(page_id)
-        self.stats.reads += 1
-        if self._last_read is not None and page_id == self._last_read + 1:
-            self.stats.sequential_reads += 1
-            self.stats.elapsed_ms += self._latency.sequential_ms
-        else:
-            self.stats.random_reads += 1
-            self.stats.elapsed_ms += self._latency.random_ms
-        self._last_read = page_id
+        self._count_read(page_id)
         return self._verified.read(payload, page_id)
 
     def write(self, page: Page) -> None:
@@ -178,14 +169,19 @@ class DurableDisk(FailureInjectionMixin):
         image = page._packed()
         payload = encode_page(page, self.page_size)
         self._write_slot(page.page_id, payload)
-        self.stats.writes += 1
-        self.stats.elapsed_ms += self._latency.random_ms
+        self._count_write()
         if image is not None and payload is image.blob:
             self._verified.remember(page.page_id, page)
 
     def sync(self) -> None:
         """Make every slot written so far durable on the medium."""
         self.store_backend.sync()
+
+    def close(self) -> None:
+        """Close the byte store, if it is one that holds a file open."""
+        close = getattr(self.store_backend, "close", None)
+        if close is not None:
+            close()
 
     # ------------------------------------------------------------------
     # Unaccounted maintenance

@@ -164,6 +164,7 @@ class TestDeprecatedKeywords:
             ("repro.workloads", "ClientStream"),
             ("repro.datasets", "density_map"),
             ("repro.experiments", "advise"),
+            ("repro.storage", "FileDisk"),
         ],
     )
     def test_retired_names_are_gone(self, module, export):

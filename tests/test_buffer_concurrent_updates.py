@@ -102,14 +102,11 @@ class TestThreadedUpdateAccounting:
     def test_per_thread_counters_merge_cleanly(self):
         disk, service = self.drive(shards=4)
         merged = service.stats
-        per_thread = service._registry
-        assert len(per_thread) == self.THREADS
-        assert merged.requests == sum(c.requests for c in per_thread)
-        assert merged.hits == sum(c.hits for c in per_thread)
-        assert merged.misses == sum(c.misses for c in per_thread)
-        assert all(
-            c.requests == self.OPS_PER_THREAD for c in per_thread
-        )
+        cores = service.shard_managers()
+        assert merged.requests == sum(core.stats.requests for core in cores)
+        assert merged.hits == sum(core.stats.hits for core in cores)
+        assert merged.misses == sum(core.stats.misses for core in cores)
+        assert merged.requests == self.THREADS * self.OPS_PER_THREAD
 
     def test_no_writeback_without_updates(self):
         disk = make_disk(16)

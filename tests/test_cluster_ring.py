@@ -166,3 +166,31 @@ class TestClusterMap:
         clone = ClusterMap.from_json(cmap.to_json())
         assert clone == cmap
         assert clone.ring.digest() == cmap.ring.digest()
+
+    def test_owner_matches_a_fresh_ring_across_membership_changes(self):
+        base = self.build_map()
+        base.owner(0)  # build the ring before the map is derived from
+        grown = base.with_node("node-3", "127.0.0.1", 9999)
+        shrunk = grown.without_node("node-1")
+        shrunk.owner(0)
+        shrunk.set_address("node-2", "127.0.0.1", 7000)
+        for cmap in (base, grown, shrunk):
+            fresh = HashRing(sorted(cmap.nodes), slots=SLOTS)
+            assert cmap.ring.slot_owner == fresh.slot_owner
+            for page_id in range(4 * SLOTS):
+                assert cmap.owner(page_id) == fresh.owner(page_id)
+
+    def test_a_lookup_does_not_rederive_the_membership(self, monkeypatch):
+        cmap = self.build_map()
+        cmap.owner(0)
+        calls = []
+        members = ClusterMap.data_nodes.fget
+
+        def counted(self):
+            calls.append(self)
+            return members(self)
+
+        monkeypatch.setattr(ClusterMap, "data_nodes", property(counted))
+        owners = [cmap.owner(page_id) for page_id in range(100)]
+        assert calls == []
+        assert set(owners) <= set(cmap.nodes)

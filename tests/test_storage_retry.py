@@ -12,7 +12,8 @@ from repro.storage.disk import (
 )
 from repro.storage.page import Page, PageEntry, PageType
 from repro.storage.retry import RetryPolicy, RetryingDisk, call_with_retry
-from repro.storage.serialization import FileDisk
+from repro.wal.bytestore import FileByteStore
+from repro.wal.durable import DurableDisk
 
 
 def make_page(page_id: int) -> Page:
@@ -82,7 +83,8 @@ class TestTransientInjection:
         assert disk.read(0).page_id == 0
 
     def test_file_disk_transient_countdown(self, tmp_path):
-        with FileDisk(tmp_path / "pages.bin", page_size=256) as disk:
+        with FileByteStore(tmp_path / "pages.bin") as store:
+            disk = DurableDisk(store, page_size=256)
             disk.store(make_page(1))
             disk.fail_transiently(1, op="write", times=1)
             with pytest.raises(TransientDiskError):

@@ -1,13 +1,16 @@
-"""Tests for binary page serialization, FileDisk, and tree save/load."""
+"""Tests for binary page serialization, the file-backed disk, and tree
+save/load."""
 
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 import random
 import struct
 import sys
 import threading
+from contextlib import closing
 
 import pytest
 from hypothesis import given
@@ -23,7 +26,6 @@ from repro.obs.events import TraceRecorder
 from repro.storage.disk import DiskError
 from repro.storage.page import Page, PageEntry, PageType
 from repro.storage.serialization import (
-    FileDisk,
     VerifiedPages,
     decode_page,
     encode_page,
@@ -32,7 +34,8 @@ from repro.storage.serialization import (
     read_page,
     save_tree,
 )
-from repro.wal.durable import DurableDisk
+from repro.wal.bytestore import FileByteStore
+from repro.wal.durable import DurableDisk, TornPageError
 
 
 def sample_page(page_id=3, entries=5):
@@ -138,9 +141,17 @@ class TestPageCodec:
             assert copied.mbr == original.mbr
 
 
+def file_disk(path, page_size=4096):
+    """A durable disk over a file, closed with its file."""
+    return closing(DurableDisk(FileByteStore(path), page_size=page_size))
+
+
 class TestFileDisk:
+    """A :class:`DurableDisk` over a :class:`FileByteStore`: the file-backed
+    page store that :func:`save_tree` and :func:`load_tree` use."""
+
     def test_store_read_roundtrip(self, tmp_path):
-        with FileDisk(tmp_path / "pages.db") as disk:
+        with file_disk(tmp_path / "pages.db") as disk:
             disk.store(sample_page(page_id=2))
             page = disk.read(2)
             assert page.page_id == 2
@@ -148,7 +159,7 @@ class TestFileDisk:
             assert disk.stats.reads == 1
 
     def test_reads_hand_out_the_slot_packed(self, tmp_path):
-        with FileDisk(tmp_path / "pages.db", page_size=512) as disk:
+        with file_disk(tmp_path / "pages.db", page_size=512) as disk:
             disk.store(sample_page(page_id=2))
             slot = encode_page(sample_page(page_id=2), 512)
             for page in (disk.read(2), disk.peek(2)):
@@ -158,37 +169,37 @@ class TestFileDisk:
                 assert page == sample_page(page_id=2)
 
     def test_missing_page_raises(self, tmp_path):
-        with FileDisk(tmp_path / "pages.db") as disk:
+        with file_disk(tmp_path / "pages.db") as disk:
             with pytest.raises(KeyError):
                 disk.read(5)
 
     def test_persists_across_reopen(self, tmp_path):
         path = tmp_path / "pages.db"
-        with FileDisk(path) as disk:
+        with file_disk(path) as disk:
             disk.store(sample_page(page_id=0))
             disk.store(sample_page(page_id=4))
-        with FileDisk(path) as reopened:
+        with file_disk(path) as reopened:
             assert reopened.page_ids() == [0, 4]
             assert len(reopened.read(4).entries) == 5
 
     def test_delete_frees_slot(self, tmp_path):
         path = tmp_path / "pages.db"
-        with FileDisk(path) as disk:
+        with file_disk(path) as disk:
             disk.store(sample_page(page_id=1))
             disk.delete(1)
             assert 1 not in disk
-        with FileDisk(path) as reopened:
+        with file_disk(path) as reopened:
             assert 1 not in reopened
 
     def test_failure_injection(self, tmp_path):
-        with FileDisk(tmp_path / "pages.db") as disk:
+        with file_disk(tmp_path / "pages.db") as disk:
             disk.store(sample_page(page_id=1))
             disk.fail_reads.add(1)
             with pytest.raises(DiskError):
                 disk.read(1)
 
     def test_sequential_detection(self, tmp_path):
-        with FileDisk(tmp_path / "pages.db") as disk:
+        with file_disk(tmp_path / "pages.db") as disk:
             for page_id in range(3):
                 disk.store(sample_page(page_id=page_id))
             disk.read(0)
@@ -197,11 +208,14 @@ class TestFileDisk:
             assert disk.stats.sequential_reads == 2
 
     def test_page_size_validation(self, tmp_path):
+        with FileByteStore(tmp_path / "pages.db") as store:
+            with pytest.raises(ValueError):
+                DurableDisk(store, page_size=8)
         with pytest.raises(ValueError):
-            FileDisk(tmp_path / "pages.db", page_size=8)
+            DurableDisk(page_size=8)
 
     def test_buffer_manager_on_file_disk(self, tmp_path):
-        with FileDisk(tmp_path / "pages.db") as disk:
+        with file_disk(tmp_path / "pages.db") as disk:
             for page_id in range(6):
                 disk.store(sample_page(page_id=page_id))
             buffer = BufferManager(disk, 3, LRU())
@@ -257,6 +271,37 @@ class TestTreeSaveLoad:
             assert len(loaded.all_page_ids()) == len(small_tree.all_page_ids())
         finally:
             loaded.pagefile.disk.close()
+
+    def test_a_corrupted_slot_is_refused(self, small_tree, tmp_path):
+        path = tmp_path / "tree.db"
+        save_tree(small_tree, path)
+        page_id = small_tree.root_id
+        # A byte inside the root's first entry: past the slot's CRC and
+        # the page header, so the slot still looks live.
+        with open(path, "r+b") as medium:
+            medium.seek(page_id * (4 + 4096) + 4 + 8 + 3)
+            byte = medium.read(1)
+            medium.seek(-1, 1)
+            medium.write(bytes([byte[0] ^ 0x40]))
+        loaded = load_tree(path)
+        try:
+            with pytest.raises(TornPageError):
+                loaded.pagefile.disk.read(page_id)
+        finally:
+            loaded.pagefile.disk.close()
+        with pytest.raises(TornPageError):
+            load_tree(path, mutable=True)
+
+    def test_a_file_saved_without_checksums_is_refused(self, small_tree, tmp_path):
+        path = tmp_path / "tree.db"
+        save_tree(small_tree, path)
+        sidecar = tmp_path / "tree.db.json"
+        metadata = json.loads(sidecar.read_text(encoding="utf-8"))
+        del metadata["slot_format"]  # what an unchecksummed save wrote
+        sidecar.write_text(json.dumps(metadata), encoding="utf-8")
+        for mutable in (False, True):
+            with pytest.raises(ValueError, match="re-save"):
+                load_tree(path, mutable=mutable)
 
 
 # ----------------------------------------------------------------------

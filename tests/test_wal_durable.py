@@ -10,7 +10,7 @@ import zlib
 import pytest
 
 from repro.geometry.rect import Rect
-from repro.storage.disk import DiskError, TransientDiskError
+from repro.storage.disk import DiskError, SimulatedDisk, TransientDiskError
 from repro.storage import serialization
 from repro.storage.page import Page, PageEntry, PageType
 from repro.storage.serialization import decode_page, encode_page, read_page
@@ -373,3 +373,34 @@ class TestVerifiedOnce:
             assert observed(disk.read, page_id) == observed(
                 lambda page_id: model_read(disk, page_id), page_id
             )
+
+
+class TestThreadedAccounting:
+    READS = 500
+
+    @pytest.mark.parametrize("make_disk", [SimulatedDisk, DurableDisk])
+    def test_threads_lose_no_count(self, make_disk):
+        """Eight readers share one disk: every read is counted once, and
+        as either sequential or random."""
+        disk = make_disk()
+        for page_id in range(8):
+            disk.store(make_page(page_id))
+
+        def worker(seed: int) -> None:
+            rng = random.Random(seed)
+            for _ in range(self.READS):
+                disk.read(rng.randrange(8))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stats = disk.stats
+        assert stats.reads == stats.sequential_reads + stats.random_reads == 8 * self.READS
