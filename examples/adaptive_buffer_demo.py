@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Watch ASB's self-tuning knob react to a changing query profile.
 
-Reproduces the experiment behind Figure 14 of the paper and renders the
+Runs the experiment behind Figure 14 of the paper and renders the
 candidate-set size as an ASCII chart: the query stream switches from an
 intensified distribution (hot-spot queries — LRU should dominate, small
 candidate set) to a uniform distribution (spatial criterion should
@@ -11,66 +11,28 @@ between), with no human intervention in between.
 Run:  python examples/adaptive_buffer_demo.py
 """
 
-from repro import ASB, BufferManager, RStarTree
-from repro.datasets.places import synthetic_places
-from repro.datasets.synthetic import us_mainland_like
+from repro.experiments.figures import figure_14, make_setup
 from repro.experiments.plots import line_chart
-from repro.workloads.sets import QuerySet, make_query_set
 
-N_OBJECTS = 40_000
-QUERIES_PER_PHASE = 400
-BUFFER_FRACTION = 0.047
 CHART_WIDTH = 72
 CHART_HEIGHT = 12
 
 
 def main() -> None:
-    dataset = us_mainland_like(n_objects=N_OBJECTS, seed=7)
-    places = synthetic_places(dataset, count=1_200, seed=42)
-    tree = RStarTree()
-    tree.bulk_load(dataset.items())
-    pages = tree.stats().page_count
-    capacity = max(8, round(BUFFER_FRACTION * pages))
-
-    phases = ("INT-W-33", "U-W-33", "S-W-33")
-    parts = [
-        make_query_set(name, dataset, places, QUERIES_PER_PHASE, seed=7)
-        for name in phases
-    ]
-    mixed = QuerySet.concat(" + ".join(phases), parts)
-
-    policy = ASB(record_trace=True)
-    buffer = BufferManager(tree.pagefile.disk, capacity, policy)
-    print(
-        f"buffer: {capacity} pages "
-        f"(main {policy.main_capacity}, overflow {policy.overflow_capacity}); "
-        f"initial candidate set: {policy.candidate_size}"
-    )
-
-    sizes = []
-    for query in mixed:
-        with buffer.query_scope():
-            query.run(tree, buffer)
-        sizes.append(policy.candidate_size)
-
-    print(f"\ncandidate-set size over {len(mixed)} queries "
-          f"({' -> '.join(phases)}):\n")
+    # 200 queries per set: Figure 14 runs twice that per phase.
+    result = figure_14(make_setup(n_queries=200))
+    sizes = result.series["candidate_size"]
+    print(f"candidate-set size over {len(sizes)} queries:\n")
     print(
         line_chart(
-            [float(s) for s in sizes],
+            sizes,
             width=CHART_WIDTH,
             height=CHART_HEIGHT,
             label="phases switch at 1/3 and 2/3 of the x-axis",
         )
     )
-
-    for index, phase in enumerate(phases):
-        segment = sizes[index * QUERIES_PER_PHASE : (index + 1) * QUERIES_PER_PHASE]
-        tail = segment[len(segment) // 2 :]
-        print(
-            f"{phase:>9}: settles at {sum(tail) / len(tail):5.1f} "
-            f"of {policy.main_capacity} (min {min(segment)}, max {max(segment)})"
-        )
+    print()
+    print(result.to_text())
     print(
         "\nLow = the buffer behaves like LRU; high = the spatial criterion "
         "dominates.\nNo parameter was touched between the phases — that is "

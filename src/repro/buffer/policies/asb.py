@@ -55,7 +55,7 @@ from repro.buffer.frames import Frame
 from repro.buffer.manager import BufferFullError, BufferManager
 from repro.buffer.policies.base import ReplacementPolicy
 from repro.buffer.policies.spatial import SPATIAL_CRITERIA, spatial_criterion
-from repro.obs.events import BufferEvent
+from repro.obs.events import BufferEvent, EventSink
 from repro.storage.page import PageId
 
 
@@ -187,17 +187,15 @@ class ASB(ReplacementPolicy):
         page_id = frame.page.page_id
         if page_id not in self._overflow:
             return
-        self._adapt(frame, *self._leave_overflow(page_id))
+        # The sink and the clock are read once: neither moves before the
+        # promotion returns.
+        buffer = self._buffer
+        observer = buffer.observer
+        clock = buffer.clock
+        self._adapt(page_id, *self._leave_overflow(page_id), observer, clock)
         self.on_load(frame)
-        observer = self.observer
         if observer is not None:
-            observer.emit(
-                BufferEvent(
-                    kind="promote",
-                    clock=self.buffer.clock,
-                    page_id=frame.page_id,
-                )
-            )
+            observer.emit(BufferEvent(kind="promote", clock=clock, page_id=page_id))
 
     def on_update(self, frame: Frame) -> None:
         """The page changed: drop what the index remembers of its criterion."""
@@ -271,12 +269,20 @@ class ASB(ReplacementPolicy):
     # The self-tuning step
     # ------------------------------------------------------------------
 
-    def _adapt(self, promoted: Frame, stamp: int, value: float) -> None:
+    def _adapt(
+        self,
+        page_id: PageId,
+        stamp: int,
+        value: float,
+        observer: EventSink | None,
+        clock: int,
+    ) -> None:
         """Compare the two criteria on the overflow pages (Section 4.2).
 
         ``stamp`` and ``value`` are the promoted page's last access and
         criterion as the overflow had them filed; the page itself is
-        already unfiled.  An overflow page judges better when it is
+        already unfiled.  ``observer`` and ``clock`` are the buffer's, as
+        :meth:`on_hit` read them.  An overflow page judges better when it is
         strictly larger, so the counts are what lies right of those keys
         in the two sorted lists.
         """
@@ -294,14 +300,13 @@ class ASB(ReplacementPolicy):
                 self.main_capacity, self._candidate_size + self._step
             )
         if self.record_trace:
-            self.trace.append((self.buffer.clock, self._candidate_size))
-        observer = self.observer
+            self.trace.append((clock, self._candidate_size))
         if observer is not None:
             observer.emit(
                 BufferEvent(
                     kind="adapt",
-                    clock=self.buffer.clock,
-                    page_id=promoted.page_id,
+                    clock=clock,
+                    page_id=page_id,
                     size=self._candidate_size,
                     delta=self._candidate_size - before,
                 )

@@ -23,7 +23,8 @@ from repro.buffer.policies.lru_p import LRUP
 from repro.buffer.policies.slru import SLRU
 from repro.buffer.policies.spatial import SpatialPolicy
 from repro.datasets.synthetic import us_mainland_like, world_atlas_like
-from repro.obs.events import Fanout, TraceRecorder
+from repro.obs.events import TraceRecorder
+from repro.obs.trace import replay_requests
 from repro.obs.windows import WindowedMetrics
 from repro.experiments.harness import (
     Database,
@@ -32,11 +33,9 @@ from repro.experiments.harness import (
     build_database,
     grid_rows,
     lru_gain_rows,
-    replay,
     run_grid,
 )
 from repro.experiments.report import format_table
-from repro.workloads.sets import QuerySet
 
 
 @dataclass(slots=True)
@@ -359,33 +358,51 @@ def figure_14(setup: PaperSetup) -> FigureResult:
     """
     database = setup.db1
     # Twice the usual queries per phase, so each phase is long enough for
-    # the knob to settle.
+    # the knob to settle.  Each phase's query indices are shifted past the
+    # previous phase's, so the joined string keeps one index per query.
     count = 2 * setup.n_queries
     phases = ("INT-W-33", "U-W-33", "S-W-33")
-    parts = [database.query_set(name, count, setup.seed) for name in phases]
-    mixed = QuerySet.concat("INT-W-33 + U-W-33 + S-W-33", parts)
+    references = [
+        (page_id, offset * count + query)
+        for offset, name in enumerate(phases)
+        for page_id, query in database.trace(name, count, setup.seed).references
+    ]
     capacity = buffer_capacity(database, 0.047)
-    policy = ASB(record_trace=True)
-    sizes: list[float] = []
-    # The event stream drives both the adaptation record and the rolling
-    # hit ratio; Figure 14's story ("the knob follows the phase changes")
-    # becomes visible as adapt events moving the hit ratio.
-    adaptations = TraceRecorder(kinds=("adapt",))
+    policy = ASB()
+    recorder = TraceRecorder(kinds=("fetch", "hit", "miss", "adapt"))
+    replay_requests(
+        database.tree.pagefile.disk, references, policy, capacity, recorder
+    )
+    # The event stream carries both the knob (``adapt.size``) and the
+    # rolling hit ratio; each is sampled where a query ends, i.e. where a
+    # fetch of the next query starts, and once after the last.  Figure
+    # 14's story ("the knob follows the phase changes") becomes visible as
+    # adapt events moving the hit ratio.
+    adaptations = [event for event in recorder.events if event.kind == "adapt"]
+    size = (
+        adaptations[0].size - adaptations[0].delta
+        if adaptations
+        else policy.candidate_size
+    )
     metrics = WindowedMetrics(window=max(64, capacity))
+    sizes: list[float] = []
     hit_ratios: list[float] = []
 
-    def sample(position: int, buffer) -> None:
-        sizes.append(float(policy.candidate_size))
+    def sample() -> None:
+        sizes.append(float(size))
         hit_ratios.append(metrics.rolling.ratio)
 
-    replay(
-        database.tree,
-        mixed,
-        policy,
-        capacity,
-        after_query=sample,
-        observer=Fanout(adaptations, metrics),
-    )
+    query = None
+    for event in recorder.events:
+        if event.kind == "fetch" and event.query != query:
+            if query is not None:
+                sample()
+            query = event.query
+        elif event.kind == "adapt":
+            size = event.size
+        metrics.emit(event)
+    if query is not None:
+        sample()
     rows: list[list[object]] = []
     for index, phase in enumerate(phases):
         phase_sizes = sizes[index * count : (index + 1) * count]
@@ -407,12 +424,12 @@ def figure_14(setup: PaperSetup) -> FigureResult:
         notes=(
             f"buffer = {capacity} pages, main part = {policy.main_capacity}, "
             f"overflow = {policy.overflow_capacity}, "
-            f"{len(adaptations.events)} adaptation events"
+            f"{len(adaptations)} adaptation events"
         ),
         series={
             "candidate_size": sizes,
             "rolling_hit_ratio": hit_ratios,
-            "adaptation_clock": [float(e.clock) for e in adaptations.events],
+            "adaptation_clock": [float(event.clock) for event in adaptations],
         },
     )
 

@@ -14,8 +14,8 @@ The experimental protocol follows Section 3 of the paper:
 The queries are read-only, so a query set's page-reference string does not
 depend on the policy or the buffer size: :meth:`Database.trace` records it
 once, and :func:`run_grid` replays every (size, policy) cell from it over
-the index's own disk.  :func:`replay` runs a query set live, for checks
-against the trace and for hooks between queries (Figure 14).
+the index's own disk.  :func:`replay` runs a query set live, the reference
+the recorded strings are checked against.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from repro.access import FullPageAccessor
 from repro.buffer.manager import BufferManager
 from repro.buffer.policies.asb import ASB
 from repro.buffer.policies.base import ReplacementPolicy
@@ -127,58 +126,23 @@ def buffer_capacity(database: Database, fraction: float) -> int:
     return max(8, round(fraction * database.page_count))
 
 
-def run_queries(
-    accessor: FullPageAccessor,
-    index: SpatialIndex,
-    query_set: QuerySet,
-    after_query: Callable[[int, FullPageAccessor], None] | None = None,
-) -> FullPageAccessor:
-    """Drive a query set through *any* page accessor.
-
-    The harness core is accessor-generic: the same loop runs against a
-    plain :class:`~repro.buffer.manager.BufferManager`, the concurrent
-    service, or an unbuffered accessor — each query inside
-    its own query scope (the correlation unit).  ``after_query`` is an
-    optional hook called with (query index, accessor) after each query.
-    """
-    for position, query in enumerate(query_set):
-        with accessor.query_scope():
-            query.run(index, accessor)
-        if after_query is not None:
-            after_query(position, accessor)
-    return accessor
-
-
 def replay(
     index: SpatialIndex,
     query_set: QuerySet,
     policy: ReplacementPolicy,
     capacity: int,
-    after_query: Callable[[int, BufferManager], None] | None = None,
-    observer=None,
 ) -> BufferManager:
-    """Run a query set against a fresh buffer; return the buffer (stats).
+    """Run a query set live against a fresh buffer; return the buffer (stats).
 
-    Convenience wrapper over :func:`run_queries` for the paper's standard
-    setup: one fresh single-threaded buffer per replay.  ``after_query``
-    is an optional hook called with (query index, buffer) after each query
-    — used e.g. to sample ASB's candidate-set size for Figure 14.
-    ``observer`` is an optional event sink receiving the buffer-event
-    stream (see :mod:`repro.obs`).  Construction goes through the
-    :meth:`repro.api.BufferSystem.build` facade (defaults are
-    bit-identical to the historical hand wiring, which the golden-trace
-    tests pin down).
+    Each query runs inside its own query scope (the correlation unit).
+    The experiments replay recorded strings instead; this live run is the
+    reference the recorded strings are checked against.
     """
-    from repro.api import BufferSystem
-
-    system = BufferSystem.build(
-        policy=policy,
-        capacity=capacity,
-        disk=index.pagefile.disk,
-        trace=observer,
-    )
-    run_queries(system.buffer, index, query_set, after_query)
-    return system.buffer
+    buffer = BufferManager(index.pagefile.disk, capacity, policy)
+    for query in query_set:
+        with buffer.query_scope():
+            query.run(index, buffer)
+    return buffer
 
 
 def replay_mixed(

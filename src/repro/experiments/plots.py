@@ -1,14 +1,13 @@
 """Plain-text charts for experiment output.
 
-The benches and examples run in terminals; these helpers render the
-paper-figure data as ASCII charts — a line chart for series like the
-candidate-set trace (Figure 14), horizontal bars for per-policy gains, and
-a histogram for distributions.  No plotting dependency required.
+The examples run in terminals; :func:`line_chart` renders a series such
+as the candidate-set trace of Figure 14 as an ASCII chart.  No plotting
+dependency required.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 def line_chart(
@@ -48,61 +47,3 @@ def line_chart(
         rows.append(" " * 10 + label)
     return "\n".join(rows)
 
-
-def bar_chart(
-    data: Mapping[str, float],
-    width: int = 48,
-    unit: str = "",
-    zero_origin: bool = True,
-) -> str:
-    """Horizontal bars for labelled values (e.g. per-policy gains).
-
-    Negative values grow to the left of the axis, positive to the right,
-    so gain-vs-LRU comparisons read naturally.
-    """
-    if not data:
-        return "(no data)"
-    labels = list(data)
-    values = [data[label] for label in labels]
-    label_width = max(len(label) for label in labels)
-    biggest = max(abs(value) for value in values) or 1.0
-    half = width // 2
-    lines = []
-    for label, value in zip(labels, values):
-        length = round(abs(value) / biggest * half)
-        if value >= 0:
-            bar = " " * half + "|" + "#" * length
-        else:
-            bar = " " * (half - length) + "#" * length + "|"
-        lines.append(
-            f"{label.ljust(label_width)} {bar.ljust(width + 1)} "
-            f"{value:+.3g}{unit}"
-        )
-    return "\n".join(lines)
-
-
-def histogram(
-    values: Sequence[float],
-    bins: int = 10,
-    width: int = 40,
-) -> str:
-    """A fixed-bin histogram of a numeric sample."""
-    if bins < 1:
-        raise ValueError("bins must be positive")
-    if not values:
-        return "(no data)"
-    low = min(values)
-    high = max(values)
-    span = (high - low) or 1.0
-    counts = [0] * bins
-    for value in values:
-        index = min(bins - 1, int((value - low) / span * bins))
-        counts[index] += 1
-    peak = max(counts) or 1
-    lines = []
-    for index, count in enumerate(counts):
-        lo = low + span * index / bins
-        hi = low + span * (index + 1) / bins
-        bar = "#" * round(count / peak * width)
-        lines.append(f"[{lo:10.4g}, {hi:10.4g}) {bar} {count}")
-    return "\n".join(lines)

@@ -4,8 +4,7 @@ The paper evaluates replacement policies on five query-distribution
 families (Section 3.1): uniform (U), identical (ID), similar (S),
 intensified (INT) and independent (IND), each as point queries (-P) and
 window queries (-W-ex, where 1/ex is the window extent relative to the data
-space).  This package generates all of them, plus the concatenated mixed
-set of Figure 14.
+space).  This package generates all of them.
 """
 
 from repro.workloads.distributions import (
@@ -15,11 +14,7 @@ from repro.workloads.distributions import (
     similar_queries,
     uniform_queries,
 )
-from repro.workloads.patterns import (
-    drifting_hotspot,
-    session_workload,
-    zoom_sequence,
-)
+from repro.workloads.patterns import drifting_hotspot
 from repro.workloads.queries import PointQuery, Query, WindowQuery
 from repro.workloads.updates import (
     Delete,
@@ -53,8 +48,6 @@ __all__ = [
     "QUERY_SET_NAMES",
     "EX_VALUES",
     "drifting_hotspot",
-    "zoom_sequence",
-    "session_workload",
     "UpdateOp",
     "Insert",
     "Delete",

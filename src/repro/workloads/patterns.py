@@ -2,15 +2,9 @@
 
 The paper's query sets are stationary; its self-tuning claim, however, is
 about *changing* profiles (Figure 14 concatenates three sets).  This module
-generates richer non-stationary patterns for stress-testing adaptivity:
-
-* :func:`drifting_hotspot` — a hot region that wanders across the map, so
-  the working set moves continuously rather than switching abruptly;
-* :func:`zoom_sequence` — a map-viewer drill-down: windows shrinking
-  around a target (high overlap between consecutive queries);
-* :func:`session_workload` — alternating user sessions, each a burst of
-  overlapping queries around one location (inter-query locality within a
-  session, none across sessions).
+generates a non-stationary pattern for stress-testing adaptivity:
+:func:`drifting_hotspot`, a hot region that wanders across the map, so the
+working set moves continuously rather than switching abruptly.
 """
 
 from __future__ import annotations
@@ -59,54 +53,3 @@ def drifting_hotspot(
         queries.append(_clipped_window(hotspot, extent, space))
     return queries
 
-
-def zoom_sequence(
-    space: Rect,
-    target: Point,
-    steps: int = 8,
-    start_extent: float = 0.5,
-    shrink: float = 0.6,
-) -> list[Query]:
-    """A drill-down: windows shrinking geometrically around ``target``.
-
-    Every window contains the next one, so the page working set shrinks
-    monotonically — the friendliest possible pattern for any policy that
-    keeps recently used pages.
-    """
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    if not 0.0 < shrink < 1.0:
-        raise ValueError("shrink must be in (0, 1)")
-    queries: list[Query] = []
-    extent = start_extent
-    for _ in range(steps):
-        queries.append(_clipped_window(target, extent, space))
-        extent *= shrink
-    return queries
-
-
-def session_workload(
-    space: Rect,
-    n_sessions: int,
-    queries_per_session: int,
-    seed: int = 0,
-    extent: float = 0.04,
-    wander: float = 0.015,
-) -> list[Query]:
-    """Alternating user sessions, each wandering around its own location.
-
-    Within a session consecutive windows overlap heavily (panning);
-    between sessions there is no locality at all.  The pattern separates
-    policies that exploit short-term locality (LRU-like) from those that
-    bet on long-term structure (spatial criteria).
-    """
-    rng = random.Random(seed)
-    queries: list[Query] = []
-    for _ in range(n_sessions):
-        x = rng.uniform(space.x_min, space.x_max)
-        y = rng.uniform(space.y_min, space.y_max)
-        for _ in range(queries_per_session):
-            x += rng.uniform(-wander, wander)
-            y += rng.uniform(-wander, wander)
-            queries.append(_clipped_window(Point(x, y), extent, space))
-    return queries

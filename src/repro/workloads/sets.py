@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.datasets.places import Place
 from repro.datasets.synthetic import Dataset
@@ -56,14 +56,6 @@ class QuerySet:
 
     def __iter__(self) -> Iterator[Query]:
         return iter(self.queries)
-
-    @staticmethod
-    def concat(name: str, parts: Sequence["QuerySet"]) -> "QuerySet":
-        """Concatenate sets into one (the mixed workload of Figure 14)."""
-        queries: list[Query] = []
-        for part in parts:
-            queries.extend(part.queries)
-        return QuerySet(name=name, queries=tuple(queries))
 
 
 def parse_set_name(name: str) -> tuple[str, bool, int | None]:

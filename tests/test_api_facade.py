@@ -165,6 +165,10 @@ class TestDeprecatedKeywords:
             ("repro.datasets", "density_map"),
             ("repro.experiments", "advise"),
             ("repro.storage", "FileDisk"),
+            ("repro.workloads", "zoom_sequence"),
+            ("repro.workloads", "session_workload"),
+            ("repro.experiments.plots", "bar_chart"),
+            ("repro.experiments.plots", "histogram"),
         ],
     )
     def test_retired_names_are_gone(self, module, export):

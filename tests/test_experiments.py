@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
 from collections import Counter
 
 import pytest
 
+from repro.buffer.manager import BufferManager
 from repro.buffer.policies.asb import ASB
 from repro.buffer.policies.lru import LRU
 from repro.buffer.policies.spatial import SpatialPolicy
@@ -24,6 +26,8 @@ from repro.experiments.harness import (
     run_grid,
 )
 from repro.experiments.report import format_gain, format_ratio, format_table
+from repro.obs.events import Fanout, TraceRecorder
+from repro.obs.windows import WindowedMetrics
 from repro.workloads.queries import PointQuery, WindowQuery
 
 
@@ -72,6 +76,15 @@ class TestHarness:
         a = replay(small_database.tree, query_set, LRU(), 32).stats.misses
         b = replay(small_database.tree, query_set, LRU(), 32).stats.misses
         assert a == b
+
+    def test_replay_takes_no_hook(self):
+        # Experiments read what they watch from a replay's event stream.
+        assert list(inspect.signature(replay).parameters) == [
+            "index",
+            "query_set",
+            "policy",
+            "capacity",
+        ]
 
     def test_query_set_cache_returns_same_object(self, small_database):
         a = small_database.query_set("U-P", 10, seed=3)
@@ -156,6 +169,41 @@ class TestFigures:
         assert len(trace) == 3 * 2 * tiny_setup.n_queries  # 2x queries per phase
         assert all(size >= 1 for size in trace)
         assert len(result.rows) == 3
+
+    def test_figure_14_series_equal_the_live_per_query_loop(self, tiny_setup):
+        """Figure 14 samples its series from a replayed event stream.  The
+        reference is the live loop: one buffer over the three phases, each
+        query in its own scope, the knob and a live-fed rolling hit ratio
+        read after every query."""
+        database = tiny_setup.db1
+        count = 2 * tiny_setup.n_queries
+        capacity = buffer_capacity(database, 0.047)
+        policy = ASB()
+        adaptations = TraceRecorder(kinds=("adapt",))
+        metrics = WindowedMetrics(window=max(64, capacity))
+        buffer = BufferManager(
+            database.tree.pagefile.disk,
+            capacity,
+            policy,
+            observer=Fanout(adaptations, metrics),
+        )
+        sizes: list[float] = []
+        hit_ratios: list[float] = []
+        for name in ("INT-W-33", "U-W-33", "S-W-33"):
+            for query in database.query_set(name, count, tiny_setup.seed):
+                with buffer.query_scope():
+                    query.run(database.tree, buffer)
+                sizes.append(float(policy.candidate_size))
+                hit_ratios.append(metrics.rolling.ratio)
+        # The knob moves, so the comparison covers the samples before and
+        # after adaptations.
+        assert len(set(sizes)) > 1
+        series = figure_14(tiny_setup).series
+        assert series["candidate_size"] == sizes
+        assert series["rolling_hit_ratio"] == hit_ratios
+        assert series["adaptation_clock"] == [
+            float(event.clock) for event in adaptations.events
+        ]
 
     def test_setup_database_lookup(self, tiny_setup):
         assert tiny_setup.database("db1") is tiny_setup.db1

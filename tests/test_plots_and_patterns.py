@@ -1,16 +1,12 @@
-"""Tests for the ASCII plots and the temporal workload patterns."""
+"""Tests for the ASCII line chart and the drifting-hotspot pattern."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.plots import bar_chart, histogram, line_chart
-from repro.geometry.rect import Point, Rect
-from repro.workloads.patterns import (
-    drifting_hotspot,
-    session_workload,
-    zoom_sequence,
-)
+from repro.experiments.plots import line_chart
+from repro.geometry.rect import Rect
+from repro.workloads.patterns import drifting_hotspot
 from repro.workloads.queries import WindowQuery
 
 SPACE = Rect(0.0, 0.0, 1.0, 1.0)
@@ -42,39 +38,6 @@ class TestLineChart:
         assert "#" in chart
 
 
-class TestBarChart:
-    def test_positive_and_negative_bars(self):
-        chart = bar_chart({"good": 0.25, "bad": -0.15}, width=20, unit="%")
-        lines = chart.splitlines()
-        assert len(lines) == 2
-        good, bad = lines
-        assert good.index("#") > bad.index("#")  # negatives grow left
-        assert "+0.25%" in good
-        assert "-0.15%" in bad
-
-    def test_empty(self):
-        assert bar_chart({}) == "(no data)"
-
-    def test_all_zero_does_not_crash(self):
-        chart = bar_chart({"a": 0.0, "b": 0.0})
-        assert "a" in chart
-
-
-class TestHistogram:
-    def test_counts_sum_to_sample_size(self):
-        values = [0.1, 0.2, 0.2, 0.9, 0.5, 0.5, 0.5]
-        chart = histogram(values, bins=4)
-        counts = [int(line.rsplit(" ", 1)[1]) for line in chart.splitlines()]
-        assert sum(counts) == len(values)
-
-    def test_invalid_bins(self):
-        with pytest.raises(ValueError):
-            histogram([1.0], bins=0)
-
-    def test_empty(self):
-        assert histogram([]) == "(no data)"
-
-
 class TestDriftingHotspot:
     def test_count_and_containment(self):
         queries = drifting_hotspot(SPACE, 40, seed=1)
@@ -93,49 +56,3 @@ class TestDriftingHotspot:
             SPACE, 10, seed=3
         )
 
-
-class TestZoomSequence:
-    def test_windows_nest(self):
-        queries = zoom_sequence(SPACE, Point(0.5, 0.5), steps=6)
-        for outer, inner in zip(queries, queries[1:]):
-            assert outer.window.contains(inner.window)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            zoom_sequence(SPACE, Point(0.5, 0.5), steps=0)
-        with pytest.raises(ValueError):
-            zoom_sequence(SPACE, Point(0.5, 0.5), shrink=1.5)
-
-    def test_target_near_border_is_clipped(self):
-        queries = zoom_sequence(SPACE, Point(0.01, 0.01), steps=4)
-        for query in queries:
-            assert SPACE.contains(query.window)
-
-
-class TestSessionWorkload:
-    def test_shape(self):
-        queries = session_workload(SPACE, n_sessions=5, queries_per_session=7, seed=4)
-        assert len(queries) == 35
-
-    def test_intra_session_locality(self):
-        """Consecutive windows of one session overlap far more often than
-        windows across session boundaries."""
-        per_session = 10
-        queries = session_workload(
-            SPACE, n_sessions=12, queries_per_session=per_session, seed=5
-        )
-        intra = 0
-        intra_total = 0
-        inter = 0
-        inter_total = 0
-        for index in range(len(queries) - 1):
-            a = queries[index].window
-            b = queries[index + 1].window
-            if (index + 1) % per_session == 0:
-                inter_total += 1
-                inter += a.intersects(b)
-            else:
-                intra_total += 1
-                intra += a.intersects(b)
-        assert intra / intra_total > 0.9
-        assert inter / inter_total < 0.5

@@ -36,11 +36,7 @@ from repro.buffer.policies import (
 )
 from repro.buffer.policies.spatial import spatial_criterion
 from repro.datasets.synthetic import us_mainland_like
-from repro.experiments.harness import (
-    build_database,
-    buffer_capacity,
-    run_queries,
-)
+from repro.experiments.harness import build_database, buffer_capacity
 from repro.geometry.rect import Rect
 from repro.obs.events import TraceRecorder
 from repro.storage.disk import SimulatedDisk
@@ -504,7 +500,9 @@ class TestBenchmarkRung:
                 policy="ASB", capacity=capacity, disk=tree.pagefile.disk,
                 tuning=tuning,
             )
-            run_queries(system.buffer, tree, query_set)
+            for query in query_set:
+                with system.buffer.query_scope():
+                    query.run(tree, system.buffer)
             return system
 
         plain = replay(None)

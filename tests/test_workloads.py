@@ -16,7 +16,6 @@ from repro.workloads.queries import PointQuery, WindowQuery
 from repro.workloads.sets import (
     EX_VALUES,
     QUERY_SET_NAMES,
-    QuerySet,
     make_query_set,
     parse_set_name,
 )
@@ -157,11 +156,3 @@ class TestSetNames:
         similar = make_query_set("S-P", small_dataset, small_places, 20, seed=2)
         independent = make_query_set("IND-P", small_dataset, small_places, 20, seed=2)
         assert similar.queries != independent.queries
-
-    def test_concat(self, small_dataset, small_places):
-        a = make_query_set("U-P", small_dataset, small_places, 5, seed=1)
-        b = make_query_set("S-P", small_dataset, small_places, 5, seed=1)
-        mixed = QuerySet.concat("mixed", [a, b])
-        assert len(mixed) == 10
-        assert mixed.queries[:5] == a.queries
-        assert mixed.queries[5:] == b.queries
