@@ -23,7 +23,7 @@ from repro.experiments.analysis import (
     profile_trace,
 )
 from repro.experiments.plots import line_chart
-from repro.obs.trace import disk_from_catalogue, record_trace, replay_requests
+from repro.obs.trace import record_trace, replay_requests
 from repro.workloads.sets import make_query_set
 
 N_OBJECTS = 25_000
@@ -43,7 +43,7 @@ def main() -> None:
     print(f"{len(trace)} references, {trace.distinct_pages} distinct pages\n")
 
     # 1. Who gets referenced how often?
-    print(profile_trace(trace).to_text())
+    print(profile_trace(trace, tree.pagefile.disk).to_text())
 
     # 2. The full LRU miss-ratio curve from one stack simulation.
     max_capacity = min(trace.distinct_pages, 300)
@@ -58,7 +58,7 @@ def main() -> None:
     print(f"\nat {capacity} pages (4.7% of the tree):")
     print(f"{'policy':<8} {'misses':>7} {'above OPT':>10}")
     print(f"{'OPT':<8} {optimum:>7} {'--':>10}")
-    disk = disk_from_catalogue(trace.catalogue)
+    disk = tree.pagefile.disk
     for name, factory in {
         "LRU": LRU,
         "LRU-2": lambda: LRUK(k=2),

@@ -569,7 +569,7 @@ class BufferManager:
         frame = self._frame_or_raise(page_id)
         frame.dirty = True
         frame.invalidate_criteria()
-        frame.page.drop_scan()
+        frame.page.drop_derived()
         self._policy.on_update(frame)
         durability = self._durability
         if durability is not None:

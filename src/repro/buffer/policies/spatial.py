@@ -18,11 +18,12 @@ in the paper's victim rule: compute the set ``C`` of minimal-criterion
 pages, and pick from ``C`` by LRU.
 
 Criterion values are pure functions of the page content; they are computed
-when first needed, kept with the page version they describe (dropped with
-it when the page is dirtied) and memoised on the frame, matching the
-paper's remark that area/margin cost "only a small overhead when a new page
-is loaded into the buffer" while the overlap is costlier and worth
-materialising.
+when first needed, kept with the page version they describe
+(``Page._derived``, on every page, dropped when the page is dirtied) and
+memoised on the frame, matching the paper's remark that area/margin cost
+"only a small overhead when a new page is loaded into the buffer" while the
+overlap is costlier and worth materialising.  Computing one never builds a
+scan block.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ SPATIAL_CRITERIA: dict[str, Callable[[Page], float]] = {
 
 def spatial_criterion(frame: Frame, criterion: str) -> float:
     """Criterion value of a frame's page, computed once per page version:
-    kept with the page's image or scan block (``Page._derived``), so a page
-    loaded again brings it along, and memoised on the frame."""
+    kept with the page (``Page._derived``), so a page loaded again brings it
+    along, and memoised on the frame for this load."""
     cache = frame.crit_cache
     value = cache.get(criterion)
     if value is None:

@@ -21,6 +21,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from repro.obs.trace import AccessTrace
+from repro.storage.disk import SimulatedDisk
 from repro.storage.page import PageId
 
 
@@ -178,34 +179,35 @@ class TraceProfile:
         return "\n".join(lines)
 
 
-def profile_trace(trace: AccessTrace) -> TraceProfile:
+def profile_trace(trace: AccessTrace, disk: SimulatedDisk) -> TraceProfile:
     """Summarise a trace per page type and per tree level.
 
     Quantifies the assumption behind LRU-T/LRU-P: higher levels should
-    show dramatically more references per page.
+    show dramatically more references per page.  ``disk`` is the index's
+    own; each page's type and level are read from it once, via ``peek``.
     """
-    seen: set[PageId] = set()
+    kinds: dict[PageId, tuple[str, int]] = {}
     by_type: dict[str, CategoryProfile] = {}
     by_level: dict[int, CategoryProfile] = {}
-    counted_pages: set[PageId] = set()
     for page_id, _ in trace.references:
-        type_value, level, _mbrs = trace.catalogue[page_id]
-        type_profile = by_type.setdefault(type_value, CategoryProfile())
-        level_profile = by_level.setdefault(level, CategoryProfile())
-        type_profile.references += 1
-        level_profile.references += 1
-        if page_id in seen:
-            type_profile.re_references += 1
-            level_profile.re_references += 1
-        else:
-            seen.add(page_id)
-        if page_id not in counted_pages:
-            counted_pages.add(page_id)
-            type_profile.pages += 1
-            level_profile.pages += 1
+        kind = kinds.get(page_id)
+        first = kind is None
+        if first:
+            page = disk.peek(page_id)
+            kind = kinds[page_id] = (page.page_type.value, page.level)
+        type_value, level = kind
+        for profile in (
+            by_type.setdefault(type_value, CategoryProfile()),
+            by_level.setdefault(level, CategoryProfile()),
+        ):
+            profile.references += 1
+            if first:
+                profile.pages += 1
+            else:
+                profile.re_references += 1
     return TraceProfile(
         total_references=len(trace),
-        distinct_pages=trace.distinct_pages,
+        distinct_pages=len(kinds),
         by_type=by_type,
         by_level=by_level,
     )

@@ -34,7 +34,7 @@ from repro.datasets.synthetic import Dataset
 from repro.sam.base import SpatialIndex
 from repro.sam.rstar import RStarTree
 from repro.experiments.report import format_gain, format_ratio
-from repro.obs.trace import AccessTrace, Catalogue, record_trace, replay_requests
+from repro.obs.trace import AccessTrace, record_trace, replay_requests
 from repro.workloads.sets import QuerySet, make_query_set
 
 #: A fresh policy per replay — policies bind to one buffer manager.
@@ -54,7 +54,6 @@ class Database:
     places: list[Place]
     _query_sets: dict[tuple[str, int, int], QuerySet] = field(default_factory=dict)
     _traces: dict[tuple[str, int, int], AccessTrace] = field(default_factory=dict)
-    _catalogue: Catalogue = field(default_factory=dict)
 
     @property
     def page_count(self) -> int:
@@ -76,18 +75,12 @@ class Database:
         no sequential-read marker.  The cache is only right while the tree
         does not change after a set is recorded: every tree
         :func:`build_database` builds is read-only from then on, and the
-        update studies build their own.  For the same reason the cached
-        traces share one catalogue entry per page.
+        update studies build their own.
         """
         key = (name, count, seed)
         cached = self._traces.get(key)
         if cached is None:
             cached = record_trace(self.tree, self.query_set(name, count, seed))
-            shared = self._catalogue
-            cached.catalogue = {
-                page_id: shared.setdefault(page_id, metadata)
-                for page_id, metadata in cached.catalogue.items()
-            }
             self._traces[key] = cached
         return cached
 

@@ -1,9 +1,10 @@
 """Reference strings and recorded event traces: one format, one replay loop.
 
-An :class:`AccessTrace` is a query set's page-reference string plus a
-catalogue of the referenced pages' policy-visible metadata (type, level,
-entry MBRs).  A :class:`RecordedTrace` adds the policy, capacity, event
-stream and final statistics of one run.  :func:`replay_requests` is the
+An :class:`AccessTrace` is a query set's page-reference string, replayed
+over the index's own disk.  A :class:`RecordedTrace` adds a catalogue of
+the referenced pages' policy-visible metadata (type, level, entry MBRs),
+so it replays without the index, and the policy, capacity, event stream
+and final statistics of one run.  :func:`replay_requests` is the
 one replay loop.  Every buffer timestamp is logical, so re-running a
 recorded request stream under the same policy reproduces its events and
 statistics exactly: a recorded trace is a golden regression fixture.
@@ -38,16 +39,6 @@ FORMAT_VERSION = 1
 
 #: page_id -> (page_type value, level, [entry mbr tuples]).
 Catalogue = dict[PageId, tuple[str, int, list[tuple[float, float, float, float]]]]
-
-
-def catalogue_page(catalogue: Catalogue, page: Page) -> None:
-    """Add a page's policy-visible metadata to a catalogue (idempotent)."""
-    if page.page_id not in catalogue:
-        catalogue[page.page_id] = (
-            page.page_type.value,
-            page.level,
-            [entry.mbr.as_tuple() for entry in page.entries],
-        )
 
 
 def disk_from_catalogue(catalogue: Catalogue) -> SimulatedDisk:
@@ -90,18 +81,17 @@ def replay_requests(
 
 @dataclass(slots=True)
 class AccessTrace:
-    """A recorded page-reference string plus the referenced pages' metadata."""
+    """A recorded page-reference string of one index."""
 
     #: (page_id, query_index) per reference, in order.
     references: list[tuple[PageId, int]] = field(default_factory=list)
-    catalogue: Catalogue = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.references)
 
     @property
     def distinct_pages(self) -> int:
-        return len(self.catalogue)
+        return len({page_id for page_id, _ in self.references})
 
 
 class _RecordingAccessor:
@@ -113,10 +103,8 @@ class _RecordingAccessor:
         self.current_query = 0
 
     def fetch(self, page_id: PageId) -> Page:
-        page = self._disk.peek(page_id)
         self._trace.references.append((page_id, self.current_query))
-        catalogue_page(self._trace.catalogue, page)
-        return page
+        return self._disk.peek(page_id)
 
 
 def record_trace(index: "SpatialIndex", queries: Iterable["Query"]) -> AccessTrace:
@@ -301,7 +289,9 @@ def record_run(
     catalogue: Catalogue = {}
     for page_id, _ in requests:
         if page_id not in catalogue:
-            catalogue_page(catalogue, disk.peek(page_id))
+            page = disk.peek(page_id)
+            mbrs = [entry.mbr.as_tuple() for entry in page.entries]
+            catalogue[page_id] = (page.page_type.value, page.level, mbrs)
     recorder = TraceRecorder()
     buffer = replay_requests(
         disk_from_catalogue(catalogue), requests, policy, capacity, recorder

@@ -86,7 +86,7 @@ class SpatialIndex(abc.ABC):
         charged immediately instead.  With or without a buffer, the page's
         scan block goes first: it may describe the entries as they were.
         """
-        page.drop_scan()
+        page.drop_derived()
         accessor = self._live_accessor
         mark = getattr(accessor, "mark_dirty", None)
         if mark is None:

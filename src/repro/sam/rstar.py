@@ -689,7 +689,7 @@ class RStarTree(SpatialIndex):
             assert len(page.entries) <= self._max_entries(page.level), (
                 f"page {page_id} over-full: {len(page.entries)} entries"
             )
-            assert page._scan_is_exact(), f"page {page_id}: stale scan block"
+            assert page._derived_is_exact(), f"page {page_id}: stale derived values"
             if page.is_leaf:
                 seen_entries += len(page.entries)
                 continue

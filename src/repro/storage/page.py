@@ -17,16 +17,11 @@ fields are decoded and its entries are still inside the verified slot image
 ``entries`` unpacks them and drops the image, so the image is trusted only
 while nobody has held the entry objects — there is nothing to invalidate.
 
-An unpacked page that has been scanned (:meth:`Page.matching`) keeps a
-**scan block**: its entries' coordinates and then the page MBR's as one
-contiguous array, what each entry refers to, and the page MBR.  Walking ~45
-entry objects costs a cache miss per object once the heap is larger than
-the cache; the block is read front to back, and a visit's containment test
-reads the MBR from the array, not from the Rect's scattered floats.
-It is derived data with a two-part validity rule, see
-:meth:`Page.matching`.  The image and the block also keep the page's
-spatial criteria once computed, so each is computed once per version of the
-page, not once per load.
+Every page keeps the values derived from its current version in one slot
+under one stamp: the **scan block** that :meth:`Page.matching` reads
+instead of walking ~45 scattered entry objects (see :func:`_scan_block`),
+and a dict (:meth:`Page._derived`) of the page MBR and spatial criteria,
+each computed once per version of the page, not once per load.
 """
 
 from __future__ import annotations
@@ -107,33 +102,39 @@ class Page:
     _image: PageImage | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: The scan block (see :func:`_scan_block`), or ``None``.  Never read
-    #: without checking its stamp (:meth:`_scan_if_valid`).
-    _scan: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: How often :meth:`drop_scan` has run.  Part of the stamp: a block that
-    #: a reader began before an edit was declared and stored after it must
-    #: not pass.
-    _scan_epoch: int = field(default=0, init=False, repr=False, compare=False)
+    #: ``(source, count, version, values, coords, refs)``: the stamp, the
+    #: dict of derived values and the scan block (``None, None`` until
+    #: built), or ``None``.  Never read without checking the stamp
+    #: (:meth:`_slot`).
+    _kept: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    #: How often :meth:`drop_derived` has run.  Part of the stamp: a value
+    #: that a reader began before an edit was declared and stored after it
+    #: must not pass.
+    _version: int = field(default=0, init=False, repr=False, compare=False)
 
     @classmethod
     def packed(
-        cls, page_id: PageId, page_type: PageType, level: int, image: PageImage
+        cls,
+        page_id: PageId,
+        page_type: PageType,
+        level: int,
+        image: PageImage,
+        derived: dict | None = None,
     ) -> "Page":
         """A page whose entries stay inside ``image`` until they are read.
 
         The ``entries`` slot is left empty; its first read lands in
         :meth:`__getattr__`.  ``image`` must already be verified: unpacking
-        it later must not be able to fail.
+        it later must not be able to fail.  ``derived`` is the dict of
+        another packed page of the same bytes, to share its values.
         """
         page = object.__new__(cls)
         page.page_id = page_id
         page.page_type = page_type
         page.level = level
         page._image = image
-        page._scan = None
-        page._scan_epoch = 0
+        page._kept = None if derived is None else (image, len(image), 0, derived, None, None)
+        page._version = 0
         return page
 
     def __getattr__(self, name: str) -> Any:
@@ -151,6 +152,8 @@ class Page:
             entries = image.entries()
             self.entries = entries
             self._image = None
+            # The image's values stay with the image; the list starts afresh.
+            self._kept = None
             return entries
 
     def _packed(self) -> PageImage | None:
@@ -184,7 +187,8 @@ class Page:
         """MBR containing all entries, or ``None`` for an empty page.
 
         This is ``mbr({e | e in p})`` of the paper, the rectangle whose area
-        and margin define the A and M replacement criteria.
+        and margin define the A and M replacement criteria.  Kept with the
+        page version (:meth:`_derived`); it never builds the scan block.
         """
         image = self._packed()
         if image is not None:
@@ -192,33 +196,34 @@ class Page:
         entries = self.entries
         if not entries:
             return None
-        block = self._scan_if_valid(entries)
-        if block is not None:
-            return block[5]
-        return mbr_of_rects(entry.mbr for entry in entries)
+        values = self._slot(entries)[3]
+        mbr = values.get("mbr")
+        if mbr is None:
+            mbr = values["mbr"] = mbr_of_rects(entry.mbr for entry in entries)
+        return mbr
 
-    def _scan_if_valid(self, entries: list[PageEntry]) -> tuple | None:
-        """The scan block if its stamp names ``entries`` (pass
-        ``self.entries``, read once) as they are now."""
-        block = self._scan
+    def _slot(self, source: Any) -> tuple:
+        """The slot kept for ``source`` (``self.entries`` read once, or the
+        image while packed) as it is now; a fresh one is kept if none is."""
+        kept = self._kept
         if (
-            block is not None
-            and block[0] is entries
-            and block[1] == len(entries)
-            and block[2] == self._scan_epoch
+            kept is not None
+            and kept[0] is source
+            and kept[1] == len(source)
+            and kept[2] == self._version
         ):
-            return block
-        return None
+            return kept
+        # The version is read before the content: whoever edits it from
+        # here on bumps the version afterwards.
+        version = self._version
+        kept = self._kept = (source, len(source), version, {}, None, None)
+        return kept
 
     def _derived(self) -> dict:
-        """Values derived from the page as it is now (its spatial criteria),
-        kept with its image or its scan block and valid as long as they
-        are; without either, a dict nobody keeps."""
+        """The values derived from the page as it is now, beside its scan
+        block: its MBR (``"mbr"``) and spatial criteria (by name)."""
         image = self._packed()
-        if image is not None:
-            return image._derived
-        block = self._scan_if_valid(self.entries)
-        return {} if block is None else block[6]
+        return self._slot(self.entries if image is None else image)[3]
 
     def matching(self, window: Rect) -> list[Any]:
         """What the entries whose MBR meets ``window`` refer to, in entry
@@ -226,47 +231,48 @@ class Page:
 
         Equal to ``[ref for e in entries if e.mbr.intersects(window)]``,
         answered from the scan block, which the first scan of an unpacked
-        page builds (:meth:`mbr` reads it and never builds it).  A packed
-        page is scanned inside its image and stays packed.
+        page builds (:meth:`mbr` and the criteria read it and never build
+        it).  A packed page is scanned inside its image and stays packed.
 
-        The block is trusted under two rules.  *Stamp:* it names the
-        ``entries`` list it was built from, that list's length and the
-        page's drop count, and is ignored unless ``self.entries`` is that
-        list at that length and nothing was dropped since — so
+        Derived values are trusted under two rules.  *Stamp:* they name the
+        ``entries`` list they were derived from, that list's length and the
+        page's version, and are ignored unless ``self.entries`` is that
+        list at that length and the version is the same — so
         ``page.entries = …``, ``append``, ``del``, ``insert``, ``extend``
         and ``remove`` need no call.  *Contract:* an edit the stamp cannot
         see — ``entries[i] = …``, an in-place sort, assigning an entry's
         field or the page's ``level`` — is followed by ``mark_dirty``
         (:meth:`~repro.sam.base.SpatialIndex._mark_dirty`,
         :meth:`~repro.buffer.manager.BufferManager.mark_dirty`), which
-        calls :meth:`drop_scan`; the spatial criteria kept in the block
-        (:meth:`_derived`) live and die with it.
+        calls :meth:`drop_derived`.
 
-        No lock.  Threads sharing the page may each build the block: the
-        blocks are equal, one store installs either, and a thread that took
+        No lock.  Threads sharing the page may each build a value: the
+        values are equal, one store installs either, and a thread that took
         a block scans that snapshot whatever is stored or dropped
-        meanwhile.  A block begun before a ``drop_scan`` and stored after
-        it carries the older count and fails the stamp.
+        meanwhile.  A value begun before a ``drop_derived`` and stored after
+        it lands under the older version and fails the stamp.
         """
         # This runs once per page a query reaches, so the stamp test of
-        # _scan_if_valid, Rect.contains and Rect.as_tuple are inlined, and
-        # _packed is called only for a page that still has an image.
+        # _slot, Rect.contains and Rect.as_tuple are inlined, and _packed
+        # is called only for a page that still has an image.  The block
+        # sits in the slot, not in its dict: one object less to reach.
         if self._image is not None:
             image = self._packed()
             if image is not None:
                 return image.matching(window, self.level == 0)
         entries = self.entries
-        block = self._scan
+        kept = self._kept
         if (
-            block is None
-            or block[0] is not entries
-            or block[1] != len(entries)
-            or block[2] != self._scan_epoch
+            kept is None
+            or kept[0] is not entries
+            or kept[1] != len(entries)
+            or kept[2] != self._version
         ):
+            kept = self._slot(entries)
+        coords = kept[4]
+        if coords is None:
             leaf = self.level == 0
-            # The drop count is read before the entries' content is:
-            # whoever edits them from here on bumps it afterwards.
-            block = _scan_block(entries, leaf, self._scan_epoch)
+            block = _scan_block(entries, leaf)
             if block is None:
                 # No exact block (see _scan_block): the walk it stands for.
                 return [
@@ -274,21 +280,24 @@ class Page:
                     for entry in entries
                     if entry.mbr.intersects(window)
                 ]
-            self._scan = block
+            coords, refs, kept[3]["mbr"] = block
+            # Stamped as the slot it joins: a drop since then fails it.
+            self._kept = kept[:4] + (coords, refs)
+        else:
+            refs = kept[5]
         w_x_min = window.x_min
         w_y_min = window.y_min
         w_x_max = window.x_max
         w_y_max = window.y_max
-        coords = block[3]
         if (
-            block[5] is not None
+            refs
             and w_x_min <= coords[-4]
             and w_y_min <= coords[-3]
             and coords[-2] <= w_x_max
             and coords[-1] <= w_y_max
         ):
             # Every entry lies inside the page MBR, so it meets the window.
-            return list(block[4])
+            return list(refs)
         # One iterator four times: zip draws x_min, y_min, x_max, y_max of
         # an entry in turn, and stops at the last ref, before the MBR.  The
         # test is Rect.intersects, inlined.
@@ -296,7 +305,7 @@ class Page:
         return [
             ref
             for x_min, y_min, x_max, y_max, ref in zip(
-                coords, coords, coords, coords, block[4]
+                coords, coords, coords, coords, refs
             )
             if x_min <= w_x_max
             and w_x_min <= x_max
@@ -304,28 +313,36 @@ class Page:
             and w_y_min <= y_max
         ]
 
-    def drop_scan(self) -> None:
-        """Forget the scan block: the page's content was edited in place.
+    def drop_derived(self) -> None:
+        """Forget the derived values: the page's content was edited in place.
 
         Call it after the edit, as ``mark_dirty`` does."""
-        self._scan_epoch += 1
-        self._scan = None
+        self._version += 1
+        self._kept = None
 
-    def _scan_is_exact(self) -> bool:
-        """No usable block, or one equal to a freshly built one.
+    def _derived_is_exact(self) -> bool:
+        """Every value kept for the page as it is now (block, MBR, criteria)
+        equals one computed afresh.  ``False`` means an in-place edit was
+        not followed by ``mark_dirty``; index ``validate()`` methods assert
+        this."""
+        # Storage sits below the buffer; only this check needs the criteria.
+        from repro.buffer.policies.spatial import SPATIAL_CRITERIA
 
-        ``False`` means an in-place edit was not followed by
-        ``mark_dirty``; index ``validate()`` methods assert this.
-        """
         image = self._packed()
-        if image is not None:
-            return True
-        entries = self.entries
-        block = self._scan_if_valid(entries)
-        # Derived values (the last item) follow from the rest on demand.
-        return block is None or block[:6] == (
-            _scan_block(entries, self.level == 0, self._scan_epoch) or ()
-        )[:6]
+        kept = self._slot(self.entries if image is None else image)
+        entries = self.entries if image is None else image.entries()
+        # A page of the same entries with nothing kept computes afresh.
+        fresh = Page(self.page_id, self.page_type, self.level, entries)
+        block = _scan_block(entries, fresh.is_leaf)
+        if kept[4] is not None and (block is None or kept[4:] != block[:2]):
+            return False
+        want = {"mbr": fresh.mbr()}
+        for key, value in list(kept[3].items()):
+            expected = want[key] if key in want else SPATIAL_CRITERIA[key](fresh)
+            # A NaN criterion is the same value as a fresh NaN.
+            if value != expected and (value == value or expected == expected):
+                return False
+        return True
 
     def entry_mbrs(self) -> list[Rect]:
         """The MBRs of all entries (inputs of the EA, EM, EO criteria)."""
@@ -344,27 +361,23 @@ class Page:
 
     def __len__(self) -> int:
         image = self._packed()
-        if image is not None:
-            return image.count
-        return len(self.entries)
+        return len(self.entries if image is None else image)
 
 
 #: Reads the ``entries`` slot without falling back to ``Page.__getattr__``.
 _ENTRIES_SLOT = Page.__dict__["entries"]
 
 
-def _scan_block(entries: list[PageEntry], leaf: bool, epoch: int) -> tuple | None:
-    """The scan block of a page holding ``entries``, or ``None``.
+def _scan_block(entries: list[PageEntry], leaf: bool) -> tuple | None:
+    """The scan block of a page holding ``entries``, and its MBR.
 
-    ``(entries, count, epoch, coords, refs, mbr, derived)``: the stamp
-    (the list itself, its length when read, the page's ``_scan_epoch``
-    from before that), ``x_min, y_min, x_max, y_max`` of entry 0, 1, … and
-    last of the page MBR as one ``array('d')``, what each entry refers to
-    (payload on a leaf, child above), the page MBR (``None`` for an empty
-    page), and the dict :meth:`Page._derived` hands out.  The tuple is
-    complete before anyone can see it.  :meth:`Page.matching` reads the
-    MBR's copy in the array: the Rect's floats lie elsewhere in memory,
-    and a visit that touches them pays a cache miss apiece.
+    ``(coords, refs, mbr)``: ``x_min, y_min, x_max, y_max`` of entry 0, 1,
+    … and last of the page MBR as one ``array('d')``, what each entry
+    refers to (payload on a leaf, child above), and the page MBR (``None``
+    for an empty page); ``None`` when there is no exact block.
+    :meth:`Page.matching` reads the MBR's copy in the array: the Rect's
+    floats lie elsewhere in memory, and a visit that touches them pays a
+    cache miss apiece.
 
     Exact or absent: a coordinate a C double does not hold exactly (an
     integer beyond 2**53, a NaN, a ``Fraction``) yields no block, so a scan
@@ -373,7 +386,7 @@ def _scan_block(entries: list[PageEntry], leaf: bool, epoch: int) -> tuple | Non
     first extreme as :func:`mbr_of_rects`' strict comparisons do.
     """
     # One C-level copy: entries appended while this runs are either in the
-    # block and in its count, or in neither.
+    # block or not, never half in it.
     snapshot = tuple(entries)
     flat: list[float] = []
     for entry in snapshot:
@@ -391,7 +404,7 @@ def _scan_block(entries: list[PageEntry], leaf: bool, epoch: int) -> tuple | Non
     if coords.tolist() != flat:
         return None
     refs = tuple([entry.payload if leaf else entry.child for entry in snapshot])
-    return entries, len(snapshot), epoch, coords, refs, mbr, {}
+    return coords, refs, mbr
 
 
 def seed_page(page_id: PageId, payload: Any = None) -> Page:

@@ -28,13 +28,13 @@ the bytes back untouched.  :func:`decode_page` builds the entry objects at
 once: the public eager reader, and :func:`read_page`'s fallback for a slot
 that fails a check (to raise what it raises) or is not canonical.  Where
 the same bytes arrive again (a medium's slot, a client's connection) one
-rule, :class:`VerifiedPages`, verifies each page version once.
+rule, :class:`VerifiedPages`, verifies each page version once and hands
+every page of that version one dict of derived values (``Page._derived``).
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import json
 import struct
 from operator import gt, le
@@ -70,11 +70,10 @@ class PageImage:
     Built by :func:`read_page` once the checks of :func:`decode_page` have
     passed (or by :class:`VerifiedPages` for bytes equal to ones that
     have), and never changed: a packed :class:`~repro.storage.page.Page`
-    answers from it until its entries are first read, then lets go of it
-    and of what it keeps.
+    answers from it until its entries are first read, then lets go of it.
     """
 
-    __slots__ = ("blob", "count", "mbr", "_hull", "_derived")
+    __slots__ = ("blob", "count", "mbr", "_hull")
 
     def __init__(
         self, blob: bytes, count: int, mbr: Rect | None, hull: Rect | None
@@ -86,8 +85,9 @@ class PageImage:
         #: ``mbr`` when no bound is a NaN, else ``None``: a window that
         #: contains it meets every entry.
         self._hull = hull
-        #: What ``Page._derived`` hands out for the page while packed.
-        self._derived: dict = {}
+
+    def __len__(self) -> int:
+        return self.count
 
     def _columns(self) -> tuple:
         """``x_min, y_min, x_max, y_max, child, payload`` of entry 0, 1, …
@@ -148,16 +148,7 @@ def _encode_entries(page: Page, page_size: int) -> bytes:
             f"at most {max_entries_for(page_size)} fit into "
             f"{page_size}-byte pages"
         )
-    out = io.BytesIO()
-    out.write(
-        _HEADER.pack(
-            MAGIC,
-            VERSION,
-            _TYPE_CODES[page.page_type],
-            page.level,
-            len(entries),
-        )
-    )
+    flat: list = []
     for entry in entries:
         child = entry.child
         payload = entry.payload
@@ -171,18 +162,11 @@ def _encode_entries(page: Page, page_size: int) -> bytes:
                 f"page {page.page_id} holds a negative child or payload; the "
                 "format cannot carry it (negative values read back as None)"
             )
-        out.write(
-            _ENTRY.pack(
-                entry.mbr.x_min,
-                entry.mbr.y_min,
-                entry.mbr.x_max,
-                entry.mbr.y_max,
-                -1 if child is None else child,
-                -1 if payload is None else payload,
-            )
-        )
-    blob = out.getvalue()
-    return blob + b"\x00" * (page_size - len(blob))
+        flat += entry.mbr.as_tuple()
+        flat += (-1 if child is None else child, -1 if payload is None else payload)
+    header = (MAGIC, VERSION, _TYPE_CODES[page.page_type], page.level, len(entries))
+    blob = _HEADER.pack(*header) + _body(len(entries)).pack(*flat)
+    return blob + bytes(page_size - len(blob))
 
 
 def _header(blob: bytes, page_id: PageId) -> tuple[PageType, int, int]:
@@ -260,7 +244,8 @@ class VerifiedPages:
     :func:`read_page`, but bytes equal to a page id's remembered *verified
     prefix* (header and entries) plus zeros come back packed around a new
     image over *them* that shares the remembered type, level, MBR, hull and
-    criteria (``_derived``).  Others are verified, and remembered if packed.
+    derived values (``Page._derived``).  Others are verified, and remembered
+    if packed.
     Nothing keeps an image or a slot; each access is one dict ``get``,
     ``pop`` or store, so a race costs a verify, never a stale page.
     """
@@ -277,8 +262,7 @@ class VerifiedPages:
             prefix, page_type, level, count, mbr, hull, derived = known
             if blob.startswith(prefix) and blob.endswith(bytes(len(blob) - len(prefix))):
                 image = PageImage(blob, count, mbr, hull)
-                image._derived = derived
-                return Page.packed(page_id, page_type, level, image)
+                return Page.packed(page_id, page_type, level, image, derived)
         page = read_page(blob, page_id)
         self.remember(page_id, page)
         return page
@@ -289,7 +273,7 @@ class VerifiedPages:
         if image is not None:
             page_type, level, count = _header(image.blob, page_id)
             prefix = image.blob[: _HEADER.size + count * _ENTRY.size]
-            known = (prefix, page_type, level, count, image.mbr, image._hull, image._derived)
+            known = (prefix, page_type, level, count, image.mbr, image._hull, page._slot(image)[3])
             self._known[page_id] = known
 
     def forget(self, page_id: PageId) -> None:

@@ -18,8 +18,8 @@ Every read fetches the slot and checks its CRC; the payload is then
 verified once per slot version, by the verify-once rule every receiving
 end shares (:class:`~repro.storage.serialization.VerifiedPages`): a
 payload equal to the last one verified for the slot is not verified
-again, and the spatial criteria kept with it (``PageImage._derived``)
-outlive the page's eviction.
+again, and the values derived from it (``Page._derived``: its spatial
+criteria) outlive the page's eviction.
 
 The access surface matches ``SimulatedDisk`` (accounted ``read``/
 ``write``, unaccounted ``store``/``peek``/``delete``, stats, latency

@@ -80,6 +80,13 @@ def table(reproduction):
 #: its owner's ``stop``/``close``; one still running after a test means the
 #: test skipped that, and it would outlive the test into interpreter exit.
 LOOP_THREADS = ("page-server-loop", "page-client-loop", "cluster-client-loop")
+#: Worker threads of a page server's pool (``page-server_0``, ...), which
+#: the server's ``stop`` shuts down.
+POOL_THREAD_PREFIX = "page-server_"
+
+
+def _owned_by_a_server_or_client(thread: threading.Thread) -> bool:
+    return thread.name in LOOP_THREADS or thread.name.startswith(POOL_THREAD_PREFIX)
 
 
 @pytest.fixture(autouse=True)
@@ -89,14 +96,14 @@ def no_loop_thread_left_behind():
     started = [
         thread
         for thread in threading.enumerate()
-        if thread not in before and thread.name in LOOP_THREADS
+        if thread not in before and _owned_by_a_server_or_client(thread)
     ]
     deadline = time.monotonic() + 2.0
     for thread in started:
         thread.join(max(0.0, deadline - time.monotonic()))
     alive = sorted(thread.name for thread in started if thread.is_alive())
     if alive:
-        pytest.fail(f"test left loop threads running: {alive}")
+        pytest.fail(f"test left loop or pool threads running: {alive}")
 
 
 @pytest.fixture()

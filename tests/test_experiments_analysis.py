@@ -27,13 +27,17 @@ def trace_of(reference_ids, queries=None):
     for index, page_id in enumerate(reference_ids):
         query = queries[index] if queries else index
         trace.references.append((page_id, query))
-        if page_id not in trace.catalogue:
-            trace.catalogue[page_id] = (
-                "data",
-                0,
-                [(0.0, 0.0, float(page_id + 1), 1.0)],
-            )
     return trace
+
+
+def disk_of(trace):
+    """A disk holding one one-entry data page per page the trace references."""
+    return disk_from_catalogue(
+        {
+            page_id: ("data", 0, [(0.0, 0.0, float(page_id + 1), 1.0)])
+            for page_id, _ in trace.references
+        }
+    )
 
 
 reference_strings = st.lists(
@@ -79,7 +83,7 @@ class TestLruMissCurve:
         trace = trace_of(references)
         curve = lru_miss_curve(trace, capacity)
         simulated = replay_requests(
-            disk_from_catalogue(trace.catalogue), trace.references, LRU(), capacity
+            disk_of(trace), trace.references, LRU(), capacity
         ).stats.misses
         assert curve[capacity - 1] == simulated
 
@@ -109,7 +113,7 @@ class TestOpt:
         for every registered policy."""
         trace = trace_of(references)
         bound = opt_misses(trace, capacity)
-        disk = disk_from_catalogue(trace.catalogue)
+        disk = disk_of(trace)
         for name in policy_names():
             misses = replay_requests(
                 disk, trace.references, make_policy(name), capacity
@@ -127,7 +131,7 @@ class TestProfiles:
     def test_real_trace_profile(self, small_database):
         query_set = small_database.query_set("S-W-100", 30)
         trace = record_trace(small_database.tree, query_set)
-        profile = profile_trace(trace)
+        profile = profile_trace(trace, small_database.tree.pagefile.disk)
         assert profile.total_references == len(trace)
         assert profile.distinct_pages == trace.distinct_pages
         assert "directory" in profile.by_type
@@ -138,7 +142,7 @@ class TestProfiles:
         far more references per page than data pages."""
         query_set = small_database.query_set("U-W-100", 50)
         trace = record_trace(small_database.tree, query_set)
-        profile = profile_trace(trace)
+        profile = profile_trace(trace, small_database.tree.pagefile.disk)
         directory = profile.by_type["directory"]
         data = profile.by_type["data"]
         assert directory.references_per_page > 5 * data.references_per_page
@@ -146,7 +150,7 @@ class TestProfiles:
     def test_root_level_hottest(self, small_database):
         query_set = small_database.query_set("U-P", 40)
         trace = record_trace(small_database.tree, query_set)
-        profile = profile_trace(trace)
+        profile = profile_trace(trace, small_database.tree.pagefile.disk)
         top_level = max(profile.by_level)
         assert profile.by_level[top_level].references_per_page == max(
             p.references_per_page for p in profile.by_level.values()
@@ -155,6 +159,6 @@ class TestProfiles:
     def test_to_text_renders(self, small_database):
         query_set = small_database.query_set("ID-P", 20)
         trace = record_trace(small_database.tree, query_set)
-        text = profile_trace(trace).to_text()
+        text = profile_trace(trace, small_database.tree.pagefile.disk).to_text()
         assert "references" in text
         assert "type" in text

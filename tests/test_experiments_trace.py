@@ -7,19 +7,13 @@ import pytest
 from repro.buffer.policies import make_policy, policy_names
 from repro.buffer.policies.lru import LRU
 from repro.experiments.harness import FOUR_POLICIES, Database, replay
-from repro.obs.trace import (
-    AccessTrace,
-    disk_from_catalogue,
-    record_trace,
-    replay_requests,
-)
+from repro.obs.trace import AccessTrace, record_trace, replay_requests
 from repro.sam.gridfile import GridFile
+from repro.storage.disk import SimulatedDisk
 
 
-def replay_stats(trace, policy, capacity):
-    return replay_requests(
-        disk_from_catalogue(trace.catalogue), trace.references, policy, capacity
-    ).stats
+def replay_stats(disk, trace, policy, capacity):
+    return replay_requests(disk, trace.references, policy, capacity).stats
 
 
 def measured(disk, run):
@@ -76,10 +70,10 @@ class TestRecording:
         assert {query for _, query in trace.references} == set(range(len(query_set)))
         assert trace.distinct_pages <= database.page_count
 
-    def test_every_reference_catalogued(self, recorded):
-        _, _, trace = recorded
-        for page_id, _ in trace.references:
-            assert page_id in trace.catalogue
+    def test_every_reference_is_a_page_of_the_index(self, recorded):
+        database, _, trace = recorded
+        pages = set(database.tree.all_page_ids())
+        assert {page_id for page_id, _ in trace.references} <= pages
 
     def test_recording_does_not_touch_disk_stats(self, small_database):
         """Recording moves no disk counter, and a replay's disk deltas are
@@ -108,7 +102,6 @@ class TestRecording:
         assert small_database.trace("U-P", 10, seed=3) is trace
         fresh = record_trace(small_database.tree, small_database.query_set("U-P", 10, 3))
         assert trace.references == fresh.references
-        assert trace.catalogue == fresh.catalogue
 
 
 class TestReplayFidelity:
@@ -136,9 +129,10 @@ class TestReplayFidelity:
             assert_replay_matches_live(database, query_set, trace, factory, 24)
 
     def test_replay_capacity_matters(self, recorded):
-        _, _, trace = recorded
-        small = replay_stats(trace, LRU(), 8)
-        large = replay_stats(trace, LRU(), 64)
+        database, _, trace = recorded
+        disk = database.tree.pagefile.disk
+        small = replay_stats(disk, trace, LRU(), 8)
+        large = replay_stats(disk, trace, LRU(), 64)
         assert large.misses <= small.misses
 
 
@@ -146,4 +140,4 @@ class TestPersistence:
     def test_empty_trace(self):
         trace = AccessTrace()
         assert len(trace) == 0 and trace.distinct_pages == 0
-        assert replay_stats(trace, LRU(), 4).requests == 0
+        assert replay_stats(SimulatedDisk(), trace, LRU(), 4).requests == 0

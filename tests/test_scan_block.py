@@ -27,10 +27,12 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro import BufferSystem
 from repro.buffer.concurrent import ConcurrentBufferManager
+from repro.buffer.frames import Frame
 from repro.buffer.manager import BufferManager
-from repro.buffer.policies import ASB, LRU, spatial
+from repro.buffer.policies import ASB, LRU, SpatialPolicy, spatial
 from repro.geometry import rect as rect_module
 from repro.geometry.rect import Point, Rect, mbr_of_rects
+from repro.obs.trace import disk_from_catalogue, record_run, record_trace, replay_requests
 from repro.sam.rstar import RStarTree
 from repro.storage import page as page_module
 from repro.storage import serialization
@@ -38,6 +40,7 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page, PageEntry, PageType
 from repro.storage.serialization import encode_page, read_page
 from repro.wal.durable import DurableDisk
+from repro.workloads.queries import WindowQuery
 
 PAGE_SIZE = 4096
 
@@ -78,7 +81,13 @@ def walk_query(tree: RStarTree, meets, accessor) -> list:
 
 def has_block(page: Page) -> bool:
     """A block that passes its stamp is on the page."""
-    return page._scan_if_valid(page.entries) is not None
+    image = page._packed()
+    return page._slot(page.entries if image is None else image)[4] is not None
+
+
+def frame_of(page: Page) -> Frame:
+    """A frame outside any buffer, to compute criteria through."""
+    return Frame(page=page, loaded_at=0, last_access=0, last_query=0)
 
 
 def same_mbr(got: Rect | None, want: Rect | None) -> bool:
@@ -176,7 +185,7 @@ class TestPageAgainstTheWalk:
         assert has_block(page), "the first scan builds the block"
         assert page.matching(second) == walk(page, second)
         assert page.mbr() == walk_mbr(page)
-        assert page._scan_is_exact()
+        assert page._derived_is_exact()
 
     @settings(max_examples=100, deadline=None)
     @given(page=pages(exact=False), window=windows)
@@ -245,7 +254,7 @@ class TestPageAgainstTheWalk:
             page.entries.remove(page.entries[-1])
         assert page.matching(window) == walk(page, window)
         assert page.mbr() == walk_mbr(page)
-        assert page._scan_is_exact()
+        assert page._derived_is_exact()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -280,7 +289,7 @@ class TestPageAgainstTheWalk:
             RStarTree()._mark_dirty(page)  # no live accessor needed
         else:
             buffer.mark_dirty(page.page_id)
-        assert page._scan is None
+        assert page._kept is None
         assert page.matching(window) == walk(page, window)
         assert page.mbr() == walk_mbr(page)
 
@@ -288,54 +297,113 @@ class TestPageAgainstTheWalk:
         """The one interleaving a lock-free store allows, played out: a
         reader snapshots the entries, a writer edits them in place and
         declares it, and only then does the reader's store land.  The late
-        block names the right list at the right length; its epoch is what
-        keeps it from being read."""
-        page = Page(
-            0,
-            PageType.DATA,
-            0,
-            [PageEntry(Rect(0, 0, 1, 1), payload=k) for k in range(3)],
-        )
+        value names the right list at the right length; its version is what
+        keeps it from being read.  Played for the scan block, then for a
+        spatial criterion."""
         window = Rect(0, 0, 1, 1)
-        build = page_module._scan_block
 
-        def interrupted(entries, leaf, epoch):
-            block = build(entries, leaf, epoch)
-            monkeypatch.setattr(page_module, "_scan_block", build)
-            # The writer's whole turn, between the snapshot and the store.
+        def three_entry_page():
+            return Page(
+                0,
+                PageType.DATA,
+                0,
+                [PageEntry(Rect(0, 0, 1, 1), payload=k) for k in range(3)],
+            )
+
+        def writers_turn(page):
+            """The writer's whole turn, between the snapshot and the store."""
             del page.entries[0]
             page.entries.append(PageEntry(Rect(5, 5, 6, 6), payload=9))
-            page.drop_scan()
+            page.drop_derived()
+
+        page = three_entry_page()
+        build = page_module._scan_block
+
+        def interrupted(entries, leaf):
+            block = build(entries, leaf)
+            monkeypatch.setattr(page_module, "_scan_block", build)
+            writers_turn(page)
             return block
 
         monkeypatch.setattr(page_module, "_scan_block", interrupted)
         assert page.matching(window) == [0, 1, 2]  # the state it snapshot
-        assert page._scan is not None and not has_block(page)
+        assert page._kept[4] is not None and not has_block(page)
         assert page.mbr() == walk_mbr(page)
         assert page.matching(window) == walk(page, window) == [1, 2]
         assert page.mbr() == walk_mbr(page)
 
+        page = three_entry_page()
+        area = spatial.SPATIAL_CRITERIA["A"]
+
+        def interrupted_area(of):
+            value = area(of)
+            monkeypatch.setitem(spatial.SPATIAL_CRITERIA, "A", area)
+            writers_turn(page)
+            return value
+
+        monkeypatch.setitem(spatial.SPATIAL_CRITERIA, "A", interrupted_area)
+        assert spatial.spatial_criterion(frame_of(page), "A") == 1.0
+        assert "A" not in page._derived(), "the late criterion is not served"
+        assert spatial.spatial_criterion(frame_of(page), "A") == walk_mbr(page).area == 36
+        assert page._derived()["A"] == 36 and page._derived_is_exact()
+
     def test_validate_catches_an_edit_nobody_declared(self):
-        tree = RStarTree(max_dir_entries=5, max_data_entries=5)
-        rng = random.Random(5)
-        for payload in range(60):
-            x, y = rng.random(), rng.random()
-            tree.insert(Rect(x, y, x + 0.02, y + 0.02), payload)
+        """Both kinds of kept value: a scan block, then a criterion on a
+        page no query has scanned."""
+
+        def small_tree():
+            tree = RStarTree(max_dir_entries=5, max_data_entries=5)
+            rng = random.Random(5)
+            for payload in range(60):
+                x, y = rng.random(), rng.random()
+                tree.insert(Rect(x, y, x + 0.02, y + 0.02), payload)
+            tree.validate()
+            return tree
+
+        tree = small_tree()
         everything = Rect(0.0, 0.0, 2.0, 2.0)
         tree.window_query(everything)
-        tree.validate()
         leaf = next(
             page
             for page in map(tree.pagefile.disk.peek, tree.all_page_ids())
             if page.is_leaf
         )
         leaf.entries[0].payload = 10_000
-        with pytest.raises(AssertionError, match="stale scan block"):
+        with pytest.raises(AssertionError, match="stale derived values"):
             tree.validate()
         assert 10_000 not in tree.window_query(everything)  # what staleness means
         tree._mark_dirty(leaf)
         tree.validate()
         assert 10_000 in tree.window_query(everything)
+
+        tree = small_tree()
+
+        def inside(rect, mbr):
+            """Touching none of the bounds of ``mbr``."""
+            return (
+                mbr.x_min < rect.x_min and rect.x_max < mbr.x_max
+                and mbr.y_min < rect.y_min and rect.y_max < mbr.y_max
+            )
+
+        leaf, index = next(
+            (page, index)
+            for page in map(tree.pagefile.disk.peek, tree.all_page_ids())
+            if page.is_leaf
+            for index, entry in enumerate(page.entries)
+            if inside(entry.mbr, walk_mbr(page))
+        )
+        kept = spatial.spatial_criterion(frame_of(leaf), "EA")
+        assert not has_block(leaf) and leaf._derived()["EA"] == kept
+        # A point at the entry's centre: the page MBR stays, its EA does not.
+        old = leaf.entries[index]
+        centre = old.mbr.center
+        leaf.entries[index] = PageEntry(centre.as_rect(), payload=old.payload)
+        with pytest.raises(AssertionError, match="stale derived values"):
+            tree.validate()
+        assert spatial.spatial_criterion(frame_of(leaf), "EA") == kept  # staleness
+        tree._mark_dirty(leaf)
+        tree.validate()
+        assert spatial.spatial_criterion(frame_of(leaf), "EA") < kept
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +421,7 @@ class TestBlockIsDerivedData:
         assert has_block(page) and not has_block(twin)
         assert page == twin
         assert repr(page) == before
-        assert "_scan" not in before
+        assert "_kept" not in before
 
     @pytest.mark.parametrize(
         "clone",
@@ -366,11 +434,11 @@ class TestBlockIsDerivedData:
         page.matching(window)
         twin = clone(page)
         assert twin == page and twin.entries is not page.entries
-        block = twin._scan
-        assert block is None or block[0] is twin.entries
+        kept = twin._kept
+        assert kept is None or kept[0] is twin.entries
         # Editing the copy is invisible to the original, and the reverse.
         twin.entries[0] = PageEntry(Rect(-9, -9, 9, 9), 5, 5)
-        twin.drop_scan()
+        twin.drop_derived()
         assert twin.matching(window) == walk(twin, window)
         assert page.matching(window) == walk(page, window)
 
@@ -381,11 +449,11 @@ class TestBlockIsDerivedData:
             # The format holds doubles: int bounds read back as floats.
             entry.mbr = Rect(*map(float, entry.mbr.as_tuple()))
         packed = read_page(encode_page(page, PAGE_SIZE), page.page_id)
-        assert packed._scan is None
+        assert not has_block(packed)
         assert packed.matching(window) == walk(page, window)
         assert packed.mbr() == walk_mbr(page)
         assert packed.image() is not None, "scanning must not unpack"
-        assert packed._scan is None and packed._scan_is_exact()
+        assert not has_block(packed) and packed._derived_is_exact()
         assert packed == page  # unpacks
         assert packed.image() is None
         assert packed.matching(window) == walk(page, window)
@@ -534,7 +602,7 @@ class TestSharedPageUnderThreads:
     def test_readers_see_a_state_the_page_was_in(self):
         """Eight threads scan one shared page while a ninth edits it the
         way ``repro.sam`` does — a new list, an append, a delete, each
-        followed by ``drop_scan`` — at a 1 µs switch interval.  Every
+        followed by ``drop_derived`` — at a 1 µs switch interval.  Every
         answer is the walk over a state the page went through between the
         reader's call and its return."""
         rng = random.Random(11)
@@ -586,7 +654,7 @@ class TestSharedPageUnderThreads:
                     page.entries.append(added)
                 else:
                     del page.entries[0]
-                page.drop_scan()
+                page.drop_derived()
 
         def reader():
             checked = 0
@@ -620,7 +688,7 @@ class TestSharedPageUnderThreads:
         assert not failures, failures[0]
         assert version[0] > 10, "the writer never ran"
         assert page.matching(window) == walk(page, window)
-        assert page._scan_is_exact()
+        assert page._derived_is_exact()
 
 
 # ----------------------------------------------------------------------
@@ -667,7 +735,7 @@ class TestWorkCounts:
     ):
         tree = fresh_tree
         assert not any(
-            tree.pagefile.disk.peek(page_id)._scan for page_id in tree.all_page_ids()
+            tree.pagefile.disk.peek(page_id)._kept for page_id in tree.all_page_ids()
         ), "bulk_load builds no block"
         space = space_of(tree)
         queries = [scaled(w, space) for w in query_windows(200, seed=23)]
@@ -728,7 +796,7 @@ class TestWorkCounts:
         # The same replay with the traversal put back on the entry loop.
         monkeypatch.setattr(Page, "matching", walk)
         for page_id in tree.all_page_ids():
-            tree.pagefile.disk.peek(page_id).drop_scan()
+            tree.pagefile.disk.peek(page_id).drop_derived()
         counts.clear()
         reference = replay()
         assert counts["block"] == 0 and built > 0
@@ -768,6 +836,56 @@ class TestWorkCounts:
         computed.clear()
         assert replay() == first
         assert not computed, "a page loaded again brings its criterion along"
+
+    def test_a_catalogue_pages_criteria_are_computed_once(
+        self, fresh_tree, monkeypatch
+    ):
+        """A page rebuilt from a recorded trace's catalogue keeps its
+        criteria across loads, buffers and policies, as a tree's page does:
+        one recorded reference string, replayed twice over one
+        ``disk_from_catalogue`` disk with ASB and A, then with EO."""
+        tree = fresh_tree
+        space = space_of(tree)
+        queries = [WindowQuery(scaled(w, space)) for w in query_windows(200, seed=41)]
+        capacity = max(4, round(0.05 * len(tree.all_page_ids())))
+        recorded = record_run(
+            record_trace(tree, queries).references, tree.pagefile.disk, LRU(), capacity
+        )
+        disk = disk_from_catalogue(recorded.catalogue)
+        requests = recorded.requests()
+        computed = Counter()
+        mbrs = []
+        for name in ("A", "EO"):
+            criterion = spatial.SPATIAL_CRITERIA[name]
+
+            def counted(page, name=name, criterion=criterion):
+                computed[page.page_id, name] += 1
+                return criterion(page)
+
+            monkeypatch.setitem(spatial.SPATIAL_CRITERIA, name, counted)
+
+        def counted_mbr(rects):
+            mbrs.append(1)
+            return rect_module.mbr_of_rects(rects)
+
+        monkeypatch.setattr(page_module, "mbr_of_rects", counted_mbr)
+
+        def replay():
+            stats = []
+            for policy in (ASB(), SpatialPolicy("A"), SpatialPolicy("EO")):
+                buffer = replay_requests(disk, requests, policy, capacity)
+                stats.append(buffer.stats.snapshot())
+            return stats
+
+        first = replay()
+        assert min(stats["evictions"] for stats in first) > capacity
+        assert {name for _, name in computed} == {"A", "EO"}
+        assert max(computed.values()) == 1, "once per page version, not per load"
+        once = dict(computed)
+        mbrs.clear()
+        assert replay() == first
+        assert computed == once, "a page loaded again brings its criteria along"
+        assert not mbrs, "nor does it recompute its MBR"
 
     def test_a_seam_free_miss_never_enters_the_reference_path(
         self, fresh_tree, monkeypatch
