@@ -143,10 +143,6 @@ class PolicySpec:
                 return param
         raise KeyError(f"policy {self.name!r} has no parameter {name!r}")
 
-    def retunable_params(self) -> tuple[ParamSpec, ...]:
-        """Parameters a live instance can change via ``retune()``."""
-        return tuple(param for param in self.params if param.retunable)
-
     def build(self, **kwargs) -> ReplacementPolicy:
         by_name = {param.name: param for param in self.params}
         unknown = sorted(set(kwargs) - set(by_name))

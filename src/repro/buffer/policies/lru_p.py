@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.buffer.frames import Frame
 from repro.buffer.policies.base import ReplacementPolicy
 from repro.storage.page import Page, PageId, PageType
 
@@ -43,7 +42,3 @@ class LRUP(ReplacementPolicy):
             key=lambda frame: (self._priority(frame.page), frame.last_access),
         )
         return victim.page_id
-
-    def priority_of(self, frame: Frame) -> int:
-        """Expose the priority of a frame (used by reports and tests)."""
-        return self._priority(frame.page)

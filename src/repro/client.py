@@ -3,15 +3,20 @@
 :class:`AsyncPageClient` speaks the framed protocol of
 :mod:`repro.server.protocol` with full *pipelining*: each request gets a
 fresh request id and a future, a single reader task matches responses by
-id, and any number of requests may be outstanding at once::
+id, and any number of requests may be outstanding at once.  A page
+request is a batch: ``fetch_many`` is one ``FETCH_MANY`` round trip for
+the whole list, and ``fetch``/``update`` are batches of one::
 
     client = await AsyncPageClient.connect("127.0.0.1", port)
-    pages = await asyncio.gather(*(client.fetch(i) for i in range(32)))
+    pages = await client.fetch_many(list(range(32)))
+    await client.update_many(pages)
     await client.close()
 
 :class:`PageClient` is the synchronous wrapper: it runs an event loop on
 a private daemon thread and exposes the same operations as plain calls —
-the shape the benchmarks and most tests want.
+the shape the benchmarks and most tests want.  The cluster's
+:class:`~repro.cluster.client.ClusterClient` is built on the same
+loop-thread base (:class:`_LoopThreadClient`).
 
 Failures map to three exceptions:
 
@@ -111,11 +116,6 @@ class AsyncPageClient:
         # client fails every later request immediately instead of writing
         # into a broken pipe.
         self._dead: ConnectionLost | None = None
-        # Whether the server speaks FETCH_MANY/UPDATE_MANY: unknown until
-        # the first batched call, then remembered per connection.  An old
-        # server answers ``ERROR/UNKNOWN_OP`` (batches are well-formed
-        # frames), which downgrades this once, permanently.
-        self._batch_supported: bool | None = None
         # A page re-fetched with unchanged bytes is not verified again.
         self._verified = VerifiedPages()
         self._reader_task = asyncio.ensure_future(self._read_loop())
@@ -216,37 +216,22 @@ class AsyncPageClient:
     # ------------------------------------------------------------------
 
     async def fetch(self, page_id: "PageId") -> "Page":
-        """Fetch one page, *packed* (verified once per connection and page
-        version), its entries inside the reply (``page.image()``) until read."""
-        blob = await self._request(Op.FETCH, pack_page_id(page_id))
-        return self._verified.read(blob, page_id)
-
-    async def fetch_blob(self, page_id: "PageId") -> bytes:
-        """Fetch a page's *encoded bytes* without verifying them.
-
-        The cluster forwarding path uses this: a node relaying a fetch to
-        the owner hands the blob straight back to its own client, which
-        verifies it.
-        """
-        return await self._request(Op.FETCH, pack_page_id(page_id))
-
-    async def update_blob(self, page_id: "PageId", blob: bytes) -> None:
-        """Install already-encoded page bytes (forwarding counterpart)."""
-        await self._request(Op.UPDATE, pack_page_id(page_id) + blob)
+        """Fetch one page: a batch of one (see :meth:`fetch_many`)."""
+        return (await self.fetch_many([page_id]))[0]
 
     async def update(self, page: "Page") -> None:
-        payload = pack_page_id(page.page_id) + encode_page(page, self.page_size)
-        await self._request(Op.UPDATE, payload)
+        """Install one page: a batch of one (see :meth:`update_many`)."""
+        await self.update_many([page])
 
     async def fetch_many(self, page_ids: "list[PageId]") -> "list[Page]":
         """Fetch a batch of pages in one round trip, in request order.
 
-        Uses ``FETCH_MANY`` when the server speaks it (one frame, one
-        admission decision); against an old server the first call learns
-        the downgrade from ``ERROR/UNKNOWN_OP`` and this — like every
-        later call — falls back to pipelined single fetches, which still
-        overlap all round trips.  Batches larger than ``MAX_BATCH`` are
-        split transparently.
+        Each page comes back *packed* (verified once per connection and
+        page version), its entries inside the reply (``page.image()``)
+        until read.  The reply is one ``page_size`` slot per page, so it is
+        split by offset alone; the reply to a batch of one is that page's
+        slot whatever its length, which ``read_page`` verifies.  Batches
+        larger than ``MAX_BATCH`` are split transparently.
         """
         if not page_ids:
             return []
@@ -257,34 +242,18 @@ class AsyncPageClient:
                     await self.fetch_many(page_ids[start : start + MAX_BATCH])
                 )
             return pages
-        if self._batch_supported is not False:
-            try:
-                blob = await self._request(
-                    Op.FETCH_MANY, pack_page_ids(page_ids)
-                )
-            except ServerError as exc:
-                if (
-                    self._batch_supported is not None
-                    or exc.code != ErrorCode.UNKNOWN_OP
-                ):
-                    raise
-                self._batch_supported = False
-            else:
-                self._batch_supported = True
-                size = self.page_size
-                if len(blob) != size * len(page_ids):
-                    raise ProtocolError(
-                        f"FETCH_MANY of {len(page_ids)} pages returned "
-                        f"{len(blob)} bytes, expected {size * len(page_ids)}"
-                    )
-                # bytes slices: each page's image owns its 4 KB, not the reply.
-                return [
-                    self._verified.read(blob[index * size : (index + 1) * size], pid)
-                    for index, pid in enumerate(page_ids)
-                ]
-        return list(
-            await asyncio.gather(*(self.fetch(pid) for pid in page_ids))
-        )
+        blob = await self._request(Op.FETCH_MANY, pack_page_ids(page_ids))
+        size = self.page_size if len(page_ids) > 1 else len(blob)
+        if len(blob) != size * len(page_ids):
+            raise ProtocolError(
+                f"FETCH_MANY of {len(page_ids)} pages returned "
+                f"{len(blob)} bytes, expected {size * len(page_ids)}"
+            )
+        # bytes slices: each page's image owns its slot, not the reply.
+        return [
+            self._verified.read(blob[index * size : (index + 1) * size], pid)
+            for index, pid in enumerate(page_ids)
+        ]
 
     async def update_many(self, pages: "list[Page]") -> None:
         """Install a batch of pages in one round trip (all-or-error)."""
@@ -294,24 +263,11 @@ class AsyncPageClient:
             for start in range(0, len(pages), MAX_BATCH):
                 await self.update_many(pages[start : start + MAX_BATCH])
             return
-        if self._batch_supported is not False:
-            size = self.page_size
-            payload = pack_update_batch(
-                [(page.page_id, encode_page(page, size)) for page in pages]
-            )
-            try:
-                await self._request(Op.UPDATE_MANY, payload)
-            except ServerError as exc:
-                if (
-                    self._batch_supported is not None
-                    or exc.code != ErrorCode.UNKNOWN_OP
-                ):
-                    raise
-                self._batch_supported = False
-            else:
-                self._batch_supported = True
-                return
-        await asyncio.gather(*(self.update(page) for page in pages))
+        size = self.page_size
+        payload = pack_update_batch(
+            [(page.page_id, encode_page(page, size)) for page in pages]
+        )
+        await self._request(Op.UPDATE_MANY, payload)
 
     async def pin(self, page_id: "PageId") -> None:
         await self._request(Op.PIN, pack_page_id(page_id))
@@ -326,42 +282,25 @@ class AsyncPageClient:
         return json.loads((await self._request(Op.STATS)).decode("utf-8"))
 
 
-class PageClient:
-    """Synchronous page-service client (event loop on a daemon thread).
+class _LoopThreadClient:
+    """A synchronous face on an async client whose event loop runs on a
+    private daemon thread named :attr:`THREAD_NAME`.
 
-    A lost connection is handled, not surfaced: the failed operation
-    raises :class:`ConnectionLost` inside, the client reconnects with the
-    backoff schedule of ``retry`` (a
-    :class:`~repro.storage.retry.RetryPolicy`; the storage layer's
-    default when omitted) and replays the call.  Replays are safe because
-    every operation is an idempotent full-page read or install.  Only
-    when the policy's attempts are exhausted does the caller see the
-    :class:`ConnectionLost` — never a raw socket error.
+    ``connect`` makes the coroutine that builds the async client; every
+    call runs on the loop and waits at most ``timeout`` seconds.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        page_size: int = 4096,
-        timeout: float = 30.0,
-        retry: "RetryPolicy | None" = None,
-    ) -> None:
+    THREAD_NAME: str
+
+    def __init__(self, connect, timeout: float) -> None:
         self.timeout = timeout
-        self._host = host
-        self._port = port
-        self._page_size = page_size
-        self._retry = retry if retry is not None else RetryPolicy()
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
-            target=self._loop.run_forever, name="page-client-loop", daemon=True
+            target=self._loop.run_forever, name=self.THREAD_NAME, daemon=True
         )
         self._thread.start()
         try:
-            self._client: AsyncPageClient = self._call(
-                AsyncPageClient.connect(host, port, page_size=page_size)
-            )
+            self._client = self._call(connect())
         except BaseException:
             self._shutdown_loop()
             raise
@@ -375,6 +314,72 @@ class PageClient:
         self._thread.join(5.0)
         self._loop.close()
 
+    def _op(self, factory):
+        """Run ``factory(client)`` on the loop and return its result."""
+        return self._call(factory(self._client))
+
+    def fetch(self, page_id: "PageId") -> "Page":
+        return self._op(lambda client: client.fetch(page_id))
+
+    def update(self, page: "Page") -> None:
+        self._op(lambda client: client.update(page))
+
+    def fetch_many(self, page_ids: "list[PageId]") -> "list[Page]":
+        return self._op(lambda client: client.fetch_many(page_ids))
+
+    def update_many(self, pages: "list[Page]") -> None:
+        self._op(lambda client: client.update_many(pages))
+
+    def close(self) -> None:
+        if self._loop.is_closed():
+            return
+        try:
+            self._call(self._client.close())
+        finally:
+            self._shutdown_loop()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class PageClient(_LoopThreadClient):
+    """Synchronous page-service client (event loop on a daemon thread).
+
+    A lost connection is handled, not surfaced: the failed operation
+    raises :class:`ConnectionLost` inside, the client reconnects with the
+    backoff schedule of ``retry`` (a
+    :class:`~repro.storage.retry.RetryPolicy`; the storage layer's
+    default when omitted) and replays the call.  Replays are safe because
+    every operation is an idempotent full-page read or install.  Only
+    when the policy's attempts are exhausted does the caller see the
+    :class:`ConnectionLost` — never a raw socket error.
+    """
+
+    THREAD_NAME = "page-client-loop"
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        *,
+        page_size: int = 4096,
+        timeout: float = 30.0,
+        retry: "RetryPolicy | None" = None,
+    ) -> None:
+        self._host = host
+        self._port = port
+        self._page_size = page_size
+        self._retry = retry if retry is not None else RetryPolicy()
+        super().__init__(self._connect, timeout)
+
+    def _connect(self):
+        return AsyncPageClient.connect(
+            self._host, self._port, page_size=self._page_size
+        )
+
     def _reconnect(self) -> None:
         # The old client stays in place until the new connection exists,
         # so a failed reconnect leaves a dead-latched client (every call
@@ -384,11 +389,7 @@ class PageClient:
             self._call(old.close())
         except Exception:  # noqa: BLE001 - the transport is already gone
             pass
-        self._client = self._call(
-            AsyncPageClient.connect(
-                self._host, self._port, page_size=self._page_size
-            )
-        )
+        self._client = self._call(self._connect())
 
     def _op(self, factory):
         """Run ``factory(client)``; on ConnectionLost reconnect and replay."""
@@ -411,18 +412,6 @@ class PageClient:
 
     # ------------------------------------------------------------------
 
-    def fetch(self, page_id: "PageId") -> "Page":
-        return self._op(lambda client: client.fetch(page_id))
-
-    def update(self, page: "Page") -> None:
-        self._op(lambda client: client.update(page))
-
-    def fetch_many(self, page_ids: "list[PageId]") -> "list[Page]":
-        return self._op(lambda client: client.fetch_many(page_ids))
-
-    def update_many(self, pages: "list[Page]") -> None:
-        self._op(lambda client: client.update_many(pages))
-
     def pin(self, page_id: "PageId") -> None:
         self._op(lambda client: client.pin(page_id))
 
@@ -434,17 +423,3 @@ class PageClient:
 
     def stats(self) -> dict:
         return self._op(lambda client: client.stats())
-
-    def close(self) -> None:
-        if self._loop.is_closed():
-            return
-        try:
-            self._call(self._client.close())
-        finally:
-            self._shutdown_loop()
-
-    def __enter__(self) -> "PageClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -1,36 +1,39 @@
 """Cluster-aware clients: route every request to the page's owner.
 
 :class:`RoutingClient` holds a :class:`~repro.cluster.ring.ClusterMap`
-and one lazy :class:`~repro.client.AsyncPageClient` per node.  Singles
-go straight to the owner; batches are split per owner and fanned out
+and one lazy :class:`~repro.client.AsyncPageClient` per node.  Every page
+request is a batch: it is split per owner and the parts fan out
 concurrently, so one ``fetch_many`` costs one round trip *per owner
-touched*, not per page.
+touched*, not per page, and ``fetch``/``update`` (batches of one) go
+straight to the owner.
 
 Failures route around: on :class:`ConnectionLost` / ``RETRY_AFTER`` the
 client sleeps the :class:`~repro.storage.retry.RetryPolicy` schedule,
 re-fetches the ownership map (``OWNERSHIP``) from any reachable node —
-picking up a newer ring epoch if membership changed — and replays
-against the possibly-new owner.  Replays are safe for the same reason
-they are in :class:`~repro.client.PageClient`: every operation is an
-idempotent full-page read or install.
+picking up a newer ring epoch if membership changed, and with it the
+node's new address — and replays the part against the node it was
+split for.  Replays are safe for the same reason they are in
+:class:`~repro.client.PageClient`: every operation is an idempotent
+full-page read or install.
 
-:class:`ClusterClient` is the synchronous wrapper (event loop on a
-daemon thread), mirroring :class:`~repro.client.PageClient`.
+:class:`ClusterClient` is the synchronous wrapper, built like
+:class:`~repro.client.PageClient` on an event loop that runs on a
+private daemon thread.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 from typing import TYPE_CHECKING
 
 from repro.client import (
     AsyncPageClient,
     ConnectionLost,
     RetryAfter,
+    _LoopThreadClient,
 )
 from repro.cluster.ring import ClusterMap
-from repro.server.protocol import MAX_BATCH, Op
+from repro.server.protocol import Op
 from repro.storage.retry import RetryPolicy
 
 if TYPE_CHECKING:
@@ -151,11 +154,11 @@ class RoutingClient:
             return False
         return False
 
-    async def _routed(self, node_for, call):
-        """Run ``call`` against ``node_for()``; reroute on failure.
+    async def _routed(self, node_id: str, call):
+        """Run ``call`` against ``node_id``'s client; retry on failure.
 
-        ``node_for`` is re-evaluated every attempt — after a map refresh
-        under a new epoch it may name a different node.
+        Each retry refreshes the map first, so a node that moved is
+        reached at its new address.
         """
         failure: Exception | None = None
         for attempt in range(self._retry.attempts):
@@ -166,7 +169,6 @@ class RoutingClient:
                 except Exception:  # noqa: BLE001 - retry with the old map
                     pass
                 self.rerouted += 1
-            node_id = node_for()
             try:
                 client = await self._node_client(node_id)
                 return await call(client)
@@ -183,16 +185,10 @@ class RoutingClient:
     # ------------------------------------------------------------------
 
     async def fetch(self, page_id: "PageId") -> "Page":
-        return await self._routed(
-            lambda: self.cluster_map.owner(page_id),
-            lambda client: client.fetch(page_id),
-        )
+        return (await self.fetch_many([page_id]))[0]
 
     async def update(self, page: "Page") -> None:
-        await self._routed(
-            lambda: self.cluster_map.owner(page.page_id),
-            lambda client: client.update(page),
-        )
+        await self.update_many([page])
 
     async def fetch_many(self, page_ids: "list[PageId]") -> "list[Page]":
         """Fetch a batch: one concurrent ``FETCH_MANY`` per node touched."""
@@ -205,8 +201,7 @@ class RoutingClient:
 
         async def _one(node_id: str, ids: list) -> None:
             pages = await self._routed(
-                lambda: node_id,
-                lambda client: client.fetch_many(ids),
+                node_id, lambda client: client.fetch_many(ids)
             )
             for pid, page in zip(ids, pages):
                 by_pid[pid] = page
@@ -226,12 +221,9 @@ class RoutingClient:
             groups.setdefault(owner, []).append(page)
 
         async def _one(node_id: str, batch: list) -> None:
-            for start in range(0, len(batch), MAX_BATCH):
-                chunk = batch[start : start + MAX_BATCH]
-                await self._routed(
-                    lambda: node_id,
-                    lambda client: client.update_many(chunk),
-                )
+            await self._routed(
+                node_id, lambda client: client.update_many(batch)
+            )
 
         await asyncio.gather(
             *(_one(node_id, batch) for node_id, batch in groups.items())
@@ -252,8 +244,10 @@ class RoutingClient:
         return out
 
 
-class ClusterClient:
+class ClusterClient(_LoopThreadClient):
     """Synchronous cluster client (event loop on a daemon thread)."""
+
+    THREAD_NAME = "cluster-client-loop"
 
     def __init__(
         self,
@@ -264,48 +258,16 @@ class ClusterClient:
         timeout: float = 30.0,
         retry: RetryPolicy | None = None,
     ) -> None:
-        self.timeout = timeout
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever,
-            name="cluster-client-loop",
-            daemon=True,
+        super().__init__(
+            lambda: RoutingClient.connect(
+                host, port, page_size=page_size, retry=retry
+            ),
+            timeout,
         )
-        self._thread.start()
-        try:
-            self._client: RoutingClient = self._call(
-                RoutingClient.connect(
-                    host, port, page_size=page_size, retry=retry
-                )
-            )
-        except BaseException:
-            self._shutdown_loop()
-            raise
-
-    def _call(self, coroutine):
-        future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-        return future.result(self.timeout)
-
-    def _shutdown_loop(self) -> None:
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(5.0)
-        self._loop.close()
 
     @property
     def cluster_map(self) -> ClusterMap:
         return self._client.cluster_map
-
-    def fetch(self, page_id: "PageId") -> "Page":
-        return self._call(self._client.fetch(page_id))
-
-    def update(self, page: "Page") -> None:
-        self._call(self._client.update(page))
-
-    def fetch_many(self, page_ids: "list[PageId]") -> "list[Page]":
-        return self._call(self._client.fetch_many(page_ids))
-
-    def update_many(self, pages: "list[Page]") -> None:
-        self._call(self._client.update_many(pages))
 
     def refresh_map(self) -> bool:
         return self._call(self._client.refresh_map())
@@ -315,17 +277,3 @@ class ClusterClient:
 
     def stats_all(self) -> dict[str, dict]:
         return self._call(self._client.stats_all())
-
-    def close(self) -> None:
-        if self._loop.is_closed():
-            return
-        try:
-            self._call(self._client.close())
-        finally:
-            self._shutdown_loop()
-
-    def __enter__(self) -> "ClusterClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

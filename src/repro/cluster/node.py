@@ -3,11 +3,13 @@
 :class:`ClusterPageServer` subclasses :class:`~repro.server.PageServer`
 so the single-node server (and its golden traces) stay bit-identical —
 everything cluster-shaped lives in overrides.  Every page has one owner
-(:class:`ClusterMap`).  A request for an owned page runs through the
-inherited path untouched.  A request for a foreign page is *served
-anyway*: it is forwarded to the owner over a lazily-connected peer
-client — a client talking to the wrong node gets the right answer, just
-a hop slower.  ``OWNERSHIP`` runs directly on the event loop
+(:class:`ClusterMap`).  A batch of owned pages runs through the
+inherited path untouched.  A batch with foreign pages is *served
+anyway*: its owned slice runs here (the same
+:meth:`~repro.server.PageServer._fetch_slots` / ``_install_slots`` the
+inherited path calls) and the rest is forwarded, one batch per owner,
+over lazily-connected peer clients — a client talking to the wrong node
+gets the right answer, just a hop slower.  ``OWNERSHIP`` runs directly on the event loop
 (``LOOP_OPS``), outside admission, so a routing client can refresh its
 map from a node whose admission plane is saturated.
 """
@@ -38,11 +40,9 @@ from repro.server.protocol import (
     encode_retry_after,
     pack_page_ids,
     pack_update_batch,
-    unpack_page_id,
     unpack_page_ids,
     unpack_update_batch,
 )
-from repro.storage.serialization import encode_page, read_page
 
 if TYPE_CHECKING:
     from repro.api import BufferSystem
@@ -157,10 +157,6 @@ class ClusterPageServer(PageServer):
         payload: bytes,
     ):
         if len(self.cluster_map.data_nodes) > 1:
-            if operation is Op.FETCH or operation is Op.UPDATE:
-                return await self._routed_single(
-                    connection, operation, request_id, payload
-                )
             if operation is Op.FETCH_MANY:
                 return await self._routed_fetch_many(
                     connection, request_id, payload
@@ -172,41 +168,6 @@ class ClusterPageServer(PageServer):
         return await super()._execute_admitted(
             connection, operation, request_id, payload
         )
-
-    # -- FETCH / UPDATE ------------------------------------------------
-
-    async def _routed_single(
-        self, connection, operation: Op, request_id: int, payload: bytes
-    ):
-        try:
-            page_id = unpack_page_id(payload)
-        except ValueError:
-            # Let the inherited path produce the canonical MALFORMED reply.
-            page_id = None
-        if page_id is None or self._owns(page_id):
-            return await super()._execute_admitted(
-                connection, operation, request_id, payload
-            )
-        try:
-            owner = self.cluster_map.owner(page_id)
-            self._emit_route(page_id, owner)
-            if operation is Op.FETCH:
-                return await self._forward(
-                    owner,
-                    request_id,
-                    lambda client: client.fetch_blob(page_id),
-                    ok=lambda blob: encode_response(
-                        Status.OK, request_id, blob
-                    ),
-                )
-            return await self._forward(
-                owner,
-                request_id,
-                lambda client: client._request(Op.UPDATE, payload),
-                ok=lambda _: encode_response(Status.OK, request_id),
-            )
-        finally:
-            self.admission.release(connection.client_id)
 
     # -- batched -------------------------------------------------------
 
@@ -232,7 +193,7 @@ class ClusterPageServer(PageServer):
             async def _local(ids: list[int]) -> None:
                 loop = asyncio.get_running_loop()
                 results = await loop.run_in_executor(
-                    self._pool, self._fetch_blobs_blocking, ids
+                    self._pool, self._fetch_slots, ids
                 )
                 blobs.update(zip(ids, results))
 
@@ -282,7 +243,7 @@ class ClusterPageServer(PageServer):
             async def _local(batch: list[tuple[int, bytes]]) -> None:
                 loop = asyncio.get_running_loop()
                 await loop.run_in_executor(
-                    self._pool, self._install_blobs_blocking, batch
+                    self._pool, self._install_slots, batch
                 )
 
             async def _remote(
@@ -330,17 +291,6 @@ class ClusterPageServer(PageServer):
             )
         return None
 
-    async def _forward(self, owner: str, request_id: int, call, *, ok):
-        """Relay one call to ``owner``; translate the peer's verdict."""
-        self.forwards += 1
-        try:
-            client = await self._peer(owner)
-            result = await call(client)
-        except (ServerError, RetryAfter, ConnectionLost, OSError) as exc:
-            return self._peer_failure_frame(request_id, exc)
-        self.responses_ok += 1
-        return ok(result)
-
     def _peer_failure_frame(self, request_id: int, exc: BaseException):
         """Map a peer failure onto this node's own response to the client."""
         if isinstance(exc, ServerError):
@@ -356,17 +306,6 @@ class ClusterPageServer(PageServer):
         return encode_error(
             request_id, ErrorCode.INTERNAL, f"owner unreachable: {exc}"
         )
-
-    def _fetch_blobs_blocking(self, page_ids: list[int]) -> list[bytes]:
-        fetch = self.system.buffer.fetch
-        size = self.page_size
-        return [encode_page(fetch(pid), size) for pid in page_ids]
-
-    def _install_blobs_blocking(self, items: list[tuple[int, bytes]]) -> None:
-        pages = [read_page(blob, page_id) for page_id, blob in items]
-        install = self.system.buffer.install
-        for page in pages:
-            install(page)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -128,9 +128,6 @@ class HashRing:
 
     # -- lookups ------------------------------------------------------
 
-    def owner_of_slot(self, slot: int) -> str:
-        return self.slot_owner[slot]
-
     def owner(self, page_id: int) -> str:
         """The node that owns ``page_id``."""
 

@@ -1,8 +1,9 @@
 """The asyncio page server: a network front-end for a buffer system.
 
 :class:`PageServer` listens on a TCP socket, speaks the framed binary
-protocol of :mod:`repro.server.protocol`, and serves FETCH / UPDATE /
-PIN / UNPIN / COMMIT / STATS against any :class:`~repro.api.BufferSystem`.
+protocol of :mod:`repro.server.protocol`, and serves FETCH_MANY /
+UPDATE_MANY / PIN / UNPIN / COMMIT / STATS against any
+:class:`~repro.api.BufferSystem`.
 
 Execution model
 ===============
@@ -73,7 +74,6 @@ from repro.server.protocol import (
     read_frame,
     unpack_page_id,
     unpack_page_ids,
-    unpack_page_payload,
     unpack_update_batch,
 )
 from repro.storage.serialization import encode_page, read_page
@@ -183,8 +183,9 @@ class PageServer:
         self.op_counts: dict[str, int] = {op.name: 0 for op in Op}
         self.protocol_errors = 0
         self.connections_total = 0
-        #: Pages requested through FETCH_MANY/UPDATE_MANY (declared batch
-        #: sizes; one batch = one entry in ``requests``/``op_counts``).
+        #: Pages requested through FETCH_MANY/UPDATE_MANY, every page
+        #: request (declared batch sizes; one batch = one entry in
+        #: ``requests``/``op_counts``).
         self.batch_pages = 0
 
     # ------------------------------------------------------------------
@@ -503,36 +504,14 @@ class PageServer:
     def _run_operation(self, operation: Op, payload: bytes):
         """The buffer work of one request (loop or worker thread).
 
-        Returns the OK payload: ``bytes`` for the single-page operations,
-        a buffer *list* for the batched ones (written via ``writelines``).
+        Returns the OK payload: a buffer *list* for ``FETCH_MANY`` (written
+        via ``writelines``), ``bytes`` for the others.
         """
         buffer = self.system.buffer
-        if operation is Op.FETCH:
-            page = buffer.fetch(unpack_page_id(payload))
-            return encode_page(page, self.page_size)
         if operation is Op.FETCH_MANY:
-            # One admission slot, one response frame, one syscall for the
-            # whole batch; each blob is exactly ``page_size`` bytes, so
-            # the payload is the blobs in request order, no framing.
-            page_ids = unpack_page_ids(payload)
-            fetch = buffer.fetch
-            page_size = self.page_size
-            return [encode_page(fetch(pid), page_size) for pid in page_ids]
+            return self._fetch_slots(unpack_page_ids(payload))
         if operation is Op.UPDATE_MANY:
-            # All-or-error: verify every item before installing any, so a
-            # malformed tail never leaves a half-applied batch.  The pages
-            # stay packed: log, write-back and FETCH serve the sent bytes.
-            pages = [
-                read_page(blob, page_id)
-                for page_id, blob in unpack_update_batch(payload)
-            ]
-            install = buffer.install
-            for page in pages:
-                install(page)
-            return b""
-        if operation is Op.UPDATE:
-            page_id, blob = unpack_page_payload(payload)
-            buffer.install(read_page(blob, page_id))
+            self._install_slots(unpack_update_batch(payload))
             return b""
         if operation is Op.PIN:
             buffer.fetch_pinned(unpack_page_id(payload))
@@ -543,6 +522,25 @@ class PageServer:
         if operation is Op.COMMIT:
             return pack_lsn(self.system.commit())
         raise ValueError(f"unhandled operation {operation!r}")
+
+    def _fetch_slots(self, page_ids: list[int]) -> list[bytes]:
+        """Fetch pages; their slots in request order, ``page_size`` bytes
+        each, so a reply is the blobs with no framing between them."""
+        fetch = self.system.buffer.fetch
+        page_size = self.page_size
+        return [encode_page(fetch(pid), page_size) for pid in page_ids]
+
+    def _install_slots(self, items) -> None:
+        """Install ``(page_id, blob)`` pairs, all or none.
+
+        Every blob is verified before any page is installed, so a
+        malformed tail never leaves a half-applied batch.  The pages stay
+        packed: log, write-back and a later fetch serve the sent bytes.
+        """
+        pages = [read_page(blob, page_id) for page_id, blob in items]
+        install = self.system.buffer.install
+        for page in pages:
+            install(page)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -16,8 +16,6 @@ Operations and their payloads:
 ===========  =====================================  ===========================
 op           request payload                        OK payload
 ===========  =====================================  ===========================
-FETCH        page_id:i64                            encoded page bytes
-UPDATE       page_id:i64 | encoded page bytes       (empty)
 PIN          page_id:i64                            (empty)
 UNPIN        page_id:i64                            (empty)
 COMMIT       (empty)                                lsn:i64
@@ -33,8 +31,11 @@ JSON.  A single-node :class:`~repro.server.PageServer` answers it with
 ``ERROR/UNKNOWN_OP``: it is well-formed but unsupported there, exactly
 like a genuinely unknown opcode.
 
-The batched operations amortise one frame, one syscall and one admission
-decision over up to :data:`MAX_BATCH` pages.  A ``FETCH_MANY`` OK payload
+A page is read and installed only in batches: ``FETCH_MANY`` and
+``UPDATE_MANY`` carry one to :data:`MAX_BATCH` pages, so one frame, one
+syscall and one admission decision serve the whole batch, and a single
+page is a batch of one.  Bytes 1 and 2, which once named single-page
+FETCH and UPDATE, are unknown opcodes now.  A ``FETCH_MANY`` OK payload
 is the requested pages' encodings concatenated *in request order*; every
 blob is exactly ``page_size`` bytes (the fixed-size slot encoding of
 :func:`repro.storage.serialization.encode_page`), so the client splits it
@@ -84,8 +85,6 @@ _ITEM_HEAD = struct.Struct("<qI")  # page_id, blob length
 class Op(IntEnum):
     """Request opcodes."""
 
-    FETCH = 1
-    UPDATE = 2
     PIN = 3
     UNPIN = 4
     COMMIT = 5
@@ -274,12 +273,6 @@ def unpack_page_id(payload: bytes) -> int:
         raise ValueError("payload is missing the page id")
     (page_id,) = _PAGE_ID.unpack_from(payload, 0)
     return page_id
-
-
-def unpack_page_payload(payload: bytes) -> tuple[int, bytes]:
-    """Split an UPDATE payload into (page id, encoded page bytes)."""
-    page_id = unpack_page_id(payload)
-    return page_id, payload[_PAGE_ID.size :]
 
 
 def unpack_lsn(payload: bytes) -> int:

@@ -64,9 +64,6 @@ class CrashInjector:
             raise ValueError("after must be non-negative")
         self._armed[point] = after
 
-    def disarm(self, point: str) -> None:
-        self._armed.pop(point, None)
-
     def trips(self, point: str) -> bool:
         """True when an armed countdown for ``point`` just hit zero.
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from repro.storage.page import Page, PageId
@@ -54,9 +54,6 @@ FREE = 2        #: the page was deallocated; its slot is dead
 COMMIT = 3      #: durability point requested by the caller
 CHECKPOINT = 4  #: all earlier page states are on the data disk
 
-KIND_NAMES = {PAGE_IMAGE: "page", FREE: "free", COMMIT: "commit",
-              CHECKPOINT: "checkpoint"}
-
 
 @dataclass(frozen=True, slots=True)
 class WalRecord:
@@ -66,10 +63,6 @@ class WalRecord:
     kind: int
     page_id: PageId
     payload: bytes = b""
-
-    @property
-    def kind_name(self) -> str:
-        return KIND_NAMES.get(self.kind, f"unknown({self.kind})")
 
 
 @dataclass(slots=True)

@@ -151,7 +151,7 @@ class TestRoutingClient:
             )
             # Every node served some of the keyspace directly.
             served = [
-                node["server"]["op_counts"].get("FETCH", 0)
+                node["server"]["op_counts"].get("FETCH_MANY", 0)
                 for node in stats.values()
             ]
             assert all(count > 0 for count in served)

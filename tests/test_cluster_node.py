@@ -95,10 +95,11 @@ class TestClusterOpcodes:
             assert loop_call(thread, scenario) == ErrorCode.UNKNOWN_OP
 
     @pytest.mark.parametrize("kind", ["page-server", "cluster-node"])
-    @pytest.mark.parametrize("opcode", [10, 11, 12, 13])
+    @pytest.mark.parametrize("opcode", [1, 2, 10, 11, 12, 13])
     def test_retired_opcode_bytes_are_unknown(self, kind, opcode):
-        """The bytes that once named REPLICATE, INVALIDATE, OFFER_FAR and
-        FETCH_FAR get ``UNKNOWN_OP``; the connection keeps serving."""
+        """The bytes that once named the single-page FETCH and UPDATE, and
+        REPLICATE, INVALIDATE, OFFER_FAR and FETCH_FAR, get ``UNKNOWN_OP``;
+        the connection keeps serving."""
         if kind == "page-server":
             thread = ServerThread(seeded_system(), page_size=PAGE_SIZE)
         else:

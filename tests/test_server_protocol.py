@@ -20,12 +20,12 @@ from repro.server.protocol import (
     encode_response,
     encode_retry_after,
     pack_lsn,
-    pack_page_id,
+    pack_page_ids,
     read_frame,
     unpack_error,
     unpack_lsn,
     unpack_page_id,
-    unpack_page_payload,
+    unpack_page_ids,
     unpack_retry_after,
 )
 
@@ -49,12 +49,12 @@ def read_all_frames(data: bytes) -> list[bytes]:
 
 class TestRoundTrips:
     def test_request_round_trip(self):
-        frame = encode_request(Op.FETCH, 42, pack_page_id(-7))
+        frame = encode_request(Op.FETCH_MANY, 42, pack_page_ids([-7]))
         (body,) = read_all_frames(frame)
         op, request_id, payload = decode_head(body)
-        assert op == Op.FETCH
+        assert op == Op.FETCH_MANY
         assert request_id == 42
-        assert unpack_page_id(payload) == -7
+        assert unpack_page_ids(payload) == [-7]
 
     def test_response_round_trip(self):
         frame = encode_response(Status.OK, 9, b"payload")
@@ -79,16 +79,11 @@ class TestRoundTrips:
         reason, hint_ms, message = unpack_retry_after(payload)
         assert (reason, hint_ms, message) == (RetryReason.QUEUE_FULL, 75, "busy")
 
-    def test_update_payload_round_trip(self):
-        payload = pack_page_id(11) + b"page-bytes"
-        page_id, blob = unpack_page_payload(payload)
-        assert (page_id, blob) == (11, b"page-bytes")
-
     def test_lsn_round_trip(self):
         assert unpack_lsn(pack_lsn(1 << 40)) == 1 << 40
 
     def test_pipelined_frames_stay_separate(self):
-        data = encode_request(Op.FETCH, 1, pack_page_id(1)) + encode_request(
+        data = encode_request(Op.FETCH_MANY, 1, pack_page_ids([1])) + encode_request(
             Op.COMMIT, 2
         )
         frames = read_all_frames(data)
@@ -106,7 +101,7 @@ class TestMalformedStreams:
             read_all_frames(b"\x05\x00")
 
     def test_eof_mid_body(self):
-        frame = encode_request(Op.FETCH, 1, pack_page_id(1))
+        frame = encode_request(Op.FETCH_MANY, 1, pack_page_ids([1]))
         with pytest.raises(ProtocolError, match="mid-frame"):
             read_all_frames(frame[:-3])
 

@@ -42,7 +42,6 @@ from repro.server.protocol import (
     decode_head,
     encode_request,
     encode_response,
-    pack_page_id,
     pack_page_ids,
     pack_update_batch,
     read_frame,
@@ -86,7 +85,7 @@ class TestMalformedFrames:
         system = durable_system()
         with ServerThread(system, page_size=PAGE_SIZE) as server:
             with socket.create_connection((server.host, server.port)) as raw:
-                frame = encode_request(Op.FETCH, 1, pack_page_id(1))
+                frame = encode_request(Op.FETCH_MANY, 1, pack_page_ids([1]))
                 raw.sendall(frame[:-3])  # vanish mid-frame
             time.sleep(0.1)
             with PageClient(server.host, server.port, page_size=PAGE_SIZE) as ok:
@@ -101,10 +100,10 @@ class TestMalformedFrames:
                     server.host, server.port, page_size=PAGE_SIZE
                 )
                 try:
-                    # FETCH with a short payload: request-level error, the
-                    # connection stays usable for the next request.
+                    # FETCH_MANY with a short payload: request-level error,
+                    # the connection stays usable for the next request.
                     with pytest.raises(ServerError):
-                        await client._request(Op.FETCH, b"\x01")
+                        await client._request(Op.FETCH_MANY, b"\x01")
                     page = await client.fetch(3)
                     assert page.page_id == 3
                 finally:
@@ -138,7 +137,7 @@ class TestClientDisconnect:
         system.buffer.disk = DelayedDisk(system.disk, 0.05)
         with ServerThread(system, page_size=PAGE_SIZE) as server:
             with socket.create_connection((server.host, server.port)) as raw:
-                raw.sendall(encode_request(Op.FETCH, 1, pack_page_id(20)))
+                raw.sendall(encode_request(Op.FETCH_MANY, 1, pack_page_ids([20])))
                 # Hard close with the response still pending.
             time.sleep(0.3)
             with PageClient(server.host, server.port, page_size=PAGE_SIZE) as ok:
@@ -333,29 +332,6 @@ class TestBatchOpcodes:
 
             asyncio.run(scenario())
 
-    def test_pipelined_fallback_matches_batch(self):
-        # Force the old-server downgrade: fetch_many must produce the
-        # same pages through pipelined single FETCHes.
-        system = durable_system()
-        with ServerThread(system, page_size=PAGE_SIZE) as server:
-            async def scenario() -> None:
-                client = await AsyncPageClient.connect(
-                    server.host, server.port, page_size=PAGE_SIZE
-                )
-                try:
-                    ids = [2, 9, 2, 17]
-                    batched = await client.fetch_many(ids)
-                    client._batch_supported = False
-                    pipelined = await client.fetch_many(ids)
-                    assert [p.page_id for p in pipelined] == ids
-                    assert [p.entries for p in pipelined] == [
-                        p.entries for p in batched
-                    ]
-                finally:
-                    await client.close()
-
-            asyncio.run(scenario())
-
     def test_malformed_batches_are_errors_not_hangups(self):
         import random
 
@@ -499,8 +475,9 @@ class TestCleanPagesStayPacked:
                 page.entries[0].payload = 777
                 sent = serialization.encode_page(page, PAGE_SIZE)
                 before = Counter(counts)
-                await client.update_blob(5, sent)
-                assert await client.fetch_blob(5) == sent != slots[5]
+                await client._request(Op.UPDATE_MANY, pack_update_batch([(5, sent)]))
+                reply = await client._request(Op.FETCH_MANY, pack_page_ids([5]))
+                assert reply == sent != slots[5]
                 fresh = counts - before  # installing may evict, hence rank
                 assert fresh["full encode"] == fresh["served unpacked"]
                 if criterion in ("A", "M"):
@@ -670,7 +647,7 @@ class TestPackedEndToEnd:
                 pages[3].entries[0].payload = 4242
                 assert pages[3].image() is None
                 client.update(pages[3])
-                served = self.raw(client, Op.FETCH, pack_page_id(3))
+                served = self.raw(client, Op.FETCH_MANY, pack_page_ids([3]))
                 assert served == serialization.encode_page(seed_page(3, 4242), PAGE_SIZE)
                 assert built == [1]
 
@@ -683,8 +660,8 @@ class TestPackedEndToEnd:
             serialization.decode_page(sent, 9), PAGE_SIZE
         )
         assert canonical != sent
-        self.raw(client, Op.UPDATE, pack_page_id(9) + sent)
-        assert self.raw(client, Op.FETCH, pack_page_id(9)) == canonical
+        self.raw(client, Op.UPDATE_MANY, pack_update_batch([(9, sent)]))
+        assert self.raw(client, Op.FETCH_MANY, pack_page_ids([9])) == canonical
         self.raw(client, Op.UPDATE_MANY, pack_update_batch([(10, sent)]))
         assert self.raw(client, Op.FETCH_MANY, pack_page_ids([10, 9])) == 2 * canonical
 
@@ -696,7 +673,7 @@ class TestPackedEndToEnd:
         batch = [(11, good), (12, good)]
         batch.insert(position, (7, damaged))
         requests = [
-            (Op.UPDATE, pack_page_id(7) + damaged),
+            (Op.UPDATE_MANY, pack_update_batch([(7, damaged)])),
             (Op.UPDATE_MANY, pack_update_batch(batch)),
         ]
         try:
@@ -712,7 +689,7 @@ class TestPackedEndToEnd:
         else:
             for op, payload in requests:
                 self.raw(client, op, payload)
-                served = self.raw(client, Op.FETCH, pack_page_id(7))
+                served = self.raw(client, Op.FETCH_MANY, pack_page_ids([7]))
                 assert len(served) == PAGE_SIZE
                 assert repr(serialization.decode_page(served, 7)) == repr(eager)
         assert client.fetch(1).page_id == 1  # the connection survived
@@ -765,7 +742,7 @@ class TestWhereRequestsRun:
     loop when none of the media it can touch may block, and on a
     ``page-server`` pool thread otherwise."""
 
-    OPS = ("FETCH", "FETCH_MANY", "UPDATE_MANY", "COMMIT", "PIN", "UNPIN")
+    OPS = ("FETCH_MANY", "UPDATE_MANY", "COMMIT", "PIN", "UNPIN")
 
     SYSTEMS = {
         "simulated-disk": lambda *_: _seeded(SimulatedDisk()),
