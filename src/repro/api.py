@@ -29,12 +29,11 @@ experiment harness all construct through this facade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.buffer.concurrent import ConcurrentBufferManager
 from repro.buffer.manager import BufferManager
 from repro.buffer.policies import make_policy
-from repro.buffer.policies.base import ReplacementPolicy
 
 if TYPE_CHECKING:
     from contextlib import AbstractContextManager
@@ -42,10 +41,6 @@ if TYPE_CHECKING:
     from repro.obs.events import EventSink, TraceRecorder
     from repro.storage.page import Page, PageId
     from repro.wal.manager import DurabilityManager
-
-#: What ``policy=`` accepts: a registry name, a ready instance (sequential
-#: builds only), or a zero-argument factory (required for sharded builds).
-PolicyLike = "str | ReplacementPolicy | Callable[[], ReplacementPolicy]"
 
 #: Keys accepted by ``durability=dict(...)``; forwarded to
 #: :class:`~repro.wal.manager.DurabilityManager`.
@@ -84,7 +79,7 @@ class BufferSystem:
     def build(
         cls,
         *,
-        policy: "str | ReplacementPolicy | Callable[[], ReplacementPolicy]" = "LRU",
+        policy: str = "LRU",
         capacity: int = 64,
         disk: object | None = None,
         shards: int | None = None,
@@ -97,9 +92,9 @@ class BufferSystem:
         """Wire a complete buffer system in one call.
 
         ``policy``
-            A registry name (see :func:`repro.buffer.policies.make_policy`),
-            a ready :class:`ReplacementPolicy` instance, or a zero-argument
-            factory.  ``policy_kwargs`` are forwarded when a name is given.
+            A registry name (see :func:`repro.buffer.policies.make_policy`);
+            ``policy_kwargs`` are forwarded to it.  A sharded build makes
+            one policy per shard from the name.
         ``disk``
             Any page store (:class:`~repro.storage.disk.SimulatedDisk`,
             :class:`~repro.wal.durable.DurableDisk`, ...).  Defaults to a
@@ -128,6 +123,11 @@ class BufferSystem:
             panel, ``TuningSpec(candidates=..., epoch_length=...)`` an
             explicit one.  The controller is exposed as ``system.tuner``.
         """
+        if not isinstance(policy, str):
+            raise TypeError(
+                "policy must be a registry name (see make_policy); "
+                f"got {type(policy).__name__}"
+            )
         from repro.obs.events import TraceRecorder
 
         # --- observer ---------------------------------------------------
@@ -153,38 +153,7 @@ class BufferSystem:
         # --- policy + buffer -------------------------------------------
         policy_kwargs = dict(policy_kwargs or {})
         tuning = cls._normalise_tuning(tuning)
-        if isinstance(policy, str):
-            policy_name = policy
-            factory = lambda: make_policy(policy_name, **policy_kwargs)  # noqa: E731
-        elif isinstance(policy, ReplacementPolicy):
-            if shards is not None and shards > 1:
-                raise ValueError(
-                    "a ready policy instance binds to one buffer core; "
-                    "sharded builds need a name or factory (one fresh "
-                    "policy per shard)"
-                )
-            if policy_kwargs:
-                raise ValueError("policy_kwargs require a policy name")
-            policy_name = policy.name
-            instance = policy
-            factory = lambda: instance  # noqa: E731
-        elif callable(policy):
-            if policy_kwargs:
-                raise ValueError("policy_kwargs require a policy name")
-            probe = policy()
-            if not isinstance(probe, ReplacementPolicy):
-                raise TypeError(
-                    f"policy factory returned {type(probe).__name__}, "
-                    "not a ReplacementPolicy"
-                )
-            policy_name = probe.name
-            first = [probe]
-            factory = lambda: first.pop() if first else policy()  # noqa: E731
-        else:
-            raise TypeError(
-                "policy must be a name, a ReplacementPolicy, or a factory; "
-                f"got {type(policy).__name__}"
-            )
+        factory = lambda: make_policy(policy, **policy_kwargs)  # noqa: E731
 
         if shards is None:
             buffer: BufferManager | ConcurrentBufferManager = BufferManager(
@@ -213,12 +182,12 @@ class BufferSystem:
             tuner = TuningController(
                 tuning, observer=getattr(buffer, "observer", observer)
             )
-            tuner.attach_buffer(buffer, policy_name, policy_kwargs)
+            tuner.attach_buffer(buffer, policy, policy_kwargs)
 
         return cls(
             buffer=buffer,
             disk=disk,
-            policy_name=policy_name,
+            policy_name=policy,
             observer=observer,
             recorder=recorder,
             durability=durability_manager,
@@ -407,9 +376,12 @@ class ClusterSystem:
 
         Nodes always get the thread-safe
         :class:`~repro.buffer.concurrent.ConcurrentBufferManager`
-        (``shards=None`` builds one shard): a node serves the owned slice
-        of a mixed batch on its worker pool while the event loop may run
-        other requests, so the sequential core is never safe here.
+        (``shards=None`` builds one shard): over a ``disk`` that may block
+        (a :class:`~repro.storage.disk.DelayedDisk`, a file) a node runs
+        its requests, the owned slice of a mixed batch included, on its
+        worker pool, several at a time, so the sequential core is not
+        safe there.  Over memory media every request runs on the event
+        loop.
         """
         from repro.cluster import ClusterPageServer
         from repro.cluster.ring import (

@@ -84,7 +84,6 @@ class ParamSpec:
             "float": (int, float),
             "bool": bool,
             "str": str,
-            "object": object,  # callables, mappings — not range-checkable
         }[self.kind]
         if self.kind == "int" and isinstance(value, bool):
             raise TypeError(
@@ -204,16 +203,7 @@ def _specs() -> dict[str, PolicySpec]:
         PolicySpec("MRU", MRU, description="most recently used"),
         PolicySpec("LRU-T", LRUT, description="type-based LRU (Section 2.1)"),
         PolicySpec(
-            "LRU-P",
-            LRUP,
-            params=(
-                ParamSpec(
-                    "priority",
-                    kind="object",
-                    description="callable Page -> eviction priority",
-                ),
-            ),
-            description="priority/level-based LRU (Section 2.1)",
+            "LRU-P", LRUP, description="priority/level-based LRU (Section 2.1)"
         ),
         PolicySpec(
             "LRU-K",

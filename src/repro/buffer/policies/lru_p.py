@@ -2,25 +2,21 @@
 
 A generalization of LRU-T: each page has a priority, and the page with the
 lowest priority is dropped first (LRU breaks ties).  Following the paper's
-example, the default priority of an index page is its height in the tree —
-object pages get priority -1 (below data pages at level 0), the root the
-highest value.  This generalizes pinning the top levels of an R-tree in the
-buffer (Leutenegger & Lopez): with a small buffer, high levels effectively
-never leave.
-
-A custom priority function can be supplied for other schemes.
+example, the priority of an index page is its height in the tree — object
+pages get priority -1 (below data pages at level 0), the root the highest
+value.  This generalizes pinning the top levels of an R-tree in the buffer
+(Leutenegger & Lopez): with a small buffer, high levels effectively never
+leave.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.buffer.policies.base import ReplacementPolicy
 from repro.storage.page import Page, PageId, PageType
 
 
 def level_priority(page: Page) -> int:
-    """Default priority: tree level; object pages sit below the tree."""
+    """A page's priority: its tree level; object pages sit below the tree."""
     if page.page_type is PageType.OBJECT:
         return -1
     return page.level
@@ -31,14 +27,10 @@ class LRUP(ReplacementPolicy):
 
     name = "LRU-P"
 
-    def __init__(self, priority: Callable[[Page], int] = level_priority) -> None:
-        super().__init__()
-        self._priority = priority
-
     def select_victim(self) -> PageId:
         frames = self._evictable()
         victim = min(
             frames,
-            key=lambda frame: (self._priority(frame.page), frame.last_access),
+            key=lambda frame: (level_priority(frame.page), frame.last_access),
         )
         return victim.page_id

@@ -7,11 +7,12 @@ everything cluster-shaped lives in overrides.  Every page has one owner
 inherited path untouched.  A batch with foreign pages is *served
 anyway*: its owned slice runs here (the same
 :meth:`~repro.server.PageServer._fetch_slots` / ``_install_slots`` the
-inherited path calls) and the rest is forwarded, one batch per owner,
+inherited path calls, on the event loop or the worker pool by the rule a
+whole request follows) and the rest is forwarded, one batch per owner,
 over lazily-connected peer clients — a client talking to the wrong node
-gets the right answer, just a hop slower.  ``OWNERSHIP`` runs directly on the event loop
-(``LOOP_OPS``), outside admission, so a routing client can refresh its
-map from a node whose admission plane is saturated.
+gets the right answer, just a hop slower.  ``OWNERSHIP`` runs directly
+on the event loop (``LOOP_OPS``), outside admission, so a routing client
+can refresh its map from a node whose admission plane is saturated.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.client import (
 )
 from repro.cluster.ring import ClusterMap
 from repro.obs.events import BufferEvent
-from repro.server.core import PageServer
+from repro.server.core import PageServer, _may_block
 from repro.server.protocol import (
     CLUSTER_OPS,
     ErrorCode,
@@ -182,8 +183,8 @@ class ClusterPageServer(PageServer):
             return await super()._execute_admitted(
                 connection, Op.FETCH_MANY, request_id, payload
             )
-        # Mixed batch: serve the owned slice on the pool, fan the rest
-        # out per owner, reassemble in request order.  All-or-error.
+        # Mixed batch: serve the owned slice here, fan the rest out per
+        # owner, reassemble in request order.  All-or-error.
         try:
             groups: dict[str, list[int]] = {}
             for pid in page_ids:
@@ -191,10 +192,7 @@ class ClusterPageServer(PageServer):
             blobs: dict[int, bytes] = {}
 
             async def _local(ids: list[int]) -> None:
-                loop = asyncio.get_running_loop()
-                results = await loop.run_in_executor(
-                    self._pool, self._fetch_slots, ids
-                )
+                results = await self._run_owned(self._fetch_slots, ids)
                 blobs.update(zip(ids, results))
 
             async def _remote(owner: str, ids: list[int]) -> None:
@@ -241,10 +239,7 @@ class ClusterPageServer(PageServer):
                 )
 
             async def _local(batch: list[tuple[int, bytes]]) -> None:
-                loop = asyncio.get_running_loop()
-                await loop.run_in_executor(
-                    self._pool, self._install_slots, batch
-                )
+                await self._run_owned(self._install_slots, batch)
 
             async def _remote(
                 owner: str, batch: list[tuple[int, bytes]]
@@ -266,6 +261,16 @@ class ClusterPageServer(PageServer):
             self.admission.release(connection.client_id)
 
     # -- forwarding helpers -------------------------------------------
+
+    async def _run_owned(self, work, slice_):
+        """Run the owned slice of a mixed batch where a whole request runs:
+        on the event loop when no medium may block (:func:`_may_block`),
+        on the worker pool otherwise."""
+        if not _may_block(self.system):
+            return work(slice_)
+        return await asyncio.get_running_loop().run_in_executor(
+            self._pool, work, slice_
+        )
 
     async def _gather_groups(self, request_id: int, groups, local, remote):
         """Run every per-owner job; the error frame of a failure, or None."""

@@ -10,12 +10,9 @@ the substitution argument.
 
 from repro.datasets.places import Place, synthetic_places
 from repro.datasets.synthetic import (
-    PAPER_DB1_OBJECTS,
     Cluster,
     Dataset,
-    DatasetStream,
     us_mainland_like,
-    us_mainland_like_stream,
     world_atlas_like,
 )
 from repro.datasets.stats import DatasetStats, describe
@@ -23,10 +20,7 @@ from repro.datasets.stats import DatasetStats, describe
 __all__ = [
     "Cluster",
     "Dataset",
-    "DatasetStream",
-    "PAPER_DB1_OBJECTS",
     "us_mainland_like",
-    "us_mainland_like_stream",
     "world_atlas_like",
     "Place",
     "synthetic_places",

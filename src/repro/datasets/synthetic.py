@@ -24,7 +24,6 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.geometry.rect import Point, Rect
 
@@ -238,97 +237,6 @@ def us_mainland_like(
         rects=rects,
         clusters=clusters,
         land=_bounding_rects(_MAINLAND),
-    )
-
-
-#: Entry count of the paper's Database 1 (1,641,079 GNIS objects).
-PAPER_DB1_OBJECTS = 1_641_079
-
-
-@dataclass(slots=True)
-class DatasetStream:
-    """A dataset delivered in chunks, for bounded-memory paper-scale builds.
-
-    ``skeleton`` is a :class:`Dataset` carrying the full cluster/land/space
-    metadata but **no rects** — enough for
-    :func:`repro.datasets.places.synthetic_places` and the S/INT/IND query
-    families, which sample cluster structure rather than objects.  Iterate
-    to receive ``(mbr, object_id)`` chunks; ids are dense and start at 0.
-
-    The stream is single-use (it advances a private rng); call the factory
-    again for a second pass — determinism guarantees an identical replay.
-    """
-
-    skeleton: Dataset
-    n_objects: int
-    chunk_size: int
-    _chunks: Iterator[list[tuple[Rect, int]]]
-
-    def __iter__(self) -> Iterator[list[tuple[Rect, int]]]:
-        return self._chunks
-
-    def items(self) -> Iterator[tuple[Rect, int]]:
-        """Flattened (MBR, object id) pairs, still lazily generated."""
-        for chunk in self._chunks:
-            yield from chunk
-
-
-def us_mainland_like_stream(
-    n_objects: int = PAPER_DB1_OBJECTS,
-    seed: int = 1,
-    chunk_size: int = 25_000,
-    n_clusters: int = 300,
-    clustered_fraction: float = 0.65,
-    extended_fraction: float = 0.3,
-    mean_extent: float = 0.002,
-    cluster_zipf: float = 0.45,
-) -> DatasetStream:
-    """Database-1 stand-in at the paper's scale, streamed in bounded memory.
-
-    Identical distribution — and, for equal parameters, identical rects —
-    to :func:`us_mainland_like`, but objects are generated chunk by chunk
-    so a 1.6M-object build never materialises the whole dataset: feed each
-    chunk to an incremental index insert and drop it.
-
-    >>> stream = us_mainland_like_stream(n_objects=10, chunk_size=4, seed=9)
-    >>> [len(chunk) for chunk in stream]
-    [4, 4, 2]
-    """
-    if n_objects < 1:
-        raise ValueError("n_objects must be positive")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
-    rng = random.Random(seed)
-    clusters = _make_clusters(rng, n_clusters, _MAINLAND[0], cluster_zipf)
-    skeleton = Dataset(
-        name="us-mainland-like-stream",
-        space=UNIT_SPACE,
-        rects=[],
-        clusters=clusters,
-        land=_bounding_rects(_MAINLAND),
-    )
-
-    def chunks() -> Iterator[list[tuple[Rect, int]]]:
-        next_id = 0
-        while next_id < n_objects:
-            take = min(chunk_size, n_objects - next_id)
-            rects = _sample_objects(
-                rng,
-                take,
-                clusters,
-                _MAINLAND,
-                clustered_fraction,
-                extended_fraction,
-                mean_extent,
-            )
-            yield [(rect, next_id + i) for i, rect in enumerate(rects)]
-            next_id += take
-
-    return DatasetStream(
-        skeleton=skeleton,
-        n_objects=n_objects,
-        chunk_size=chunk_size,
-        _chunks=chunks(),
     )
 
 

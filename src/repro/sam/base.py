@@ -106,18 +106,6 @@ class SpatialIndex(abc.ABC):
         if install is not None:
             install(page)
 
-    def _free_page(self, page_id: PageId) -> None:
-        """Deallocate a page, invalidating any buffered copy first.
-
-        Without the invalidation, a page id reused by a later allocation
-        would be served from a stale frame — the classic deallocation bug
-        of buffer managers.
-        """
-        discard = getattr(self._live_accessor, "discard", None)
-        if discard is not None:
-            discard(page_id)
-        self.pagefile.free(page_id)
-
     @contextmanager
     def via(self, accessor: PageAccessor) -> Iterator[None]:
         """Route all index page accesses through ``accessor``.
@@ -125,9 +113,10 @@ class SpatialIndex(abc.ABC):
         Used for the update experiments (the paper's future work #2/#3):
         inside the context, inserts and deletes fetch their pages through
         the buffer and dirty the pages they mutate.  The accessor is also
-        attached to the page file, so any ``pagefile.free`` — including
-        frees that bypass :meth:`_free_page` — invalidates residual
-        buffered frames before the id becomes reusable.
+        attached to the page file, so every ``pagefile.free`` invalidates
+        the page's buffered frame before the id becomes reusable (without
+        that, a reused id would be served from a stale frame — the classic
+        deallocation bug of buffer managers).
         """
         if self._live_accessor is not None:
             raise RuntimeError("a live accessor is already installed")

@@ -18,9 +18,12 @@ Layout on pages:
   may share one bucket (the grid file's bucket-sharing property), and a
   bucket splits when full, refining a linear scale when necessary.
 
-Window queries visit all cells the window intersects and filter by actual
-MBR intersection, so an extended object is replicated into the bucket of
-every cell its MBR overlaps (results are de-duplicated).
+Window queries visit all cells the window intersects and filter each
+bucket by actual MBR intersection (:meth:`Page.matching`, the scan the
+R*-tree uses), so an extended object is replicated into the bucket of
+every cell its MBR overlaps (results are de-duplicated).  A point query
+is the inherited degenerate window: off the split lines, one directory
+page and one bucket.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import bisect
 from typing import Any
 
-from repro.geometry.rect import Point, Rect
+from repro.geometry.rect import Rect
 from repro.sam.base import PageAccessor, SpatialIndex, TreeStats
 from repro.storage.page import Page, PageEntry, PageId, PageType
 from repro.storage.pagefile import PageFile
@@ -87,7 +90,7 @@ class GridFile(SpatialIndex):
         """
         for page in self._directory_pages:
             self._page_ids.discard(page.page_id)
-            self._free_page(page.page_id)
+            self.pagefile.free(page.page_id)
         self._directory_pages = []
         cells: list[tuple[Rect, PageId]] = []
         for cell_x in range(len(self._grid)):
@@ -287,18 +290,12 @@ class GridFile(SpatialIndex):
             if bucket_id in seen_buckets:
                 continue
             seen_buckets.add(bucket_id)
-            bucket = accessor.fetch(bucket_id)
-            for entry in bucket.entries:
-                if entry.mbr.intersects(window) and entry.payload not in seen_payloads:
-                    seen_payloads.add(entry.payload)
-                    results.append(entry.payload)
+            # A bucket is a level-0 DATA page: matching() yields payloads.
+            for payload in accessor.fetch(bucket_id).matching(window):
+                if payload not in seen_payloads:
+                    seen_payloads.add(payload)
+                    results.append(payload)
         return results
-
-    def point_query(
-        self, point: Point, accessor: PageAccessor | None = None
-    ) -> list[Any]:
-        """The grid file's signature: directory access + one bucket access."""
-        return self.window_query(point.as_rect(), accessor)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -35,6 +35,10 @@ from repro.storage.pagefile import PageFile
 #: removes and re-queues (Beckmann et al.'s p = 30 %).
 _REINSERT_FRACTION = 0.3
 
+#: Minimum node fill m as a share of the capacity M (Beckmann et al.'s
+#: m = 40 %).
+_MIN_FILL = 0.4
+
 
 @functools.cache
 def _numpy():
@@ -116,17 +120,14 @@ class RStarTree(SpatialIndex):
         pagefile: PageFile | None = None,
         max_dir_entries: int = 51,
         max_data_entries: int = 42,
-        min_fill: float = 0.4,
     ) -> None:
         super().__init__(pagefile if pagefile is not None else PageFile())
         if max_dir_entries < 4 or max_data_entries < 4:
             raise ValueError("R*-tree nodes need a capacity of at least 4")
-        if not 0.0 < min_fill <= 0.5:
-            raise ValueError("min_fill must be in (0, 0.5]")
         self.max_dir_entries = max_dir_entries
         self.max_data_entries = max_data_entries
-        self.min_dir_entries = max(2, int(round(min_fill * max_dir_entries)))
-        self.min_data_entries = max(2, int(round(min_fill * max_data_entries)))
+        self.min_dir_entries = max(2, int(round(_MIN_FILL * max_dir_entries)))
+        self.min_data_entries = max(2, int(round(_MIN_FILL * max_data_entries)))
         self.root_id: PageId | None = None
         self.height = 0  # number of levels; 1 == a single leaf root
         self.entry_count = 0
@@ -434,7 +435,7 @@ class RStarTree(SpatialIndex):
                 for entry in page.entries:
                     orphans.append((entry, page.level))
                 self._page_ids.discard(page.page_id)
-                self._free_page(page.page_id)
+                self.pagefile.free(page.page_id)
             else:
                 child_mbr = page.mbr()
                 assert child_mbr is not None
@@ -473,7 +474,7 @@ class RStarTree(SpatialIndex):
                     continue
                 stack.extend(page.entries)
                 self._page_ids.discard(page.page_id)
-                self._free_page(page.page_id)
+                self.pagefile.free(page.page_id)
             else:
                 collected.append(current)
         return collected
@@ -484,7 +485,7 @@ class RStarTree(SpatialIndex):
             if root.is_leaf:
                 if not root.entries:
                     self._page_ids.discard(root.page_id)
-                    self._free_page(root.page_id)
+                    self.pagefile.free(root.page_id)
                     self.root_id = None
                     self.height = 0
                 return
@@ -492,7 +493,7 @@ class RStarTree(SpatialIndex):
                 child_id = root.entries[0].child
                 assert child_id is not None
                 self._page_ids.discard(root.page_id)
-                self._free_page(root.page_id)
+                self.pagefile.free(root.page_id)
                 self.root_id = child_id
                 self.height -= 1
             else:

@@ -24,6 +24,11 @@ from repro.server.core import PageServer
 if TYPE_CHECKING:
     from repro.api import BufferSystem
 
+#: Seconds to wait for the socket to bind, and for the loop thread to end.
+_START_TIMEOUT_S = 10.0
+#: Seconds the graceful drain waits for in-flight requests.
+_DRAIN_TIMEOUT_S = 10.0
+
 
 class ServerThread:
     """A :class:`PageServer` running on its own event-loop thread."""
@@ -33,8 +38,6 @@ class ServerThread:
         system: "BufferSystem | None" = None,
         *,
         server: "PageServer | None" = None,
-        start_timeout: float = 10.0,
-        drain_timeout: float = 10.0,
         **server_kwargs,
     ) -> None:
         # Either a system (a PageServer is built around it) or a prebuilt
@@ -50,8 +53,6 @@ class ServerThread:
             self.server = PageServer(system, **server_kwargs)
         else:
             raise ValueError("a system or a prebuilt server= is required")
-        self._start_timeout = start_timeout
-        self._drain_timeout = drain_timeout
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
@@ -82,7 +83,7 @@ class ServerThread:
             target=self._run, name="page-server-loop", daemon=True
         )
         self._thread.start()
-        if not self._started.wait(self._start_timeout):
+        if not self._started.wait(_START_TIMEOUT_S):
             raise RuntimeError("page server failed to start in time")
         if self._startup_error is not None:
             raise RuntimeError("page server failed to start") from self._startup_error
@@ -113,11 +114,11 @@ class ServerThread:
             return
         if self._startup_error is None:
             future = asyncio.run_coroutine_threadsafe(
-                self.server.stop(self._drain_timeout), loop
+                self.server.stop(_DRAIN_TIMEOUT_S), loop
             )
-            future.result(self._drain_timeout + self._start_timeout)
+            future.result(_DRAIN_TIMEOUT_S + _START_TIMEOUT_S)
         loop.call_soon_threadsafe(loop.stop)
-        thread.join(self._start_timeout)
+        thread.join(_START_TIMEOUT_S)
         self._loop = None
         self._thread = None
 

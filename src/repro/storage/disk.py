@@ -3,13 +3,13 @@
 The paper's experiments report the *number of disk accesses* required to
 process a query set — absolute time is irrelevant, hardware-independent
 counts are the metric.  :class:`SimulatedDisk` stores pages in memory and
-counts every read and write.  It also offers two optional extras used by the
+counts every read and write.  It also offers two extras used by the
 ablation experiments and the test suite:
 
-* a latency model distinguishing random from sequential accesses, so that
-  the paper's future-work item "distinguishing random and sequential I/O"
-  can be explored (a random access is charged the full seek+rotate cost,
-  an access to the physically next page only the transfer cost);
+* a simulated I/O time distinguishing random from sequential accesses, so
+  that the paper's future-work item "distinguishing random and sequential
+  I/O" can be explored (a random access is charged the full seek+rotate
+  cost, an access to the physically next page only the transfer cost);
 * failure injection (``fail_reads`` / ``fail_writes``) so that the buffer
   manager's error paths can be exercised deterministically.
 """
@@ -125,17 +125,11 @@ class DiskStats:
         self.elapsed_ms = 0.0
 
 
-@dataclass(slots=True)
-class LatencyModel:
-    """Per-access cost model in milliseconds.
-
-    Defaults follow the paper's introduction: a random page access costs
-    about 10 ms; a sequential (physically adjacent) access only pays the
-    transfer time, modelled as 1 ms.
-    """
-
-    random_ms: float = 10.0
-    sequential_ms: float = 1.0
+#: Simulated cost of one access in milliseconds, after the paper's
+#: introduction: a random page access costs about 10 ms; a sequential
+#: (physically adjacent) read only pays the transfer time, modelled as 1 ms.
+RANDOM_ACCESS_MS = 10.0
+SEQUENTIAL_ACCESS_MS = 1.0
 
 
 class _AccountedDisk(FailureInjectionMixin):
@@ -147,8 +141,7 @@ class _AccountedDisk(FailureInjectionMixin):
     (``+=`` on a dataclass field is not atomic).
     """
 
-    def _init_accounting(self, latency: LatencyModel | None) -> None:
-        self._latency = latency or LatencyModel()
+    def _init_accounting(self) -> None:
         self._last_read: PageId | None = None
         self.stats = DiskStats()
         self._stats_lock = threading.Lock()
@@ -161,17 +154,17 @@ class _AccountedDisk(FailureInjectionMixin):
             stats.reads += 1
             if self._last_read is not None and page_id == self._last_read + 1:
                 stats.sequential_reads += 1
-                stats.elapsed_ms += self._latency.sequential_ms
+                stats.elapsed_ms += SEQUENTIAL_ACCESS_MS
             else:
                 stats.random_reads += 1
-                stats.elapsed_ms += self._latency.random_ms
+                stats.elapsed_ms += RANDOM_ACCESS_MS
             self._last_read = page_id
 
     def _count_write(self) -> None:
         """Count one write, charged as a random access."""
         with self._stats_lock:
             self.stats.writes += 1
-            self.stats.elapsed_ms += self._latency.random_ms
+            self.stats.elapsed_ms += RANDOM_ACCESS_MS
 
 
 class SimulatedDisk(_AccountedDisk):
@@ -184,9 +177,9 @@ class SimulatedDisk(_AccountedDisk):
 
     _medium_blocks = False
 
-    def __init__(self, latency: LatencyModel | None = None) -> None:
+    def __init__(self) -> None:
         self._pages: dict[PageId, Page] = {}
-        self._init_accounting(latency)
+        self._init_accounting()
 
     # ------------------------------------------------------------------
     # Accounted accesses
@@ -245,30 +238,21 @@ class DelayedDisk:
 
     The in-memory disks serve reads in sub-microsecond time; tests and
     benches that need a miss to *cost* something wrap their disk in this.
-    The default ``time.sleep`` releases the GIL, so concurrent misses
-    overlap (overload probes, pooled server requests).  ``spin=True``
-    busy-waits instead: at SSD-class latencies (~100 µs, ``bench
-    tuning``) the scheduler's sleep granularity would overshoot the
-    delay several times over.  Everything but ``read`` and ``may_block``
-    is forwarded.
+    A read sleeps, which releases the GIL, so concurrent misses overlap
+    (overload probes, pooled server requests).  Everything but ``read``
+    and ``may_block`` is forwarded.
     """
 
     #: Every read waits.  A class attribute, so that ``__getattr__`` never
     #: forwards the wrapped disk's answer.
     may_block = True
 
-    def __init__(self, inner: Any, delay_s: float, spin: bool = False) -> None:
+    def __init__(self, inner: Any, delay_s: float) -> None:
         self._inner = inner
         self._delay_s = delay_s
-        self._spin = spin
 
     def read(self, page_id: PageId) -> Page:
-        if self._spin:
-            deadline = time.perf_counter() + self._delay_s
-            while time.perf_counter() < deadline:
-                pass
-        else:
-            time.sleep(self._delay_s)
+        time.sleep(self._delay_s)
         return self._inner.read(page_id)
 
     def __getattr__(self, name: str) -> Any:

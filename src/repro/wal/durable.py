@@ -22,8 +22,8 @@ again, and the values derived from it (``Page._derived``: its spatial
 criteria) outlive the page's eviction.
 
 The access surface matches ``SimulatedDisk`` (accounted ``read``/
-``write``, unaccounted ``store``/``peek``/``delete``, stats, latency
-model, failure injection), so buffer managers and indexes run on either.
+``write``, unaccounted ``store``/``peek``/``delete``, stats, simulated
+I/O time, failure injection), so buffer managers and indexes run on either.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import struct
 import zlib
 
-from repro.storage.disk import DiskError, LatencyModel, _AccountedDisk
+from repro.storage.disk import DiskError, _AccountedDisk
 from repro.storage.page import Page, PageId
 from repro.storage.serialization import (
     MAGIC,
@@ -67,7 +67,6 @@ class DurableDisk(_AccountedDisk):
         self,
         store: ByteStore | None = None,
         page_size: int = 4096,
-        latency: LatencyModel | None = None,
         crash: CrashInjector | None = None,
     ) -> None:
         if max_entries_for(page_size) < 1:
@@ -77,7 +76,7 @@ class DurableDisk(_AccountedDisk):
         self.slot_size = _CRC.size + page_size
         #: Crash injection hooks; ``None`` means crashes never fire.
         self.crash = crash
-        self._init_accounting(latency)
+        self._init_accounting()
         self._live: set[PageId] = set()
         #: The slots' last verified bytes; forgotten before a slot changes.
         self._verified = VerifiedPages()

@@ -26,14 +26,19 @@ def _clipped_window(center: Point, extent: float, space: Rect) -> WindowQuery:
     return WindowQuery(window)
 
 
+#: The drifting hotspot's orbit around the map centre: its radius, the
+#: turns it makes over one query sequence, and the Gaussian jitter of
+#: each query's centre around the orbit.
+_ORBIT_RADIUS = 0.3
+_REVOLUTIONS = 1.5
+_DRIFT_JITTER = 0.02
+
+
 def drifting_hotspot(
     space: Rect,
     count: int,
     seed: int = 0,
     extent: float = 0.03,
-    orbit_radius: float = 0.3,
-    revolutions: float = 1.5,
-    jitter: float = 0.02,
 ) -> list[Query]:
     """Window queries around a hotspot that orbits the map centre.
 
@@ -45,10 +50,10 @@ def drifting_hotspot(
     center = space.center
     queries: list[Query] = []
     for index in range(count):
-        angle = 2 * math.pi * revolutions * index / max(1, count)
+        angle = 2 * math.pi * _REVOLUTIONS * index / max(1, count)
         hotspot = Point(
-            center.x + orbit_radius * math.cos(angle) + rng.gauss(0, jitter),
-            center.y + orbit_radius * math.sin(angle) + rng.gauss(0, jitter),
+            center.x + _ORBIT_RADIUS * math.cos(angle) + rng.gauss(0, _DRIFT_JITTER),
+            center.y + _ORBIT_RADIUS * math.sin(angle) + rng.gauss(0, _DRIFT_JITTER),
         )
         queries.append(_clipped_window(hotspot, extent, space))
     return queries

@@ -88,12 +88,15 @@ def scan_queries(space: Rect, count: int, extent: float = 0.08) -> list[Query]:
     return queries
 
 
+#: Standard deviation of a hotspot query's centre around the hot point.
+_HOTSPOT_JITTER = 0.01
+
+
 def hotspot_queries(
     space: Rect,
     count: int,
     seed: int = 0,
     extent: float = 0.03,
-    jitter: float = 0.01,
 ) -> list[Query]:
     """Small windows jittering around one fixed hot point."""
     rng = random.Random(seed)
@@ -102,7 +105,10 @@ def hotspot_queries(
     )
     return [
         _clipped_window(
-            Point(center.x + rng.gauss(0, jitter), center.y + rng.gauss(0, jitter)),
+            Point(
+                center.x + rng.gauss(0, _HOTSPOT_JITTER),
+                center.y + rng.gauss(0, _HOTSPOT_JITTER),
+            ),
             extent,
             space,
         )

@@ -169,6 +169,10 @@ class TestDeprecatedKeywords:
             ("repro.workloads", "session_workload"),
             ("repro.experiments.plots", "bar_chart"),
             ("repro.experiments.plots", "histogram"),
+            ("repro.datasets", "us_mainland_like_stream"),
+            ("repro.datasets", "DatasetStream"),
+            ("repro.datasets", "PAPER_DB1_OBJECTS"),
+            ("repro.storage.disk", "LatencyModel"),
         ],
     )
     def test_retired_names_are_gone(self, module, export):
@@ -214,21 +218,16 @@ class TestBuildDefaults:
 
 
 class TestBuildVariants:
-    def test_policy_instance_and_factory(self):
-        instance = ASB()
-        assert BufferSystem.build(policy=instance).buffer.policy is instance
-        system = BufferSystem.build(policy=ASB, capacity=8)
-        assert system.policy_name == ASB().name
+    @pytest.mark.parametrize("policy", [ASB(), ASB], ids=["instance", "factory"])
+    def test_policy_must_be_a_name(self, policy):
+        with pytest.raises(TypeError, match="make_policy"):
+            BufferSystem.build(policy=policy)
 
     def test_policy_kwargs_are_forwarded(self):
         system = BufferSystem.build(
             policy="SLRU", policy_kwargs={"candidate_fraction": 0.5}
         )
         assert system.buffer.policy.candidate_fraction == 0.5
-
-    def test_policy_instance_rejected_for_sharded_builds(self):
-        with pytest.raises(ValueError, match="factory"):
-            BufferSystem.build(policy=LRU(), shards=4)
 
     def test_sharded_build_is_concurrent(self):
         system = BufferSystem.build(policy="LRU", capacity=16, shards=4)

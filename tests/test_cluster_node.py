@@ -5,22 +5,25 @@ STATS ``node`` block, and the opcode bytes the wire protocol no longer
 names: both servers answer them with ``ERROR/UNKNOWN_OP`` and keep
 serving the connection.  The base :class:`PageServer` answers
 ``OWNERSHIP`` with ``ERROR/UNKNOWN_OP`` too — clients use that to tell a
-plain node from a cluster node.
+plain node from a cluster node.  The owned slice of a mixed batch runs
+on the thread a whole request would run on, asserted by thread name.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
-from repro.api import BufferSystem
-from repro.client import AsyncPageClient, ServerError
+from repro.api import BufferSystem, ClusterSystem
+from repro.client import AsyncPageClient, PageClient, ServerError
 from repro.cluster import ClusterPageServer
 from repro.cluster.ring import ClusterMap
 from repro.server import ServerThread
 from repro.server.protocol import ErrorCode, Op, pack_page_id
 from repro.storage import seed_page
+from repro.storage.disk import DelayedDisk, SimulatedDisk
 
 PAGE_SIZE = 512
 
@@ -112,3 +115,46 @@ class TestClusterOpcodes:
                 return excinfo.value.code
 
             assert loop_call(thread, scenario) == ErrorCode.UNKNOWN_OP
+
+
+class TestWhereOwnedSlicesRun:
+    @pytest.mark.parametrize("medium", ["memory", "delayed"])
+    def test_owned_slice_of_a_mixed_batch_runs_where_a_request_runs(
+        self, medium, monkeypatch
+    ):
+        """A mixed batch's owned slice follows the whole-request rule: on
+        the event loop over memory media, on the pool over a medium that
+        may block."""
+        disk = SimulatedDisk()
+        for page_id in range(32):
+            disk.store(seed_page(page_id))
+        if medium == "delayed":
+            disk = DelayedDisk(disk, 0.001)
+        with ClusterSystem.build(
+            nodes=3, capacity=16, page_size=PAGE_SIZE, disk=disk
+        ) as fleet:
+            server = fleet.servers["node-0"].server
+            threads: list[tuple[str, str]] = []
+            for name in ("_fetch_slots", "_install_slots"):
+                work = getattr(server, name)
+
+                def spy(slice_, _name=name, _work=work):
+                    threads.append((_name, threading.current_thread().name))
+                    return _work(slice_)
+
+                monkeypatch.setattr(server, name, spy)
+            owners = fleet.cluster_map.owner
+            owned = [pid for pid in range(32) if owners(pid) == "node-0"][:3]
+            foreign = [pid for pid in range(32) if owners(pid) != "node-0"][:3]
+            batch = owned + foreign
+            with PageClient(*fleet.address("node-0"), page_size=PAGE_SIZE) as client:
+                pages = client.fetch_many(batch)
+                assert [page.page_id for page in pages] == batch
+                client.update_many(pages)
+
+        assert [name for name, _ in threads] == ["_fetch_slots", "_install_slots"]
+        for _, thread in threads:
+            if medium == "memory":
+                assert thread == "page-server-loop"
+            else:
+                assert thread.startswith("page-server_")

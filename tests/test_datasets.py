@@ -9,7 +9,6 @@ from repro.datasets.stats import describe
 from repro.datasets.synthetic import (
     Dataset,
     us_mainland_like,
-    us_mainland_like_stream,
     world_atlas_like,
 )
 from repro.geometry.rect import Rect
@@ -63,41 +62,6 @@ class TestUsMainlandLike:
         dataset = us_mainland_like(n_objects=10, seed=9)
         items = dataset.items()
         assert [payload for _, payload in items] == list(range(10))
-
-
-class TestUsMainlandLikeStream:
-    def test_stream_matches_monolithic(self):
-        """Concatenated chunks are rect-for-rect the in-memory dataset."""
-        dataset = us_mainland_like(n_objects=1200, seed=3)
-        stream = us_mainland_like_stream(n_objects=1200, seed=3, chunk_size=199)
-        items = list(stream.items())
-        assert [rect for rect, _ in items] == dataset.rects
-        assert [payload for _, payload in items] == list(range(1200))
-
-    def test_chunk_sizes(self):
-        stream = us_mainland_like_stream(n_objects=10, seed=9, chunk_size=4)
-        assert [len(chunk) for chunk in stream] == [4, 4, 2]
-
-    def test_skeleton_supports_places(self):
-        """The rect-free skeleton still powers the places generator (and
-        thus the S/INT/IND query families) for streamed builds."""
-        stream = us_mainland_like_stream(n_objects=1, seed=2, chunk_size=1)
-        places = synthetic_places(stream.skeleton, count=50, seed=4)
-        assert len(places) == 50
-        assert stream.skeleton.rects == []
-
-    def test_skeleton_frame_matches_monolithic(self):
-        dataset = us_mainland_like(n_objects=100, seed=6)
-        stream = us_mainland_like_stream(n_objects=100, seed=6)
-        assert stream.skeleton.clusters == dataset.clusters
-        assert stream.skeleton.land == dataset.land
-        assert stream.skeleton.space == dataset.space
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            us_mainland_like_stream(n_objects=0)
-        with pytest.raises(ValueError):
-            us_mainland_like_stream(n_objects=5, chunk_size=0)
 
 
 class TestWorldAtlasLike:

@@ -1,7 +1,7 @@
 """Pinned disk reads of the policy × index × workload matrix.
 
 Two indexes (the R*-tree and the grid file) are built by single inserts
-from the streamed Database-1-like generator, and one buffer per
+from the Database-1-like generator, and one buffer per
 (index, policy) runs three legs back to back: the phase-shifting query
 workload, a clustered access-graph walk projected onto the index's own
 pages, and S-W-100 window queries.  Every count is deterministic for the
@@ -18,7 +18,7 @@ import pytest
 
 from repro.api import BufferSystem
 from repro.datasets.places import synthetic_places
-from repro.datasets.synthetic import us_mainland_like_stream
+from repro.datasets.synthetic import us_mainland_like
 from repro.sam.gridfile import GridFile
 from repro.sam.rstar import RStarTree
 from repro.workloads.access_graph import clustered_graph, graph_walk
@@ -53,27 +53,26 @@ GOLDEN_READS = {
 
 
 def _build(kind: str):
-    stream = us_mainland_like_stream(n_objects=N_OBJECTS, seed=SEED)
+    dataset = us_mainland_like(n_objects=N_OBJECTS, seed=SEED)
     if kind == "rstar":
         index = RStarTree()
     else:
-        index = GridFile(stream.skeleton.space, bucket_capacity=42, max_splits=64)
-    for chunk in stream:
-        for rect, object_id in chunk:
-            index.insert(rect, object_id)
+        index = GridFile(dataset.space, bucket_capacity=42, max_splits=64)
+    for rect, object_id in dataset.items():
+        index.insert(rect, object_id)
     return index
 
 
 def _query_legs() -> dict[str, list]:
     """The two query legs: the phased workload and S-W-100 windows."""
-    skeleton = us_mainland_like_stream(n_objects=N_OBJECTS, seed=SEED).skeleton
-    places = synthetic_places(skeleton, count=800, seed=SEED)
+    dataset = us_mainland_like(n_objects=N_OBJECTS, seed=SEED)
+    places = synthetic_places(dataset, count=800, seed=SEED)
     return {
         "phased": phased_workload(
-            skeleton.space, queries_per_phase=N_QUERIES // 4, seed=SEED
+            dataset.space, queries_per_phase=N_QUERIES // 4, seed=SEED
         ).queries,
         "mainland": make_query_set(
-            "S-W-100", skeleton, places, N_QUERIES, SEED
+            "S-W-100", dataset, places, N_QUERIES, SEED
         ).queries,
     }
 

@@ -95,16 +95,6 @@ class TestLRUP:
         buffer.fetch(5)
         assert not buffer.contains(4)
 
-    def test_custom_priority_function(self):
-        # Invert the scheme: high levels evicted first.
-        buffer = BufferManager(
-            typed_disk(), 2, LRUP(priority=lambda page: -page.level)
-        )
-        buffer.fetch(8)  # level 3 -> priority -3 (lowest)
-        buffer.fetch(3)  # level 0 -> priority 0
-        buffer.fetch(4)
-        assert not buffer.contains(8)
-
     def test_generalises_lru_t_on_tree_pages(self):
         """On directory/data pages LRU-P with level priority acts like LRU-T."""
         for policy_factory in (LRUT, LRUP):

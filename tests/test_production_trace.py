@@ -6,7 +6,7 @@ catalogue, so no index is built to check it:
 
 * ``tests/golden/mqr_lru.jsonl`` and ``tests/golden/mqr_asb.jsonl`` — 60
   mainland window queries traced through an mqr-tree (Moreau & Osborn)
-  built from the streamed mainland dataset, under LRU and under
+  built from the mainland dataset, under LRU and under
   ``ASB(overflow_fraction=0.25)`` at 24 frames.
 * ``tests/golden/production_day.jsonl`` — a "production day" captured
   through the *live page server*: the query-derived page sequences of an
@@ -20,7 +20,7 @@ catalogue, so no index is built to check it:
 
 The committed day was captured through an mqr-tree build.  A re-record
 (new interleaving, new fixture) now traces the queries through an
-R*-tree built by ``insert`` in stream order::
+R*-tree built by ``insert`` in generation order::
 
     REGEN_PRODUCTION=1 PYTHONPATH=src python -m pytest tests/test_production_trace.py
 """
@@ -66,7 +66,7 @@ def _record_production_day() -> RecordedTrace:
     from repro.api import BufferSystem
     from repro.client import PageClient, RetryAfter
     from repro.datasets.places import synthetic_places
-    from repro.datasets.synthetic import us_mainland_like_stream
+    from repro.datasets.synthetic import us_mainland_like
     from repro.obs.trace import record_trace
     from repro.sam import RStarTree
     from repro.server import ServerThread
@@ -74,20 +74,18 @@ def _record_production_day() -> RecordedTrace:
     from repro.workloads.sets import make_query_set
 
     # The workload: mainland window queries traced through an R*-tree
-    # built by insertion in stream order — each query yields one
+    # built by insertion in generation order — each query yields one
     # root-to-leaf page sequence.  Small nodes keep the descent deep
     # enough for a day of at least 500 requests.
-    stream = us_mainland_like_stream(
-        n_objects=N_OBJECTS, seed=SEED, chunk_size=500
-    )
+    dataset = us_mainland_like(n_objects=N_OBJECTS, seed=SEED)
     tree = RStarTree(
         max_dir_entries=NODE_ENTRIES, max_data_entries=NODE_ENTRIES
     )
-    for rect, object_id in stream.items():
+    for rect, object_id in dataset.items():
         tree.insert(rect, object_id)
-    places = synthetic_places(stream.skeleton, count=200, seed=SEED)
+    places = synthetic_places(dataset, count=200, seed=SEED)
     queries = make_query_set(
-        "S-W-100", stream.skeleton, places, N_QUERIES, SEED
+        "S-W-100", dataset, places, N_QUERIES, SEED
     ).queries
     access = record_trace(tree, queries)
     sequences: dict[int, list[int]] = {}

@@ -60,8 +60,6 @@ class TestInsertAndQuery:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             RStarTree(max_dir_entries=2)
-        with pytest.raises(ValueError):
-            RStarTree(min_fill=0.9)
 
     def test_window_query_matches_brute_force(self):
         rects = random_rects(400, seed=3)

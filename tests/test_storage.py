@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.geometry.rect import Rect
-from repro.storage.disk import DiskError, LatencyModel, SimulatedDisk
+from repro.storage.disk import DiskError, SimulatedDisk
 from repro.storage.page import Page, PageEntry, PageType
 from repro.storage.pagefile import PageFile
 
@@ -76,7 +76,7 @@ class TestSimulatedDisk:
             SimulatedDisk().read(99)
 
     def test_sequential_vs_random_reads(self):
-        disk = SimulatedDisk(LatencyModel(random_ms=10.0, sequential_ms=1.0))
+        disk = SimulatedDisk()
         for page_id in (5, 6, 7, 3):
             disk.store(make_page(page_id=page_id))
         disk.read(5)  # random (first)
