@@ -269,7 +269,7 @@ class ClusterPageServer(PageServer):
         if not _may_block(self.system):
             return work(slice_)
         return await asyncio.get_running_loop().run_in_executor(
-            self._pool, work, slice_
+            self._pool, self._pooled, work, slice_
         )
 
     async def _gather_groups(self, request_id: int, groups, local, remote):

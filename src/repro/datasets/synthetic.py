@@ -12,8 +12,8 @@ spatial replacement criteria.
 Both generators are deterministic under a fixed seed and scale freely via
 ``n_objects``.  The experiments default to ~10^5 objects.  The paper's
 Database 1 scale works too: on a 2-vCPU Xeon VM under Python 3.11,
-``us_mainland_like(1_641_079)`` takes 4.1–4.4 s and an STR ``bulk_load`` of
-it 5.8–6.5 s more, with a peak RSS of 784 MB for both; the tree has 58,256
+``us_mainland_like(1_641_079)`` takes 4.7–6.0 s and an STR ``bulk_load`` of
+it 5.8–6.0 s more, with a peak RSS of 504 MB for both; the tree has 58,256
 pages, 1,667 of them directory pages, and height 5 at the default fill
 of 0.7.
 """
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.geometry.rect import Point, Rect
@@ -46,6 +47,32 @@ class Cluster:
     weight: float
 
 
+class Items(Sequence):
+    """``(rects[i], i)`` for every ``i``, as a re-iterable sequence.
+
+    A bulk load reads each pair once, so none is kept: a list of them
+    would cost a tuple per object for as long as the build runs.  Indexing
+    follows a list's (negative indices, slices); a slice is a list.
+    """
+
+    __slots__ = ("_rects",)
+
+    def __init__(self, rects: list[Rect]) -> None:
+        self._rects = rects
+
+    def __len__(self) -> int:
+        return len(self._rects)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            positions = range(len(self._rects))[index]
+            return list(zip(self._rects[index], positions))
+        return self._rects[index], range(len(self._rects))[index]
+
+    def __iter__(self) -> Iterator[tuple[Rect, int]]:
+        return zip(self._rects, range(len(self._rects)))
+
+
 @dataclass(slots=True)
 class Dataset:
     """A named collection of object MBRs inside a data space."""
@@ -57,9 +84,10 @@ class Dataset:
     #: Regions considered "land"; queries outside hit nothing (database 2).
     land: list[Rect] = field(default_factory=list)
 
-    def items(self) -> list[tuple[Rect, int]]:
-        """(MBR, object id) pairs, the input format of the SAM builders."""
-        return [(rect, index) for index, rect in enumerate(self.rects)]
+    def items(self) -> Items:
+        """(MBR, object id) pairs, the input format of the SAM builders: a
+        lazy view over ``rects`` that builds each pair when it is read."""
+        return Items(self.rects)
 
     def __len__(self) -> int:
         return len(self.rects)

@@ -100,16 +100,16 @@ def _choose_subtree_leaf_numpy(entries: list["PageEntry"], mbr: Rect) -> int | N
     return best
 
 
-def _center_xy(entry: PageEntry) -> tuple[float, float]:
-    """``entry.mbr.center`` as ``(x, y)``, without building the Point."""
+def _center_x(entry: PageEntry) -> float:
+    """The x of ``entry.mbr.center``, without building the Point."""
     mbr = entry.mbr
-    return ((mbr.x_min + mbr.x_max) / 2.0, (mbr.y_min + mbr.y_max) / 2.0)
+    return (mbr.x_min + mbr.x_max) / 2.0
 
 
-def _center_yx(entry: PageEntry) -> tuple[float, float]:
-    """``entry.mbr.center`` as ``(y, x)``: the STR slab order."""
+def _center_y(entry: PageEntry) -> float:
+    """The y of ``entry.mbr.center``, without building the Point."""
     mbr = entry.mbr
-    return ((mbr.y_min + mbr.y_max) / 2.0, (mbr.x_min + mbr.x_max) / 2.0)
+    return (mbr.y_min + mbr.y_max) / 2.0
 
 
 class RStarTree(SpatialIndex):
@@ -547,17 +547,23 @@ class RStarTree(SpatialIndex):
     ) -> list[Page]:
         """Pack entries into pages of one level using Sort-Tile-Recursive.
 
-        The sort keys are MBR centres, ``(x_min + x_max) / 2.0`` as
-        :attr:`Rect.center` computes them, taken from the floats.
+        The order is by MBR centre, ``(x_min + x_max) / 2.0`` as
+        :attr:`Rect.center` computes it, taken from the floats: ``(x, y)``
+        over all entries, then ``(y, x)`` within each slab.  Stable sorts
+        on one float each, minor key first, give exactly that tuple order,
+        ties included, without a tuple key per entry.  A slab is already in
+        ``(x, y)`` order, so its minor pass is a no-op and only the y pass
+        runs.  Sorts ``entries`` in place.
         """
         page_count = math.ceil(len(entries) / capacity)
         slab_count = math.ceil(math.sqrt(page_count))
         per_slab = slab_count * capacity
-        by_x = sorted(entries, key=_center_xy)
+        entries.sort(key=_center_y)
+        entries.sort(key=_center_x)
         pages: list[Page] = []
-        for slab_start in range(0, len(by_x), per_slab):
-            slab = by_x[slab_start : slab_start + per_slab]
-            slab.sort(key=_center_yx)
+        for slab_start in range(0, len(entries), per_slab):
+            slab = entries[slab_start : slab_start + per_slab]
+            slab.sort(key=_center_y)
             for page_start in range(0, len(slab), capacity):
                 page = self._new_page(level)
                 page.entries = slab[page_start : page_start + capacity]

@@ -21,7 +21,9 @@ store.  Each says whether an access may block (``may_block``):
 * anything else (``FileByteStore``, a ``DurableDisk`` over one,
   ``DelayedDisk``, an armed transient failure whose retry sleeps, or a
   medium without the attribute): the request runs on a small thread pool via
-  ``run_in_executor``, so a slow medium never stalls the loop.
+  ``run_in_executor``, so a slow medium never stalls the loop.  Over a
+  sequential ``BufferManager`` pooled requests take one lock and run one
+  at a time; a ``ConcurrentBufferManager`` runs them side by side.
 
 Per-connection **pipelining** falls out of the design: the reader loop
 spawns one task per frame and never waits for the previous request,
@@ -49,6 +51,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
@@ -170,6 +173,9 @@ class PageServer:
             shard_count = getattr(system.buffer, "shard_count", 1)
             workers = max(4, min(32, 2 * shard_count))
         self._workers = workers
+        #: Held around pooled work on a sequential ``BufferManager``,
+        #: which two threads must never enter at once.
+        self._sequential = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[_Connection] = set()
@@ -242,7 +248,7 @@ class PageServer:
                 await asyncio.gather(*still_running, return_exceptions=True)
         loop = asyncio.get_running_loop()
         if self._pool is not None:
-            await loop.run_in_executor(self._pool, self.system.close)
+            await loop.run_in_executor(self._pool, self._pooled, self.system.close)
         else:
             self.system.close()
         for connection in list(self._connections):
@@ -424,7 +430,7 @@ class PageServer:
             else:
                 assert self._pool is not None
                 future = asyncio.get_running_loop().run_in_executor(
-                    self._pool, self._run_operation, operation, payload
+                    self._pool, self._pooled, self._run_operation, operation, payload
                 )
                 try:
                     if self.request_timeout is None:
@@ -500,6 +506,14 @@ class PageServer:
                         request_id, ErrorCode.INTERNAL, str(exc)
                     )
             return encode_response(Status.OK, request_id, result)
+
+    def _pooled(self, work, *args):
+        """``work(*args)`` on a pool thread: a thread-safe manager runs it
+        as is, a sequential one under ``_sequential``, one at a time."""
+        if self.system.is_concurrent:
+            return work(*args)
+        with self._sequential:
+            return work(*args)
 
     def _run_operation(self, operation: Op, payload: bytes):
         """The buffer work of one request (loop or worker thread).

@@ -8,8 +8,8 @@ written here stays.  Two implementations share the surface:
 * :class:`MemoryByteStore` — a ``bytearray``; fast, and its
   :meth:`~ByteStore.image` makes bit-identical whole-media comparisons
   (the crash-recovery property) a one-liner;
-* :class:`FileByteStore` — a real file with seek/write/fsync, so a WAL or
-  durable disk can genuinely outlive the process.
+* :class:`FileByteStore` — a real file with positional reads and writes
+  and fsync, so a WAL or durable disk can genuinely outlive the process.
 
 Each says whether an access may block the calling thread (``may_block``);
 the page server runs a request on its event loop only when no medium the
@@ -19,7 +19,6 @@ blocking.
 
 from __future__ import annotations
 
-import io
 import os
 from pathlib import Path
 from typing import Protocol
@@ -72,42 +71,42 @@ class MemoryByteStore:
 
 
 class FileByteStore:
-    """A file-backed medium; ``sync`` is a real flush + ``os.fsync``."""
+    """A file-backed medium; ``sync`` is a real ``os.fsync``.
+
+    Reads and writes are positional (``os.pread``/``os.pwrite`` on one
+    unbuffered descriptor), so threads never share a file position and
+    need no lock; a write past the end leaves zeros before it.
+    """
 
     may_block = True
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         mode = "r+b" if self.path.exists() else "w+b"
-        self._file = open(self.path, mode)  # noqa: SIM115 - long-lived handle
+        self._file = open(self.path, mode, buffering=0)  # noqa: SIM115 - long-lived handle
 
     def read_at(self, offset: int, length: int) -> bytes:
-        self._file.seek(offset)
-        data = self._file.read(length)
+        data = os.pread(self._file.fileno(), length, offset)
         return data + b"\x00" * (length - len(data))
 
     def write_at(self, offset: int, data: bytes) -> None:
-        current = self.size()
-        if offset > current:
-            self._file.seek(0, io.SEEK_END)
-            self._file.write(b"\x00" * (offset - current))
-        self._file.seek(offset)
-        self._file.write(data)
+        fd = self._file.fileno()
+        view = memoryview(data)
+        while view:
+            written = os.pwrite(fd, view, offset)
+            view = view[written:]
+            offset += written
 
     def size(self) -> int:
-        self._file.seek(0, io.SEEK_END)
-        return self._file.tell()
+        return os.fstat(self._file.fileno()).st_size
 
     def sync(self) -> None:
-        self._file.flush()
         os.fsync(self._file.fileno())
 
     def image(self) -> bytes:
-        self._file.seek(0)
-        return self._file.read()
+        return self.read_at(0, self.size())
 
     def close(self) -> None:
-        self._file.flush()
         self._file.close()
 
     def __enter__(self) -> "FileByteStore":

@@ -8,41 +8,50 @@ tree over them.  An edit to the generators or the packing that
 moves one byte fails here first.
 
 The work counts guard the build's price: one :class:`Rect` per generated
-object and no :class:`Point` per object or per sort key.
+object, no :class:`Point` per object or per sort key, and no transient
+object per entry that outlives its step (the build's peak memory is pinned
+near what the finished database keeps).
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import struct
+import tracemalloc
 from collections import Counter
+from collections.abc import Sequence
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.datasets.synthetic import us_mainland_like, world_atlas_like
+from repro.experiments.harness import build_database
 from repro.geometry.rect import Point, Rect
 from repro.sam.rstar import RStarTree
+from repro.storage.page import PageEntry
 from repro.storage.serialization import encode_page
 
 _RECT = struct.Struct("<4d")
 _ID = struct.Struct("<q")
 
 
-def _mainland() -> list[tuple[Rect, int]]:
+def _mainland() -> Sequence[tuple[Rect, int]]:
     return us_mainland_like(20_000, seed=7).items()
 
 
-def _atlas() -> list[tuple[Rect, int]]:
+def _atlas() -> Sequence[tuple[Rect, int]]:
     return world_atlas_like(10_000, seed=5).items()
 
 
-def _stream() -> list[tuple[Rect, int]]:
+def _stream() -> Sequence[tuple[Rect, int]]:
     # Pinned from the former chunked generator, which drew the same rects.
     return us_mainland_like(12_000, seed=3).items()
 
 
-def _clipped() -> list[tuple[Rect, int]]:
+def _clipped() -> Sequence[tuple[Rect, int]]:
     # Extents this large reach past the unit square, so the clip of an
     # extended object is exercised; at the defaults it never bites.
     return us_mainland_like(5_000, seed=9, mean_extent=0.2).items()
@@ -57,11 +66,11 @@ _DATASETS = {
 
 
 @functools.cache
-def _items(name: str) -> list[tuple[Rect, int]]:
+def _items(name: str) -> Sequence[tuple[Rect, int]]:
     return _DATASETS[name]()
 
 
-def _items_digest(items: list[tuple[Rect, int]]) -> str:
+def _items_digest(items: Sequence[tuple[Rect, int]]) -> str:
     digest = hashlib.blake2b(digest_size=16)
     for rect, object_id in items:
         digest.update(_RECT.pack(rect.x_min, rect.y_min, rect.x_max, rect.y_max))
@@ -108,6 +117,32 @@ class TestPinnedBuildDigests:
         tree.bulk_load(_items(name))
         tree.validate()
         assert _tree_digest(tree) == TREE_DIGESTS[name]
+
+
+def _center(entry: PageEntry) -> tuple[float, float]:
+    mbr = entry.mbr
+    return (mbr.x_min + mbr.x_max) / 2.0, (mbr.y_min + mbr.y_max) / 2.0
+
+
+def _tuple_key_order(entries: list[PageEntry], capacity: int) -> list[PageEntry]:
+    """STR's entry order as the packing once computed it, with ``(x, y)``
+    and ``(y, x)`` tuple keys: the oracle of the float-key sorts."""
+    page_count = math.ceil(len(entries) / capacity)
+    per_slab = math.ceil(math.sqrt(page_count)) * capacity
+    by_x = sorted(entries, key=_center)
+    order: list[PageEntry] = []
+    for start in range(0, len(by_x), per_slab):
+        order += sorted(
+            by_x[start : start + per_slab], key=lambda entry: _center(entry)[::-1]
+        )
+    return order
+
+
+#: Few distinct coordinates, both zeros among them: many equal centres,
+#: and centres of ``-0.0`` beside ``0.0``.
+_coordinate = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0])
+_interval = st.lists(_coordinate, min_size=2, max_size=2).map(sorted)
+_boxes = st.lists(st.tuples(_interval, _interval), min_size=1, max_size=120)
 
 
 @pytest.fixture
@@ -166,3 +201,38 @@ class TestBuildWorkCounts:
         assert constructions["Point"] == 0
         # One MBR per page below the root.
         assert constructions["Rect"] <= tree.stats().page_count - 1
+
+    def test_transient_memory_is_a_small_share_of_the_database(self):
+        """The build throws away no per-object structure: no list of
+        ``(rect, id)`` pairs, no tuple key per entry and sort."""
+        tracemalloc.start()
+        try:
+            database = build_database(us_mainland_like(20_000, seed=7))
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert database.tree.entry_count == 20_000
+        assert peak - live <= 0.15 * live, (peak, live)
+
+    @given(_boxes, st.integers(min_value=2, max_value=9))
+    def test_float_key_sorts_give_the_tuple_key_order(self, boxes, capacity):
+        entries = [
+            PageEntry(Rect(x_min, y_min, x_max, y_max), payload=index)
+            for index, ((x_min, x_max), (y_min, y_max)) in enumerate(boxes)
+        ]
+        expected = [entry.payload for entry in _tuple_key_order(entries, capacity)]
+        pages = RStarTree()._str_pack(list(entries), 0, capacity)
+        assert [entry.payload for page in pages for entry in page.entries] == expected
+
+    def test_items_is_a_lazy_sequence_of_the_pairs(self):
+        dataset = us_mainland_like(10, seed=9)
+        items = dataset.items()
+        pairs = [(rect, index) for index, rect in enumerate(dataset.rects)]
+        assert list(items) == pairs
+        assert list(items) == pairs, "iterable again"
+        assert len(items) == 10
+        assert [items[index] for index in range(-10, 10)] == pairs[-10:] + pairs
+        for part in (slice(2, 5), slice(-3, None), slice(None, None, -2)):
+            assert items[part] == pairs[part]
+        with pytest.raises(IndexError):
+            items[10]

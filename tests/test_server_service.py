@@ -834,3 +834,91 @@ class TestWhereRequestsRun:
             dict.fromkeys(self.OPS, "pool"),
             dict.fromkeys(self.OPS, "loop"),
         ]
+
+
+class _MeetingDisk:
+    """A disk whose every read waits, up to 0.5 s, for a second reader.
+
+    Two requests inside the buffer at once meet here and go on together;
+    a lone reader breaks the barrier, and every later read goes straight
+    through."""
+
+    may_block = True
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self._barrier = threading.Barrier(2, timeout=0.5)
+
+    def read(self, page_id: int):
+        with contextlib.suppress(threading.BrokenBarrierError):
+            self._barrier.wait()
+        return self._inner.read(page_id)
+
+    def __getattr__(self, name: str):
+        return getattr(self._inner, name)
+
+
+class TestOneThreadPerSequentialManager:
+    """Pooled requests over a sequential ``BufferManager`` run one at a
+    time: its frames and ASB's state have no lock of their own."""
+
+    CLIENTS, BATCHES, PAGES = 4, 20, 64
+
+    def test_a_sequential_manager_is_entered_by_one_thread(self):
+        system = BufferSystem.build(policy="ASB", capacity=8, page_size=PAGE_SIZE)
+        for page_id in range(self.PAGES):
+            system.disk.store(seed_page(page_id))
+        system.buffer.disk = _MeetingDisk(system.disk)
+        assert not system.is_concurrent and server_core._may_block(system)
+        fetch, inside, most = system.buffer.fetch, [0], [0]
+        count = threading.Lock()
+
+        def counted(page_id):
+            with count:
+                inside[0] += 1
+                most[0] = max(most[0], inside[0])
+            try:
+                return fetch(page_id)
+            finally:
+                with count:
+                    inside[0] -= 1
+
+        system.buffer.fetch = counted
+        server = PageServer(system, page_size=PAGE_SIZE)
+        rng = random.Random(5)
+        batches = [
+            [rng.sample(range(self.PAGES), 3) for _ in range(self.BATCHES)]
+            for _ in range(self.CLIENTS)
+        ]
+
+        async def one_client(ids_per_batch):
+            client = await AsyncPageClient.connect(
+                server.host, server.port, page_size=PAGE_SIZE
+            )
+            try:
+                return await asyncio.gather(
+                    *(client.fetch_many(ids) for ids in ids_per_batch),
+                    return_exceptions=True,
+                )
+            finally:
+                await client.close()
+
+        async def scenario():
+            await server.start()
+            try:
+                return await asyncio.gather(*map(one_client, batches))
+            finally:
+                await server.stop()
+
+        answers = asyncio.run(scenario())
+        assert most[0] == 1
+        failed = [
+            reply
+            for replies in answers
+            for reply in replies
+            if isinstance(reply, BaseException)
+        ]
+        assert failed == []
+        for ids_per_batch, replies in zip(batches, answers):
+            for ids, pages in zip(ids_per_batch, replies):
+                assert [page.page_id for page in pages] == ids

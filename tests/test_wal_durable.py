@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import random
 import sys
 import threading
@@ -9,11 +10,14 @@ import zlib
 
 import pytest
 
+from repro.api import BufferSystem
 from repro.geometry.rect import Rect
 from repro.storage.disk import DiskError, SimulatedDisk, TransientDiskError
 from repro.storage import serialization
 from repro.storage.page import Page, PageEntry, PageType
 from repro.storage.serialization import decode_page, encode_page, read_page
+from repro.wal import bytestore
+from repro.wal.bytestore import FileByteStore
 from repro.wal.crash import CrashError, CrashInjector
 from repro.wal.durable import DurableDisk, TornPageError
 from tests.test_storage_serialization import outcome
@@ -404,3 +408,134 @@ class TestThreadedAccounting:
         assert not any(thread.is_alive() for thread in threads)
         stats = disk.stats
         assert stats.reads == stats.sequential_reads + stats.random_reads == 8 * self.READS
+
+
+class _ParkedFile:
+    """A file that parks each thread between its ``seek`` and its
+    ``read``/``write`` until a second thread gets there too: the
+    interleaving that breaks a shared file position, forced every time."""
+
+    def __init__(self, inner, barrier: threading.Barrier) -> None:
+        self._inner = inner
+        self._barrier = barrier
+
+    def read(self, *args):
+        self._barrier.wait()
+        return self._inner.read(*args)
+
+    def write(self, *args):
+        self._barrier.wait()
+        return self._inner.write(*args)
+
+    def __getattr__(self, name: str):
+        return getattr(self._inner, name)
+
+
+def _in_two_threads(first, second) -> list:
+    """Run ``first`` and ``second`` at once; their results, in order."""
+    results: list = [None, None]
+
+    def run(index: int, call) -> None:
+        try:
+            results[index] = call()
+        except Exception as exc:  # noqa: BLE001 - compared below
+            results[index] = exc
+
+    threads = [
+        threading.Thread(target=run, args=(index, call))
+        for index, call in enumerate((first, second))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+class TestFileByteStoreThreads:
+    """A ``FileByteStore`` is shared by every thread of a sharded manager
+    and of the page server's pool: a read or write lands where its
+    offset says, whatever the other threads do."""
+
+    BLOCK = 64
+
+    def test_positional_io_survives_a_parked_file_position(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "medium.bin"
+        with FileByteStore(path) as store:
+            store.write_at(0, b"a" * self.BLOCK + b"b" * self.BLOCK)
+        barrier = threading.Barrier(2, timeout=5)
+        monkeypatch.setattr(
+            bytestore,
+            "open",
+            lambda *args, **kwargs: _ParkedFile(builtins.open(*args, **kwargs), barrier),
+            raising=False,
+        )
+        with FileByteStore(path) as store:
+            reads = _in_two_threads(
+                lambda: store.read_at(0, self.BLOCK),
+                lambda: store.read_at(self.BLOCK, self.BLOCK),
+            )
+            assert reads == [b"a" * self.BLOCK, b"b" * self.BLOCK]
+            assert _in_two_threads(
+                lambda: store.write_at(0, b"x" * self.BLOCK),
+                lambda: store.write_at(self.BLOCK, b"y" * self.BLOCK),
+            ) == [None, None]
+        monkeypatch.undo()
+        with FileByteStore(path) as store:
+            assert store.image() == b"x" * self.BLOCK + b"y" * self.BLOCK
+
+    @pytest.mark.parametrize("policy", ["LRU", "ASB"])
+    def test_sharded_write_back_loses_no_page(self, tmp_path, policy):
+        """Eight threads install versions of their own pages through a
+        four-shard manager, whose evictions write back concurrently; a
+        fresh disk over the file reads every page's last version."""
+        pages, threads_, rounds = 256, 8, 59
+        path = tmp_path / "pages.bin"
+        with FileByteStore(path) as store:
+            system = BufferSystem.build(
+                policy=policy,
+                capacity=16,
+                shards=4,
+                disk=DurableDisk(store, page_size=PAGE_SIZE),
+                page_size=PAGE_SIZE,
+            )
+            for page_id in range(pages):
+                system.disk.store(full_page(page_id, 0))
+            failures: list = []
+
+            def worker(first: int) -> None:
+                try:
+                    for version in range(1, rounds + 1):
+                        for page_id in range(first, pages, threads_):
+                            system.buffer.install(full_page(page_id, version))
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    failures.append(exc)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                workers = [
+                    threading.Thread(target=worker, args=(first,))
+                    for first in range(threads_)
+                ]
+                for thread in workers:
+                    thread.start()
+                for thread in workers:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in workers)
+            assert failures == []
+            system.buffer.flush()
+        with FileByteStore(path) as store:
+            fresh = DurableDisk(store, page_size=PAGE_SIZE)
+            wrong = [
+                page_id
+                for page_id in range(pages)
+                if outcome(lambda: fresh.read(page_id).image())
+                != repr(encode_page(full_page(page_id, rounds), PAGE_SIZE))
+            ]
+        assert wrong == []
