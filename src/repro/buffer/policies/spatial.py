@@ -23,7 +23,9 @@ when first needed, kept with the page version they describe
 memoised on the frame, matching the paper's remark that area/margin cost
 "only a small overhead when a new page is loaded into the buffer" while the
 overlap is costlier and worth materialising.  Computing one never builds a
-scan block.
+scan block, and never unpacks a packed page: the entry criteria read
+``Page.entry_boxes()``, the area and margin formulas of
+:class:`~repro.geometry.rect.Rect` written out over its floats.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable
 
 from repro.buffer.frames import Frame
 from repro.buffer.policies.base import ReplacementPolicy
-from repro.geometry.rect import total_overlap
+from repro.geometry.rect import box_overlap
 from repro.storage.page import Page, PageId
 
 
@@ -44,7 +46,10 @@ def crit_area(page: Page) -> float:
 
 def crit_entry_area(page: Page) -> float:
     """spatialCrit_EA(p): sum of the entry MBR areas (not normalised)."""
-    return sum(entry.mbr.area for entry in page.entries)
+    return sum(
+        (x_max - x_min) * (y_max - y_min)
+        for x_min, y_min, x_max, y_max in page.entry_boxes()
+    )
 
 
 def crit_margin(page: Page) -> float:
@@ -55,12 +60,15 @@ def crit_margin(page: Page) -> float:
 
 def crit_entry_margin(page: Page) -> float:
     """spatialCrit_EM(p): sum of the entry MBR margins (not normalised)."""
-    return sum(entry.mbr.margin for entry in page.entries)
+    return sum(
+        2.0 * ((x_max - x_min) + (y_max - y_min))
+        for x_min, y_min, x_max, y_max in page.entry_boxes()
+    )
 
 
 def crit_entry_overlap(page: Page) -> float:
     """spatialCrit_EO(p): summed pairwise overlap area between entries."""
-    return total_overlap(page.entry_mbrs())
+    return box_overlap(page.entry_boxes())
 
 
 #: The five criteria of the paper, by their short names.

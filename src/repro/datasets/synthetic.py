@@ -12,21 +12,24 @@ spatial replacement criteria.
 Both generators are deterministic under a fixed seed and scale freely via
 ``n_objects``.  The experiments default to ~10^5 objects.  The paper's
 Database 1 scale works too: on a 2-vCPU Xeon VM under Python 3.11,
-``us_mainland_like(1_641_079)`` takes 4.7–6.0 s and an STR ``bulk_load`` of
-it 5.8–6.0 s more, with a peak RSS of 504 MB for both; the tree has 58,256
+``us_mainland_like(1_641_079)`` takes 5.1–5.5 s and an STR ``bulk_load`` of
+it 5.5–7.5 s more, with a peak RSS of 244 MB for both; the tree has 58,256
 pages, 1,667 of them directory pages, and height 5 at the default fill
-of 0.7.
+of 0.7.  A dataset keeps its MBRs as one coordinate array (:class:`Rects`),
+32 bytes an object.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from operator import eq
 
-from repro.geometry.rect import Point, Rect
+from repro.geometry.rect import Point, Rect, coordinate_array
 
 #: All synthetic data lives in the unit square.
 UNIT_SPACE = Rect(0.0, 0.0, 1.0, 1.0)
@@ -47,6 +50,43 @@ class Cluster:
     weight: float
 
 
+class Rects(Sequence):
+    """The MBRs of a dataset, read from one flat coordinate array.
+
+    ``x_min, y_min, x_max, y_max`` of object 0, 1, … in one ``array('d')``:
+    32 bytes an object, where a kept :class:`Rect` and its four floats cost
+    ~160.  Each read builds its :class:`Rect`; nothing is kept.  Read-only;
+    indexing follows a list's (negative indices, slices, which give a
+    list), and it compares equal to any sequence of the same rects.
+    """
+
+    __slots__ = ("_coords",)
+
+    def __init__(self, coords: array) -> None:
+        self._coords = coords
+
+    def __len__(self) -> int:
+        return len(self._coords) // 4
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        at = 4 * range(len(self))[index]
+        coords = self._coords
+        return Rect(coords[at], coords[at + 1], coords[at + 2], coords[at + 3])
+
+    def __iter__(self) -> Iterator[Rect]:
+        values = iter(self._coords)
+        return map(Rect, values, values, values, values)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Rects):
+            return self._coords == other._coords
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 class Items(Sequence):
     """``(rects[i], i)`` for every ``i``, as a re-iterable sequence.
 
@@ -57,7 +97,7 @@ class Items(Sequence):
 
     __slots__ = ("_rects",)
 
-    def __init__(self, rects: list[Rect]) -> None:
+    def __init__(self, rects: Rects) -> None:
         self._rects = rects
 
     def __len__(self) -> int:
@@ -72,17 +112,40 @@ class Items(Sequence):
     def __iter__(self) -> Iterator[tuple[Rect, int]]:
         return zip(self._rects, range(len(self._rects)))
 
+    @property
+    def coords(self) -> array:
+        """The coordinate array behind ``rects`` (not to be changed): a
+        bulk load reads the bounds from it and builds no :class:`Rect`."""
+        return self._rects._coords
+
 
 @dataclass(slots=True)
 class Dataset:
-    """A named collection of object MBRs inside a data space."""
+    """A named collection of object MBRs inside a data space.
+
+    ``rects`` may be given as any sequence of :class:`Rect`; it is kept as
+    a read-only :class:`Rects` view over one coordinate array.  A bound
+    that a C double does not hold exactly raises :class:`ValueError`.
+    """
 
     name: str
     space: Rect
-    rects: list[Rect]
+    rects: Sequence[Rect]
     clusters: list[Cluster] = field(default_factory=list)
     #: Regions considered "land"; queries outside hit nothing (database 2).
     land: list[Rect] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.rects, Rects):
+            self.rects = Rects(
+                coordinate_array(
+                    [
+                        bound
+                        for rect in self.rects
+                        for bound in (rect.x_min, rect.y_min, rect.x_max, rect.y_max)
+                    ]
+                )
+            )
 
     def items(self) -> Items:
         """(MBR, object id) pairs, the input format of the SAM builders: a
@@ -162,15 +225,15 @@ def _sample_objects(
     clustered_fraction: float,
     extended_fraction: float,
     mean_extent: float,
-) -> list[Rect]:
+) -> Rects:
     """``n_objects`` object MBRs on ``land`` inside :data:`UNIT_SPACE`.
 
     Each object is drawn near a cluster (picked by weight, Gaussian around
     its centre, clamped to the space) or uniformly, redrawn until it lies
     on land; it is a point, or with probability ``extended_fraction`` a
     small rectangle of exponential width and height around the location,
-    clipped to the space.  One :class:`Rect` per object and nothing else:
-    the location, the clamp and the clip stay floats.
+    clipped to the space.  Four floats per object, appended to one
+    coordinate array: no :class:`Rect` is built.
     """
     random_ = rng.random
     gauss = rng.gauss
@@ -184,7 +247,8 @@ def _sample_objects(
         cumulative.append(running)
     last = len(cumulative) - 1
     centres = [(c.center.x, c.center.y, c.spread) for c in clusters]
-    rects: list[Rect] = []
+    coords = array("d")
+    extend = coords.extend
     for _ in range(n_objects):
         if random_() < clustered_fraction:
             center_x, center_y, spread = centres[
@@ -210,7 +274,7 @@ def _sample_objects(
                 if _on_land(x, y, land):
                     break
         if random_() >= extended_fraction:
-            rects.append(Rect(x, y, x, y))
+            extend((x, y, x, y))
             continue
         half_w = expovariate(rate) / 2.0
         half_h = expovariate(rate) / 2.0
@@ -228,8 +292,8 @@ def _sample_objects(
         y_max = y + half_h
         if y_max > y_hi:
             y_max = y_hi
-        rects.append(Rect(x_min, y_min, x_max, y_max))
-    return rects
+        extend((x_min, y_min, x_max, y_max))
+    return Rects(coords)
 
 
 def us_mainland_like(

@@ -12,6 +12,7 @@ followed during queries.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -278,10 +279,45 @@ def total_overlap(rects: Sequence[Rect]) -> float:
     The formula counts each unordered pair twice and divides by two; we
     iterate unordered pairs directly, which is equivalent and cheaper.
     """
+    return box_overlap([rect.as_tuple() for rect in rects])
+
+
+def box_overlap(boxes: Sequence[tuple[float, float, float, float]]) -> float:
+    """:func:`total_overlap` of rectangles given as ``(x_min, y_min, x_max,
+    y_max)`` tuples; each pair is :meth:`Rect.intersection_area`, written
+    out."""
     overlap = 0.0
-    n = len(rects)
+    n = len(boxes)
     for i in range(n):
-        a = rects[i]
+        a_x_min, a_y_min, a_x_max, a_y_max = boxes[i]
         for j in range(i + 1, n):
-            overlap += a.intersection_area(rects[j])
+            b_x_min, b_y_min, b_x_max, b_y_max = boxes[j]
+            width = min(a_x_max, b_x_max) - max(a_x_min, b_x_min)
+            if width <= 0.0:
+                continue
+            height = min(a_y_max, b_y_max) - max(a_y_min, b_y_min)
+            if height <= 0.0:
+                continue
+            overlap += width * height
     return overlap
+
+
+def coordinate_array(values: list) -> array:
+    """``values`` as one ``array('d')``, the flat storage of coordinates.
+
+    Raises :class:`ValueError` for a value that a C double does not hold
+    exactly (an integer beyond 2**53, a ``Fraction`` such as 1/3): stored,
+    it would silently become another number.  A NaN is held as it is.
+    """
+    try:
+        coords = array("d", values)
+    except OverflowError as exc:
+        raise ValueError(f"a coordinate does not fit a double: {exc}") from None
+    if coords.tolist() != values:
+        for value, held in zip(values, coords):
+            if value != held and value == value:
+                raise ValueError(
+                    f"coordinate {value!r} is not a double; it would be stored "
+                    f"as {held!r}"
+                )
+    return coords

@@ -290,8 +290,7 @@ def record_run(
     for page_id, _ in requests:
         if page_id not in catalogue:
             page = disk.peek(page_id)
-            mbrs = [entry.mbr.as_tuple() for entry in page.entries]
-            catalogue[page_id] = (page.page_type.value, page.level, mbrs)
+            catalogue[page_id] = (page.page_type.value, page.level, page.entry_boxes())
     recorder = TraceRecorder()
     buffer = replay_requests(
         disk_from_catalogue(catalogue), requests, policy, capacity, recorder

@@ -24,12 +24,15 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Any, Iterable
+from array import array
+from itertools import islice
+from typing import Any, Iterable, Sequence
 
-from repro.geometry.rect import Point, Rect, mbr_of_rects
+from repro.geometry.rect import Point, Rect, coordinate_array, mbr_of_rects
 from repro.sam.base import PageAccessor, SpatialIndex, TreeStats
 from repro.storage.page import Page, PageEntry, PageId, PageType
 from repro.storage.pagefile import PageFile
+from repro.storage.serialization import compact_page
 
 #: Share of an overflowing node's M+1 entries that R* forced reinsertion
 #: removes and re-queues (Beckmann et al.'s p = 30 %).
@@ -100,16 +103,80 @@ def _choose_subtree_leaf_numpy(entries: list["PageEntry"], mbr: Rect) -> int | N
     return best
 
 
-def _center_x(entry: PageEntry) -> float:
-    """The x of ``entry.mbr.center``, without building the Point."""
-    mbr = entry.mbr
-    return (mbr.x_min + mbr.x_max) / 2.0
+#: Objects a bulk load reads from its input at a time.
+_READ_BATCH = 256
 
 
-def _center_y(entry: PageEntry) -> float:
-    """The y of ``entry.mbr.center``, without building the Point."""
-    mbr = entry.mbr
-    return (mbr.y_min + mbr.y_max) / 2.0
+def _slot_ints(values: list, what: str) -> array:
+    """``values`` as the page format stores them, ``None`` as -1; a
+    :class:`TypeError` unless each is a non-negative int or ``None``."""
+    for value in values:
+        if value is not None and not (isinstance(value, int) and 0 <= value < 2**63):
+            raise TypeError(
+                f"{what} must be a non-negative int or None, the values a "
+                f"page's 64-bit field holds; got {value!r}"
+            )
+    return array("q", [-1 if value is None else value for value in values])
+
+
+def _read_columns(items: Iterable[tuple[Rect, Any]]) -> tuple[array, array]:
+    """A bulk load's input, read once into columns: the four bounds of
+    every object in one ``array('d')``, and its payload as a slot value.
+
+    Items that keep their bounds in such an array already
+    (:meth:`Dataset.items() <repro.datasets.synthetic.Dataset.items>`:
+    ``(rects[i], i)``) lend it through their ``coords``: nothing is read.
+    """
+    coords = getattr(items, "coords", None)
+    if coords is not None:
+        return coords, array("q", range(len(coords) // 4))
+    coords = array("d")
+    payloads = array("q")
+    iterator = iter(items)
+    while batch := list(islice(iterator, _READ_BATCH)):
+        coords += coordinate_array(
+            [
+                bound
+                for rect, _ in batch
+                for bound in (rect.x_min, rect.y_min, rect.x_max, rect.y_max)
+            ]
+        )
+        payloads += _slot_ints(
+            [payload for _, payload in batch], "a bulk_load payload"
+        )
+    return coords, payloads
+
+
+def _centers(coords: array, axis: int) -> array:
+    """``(low + high) / 2.0`` on ``axis`` (0 for x, 1 for y) of every box,
+    as :attr:`Rect.center` computes it."""
+    return array(
+        "d", ((low + high) / 2.0 for low, high in zip(coords[axis::4], coords[axis + 2 :: 4]))
+    )
+
+
+def _str_order(coords: array, capacity: int) -> array:
+    """Sort-Tile-Recursive's order of the boxes in ``coords``: by MBR
+    centre ``(x, y)`` over all boxes, then ``(y, x)`` within each slab of
+    ``ceil(sqrt(pages))`` pages.
+
+    Stable sorts of the box indices on one float each, minor key first,
+    give exactly that tuple order, ties (and ``-0.0`` beside ``0.0``)
+    included, with no tuple per box.  A slab is already in ``(x, y)``
+    order, so its minor pass is a no-op and only the y pass runs.
+    """
+    count = len(coords) // 4
+    per_slab = math.ceil(math.sqrt(math.ceil(count / capacity))) * capacity
+    order = list(range(count))
+    center_y = _centers(coords, 1)
+    order.sort(key=center_y.__getitem__)
+    order.sort(key=_centers(coords, 0).__getitem__)
+    for start in range(0, count, per_slab):
+        slab = order[start : start + per_slab]
+        slab.sort(key=center_y.__getitem__)
+        order[start : start + per_slab] = slab
+    # 8 bytes an index while the pages are written, not an int object each.
+    return array("q", order)
 
 
 class RStarTree(SpatialIndex):
@@ -516,87 +583,105 @@ class RStarTree(SpatialIndex):
         capacity, so 0.7 is the default.  ``object_pages`` optionally maps
         payloads to the object pages holding their exact representation
         (see :mod:`repro.storage.objects`).  Only valid on an empty tree.
+
+        Each ``(mbr, payload)`` is read once, into columns.  Every page is
+        written straight into its compact slot image
+        (:func:`~repro.storage.serialization.compact_page`) and stays
+        packed until its entries are first read: the build keeps no
+        :class:`Rect` or :class:`PageEntry` per object.  So a payload must
+        be what a page holds, a non-negative int or ``None``
+        (:class:`TypeError` otherwise), and a bound a double
+        (:class:`ValueError` for one a C double does not hold exactly).
         """
         if self.root_id is not None:
             raise RuntimeError("bulk_load() requires an empty tree")
         if not 0.0 < fill <= 1.0:
             raise ValueError("fill must be in (0, 1]")
-        links = object_pages or {}
-        entries = [
-            PageEntry(mbr, links.get(payload), payload) for mbr, payload in items
-        ]
-        if not entries:
+        coords, payloads = _read_columns(items)
+        count = len(payloads)
+        if not count:
             return
-        self.entry_count = len(entries)
+        children = None
+        if object_pages:
+            children = _slot_ints(
+                [object_pages.get(None if id_ < 0 else id_) for id_ in payloads],
+                "an object page id",
+            )
+        self.entry_count = count
         level = 0
         while True:
             capacity = max(2, int(self._max_entries(level) * fill))
-            pages = self._str_pack(entries, level, capacity)
-            if len(pages) == 1:
-                self.root_id = pages[0].page_id
+            order = _str_order(coords, capacity)
+            sizes = [capacity] * (count // capacity)
+            if count % capacity:
+                sizes.append(count % capacity)
+            self._rebalance_tail(sizes, level)
+            page_ids, coords = self._pack_level(
+                level, order, sizes, coords, children, payloads
+            )
+            if len(page_ids) == 1:
+                self.root_id = page_ids[0]
                 self.height = level + 1
                 return
-            entries = [
-                PageEntry(mbr_of_rects(entry.mbr for entry in page.entries), page.page_id)
-                for page in pages
-            ]
+            count = len(page_ids)
+            children, payloads = page_ids, None
             level += 1
 
-    def _str_pack(
-        self, entries: list[PageEntry], level: int, capacity: int
-    ) -> list[Page]:
-        """Pack entries into pages of one level using Sort-Tile-Recursive.
-
-        The order is by MBR centre, ``(x_min + x_max) / 2.0`` as
-        :attr:`Rect.center` computes it, taken from the floats: ``(x, y)``
-        over all entries, then ``(y, x)`` within each slab.  Stable sorts
-        on one float each, minor key first, give exactly that tuple order,
-        ties included, without a tuple key per entry.  A slab is already in
-        ``(x, y)`` order, so its minor pass is a no-op and only the y pass
-        runs.  Sorts ``entries`` in place.
-        """
-        page_count = math.ceil(len(entries) / capacity)
-        slab_count = math.ceil(math.sqrt(page_count))
-        per_slab = slab_count * capacity
-        entries.sort(key=_center_y)
-        entries.sort(key=_center_x)
-        pages: list[Page] = []
-        for slab_start in range(0, len(entries), per_slab):
-            slab = entries[slab_start : slab_start + per_slab]
-            slab.sort(key=_center_y)
-            for page_start in range(0, len(slab), capacity):
-                page = self._new_page(level)
-                page.entries = slab[page_start : page_start + capacity]
-                pages.append(page)
-        self._rebalance_tail(pages, level)
-        return pages
-
-    def _rebalance_tail(self, pages: list[Page], level: int) -> None:
+    def _rebalance_tail(self, sizes: list[int], level: int) -> None:
         """Redistribute trailing entries so no page violates the minimum fill.
 
+        ``sizes`` are the entry counts of one level's pages, in order.
         STR packing can leave a short tail page (e.g. 12 directory entries
         packed 5+5+2 with a minimum of 3).  Pool pages from the end until an
-        even redistribution satisfies the minimum, then re-chunk.
+        even redistribution satisfies the minimum, then re-chunk, the
+        larger chunks first.
         """
         min_entries = self._min_entries(level)
-        if len(pages) < 2 or len(pages[-1].entries) >= min_entries:
+        if len(sizes) < 2 or sizes[-1] >= min_entries:
             return
-        pooled_pages = [pages.pop()]
-        pooled: list[PageEntry] = list(pooled_pages[0].entries)
-        while pages and len(pooled) < min_entries * len(pooled_pages):
-            donor = pages.pop()
-            pooled_pages.append(donor)
-            pooled = list(donor.entries) + pooled
-        chunk_count = len(pooled_pages)
-        base = len(pooled) // chunk_count
-        remainder = len(pooled) % chunk_count
-        position = 0
-        # Refill the pooled pages in their original (front-to-back) order.
-        for index, page in enumerate(reversed(pooled_pages)):
-            size = base + (1 if index < remainder else 0)
-            page.entries = pooled[position : position + size]
-            position += size
-            pages.append(page)
+        pooled = sizes.pop()
+        chunk_count = 1
+        while sizes and pooled < min_entries * chunk_count:
+            pooled += sizes.pop()
+            chunk_count += 1
+        base, remainder = divmod(pooled, chunk_count)
+        sizes += [base + 1] * remainder + [base] * (chunk_count - remainder)
+
+    def _pack_level(
+        self,
+        level: int,
+        order: array,
+        sizes: list[int],
+        coords: array,
+        children: Sequence[int] | None,
+        payloads: Sequence[int] | None,
+    ) -> tuple[list[PageId], array]:
+        """Write one level's pages: entries ``order[:sizes[0]]`` into the
+        first, and so on, from the columns (``None`` for a column of -1).
+        Returns their ids and, as the next level's ``coords``, their MBRs."""
+        page_type = PageType.DATA if level == 0 else PageType.DIRECTORY
+        page_ids: list[PageId] = []
+        mbrs = array("d")
+        start = 0
+        for size in sizes:
+            values: list = []
+            for index in order[start : start + size]:
+                at = 4 * index
+                values += coords[at : at + 4]
+                values.append(-1 if children is None else children[index])
+                values.append(-1 if payloads is None else payloads[index])
+            start += size
+            # min/max keep the first extreme, as mbr_of_rects does.
+            mbrs += array(
+                "d",
+                (min(values[0::6]), min(values[1::6]), max(values[2::6]), max(values[3::6])),
+            )
+            page = compact_page(self.pagefile.next_id(), page_type, level, values)
+            self.pagefile.store(page)
+            self._page_ids.add(page.page_id)
+            self._register_new_page(page)
+            page_ids.append(page.page_id)
+        return page_ids, mbrs
 
     # ------------------------------------------------------------------
     # Queries

@@ -13,15 +13,18 @@ method produced the page.  The spatial criteria themselves live in
 
 A page read from a medium that holds bytes arrives **packed**: its header
 fields are decoded and its entries are still inside the verified slot image
-(:class:`~repro.storage.serialization.PageImage`).  The first read of
-``entries`` unpacks them and drops the image, so the image is trusted only
-while nobody has held the entry objects — there is nothing to invalidate.
+(:class:`~repro.storage.serialization.PageImage`).  So does every page an
+STR bulk load writes: it is packed straight into its compact image.  The
+first read of ``entries`` unpacks them and drops the image, and assigning
+``entries`` drops it too, so the image is trusted only while nobody has
+held the entry objects — there is nothing to invalidate.
 
 Every page keeps the values derived from its current version in one slot
 under one stamp: the **scan block** that :meth:`Page.matching` reads
-instead of walking ~45 scattered entry objects (see :func:`_scan_block`),
-and a dict (:meth:`Page._derived`) of the page MBR and spatial criteria,
-each computed once per version of the page, not once per load.
+instead of walking ~45 scattered entry objects or the slot bytes (see
+:func:`_scan_block`), and a dict (:meth:`Page._derived`) of the page MBR
+and spatial criteria, each computed once per version of the page, not
+once per load.  Neither ever unpacks a packed page.
 """
 
 from __future__ import annotations
@@ -97,8 +100,7 @@ class Page:
     level: int = 0
     entries: list[PageEntry] = field(default_factory=list)
     #: The slot image a packed page still keeps its entries in; ``None`` on
-    #: every page built from entry objects.  Meaningful only while the
-    #: ``entries`` slot is empty (see :meth:`_packed`).
+    #: every page whose ``entries`` slot is filled (see :class:`_Entries`).
     _image: PageImage | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -123,10 +125,10 @@ class Page:
     ) -> "Page":
         """A page whose entries stay inside ``image`` until they are read.
 
-        The ``entries`` slot is left empty; its first read lands in
-        :meth:`__getattr__`.  ``image`` must already be verified: unpacking
-        it later must not be able to fail.  ``derived`` is the dict of
-        another packed page of the same bytes, to share its values.
+        The ``entries`` slot is left empty; its first read unpacks the
+        image (:class:`_Entries`).  ``image`` must already be verified:
+        unpacking it later must not be able to fail.  ``derived`` is the
+        dict of another packed page of the same bytes, to share its values.
         """
         page = object.__new__(cls)
         page.page_id = page_id
@@ -137,50 +139,33 @@ class Page:
         page._version = 0
         return page
 
-    def __getattr__(self, name: str) -> Any:
-        # Python only calls this when a slot is empty, which ``__init__``
-        # never leaves: pages built from entry objects do not come here.
-        if name != "entries":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
+    def _unpack(self) -> list[PageEntry]:
+        """The entry list, built from the image on the first read."""
         with _UNPACKING:
             image = self._image
             if image is None:
                 # Another thread unpacked first; take the list it installed.
-                return _ENTRIES_SLOT.__get__(self)
+                return _ENTRIES_GET(self)
             entries = image.entries()
-            self.entries = entries
+            _ENTRIES_SET(self, entries)
             self._image = None
             # The image's values stay with the image; the list starts afresh.
             self._kept = None
             return entries
 
     def _packed(self) -> PageImage | None:
-        """The image, while the entries are still only inside it.
-
-        The test is the empty ``entries`` slot, not ``_image``: assigning
-        ``page.entries`` over a packed page fills the slot without passing
-        through :meth:`__getattr__`, and the stale image is dropped here.
-        """
-        image = self._image
-        if image is None:
-            return None
-        try:
-            _ENTRIES_SLOT.__get__(self)
-        except AttributeError:
-            return image
-        self._image = None
-        return None
+        """The image, while the entries are still only inside it."""
+        return self._image
 
     def image(self) -> bytes | None:
-        """The verified slot bytes this page was read from, while exact.
+        """The verified slot bytes this page was read from (a bulk-loaded
+        page's compact image: header and entries), while exact.
 
         ``None`` for a page built from entry objects and, for good, once
         ``entries`` of a packed page has been read or assigned: whoever
         holds the entry objects may have changed them.
         """
-        image = self._packed()
+        image = self._image
         return None if image is None else image.blob
 
     def mbr(self) -> Rect | None:
@@ -188,12 +173,13 @@ class Page:
 
         This is ``mbr({e | e in p})`` of the paper, the rectangle whose area
         and margin define the A and M replacement criteria.  Kept with the
-        page version (:meth:`_derived`); it never builds the scan block.
+        page version (:meth:`_derived`), or with the image of a packed
+        page; it never builds the scan block.
         """
-        image = self._packed()
+        image = self._image
         if image is not None:
             return image.mbr
-        entries = self.entries
+        entries = _ENTRIES_GET(self)
         if not entries:
             return None
         values = self._slot(entries)[3]
@@ -222,17 +208,18 @@ class Page:
     def _derived(self) -> dict:
         """The values derived from the page as it is now, beside its scan
         block: its MBR (``"mbr"``) and spatial criteria (by name)."""
-        image = self._packed()
-        return self._slot(self.entries if image is None else image)[3]
+        image = self._image
+        return self._slot(_ENTRIES_GET(self) if image is None else image)[3]
 
     def matching(self, window: Rect) -> list[Any]:
         """What the entries whose MBR meets ``window`` refer to, in entry
         order: payloads on a leaf (level 0), child page ids above.
 
         Equal to ``[ref for e in entries if e.mbr.intersects(window)]``,
-        answered from the scan block, which the first scan of an unpacked
-        page builds (:meth:`mbr` and the criteria read it and never build
-        it).  A packed page is scanned inside its image and stays packed.
+        answered from the scan block, which the first scan of the page
+        builds (:meth:`mbr` and the criteria never build it).  A packed
+        page's block comes from its image, stamped by the image, and the
+        page stays packed.
 
         Derived values are trusted under two rules.  *Stamp:* they name the
         ``entries`` list they were derived from, that list's length and the
@@ -253,34 +240,33 @@ class Page:
         it lands under the older version and fails the stamp.
         """
         # This runs once per page a query reaches, so the stamp test of
-        # _slot, Rect.contains and Rect.as_tuple are inlined, and _packed
-        # is called only for a page that still has an image.  The block
+        # _slot, Rect.contains and Rect.as_tuple are inlined.  The block
         # sits in the slot, not in its dict: one object less to reach.
-        if self._image is not None:
-            image = self._packed()
-            if image is not None:
-                return image.matching(window, self.level == 0)
-        entries = self.entries
+        image = self._image
+        source = _ENTRIES_GET(self) if image is None else image
         kept = self._kept
         if (
             kept is None
-            or kept[0] is not entries
-            or kept[1] != len(entries)
+            or kept[0] is not source
+            or kept[1] != len(source)
             or kept[2] != self._version
         ):
-            kept = self._slot(entries)
+            kept = self._slot(source)
         coords = kept[4]
         if coords is None:
             leaf = self.level == 0
-            block = _scan_block(entries, leaf)
+            block = _scan_block(source, leaf)
             if block is None:
                 # No exact block (see _scan_block): the walk it stands for.
                 return [
                     entry.payload if leaf else entry.child
-                    for entry in entries
+                    for entry in source
                     if entry.mbr.intersects(window)
                 ]
-            coords, refs, kept[3]["mbr"] = block
+            coords, refs, mbr = block
+            if image is None:
+                # A packed page's MBR is kept by its image.
+                kept[3]["mbr"] = mbr
             # Stamped as the slot it joins: a drop since then fails it.
             self._kept = kept[:4] + (coords, refs)
         else:
@@ -328,13 +314,18 @@ class Page:
         # Storage sits below the buffer; only this check needs the criteria.
         from repro.buffer.policies.spatial import SPATIAL_CRITERIA
 
-        image = self._packed()
-        kept = self._slot(self.entries if image is None else image)
-        entries = self.entries if image is None else image.entries()
+        image = self._image
+        source = _ENTRIES_GET(self) if image is None else image
+        kept = self._slot(source)
+        entries = source if image is None else image.entries()
         # A page of the same entries with nothing kept computes afresh.
         fresh = Page(self.page_id, self.page_type, self.level, entries)
-        block = _scan_block(entries, fresh.is_leaf)
-        if kept[4] is not None and (block is None or kept[4:] != block[:2]):
+        block = _scan_block(source, fresh.is_leaf)
+        if kept[4] is not None and (
+            block is None
+            or kept[4].tobytes() != block[0].tobytes()
+            or kept[5] != block[1]
+        ):
             return False
         want = {"mbr": fresh.mbr()}
         for key, value in list(kept[3].items()):
@@ -344,13 +335,22 @@ class Page:
                 return False
         return True
 
+    def entry_boxes(self) -> list[tuple[float, float, float, float]]:
+        """``(x_min, y_min, x_max, y_max)`` of every entry's MBR, in entry
+        order: the inputs of the EA, EM and EO criteria.  A packed page
+        answers from its image and stays packed."""
+        image = self._image
+        if image is not None:
+            return image.boxes()
+        return [entry.mbr.as_tuple() for entry in _ENTRIES_GET(self)]
+
     def entry_mbrs(self) -> list[Rect]:
         """The MBRs of all entries (inputs of the EA, EM, EO criteria)."""
         return [entry.mbr for entry in self.entries]
 
     def children(self) -> list[PageId]:
         """Child page ids referenced by the entries (directory pages)."""
-        image = self._packed()
+        image = self._image
         if image is not None:
             return image.children()
         return [entry.child for entry in self.entries if entry.child is not None]
@@ -360,16 +360,45 @@ class Page:
         return self.level == 0
 
     def __len__(self) -> int:
-        image = self._packed()
-        return len(self.entries if image is None else image)
+        image = self._image
+        return len(_ENTRIES_GET(self) if image is None else image)
 
 
-#: Reads the ``entries`` slot without falling back to ``Page.__getattr__``.
+#: The ``entries`` slot itself: reading it raises while the page is packed.
 _ENTRIES_SLOT = Page.__dict__["entries"]
+_ENTRIES_GET = _ENTRIES_SLOT.__get__
+_ENTRIES_SET = _ENTRIES_SLOT.__set__
 
 
-def _scan_block(entries: list[PageEntry], leaf: bool) -> tuple | None:
-    """The scan block of a page holding ``entries``, and its MBR.
+class _Entries:
+    """``Page.entries``: the slot, with the packed state kept beside it.
+
+    A read of an empty slot unpacks the page's image (:meth:`Page._unpack`);
+    an assignment drops the image, whose entries it replaces.  So a page
+    is packed exactly while ``_image`` is set, and every other method
+    tests that attribute alone.
+    """
+
+    __slots__ = ()
+
+    def __get__(self, page: Page | None, owner: type | None = None) -> Any:
+        if page is None:
+            return self
+        try:
+            return _ENTRIES_GET(page)
+        except AttributeError:
+            return page._unpack()
+
+    def __set__(self, page: Page, entries: list[PageEntry]) -> None:
+        _ENTRIES_SET(page, entries)
+        page._image = None
+
+
+Page.entries = _Entries()  # type: ignore[assignment]
+
+
+def _scan_block(source: Any, leaf: bool) -> tuple | None:
+    """The scan block of a page holding ``source``, and its MBR.
 
     ``(coords, refs, mbr)``: ``x_min, y_min, x_max, y_max`` of entry 0, 1,
     … and last of the page MBR as one ``array('d')``, what each entry
@@ -379,12 +408,19 @@ def _scan_block(entries: list[PageEntry], leaf: bool) -> tuple | None:
     floats lie elsewhere in memory, and a visit that touches them pays a
     cache miss apiece.
 
+    ``source`` is the entry list, or the image of a packed page, whose
+    block is read from its bytes
+    (:meth:`~repro.storage.serialization.PageImage.block`).
+
     Exact or absent: a coordinate a C double does not hold exactly (an
     integer beyond 2**53, a NaN, a ``Fraction``) yields no block, so a scan
     of the block cannot differ from :meth:`Rect.intersects` by a rounding.
     The MBR is ``min``/``max`` over the original objects, which keep the
     first extreme as :func:`mbr_of_rects`' strict comparisons do.
     """
+    if not isinstance(source, list):
+        return source.block(leaf)
+    entries = source
     # One C-level copy: entries appended while this runs are either in the
     # block or not, never half in it.
     snapshot = tuple(entries)

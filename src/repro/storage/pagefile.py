@@ -41,19 +41,22 @@ class PageFile:
         self._accessor = None
 
     def allocate(self, page_type: PageType, level: int = 0) -> Page:
-        """Create a new empty page and store it (unaccounted).
+        """Create a new empty page and store it (unaccounted)."""
+        page = Page(page_id=self.next_id(), page_type=page_type, level=level)
+        self.disk.store(page)
+        return page
+
+    def next_id(self) -> PageId:
+        """Hand out the id of a new page, which the caller stores.
 
         Freed ids are reused in LIFO order, like a freelist in a real
         storage manager.
         """
         if self._freed:
-            page_id = self._freed.pop()
-        else:
-            page_id = self._next_id
-            self._next_id += 1
-        page = Page(page_id=page_id, page_type=page_type, level=level)
-        self.disk.store(page)
-        return page
+            return self._freed.pop()
+        page_id = self._next_id
+        self._next_id += 1
+        return page_id
 
     def free(self, page_id: PageId) -> None:
         """Release a page; its id becomes reusable.

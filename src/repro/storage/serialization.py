@@ -36,7 +36,10 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import struct
+import sys
+from array import array
 from operator import gt, le
 from pathlib import Path
 
@@ -69,25 +72,45 @@ class PageImage:
 
     Built by :func:`read_page` once the checks of :func:`decode_page` have
     passed (or by :class:`VerifiedPages` for bytes equal to ones that
-    have), and never changed: a packed :class:`~repro.storage.page.Page`
-    answers from it until its entries are first read, then lets go of it.
+    have), or by :func:`compact_page` from values a bulk load has checked,
+    and never changed: a packed :class:`~repro.storage.page.Page` answers
+    from it until its entries are first read, then lets go of it.  ``blob``
+    is a whole slot, or only the header and entries (a *compact* image).
     """
 
-    __slots__ = ("blob", "count", "mbr", "_hull")
+    __slots__ = ("blob", "count", "_bounds")
 
     def __init__(
-        self, blob: bytes, count: int, mbr: Rect | None, hull: Rect | None
+        self, blob: bytes, count: int, bounds: tuple | None = None
     ) -> None:
         self.blob = blob
         self.count = count
-        #: As :func:`~repro.geometry.rect.mbr_of_rects` over the entries.
-        self.mbr = mbr
-        #: ``mbr`` when no bound is a NaN, else ``None``: a window that
-        #: contains it meets every entry.
-        self._hull = hull
+        #: ``(mbr, hull)`` once known (see :meth:`bounds`).
+        self._bounds = bounds
 
     def __len__(self) -> int:
         return self.count
+
+    def bounds(self) -> tuple[Rect | None, Rect | None]:
+        """``(mbr, hull)``: the MBR as :func:`~repro.geometry.rect.mbr_of_rects`
+        over the entries computes it (``None`` when there are none), and
+        the MBR again when no bound is a NaN, else ``None``: a window that
+        contains the hull meets every entry.  Computed on first use."""
+        bounds = self._bounds
+        if bounds is None:
+            flat = self._columns()
+            bounds = self._bounds = _bounds(
+                flat[0::6], flat[1::6], flat[2::6], flat[3::6]
+            )
+        return bounds
+
+    @property
+    def mbr(self) -> Rect | None:
+        return self.bounds()[0]
+
+    @property
+    def _hull(self) -> Rect | None:
+        return self.bounds()[1]
 
     def _columns(self) -> tuple:
         """``x_min, y_min, x_max, y_max, child, payload`` of entry 0, 1, …
@@ -100,54 +123,116 @@ class PageImage:
     def children(self) -> list[PageId]:
         return [child for child in self._columns()[4::6] if child >= 0]
 
-    def matching(self, window: Rect, leaf: bool) -> list:
-        """:meth:`Page.matching <repro.storage.page.Page.matching>` over the
-        slot bytes: no entry object is built.  A negative child or payload
-        is ``None``, as :func:`_entries` decodes it."""
-        hull = self._hull
-        if hull is not None and window.contains(hull):
-            column = 5 if leaf else 4
-            return [None if ref < 0 else ref for ref in self._columns()[column::6]]
-        w_x_min, w_y_min, w_x_max, w_y_max = window.as_tuple()
-        # iter_unpack wants whole records; a copy for the reason _entries has.
-        body = self.blob[_HEADER.size : _HEADER.size + self.count * _ENTRY.size]
-        return [
-            None if ref < 0 else ref
-            for x_min, y_min, x_max, y_max, child, payload in _ENTRY.iter_unpack(body)
-            if x_min <= w_x_max
-            and w_x_min <= x_max
-            and y_min <= w_y_max
-            and w_y_min <= y_max
-            for ref in [payload if leaf else child]
-        ]
+    def boxes(self) -> list[tuple[float, float, float, float]]:
+        """``(x_min, y_min, x_max, y_max)`` of every entry, in entry order."""
+        flat = self._columns()
+        return list(zip(flat[0::6], flat[1::6], flat[2::6], flat[3::6]))
+
+    def block(self, leaf: bool) -> tuple:
+        """The scan block of the page (see :func:`~repro.storage.page._scan_block`),
+        read from the bytes: the coordinates are the slot's doubles, so the
+        block is always exact.  A negative child or payload is ``None``, as
+        :func:`_entries` decodes it.  The page MBR's place in the array
+        holds the hull, or NaNs when there is none, so that
+        :meth:`~repro.storage.page.Page.matching` takes no shortcut past an
+        entry with a NaN bound."""
+        used = _HEADER.size + self.count * _ENTRY.size
+        coords = array("d")
+        coords.frombytes(self.blob[_HEADER.size : used])
+        refs = array("q")
+        refs.frombytes(self.blob[_HEADER.size : used])
+        if sys.byteorder != "little":
+            coords.byteswap()
+            refs.byteswap()
+        # Six 8-byte values per entry: drop child and payload, then keep the
+        # one column this level refers to.
+        del coords[4::6]
+        del coords[4::5]
+        refs = tuple([None if ref < 0 else ref for ref in refs[5 if leaf else 4 :: 6]])
+        bounds = self._bounds
+        if bounds is None:
+            bounds = self._bounds = _bounds(
+                coords[0::4], coords[1::4], coords[2::4], coords[3::4]
+            )
+        mbr, hull = bounds
+        if hull is not None:
+            coords.extend(hull.as_tuple())
+        elif mbr is not None:
+            coords.extend(_NO_HULL)
+        return coords, refs, mbr
+
+
+#: What a page MBR with a NaN bound leaves in a scan block: no window
+#: contains it.
+_NO_HULL = (math.nan,) * 4
+
+
+def _bounds(
+    x_min, y_min, x_max, y_max, exact: bool | None = None
+) -> tuple[Rect | None, Rect | None]:
+    """:meth:`PageImage.bounds` over the four coordinate columns; ``exact``
+    is whether every entry is ordered and free of NaN bounds, if known."""
+    if not x_min:
+        return None, None
+    # min/max keep the first extreme, as mbr_of_rects' comparisons do.
+    mbr = Rect(min(x_min), min(y_min), max(x_max), max(y_max))
+    if exact is None:
+        # No comparison with a NaN is true.
+        exact = all(map(le, x_min, x_max)) and all(map(le, y_min, y_max))
+    return mbr, mbr if exact else None
+
+
+def compact_page(
+    page_id: PageId, page_type: PageType, level: int, values: list
+) -> Page:
+    """A packed page over its compact image: header and entries, no zero tail.
+
+    ``values`` are the slot values ``x_min, y_min, x_max, y_max, child,
+    payload`` of entry 0, 1, …, with ``-1`` for ``None``: what a bulk load
+    writes, after it has checked each against the format.
+    """
+    count = len(values) // 6
+    header = _HEADER.pack(MAGIC, VERSION, _TYPE_CODES[page_type], level, count)
+    image = PageImage(header + _body(count).pack(*values), count)
+    return Page.packed(page_id, page_type, level, image)
 
 
 def encode_page(page: Page, page_size: int = 4096) -> bytes:
     """Serialize a page into exactly ``page_size`` bytes.
 
-    A page that is still packed is answered with its image, the very bytes
-    it was read from, when they fill a slot of this size.
+    A page that is still packed is answered with its image: the very bytes
+    it was read from when they fill a slot of this size, else its header
+    and entries padded with zeros.
 
     Raises :class:`ValueError` when the page does not fit, a payload is not
     an integer, or a child or payload is negative (it would read back as
     ``None``).
     """
     # Read once: another thread may be unpacking this shared page.
-    image = page.image()
-    if image is not None and len(image) == page_size:
-        return image
-    return _encode_entries(page, page_size)
+    image = page._packed()
+    if image is None:
+        return _encode_entries(page, page_size)
+    blob = image.blob
+    if len(blob) == page_size:
+        return blob
+    _check_fit(page.page_id, image.count, page_size)
+    used = _HEADER.size + image.count * _ENTRY.size
+    return blob[:used] + bytes(page_size - used)
+
+
+def _check_fit(page_id: PageId, count: int, page_size: int) -> None:
+    if count > max_entries_for(page_size):
+        raise ValueError(
+            f"page {page_id} has {count} entries; "
+            f"at most {max_entries_for(page_size)} fit into "
+            f"{page_size}-byte pages"
+        )
 
 
 def _encode_entries(page: Page, page_size: int) -> bytes:
     """The full encode, from the entry objects."""
     entries = page.entries
-    if len(entries) > max_entries_for(page_size):
-        raise ValueError(
-            f"page {page.page_id} has {len(entries)} entries; "
-            f"at most {max_entries_for(page_size)} fit into "
-            f"{page_size}-byte pages"
-        )
+    _check_fit(page.page_id, len(entries), page_size)
     flat: list = []
     for entry in entries:
         child = entry.child
@@ -233,9 +318,7 @@ def read_page(blob: bytes, page_id: PageId) -> Page:
     used = _HEADER.size + count * _ENTRY.size
     if unordered or blob[used:] != bytes(len(blob) - used):
         return decode_page(blob, page_id)
-    # min/max keep the first extreme, as mbr_of_rects' comparisons do.
-    mbr = Rect(min(x_min), min(y_min), max(x_max), max(y_max)) if count else None
-    image = PageImage(blob, count, mbr, mbr if exact else None)
+    image = PageImage(blob, count, _bounds(x_min, y_min, x_max, y_max, exact))
     return Page.packed(page_id, page_type, level, image)
 
 
@@ -259,9 +342,9 @@ class VerifiedPages:
         blob = bytes(blob)
         known = self._known.get(page_id)
         if known is not None:
-            prefix, page_type, level, count, mbr, hull, derived = known
+            prefix, page_type, level, count, bounds, derived = known
             if blob.startswith(prefix) and blob.endswith(bytes(len(blob) - len(prefix))):
-                image = PageImage(blob, count, mbr, hull)
+                image = PageImage(blob, count, bounds)
                 return Page.packed(page_id, page_type, level, image, derived)
         page = read_page(blob, page_id)
         self.remember(page_id, page)
@@ -273,7 +356,7 @@ class VerifiedPages:
         if image is not None:
             page_type, level, count = _header(image.blob, page_id)
             prefix = image.blob[: _HEADER.size + count * _ENTRY.size]
-            known = (prefix, page_type, level, count, image.mbr, image._hull, page._slot(image)[3])
+            known = (prefix, page_type, level, count, image.bounds(), page._slot(image)[3])
             self._known[page_id] = known
 
     def forget(self, page_id: PageId) -> None:

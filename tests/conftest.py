@@ -106,6 +106,34 @@ def no_loop_thread_left_behind():
         pytest.fail(f"test left loop or pool threads running: {alive}")
 
 
+#: Threads alive when the session starts (a plugin's, such as xdist's), which
+#: the session-end check exempts.
+_THREADS_AT_START: set[threading.Thread] = set()
+
+
+def pytest_sessionstart(session):
+    _THREADS_AT_START.update(threading.enumerate())
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the run if a thread the session started is still alive at its
+    end: it would run on into interpreter exit, where a crash in it ends
+    the process after the last test has passed."""
+    started = [t for t in threading.enumerate() if t not in _THREADS_AT_START]
+    deadline = time.monotonic() + 2.0
+    for thread in started:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    alive = sorted(thread.name for thread in started if thread.is_alive())
+    if alive:
+        message = f"threads started during the session still alive at its end: {alive}"
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        if reporter is not None:
+            reporter.write_line(message, red=True)
+        else:
+            print(message)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
+
+
 @pytest.fixture()
 def unit_space():
     return Rect(0.0, 0.0, 1.0, 1.0)

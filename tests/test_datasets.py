@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from repro.datasets.places import synthetic_places
@@ -62,6 +64,42 @@ class TestUsMainlandLike:
         dataset = us_mainland_like(n_objects=10, seed=9)
         items = dataset.items()
         assert [payload for _, payload in items] == list(range(10))
+
+
+class TestRectsView:
+    """``Dataset.rects`` is a read-only view over one coordinate array."""
+
+    def test_view_semantics(self):
+        dataset = us_mainland_like(n_objects=12, seed=2)
+        rects = dataset.rects
+        listed = list(rects)
+        assert all(type(rect) is Rect for rect in listed)
+        assert list(rects) == listed, "iterable again"
+        assert len(rects) == 12
+        assert [rects[index] for index in range(-12, 12)] == listed[-12:] + listed
+        for part in (slice(2, 5), slice(-3, None), slice(None, None, -2)):
+            assert rects[part] == listed[part] and type(rects[part]) is list
+        with pytest.raises(IndexError):
+            rects[12]
+        with pytest.raises(TypeError):
+            rects[0] = Rect(0.0, 0.0, 1.0, 1.0)
+        assert rects == listed and listed == rects and rects == tuple(listed)
+        assert rects != listed[:-1] and rects != listed[::-1]
+        assert set(rects) == set(listed) and len(set(rects)) == 12
+        assert rects[3] in rects and rects.index(rects[3]) == 3
+        assert list(dataset.items()) == list(zip(listed, range(12)))
+
+    def test_given_rects_are_kept_as_doubles(self):
+        ints = Dataset("d", Rect(0, 0, 1, 1), [Rect(0, 0, 1, 1)])
+        floats = Dataset("d", Rect(0, 0, 1, 1), [Rect(0.0, 0.0, 1.0, 1.0)])
+        assert ints == floats
+        assert ints.rects == [Rect(0.0, 0.0, 1.0, 1.0)]
+        assert [type(bound) for bound in ints.rects[0].as_tuple()] == [float] * 4
+
+    @pytest.mark.parametrize("bound", [Fraction(1, 3), 2**53 + 1], ids=["fraction", "wide-int"])
+    def test_a_bound_a_double_cannot_hold_is_refused(self, bound):
+        with pytest.raises(ValueError, match="not a double"):
+            Dataset("d", Rect(0, 0, 1, 1), [Rect(0, 0, bound, bound)])
 
 
 class TestWorldAtlasLike:

@@ -453,7 +453,7 @@ class TestBlockIsDerivedData:
         assert packed.matching(window) == walk(page, window)
         assert packed.mbr() == walk_mbr(page)
         assert packed.image() is not None, "scanning must not unpack"
-        assert not has_block(packed) and packed._derived_is_exact()
+        assert has_block(packed) and packed._derived_is_exact()
         assert packed == page  # unpacks
         assert packed.image() is None
         assert packed.matching(window) == walk(page, window)
